@@ -98,7 +98,9 @@ fn expand_children_wide(
 }
 
 /// A frozen fixed-depth trie over label sequences (level-major arena).
-#[derive(Clone, Debug)]
+/// Two tries are equal when every arena column is — the layout is a
+/// function of the stored entries alone, not of how they arrived.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatTrie {
     depth: usize,
     /// Node index range of level `l` is `level_start[l]..level_start[l+1]`
@@ -257,106 +259,203 @@ impl FlatTrie {
     ///
     /// # Panics
     /// Panics if any sequence length differs from `depth`.
-    pub fn from_entries(depth: usize, mut entries: Vec<(Vec<Label>, GraphId)>) -> Self {
-        for (seq, _) in &entries {
+    pub fn from_entries(depth: usize, entries: Vec<(Vec<Label>, GraphId)>) -> Self {
+        let mut labels = Vec::with_capacity(entries.len() * depth);
+        let mut graphs = Vec::with_capacity(entries.len());
+        for (seq, g) in &entries {
             assert_eq!(seq.len(), depth, "sequence length must equal trie depth");
+            labels.extend_from_slice(seq);
+            graphs.push(*g);
         }
-        entries.sort_unstable();
-        entries.dedup();
-        FlatTrie::from_sorted(depth, &entries)
+        FlatTrie::from_rows(depth, labels, graphs)
     }
 
     /// Freezes an insert-friendly [`LabelTrie`] builder into the arena
     /// layout. The two answer identical queries; only the memory layout
     /// changes.
     pub fn freeze(builder: &LabelTrie) -> Self {
-        let mut entries: Vec<(Vec<Label>, GraphId)> = Vec::with_capacity(builder.len());
-        builder.for_each_entry(|seq, g| entries.push((seq.to_vec(), g)));
-        // `for_each_entry` yields lexicographic order with ascending
-        // graph ids — already sorted and deduplicated.
-        FlatTrie::from_sorted(builder.depth(), &entries)
+        let mut labels = Vec::with_capacity(builder.len() * builder.depth());
+        let mut graphs = Vec::with_capacity(builder.len());
+        builder.for_each_entry(|seq, g| {
+            labels.extend_from_slice(seq);
+            graphs.push(g);
+        });
+        FlatTrie::from_rows(builder.depth(), labels, graphs)
     }
 
-    /// `entries` must be sorted by `(sequence, graph)` and deduplicated.
-    fn from_sorted(depth: usize, entries: &[(Vec<Label>, GraphId)]) -> Self {
-        let n = entries.len();
-        let mut trie = FlatTrie {
-            depth,
-            level_start: Vec::with_capacity(depth + 1),
-            labels: Vec::new(),
-            label_idx: Vec::new(),
-            child_start: Vec::new(),
-            child_len: Vec::new(),
-            sub_start: Vec::new(),
-            sub_len: Vec::new(),
-            postings: entries.iter().map(|(_, g)| *g).collect(),
-            alphabet_start: Vec::with_capacity(depth + 1),
-            alphabet: Vec::new(),
-        };
+    /// Builds the arena from a row-major entry matrix: row `i` is the
+    /// sequence `labels[i * depth..(i + 1) * depth]` stored for
+    /// `graphs[i]` (any order; duplicate rows are dropped). Rows that
+    /// arrive sorted and distinct — a builder walk, a saved index —
+    /// are built in place; anything else is sorted through a row
+    /// permutation first, so no entry ever owns an allocation.
+    ///
+    /// # Panics
+    /// Panics if `labels.len() != depth * graphs.len()`.
+    pub(crate) fn from_rows(depth: usize, labels: Vec<Label>, graphs: Vec<GraphId>) -> Self {
+        assert_eq!(labels.len(), depth * graphs.len(), "sequence length must equal trie depth");
+        let n = graphs.len();
+        assert!(n <= u32::MAX as usize, "trie arena exceeds u32 addressing");
+        let row = |i: usize| &labels[i * depth..(i + 1) * depth];
+        let key = |i: usize| (row(i), graphs[i]);
+        if (1..n).all(|i| key(i - 1) < key(i)) {
+            return FlatTrie::from_sorted_rows(depth, row, graphs);
+        }
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a as usize).cmp(&key(b as usize)));
+        order.dedup_by(|a, b| key(*a as usize) == key(*b as usize));
+        // The builder reads the rows through the permutation; only the
+        // posting column is gathered.
+        let postings = order.iter().map(|&i| graphs[i as usize]).collect();
+        FlatTrie::from_sorted_rows(depth, |i| row(order[i] as usize), postings)
+    }
+
+    /// The one arena builder: `row(i)` is the `i`-th of
+    /// `postings.len()` sequences, sorted by `(sequence, graph)` and
+    /// free of duplicates, so `postings` already is the posting column.
+    ///
+    /// Sorted rows make every node a run of adjacent rows. One pass
+    /// finds the level at which each row leaves its predecessor's path
+    /// — the row opens one node on every level from there down — which
+    /// sizes every level exactly; a second pass over those splits writes
+    /// each node's label, first row and child count straight into the
+    /// level-major columns.
+    fn from_sorted_rows<'a>(
+        depth: usize,
+        row: impl Fn(usize) -> &'a [Label],
+        postings: Vec<GraphId>,
+    ) -> Self {
+        let n = postings.len();
         if depth == 0 {
             // The virtual root is the only (leaf) node; its postings are
             // the whole array.
-            return trie;
+            return FlatTrie {
+                depth,
+                level_start: Vec::new(),
+                labels: Vec::new(),
+                label_idx: Vec::new(),
+                child_start: Vec::new(),
+                child_len: Vec::new(),
+                sub_start: Vec::new(),
+                sub_len: Vec::new(),
+                postings,
+                alphabet_start: Vec::new(),
+                alphabet: Vec::new(),
+            };
         }
-        // Level-by-level construction: each node is a distinct prefix,
-        // represented during the build by its contiguous entry range
-        // (entries are sorted, so equal prefixes are adjacent) — which
-        // is exactly its subtree posting range.
-        let mut parent_ranges: Vec<(u32, u32)> =
-            if n > 0 { vec![(0, n as u32)] } else { Vec::new() };
-        for l in 0..depth {
-            trie.level_start.push(trie.labels.len() as u32);
-            let mut next_ranges: Vec<(u32, u32)> = Vec::new();
-            for (pi, &(s, e)) in parent_ranges.iter().enumerate() {
-                let first_child = trie.labels.len() as u32;
-                let mut i = s;
-                while i < e {
-                    let label = entries[i as usize].0[l];
-                    let mut j = i + 1;
-                    while j < e && entries[j as usize].0[l] == label {
-                        j += 1;
-                    }
-                    trie.labels.push(label);
-                    trie.child_start.push(0);
-                    trie.child_len.push(0);
-                    trie.sub_start.push(i);
-                    trie.sub_len.push(j - i);
-                    next_ranges.push((i, j));
-                    i = j;
+        // `(row, level)` of every row that opens nodes. A row repeating
+        // its predecessor's sequence for another graph opens none: it is
+        // one more posting under the same leaf.
+        let mut splits: Vec<(u32, u32)> = Vec::new();
+        // `level_start[l + 1]` first counts the rows that split at level
+        // `l`; the running sum turns that into nodes on levels `0..=l`
+        // and then into the level table.
+        let mut level_start = vec![0u32; depth + 1];
+        for i in 0..n {
+            let at = if i == 0 {
+                0
+            } else {
+                let (prev, this) = (row(i - 1), row(i));
+                if prev == this {
+                    continue;
                 }
+                prev.iter().zip(this).take_while(|(a, b)| a == b).count()
+            };
+            splits.push((i as u32, at as u32));
+            level_start[at + 1] += 1;
+        }
+        let mut opened = 0u32;
+        let mut total = 0u32;
+        for l in 0..depth {
+            opened += level_start[l + 1];
+            total += opened;
+            level_start[l + 1] = total;
+        }
+        let nodes = total as usize;
+        let mut labels = vec![Label(0); nodes];
+        let mut child_start = vec![0u32; nodes];
+        let mut child_len = vec![0u32; nodes];
+        let mut sub_start = vec![0u32; nodes];
+        let mut sub_len = vec![0u32; nodes];
+        // Next free node of each level.
+        let mut cursor: Vec<u32> = level_start[..depth].to_vec();
+        for &(i, at) in &splits {
+            let seq = row(i as usize);
+            for l in at as usize..depth {
+                let node = cursor[l] as usize;
+                cursor[l] += 1;
+                labels[node] = seq[l];
+                sub_start[node] = i;
                 if l > 0 {
-                    // Parent `pi` of the previous level owns exactly the
-                    // children just created.
-                    let p = (trie.level_start[l - 1] + pi as u32) as usize;
-                    trie.child_start[p] = first_child;
-                    trie.child_len[p] = trie.labels.len() as u32 - first_child;
+                    // The open node one level up is the parent (row 0
+                    // opens every level, so there always is one).
+                    child_len[cursor[l - 1] as usize - 1] += 1;
                 }
             }
-            parent_ranges = next_ranges;
         }
-        trie.level_start.push(trie.labels.len() as u32);
-        // Per-level distinct-label alphabets + absolute per-node cost
-        // slots (computed once here so descents only index).
-        trie.label_idx = vec![0; trie.labels.len()];
-        let mut distinct: Vec<Label> = Vec::new();
+        let mut label_idx = vec![0u32; nodes];
+        let mut alphabet_start = Vec::with_capacity(depth + 1);
+        let mut alphabet: Vec<Label> = Vec::new();
+        // Distinct labels of the level, sorted, each with its rank of
+        // first appearance.
+        let mut seen: Vec<(Label, u32)> = Vec::new();
+        let mut slot_of: Vec<u32> = Vec::new();
         for l in 0..depth {
-            let base = trie.alphabet.len() as u32;
-            trie.alphabet_start.push(base);
-            let (s, e) = (trie.level_start[l] as usize, trie.level_start[l + 1] as usize);
-            distinct.clear();
-            distinct.extend_from_slice(&trie.labels[s..e]);
-            distinct.sort_unstable();
-            distinct.dedup();
+            let (s, e) = (level_start[l] as usize, level_start[l + 1] as usize);
+            // A level's nodes tile the rows in order: each ends where
+            // the next begins, and child runs follow one another.
+            let mut next_child = level_start[l + 1];
             for node in s..e {
-                let k = distinct
-                    .binary_search(&trie.labels[node])
-                    .expect("every node label is in the level alphabet");
-                trie.label_idx[node] = base + k as u32;
+                let end = if node + 1 < e { sub_start[node + 1] } else { n as u32 };
+                sub_len[node] = end - sub_start[node];
+                if l + 1 < depth {
+                    child_start[node] = next_child;
+                    next_child += child_len[node];
+                }
             }
-            trie.alphabet.extend_from_slice(&distinct);
+            // Alphabet + per-node cost slots in one dedup pass: a node
+            // first takes its label's rank of first appearance, and
+            // once the level's distinct labels are known (kept sorted)
+            // the rank maps to the label's sorted slot.
+            let base = alphabet.len() as u32;
+            alphabet_start.push(base);
+            seen.clear();
+            for node in s..e {
+                let label = labels[node];
+                let k = seen.partition_point(|&(x, _)| x < label);
+                label_idx[node] = match seen.get(k) {
+                    Some(&(x, first)) if x == label => first,
+                    _ => {
+                        let first = seen.len() as u32;
+                        seen.insert(k, (label, first));
+                        first
+                    }
+                };
+            }
+            slot_of.clear();
+            slot_of.resize(seen.len(), 0);
+            for (slot, &(label, first)) in seen.iter().enumerate() {
+                slot_of[first as usize] = base + slot as u32;
+                alphabet.push(label);
+            }
+            for idx in &mut label_idx[s..e] {
+                *idx = slot_of[*idx as usize];
+            }
         }
-        trie.alphabet_start.push(trie.alphabet.len() as u32);
-        trie
+        alphabet_start.push(alphabet.len() as u32);
+        FlatTrie {
+            depth,
+            level_start,
+            labels,
+            label_idx,
+            child_start,
+            child_len,
+            sub_start,
+            sub_len,
+            postings,
+            alphabet_start,
+            alphabet,
+        }
     }
 
     /// The uniform sequence length.
@@ -580,23 +679,94 @@ impl FlatTrie {
         Ok(())
     }
 
-    /// Merges more `(sequence, graph)` entries into the arena by a
-    /// one-shot rebuild — O(stored + added). Incremental insertion is
-    /// not the arena's strength (see `FragmentIndex::insert_graph`);
-    /// batching a whole graph's sequences per call keeps it one rebuild
-    /// per class.
+    /// Merges more `(sequence, graph)` entries into the arena with one
+    /// streaming sorted merge — O(stored + added), no comparison sort
+    /// over stored entries and no allocation per entry. Only the
+    /// additions are sorted and deduplicated; each is then located in
+    /// the stored entry order by a trie descent (`entry_rank`),
+    /// and one walk of the arena (already sorted, already distinct)
+    /// copies stored rows into a fresh row matrix with the additions
+    /// spliced in at their ranks. The arena rebuilt from that matrix is
+    /// column-for-column the one [`FlatTrie::from_entries`] builds from
+    /// the union. Additions already stored are dropped, and a batch
+    /// that adds nothing leaves the arena untouched.
     ///
     /// # Panics
     /// Panics if any sequence length differs from the trie depth.
-    pub fn insert_batch(&mut self, additions: Vec<(Vec<Label>, GraphId)>) {
+    pub fn insert_batch(&mut self, mut additions: Vec<(Vec<Label>, GraphId)>) {
+        let depth = self.depth;
+        for (seq, _) in &additions {
+            assert_eq!(seq.len(), depth, "sequence length must equal trie depth");
+        }
+        additions.sort_unstable();
+        additions.dedup();
+        // Rank of each new entry among the stored ones; sorted additions
+        // make the ranks non-decreasing.
+        let mut ranks: Vec<u32> = Vec::with_capacity(additions.len());
+        additions.retain(|(seq, g)| match self.entry_rank(seq, *g) {
+            Ok(_) => false,
+            Err(rank) => {
+                ranks.push(rank);
+                true
+            }
+        });
         if additions.is_empty() {
             return;
         }
-        let mut merged: Vec<(Vec<Label>, GraphId)> =
-            Vec::with_capacity(self.len() + additions.len());
-        self.for_each_entry(|seq, g| merged.push((seq.to_vec(), g)));
-        merged.extend(additions);
-        *self = FlatTrie::from_entries(self.depth, merged);
+        let total = self.len() + additions.len();
+        assert!(total <= u32::MAX as usize, "trie arena exceeds u32 addressing");
+        let mut rows: Vec<Label> = Vec::with_capacity(total * depth);
+        let mut postings: Vec<GraphId> = Vec::with_capacity(total);
+        let mut next = 0;
+        let mut rank = 0u32;
+        self.for_each_entry(|seq, g| {
+            while next < ranks.len() && ranks[next] == rank {
+                rows.extend_from_slice(&additions[next].0);
+                postings.push(additions[next].1);
+                next += 1;
+            }
+            rows.extend_from_slice(seq);
+            postings.push(g);
+            rank += 1;
+        });
+        for (seq, g) in &additions[next..] {
+            rows.extend_from_slice(seq);
+            postings.push(*g);
+        }
+        *self = FlatTrie::from_sorted_rows(depth, |i| &rows[i * depth..(i + 1) * depth], postings);
+    }
+
+    /// Position of `(seq, g)` in the stored entry order: `Ok(rank)` when
+    /// the pair is stored, `Err(rank)` with the rank it would take
+    /// otherwise (the contract of `slice::binary_search`). Descends one
+    /// sorted child run per level, then the leaf's ascending postings.
+    fn entry_rank(&self, seq: &[Label], g: GraphId) -> Result<u32, u32> {
+        // The postings still to search, narrowed level by level: the
+        // whole array under the virtual root, then a node's subtree.
+        let (mut lo, mut hi) = (0u32, self.postings.len() as u32);
+        if self.depth > 0 {
+            let (mut cs, mut ce) = (self.level_start[0] as usize, self.level_start[1] as usize);
+            for &label in seq {
+                match self.labels[cs..ce].binary_search(&label) {
+                    Ok(k) => {
+                        let node = cs + k;
+                        lo = self.sub_start[node];
+                        hi = lo + self.sub_len[node];
+                        // Zeros on the leaf level, where the loop ends.
+                        cs = self.child_start[node] as usize;
+                        ce = cs + self.child_len[node] as usize;
+                    }
+                    // A new branch: before the next larger sibling's
+                    // subtree, or at the end of the parent's.
+                    Err(k) if cs + k < ce => return Err(self.sub_start[cs + k]),
+                    Err(_) => return Err(hi),
+                }
+            }
+        }
+        match self.postings[lo as usize..hi as usize].binary_search(&g) {
+            Ok(k) => Ok(lo + k as u32),
+            Err(k) => Err(lo + k as u32),
+        }
     }
 
     /// Visits every stored `(sequence, graph)` pair in lexicographic

@@ -8,19 +8,20 @@
 //! Eq. (3) — `d(g, G) = min_{g' ⊑ G, g' ≅ g} d(g, g')` — without
 //! touching any database graph.
 
+use std::hash::Hasher;
 use std::ops::ControlFlow;
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::budget::{BudgetState, CheckpointSite};
 use pis_graph::iso::{IsoConfig, SubgraphMatcher};
-use pis_graph::util::FxHashSet;
+use pis_graph::util::FxHasher;
 use pis_graph::{GraphId, Label, LabeledGraph, ScopedPool};
 use pis_mining::{FeatureId, FeatureSet};
 
 use crate::flat_trie::{BatchFrontier, FlatTrie, TrieFrontier};
 use crate::fragment::{
-    label_vector, label_vector_into, weight_vector, weight_vector_into, FragmentBuffer,
-    FragmentVector, FragmentVectorRef, QueryFragment,
+    label_vector_into, weight_vector_into, FragmentBuffer, FragmentVector, FragmentVectorRef,
+    QueryFragment,
 };
 use crate::pending::PendingSet;
 use crate::rtree::RTree;
@@ -222,6 +223,19 @@ pub struct IndexCheckReport {
     pub rtree_stale_classes: usize,
 }
 
+/// Monotone merge-work counters of one [`FragmentIndex`] value since it
+/// was built or loaded (see [`FragmentIndex::merge_stats`]): merge work
+/// as a count, where a timing would depend on the machine.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MergeStats {
+    /// Class merges performed (a pending buffer folded into its frozen
+    /// structure), by threshold, batch end or [`FragmentIndex::compact`].
+    pub merges: u64,
+    /// Entries written into rebuilt frozen structures over all merges —
+    /// each merge rewrites its whole class, stored entries included.
+    pub entries_rewritten: u64,
+}
+
 pub(crate) enum ClassImpl {
     Trie(FlatTrie),
     VpLabels(VpTree<Label>),
@@ -255,6 +269,7 @@ pub struct FragmentIndex {
     pub(crate) graph_count: usize,
     /// Build options, kept for incremental insertion.
     pub(crate) config: IndexConfig,
+    pub(crate) merge_stats: MergeStats,
 }
 
 impl FragmentIndex {
@@ -287,6 +302,7 @@ impl FragmentIndex {
             classes,
             graph_count: db.len(),
             config: config.clone(),
+            merge_stats: MergeStats::default(),
         };
         index.debug_validate("build");
         index
@@ -318,142 +334,133 @@ impl FragmentIndex {
         &self.classes[feature.index()].graphs
     }
 
-    /// Incrementally indexes one more graph, returning its new id; the
-    /// caller must append the same graph to its database (the facade's
+    /// Incrementally indexes one more graph and merges it into the
+    /// frozen structures at once, returning its new id; the caller must
+    /// append the same graph to its database (the facade's
     /// `PisSystem::insert_graph` keeps both in sync).
     ///
-    /// R-tree classes insert in place. Trie classes merge the graph's
-    /// sequences into the frozen arena with one O(class) rebuild per
-    /// class ([`FlatTrie::insert_batch`]); VP-tree classes are likewise
-    /// rebuilt from their items (VP-trees do not take in-place inserts
-    /// without losing balance). For insert-heavy workloads, batch
-    /// arrivals and rebuild the index periodically.
+    /// Every class the graph touches is re-frozen: trie classes by one
+    /// streaming sorted merge ([`FlatTrie::insert_batch`] — a copy of
+    /// the class, O(stored + added)), R-tree classes by in-place inserts
+    /// and a re-flatten, VP-tree classes by a rebuild from their items
+    /// (VP-trees do not take in-place inserts without losing balance).
+    /// [`FragmentIndex::insert_graph_pending`] defers those merges until
+    /// a class has buffered [`IndexConfig::merge_threshold`] entries and
+    /// is the path for insert-heavy workloads.
     pub fn insert_graph(&mut self, g: &LabeledGraph) -> GraphId {
-        let gid = GraphId(self.graph_count as u32);
-        self.graph_count += 1;
-        for class_idx in 0..self.classes.len() {
-            let feature = self.features.get(FeatureId(class_idx as u32));
-            let structure = &feature.structure;
-            let ecount = structure.edge_count();
-            let slots = structure.vertex_count() + structure.edge_count();
-            let entries = collect_graph_entries(structure, g, &self.distance, &self.config);
-            if !entries.any {
-                continue;
-            }
-            let class = &mut self.classes[class_idx];
-            // `gid` exceeds every stored id, so appending keeps the
-            // posting list sorted.
-            class.graphs.push(gid);
-            class.entries += entries.labels.len() + entries.weights.len();
-            match (&mut class.imp, &self.distance) {
-                (ClassImpl::Trie(trie), _) => {
-                    // Trie postings are class-local slots; the graph was
-                    // just appended, so its slot is the last one.
-                    let local = GraphId((class.graphs.len() - 1) as u32);
-                    trie.insert_batch(entries.labels.into_iter().map(|v| (v, local)).collect());
-                }
-                (ClassImpl::RTree(rt), IndexDistance::Linear(ld)) => {
-                    for v in &entries.weights {
-                        rt.insert(&scale_weights(ld, ecount, v), gid);
-                    }
-                    // One O(tree) re-flatten per inserted graph, the
-                    // R-tree counterpart of the trie's O(class) rebuild.
-                    rt.freeze();
-                }
-                (ClassImpl::VpLabels(_), IndexDistance::Mutation(md)) => {
-                    let md = md.clone();
-                    let placeholder = ClassImpl::Trie(FlatTrie::from_entries(0, Vec::new()));
-                    let imp = std::mem::replace(&mut class.imp, placeholder);
-                    let ClassImpl::VpLabels(vp) = imp else { unreachable!() };
-                    let mut items = vp.into_items();
-                    items.extend(entries.labels.into_iter().map(|v| (v, gid)));
-                    class.imp = ClassImpl::VpLabels(VpTree::build(slots, items, move |a, b| {
-                        md.label_vector_cost(ecount, a, b)
-                    }));
-                }
-                (ClassImpl::VpWeights(_), IndexDistance::Linear(ld)) => {
-                    let ld = *ld;
-                    let placeholder = ClassImpl::Trie(FlatTrie::from_entries(0, Vec::new()));
-                    let imp = std::mem::replace(&mut class.imp, placeholder);
-                    let ClassImpl::VpWeights(vp) = imp else { unreachable!() };
-                    let mut items = vp.into_items();
-                    items.extend(entries.weights.into_iter().map(|v| (v, gid)));
-                    class.imp = ClassImpl::VpWeights(VpTree::build(slots, items, move |a, b| {
-                        ld.weight_vector_cost(ecount, a, b)
-                    }));
-                }
-                _ => unreachable!("class backend always matches the index distance"),
-            }
-        }
-        self.debug_validate("insert_graph");
+        let gid = self.append_pending(g, &mut GraphEntries::default());
+        self.compact();
         gid
     }
 
     /// Incrementally indexes one more graph through the per-class
     /// *pending buffers* — O(entries added) instead of one O(class)
-    /// arena rebuild per touched class. Range queries scan pending
+    /// arena merge per touched class. Range queries scan pending
     /// entries with the same pricing kernels as the frozen structures,
     /// so answers (f64 bits included) are identical to
-    /// [`FragmentIndex::insert_graph`]'s eager rebuild; once a class
+    /// [`FragmentIndex::insert_graph`]'s eager merge; once a class
     /// accumulates [`IndexConfig::merge_threshold`] pending entries it
     /// is merged and re-frozen automatically, and
     /// [`FragmentIndex::compact`] forces every merge (required before
-    /// snapshotting).
+    /// snapshotting). A batch of one through
+    /// [`FragmentIndex::insert_graphs_pending`].
     pub fn insert_graph_pending(&mut self, g: &LabeledGraph) -> GraphId {
         let gid = GraphId(self.graph_count as u32);
-        self.graph_count += 1;
+        self.insert_graphs_pending(std::slice::from_ref(g));
+        gid
+    }
+
+    /// Indexes a run of graphs (ids `graph_count()..` in order) through
+    /// the pending buffers and merges each class that reached
+    /// [`IndexConfig::merge_threshold`] **once, at the end of the run**
+    /// — recovering N logged inserts costs one merge per class where N
+    /// single inserts would re-freeze the big classes every few graphs.
+    /// Answers, and the snapshot after [`FragmentIndex::compact`], are
+    /// identical to inserting the graphs one at a time, and every class
+    /// still ends below the threshold.
+    ///
+    /// Memory stays bounded on a long run: a class whose pending run
+    /// outgrows its frozen structure is merged on the spot (such a
+    /// merge at least doubles the class, so the rewriting stays linear
+    /// in the entries added).
+    pub fn insert_graphs_pending(&mut self, graphs: &[LabeledGraph]) {
         let threshold = self.config.merge_threshold;
+        // Threshold 0 switches automatic merging off.
+        let full = |pending: usize| threshold > 0 && pending >= threshold;
+        let mut scratch = GraphEntries::default();
+        for g in graphs {
+            self.append_pending(g, &mut scratch);
+            self.merge_where(|pending, frozen| full(pending) && pending > frozen);
+        }
+        self.merge_where(|pending, _| full(pending));
+        self.debug_validate("insert_graphs_pending");
+    }
+
+    /// Appends one graph's entries to the pending buffer of every class
+    /// whose structure it contains; merging is the caller's decision.
+    fn append_pending(&mut self, g: &LabeledGraph, entries: &mut GraphEntries) -> GraphId {
+        let gid = GraphId(self.graph_count as u32);
+        self.graph_count += 1;
         for class_idx in 0..self.classes.len() {
             let feature = self.features.get(FeatureId(class_idx as u32));
             let structure = &feature.structure;
             let ecount = structure.edge_count();
-            let entries = collect_graph_entries(structure, g, &self.distance, &self.config);
-            if !entries.any {
+            let slots = structure.vertex_count() + ecount;
+            collect_graph_entries(structure, g, &self.distance, &self.config, entries);
+            if entries.count == 0 {
                 continue;
             }
             let class = &mut self.classes[class_idx];
             // `gid` exceeds every stored id, so appending keeps the
             // posting list sorted.
             class.graphs.push(gid);
-            class.entries += entries.labels.len() + entries.weights.len();
+            class.entries += entries.count;
+            let labels = rows(&entries.labels, slots, entries.count).map(<[Label]>::to_vec);
+            let weights = rows(&entries.weights, slots, entries.count);
             match (&class.imp, &self.distance) {
                 (ClassImpl::Trie(_), _) => {
                     // Trie postings are class-local slots; the graph was
                     // just appended, so its slot is the last one.
                     let local = GraphId((class.graphs.len() - 1) as u32);
-                    class.pending.labels.extend(entries.labels.into_iter().map(|v| (v, local)));
+                    class.pending.labels.extend(labels.map(|v| (v, local)));
                 }
                 (ClassImpl::RTree(_), IndexDistance::Linear(ld)) => {
                     // Stored R-tree points are scale-transformed so the
                     // weighted L1 becomes a plain L1; pending points get
                     // the same transform and the pending scan prices
                     // with the same plain L1.
-                    class.pending.weights.extend(
-                        entries.weights.iter().map(|v| (scale_weights(ld, ecount, v), gid)),
-                    );
+                    class
+                        .pending
+                        .weights
+                        .extend(weights.map(|v| (scale_weights(ld, ecount, v), gid)));
                 }
                 (ClassImpl::VpLabels(_), _) => {
-                    class.pending.labels.extend(entries.labels.into_iter().map(|v| (v, gid)));
+                    class.pending.labels.extend(labels.map(|v| (v, gid)));
                 }
                 (ClassImpl::VpWeights(_), _) => {
-                    class.pending.weights.extend(entries.weights.into_iter().map(|v| (v, gid)));
+                    class.pending.weights.extend(weights.map(|v| (v.to_vec(), gid)));
                 }
                 _ => unreachable!("class backend always matches the index distance"),
             }
-            if threshold > 0 && class.pending.len() >= threshold {
-                self.merge_class(class_idx);
+        }
+        gid
+    }
+
+    /// Merges every class whose `(pending, frozen)` entry counts satisfy
+    /// `due` (classes with nothing pending are never due).
+    fn merge_where(&mut self, due: impl Fn(usize, usize) -> bool) {
+        for ci in 0..self.classes.len() {
+            let class = &self.classes[ci];
+            let pending = class.pending.len();
+            if pending > 0 && due(pending, class.entries - pending) {
+                self.merge_class(ci);
             }
         }
-        self.debug_validate("insert_graph_pending");
-        gid
     }
 
     /// Merges class `ci`'s pending entries into its frozen structure
     /// (one batch rebuild), leaving the pending buffer empty.
     fn merge_class(&mut self, ci: usize) {
-        if self.classes[ci].pending.is_empty() {
-            return;
-        }
         let feature = self.features.get(FeatureId(ci as u32));
         let structure = &feature.structure;
         let ecount = structure.edge_count();
@@ -493,6 +500,8 @@ impl FragmentIndex {
             }
             _ => unreachable!("class backend always matches the index distance"),
         }
+        self.merge_stats.merges += 1;
+        self.merge_stats.entries_rewritten += class.entries as u64;
     }
 
     /// Merges every class's pending buffer into its frozen structure
@@ -500,9 +509,7 @@ impl FragmentIndex {
     /// compaction only restores the frozen-arena fast paths (and is the
     /// required prelude to snapshotting).
     pub fn compact(&mut self) {
-        for ci in 0..self.classes.len() {
-            self.merge_class(ci);
-        }
+        self.merge_where(|_, _| true);
         for class in &mut self.classes {
             if let ClassImpl::RTree(rt) = &mut class.imp {
                 if !rt.is_frozen() {
@@ -513,9 +520,22 @@ impl FragmentIndex {
         self.debug_validate("compact");
     }
 
+    /// Merge work done by this index value so far (monotone; starts at
+    /// zero when the index is built or loaded).
+    pub fn merge_stats(&self) -> MergeStats {
+        self.merge_stats
+    }
+
     /// Total unmerged pending entries across all classes.
     pub fn pending_entries(&self) -> usize {
         self.classes.iter().map(|c| c.pending.len()).sum()
+    }
+
+    /// Unmerged pending entries of one class — below
+    /// [`IndexConfig::merge_threshold`] after every insert while
+    /// automatic merging is on.
+    pub fn class_pending_entries(&self, feature: FeatureId) -> usize {
+        self.classes[feature.index()].pending.len()
     }
 
     /// Number of R-tree classes whose frozen arena is stale (in-place
@@ -1240,24 +1260,6 @@ fn emit_class_hits(graphs: &[GraphId], row: &[f64], out: &mut Vec<(GraphId, f64)
     out.extend(graphs.iter().zip(row).filter(|(_, b)| b.is_finite()).map(|(&g, &b)| (g, b)));
 }
 
-/// Rewrites trie entries' graph ids as class-local slots — each id's
-/// position in the class's sorted posting list. Sorting by local slot
-/// equals sorting by graph id, so the trie's layout (and its persisted
-/// byte stream after translating back) is unchanged.
-fn to_local_entries(
-    entries: Vec<(Vec<Label>, GraphId)>,
-    graphs: &[GraphId],
-) -> Vec<(Vec<Label>, GraphId)> {
-    entries
-        .into_iter()
-        .map(|(v, g)| {
-            let slot =
-                graphs.binary_search(&g).expect("every trie entry's graph is in the posting list");
-            (v, GraphId(slot as u32))
-        })
-        .collect()
-}
-
 /// Applies the linear distance's per-segment scales to a raw weight
 /// vector (edge slots first), so `|a' − b'|₁ = LD(a, b)` for
 /// transformed vectors `a'`, `b'`. Lets the R-tree answer scaled
@@ -1270,26 +1272,94 @@ fn scale_weights(ld: &LinearDistance, edge_count: usize, v: &[f64]) -> Vec<f64> 
 }
 
 /// All deduplicated, normalized vectors of one graph for one feature
-/// structure (label or weight vectors depending on the distance).
+/// structure, row-major (label or weight rows depending on the
+/// distance). A reusable scratch: one value serves every graph of a
+/// build or insert, so no entry owns an allocation.
+#[derive(Default)]
 struct GraphEntries {
-    labels: Vec<Vec<Label>>,
-    weights: Vec<Vec<f64>>,
-    /// Whether the graph contains the structure at all.
-    any: bool,
+    /// `count` rows of the class's slot count (mutation distance).
+    labels: Vec<Label>,
+    /// `count` rows of the class's slot count (linear distance).
+    weights: Vec<f64>,
+    /// Distinct vectors held; zero exactly when the graph does not
+    /// contain the structure.
+    count: usize,
+    /// Open-addressing set of the rows held, by row number: 0 is a
+    /// free slot, `r + 1` names row `r`. A power of two long, at most
+    /// half full.
+    table: Vec<u32>,
 }
 
-/// Enumerates a graph's fragments of one feature and reads out their
-/// (normalized, deduplicated) vectors — the unit of work shared by bulk
-/// build and incremental insertion.
+/// The `count` rows of `width` slots held row-major in `flat`.
+fn rows<T>(flat: &[T], width: usize, count: usize) -> impl Iterator<Item = &[T]> {
+    (0..count).map(move |i| &flat[i * width..(i + 1) * width])
+}
+
+/// Decides whether the last row of `rows` (row number `count`, after
+/// `count` distinct rows of `width` slots) is new, and records it in
+/// `table` if so. Rows are hashed and compared through `bits`, so
+/// weight rows are equal exactly when their bit patterns are. Stands in
+/// for a hash set of owned vectors: the keys stay in the matrix.
+fn is_new_row<T: Copy>(
+    table: &mut Vec<u32>,
+    rows: &[T],
+    width: usize,
+    count: usize,
+    bits: impl Fn(T) -> u64,
+) -> bool {
+    let row = |r: usize| &rows[r * width..(r + 1) * width];
+    let slot_of = |r: usize, len: usize| {
+        let mut hasher = FxHasher::default();
+        row(r).iter().for_each(|&x| hasher.write_u64(bits(x)));
+        // A multiplicative hash mixes upwards: index by its high bits.
+        (hasher.finish() >> 20) as usize & (len - 1)
+    };
+    if 2 * (count + 1) > table.len() {
+        let len = (2 * table.len()).max(64);
+        table.clear();
+        table.resize(len, 0);
+        for r in 0..count {
+            let mut slot = slot_of(r, len);
+            while table[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            table[slot] = r as u32 + 1;
+        }
+    }
+    let len = table.len();
+    let mut slot = slot_of(count, len);
+    loop {
+        match table[slot] {
+            0 => {
+                table[slot] = count as u32 + 1;
+                return true;
+            }
+            r => {
+                let stored = row(r as usize - 1);
+                if stored.iter().zip(row(count)).all(|(&a, &b)| bits(a) == bits(b)) {
+                    return false;
+                }
+            }
+        }
+        slot = (slot + 1) & (len - 1);
+    }
+}
+
+/// Enumerates a graph's fragments of one feature and reads their
+/// (normalized, deduplicated) vectors into `out` — the unit of work
+/// shared by bulk build and incremental insertion.
 fn collect_graph_entries(
     structure: &LabeledGraph,
     g: &LabeledGraph,
     distance: &IndexDistance,
     config: &IndexConfig,
-) -> GraphEntries {
-    let mut out = GraphEntries { labels: Vec::new(), weights: Vec::new(), any: false };
+    out: &mut GraphEntries,
+) {
+    out.labels.clear();
+    out.weights.clear();
+    out.count = 0;
     if g.vertex_count() < structure.vertex_count() || g.edge_count() < structure.edge_count() {
-        return out;
+        return;
     }
     // Zero-cost segments collapse to a canonical value (see
     // `IndexDistance::normalize`), merging equivalent entries up front.
@@ -1300,36 +1370,44 @@ fn collect_graph_entries(
         IndexDistance::Linear(ld) => (ld.edge_scale() == 0.0, ld.vertex_scale() == 0.0),
     };
     let ecount_slots = structure.edge_count();
+    let slots = structure.vertex_count() + ecount_slots;
+    out.table.clear();
     let matcher = SubgraphMatcher::new(structure, g, IsoConfig::STRUCTURE);
-    let mut local_labels: FxHashSet<Vec<Label>> = FxHashSet::default();
-    let mut local_weights: FxHashSet<Vec<u64>> = FxHashSet::default();
     let mut remaining = config.max_embeddings_per_fragment;
     matcher.for_each(|emb| {
-        out.any = true;
+        // Read the vector in place after the rows kept so far; a
+        // repeat is cut off again.
         match distance {
             IndexDistance::Mutation(_) => {
-                let mut v = label_vector(structure, g, emb);
+                let start = out.labels.len();
+                label_vector_into(structure, g, emb, &mut out.labels);
+                let v = &mut out.labels[start..];
                 if erase_edge_slots {
                     v[..ecount_slots].fill(Label::ERASED);
                 }
                 if erase_vertex_slots {
                     v[ecount_slots..].fill(Label::ERASED);
                 }
-                if local_labels.insert(v.clone()) {
-                    out.labels.push(v);
+                if is_new_row(&mut out.table, &out.labels, slots, out.count, |l| u64::from(l.0)) {
+                    out.count += 1;
+                } else {
+                    out.labels.truncate(start);
                 }
             }
             IndexDistance::Linear(_) => {
-                let mut v = weight_vector(structure, g, emb);
+                let start = out.weights.len();
+                weight_vector_into(structure, g, emb, &mut out.weights);
+                let v = &mut out.weights[start..];
                 if erase_edge_slots {
                     v[..ecount_slots].fill(0.0);
                 }
                 if erase_vertex_slots {
                     v[ecount_slots..].fill(0.0);
                 }
-                let key: Vec<u64> = v.iter().map(|w| w.to_bits()).collect();
-                if local_weights.insert(key) {
-                    out.weights.push(v);
+                if is_new_row(&mut out.table, &out.weights, slots, out.count, f64::to_bits) {
+                    out.count += 1;
+                } else {
+                    out.weights.truncate(start);
                 }
             }
         }
@@ -1340,7 +1418,6 @@ fn collect_graph_entries(
             ControlFlow::Continue(())
         }
     });
-    out
 }
 
 /// Builds one class: enumerate, dedup, insert.
@@ -1353,42 +1430,57 @@ fn build_class(
 ) -> ClassIndex {
     let f = features.get(feature);
     let structure = &f.structure;
-    let slots = structure.vertex_count() + structure.edge_count();
-    let mut label_entries: Vec<(Vec<Label>, GraphId)> = Vec::new();
-    let mut weight_entries: Vec<(Vec<f64>, GraphId)> = Vec::new();
+    let ecount = structure.edge_count();
+    let slots = structure.vertex_count() + ecount;
+    let trie = matches!(
+        (distance, config.backend),
+        (IndexDistance::Mutation(_), Backend::Default | Backend::Trie)
+    );
+    // Every graph's rows land in one row-major matrix per class, with
+    // the row's posting id beside it.
+    let mut labels: Vec<Label> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    let mut row_graphs: Vec<GraphId> = Vec::new();
     let mut graphs: Vec<GraphId> = Vec::new();
+    let mut entries = GraphEntries::default();
 
     for (gid, g) in db.iter().enumerate() {
         let gid = GraphId(gid as u32);
-        let entries = collect_graph_entries(structure, g, distance, config);
-        label_entries.extend(entries.labels.into_iter().map(|v| (v, gid)));
-        weight_entries.extend(entries.weights.into_iter().map(|v| (v, gid)));
-        if entries.any {
-            graphs.push(gid);
+        collect_graph_entries(structure, g, distance, config, &mut entries);
+        if entries.count == 0 {
+            continue;
         }
+        graphs.push(gid);
+        labels.extend_from_slice(&entries.labels);
+        weights.extend_from_slice(&entries.weights);
+        // Trie postings are *class-local* slots into the sorted `graphs`
+        // posting list, so range readouts sweep a compact per-class row
+        // (see `range_query_normalized_into`); slots ascend with the
+        // ids, so the arena's entry order is the same either way.
+        let posting = if trie { GraphId((graphs.len() - 1) as u32) } else { gid };
+        row_graphs.extend(std::iter::repeat_n(posting, entries.count));
     }
 
-    let entries = label_entries.len() + weight_entries.len();
-    let ecount = structure.edge_count();
+    let entries = row_graphs.len();
+    let weight_rows = || rows(&weights, slots, entries).zip(row_graphs.iter().copied());
     let imp = match (distance, config.backend) {
         (IndexDistance::Mutation(_), Backend::Default | Backend::Trie) => {
             // One-shot freeze into the level-major arena — the build
-            // path never constructs pointer nodes at all. Postings are
-            // stored as *class-local* slots into the sorted `graphs`
-            // posting list, so range readouts sweep a compact per-class
-            // row (see `range_query_normalized_into`).
-            ClassImpl::Trie(FlatTrie::from_entries(slots, to_local_entries(label_entries, &graphs)))
+            // path never constructs pointer nodes at all.
+            ClassImpl::Trie(FlatTrie::from_rows(slots, labels, row_graphs))
         }
         (IndexDistance::Mutation(md), Backend::VpTree) => {
             let md = md.clone();
-            ClassImpl::VpLabels(VpTree::build(slots, label_entries, move |a, b| {
+            let items =
+                rows(&labels, slots, entries).map(<[Label]>::to_vec).zip(row_graphs).collect();
+            ClassImpl::VpLabels(VpTree::build(slots, items, move |a, b| {
                 md.label_vector_cost(ecount, a, b)
             }))
         }
         (IndexDistance::Linear(ld), Backend::Default | Backend::RTree) => {
             let mut rt = RTree::new(slots);
-            for (v, gid) in &weight_entries {
-                rt.insert(&scale_weights(ld, ecount, v), *gid);
+            for (v, gid) in weight_rows() {
+                rt.insert(&scale_weights(ld, ecount, v), gid);
             }
             // Flatten the built pointer tree into the CSR/SoA query
             // arena (queries descend contiguous bounds and point
@@ -1398,7 +1490,8 @@ fn build_class(
         }
         (IndexDistance::Linear(ld), Backend::VpTree) => {
             let ld = *ld;
-            ClassImpl::VpWeights(VpTree::build(slots, weight_entries, move |a, b| {
+            let items = weight_rows().map(|(v, gid)| (v.to_vec(), gid)).collect();
+            ClassImpl::VpWeights(VpTree::build(slots, items, move |a, b| {
                 ld.weight_vector_cost(ecount, a, b)
             }))
         }

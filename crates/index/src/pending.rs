@@ -1,14 +1,16 @@
 //! LSM-style per-class pending buffers.
 //!
 //! The frozen arenas ([`crate::flat_trie::FlatTrie`], the packed
-//! R-tree) buy query speed with immutability: one inserted graph costs
-//! an O(class) rebuild per touched class. A [`PendingSet`] restores
+//! R-tree) buy query speed with immutability: merging one graph in costs
+//! a copy of every class it touches. A [`PendingSet`] restores
 //! cheap inserts without giving the layouts up — new entries append to
 //! a small unfrozen side list, range queries scan it linearly with the
 //! *same* pricing kernels as the frozen structure (so answers stay
 //! bit-identical to a fully merged class), and once the buffer reaches
 //! [`crate::IndexConfig::merge_threshold`] entries the class is merged
-//! and re-frozen in one batch.
+//! and re-frozen in one batch (at the end of the run, when a run of
+//! graphs arrives together — see
+//! [`crate::FragmentIndex::insert_graphs_pending`]).
 
 use pis_graph::{GraphId, Label};
 

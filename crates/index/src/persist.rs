@@ -23,7 +23,9 @@ use pis_mining::FeatureSet;
 
 use crate::codec::{idx, u32_idx};
 use crate::flat_trie::FlatTrie;
-use crate::index::{Backend, ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance};
+use crate::index::{
+    Backend, ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance, MergeStats,
+};
 use crate::rtree::RTree;
 use crate::vptree::VpTree;
 
@@ -356,6 +358,7 @@ pub fn load_index<R: BufRead>(r: R) -> Result<FragmentIndex, PersistError> {
             // store the threshold; loaded indexes get the default.
             merge_threshold: IndexConfig::default().merge_threshold,
         },
+        merge_stats: MergeStats::default(),
     })
 }
 

@@ -36,7 +36,9 @@ use pis_mining::FeatureSet;
 
 use crate::codec::{atomic_write, crc32, idx, len64, u32_idx, u32_of, ByteReader, ByteWriter};
 use crate::flat_trie::{FlatTrie, TriePartsOwned};
-use crate::index::{Backend, ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance};
+use crate::index::{
+    Backend, ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance, MergeStats,
+};
 use crate::persist::{build_class_impl, sequence_to_code, PersistError};
 
 const MAGIC: &[u8; 8] = b"PISSNAP1";
@@ -337,6 +339,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
             threads: 0,
             merge_threshold: meta.merge_threshold,
         },
+        merge_stats: MergeStats::default(),
     };
     // Structural fsck on every load: the per-section CRCs catch bit
     // rot, this catches a snapshot whose bytes are intact but whose

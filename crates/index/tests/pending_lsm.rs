@@ -5,7 +5,7 @@
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
-use pis_index::{Backend, FragmentIndex, IndexConfig, IndexDistance};
+use pis_index::{encode_snapshot, Backend, FragmentIndex, IndexConfig, IndexDistance};
 use pis_mining::exhaustive::exhaustive_features;
 
 fn ring(edge_labels: &[u32]) -> LabeledGraph {
@@ -117,6 +117,70 @@ fn threshold_merges_automatically_without_changing_answers() {
         manual.compact();
         let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
         assert_eq!(all_answers(&auto, &queries), all_answers(&manual, &queries), "{backend:?}");
+    }
+}
+
+/// A run of graphs applied as one batch (WAL replay) is the same index
+/// as the graphs applied one at a time: identical answers while
+/// pending, every class below the threshold either way, identical
+/// snapshot bytes once compacted — and the batch merges each class at
+/// the end of the run instead of every few graphs.
+#[test]
+fn batch_insert_equals_one_at_a_time() {
+    let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
+    for (backend, distance) in backends() {
+        for merge_threshold in [0, 2, 7, 64] {
+            let mut single = build(backend, &distance, merge_threshold);
+            let mut batch = build(backend, &distance, merge_threshold);
+            for g in incoming() {
+                single.insert_graph_pending(&g);
+            }
+            batch.insert_graphs_pending(&incoming());
+            let context = format!("{backend:?} threshold {merge_threshold}");
+            assert_eq!(batch.graph_count(), single.graph_count(), "{context}");
+            assert_eq!(batch.total_entries(), single.total_entries(), "{context}");
+            assert_eq!(all_answers(&batch, &queries), all_answers(&single, &queries), "{context}");
+            if merge_threshold > 0 {
+                for index in [&single, &batch] {
+                    for f in index.features().iter() {
+                        assert!(index.class_pending_entries(f.id) < merge_threshold, "{context}");
+                    }
+                }
+            }
+            assert!(batch.merge_stats().merges <= single.merge_stats().merges, "{context}");
+            single.compact();
+            batch.compact();
+            assert_eq!(all_answers(&batch, &queries), all_answers(&single, &queries), "{context}");
+            assert_eq!(
+                encode_snapshot(&batch, &queries).unwrap(),
+                encode_snapshot(&single, &queries).unwrap(),
+                "{context}"
+            );
+        }
+    }
+}
+
+/// Merge work is visible as counts: nothing merges below the threshold,
+/// a compaction merges each class holding pending entries exactly once
+/// and rewrites every entry of those classes.
+#[test]
+fn merge_stats_count_merges_and_rewritten_entries() {
+    for (backend, distance) in backends() {
+        let mut index = build(backend, &distance, 0);
+        assert_eq!(index.merge_stats(), Default::default(), "{backend:?}");
+        index.insert_graphs_pending(&incoming());
+        assert_eq!(index.merge_stats().merges, 0, "{backend:?}: threshold 0 never auto-merges");
+        let touched =
+            index.features().iter().filter(|f| index.class_pending_entries(f.id) > 0).count();
+        // incoming() holds 4- and 5-rings, so every class is touched and
+        // a compaction rewrites the whole index.
+        assert_eq!(touched, index.features().len(), "{backend:?}");
+        index.compact();
+        let stats = index.merge_stats();
+        assert_eq!(stats.merges, touched as u64, "{backend:?}");
+        assert_eq!(stats.entries_rewritten, index.total_entries() as u64, "{backend:?}");
+        index.compact();
+        assert_eq!(index.merge_stats(), stats, "{backend:?}: an idle compaction merges nothing");
     }
 }
 

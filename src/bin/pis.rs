@@ -441,6 +441,11 @@ fn cmd_compact(args: &[&String]) -> Result<(), String> {
         store.wal_len(),
         start.elapsed()
     );
+    let merges = store.system().index().merge_stats();
+    println!(
+        "merge work (recovery + compaction): {} class merges, {} entries rewritten",
+        merges.merges, merges.entries_rewritten
+    );
     Ok(())
 }
 
@@ -477,7 +482,11 @@ fn cmd_check(args: &[&String]) -> Result<(), String> {
         report.wal_skipped,
         report.torn_tail_bytes
     );
-    println!("  replay:   {} graphs after WAL replay, invariants re-verified", report.graphs);
+    println!(
+        "  replay:   {} graphs after WAL replay ({} class merges, {} entries rewritten), \
+         invariants re-verified",
+        report.graphs, report.merges.merges, report.merges.entries_rewritten
+    );
     println!("ok: store is consistent ({:?})", start.elapsed());
     Ok(())
 }

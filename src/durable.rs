@@ -21,7 +21,10 @@ use std::path::{Path, PathBuf};
 
 use pis_core::PisConfig;
 use pis_graph::{GraphId, LabeledGraph};
-use pis_index::{load_snapshot, wal, write_snapshot, IndexCheckReport, PersistError, Wal};
+use pis_index::{
+    load_snapshot, wal, write_snapshot, FragmentIndex, IndexCheckReport, MergeStats, PersistError,
+    Wal, WalReplay,
+};
 
 use crate::PisSystem;
 
@@ -71,6 +74,8 @@ pub struct StoreCheckReport {
     /// Per-structure tallies from the deep index validation
     /// ([`pis_index::FragmentIndex::validate`]) after WAL replay.
     pub index: IndexCheckReport,
+    /// Merge work the WAL replay cost (what `open` would pay too).
+    pub merges: MergeStats,
 }
 
 /// Offline fsck of a durable directory: verifies every structural
@@ -99,13 +104,38 @@ pub fn check_store(dir: &Path) -> Result<StoreCheckReport, PersistError> {
         torn_tail_bytes: replay.torn_tail_bytes,
         ..StoreCheckReport::default()
     };
+    (report.wal_replayed, report.wal_skipped) = apply_wal(&mut index, &mut database, replay)?;
+    report.index = index.validate().map_err(invariant)?;
+    report.merges = index.merge_stats();
+    report.graphs = database.len();
+    Ok(report)
+}
+
+/// Applies a scanned WAL on top of a loaded snapshot — the one replay
+/// loop behind [`DurableSystem::open`] and [`check_store`] — and
+/// returns how many records were `(replayed, skipped)`.
+///
+/// Records the snapshot already covers are skipped (compaction crashed
+/// after the snapshot rename but before the WAL truncation; replaying
+/// them is idempotent by omission). The rest must continue the
+/// database without a gap: a record naming a graph past the next id is
+/// a [`PersistError::Corrupt`] at `replay.valid_len` — every frame
+/// passed its CRC, so the fault is the sequence the scanned prefix
+/// holds, not one byte of it — and nothing is applied. The surviving
+/// run goes through [`FragmentIndex::insert_graphs_pending`]
+/// as one batch, so recovery merges each class at most once.
+fn apply_wal(
+    index: &mut FragmentIndex,
+    database: &mut Vec<LabeledGraph>,
+    replay: WalReplay,
+) -> Result<(usize, usize), PersistError> {
+    let mut run: Vec<LabeledGraph> = Vec::new();
+    let mut skipped = 0;
     for (gid, graph) in replay.records {
-        let next = database.len();
+        let next = database.len() + run.len();
         if gid.index() < next {
-            report.wal_skipped += 1;
-            continue;
-        }
-        if gid.index() > next {
+            skipped += 1;
+        } else if gid.index() > next {
             return Err(PersistError::Corrupt {
                 offset: replay.valid_len,
                 message: format!(
@@ -113,14 +143,14 @@ pub fn check_store(dir: &Path) -> Result<StoreCheckReport, PersistError> {
                     gid.index()
                 ),
             });
+        } else {
+            run.push(graph);
         }
-        index.insert_graph_pending(&graph);
-        database.push(graph);
-        report.wal_replayed += 1;
     }
-    report.index = index.validate().map_err(invariant)?;
-    report.graphs = database.len();
-    Ok(report)
+    index.insert_graphs_pending(&run);
+    let replayed = run.len();
+    database.append(&mut run);
+    Ok((replayed, skipped))
 }
 
 /// A [`PisSystem`] bound to an on-disk directory (`snapshot.pis` +
@@ -159,29 +189,10 @@ impl DurableSystem {
         let (index, database) = load_snapshot(&snapshot_path)?;
         let mut system = PisSystem { database, index, config };
         let (wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
-        let mut report =
-            RecoveryReport { torn_tail_bytes: replay.torn_tail_bytes, ..RecoveryReport::default() };
-        for (gid, graph) in replay.records {
-            let next = system.database.len();
-            if gid.index() < next {
-                // Snapshot already covers it: compaction crashed after
-                // the snapshot rename but before WAL truncation.
-                report.wal_records_skipped += 1;
-                continue;
-            }
-            if gid.index() > next {
-                return Err(PersistError::Corrupt {
-                    offset: wal.committed_len(),
-                    message: format!(
-                        "WAL names graph {} but the store holds {next} graphs",
-                        gid.index()
-                    ),
-                });
-            }
-            system.index.insert_graph_pending(&graph);
-            system.database.push(graph);
-            report.wal_records_replayed += 1;
-        }
+        let torn_tail_bytes = replay.torn_tail_bytes;
+        let (wal_records_replayed, wal_records_skipped) =
+            apply_wal(&mut system.index, &mut system.database, replay)?;
+        let report = RecoveryReport { wal_records_replayed, wal_records_skipped, torn_tail_bytes };
         Ok(DurableSystem { system, wal, snapshot_path, report })
     }
 
