@@ -40,15 +40,6 @@
 //! stacked on a frozen base. A `durability` summary line carries
 //! `pending_count_drift` — pending-buffer answers versus post-compaction
 //! answers, gated to zero by `perf_gate`.
-//!
-//! The shard router is measured by `shard_scatter` rows: the prune
-//! pipeline run through a 1-shard router (pure dispatch overhead) and a
-//! 4-shard scatter-gather, per sigma. A healthy scatter may never
-//! change the candidate set, so both variants carry the `pis_prune`
-//! candidate total as their count fingerprint — asserted equal in-run
-//! and cross-checked against the committed snapshot by `perf_gate`.
-//! Replica retries and quarantine trips accumulated by the routers go
-//! to stderr (both must be zero on a fault-free run).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -57,7 +48,7 @@ use pis_bench::pipeline_workload::{MAX_FRAGMENT_EDGES, QUERY_EDGES, SIGMAS};
 use pis_bench::{pipeline_workload, ExperimentScale, TestBed};
 use pis_core::{
     naive_scan, topo_prune, Completeness, PisConfig, PisSearcher, QueryBudget, SearchScratch,
-    ShardConfig,
+    DEFAULT_PARALLEL_FRAGMENT_THRESHOLD, DEFAULT_PARALLEL_VERIFY_THRESHOLD,
 };
 use pis_distance::MutationDistance;
 use pis_graph::io::{parse_database, write_database};
@@ -251,12 +242,6 @@ fn main() {
         durability.text_load_ms / durability.binary_load_ms,
         durability.pending_count_drift
     );
-    let (shard_retries, shard_quarantines) =
-        measure_shard(&bed, &queries, &prune_cfg, iters, &mut rows);
-    eprintln!(
-        "[pipeline_bench] shard: {shard_retries} replica retries, {shard_quarantines} \
-         quarantine trips across the scatter rows (a fault-free run has 0 of each)"
-    );
     let budget = measure_budget(&full, &queries, iters);
     eprintln!(
         "[pipeline_bench] budget: {:.0}ns/query overhead enabled-vs-disabled, \
@@ -267,7 +252,7 @@ fn main() {
         budget.tripped_work_units
     );
 
-    let json = render_json(&scale, &queries, iters, &prune_cfg, &rows, &budget, &durability);
+    let json = render_json(&scale, &queries, iters, &rows, &budget, &durability);
     std::fs::write(&out_path, &json).expect("cannot write benchmark JSON");
     println!("{json}");
     eprintln!("[pipeline_bench] wrote {out_path}");
@@ -321,50 +306,6 @@ fn measure_phase(
     }
     eprintln!("[pipeline_bench] {name}/{variant} sigma={sigma}: {min_ms:.2}ms (count {count})");
     Row { name, variant, sigma, min_ms, mean_ms: total_ms / iters.max(1) as f64, count }
-}
-
-/// Measures the sharded scatter-gather: one `shard_scatter` row per
-/// sigma and shard count — N=1 (pure router/dispatch overhead over the
-/// unsharded funnel) versus N=4 (a real scatter, merge included). A
-/// healthy scatter may never change the candidate set, so both variants
-/// report the `pis_prune` candidate total as their fingerprint and the
-/// two are asserted equal in-run. Returns the replica retries and
-/// quarantine trips the routers accumulated, for the stderr summary —
-/// a fault-free bench run must report zero of each.
-fn measure_shard(
-    bed: &TestBed,
-    queries: &[LabeledGraph],
-    prune_cfg: &PisConfig,
-    iters: usize,
-    rows: &mut Vec<Row>,
-) -> (u64, u64) {
-    let mut retries = 0u64;
-    let mut quarantine_trips = 0u64;
-    for sigma in SIGMAS {
-        let mut counts = Vec::new();
-        for (variant, shards) in [("n1", 1usize), ("n4", 4usize)] {
-            let cfg = PisConfig { shard: Some(ShardConfig::new(shards)), ..prune_cfg.clone() };
-            let searcher = PisSearcher::new(&bed.index, &bed.db, cfg);
-            let mut scratch = SearchScratch::new();
-            let row = measure("shard_scatter", variant, sigma, iters, || {
-                queries
-                    .iter()
-                    .map(|q| searcher.search_with_scratch(q, sigma, &mut scratch).candidates.len())
-                    .sum()
-            });
-            counts.push(row.count);
-            rows.push(row);
-            for health in searcher.router().expect("a sharded searcher has a router").health() {
-                retries += health.retries;
-                quarantine_trips += health.quarantine_trips;
-            }
-        }
-        assert!(
-            counts.windows(2).all(|w| w[0] == w[1]),
-            "shard count changed the candidate set at sigma {sigma}: {counts:?}"
-        );
-    }
-    (retries, quarantine_trips)
 }
 
 /// The JSON `budget` line: what the budget machinery costs and does on
@@ -605,7 +546,6 @@ fn render_json(
     scale: &ExperimentScale,
     queries: &[LabeledGraph],
     iters: usize,
-    cfg: &PisConfig,
     rows: &[Row],
     budget: &BudgetLine,
     durability: &DurabilityLine,
@@ -623,13 +563,12 @@ fn render_json(
         scale.seed
     );
     let _ = writeln!(s, "  \"iters\": {iters},");
-    // The parallel break-even thresholds the run searched with, so
-    // many-core tuning runs (which override them through `PisConfig`)
-    // stay reproducible from the artifact alone.
+    // The parallel break-even thresholds the run searched with, so a
+    // build that changed the constants stays identifiable from the
+    // artifact alone.
     let _ = writeln!(
         s,
-        "  \"thresholds\": {{\"parallel_fragment\": {}, \"parallel_verify\": {}}},",
-        cfg.parallel_fragment_threshold, cfg.parallel_verify_threshold
+        "  \"thresholds\": {{\"parallel_fragment\": {DEFAULT_PARALLEL_FRAGMENT_THRESHOLD}, \"parallel_verify\": {DEFAULT_PARALLEL_VERIFY_THRESHOLD}}},"
     );
     // The budget machinery, measured rather than asserted: overhead of
     // enabled-but-unlimited over disabled, behavior drift between the

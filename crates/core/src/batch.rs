@@ -84,13 +84,6 @@ pub struct WorkloadReport {
     /// is unlimited). Truncated queries still contribute their
     /// best-effort counts to every aggregate.
     pub truncated: usize,
-    /// Queries whose outcome was shard-degraded
-    /// ([`Completeness::Degraded`]) —
-    /// some class shard stayed dark, so their answers are a verified
-    /// subset. Always 0 on an unsharded searcher. A query that is both
-    /// tripped and shard-degraded counts only as truncated, matching
-    /// the completeness precedence.
-    pub degraded: usize,
 }
 
 impl fmt::Display for WorkloadReport {
@@ -104,9 +97,6 @@ impl fmt::Display for WorkloadReport {
         writeln!(f, "  latency (ms)           {}", self.latency)?;
         if self.truncated > 0 {
             writeln!(f, "  truncated              {} of {} queries", self.truncated, self.queries)?;
-        }
-        if self.degraded > 0 {
-            writeln!(f, "  shard-degraded         {} of {} queries", self.degraded, self.queries)?;
         }
         write!(f, "  total                  {:?}", self.total_time)
     }
@@ -142,7 +132,6 @@ pub fn run_workload(
                 outcome.answers.len() as f64,
                 latency_ms,
                 matches!(outcome.completeness, Completeness::Truncated { .. }),
-                matches!(outcome.completeness, Completeness::Degraded { .. }),
             )
         },
     );
@@ -153,8 +142,7 @@ pub fn run_workload(
     let mut answers = Vec::with_capacity(queries.len());
     let mut latency = Vec::with_capacity(queries.len());
     let mut truncated = 0;
-    let mut degraded = 0;
-    for (f, i, p, s, a, l, t, d) in per_query {
+    for (f, i, p, s, a, l, t) in per_query {
         fragments.push(f);
         inter.push(i);
         part.push(p);
@@ -162,7 +150,6 @@ pub fn run_workload(
         answers.push(a);
         latency.push(l);
         truncated += usize::from(t);
-        degraded += usize::from(d);
     }
     WorkloadReport {
         queries: queries.len(),
@@ -175,7 +162,6 @@ pub fn run_workload(
         latency: Aggregate::of(&latency),
         total_time: started.elapsed(),
         truncated,
-        degraded,
     }
 }
 

@@ -2,8 +2,6 @@
 
 use pis_graph::budget::QueryBudget;
 
-use crate::shard::ShardConfig;
-
 /// Which MWIS algorithm picks the partition (Section 5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PartitionAlgo {
@@ -41,18 +39,6 @@ pub struct PisConfig {
     /// Verify candidates (step 3). Disable to measure pruning in
     /// isolation, as the paper's figures do.
     pub verify: bool,
-    /// Break-even point of the range-query fan-out: below this many
-    /// unique probes a search prices them serially through the shared
-    /// scratch; at or above it, probe groups spread across the thread
-    /// pool. Tune upward on boxes where thread startup dominates, or
-    /// downward on many-core machines with large probe sets
-    /// ([`DEFAULT_PARALLEL_FRAGMENT_THRESHOLD`] is the measured
-    /// break-even on commodity 8–16 core hardware).
-    pub parallel_fragment_threshold: usize,
-    /// Break-even point of candidate verification: batches smaller than
-    /// this verify on the calling thread
-    /// ([`DEFAULT_PARALLEL_VERIFY_THRESHOLD`]).
-    pub parallel_verify_threshold: usize,
     /// k-NN verification order: `true` (default) verifies candidates
     /// cheapest partition lower bound first, so early exact distances
     /// tighten the shared budget and let the scheduler skip candidates
@@ -68,22 +54,16 @@ pub struct PisConfig {
     /// ([`PisSearcher::search_budgeted`](crate::PisSearcher::search_budgeted))
     /// overrides this one.
     pub budget: QueryBudget,
-    /// Fault-tolerant scatter-gather sharding
-    /// ([`ShardRouter`](crate::ShardRouter)). `None` (the default)
-    /// keeps the legacy single-coordinator probe loop; `Some` — even
-    /// with `shards == 1` — routes range queries through per-shard
-    /// workers with sub-deadlines, replica failover and quarantine, and
-    /// a shard that stays dark degrades the outcome to
-    /// [`Degraded`](crate::Completeness::Degraded) instead of failing
-    /// the query. A healthy scatter is byte-identical to the legacy
-    /// path.
-    pub shard: Option<ShardConfig>,
 }
 
-/// Default [`PisConfig::parallel_fragment_threshold`].
+/// Break-even point of the range-query fan-out: below this many unique
+/// probes a search prices them serially through the shared scratch; at
+/// or above it, probe groups spread across the thread pool (the
+/// measured break-even on commodity 8–16 core hardware).
 pub const DEFAULT_PARALLEL_FRAGMENT_THRESHOLD: usize = 48;
 
-/// Default [`PisConfig::parallel_verify_threshold`].
+/// Break-even point of the structure check and candidate verification:
+/// batches smaller than this run on the calling thread.
 pub const DEFAULT_PARALLEL_VERIFY_THRESHOLD: usize = 64;
 
 impl Default for PisConfig {
@@ -94,11 +74,8 @@ impl Default for PisConfig {
             partition: PartitionAlgo::Greedy,
             structure_check: true,
             verify: true,
-            parallel_fragment_threshold: DEFAULT_PARALLEL_FRAGMENT_THRESHOLD,
-            parallel_verify_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
             best_first_verify: true,
             budget: QueryBudget::unlimited(),
-            shard: None,
         }
     }
 }
@@ -115,10 +92,7 @@ mod tests {
         assert_eq!(c.partition, PartitionAlgo::Greedy);
         assert!(c.structure_check);
         assert!(c.verify);
-        assert_eq!(c.parallel_fragment_threshold, DEFAULT_PARALLEL_FRAGMENT_THRESHOLD);
-        assert_eq!(c.parallel_verify_threshold, DEFAULT_PARALLEL_VERIFY_THRESHOLD);
         assert!(c.best_first_verify);
         assert!(!c.budget.is_limited(), "the default budget is unlimited");
-        assert!(c.shard.is_none(), "sharding is opt-in");
     }
 }

@@ -63,21 +63,6 @@ pub fn explain(outcome: &SearchOutcome, index: &FragmentIndex, sigma: f64) -> St
     );
     let _ = writeln!(out, "  verification         {:>8}  calls", s.verification_calls);
     let _ = writeln!(out, "  answers              {:>8}", outcome.answers.len());
-    if s.shard_retries > 0 || s.shard_failures > 0 {
-        let _ = writeln!(
-            out,
-            "  shard failover       {:>8}  retries, {} failed attempts",
-            s.shard_retries, s.shard_failures
-        );
-    }
-    if let Completeness::Degraded { shards } = &outcome.completeness {
-        let _ = writeln!(
-            out,
-            "  DEGRADED: shard(s) {shards:?} stayed dark; their classes were \
-             excluded from the intersection, so answers are a verified subset \
-             and nothing was pruned on missing data"
-        );
-    }
     if let Completeness::Truncated { phase, stats } = &outcome.completeness {
         let _ = writeln!(
             out,

@@ -177,11 +177,6 @@ impl PisSearcher<'_> {
                 .then(a.graph.cmp(&b.graph))
         };
         let distance = distance_dyn(self.index().distance());
-        // Shards that stayed dark in *any* doubling round: a round that
-        // missed a shard widened soundly but proved nothing about that
-        // shard's classes, so the union over rounds degrades the whole
-        // outcome.
-        let mut degraded: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
         let mut radius = initial_radius;
         // The largest radius whose round fully completed under the
         // budget — the correctness the outcome can still promise after
@@ -195,8 +190,7 @@ impl PisSearcher<'_> {
                 break;
             }
             outcome.rounds += 1;
-            let round_stats = prune.search_into(query, radius, &mut scratch, budget);
-            degraded.extend(round_stats.degraded_shards);
+            prune.search_into(query, radius, &mut scratch, budget);
             let candidates = scratch.candidates();
             let bounds = scratch.candidate_bounds();
             neighbors.clear();
@@ -290,14 +284,7 @@ impl PisSearcher<'_> {
         outcome.neighbors = neighbors;
         outcome.radius = radius;
         outcome.certified_radius = if budget.is_tripped() { certified } else { radius };
-        // A budget trip outranks shard loss, mirroring the range
-        // search's precedence.
-        outcome.completeness = match Completeness::of_state(budget) {
-            Completeness::Exact if !degraded.is_empty() => {
-                Completeness::Degraded { shards: degraded.into_iter().collect() }
-            }
-            c => c,
-        };
+        outcome.completeness = Completeness::of_state(budget);
         outcome
     }
 }
@@ -495,9 +482,6 @@ mod tests {
                     saw_exact = true;
                     assert_eq!(knn.neighbors.len(), 4);
                     assert_eq!(knn.certified_radius, knn.radius);
-                }
-                Completeness::Degraded { shards } => {
-                    panic!("an unsharded searcher cannot degrade (shards {shards:?})")
                 }
             }
         }

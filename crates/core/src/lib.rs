@@ -29,7 +29,6 @@ pub mod explain;
 pub mod knn;
 pub mod search;
 pub mod selectivity;
-pub mod shard;
 pub mod verify;
 
 pub use baseline::{naive_scan, topo_prune, BaselineOutcome};
@@ -45,7 +44,6 @@ pub use pis_graph::budget::{BudgetStats, QueryBudget};
 pub use search::{
     Completeness, PisSearcher, SearchOutcome, SearchScratch, SearchStats, TruncationPhase,
 };
-pub use shard::{ShardConfig, ShardError, ShardHealthSnapshot, ShardReplicaSet, ShardRouter};
 pub use verify::{
     min_superimposed_distance, min_superimposed_distance_reference, VerifyScratch, VerifyStats,
 };

@@ -57,10 +57,12 @@ use pis_partition::{
     OverlapGraph, PartitionScratch, EXACT_MWIS_MAX_NODES,
 };
 
-use crate::config::{PartitionAlgo, PisConfig};
+use crate::config::{
+    PartitionAlgo, PisConfig, DEFAULT_PARALLEL_FRAGMENT_THRESHOLD,
+    DEFAULT_PARALLEL_VERIFY_THRESHOLD,
+};
 use crate::error::{validate_query, validate_sigma, QueryError};
 use crate::selectivity::selectivity;
-use crate::shard::{ShardError, ShardRouter};
 use crate::verify::{min_superimposed_distance_reference, VerifyScratch, VerifyStats};
 
 /// One fragment chosen into the partition (for explain output).
@@ -106,17 +108,6 @@ pub struct SearchStats {
     /// path; a persistent non-zero value means someone forgot to
     /// compact after bulk mutation.
     pub rtree_stale_classes: usize,
-    /// Index shards that stayed dark for this query — quarantined and
-    /// skipped, or failed past their replica retry. Their classes were
-    /// excluded from the intersection exactly like incomplete range
-    /// slots (sound: missing data never prunes). Sorted ascending;
-    /// empty on the unsharded path and on a fully healthy scatter.
-    pub degraded_shards: Vec<usize>,
-    /// Replica-failover retries performed by this query's scatter.
-    pub shard_retries: usize,
-    /// Failed shard attempts observed by this query's scatter (a shard
-    /// that fails its primary and succeeds on the replica counts one).
-    pub shard_failures: usize,
     /// The chosen partition's members (explain output).
     pub partition: Vec<PartitionFragment>,
 }
@@ -178,19 +169,6 @@ pub enum Completeness {
         phase: TruncationPhase,
         /// Checkpoint counters at the end of the query.
         stats: BudgetStats,
-    },
-    /// Every budget checkpoint passed, but one or more index shards
-    /// stayed dark (quarantined, or failed primary *and* replica), so
-    /// their classes never joined the intersection. Still sound the
-    /// same way a truncated range slot is: missing data only widens the
-    /// candidate set, every reported answer is verified, and
-    /// `answers ⊆ exact ⊆ answers ∪ possible` holds. A budget trip
-    /// takes precedence — a query that is both truncated and degraded
-    /// reports [`Truncated`](Completeness::Truncated), with the dark
-    /// shards still listed in [`SearchStats::degraded_shards`].
-    Degraded {
-        /// The dark shards, sorted ascending.
-        shards: Vec<usize>,
     },
 }
 
@@ -423,10 +401,6 @@ pub struct PisSearcher<'a> {
     index: &'a FragmentIndex,
     database: &'a [LabeledGraph],
     config: PisConfig,
-    /// Scatter-gather router, present iff `config.shard` is set. Owns
-    /// the per-shard health/replica state shared by every query issued
-    /// through this searcher.
-    router: Option<ShardRouter>,
 }
 
 impl<'a> PisSearcher<'a> {
@@ -440,20 +414,12 @@ impl<'a> PisSearcher<'a> {
             index.graph_count(),
             "database does not match the index it claims to back"
         );
-        let router = config.shard.clone().map(ShardRouter::new);
-        PisSearcher { index, database, config, router }
+        PisSearcher { index, database, config }
     }
 
     /// The searcher's configuration.
     pub fn config(&self) -> &PisConfig {
         &self.config
-    }
-
-    /// The scatter-gather shard router, when `config.shard` is set.
-    /// Exposes per-shard health snapshots, the replica handoff hook,
-    /// and force-quarantine for tests/operators.
-    pub fn router(&self) -> Option<&ShardRouter> {
-        self.router.as_ref()
     }
 
     /// The fragment index this searcher queries.
@@ -567,15 +533,7 @@ impl<'a> PisSearcher<'a> {
             }
             possible = unverified;
         }
-        // A budget trip outranks shard loss: `Truncated` already says
-        // "superset semantics apply everywhere", which subsumes the
-        // weaker per-shard statement.
-        let completeness = match Completeness::of_state(budget) {
-            Completeness::Exact if !stats.degraded_shards.is_empty() => {
-                Completeness::Degraded { shards: stats.degraded_shards.clone() }
-            }
-            c => c,
-        };
+        let completeness = Completeness::of_state(budget);
         SearchOutcome { candidates, answers, answer_distances, possible, completeness, stats }
     }
 
@@ -614,10 +572,7 @@ impl<'a> PisSearcher<'a> {
         for i in 0..fragments.len() {
             scratch.assign_slot(i, fragments.feature(i), fragments.vector(i));
         }
-        let scatter = self.run_range_queries(&fragments, sigma, scratch, budget);
-        stats.degraded_shards = scatter.degraded;
-        stats.shard_retries = scatter.retries;
-        stats.shard_failures = scatter.failures;
+        self.run_range_queries(&fragments, sigma, scratch, budget);
         for s in 0..scratch.slots_used {
             // An incomplete slot's hits are cleared; a selectivity
             // computed from them would be fiction. The placeholder never
@@ -782,13 +737,13 @@ impl<'a> PisSearcher<'a> {
         if self.config.structure_check {
             let database = self.database;
             let pool = ScopedPool::default();
-            let parallel_keep: Option<Vec<bool>> = (pool.workers() > 1
+            let fan_out = pool.workers() > 1
                 && !ScopedPool::in_worker()
-                && scratch.cand_buf.len() >= self.config.parallel_verify_threshold.max(2))
-            .then(|| {
+                && scratch.cand_buf.len() >= DEFAULT_PARALLEL_VERIFY_THRESHOLD;
+            let parallel_keep: Option<Vec<bool>> = fan_out.then(|| {
                 pool.map_with(
                     &scratch.cand_buf,
-                    self.config.parallel_verify_threshold,
+                    DEFAULT_PARALLEL_VERIFY_THRESHOLD,
                     || {
                         let mut verify = VerifyScratch::new();
                         verify.begin_query(query);
@@ -849,16 +804,13 @@ impl<'a> PisSearcher<'a> {
         sigma: f64,
         scratch: &mut SearchScratch,
         budget: &BudgetState,
-    ) -> ScatterStats {
+    ) {
         let start = std::time::Instant::now();
         let pool = ScopedPool::default();
         let unique = scratch.slots_used;
-        let mut scatter = ScatterStats::default();
-        if let Some(router) = &self.router {
-            scatter = self.run_range_queries_sharded(router, fragments, sigma, scratch, budget);
-        } else if pool.workers() > 1
+        if pool.workers() > 1
             && !ScopedPool::in_worker()
-            && unique >= self.config.parallel_fragment_threshold
+            && unique >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD
         {
             // Inside a pool worker (e.g. a `run_workload` fan-out) a
             // nested map would run serially anyway — take the
@@ -923,144 +875,6 @@ impl<'a> PisSearcher<'a> {
         }
         scratch.range_nanos += start.elapsed().as_nanos() as u64;
         scratch.range_hits += scratch.hits[..unique].iter().map(|h| h.len() as u64).sum::<u64>();
-        scatter
-    }
-
-    /// Fault-tolerant scatter-gather over class shards (`DESIGN.md`
-    /// §6.12). Probe groups are bucketed by owning shard
-    /// (`feature index mod N`), each shard's bucket runs as one job on
-    /// the shared pool against a zero-copy
-    /// [`ShardView`](pis_index::ShardView) under a
-    /// sub-deadline carved from the query budget, and a failed attempt
-    /// retries once against the next replica after a deterministic
-    /// backoff. Quarantined shards are skipped up front; a shard that
-    /// stays dark has its slots darkened — hits cleared, completeness
-    /// flag lowered — which the funnel already treats soundly (missing
-    /// data never prunes), and is reported in `ScatterStats::degraded`.
-    ///
-    /// With one healthy shard and an unlimited budget this path issues
-    /// the exact same scalar/batch descents in the exact same group
-    /// order as the serial arm of [`Self::run_range_queries`], so its
-    /// output is byte-identical to the unsharded funnel
-    /// (`proptest_shard.rs` holds that bitwise).
-    fn run_range_queries_sharded(
-        &self,
-        router: &ShardRouter,
-        fragments: &FragmentBuffer,
-        sigma: f64,
-        scratch: &mut SearchScratch,
-        budget: &BudgetState,
-    ) -> ScatterStats {
-        let mut scatter = ScatterStats::default();
-        let seq = router.begin_query();
-        let shards = router.shards();
-        let reserve = router.config().coordinator_reserve;
-        let groups = sibling_groups(fragments, &scratch.unique_fragment);
-
-        // Bucket sibling groups by owning shard. Group order within a
-        // bucket follows the feature-major enumeration, so a one-shard
-        // scatter sees the exact group sequence of the serial path.
-        let mut by_shard: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
-        for &(s, e) in &groups {
-            let feature = fragments.feature(scratch.unique_fragment[s]);
-            by_shard[router.shard_of(feature.index())].push((s, e));
-        }
-        let mut jobs: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for (shard, shard_groups) in by_shard.into_iter().enumerate() {
-            if shard_groups.is_empty() {
-                continue;
-            }
-            if router.should_probe(shard) {
-                jobs.push((shard, shard_groups));
-            } else {
-                // Quarantined and not yet due for a cooldown re-probe:
-                // stay dark without spending a descent.
-                scatter.degraded.push(shard);
-                darken_slots(scratch, &shard_groups);
-            }
-        }
-
-        let index = self.index;
-        let unique_fragment = &scratch.unique_fragment;
-        let pool = ScopedPool::default();
-        type ShardOutcome = (Result<GroupHits, ShardError>, usize, usize);
-        let results: Vec<ShardOutcome> =
-            pool.map_with(&jobs, 2, RangeScratch::new, |range, _, (shard, shard_groups)| {
-                let shard = *shard;
-                let mut retries = 0;
-                let mut failures = 0;
-                router.record_call(shard);
-                let mut outcome = shard_attempt(
-                    index,
-                    router,
-                    fragments,
-                    unique_fragment,
-                    shard,
-                    shards,
-                    0,
-                    sigma,
-                    reserve,
-                    budget,
-                    range,
-                    shard_groups,
-                );
-                if let Err(error) = outcome {
-                    failures += 1;
-                    router.record_failure(error);
-                    // One failover: deterministic backoff, then the
-                    // replica set's next role serves the retry.
-                    retries += 1;
-                    router.record_retry(shard);
-                    std::thread::sleep(router.backoff_delay(seq, shard, 1));
-                    router.record_call(shard);
-                    outcome = shard_attempt(
-                        index,
-                        router,
-                        fragments,
-                        unique_fragment,
-                        shard,
-                        shards,
-                        1,
-                        sigma,
-                        reserve,
-                        budget,
-                        range,
-                        shard_groups,
-                    );
-                    if let Err(error) = outcome {
-                        failures += 1;
-                        router.record_failure(error);
-                    }
-                }
-                if outcome.is_ok() {
-                    router.record_success(shard);
-                }
-                (outcome, retries, failures)
-            });
-
-        for ((shard, shard_groups), (outcome, retries, failures)) in jobs.iter().zip(results) {
-            scatter.retries += retries;
-            scatter.failures += failures;
-            match outcome {
-                Ok(per_group) => {
-                    for (&(s, _), (complete, hits)) in shard_groups.iter().zip(per_group) {
-                        for (k, h) in hits.into_iter().enumerate() {
-                            scratch.hits[s + k] = h;
-                            scratch.slot_complete[s + k] = complete;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Both replicas failed: the shard stays dark for
-                    // this query and its classes leave the intersection
-                    // the PR 7 way.
-                    scatter.degraded.push(*shard);
-                    darken_slots(scratch, shard_groups);
-                }
-            }
-        }
-        scatter.degraded.sort_unstable();
-        scatter
     }
 
     /// The seed's straight-line transcription of Algorithm 2, kept as an
@@ -1225,12 +1039,12 @@ impl<'a> PisSearcher<'a> {
         let mut possible = Vec::new();
         if pool.workers() > 1
             && !ScopedPool::in_worker()
-            && candidates.len() >= self.config.parallel_verify_threshold.max(2)
+            && candidates.len() >= DEFAULT_PARALLEL_VERIFY_THRESHOLD
         {
             let database = self.database;
             let results = pool.map_with(
                 candidates,
-                self.config.parallel_verify_threshold,
+                DEFAULT_PARALLEL_VERIFY_THRESHOLD,
                 || {
                     let mut scratch = VerifyScratch::new();
                     scratch.begin_query(query);
@@ -1316,110 +1130,6 @@ fn sibling_groups(fragments: &FragmentBuffer, unique_fragment: &[usize]) -> Vec<
     let mut groups = Vec::new();
     for_each_sibling_group(fragments, unique_fragment, |s, e| groups.push((s, e)));
     groups
-}
-
-/// What one query's scatter-gather observed: which shards stayed dark
-/// and how much failover work was spent. Folded into [`SearchStats`].
-#[derive(Default)]
-struct ScatterStats {
-    /// Shards whose slots were darkened (quarantine skip or exhausted
-    /// failover), sorted ascending by the scatter's epilogue.
-    degraded: Vec<usize>,
-    /// Replica-failover retries across all shards.
-    retries: usize,
-    /// Failed shard attempts across all shards.
-    failures: usize,
-}
-
-/// One sibling group's scatter result: the slot-completeness flag plus
-/// the per-member hit lists, in group order.
-type GroupHits = Vec<(bool, Vec<Vec<(GraphId, f64)>>)>;
-
-/// One attempt at a shard's probe bucket, against the replica role the
-/// shard's handoff generation selects for `attempt`. Runs the same
-/// scalar/batch descents as the serial funnel through a
-/// [`ShardView`](pis_index::ShardView), under a sub-deadline carved
-/// from `parent` (the parent budget passes through unchanged when it
-/// has no wall-clock deadline). Worker panics are caught here and
-/// surface as [`ShardError::Panicked`] so one bad shard cannot take
-/// down the coordinator; an incomplete descent while the *parent* is
-/// healthy means the sub-deadline tripped and reports
-/// [`ShardError::DeadlineExceeded`] (retryable), while a tripped parent
-/// keeps PR 7's truncation semantics — incomplete flags stand, nothing
-/// retries.
-#[allow(clippy::too_many_arguments)]
-fn shard_attempt(
-    index: &FragmentIndex,
-    router: &ShardRouter,
-    fragments: &FragmentBuffer,
-    unique_fragment: &[usize],
-    shard: usize,
-    shards: usize,
-    attempt: u32,
-    sigma: f64,
-    reserve: f64,
-    parent: &BudgetState,
-    range: &mut RangeScratch,
-    groups: &[(usize, usize)],
-) -> Result<GroupHits, ShardError> {
-    let role = router.replica_set(shard).role_of(attempt);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::shard::consult_failpoint(shard, role)?;
-        let view = index.shard_view(shard, shards);
-        let slice = parent.shard_slice(reserve);
-        let sub = slice.as_ref().unwrap_or(parent);
-        let mut out = Vec::with_capacity(groups.len());
-        for &(s, e) in groups {
-            let feature = fragments.feature(unique_fragment[s]);
-            let mut hits: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); e - s];
-            let complete = if e - s == 1 {
-                view.range_query_normalized_budgeted_into(
-                    feature,
-                    fragments.vector(unique_fragment[s]),
-                    sigma,
-                    range,
-                    sub,
-                    &mut hits[0],
-                )
-            } else {
-                view.range_query_batch_normalized_budgeted_into(
-                    feature,
-                    e - s,
-                    |i| fragments.vector(unique_fragment[s + i]),
-                    sigma,
-                    range,
-                    sub,
-                    &mut hits,
-                )
-            };
-            if !complete && !parent.is_tripped() {
-                // The sub-deadline (not the query's own budget) cut
-                // this descent short: a shard fault, eligible for the
-                // replica retry.
-                return Err(ShardError::DeadlineExceeded { shard });
-            }
-            out.push((complete, hits));
-        }
-        Ok(out)
-    }));
-    match result {
-        Ok(outcome) => outcome,
-        Err(_) => Err(ShardError::Panicked { shard }),
-    }
-}
-
-/// Darkens a dark shard's probe slots: hits cleared, completeness flag
-/// lowered. The funnel then treats them exactly like PR 7's incomplete
-/// range slots — excluded from the intersection, barred from the
-/// selectivity pool — so a missing shard can only widen the candidate
-/// set, never prune it.
-fn darken_slots(scratch: &mut SearchScratch, groups: &[(usize, usize)]) {
-    for &(s, e) in groups {
-        for slot in s..e {
-            scratch.hits[slot].clear();
-            scratch.slot_complete[slot] = false;
-        }
-    }
 }
 
 /// EnhancedGreedy order used when the exact solver's node cap forces a

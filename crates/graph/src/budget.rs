@@ -95,37 +95,6 @@ pub struct BudgetStats {
     pub work_units: u64,
 }
 
-/// What an armed failpoint asks the consulting site to do. A re-export
-/// of the vendored registry's action so crates that only *consult*
-/// failpoints (via [`failpoint`]) need no direct `failpoints`
-/// dependency or feature plumbing of their own.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FailAction {
-    /// Behave as if the budget tripped at this site.
-    Trip,
-    /// Panic, modeling a crashed worker.
-    Panic,
-}
-
-/// Consults the fault-injection registry for a *dynamic* site name
-/// (shard scatter sites are minted per shard/replica, so they cannot be
-/// [`CheckpointSite`] variants). Always `None` unless the test-only
-/// `failpoints` feature is enabled.
-pub fn failpoint(name: &str) -> Option<FailAction> {
-    #[cfg(feature = "failpoints")]
-    {
-        failpoints::consult(name).map(|action| match action {
-            failpoints::Action::Trip => FailAction::Trip,
-            failpoints::Action::Panic => FailAction::Panic,
-        })
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = name;
-        None
-    }
-}
-
 /// Marker error for a budget-interrupted computation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Interrupted;
@@ -189,37 +158,6 @@ impl BudgetState {
     /// branch), so sharing one static across queries is sound.
     pub fn unlimited() -> &'static BudgetState {
         &UNLIMITED
-    }
-
-    /// Carves a per-shard sub-budget out of this query's budget for one
-    /// scatter-gather fan-out: the shard's deadline is the query
-    /// deadline minus a coordinator `reserve` fraction of the time
-    /// *remaining now*, leaving the coordinator room to merge, retry
-    /// against a replica, and degrade soundly after a slow shard.
-    ///
-    /// Returns `None` when the parent has no wall-clock deadline —
-    /// node limits and cancellation tokens are process-wide and shared
-    /// through the parent state directly, so there is nothing to split
-    /// and shard workers should checkpoint against `self` (keeping
-    /// unlimited and node-limited runs byte-identical to the unsharded
-    /// path). The slice shares the parent's cancellation token but owns
-    /// its counters: a shard that blows only its *slice* deadline does
-    /// not trip the parent.
-    pub fn shard_slice(&self, reserve: f64) -> Option<BudgetState> {
-        let deadline = self.deadline?;
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        let reserve_d = remaining.mul_f64(reserve.clamp(0.0, 1.0));
-        let shard_deadline = deadline.checked_sub(reserve_d).unwrap_or(deadline);
-        Some(BudgetState {
-            enabled: true,
-            deadline: Some(shard_deadline),
-            node_limit: u64::MAX,
-            cancel: self.cancel.clone(),
-            nodes: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
-            trip_site: AtomicU32::new(0),
-        })
     }
 
     /// Charges `units` of work at `site` and reports whether the query
@@ -363,47 +301,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         assert!(!state.checkpoint(CheckpointSite::Verify, 1));
         assert!(state.is_tripped());
-    }
-
-    #[test]
-    fn shard_slice_requires_a_deadline() {
-        assert!(BudgetState::unlimited().shard_slice(0.1).is_none());
-        let node_only = QueryBudget { node_limit: Some(10), ..QueryBudget::default() };
-        assert!(BudgetState::new(&node_only).shard_slice(0.1).is_none());
-    }
-
-    #[test]
-    fn shard_slice_deadline_is_earlier_and_independent() {
-        let budget =
-            QueryBudget { time_limit: Some(Duration::from_secs(60)), ..QueryBudget::default() };
-        let parent = BudgetState::new(&budget);
-        let slice = parent.shard_slice(0.5).expect("deadline budgets split");
-        let (pd, sd) = (parent.deadline.expect("parent"), slice.deadline.expect("slice"));
-        assert!(sd < pd, "the coordinator reserve must come off the shard deadline");
-        assert!(pd - sd >= Duration::from_secs(20), "~50% of ~60s remaining");
-        // Tripping the slice leaves the parent untouched.
-        slice.trip(CheckpointSite::RangeDescent);
-        assert!(slice.is_tripped());
-        assert!(!parent.is_tripped());
-    }
-
-    #[test]
-    fn shard_slice_shares_the_cancellation_token() {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let budget = QueryBudget {
-            time_limit: Some(Duration::from_secs(60)),
-            cancel: Some(cancel.clone()),
-            ..QueryBudget::default()
-        };
-        let slice = BudgetState::new(&budget).shard_slice(0.1).expect("split");
-        assert!(slice.checkpoint(CheckpointSite::RangeDescent, 1));
-        cancel.store(true, Ordering::Relaxed);
-        assert!(!slice.checkpoint(CheckpointSite::RangeDescent, 1));
-    }
-
-    #[test]
-    fn failpoint_helper_is_silent_when_disarmed() {
-        assert_eq!(failpoint("shard-0-primary"), None);
     }
 
     #[test]

@@ -548,19 +548,6 @@ impl FragmentIndex {
             .count()
     }
 
-    /// A zero-copy class-shard view: shard `shard` of `shards` owns
-    /// every feature class with `feature.index() % shards == shard`.
-    /// Views borrow the frozen arenas immutably — carving N of them
-    /// costs nothing and they answer range queries concurrently.
-    ///
-    /// # Panics
-    /// Panics if `shard >= shards` or `shards == 0`.
-    pub fn shard_view(&self, shard: usize, shards: usize) -> ShardView<'_> {
-        assert!(shards > 0, "a shard view needs at least one shard");
-        assert!(shard < shards, "shard {shard} out of range for {shards} shards");
-        ShardView { index: self, shard, shards }
-    }
-
     /// Deep structural validation of the whole index: every invariant
     /// the query paths rely on, checked bottom-up, with the first
     /// violation returned as a description — never a panic. An index
@@ -1178,76 +1165,6 @@ impl FragmentIndex {
                 ControlFlow::Continue(())
             });
         }
-    }
-}
-
-/// One class shard of a [`FragmentIndex`]: an immutable zero-copy view
-/// over the subset of feature classes with
-/// `feature.index() % shards == shard` (round-robin by class id, so
-/// shard loads stay balanced without a placement table). Produced by
-/// [`FragmentIndex::shard_view`]; the scatter-gather coordinator in
-/// pis-core routes each probe group to the view owning its feature, and
-/// the view answers with the *same* budgeted range-query kernels as the
-/// whole index — a healthy scatter is byte-identical to the unsharded
-/// path by construction.
-#[derive(Clone, Copy)]
-pub struct ShardView<'a> {
-    index: &'a FragmentIndex,
-    shard: usize,
-    shards: usize,
-}
-
-impl<'a> ShardView<'a> {
-    /// This view's shard number in `0..shards()`.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The shard count the view was carved with.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Whether this shard owns `feature`'s class.
-    pub fn owns(&self, feature: FeatureId) -> bool {
-        feature.index() % self.shards == self.shard
-    }
-
-    /// [`FragmentIndex::range_query_normalized_budgeted_into`] against
-    /// this shard's classes. The probe's feature must be owned by this
-    /// shard (debug-asserted): routing is the coordinator's job, and a
-    /// silent cross-shard answer would mask a routing bug.
-    pub fn range_query_normalized_budgeted_into(
-        &self,
-        feature: FeatureId,
-        vector: FragmentVectorRef<'_>,
-        sigma: f64,
-        scratch: &mut RangeScratch,
-        budget: &BudgetState,
-        out: &mut Vec<(GraphId, f64)>,
-    ) -> bool {
-        debug_assert!(self.owns(feature), "probe routed to the wrong shard");
-        self.index
-            .range_query_normalized_budgeted_into(feature, vector, sigma, scratch, budget, out)
-    }
-
-    /// [`FragmentIndex::range_query_batch_normalized_budgeted_into`]
-    /// against this shard's classes (feature ownership debug-asserted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn range_query_batch_normalized_budgeted_into<'q>(
-        &self,
-        feature: FeatureId,
-        nprobes: usize,
-        probe: impl Fn(usize) -> FragmentVectorRef<'q>,
-        sigma: f64,
-        scratch: &mut RangeScratch,
-        budget: &BudgetState,
-        outs: &mut [Vec<(GraphId, f64)>],
-    ) -> bool {
-        debug_assert!(self.owns(feature), "probe routed to the wrong shard");
-        self.index.range_query_batch_normalized_budgeted_into(
-            feature, nprobes, probe, sigma, scratch, budget, outs,
-        )
     }
 }
 

@@ -44,7 +44,6 @@ pub use flat_trie::{BatchFrontier, FlatTrie, TrieFrontier};
 pub use fragment::{FragmentBuffer, FragmentVector, FragmentVectorRef, QueryFragment};
 pub use index::{
     Backend, FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,
-    ShardView,
 };
 pub use persist::{load_index, save_index, PersistError};
 pub use snapshot::{decode_snapshot, encode_snapshot, load_snapshot, write_snapshot};

@@ -52,9 +52,8 @@ usage:
   pis sample   DB.lg --edges M [--count N] [--seed S] --out QUERIES.lg
   pis build    DB.lg --out INDEX.pis [--max-edges L] [--features gindex|paths|exhaustive]
   pis search   DB.lg --index INDEX.pis --query QUERIES.lg --sigma S [--baseline topo|naive]
-               [--explain] [--time-limit-ms T] [--node-limit N] [--shards N]
+               [--explain] [--time-limit-ms T] [--node-limit N]
   pis knn      DB.lg --index INDEX.pis --query QUERIES.lg -k K [--time-limit-ms T] [--node-limit N]
-               [--shards N]
   pis snapshot DB.lg --index INDEX.pis --out DIR
   pis compact  DIR
   pis check    DIR
@@ -73,21 +72,6 @@ fn parse_budget(flags: &Flags<'_>) -> Result<QueryBudget, String> {
         budget.node_limit = Some(n);
     }
     Ok(budget)
-}
-
-/// Builds the optional [`ShardConfig`] from `--shards N` (unsharded
-/// when absent; `--shards 1` still exercises the scatter-gather path).
-fn parse_shards(flags: &Flags<'_>) -> Result<Option<ShardConfig>, String> {
-    match flags.value("shards") {
-        None => Ok(None),
-        Some(n) => {
-            let n: usize = n.parse().map_err(|_| format!("invalid --shards: '{n}'"))?;
-            if n == 0 {
-                return Err("--shards needs at least 1".into());
-            }
-            Ok(Some(ShardConfig::new(n)))
-        }
-    }
 }
 
 /// Prints the stale-R-tree warning when any class would answer through
@@ -127,14 +111,19 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Minimal flag parser: positional args plus `--flag value` / `--flag`.
+/// Minimal flag parser: positional args plus `--flag value` / `--flag`,
+/// each checked against the flags its subcommand accepts.
 struct Flags<'a> {
     positional: Vec<&'a str>,
     named: Vec<(&'a str, Option<&'a str>)>,
 }
 
 impl<'a> Flags<'a> {
-    fn parse(args: &[&'a String], value_flags: &[&str]) -> Result<Self, String> {
+    fn parse(
+        args: &[&'a String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Self, String> {
         let mut flags = Flags { positional: Vec::new(), named: Vec::new() };
         let mut i = 0;
         while i < args.len() {
@@ -145,8 +134,12 @@ impl<'a> Flags<'a> {
                     let value =
                         args.get(i).ok_or_else(|| format!("flag --{name} needs a value"))?;
                     flags.named.push((name, Some(value.as_str())));
-                } else {
+                } else if bool_flags.contains(&name) {
                     flags.named.push((name, None));
+                } else {
+                    // A typo or a retired flag must not silently run
+                    // the default behaviour.
+                    return Err(format!("unknown flag {a}"));
                 }
             } else {
                 flags.positional.push(a);
@@ -191,7 +184,7 @@ fn load_idx(path: &str) -> Result<FragmentIndex, String> {
 }
 
 fn cmd_generate(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["count", "seed", "out"])?;
+    let flags = Flags::parse(args, &["count", "seed", "out"], &["weighted"])?;
     let count: usize = flags.num("count", 1000)?;
     let seed: u64 = flags.num("seed", 42)?;
     let out = PathBuf::from(flags.required("out")?);
@@ -203,7 +196,7 @@ fn cmd_generate(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_import(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["out"])?;
+    let flags = Flags::parse(args, &["out"], &[])?;
     let input = flags.positional(0, "input .sdf file")?;
     let out = PathBuf::from(flags.required("out")?);
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
@@ -219,7 +212,7 @@ fn cmd_import(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let stats = DatasetStats::compute(&db);
     print!("{}", stats.render(&AtomVocabulary::default(), &BondVocabulary::default()));
@@ -227,7 +220,7 @@ fn cmd_stats(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_sample(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["edges", "count", "seed", "out"])?;
+    let flags = Flags::parse(args, &["edges", "count", "seed", "out"], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let edges: usize = flags.num("edges", 16)?;
     let count: usize = flags.num("count", 5)?;
@@ -240,7 +233,7 @@ fn cmd_sample(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_build(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["out", "max-edges", "features", "min-support"])?;
+    let flags = Flags::parse(args, &["out", "max-edges", "features", "min-support"], &[])?;
     let db_path = flags.positional(0, "database file")?;
     let db = load_db(db_path)?;
     let out = PathBuf::from(flags.required("out")?);
@@ -287,7 +280,8 @@ fn cmd_build(args: &[&String]) -> Result<(), String> {
 fn cmd_search(args: &[&String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        &["index", "query", "sigma", "baseline", "time-limit-ms", "node-limit", "shards"],
+        &["index", "query", "sigma", "baseline", "time-limit-ms", "node-limit"],
+        &["explain"],
     )?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let index = load_idx(flags.required("index")?)?;
@@ -295,12 +289,11 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
     let sigma: f64 = flags.num("sigma", 2.0)?;
     let explain = flags.has("explain");
     let budget = parse_budget(&flags)?;
-    let shard = parse_shards(&flags)?;
     if db.len() != index.graph_count() {
         return Err("database and index sizes differ".into());
     }
     warn_stale_rtrees(&index);
-    let config = PisConfig { budget: budget.clone(), shard, ..PisConfig::default() };
+    let config = PisConfig { budget: budget.clone(), ..PisConfig::default() };
     let searcher = pis::core::PisSearcher::new(&index, &db, config);
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
@@ -316,12 +309,6 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
                          {} candidates left undecided",
                         phase.name(),
                         o.possible.len()
-                    );
-                }
-                if let Completeness::Degraded { shards } = &o.completeness {
-                    println!(
-                        "query {qi}: shard(s) {shards:?} stayed dark — answers below are a \
-                         verified subset (missing shards never prune)"
                     );
                 }
                 (o.answers, o.answer_distances, o.candidates.len())
@@ -356,16 +343,14 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_knn(args: &[&String]) -> Result<(), String> {
-    let flags =
-        Flags::parse(args, &["index", "query", "k", "time-limit-ms", "node-limit", "shards"])?;
+    let flags = Flags::parse(args, &["index", "query", "k", "time-limit-ms", "node-limit"], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let index = load_idx(flags.required("index")?)?;
     let queries = load_db(flags.required("query")?)?;
     let k: usize = flags.num("k", 5)?;
     let budget = parse_budget(&flags)?;
-    let shard = parse_shards(&flags)?;
     warn_stale_rtrees(&index);
-    let config = PisConfig { budget, shard, ..PisConfig::default() };
+    let config = PisConfig { budget, ..PisConfig::default() };
     let searcher = pis::core::PisSearcher::new(&index, &db, config);
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
@@ -385,12 +370,6 @@ fn cmd_knn(args: &[&String]) -> Result<(), String> {
                 knn.certified_radius
             );
         }
-        if let Completeness::Degraded { shards } = &knn.completeness {
-            println!(
-                "query {qi}: shard(s) {shards:?} stayed dark — neighbors are drawn from \
-                 the healthy shards only"
-            );
-        }
         for n in &knn.neighbors {
             println!("  {} distance {}", n.graph, n.distance);
         }
@@ -399,7 +378,7 @@ fn cmd_knn(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_snapshot(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["index", "out"])?;
+    let flags = Flags::parse(args, &["index", "out"], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let index = load_idx(flags.required("index")?)?;
     let out = PathBuf::from(flags.required("out")?);
@@ -416,7 +395,7 @@ fn cmd_snapshot(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_compact(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &[])?;
     let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let start = Instant::now();
     let mut store =
@@ -450,7 +429,7 @@ fn cmd_compact(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &[])?;
     let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let start = Instant::now();
     let report =
@@ -492,7 +471,7 @@ fn cmd_check(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["graph"])?;
+    let flags = Flags::parse(args, &["graph"], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let idx: usize = flags.num("graph", 0)?;
     let g = db.get(idx).ok_or_else(|| format!("graph {idx} out of range (db has {})", db.len()))?;

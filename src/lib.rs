@@ -69,8 +69,8 @@ pub mod prelude {
     pub use crate::{DurableSystem, FeatureSource, PisSystem, PisSystemBuilder, RecoveryReport};
     pub use pis_core::{
         BudgetStats, Completeness, KnnOutcome, Neighbor, PartitionAlgo, PisConfig, QueryBudget,
-        QueryError, SearchOutcome, SearchScratch, SearchStats, ShardConfig, ShardError,
-        ShardHealthSnapshot, TruncationPhase, VerifyScratch, VerifyStats,
+        QueryError, SearchOutcome, SearchScratch, SearchStats, TruncationPhase, VerifyScratch,
+        VerifyStats,
     };
     pub use pis_datasets::{DatasetStats, MoleculeConfig, MoleculeGenerator};
     pub use pis_distance::{LinearDistance, MutationDistance, ScoreMatrix, SuperimposedDistance};

@@ -180,6 +180,21 @@ fn errors_are_reported() {
     let out = pis().output().expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+
+    // A flag the subcommand does not know — retired (`--shards`) or
+    // misspelt — is an error, never silently the default behaviour.
+    // Flags are checked before any file is opened.
+    let common = ["db.lg", "--index", "index.pis", "--query", "q.lg"];
+    for (subcommand, flag) in [
+        ("search", vec!["--shards", "4"]),
+        ("knn", vec!["--shards", "4"]),
+        ("search", vec!["--explian"]),
+    ] {
+        let out = pis().arg(subcommand).args(common).args(&flag).output().expect("binary runs");
+        assert!(!out.status.success(), "{subcommand} {flag:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {}", flag[0])), "{stderr}");
+    }
 }
 
 #[test]

@@ -66,3 +66,22 @@ pub fn ring(edge_labels: &[u32]) -> LabeledGraph {
     }
     b.build()
 }
+
+/// Number of unique `(feature, vector)` range-query probes `query`
+/// issues against `index` — the count a search compares with its
+/// fan-out break-even (`DEFAULT_PARALLEL_FRAGMENT_THRESHOLD`).
+pub fn unique_probes(index: &pis::index::FragmentIndex, query: &LabeledGraph) -> usize {
+    let mut seen = Vec::new();
+    for fragment in index.enumerate_query_fragments(query) {
+        let probe = (fragment.feature, fragment.vector);
+        if !seen.contains(&probe) {
+            seen.push(probe);
+        }
+    }
+    seen.len()
+}
+
+/// An outcome's answer distances as raw bits, for bit-exact comparison.
+pub fn distance_bits(outcome: &SearchOutcome) -> Vec<u64> {
+    outcome.answer_distances.iter().map(|d| d.to_bits()).collect()
+}

@@ -12,8 +12,8 @@ mod common;
 
 use std::sync::Mutex;
 
-use common::ring;
-use pis::core::PisSearcher;
+use common::{distance_bits, ring, unique_probes};
+use pis::core::{PisSearcher, DEFAULT_PARALLEL_FRAGMENT_THRESHOLD};
 use pis::distance::oracle::sssd_brute;
 use pis::prelude::*;
 
@@ -95,9 +95,6 @@ fn deadline_at_every_checkpoint_of_every_phase_is_sound() {
                     let got: Vec<usize> = outcome.answers.iter().map(|g| g.index()).collect();
                     assert_eq!(got, oracle, "untripped run must equal the oracle");
                 }
-                Completeness::Degraded { shards } => {
-                    panic!("an unsharded searcher cannot degrade (shards {shards:?})")
-                }
             }
         }
         assert!(tripped_at_least_once, "site {site} was never consulted — dead checkpoint?");
@@ -127,47 +124,66 @@ fn mid_verify_deadline_partitions_answers_and_possible() {
     );
 }
 
-/// A panic at a verification checkpoint (modeling a crashed worker)
-/// surfaces to the caller, and both the searcher and the scratch stay
-/// fully usable afterwards.
+/// A ring wide and varied enough that its unique probes reach the
+/// range-query fan-out break-even: its descents run on pool workers
+/// wherever there is more than one core.
+fn wide_ring() -> LabeledGraph {
+    ring(&[
+        3, 3, 2, 4, 4, 4, 3, 4, 1, 3, 2, 4, 1, 1, 2, 4, 2, 4, 2, 3, 3, 3, 4, 4, 4, 3, 4, 2, 3, 1,
+        1, 2,
+    ])
+}
+
+/// A panic at a checkpoint (modeling a crashed worker) — on the calling
+/// thread in verification, inside the pool's range-query fan-out in the
+/// descent — surfaces to the caller exactly once, and both the searcher
+/// and the scratch stay fully usable afterwards.
 #[test]
 fn checkpoint_panic_surfaces_and_searcher_stays_usable() {
     let _guard = SERIAL.lock().unwrap();
     failpoints::disarm_all();
-    let database = db();
+    let query = wide_ring();
+    let mut database = db();
+    database.push(query.clone());
     let index = PisSystem::builder()
         .mutation_distance(MutationDistance::edge_hamming())
         .exhaustive_features(4)
         .build(database.clone());
+    assert!(
+        unique_probes(index.index(), &query) >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD,
+        "the query must be wide enough to take the fan-out arm"
+    );
     let searcher = PisSearcher::new(index.index(), &database, PisConfig::default());
-    let query = ring(&[1, 1, 1, 1, 1, 1]);
     let sigma = 2.0;
+    let oracle = exact(&database, &query, sigma);
     let mut scratch = SearchScratch::new();
 
-    failpoints::arm_panic("verify", 1);
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        searcher.search_with_scratch(&query, sigma, &mut scratch)
-    }));
-    failpoints::disarm_all();
-    let payload = caught.expect_err("the injected panic must surface to the caller");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .expect("panic payload is a message");
-    assert!(message.contains("failpoint panic"), "unexpected payload: {message}");
+    for site in ["verify", "range-descent"] {
+        failpoints::arm_panic(site, 1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            searcher.search_with_scratch(&query, sigma, &mut scratch)
+        }));
+        failpoints::disarm_all();
+        let payload = caught.expect_err("the injected panic must surface to the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
+            .expect("panic payload is a message");
+        assert_eq!(message, format!("failpoint panic at {site}"));
 
-    // Same searcher, same scratch: the next query is exact and equals a
-    // fresh-scratch run bit for bit.
-    let after = searcher.search_with_scratch(&query, sigma, &mut scratch);
-    let fresh = searcher.search_with_scratch(&query, sigma, &mut SearchScratch::new());
-    assert!(after.completeness.is_exact());
-    assert_eq!(after.answers, fresh.answers);
-    assert_eq!(after.candidates, fresh.candidates);
-    assert_eq!(after.stats, fresh.stats);
-    let oracle = exact(&database, &query, sigma);
-    let got: Vec<usize> = after.answers.iter().map(|g| g.index()).collect();
-    assert_eq!(got, oracle);
+        // Same searcher, same scratch: the next query is exact and
+        // equals a fresh-scratch run bit for bit.
+        let after = searcher.search_with_scratch(&query, sigma, &mut scratch);
+        let fresh = searcher.search_with_scratch(&query, sigma, &mut SearchScratch::new());
+        assert!(after.completeness.is_exact(), "after a {site} panic");
+        assert_eq!(after.answers, fresh.answers, "after a {site} panic");
+        assert_eq!(after.candidates, fresh.candidates, "after a {site} panic");
+        assert_eq!(distance_bits(&after), distance_bits(&fresh), "after a {site} panic");
+        assert_eq!(after.stats, fresh.stats, "after a {site} panic");
+        let got: Vec<usize> = after.answers.iter().map(|g| g.index()).collect();
+        assert_eq!(got, oracle, "after a {site} panic");
+    }
 }
 
 /// A kNN round tripping at its doubling checkpoint returns best-so-far

@@ -9,13 +9,21 @@
 //! ordering behind it — to **byte-identical** `candidates`, `answers`,
 //! `answer_distances` and `SearchStats` across random databases, both
 //! distances, and all three partition algorithms.
+//!
+//! [`pooled_range_arm_equals_serial_arm`] holds the two range-query
+//! arms of the optimized path to each other the same way.
 
 mod common;
 
-use common::{connected_graph, graph_database};
-use pis::core::{PartitionAlgo, PisConfig, PisSearcher, SearchScratch};
+use common::{connected_graph, distance_bits, graph_database, unique_probes};
+use pis::core::{
+    naive_scan, PartitionAlgo, PisConfig, PisSearcher, SearchScratch,
+    DEFAULT_PARALLEL_FRAGMENT_THRESHOLD,
+};
+use pis::graph::ScopedPool;
 use pis::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 
 /// Asserts full outcome equality between the optimized funnel (run
 /// twice through the same scratch, so reuse is exercised) and the
@@ -277,4 +285,82 @@ proptest! {
         let mut scratch = SearchScratch::new();
         assert_equivalent(&searcher, &mut scratch, &query, sigma)?;
     }
+}
+
+/// The two range-query arms agree bit for bit. The same queries run
+/// once on the calling thread — where a probe set at or above the
+/// fan-out break-even spreads its sibling groups across the pool (given
+/// more than one core) and the per-group hits are merged back into the
+/// slots — and once from inside a pool worker, where `in_worker()`
+/// forces the serial arm through the shared scratch. One scratch is
+/// reused per side, across both distance families and all three
+/// partition algorithms, and both sides must equal `naive_scan`.
+///
+/// Written against the runner directly (not `proptest!`) so the test
+/// can also assert, after the last case, that the generated queries did
+/// reach the break-even.
+#[test]
+fn pooled_range_arm_equals_serial_arm() {
+    const SIGMAS: [f64; 2] = [0.5, 2.0];
+    let strategy = (
+        proptest::collection::vec(connected_graph(16, 6, 4), 2..6),
+        0usize..8,
+        prop::sample::select(vec![
+            PartitionAlgo::Greedy,
+            PartitionAlgo::EnhancedGreedy(2),
+            PartitionAlgo::Exact,
+        ]),
+        prop::sample::select(vec![false, true]),
+    );
+    let mut wide_cases = 0;
+    let mut runner = TestRunner::new_for_test(
+        ProptestConfig::with_cases(24),
+        concat!(module_path!(), "::pooled_range_arm_equals_serial_arm"),
+    );
+    runner.run(&strategy, |(db, qi, algo, linear)| {
+        let db: Vec<LabeledGraph> =
+            if linear { db.iter().map(weighted_from_labels).collect() } else { db };
+        let query = db[qi % db.len()].clone();
+        let builder = if linear {
+            PisSystem::builder().linear_distance(LinearDistance::edges_only())
+        } else {
+            PisSystem::builder().mutation_distance(MutationDistance::edge_hamming())
+        };
+        let system = builder
+            .exhaustive_features(3)
+            .search_config(PisConfig { partition: algo, ..PisConfig::default() })
+            .build(db);
+        let searcher = system.searcher();
+        if unique_probes(system.index(), &query) >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD {
+            wide_cases += 1;
+        }
+
+        let mut scratch = SearchScratch::new();
+        let on_caller =
+            SIGMAS.map(|sigma| searcher.search_with_scratch(&query, sigma, &mut scratch));
+        // Two explicit workers, so the serial side runs in a pool
+        // worker whatever the core count; both workers do the same work
+        // and the first one's outcomes are compared.
+        let in_worker = ScopedPool::new(2)
+            .map_with(&[(); 2], 2, SearchScratch::new, |scratch, _, ()| {
+                assert!(ScopedPool::in_worker());
+                SIGMAS.map(|sigma| searcher.search_with_scratch(&query, sigma, scratch))
+            })
+            .swap_remove(0);
+
+        for ((sigma, a), b) in SIGMAS.iter().zip(&on_caller).zip(&in_worker) {
+            prop_assert_eq!(&a.candidates, &b.candidates, "candidates, sigma {}", sigma);
+            prop_assert_eq!(&a.answers, &b.answers, "answers, sigma {}", sigma);
+            prop_assert_eq!(distance_bits(a), distance_bits(b), "distance bits, sigma {}", sigma);
+            prop_assert_eq!(&a.stats, &b.stats, "stats, sigma {}", sigma);
+            let oracle = if linear {
+                naive_scan(system.database(), &query, &LinearDistance::edges_only(), *sigma)
+            } else {
+                naive_scan(system.database(), &query, &MutationDistance::edge_hamming(), *sigma)
+            };
+            prop_assert_eq!(&a.answers, &oracle.answers, "naive_scan, sigma {}", sigma);
+        }
+        Ok(())
+    });
+    assert!(wide_cases > 0, "no generated query reached the fan-out break-even");
 }
