@@ -291,11 +291,28 @@ impl FragmentIndex {
             }
             _ => {}
         }
-        // Features are independent: map them across the shared pool and
-        // reassemble in feature order.
-        let ids: Vec<FeatureId> = features.iter().map(|f| f.id).collect();
-        let classes: Vec<ClassIndex> = ScopedPool::new(config.threads)
-            .map(&ids, 2, |_, &f| build_class(db, &features, f, &distance, config));
+        // Fan out over contiguous graph ranges, every class per range:
+        // graphs of one database cost about the same each, so equal
+        // ranges balance on any worker count, where whole classes do
+        // not (the largest structures hold most of the embeddings).
+        let pool = ScopedPool::new(config.threads);
+        let structures: Vec<&LabeledGraph> = features.iter().map(|f| &f.structure).collect();
+        let per_range = db.len().div_ceil(pool.workers()).max(1);
+        let ranges: Vec<&[LabeledGraph]> = db.chunks(per_range).collect();
+        let blocks: Vec<Vec<ClassRows>> =
+            pool.map_with(&ranges, 2, GraphEntries::default, |entries, r, graphs| {
+                let first = r * per_range;
+                structures
+                    .iter()
+                    .map(|s| collect_class_rows(graphs, first, s, &distance, config, entries))
+                    .collect()
+            });
+        // A class's blocks joined in range order are the rows the serial
+        // loop over the whole database writes, so the frozen structures
+        // do not depend on the worker count.
+        let classes: Vec<ClassIndex> = pool.map(&structures, 2, |class, s| {
+            freeze_class(ClassRows::concat(&blocks, class), s, &distance, config)
+        });
         let index = FragmentIndex {
             features,
             distance,
@@ -1337,54 +1354,95 @@ fn collect_graph_entries(
     });
 }
 
-/// Builds one class: enumerate, dedup, insert.
-fn build_class(
-    db: &[LabeledGraph],
-    features: &FeatureSet,
-    feature: FeatureId,
+/// The rows of one class in database order, before they are frozen
+/// into the class's range-search structure: row-major label or weight
+/// vectors (depending on the distance) and, beside each row, the graph
+/// it was read from. Covers a contiguous range of graphs, or — joined
+/// in range order — the whole database.
+#[derive(Default)]
+struct ClassRows {
+    labels: Vec<Label>,
+    weights: Vec<f64>,
+    row_graphs: Vec<GraphId>,
+}
+
+impl ClassRows {
+    /// Joins one class's blocks (`blocks[range][class]`) in range order.
+    fn concat(blocks: &[Vec<ClassRows>], class: usize) -> ClassRows {
+        let parts = || blocks.iter().map(|block| &block[class]);
+        let mut all = ClassRows {
+            labels: Vec::with_capacity(parts().map(|p| p.labels.len()).sum()),
+            weights: Vec::with_capacity(parts().map(|p| p.weights.len()).sum()),
+            row_graphs: Vec::with_capacity(parts().map(|p| p.row_graphs.len()).sum()),
+        };
+        for part in parts() {
+            all.labels.extend_from_slice(&part.labels);
+            all.weights.extend_from_slice(&part.weights);
+            all.row_graphs.extend_from_slice(&part.row_graphs);
+        }
+        all
+    }
+}
+
+/// Enumerates one class over `graphs`, a run of the database starting
+/// at graph id `first`: every graph's deduplicated vectors, in graph
+/// order.
+fn collect_class_rows(
+    graphs: &[LabeledGraph],
+    first: usize,
+    structure: &LabeledGraph,
+    distance: &IndexDistance,
+    config: &IndexConfig,
+    entries: &mut GraphEntries,
+) -> ClassRows {
+    let mut rows = ClassRows::default();
+    for (i, g) in graphs.iter().enumerate() {
+        collect_graph_entries(structure, g, distance, config, entries);
+        rows.labels.extend_from_slice(&entries.labels);
+        rows.weights.extend_from_slice(&entries.weights);
+        rows.row_graphs.extend(std::iter::repeat_n(GraphId((first + i) as u32), entries.count));
+    }
+    rows
+}
+
+/// Freezes one class's rows (all of the database, in graph order) into
+/// its range-search structure.
+fn freeze_class(
+    ClassRows { labels, weights, row_graphs }: ClassRows,
+    structure: &LabeledGraph,
     distance: &IndexDistance,
     config: &IndexConfig,
 ) -> ClassIndex {
-    let f = features.get(feature);
-    let structure = &f.structure;
     let ecount = structure.edge_count();
     let slots = structure.vertex_count() + ecount;
-    let trie = matches!(
-        (distance, config.backend),
-        (IndexDistance::Mutation(_), Backend::Default | Backend::Trie)
-    );
-    // Every graph's rows land in one row-major matrix per class, with
-    // the row's posting id beside it.
-    let mut labels: Vec<Label> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let mut row_graphs: Vec<GraphId> = Vec::new();
+    debug_assert!(row_graphs.is_sorted(), "class rows are in graph order");
     let mut graphs: Vec<GraphId> = Vec::new();
-    let mut entries = GraphEntries::default();
-
-    for (gid, g) in db.iter().enumerate() {
-        let gid = GraphId(gid as u32);
-        collect_graph_entries(structure, g, distance, config, &mut entries);
-        if entries.count == 0 {
-            continue;
+    for &g in &row_graphs {
+        if graphs.last() != Some(&g) {
+            graphs.push(g);
         }
-        graphs.push(gid);
-        labels.extend_from_slice(&entries.labels);
-        weights.extend_from_slice(&entries.weights);
-        // Trie postings are *class-local* slots into the sorted `graphs`
-        // posting list, so range readouts sweep a compact per-class row
-        // (see `range_query_normalized_into`); slots ascend with the
-        // ids, so the arena's entry order is the same either way.
-        let posting = if trie { GraphId((graphs.len() - 1) as u32) } else { gid };
-        row_graphs.extend(std::iter::repeat_n(posting, entries.count));
     }
 
     let entries = row_graphs.len();
     let weight_rows = || rows(&weights, slots, entries).zip(row_graphs.iter().copied());
     let imp = match (distance, config.backend) {
         (IndexDistance::Mutation(_), Backend::Default | Backend::Trie) => {
+            // Trie postings are *class-local* slots into the sorted
+            // `graphs` posting list, so range readouts sweep a compact
+            // per-class row (see `range_query_normalized_into`); slots
+            // ascend with the ids, so the arena's entry order is the
+            // same either way.
+            let mut slot = 0usize;
+            let postings = row_graphs
+                .iter()
+                .map(|&g| {
+                    slot += usize::from(graphs[slot] != g);
+                    GraphId(slot as u32)
+                })
+                .collect();
             // One-shot freeze into the level-major arena — the build
             // path never constructs pointer nodes at all.
-            ClassImpl::Trie(FlatTrie::from_rows(slots, labels, row_graphs))
+            ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings))
         }
         (IndexDistance::Mutation(md), Backend::VpTree) => {
             let md = md.clone();
@@ -1725,28 +1783,72 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_builds_agree() {
-        let db = small_db();
+        // Small rings and paths whose labels and weights vary with `i`,
+        // in alternating runs of ten: at seven workers a whole range of
+        // graphs contains no ring class.
+        let graph = |i: usize| {
+            let ring = (i / 10) % 2 == 0;
+            let n = if ring { 3 + i % 2 } else { 4 };
+            let mut b = GraphBuilder::new();
+            let vs: Vec<_> =
+                (0..n).map(|k| b.add_vertex(VertexAttr::labeled(Label(k as u32 % 2)))).collect();
+            for k in 0..n - usize::from(!ring) {
+                let attr = EdgeAttr {
+                    label: Label(((i + k) % 3) as u32),
+                    weight: 1.0 + ((i * 7 + k * 3) % 5) as f64 * 0.5,
+                };
+                b.add_edge(vs[k], vs[(k + 1) % n], attr).unwrap();
+            }
+            b.build()
+        };
+        let db: Vec<LabeledGraph> = (0..40).map(graph).collect();
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let features = exhaustive_features(&structures, 3);
-        let md = IndexDistance::Mutation(MutationDistance::edge_hamming());
-        let serial = FragmentIndex::build(
-            &db,
-            features.clone(),
-            md.clone(),
-            &IndexConfig { threads: 1, ..IndexConfig::default() },
-        );
-        let parallel = FragmentIndex::build(
-            &db,
-            features,
-            md,
-            &IndexConfig { threads: 4, ..IndexConfig::default() },
-        );
-        assert_eq!(serial.total_entries(), parallel.total_entries());
-        let query = cycle_with_edge_labels(&[1, 1, 2, 1, 1, 1]);
-        for qf in serial.enumerate_query_fragments(&query) {
-            let a = serial.range_query(qf.feature, &qf.vector, 2.0);
-            let b = parallel.range_query(qf.feature, &qf.vector, 2.0);
-            assert_eq!(a, b);
+        let features = exhaustive_features(&structures, 4);
+        // Only the flat trie compares as a value; the other structures
+        // are compared through their full `Debug` rendering.
+        fn same_debug(a: &impl std::fmt::Debug, b: &impl std::fmt::Debug) -> bool {
+            format!("{a:?}") == format!("{b:?}")
+        }
+        let same_class = |a: &ClassImpl, b: &ClassImpl| match (a, b) {
+            (ClassImpl::Trie(a), ClassImpl::Trie(b)) => a == b,
+            (ClassImpl::VpLabels(a), ClassImpl::VpLabels(b)) => same_debug(a, b),
+            (ClassImpl::RTree(a), ClassImpl::RTree(b)) => same_debug(a, b),
+            (ClassImpl::VpWeights(a), ClassImpl::VpWeights(b)) => same_debug(a, b),
+            _ => false,
+        };
+        let md = IndexDistance::Mutation(MutationDistance::unit());
+        let ld = IndexDistance::Linear(LinearDistance::default());
+        for (backend, distance) in [
+            (Backend::Trie, &md),
+            (Backend::VpTree, &md),
+            (Backend::RTree, &ld),
+            (Backend::VpTree, &ld),
+        ] {
+            // Fewer graphs than workers, and no graphs at all, included.
+            for size in [0, 1, 5, 40] {
+                let db = &db[..size];
+                let build = |threads| {
+                    FragmentIndex::build(
+                        db,
+                        features.clone(),
+                        distance.clone(),
+                        &IndexConfig { backend, threads, ..IndexConfig::default() },
+                    )
+                };
+                let serial = build(1);
+                let bytes = crate::encode_snapshot(&serial, db).unwrap();
+                for threads in [2, 3, 7] {
+                    let case = format!("{backend:?} {size} graphs {threads} threads");
+                    let parallel = build(threads);
+                    assert_eq!(parallel.total_entries(), serial.total_entries(), "{case}");
+                    for (f, (p, s)) in parallel.classes.iter().zip(&serial.classes).enumerate() {
+                        assert_eq!(p.graphs, s.graphs, "{case} class {f}");
+                        assert_eq!(p.entries, s.entries, "{case} class {f}");
+                        assert!(same_class(&p.imp, &s.imp), "{case} class {f}");
+                    }
+                    assert_eq!(crate::encode_snapshot(&parallel, db).unwrap(), bytes, "{case}");
+                }
+            }
         }
     }
 

@@ -11,11 +11,13 @@
 //! Patterns are processed in increasing size, so sub-structure posting
 //! lists are always available when a super-structure is examined.
 
+use std::borrow::Cow;
+
 use pis_graph::iso::{is_subgraph, IsoConfig};
 use pis_graph::GraphId;
 
 use crate::feature::FeatureSet;
-use crate::gspan::{mine, GspanConfig, MinedPattern};
+use crate::gspan::{mine_with_stats, GspanConfig, MineStats, MinedPattern};
 
 /// Configuration of gIndex feature selection.
 #[derive(Clone, Debug)]
@@ -63,6 +65,15 @@ pub fn select_features(
     structures: &[pis_graph::LabeledGraph],
     config: &GindexConfig,
 ) -> FeatureSet {
+    select_features_with_stats(structures, config).0
+}
+
+/// [`select_features`], also returning the work counters of the mining
+/// run underneath it.
+pub fn select_features_with_stats(
+    structures: &[pis_graph::LabeledGraph],
+    config: &GindexConfig,
+) -> (FeatureSet, MineStats) {
     let min_support =
         ((structures.len() as f64 * config.min_support_fraction).ceil() as usize).max(1);
     let gspan_cfg = GspanConfig {
@@ -72,15 +83,11 @@ pub fn select_features(
         size_support_slope: config.size_support_slope,
         ..GspanConfig::default()
     };
-    let mut patterns = mine(structures, &gspan_cfg);
+    let (mut patterns, stats) = mine_with_stats(structures, &gspan_cfg);
     // Increasing size; larger support first within a size so the most
     // common structures are considered before their rarer peers.
-    patterns.sort_by(|a, b| {
-        a.graph
-            .edge_count()
-            .cmp(&b.graph.edge_count())
-            .then(b.support.cmp(&a.support))
-            .then(a.code.to_sequence().cmp(&b.code.to_sequence()))
+    patterns.sort_by_cached_key(|p| {
+        (p.graph.edge_count(), std::cmp::Reverse(p.support), p.code.to_sequence())
     });
 
     let mut selected: Vec<MinedPattern> = Vec::new();
@@ -99,7 +106,7 @@ pub fn select_features(
     for p in selected {
         set.insert(p.code, p.support);
     }
-    set
+    (set, stats)
 }
 
 /// gIndex's discriminative test against already-selected sub-structures.
@@ -110,8 +117,10 @@ fn is_discriminative(
     db_size: usize,
 ) -> bool {
     // Intersection of supporting sets over selected proper
-    // sub-structures; starts as the whole database.
-    let mut intersection: Option<Vec<GraphId>> = None;
+    // sub-structures; starts as the whole database. The first
+    // sub-structure's list is borrowed until a second one forces a real
+    // intersection.
+    let mut intersection: Option<Cow<'_, [GraphId]>> = None;
     for s in selected {
         if s.graph.edge_count() >= candidate.graph.edge_count() {
             continue;
@@ -119,11 +128,13 @@ fn is_discriminative(
         if !is_subgraph(&s.graph, &candidate.graph, IsoConfig::LABELED) {
             continue;
         }
-        intersection = Some(match intersection {
-            None => s.supporting.clone(),
-            Some(cur) => intersect_sorted(&cur, &s.supporting),
-        });
-        if intersection.as_ref().is_some_and(Vec::is_empty) {
+        let narrowed = match intersection {
+            None => Cow::Borrowed(s.supporting.as_slice()),
+            Some(cur) => Cow::Owned(intersect_sorted(&cur, &s.supporting)),
+        };
+        let empty = narrowed.is_empty();
+        intersection = Some(narrowed);
+        if empty {
             break;
         }
     }

@@ -2,20 +2,43 @@
 //!
 //! Patterns grow one edge at a time along the rightmost path of their
 //! minimum DFS code; non-canonical codes are pruned with the `is_min`
-//! test, so every pattern is generated exactly once. Embedding lists are
-//! maintained incrementally — extension candidates come from scanning
-//! the graph neighborhoods of embedded rightmost-path vertices, the
-//! standard transaction-setting formulation.
+//! test, so every pattern is generated exactly once. Extension
+//! candidates come from scanning the graph neighborhoods of embedded
+//! rightmost-path vertices, the standard transaction-setting
+//! formulation.
+//!
+//! # Embedding lists
+//!
+//! A pattern's embeddings live in one row-major arena: row `r` is
+//! `stride` vertex images (column `i` = image of DFS index `i`, `stride`
+//! = pattern vertex count) plus one entry of a graph-id column. No
+//! embedding owns an allocation. Growing a pattern is one scan over its
+//! rows; each distinct candidate edge is tested for canonicality *once,
+//! at first sight, before any row is copied for it*, so the list of a
+//! non-canonical child is never built. The parent's list is freed before
+//! the miner recurses and each child's list as soon as that child has
+//! produced its own children, so the live lists are the canonical
+//! siblings waiting along the recursion path, not every candidate of
+//! every level. A pattern of `max_edges` edges is reported but never
+//! extended, so its list — the longest kind — keeps only the supporting
+//! graphs.
+//!
+//! **Row order is part of the contract.** A child's rows are appended in
+//! the parent's scan order (row by row; per row the backward candidates
+//! of the rightmost vertex, then forward candidates root-to-rightmost,
+//! each in adjacency order), which keeps every list sorted by graph —
+//! support is a linear dedup of the graph column — and fixes *which*
+//! rows the per-graph cap keeps: the first
+//! [`max_embeddings_per_graph`](GspanConfig::max_embeddings_per_graph)
+//! of each graph. Reorder the scan and a capped pattern's descendants
+//! are counted from different embeddings, so supports change.
 //!
 //! Support is the number of *distinct graphs* containing the pattern.
-//! Embedding lists are capped per graph
-//! ([`GspanConfig::max_embeddings_per_graph`]) to bound memory on highly
-//! symmetric structures (erased-label ring systems). The cap can
-//! undercount support for *descendants* of a capped pattern — mining
-//! then errs on the conservative side (reported support never exceeds
-//! the true support; a generous default cap makes undercounts rare).
-
-use std::collections::BTreeMap;
+//! The cap bounds memory on highly symmetric structures (erased-label
+//! ring systems). It can undercount support for *descendants* of a
+//! capped pattern — mining then errs on the conservative side (reported
+//! support never exceeds the true support; a generous default cap makes
+//! undercounts rare).
 
 use pis_graph::canonical::{DfsCode, DfsEdge};
 use pis_graph::{GraphId, LabeledGraph, VertexId};
@@ -31,7 +54,10 @@ pub struct GspanConfig {
     pub max_edges: usize,
     /// Smallest pattern size reported (patterns below are still grown).
     pub min_edges: usize,
-    /// Per-graph embedding-list cap (memory bound on symmetric graphs).
+    /// Per-graph embedding-list cap (memory bound on symmetric graphs):
+    /// before a pattern is extended, only the first this-many embeddings
+    /// of each graph are kept. `0` means no cap — every embedding is
+    /// kept and every reported support is exact.
     pub max_embeddings_per_graph: usize,
     /// Size-increasing support curve: extra support demanded per edge
     /// beyond `min_edges` is `min_support * size_support_slope * (l -
@@ -74,12 +100,132 @@ pub struct MinedPattern {
     pub supporting: Vec<GraphId>,
 }
 
-/// One embedding of the current pattern: `map[dfs_index]` is the image
-/// vertex in graph `graph`.
-#[derive(Clone, Debug)]
-struct Emb {
-    graph: u32,
-    map: Vec<VertexId>,
+/// Work counters of one [`mine_with_stats`] run. Counts, not timings:
+/// they depend on the database and the configuration only and repeat
+/// exactly on any machine.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MineStats {
+    /// Patterns reported.
+    pub patterns: usize,
+    /// Canonicality (`is_min`) tests run — one per distinct candidate
+    /// edge of each extended pattern, however many embeddings show it.
+    pub canonical_tests: usize,
+    /// Embedding rows written into lists (1-edge seeds included). Only
+    /// candidates that passed the canonicality test receive rows, and a
+    /// pattern of `max_edges` edges, which is never extended, only one
+    /// per supporting graph.
+    pub rows_copied: usize,
+    /// Largest number of embedding rows alive at once, over all lists
+    /// (a capped list counts in full until it is freed).
+    pub peak_live_rows: usize,
+}
+
+/// The embedding list of one pattern, row-major (see the module docs):
+/// row `r` maps DFS index `i` to `images[r * stride + i]` in graph
+/// `graphs[r]`. Rows are sorted by graph.
+///
+/// Stride 0 marks the list of a pattern that is counted but never
+/// extended: no images, and the graph column deduplicated as written.
+struct EmbList {
+    stride: usize,
+    images: Vec<VertexId>,
+    graphs: Vec<u32>,
+}
+
+impl EmbList {
+    fn new(stride: usize) -> Self {
+        EmbList { stride, images: Vec::new(), graphs: Vec::new() }
+    }
+
+    fn rows(&self) -> usize {
+        self.graphs.len()
+    }
+
+    fn row(&self, r: usize) -> &[VertexId] {
+        &self.images[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// Appends `prefix` (a parent row) plus, for a forward extension,
+    /// the image of the new vertex.
+    fn push(&mut self, graph: u32, prefix: &[VertexId], new_vertex: Option<VertexId>) {
+        debug_assert!(self.graphs.last().is_none_or(|&last| last <= graph), "graph-sorted rows");
+        if self.stride == 0 {
+            if self.graphs.last() != Some(&graph) {
+                self.graphs.push(graph);
+            }
+            return;
+        }
+        debug_assert_eq!(prefix.len() + usize::from(new_vertex.is_some()), self.stride);
+        self.images.extend_from_slice(prefix);
+        self.images.extend(new_vertex);
+        self.graphs.push(graph);
+    }
+
+    /// Sorted distinct supporting graph ids: the graph column is sorted,
+    /// so one pass dedups it.
+    fn distinct_graphs(&self) -> Vec<GraphId> {
+        let mut ids: Vec<GraphId> = Vec::new();
+        for &g in &self.graphs {
+            if ids.last() != Some(&GraphId(g)) {
+                ids.push(GraphId(g));
+            }
+        }
+        ids
+    }
+
+    /// Retains the first `cap` rows of each graph, in order (embedding
+    /// lists of symmetric patterns grow factorially; see module docs).
+    fn cap_per_graph(&mut self, cap: usize) {
+        if cap == 0 {
+            return;
+        }
+        let mut kept = 0usize;
+        let mut last_graph = u32::MAX;
+        let mut count = 0usize;
+        for r in 0..self.rows() {
+            let g = self.graphs[r];
+            if g != last_graph {
+                last_graph = g;
+                count = 0;
+            }
+            if count < cap {
+                self.images.copy_within(r * self.stride..(r + 1) * self.stride, kept * self.stride);
+                self.graphs[kept] = g;
+                kept += 1;
+                count += 1;
+            }
+        }
+        self.images.truncate(kept * self.stride);
+        self.graphs.truncate(kept);
+    }
+}
+
+/// The children of one pattern while its rows are scanned: one slot per
+/// distinct candidate edge in first-sight order, holding the child's
+/// list, or `None` for a candidate that was refused.
+#[derive(Default)]
+struct Children {
+    slots: Vec<(DfsEdge, Option<EmbList>)>,
+}
+
+impl Children {
+    /// The list of candidate `edge`; `admit` decides, the first time the
+    /// edge is seen, whether it gets one. A handful of distinct
+    /// candidates per pattern makes the linear probe the cheap lookup.
+    fn list(
+        &mut self,
+        edge: DfsEdge,
+        admit: impl FnOnce() -> Option<EmbList>,
+    ) -> Option<&mut EmbList> {
+        let slot = match self.slots.iter().position(|(e, _)| *e == edge) {
+            Some(slot) => slot,
+            None => {
+                self.slots.push((edge, admit()));
+                self.slots.len() - 1
+            }
+        };
+        self.slots[slot].1.as_mut()
+    }
 }
 
 /// Mines all frequent connected patterns of `db` under `config`.
@@ -87,12 +233,21 @@ struct Emb {
 /// Graphs are matched with full label semantics; pass label-erased
 /// copies to mine bare structures (what PIS indexes).
 pub fn mine(db: &[LabeledGraph], config: &GspanConfig) -> Vec<MinedPattern> {
-    let mut out = Vec::new();
-    if config.max_edges == 0 || db.is_empty() {
-        return out;
+    mine_with_stats(db, config).0
+}
+
+/// [`mine`], also returning the run's work counters.
+pub fn mine_with_stats(
+    db: &[LabeledGraph],
+    config: &GspanConfig,
+) -> (Vec<MinedPattern>, MineStats) {
+    let mut miner =
+        Miner { db, config, out: Vec::new(), stats: MineStats::default(), live_rows: 0 };
+    if config.max_edges == 0 {
+        return (miner.out, miner.stats);
     }
     // Seed patterns: single edges grouped by their minimal 1-edge code.
-    let mut seeds: BTreeMap<DfsEdge, Vec<Emb>> = BTreeMap::new();
+    let mut seeds = Children::default();
     for (gid, g) in db.iter().enumerate() {
         for e in g.edges() {
             for (u, v) in [(e.source, e.target), (e.target, e.source)] {
@@ -110,141 +265,165 @@ pub fn mine(db: &[LabeledGraph], config: &GspanConfig) -> Vec<MinedPattern> {
                     edge_label: e.attr.label,
                     to_label: lv,
                 };
-                seeds.entry(edge).or_default().push(Emb { graph: gid as u32, map: vec![u, v] });
+                let list =
+                    seeds.list(edge, || Some(miner.new_list(1, 2))).expect("seeds are admitted");
+                list.push(gid as u32, &[u], Some(v));
             }
         }
     }
-    let mut miner = Miner { db, config, out: &mut out };
-    for (edge, embs) in seeds {
-        let code = DfsCode { edges: vec![edge], root_label: edge.from_label };
-        miner.grow(&code, embs);
+    for (edge, list) in miner.adopt(seeds) {
+        let mut code = DfsCode { edges: vec![edge], root_label: edge.from_label };
+        miner.grow(&mut code, list);
     }
-    out
+    miner.stats.patterns = miner.out.len();
+    (miner.out, miner.stats)
 }
 
 struct Miner<'a> {
     db: &'a [LabeledGraph],
     config: &'a GspanConfig,
-    out: &'a mut Vec<MinedPattern>,
+    out: Vec<MinedPattern>,
+    stats: MineStats,
+    /// Rows in lists alive right now (`stats.peak_live_rows` is its
+    /// running maximum).
+    live_rows: usize,
 }
 
 impl Miner<'_> {
-    fn grow(&mut self, code: &DfsCode, mut embs: Vec<Emb>) {
-        let support_ids = distinct_graphs(&embs);
-        if support_ids.len() < self.config.support_at(code.edge_count()) {
-            return;
+    /// An empty list for a pattern of `edges` edges on `stride` vertices.
+    /// A pattern of `max_edges` edges is reported but not extended, so
+    /// only its supporting graphs are kept (stride 0) — at the largest
+    /// size, where the lists are longest.
+    fn new_list(&self, edges: usize, stride: usize) -> EmbList {
+        EmbList::new(if edges >= self.config.max_edges { 0 } else { stride })
+    }
+
+    /// Reports `code` if frequent and grows its canonical children.
+    /// `code` is extended in place and restored on return.
+    fn grow(&mut self, code: &mut DfsCode, list: EmbList) {
+        let rows = list.rows();
+        let children = self.expand(code, list);
+        // The pattern's own list is gone before the recursion starts;
+        // each child's goes the same way inside its `grow`.
+        self.live_rows -= rows;
+        for (edge, child) in children {
+            code.edges.push(edge);
+            self.grow(code, child);
+            code.edges.pop();
+        }
+    }
+
+    /// Reports `code` if its embedding `list` makes it frequent, and
+    /// builds the lists of its canonical children (none for a pattern
+    /// that is infrequent or already `max_edges` large). Consumes `list`.
+    fn expand(&mut self, code: &mut DfsCode, mut list: EmbList) -> Vec<(DfsEdge, EmbList)> {
+        let supporting = list.distinct_graphs();
+        let edges = code.edge_count();
+        if supporting.len() < self.config.support_at(edges) {
+            return Vec::new();
         }
         let pattern = code.to_graph();
-        if code.edge_count() >= self.config.min_edges {
+        if edges >= self.config.min_edges {
             self.out.push(MinedPattern {
                 code: code.clone(),
                 graph: pattern.clone(),
-                support: support_ids.len(),
-                supporting: support_ids,
+                support: supporting.len(),
+                supporting,
             });
         }
-        if code.edge_count() >= self.config.max_edges {
-            return;
+        if edges >= self.config.max_edges {
+            return Vec::new();
         }
-        cap_per_graph(&mut embs, self.config.max_embeddings_per_graph);
+        list.cap_per_graph(self.config.max_embeddings_per_graph);
+        let children = self.extend(code, &pattern, &list);
+        self.adopt(children)
+    }
 
+    /// Takes the lists one scan built into the accounts and returns them
+    /// in DFS-lexicographic order of their edges, gSpan's growth order.
+    fn adopt(&mut self, children: Children) -> Vec<(DfsEdge, EmbList)> {
+        let mut lists: Vec<(DfsEdge, EmbList)> =
+            children.slots.into_iter().filter_map(|(e, list)| Some((e, list?))).collect();
+        let rows: usize = lists.iter().map(|(_, list)| list.rows()).sum();
+        self.stats.rows_copied += rows;
+        self.live_rows += rows;
+        self.stats.peak_live_rows = self.stats.peak_live_rows.max(self.live_rows);
+        lists.sort_unstable_by_key(|&(e, _)| e);
+        lists
+    }
+
+    /// One scan over the rows of `list` (the embeddings of `code`, whose
+    /// graph is `pattern`): the lists of every canonical one-edge
+    /// extension.
+    fn extend(&mut self, code: &mut DfsCode, pattern: &LabeledGraph, list: &EmbList) -> Children {
         let rmpath = rightmost_path(code);
         let rm_idx = *rmpath.last().expect("rightmost path is never empty");
-        let next_idx = pattern.vertex_count() as u32;
+        let stride = list.stride;
+        let next_idx = stride as u32;
+        let label = |idx: u32| pattern.vertex(VertexId(idx)).label;
+        // Backward extensions run from the rightmost vertex to
+        // rightmost-path vertices not already connected to it.
+        let mut backward_to = vec![false; stride];
+        for &p_idx in &rmpath[..rmpath.len() - 1] {
+            backward_to[p_idx as usize] = !pattern.has_edge(VertexId(rm_idx), VertexId(p_idx));
+        }
 
-        // Group candidate extensions by code edge; BTreeMap iterates in
-        // DFS-lexicographic order, matching gSpan's growth order.
-        let mut groups: BTreeMap<DfsEdge, Vec<Emb>> = BTreeMap::new();
-        for emb in &embs {
-            let g = &self.db[emb.graph as usize];
-            // Backward extensions from the rightmost vertex to
-            // rightmost-path vertices not already connected in the
-            // pattern.
-            let rm_image = emb.map[rm_idx as usize];
-            for &(w, ge) in g.neighbors(rm_image) {
-                let Some(w_idx) = emb.map.iter().position(|&x| x == w) else {
+        let child_edges = code.edge_count() + 1;
+        // Canonicality pruning, decided once per distinct candidate and
+        // before any of its rows exist: every pattern is grown from its
+        // minimum code only.
+        let mut canonical_tests = 0;
+        let mut admit = |edge: DfsEdge, child_stride: usize| {
+            canonical_tests += 1;
+            code.edges.push(edge);
+            let canonical = code.is_min();
+            code.edges.pop();
+            canonical.then(|| self.new_list(child_edges, child_stride))
+        };
+        let mut children = Children::default();
+        for r in 0..list.rows() {
+            let (gid, row) = (list.graphs[r], list.row(r));
+            let g = &self.db[gid as usize];
+            for &(w, ge) in g.neighbors(row[rm_idx as usize]) {
+                let Some(w_idx) = row.iter().position(|&x| x == w) else {
                     continue;
                 };
-                let w_idx = w_idx as u32;
-                if w_idx == rm_idx
-                    || !rmpath.contains(&w_idx)
-                    || pattern.has_edge(VertexId(rm_idx), VertexId(w_idx))
-                {
+                if !backward_to[w_idx] {
                     continue;
                 }
                 let cand = DfsEdge {
                     from: rm_idx,
-                    to: w_idx,
-                    from_label: pattern.vertex(VertexId(rm_idx)).label,
+                    to: w_idx as u32,
+                    from_label: label(rm_idx),
                     edge_label: g.edge(ge).attr.label,
-                    to_label: pattern.vertex(VertexId(w_idx)).label,
+                    to_label: label(w_idx as u32),
                 };
-                groups.entry(cand).or_default().push(emb.clone());
+                if let Some(child) = children.list(cand, || admit(cand, stride)) {
+                    child.push(gid, row, None);
+                }
             }
             // Forward extensions from every rightmost-path vertex.
             for &p_idx in &rmpath {
-                let u_image = emb.map[p_idx as usize];
-                for &(w, ge) in g.neighbors(u_image) {
-                    if emb.map.contains(&w) {
+                for &(w, ge) in g.neighbors(row[p_idx as usize]) {
+                    if row.contains(&w) {
                         continue;
                     }
                     let cand = DfsEdge {
                         from: p_idx,
                         to: next_idx,
-                        from_label: pattern.vertex(VertexId(p_idx)).label,
+                        from_label: label(p_idx),
                         edge_label: g.edge(ge).attr.label,
                         to_label: g.vertex(w).label,
                     };
-                    let mut map = emb.map.clone();
-                    map.push(w);
-                    groups.entry(cand).or_default().push(Emb { graph: emb.graph, map });
+                    if let Some(child) = children.list(cand, || admit(cand, stride + 1)) {
+                        child.push(gid, row, Some(w));
+                    }
                 }
             }
         }
-
-        for (edge, child_embs) in groups {
-            let mut child = code.clone();
-            child.edges.push(edge);
-            // Canonicality pruning: every pattern is grown from its
-            // minimum code only.
-            if !child.is_min() {
-                continue;
-            }
-            self.grow(&child, child_embs);
-        }
+        self.stats.canonical_tests += canonical_tests;
+        children
     }
-}
-
-/// Sorted distinct supporting graph ids of an embedding list.
-fn distinct_graphs(embs: &[Emb]) -> Vec<GraphId> {
-    let mut ids: Vec<u32> = embs.iter().map(|e| e.graph).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.into_iter().map(GraphId).collect()
-}
-
-/// Retains at most `cap` embeddings per graph (embedding lists of
-/// symmetric patterns grow factorially; see module docs).
-fn cap_per_graph(embs: &mut Vec<Emb>, cap: usize) {
-    if cap == 0 {
-        return;
-    }
-    let mut kept = 0usize;
-    let mut last_graph = u32::MAX;
-    let mut count = 0usize;
-    for i in 0..embs.len() {
-        let g = embs[i].graph;
-        if g != last_graph {
-            last_graph = g;
-            count = 0;
-        }
-        if count < cap {
-            embs.swap(kept, i);
-            kept += 1;
-            count += 1;
-        }
-    }
-    embs.truncate(kept);
 }
 
 /// The rightmost path of a DFS code (DFS indices from the root to the
@@ -398,6 +577,46 @@ mod tests {
             let by_iso = db.iter().filter(|g| is_subgraph(&p.graph, g, IsoConfig::LABELED)).count();
             assert!(p.support <= by_iso, "reported support must never exceed truth");
         }
+    }
+
+    #[test]
+    fn zero_cap_means_no_cap() {
+        // Four hexagons: the 5-edge path has 12 embeddings in each, so a
+        // cap of 2 starves its descendants while 0 keeps every row and
+        // with it the exact supports.
+        let db = erased(&vec![cycle_graph(6, Label(0), Label(0)); 4]);
+        let cfg = |cap| GspanConfig {
+            min_support: 1,
+            max_edges: 6,
+            max_embeddings_per_graph: cap,
+            ..GspanConfig::default()
+        };
+        let (uncapped, stats) = mine_with_stats(&db, &cfg(0));
+        assert_eq!(uncapped.len(), 6, "paths of 1..=5 edges and the ring");
+        assert!(uncapped.iter().all(|p| p.support == 4));
+        // 12 embeddings per hexagon of each of the five paths; the ring,
+        // `max_edges` large, is counted once per hexagon.
+        assert_eq!(stats.rows_copied, 5 * 4 * 12 + 4);
+        let generous = mine(&db, &cfg(12));
+        assert_eq!(generous.len(), uncapped.len(), "a cap nothing reaches changes nothing");
+        let (_, capped) = mine_with_stats(&db, &cfg(2));
+        assert!(capped.rows_copied < stats.rows_copied);
+    }
+
+    #[test]
+    fn cap_keeps_the_first_rows_of_each_graph_in_order() {
+        let mut list = EmbList::new(2);
+        for (graph, a) in [(0, 10), (0, 11), (0, 12), (2, 20), (5, 50), (5, 51), (5, 52)] {
+            list.push(graph, &[VertexId(a), VertexId(a + 100)], None);
+        }
+        assert_eq!(list.distinct_graphs(), vec![GraphId(0), GraphId(2), GraphId(5)]);
+        list.cap_per_graph(0);
+        assert_eq!(list.rows(), 7);
+        list.cap_per_graph(2);
+        assert_eq!(list.graphs, vec![0, 0, 2, 5, 5]);
+        let firsts: Vec<u32> = (0..list.rows()).map(|r| list.row(r)[0].0).collect();
+        assert_eq!(firsts, vec![10, 11, 20, 50, 51]);
+        assert!((0..list.rows()).all(|r| list.row(r)[1].0 == list.row(r)[0].0 + 100));
     }
 
     #[test]

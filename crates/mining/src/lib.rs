@@ -28,5 +28,5 @@ pub mod gspan;
 pub mod paths;
 
 pub use feature::{Feature, FeatureId, FeatureSet};
-pub use gindex::{select_features, GindexConfig};
-pub use gspan::{mine, GspanConfig, MinedPattern};
+pub use gindex::{select_features, select_features_with_stats, GindexConfig};
+pub use gspan::{mine, mine_with_stats, GspanConfig, MineStats, MinedPattern};

@@ -29,7 +29,9 @@ use pis::datasets::sdf::parse_sdf;
 use pis::datasets::{sample_query_set, AtomVocabulary, BondVocabulary, DatasetStats};
 use pis::graph::io::{parse_database, to_dot, write_database};
 use pis::index::{load_index, save_index, FragmentIndex, IndexConfig, IndexDistance};
-use pis::mining::{exhaustive::exhaustive_features, paths::path_features, select_features};
+use pis::mining::{
+    exhaustive::exhaustive_features, paths::path_features, select_features_with_stats,
+};
 use pis::prelude::*;
 
 fn main() -> ExitCode {
@@ -239,40 +241,55 @@ fn cmd_build(args: &[&String]) -> Result<(), String> {
     let out = PathBuf::from(flags.required("out")?);
     let max_edges: usize = flags.num("max-edges", 5)?;
     let min_support: f64 = flags.num("min-support", 0.02)?;
-    let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+    // The label-erased copy of the database lives for feature selection
+    // only: it is gone before the index build's own peak.
     let start = Instant::now();
-    let features = match flags.value("features").unwrap_or("gindex") {
-        "gindex" => select_features(
-            &structures,
-            &GindexConfig {
-                max_edges,
-                min_support_fraction: min_support,
-                ..GindexConfig::default()
-            },
-        ),
-        "paths" => path_features(&structures, max_edges),
-        "exhaustive" => exhaustive_features(&structures, max_edges),
-        other => return Err(format!("unknown feature source '{other}'")),
+    let (features, mine_stats) = {
+        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+        match flags.value("features").unwrap_or("gindex") {
+            "gindex" => {
+                let config = GindexConfig {
+                    max_edges,
+                    min_support_fraction: min_support,
+                    ..GindexConfig::default()
+                };
+                let (features, stats) = select_features_with_stats(&structures, &config);
+                (features, Some(stats))
+            }
+            "paths" => (path_features(&structures, max_edges), None),
+            "exhaustive" => (exhaustive_features(&structures, max_edges), None),
+            other => return Err(format!("unknown feature source '{other}'")),
+        }
     };
+    let mined_in = start.elapsed();
     let weighted = db.iter().any(|g| g.total_weight() != 0.0);
     let distance = if weighted {
         IndexDistance::Linear(LinearDistance::edges_only())
     } else {
         IndexDistance::Mutation(MutationDistance::edge_hamming())
     };
+    let start = Instant::now();
     let index = FragmentIndex::build(&db, features, distance, &IndexConfig::default());
+    let built_in = start.elapsed();
     // Rotate atomically: a kill mid-save must not leave a torn index
     // where a previous good one stood.
+    let start = Instant::now();
     let mut buf = Vec::new();
     save_index(&index, &mut buf).map_err(|e| e.to_string())?;
     pis::index::codec::atomic_write(&out, &buf).map_err(|e| e.to_string())?;
+    // Only the gSpan miner keeps embedding lists to count.
+    let mining_work = mine_stats.map_or(String::new(), |s| {
+        format!(" ({} embedding rows, peak {} live)", s.rows_copied, s.peak_live_rows)
+    });
     println!(
-        "indexed {} graphs: {} classes, {} entries, {:?}; saved to {}",
+        "indexed {} graphs: mined {} features in {mined_in:?}{mining_work}; \
+         built {} entries in {built_in:?}; saved {} bytes to {} in {:?}",
         db.len(),
         index.features().len(),
         index.total_entries(),
-        start.elapsed(),
-        out.display()
+        buf.len(),
+        out.display(),
+        start.elapsed()
     );
     Ok(())
 }

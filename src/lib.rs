@@ -177,13 +177,17 @@ impl PisSystemBuilder {
         let distance = self
             .distance
             .unwrap_or_else(|| IndexDistance::Mutation(MutationDistance::edge_hamming()));
-        let structures: Vec<LabeledGraph> =
-            database.iter().map(LabeledGraph::erase_labels).collect();
-        let features: FeatureSet = match &self.features {
-            FeatureSource::GIndex(cfg) => pis_mining::select_features(&structures, cfg),
-            FeatureSource::Paths(len) => pis_mining::paths::path_features(&structures, *len),
-            FeatureSource::Exhaustive(max) => {
-                pis_mining::exhaustive::exhaustive_features(&structures, *max)
+        // The label-erased copy of the database lives for feature
+        // selection only: it is gone before the index build's own peak.
+        let features: FeatureSet = {
+            let structures: Vec<LabeledGraph> =
+                database.iter().map(LabeledGraph::erase_labels).collect();
+            match &self.features {
+                FeatureSource::GIndex(cfg) => pis_mining::select_features(&structures, cfg),
+                FeatureSource::Paths(len) => pis_mining::paths::path_features(&structures, *len),
+                FeatureSource::Exhaustive(max) => {
+                    pis_mining::exhaustive::exhaustive_features(&structures, *max)
+                }
             }
         };
         // An explicit backend() call wins; otherwise whatever the
