@@ -59,9 +59,8 @@ impl ExperimentScale {
 }
 
 /// The canonical end-to-end pipeline workload, shared by the Criterion
-/// `bench_pipeline` bench and the `pipeline_bench` JSON bin so their
-/// numbers stay comparable (and comparable to the recorded perf
-/// trajectory in `BENCH_pipeline.json`).
+/// `bench_pipeline` bench and the pinned pruning fingerprint
+/// (`tests/pruning_fingerprint.rs`).
 pub mod pipeline_workload {
     use super::ExperimentScale;
 

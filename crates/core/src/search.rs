@@ -63,7 +63,7 @@ use crate::config::{
 };
 use crate::error::{validate_query, validate_sigma, QueryError};
 use crate::selectivity::selectivity;
-use crate::verify::{min_superimposed_distance_reference, VerifyScratch, VerifyStats};
+use crate::verify::{min_superimposed_distance_reference, VerifyScratch};
 
 /// One fragment chosen into the partition (for explain output).
 #[derive(Clone, Debug, PartialEq)]
@@ -281,15 +281,6 @@ pub struct SearchScratch {
     partition: PartitionScratch,
     /// MWIS output buffer (indices into `pool`).
     selection: Vec<usize>,
-    /// Nanoseconds spent in the partition stage (`Q̃` build + MWIS)
-    /// since the last [`SearchScratch::take_partition_nanos`].
-    partition_nanos: u64,
-    /// Nanoseconds spent running range queries since the last
-    /// [`SearchScratch::take_range_query_stats`].
-    range_nanos: u64,
-    /// Range-query hits (distinct `(probe, graph)` pairs) produced in
-    /// the same window — the phase's correctness fingerprint.
-    range_hits: u64,
 }
 
 impl SearchScratch {
@@ -313,32 +304,6 @@ impl SearchScratch {
     /// drives per-candidate verification through it directly).
     pub(crate) fn verify_scratch(&mut self) -> &mut VerifyScratch {
         &mut self.verify
-    }
-
-    /// Returns the verification-phase counters (calls, precheck
-    /// refutations, DFS nodes expanded/pruned, nanos) accumulated since
-    /// the last call, and resets them. `pipeline_bench` reports the
-    /// phase as its own `verification` row.
-    pub fn take_verify_stats(&mut self) -> VerifyStats {
-        self.verify.take_stats()
-    }
-
-    /// Returns the nanoseconds spent in the partition stage (building
-    /// `Q̃` and solving the MWIS) since the last call, and resets the
-    /// counter. `pipeline_bench` uses this to report the stage as its
-    /// own phase.
-    pub fn take_partition_nanos(&mut self) -> u64 {
-        std::mem::take(&mut self.partition_nanos)
-    }
-
-    /// Returns `(nanoseconds, hits)` of the range-query phase — the
-    /// time spent answering the unique probes of each search, and the
-    /// total hits they produced (distinct `(probe, graph)` pairs, the
-    /// phase's machine-independent fingerprint) — since the last call,
-    /// and resets both counters. `pipeline_bench` reports the phase as
-    /// its own gated row.
-    pub fn take_range_query_stats(&mut self) -> (u64, u64) {
-        (std::mem::take(&mut self.range_nanos), std::mem::take(&mut self.range_hits))
     }
 
     /// Prepares for a search over `n` database graphs.
@@ -633,7 +598,6 @@ impl<'a> PisSearcher<'a> {
         // vertex sets are borrowed straight from the arena and `Q̃` is
         // rebuilt in place through the partition scratch, so in steady
         // state this whole stage allocates nothing.
-        let partition_start = std::time::Instant::now();
         {
             let weights = &scratch.weights;
             let slot_of = &scratch.slot_of;
@@ -676,7 +640,6 @@ impl<'a> PisSearcher<'a> {
                 }
             }
         }
-        scratch.partition_nanos += partition_start.elapsed().as_nanos() as u64;
         stats.partition_size = scratch.selection.len();
         stats.partition_weight = selection_weight(&scratch.overlap, &scratch.selection);
 
@@ -805,7 +768,6 @@ impl<'a> PisSearcher<'a> {
         scratch: &mut SearchScratch,
         budget: &BudgetState,
     ) {
-        let start = std::time::Instant::now();
         let pool = ScopedPool::default();
         let unique = scratch.slots_used;
         if pool.workers() > 1
@@ -873,17 +835,15 @@ impl<'a> PisSearcher<'a> {
                 }
             });
         }
-        scratch.range_nanos += start.elapsed().as_nanos() as u64;
-        scratch.range_hits += scratch.hits[..unique].iter().map(|h| h.len() as u64).sum::<u64>();
     }
 
     /// The seed's straight-line transcription of Algorithm 2, kept as an
     /// executable specification of the optimized funnel: per-fragment
     /// `Vec` intersection, per-candidate binary-search pruning, no
     /// memoization, no scratch. Differential tests
-    /// (`tests/proptest_funnel.rs`) and the `pipeline_bench` baseline
-    /// hold [`PisSearcher::search`] to byte-identical `candidates`,
-    /// `answers` and `SearchStats` against this path.
+    /// (`tests/proptest_funnel.rs`) hold [`PisSearcher::search`] to
+    /// byte-identical `candidates`, `answers` and `SearchStats` against
+    /// this path.
     pub fn search_reference(&self, query: &LabeledGraph, sigma: f64) -> SearchOutcome {
         let n = self.database.len();
         let mut stats = SearchStats {

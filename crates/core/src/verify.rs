@@ -30,7 +30,6 @@
 //! reference pipeline and the differential tests run against.
 
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 use pis_distance::SuperimposedDistance;
 use pis_graph::budget::{BudgetState, CheckpointSite, Interrupted};
@@ -89,9 +88,8 @@ pub fn min_superimposed_distance_reference(
     visitor.best
 }
 
-/// Counters and timing for the verification phase, drained per query via
-/// `SearchScratch::take_verify_stats` and surfaced as the bench
-/// pipeline's `verification` row.
+/// Work counters of the verification phase, accumulated until drained
+/// with [`VerifyScratch::take_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct VerifyStats {
     /// Bounded-distance evaluations (one per candidate reaching the
@@ -105,8 +103,6 @@ pub struct VerifyStats {
     /// DFS assignments rejected by `cost + delta + remaining_lb >
     /// bound`.
     pub nodes_pruned: u64,
-    /// Wall time spent inside the verifier.
-    pub nanos: u64,
 }
 
 impl VerifyStats {
@@ -117,7 +113,6 @@ impl VerifyStats {
         self.prechecked += other.prechecked;
         self.nodes_expanded += other.nodes_expanded;
         self.nodes_pruned += other.nodes_pruned;
-        self.nanos += other.nanos;
     }
 }
 
@@ -335,21 +330,6 @@ impl VerifyScratch {
     }
 
     fn run<D: SuperimposedDistance + ?Sized>(
-        &mut self,
-        query: &LabeledGraph,
-        target: &LabeledGraph,
-        distance: &D,
-        bound: f64,
-        remaining_lb: bool,
-        budget: &BudgetState,
-    ) -> Result<Option<f64>, Interrupted> {
-        let start = Instant::now();
-        let result = self.run_timed(query, target, distance, bound, remaining_lb, budget);
-        self.stats.nanos += start.elapsed().as_nanos() as u64;
-        result
-    }
-
-    fn run_timed<D: SuperimposedDistance + ?Sized>(
         &mut self,
         query: &LabeledGraph,
         target: &LabeledGraph,

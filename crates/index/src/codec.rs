@@ -45,8 +45,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // ── Checked cast helpers ─────────────────────────────────────────────
 //
-// The codecs (snapshot/WAL/text persist) are forbidden from using bare
-// `as` casts by srclint's `lossy-cast-in-codec` rule: on untrusted input
+// The codecs (snapshot, WAL) are forbidden from using bare `as` casts
+// by srclint's `lossy-cast-in-codec` rule: on untrusted input
 // a silent u64 → usize truncation (32-bit targets) or usize → u32 wrap
 // maps distinct offsets onto the same slice. Widening conversions go
 // through the infallible helpers below; narrowing conversions must use

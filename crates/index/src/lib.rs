@@ -45,7 +45,7 @@ pub use fragment::{FragmentBuffer, FragmentVector, FragmentVectorRef, QueryFragm
 pub use index::{
     Backend, FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,
 };
-pub use persist::{load_index, save_index, PersistError};
+pub use persist::PersistError;
 pub use snapshot::{decode_snapshot, encode_snapshot, load_snapshot, write_snapshot};
 pub use trie::LabelTrie;
 pub use wal::{Wal, WalReplay};

@@ -1,9 +1,9 @@
-//! Versioned binary snapshots of a [`FragmentIndex`] + its database.
+//! Versioned binary snapshots of a [`FragmentIndex`] + its database —
+//! the one persisted form of an index.
 //!
-//! The text format ([`crate::persist`]) re-parses and rebuilds every
-//! class on load; a snapshot instead stores the frozen FlatTrie arena
-//! columns verbatim, so loading validates and bulk-copies them back
-//! with no re-sort, no re-canonicalization and no per-entry parsing.
+//! A snapshot stores the frozen FlatTrie arena columns verbatim, so
+//! loading validates and bulk-copies them back with no re-sort and no
+//! per-entry parsing.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -19,9 +19,10 @@
 //! Every structural count is bounds-checked against the bytes actually
 //! present, every float is rejected when non-finite, trie arenas are
 //! revalidated by `FlatTrie::from_parts`, and non-trie classes are
-//! rebuilt through the same `build_class_impl` as the text loader — so
-//! a loaded snapshot answers queries bit-identically and corrupt input
-//! of any shape surfaces as [`PersistError::Corrupt`], never a panic.
+//! rebuilt from their stored entries the way the build freezes them —
+//! so a loaded snapshot answers queries bit-identically and corrupt
+//! input of any shape surfaces as [`PersistError::Corrupt`], never a
+//! panic.
 //!
 //! The database graphs ride in the snapshot (one atomic rename covers
 //! index *and* database); the write-ahead log ([`crate::wal`]) replays
@@ -30,6 +31,7 @@
 use std::path::Path;
 
 use pis_distance::{LinearDistance, MutationDistance, ScoreMatrix};
+use pis_graph::canonical::{min_dfs_code, DfsCode, DfsEdge};
 use pis_graph::io::{parse_database, write_database};
 use pis_graph::{GraphId, Label, LabeledGraph};
 use pis_mining::FeatureSet;
@@ -39,7 +41,9 @@ use crate::flat_trie::{FlatTrie, TriePartsOwned};
 use crate::index::{
     Backend, ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance, MergeStats,
 };
-use crate::persist::{build_class_impl, sequence_to_code, PersistError};
+use crate::persist::PersistError;
+use crate::rtree::RTree;
+use crate::vptree::VpTree;
 
 const MAGIC: &[u8; 8] = b"PISSNAP1";
 const VERSION: u32 = 1;
@@ -466,9 +470,8 @@ fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<ClassShape
         for _ in 0..seq_len {
             seq.push(r.u32("feature sequence value")?);
         }
-        // Full structural validation — canonicality included — shared
-        // with the text loader.
-        let code = sequence_to_code(&seq, 0).map_err(|e| r.corrupt(&e.to_string()))?;
+        // Full structural validation, canonicality included.
+        let code = sequence_to_code(&seq).map_err(|m| r.corrupt(m))?;
         shapes.push(ClassShape {
             slots: code.vertex_count() + code.edge_count(),
             ecount: code.edge_count(),
@@ -482,6 +485,71 @@ fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<ClassShape
         return Err(r.corrupt("trailing bytes in FEATURES section"));
     }
     Ok((features, shapes))
+}
+
+/// Rebuilds a DFS code from its `to_sequence` serialization.
+///
+/// `DfsCode::to_graph` trusts its indices (miner-produced codes are
+/// valid by construction); a persisted code is untrusted, so everything
+/// that would otherwise panic inside it is checked here: vertex ids
+/// beyond the connected bound V <= E + 1, self-loops, repeated edges,
+/// and index gaps that leave a vertex with no label.
+fn sequence_to_code(seq: &[u32]) -> Result<DfsCode, &'static str> {
+    if seq.len() < 3 {
+        return Err("feature sequence too short");
+    }
+    let edge_count = idx(seq[1]);
+    // Checked arithmetic: a crafted count near usize::MAX must not wrap
+    // into a passing length check on 32-bit targets.
+    if edge_count.checked_mul(5).and_then(|x| x.checked_add(3)) != Some(seq.len()) {
+        return Err("feature sequence length mismatch");
+    }
+    let mut edges = Vec::with_capacity(edge_count);
+    let vertex_cap = seq[1] + 1;
+    for k in 0..edge_count {
+        let base = 3 + k * 5;
+        let (from, to) = (seq[base], seq[base + 1]);
+        if from >= vertex_cap || to >= vertex_cap {
+            return Err("feature vertex id out of range");
+        }
+        if from == to {
+            return Err("feature edge is a self-loop");
+        }
+        if edges
+            .iter()
+            .any(|e: &DfsEdge| (e.from, e.to) == (from, to) || (e.from, e.to) == (to, from))
+        {
+            return Err("feature edge repeated");
+        }
+        edges.push(DfsEdge {
+            from,
+            to,
+            from_label: Label(seq[base + 2]),
+            edge_label: Label(seq[base + 3]),
+            to_label: Label(seq[base + 4]),
+        });
+    }
+    if let Some(max_id) = edges.iter().map(|e| e.from.max(e.to)).max() {
+        let mut seen = vec![false; idx(max_id) + 1];
+        for e in &edges {
+            seen[idx(e.from)] = true;
+            seen[idx(e.to)] = true;
+        }
+        if seen.iter().any(|&s| !s) {
+            return Err("feature vertex ids have gaps");
+        }
+    }
+    let code = DfsCode { edges, root_label: Label(seq[2]) };
+    if idx(seq[0]) != code.vertex_count() {
+        return Err("feature vertex count mismatch");
+    }
+    // Defensive: the representative must be canonical, else lookups on
+    // the loaded index would mis-hash.
+    let canon = min_dfs_code(&code.to_graph()).ok_or("feature code is not connected")?;
+    if canon.code != code {
+        return Err("feature code is not canonical");
+    }
+    Ok(code)
 }
 
 fn decode_database(r: &mut ByteReader<'_>) -> Result<Vec<LabeledGraph>, PersistError> {
@@ -512,8 +580,8 @@ fn decode_classes(
         for _ in 0..posting_len {
             graphs.push(GraphId(r.u32("posting graph id")?));
         }
-        // Same invariants as the text loader: sorted strictly ascending
-        // and naming only graphs that exist.
+        // Postings are stored ascending (trie slots index into them)
+        // and may name only graphs that exist.
         if graphs.windows(2).any(|w| w[0] >= w[1]) {
             return Err(r.corrupt("posting list not strictly ascending"));
         }
@@ -521,45 +589,39 @@ fn decode_classes(
             return Err(r.corrupt("posting graph id out of range"));
         }
         let entries = r.u64_usize("entry count")?;
-        let imp = match tag {
-            0 => decode_trie(r, shape, graphs.len())?,
-            1 => {
+        let (slots, ecount) = (shape.slots, shape.ecount);
+        let imp = match (tag, &meta.distance) {
+            (0, _) => decode_trie(r, shape, graphs.len())?,
+            (1, IndexDistance::Mutation(md)) => {
                 let items = decode_label_items(r, shape, meta.graph_count)?;
-                build_class_impl(
-                    "vplabels",
-                    &meta.distance,
-                    shape.slots,
-                    shape.ecount,
-                    items,
-                    Vec::new(),
-                )
-                .map_err(|m| r.corrupt(&m))?
+                let md = md.clone();
+                ClassImpl::VpLabels(VpTree::build(slots, items, move |a, b| {
+                    md.label_vector_cost(ecount, a, b)
+                }))
             }
-            2 => {
+            (2, _) => {
+                // Stored points are already scale-transformed; freeze
+                // the rebuilt tree into its query arena.
+                let mut rt = RTree::new(slots);
+                for (v, gid) in decode_weight_items(r, shape, meta.graph_count)? {
+                    rt.insert(&v, gid);
+                }
+                rt.freeze();
+                ClassImpl::RTree(rt)
+            }
+            (3, IndexDistance::Linear(ld)) => {
                 let items = decode_weight_items(r, shape, meta.graph_count)?;
-                build_class_impl(
-                    "rtree",
-                    &meta.distance,
-                    shape.slots,
-                    shape.ecount,
-                    Vec::new(),
-                    items,
-                )
-                .map_err(|m| r.corrupt(&m))?
+                let ld = *ld;
+                ClassImpl::VpWeights(VpTree::build(slots, items, move |a, b| {
+                    ld.weight_vector_cost(ecount, a, b)
+                }))
             }
-            3 => {
-                let items = decode_weight_items(r, shape, meta.graph_count)?;
-                build_class_impl(
-                    "vpweights",
-                    &meta.distance,
-                    shape.slots,
-                    shape.ecount,
-                    Vec::new(),
-                    items,
+            (1 | 3, _) => {
+                return Err(
+                    r.corrupt(&format!("class backend tag {tag} incompatible with the distance"))
                 )
-                .map_err(|m| r.corrupt(&m))?
             }
-            t => return Err(r.corrupt(&format!("unknown class backend tag {t}"))),
+            (t, _) => return Err(r.corrupt(&format!("unknown class backend tag {t}"))),
         };
         classes.push(ClassIndex::restored(imp, graphs, entries));
     }
@@ -673,7 +735,6 @@ fn decode_weight_items(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::save_index;
     use pis_distance::MutationDistance;
     use pis_graph::{EdgeAttr, GraphBuilder, VertexAttr};
     use pis_mining::exhaustive::exhaustive_features;
@@ -701,14 +762,8 @@ mod tests {
         (index, db)
     }
 
-    fn text_save(index: &FragmentIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        save_index(index, &mut buf).unwrap();
-        buf
-    }
-
     #[test]
-    fn round_trip_is_text_identical_per_backend() {
+    fn round_trip_is_byte_identical_per_backend() {
         for (backend, distance) in [
             (Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming())),
             (Backend::VpTree, IndexDistance::Mutation(MutationDistance::edge_hamming())),
@@ -718,10 +773,11 @@ mod tests {
             let (index, db) = sample(backend, distance);
             let bytes = encode_snapshot(&index, &db).unwrap();
             let (loaded, db2) = decode_snapshot(&bytes).unwrap();
-            // The text save is a total serialization of index state;
-            // byte-identical saves mean byte-identical query behavior.
-            assert_eq!(text_save(&index), text_save(&loaded), "{backend:?}");
-            assert_eq!(write_database(&db), write_database(&db2));
+            // A snapshot is a total serialization of index state and
+            // database: re-encoding what was decoded must reproduce it.
+            // (This R-tree fits one leaf; a larger one re-encodes as a
+            // permutation of its points — `tests/proptest_index.rs`.)
+            assert_eq!(encode_snapshot(&loaded, &db2).unwrap(), bytes, "{backend:?}");
         }
     }
 
@@ -762,8 +818,52 @@ mod tests {
             sample(Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming()));
         write_snapshot(&path, &mut index, &db).unwrap();
         let (loaded, db2) = load_snapshot(&path).unwrap();
-        assert_eq!(text_save(&index), text_save(&loaded));
-        assert_eq!(db2.len(), db.len());
+        assert_eq!(encode_snapshot(&loaded, &db2).unwrap(), encode_snapshot(&index, &db).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn loaded_index_accepts_incremental_inserts() {
+        let (index, db) =
+            sample(Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming()));
+        let (mut loaded, _) = decode_snapshot(&encode_snapshot(&index, &db).unwrap()).unwrap();
+        let added = ring(&[2, 1, 1, 1]);
+        let gid = loaded.insert_graph(&added);
+        assert_eq!(gid.index(), db.len());
+        let q = loaded
+            .enumerate_query_fragments(&added)
+            .into_iter()
+            .next()
+            .expect("query has fragments");
+        let hits = loaded.range_query(q.feature, &q.vector, 0.0);
+        assert!(hits.iter().any(|(g, _)| *g == gid), "inserted graph must be findable");
+    }
+
+    #[test]
+    fn malformed_feature_codes_are_rejected() {
+        // Each of these would panic inside `DfsCode::to_graph` if it
+        // got that far.
+        for (why, seq) in [
+            ("self-loop", &[2, 1, 0, 0, 0, 0, 0, 0][..]),
+            ("out of range", &[2, 1, 0, 4_000_000_000, 0, 0, 0, 0]),
+            ("gaps", &[4, 3, 0, 0, 2, 0, 0, 0, 2, 3, 0, 0, 0, 0, 3, 0, 0, 0]),
+            ("repeated", &[2, 2, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0]),
+            ("vertex count mismatch", &[9, 1, 0, 1, 0, 0, 0, 0]),
+            ("too short", &[1, 0]),
+            ("length mismatch", &[2, 1, 0, 0, 1, 0, 0]),
+        ] {
+            let err = sequence_to_code(seq).expect_err(why);
+            assert!(err.contains(why), "{why}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_feature_code_rejected() {
+        // A labelled 3-path coded from its larger-labelled endpoint: a
+        // well-formed code, but not the minimum one of its own graph.
+        let err = sequence_to_code(&[3, 2, 9, 0, 1, 9, 0, 0, 1, 2, 0, 0, 0]).expect_err("path");
+        assert_eq!(err, "feature code is not canonical");
+        // The same path coded from the other end is accepted.
+        assert!(sequence_to_code(&[3, 2, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 9]).is_ok());
     }
 }

@@ -5,30 +5,30 @@
 //! pis import   screen.sdf --out db.lg
 //! pis stats    db.lg
 //! pis sample   db.lg --edges 16 --count 5 --seed 7 --out queries.lg
-//! pis build    db.lg --out index.pis [--max-edges 5] [--features gindex|paths|exhaustive]
-//! pis search   db.lg --index index.pis --query queries.lg --sigma 2 [--baseline topo|naive]
-//! pis knn      db.lg --index index.pis --query queries.lg -k 5
-//! pis snapshot db.lg --index index.pis --out store/
+//! pis build    db.lg --out store/ [--max-edges 5] [--features gindex|paths|exhaustive]
+//! pis search   store/ --query queries.lg --sigma 2 [--baseline topo|naive]
+//! pis knn      store/ --query queries.lg -k 5
 //! pis compact  store/
 //! pis check    store/
 //! pis dot      db.lg --graph 3
 //! ```
 //!
-//! Graph databases use the `pis_graph::io` text format; indexes use
-//! `pis_index::persist`. `snapshot` converts a text pair into a durable
-//! directory (checksummed binary snapshot + write-ahead log) which
-//! `compact` recovers, merges and rotates. Every subcommand prints to
-//! stdout.
+//! `.lg` files are the `pis_graph::io` text format, the interchange
+//! form of graph databases and query sets. An index has one persisted
+//! form, the durable store `build` writes: a directory holding a
+//! checksummed binary snapshot (index *and* database) plus a
+//! write-ahead log. `search` and `knn` open it (replaying the log),
+//! `compact` merges and rotates it, `check` verifies it read-only.
+//! Every subcommand prints to stdout.
 
-use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use pis::datasets::sdf::parse_sdf;
 use pis::datasets::{sample_query_set, AtomVocabulary, BondVocabulary, DatasetStats};
 use pis::graph::io::{parse_database, to_dot, write_database};
-use pis::index::{load_index, save_index, FragmentIndex, IndexConfig, IndexDistance};
+use pis::index::{FragmentIndex, IndexConfig, IndexDistance};
 use pis::mining::{
     exhaustive::exhaustive_features, paths::path_features, select_features_with_stats,
 };
@@ -52,11 +52,11 @@ usage:
   pis import   FILE.sdf --out DB.lg
   pis stats    DB.lg
   pis sample   DB.lg --edges M [--count N] [--seed S] --out QUERIES.lg
-  pis build    DB.lg --out INDEX.pis [--max-edges L] [--features gindex|paths|exhaustive]
-  pis search   DB.lg --index INDEX.pis --query QUERIES.lg --sigma S [--baseline topo|naive]
+  pis build    DB.lg --out DIR [--max-edges L] [--min-support F]
+               [--features gindex|paths|exhaustive]
+  pis search   DIR --query QUERIES.lg --sigma S [--baseline topo|naive]
                [--explain] [--time-limit-ms T] [--node-limit N]
-  pis knn      DB.lg --index INDEX.pis --query QUERIES.lg -k K [--time-limit-ms T] [--node-limit N]
-  pis snapshot DB.lg --index INDEX.pis --out DIR
+  pis knn      DIR --query QUERIES.lg -k K [--time-limit-ms T] [--node-limit N]
   pis compact  DIR
   pis check    DIR
   pis dot      DB.lg [--graph I]";
@@ -101,7 +101,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "build" => cmd_build(&rest),
         "search" => cmd_search(&rest),
         "knn" => cmd_knn(&rest),
-        "snapshot" => cmd_snapshot(&rest),
         "compact" => cmd_compact(&rest),
         "check" => cmd_check(&rest),
         "dot" => cmd_dot(&rest),
@@ -180,9 +179,22 @@ fn load_db(path: &str) -> Result<Vec<LabeledGraph>, String> {
     parse_database(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_idx(path: &str) -> Result<FragmentIndex, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    load_index(BufReader::new(file)).map_err(|e| e.to_string())
+/// Opens the durable store at `dir` with the query budget from the
+/// shared flags, and says so in one line when recovery had work to do
+/// (WAL records replayed, a torn tail cut).
+fn open_store(dir: &Path, budget: QueryBudget) -> Result<DurableSystem, String> {
+    let config = PisConfig { budget, ..PisConfig::default() };
+    let store = DurableSystem::open(dir, config)
+        .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
+    let report = store.report();
+    if !report.clean() {
+        println!(
+            "recovery: {} WAL records replayed, {} already in the snapshot, \
+             {} torn tail bytes truncated",
+            report.wal_records_replayed, report.wal_records_skipped, report.torn_tail_bytes
+        );
+    }
+    Ok(store)
 }
 
 fn cmd_generate(args: &[&String]) -> Result<(), String> {
@@ -271,25 +283,25 @@ fn cmd_build(args: &[&String]) -> Result<(), String> {
     let start = Instant::now();
     let index = FragmentIndex::build(&db, features, distance, &IndexConfig::default());
     let built_in = start.elapsed();
-    // Rotate atomically: a kill mid-save must not leave a torn index
-    // where a previous good one stood.
+    let (graphs, feature_count, entries) =
+        (db.len(), index.features().len(), index.total_entries());
+    // The snapshot rotates atomically: a kill mid-save must not leave a
+    // torn store where a previous good one stood.
     let start = Instant::now();
-    let mut buf = Vec::new();
-    save_index(&index, &mut buf).map_err(|e| e.to_string())?;
-    pis::index::codec::atomic_write(&out, &buf).map_err(|e| e.to_string())?;
+    let system =
+        PisSystem::from_parts(db, index, PisConfig::default()).map_err(|e| e.to_string())?;
+    DurableSystem::create(&out, system).map_err(|e| e.to_string())?;
+    let saved_in = start.elapsed();
+    let bytes =
+        std::fs::metadata(out.join(pis::durable::SNAPSHOT_FILE)).map_err(|e| e.to_string())?.len();
     // Only the gSpan miner keeps embedding lists to count.
     let mining_work = mine_stats.map_or(String::new(), |s| {
         format!(" ({} embedding rows, peak {} live)", s.rows_copied, s.peak_live_rows)
     });
     println!(
-        "indexed {} graphs: mined {} features in {mined_in:?}{mining_work}; \
-         built {} entries in {built_in:?}; saved {} bytes to {} in {:?}",
-        db.len(),
-        index.features().len(),
-        index.total_entries(),
-        buf.len(),
-        out.display(),
-        start.elapsed()
+        "indexed {graphs} graphs: mined {feature_count} features in {mined_in:?}{mining_work}; \
+         built {entries} entries in {built_in:?}; saved {bytes} bytes to {} in {saved_in:?}",
+        out.display()
     );
     Ok(())
 }
@@ -297,28 +309,23 @@ fn cmd_build(args: &[&String]) -> Result<(), String> {
 fn cmd_search(args: &[&String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        &["index", "query", "sigma", "baseline", "time-limit-ms", "node-limit"],
+        &["query", "sigma", "baseline", "time-limit-ms", "node-limit"],
         &["explain"],
     )?;
-    let db = load_db(flags.positional(0, "database file")?)?;
-    let index = load_idx(flags.required("index")?)?;
+    let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let queries = load_db(flags.required("query")?)?;
     let sigma: f64 = flags.num("sigma", 2.0)?;
     let explain = flags.has("explain");
-    let budget = parse_budget(&flags)?;
-    if db.len() != index.graph_count() {
-        return Err("database and index sizes differ".into());
-    }
-    warn_stale_rtrees(&index);
-    let config = PisConfig { budget: budget.clone(), ..PisConfig::default() };
-    let searcher = pis::core::PisSearcher::new(&index, &db, config);
+    let store = open_store(&dir, parse_budget(&flags)?)?;
+    let system = store.system();
+    warn_stale_rtrees(system.index());
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
         let (answers, distances, candidates) = match flags.value("baseline") {
             None => {
-                let o = searcher.try_search(q, sigma).map_err(|e| format!("query {qi}: {e}"))?;
+                let o = system.try_search(q, sigma).map_err(|e| format!("query {qi}: {e}"))?;
                 if explain {
-                    print!("{}", pis::core::explain(&o, &index, sigma));
+                    print!("{}", pis::core::explain(&o, system.index(), sigma));
                 }
                 if let Completeness::Truncated { phase, .. } = &o.completeness {
                     println!(
@@ -330,13 +337,14 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
                 }
                 (o.answers, o.answer_distances, o.candidates.len())
             }
+            // Both baselines measure with the distance the store was
+            // built with, like the search they are compared against.
             Some("topo") => {
-                let o = pis::core::topo_prune(&index, &db, q, sigma);
+                let o = system.topo_prune(q, sigma);
                 (o.answers, Vec::new(), o.candidates.len())
             }
             Some("naive") => {
-                let md = MutationDistance::edge_hamming();
-                let o = pis::core::naive_scan(&db, q, &md, sigma);
+                let o = system.naive_scan(q, sigma);
                 (o.answers, Vec::new(), o.candidates.len())
             }
             Some(other) => return Err(format!("unknown baseline '{other}'")),
@@ -360,20 +368,16 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_knn(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["index", "query", "k", "time-limit-ms", "node-limit"], &[])?;
-    let db = load_db(flags.positional(0, "database file")?)?;
-    let index = load_idx(flags.required("index")?)?;
+    let flags = Flags::parse(args, &["query", "k", "time-limit-ms", "node-limit"], &[])?;
+    let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let queries = load_db(flags.required("query")?)?;
     let k: usize = flags.num("k", 5)?;
-    let budget = parse_budget(&flags)?;
-    warn_stale_rtrees(&index);
-    let config = PisConfig { budget, ..PisConfig::default() };
-    let searcher = pis::core::PisSearcher::new(&index, &db, config);
+    let store = open_store(&dir, parse_budget(&flags)?)?;
+    let system = store.system();
+    warn_stale_rtrees(system.index());
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
-        let knn = searcher
-            .try_knn(q, k, 1.0, (q.edge_count() + q.vertex_count()) as f64)
-            .map_err(|e| format!("query {qi}: {e}"))?;
+        let knn = system.try_knn(q, k).map_err(|e| format!("query {qi}: {e}"))?;
         println!(
             "query {qi}: {} neighbors (radius {}) in {:?}",
             knn.neighbors.len(),
@@ -394,38 +398,13 @@ fn cmd_knn(args: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_snapshot(args: &[&String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["index", "out"], &[])?;
-    let db = load_db(flags.positional(0, "database file")?)?;
-    let index = load_idx(flags.required("index")?)?;
-    let out = PathBuf::from(flags.required("out")?);
-    let graphs = db.len();
-    let system =
-        PisSystem::from_parts(db, index, PisConfig::default()).map_err(|e| e.to_string())?;
-    let store = pis::DurableSystem::create(&out, system).map_err(|e| e.to_string())?;
-    println!(
-        "snapshotted {graphs} graphs into {} (snapshot.pis + wal.log, WAL at {} bytes)",
-        out.display(),
-        store.wal_len()
-    );
-    Ok(())
-}
-
 fn cmd_compact(args: &[&String]) -> Result<(), String> {
     let flags = Flags::parse(args, &[], &[])?;
     let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let start = Instant::now();
-    let mut store =
-        pis::DurableSystem::open(&dir, PisConfig::default()).map_err(|e| e.to_string())?;
-    let report = store.report().clone();
-    if report.clean() {
+    let mut store = open_store(&dir, QueryBudget::unlimited())?;
+    if store.report().clean() {
         println!("recovery: clean (snapshot covers every acknowledged insert)");
-    } else {
-        println!(
-            "recovery: {} WAL records replayed, {} already in the snapshot, \
-             {} torn tail bytes truncated",
-            report.wal_records_replayed, report.wal_records_skipped, report.torn_tail_bytes
-        );
     }
     let pending = store.pending_entries();
     store.compact().map_err(|e| e.to_string())?;

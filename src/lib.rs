@@ -360,48 +360,14 @@ impl PisSystem {
         self.index.compact();
     }
 
-    /// Persists the whole system (database + index) into a directory:
-    /// `database.lg` (the text format of `pis_graph::io`) and
-    /// `index.pis` (the fragment-index format of `pis_index::persist`).
-    /// Both files rotate crash-safely (temp + fsync + rename), so a
-    /// kill mid-save leaves the previous save intact.
-    pub fn save_to(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        pis_index::codec::atomic_write(
-            &dir.join("database.lg"),
-            pis_graph::io::write_database(&self.database).as_bytes(),
-        )?;
-        let mut buf = Vec::new();
-        pis_index::save_index(&self.index, &mut buf)?;
-        pis_index::codec::atomic_write(&dir.join("index.pis"), &buf)
-    }
-
-    /// Assembles a system from a database and an index built over it
-    /// (for example, loaded separately from disk).
+    /// Assembles a system from a database and an index built over it.
+    /// To persist one and get it back, use [`DurableSystem::create`] and
+    /// [`DurableSystem::open`].
     pub fn from_parts(
         database: Vec<LabeledGraph>,
         index: FragmentIndex,
         config: PisConfig,
     ) -> std::io::Result<PisSystem> {
-        if database.len() != index.graph_count() {
-            return Err(std::io::Error::other(format!(
-                "database holds {} graphs but the index was built over {}",
-                database.len(),
-                index.graph_count()
-            )));
-        }
-        Ok(PisSystem { database, index, config })
-    }
-
-    /// Restores a system saved with [`PisSystem::save_to`]. The index
-    /// answers queries identically to the saved one (bit-exact entry
-    /// round trip).
-    pub fn load_from(dir: &std::path::Path, config: PisConfig) -> std::io::Result<PisSystem> {
-        let text = std::fs::read_to_string(dir.join("database.lg"))?;
-        let database = pis_graph::io::parse_database(&text).map_err(std::io::Error::other)?;
-        let file = std::fs::File::open(dir.join("index.pis"))?;
-        let index =
-            pis_index::load_index(std::io::BufReader::new(file)).map_err(std::io::Error::other)?;
         if database.len() != index.graph_count() {
             return Err(std::io::Error::other(format!(
                 "database holds {} graphs but the index was built over {}",

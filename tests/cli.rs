@@ -1,9 +1,13 @@
 //! Integration tests of the `pis` CLI binary: the full
-//! generate → build → sample → search/knn/stats/dot pipeline through
-//! the public command-line surface.
+//! generate → build → sample → search/knn → compact/check pipeline
+//! through the public command-line surface, on the one durable store
+//! `build` writes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use pis::graph::io::parse_database;
+use pis::prelude::*;
 
 fn pis() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pis"))
@@ -26,127 +30,170 @@ fn run_ok(cmd: &mut Command) -> String {
     String::from_utf8(out.stdout).expect("utf8 output")
 }
 
-#[test]
-fn full_pipeline() {
-    let dir = tmp_dir("pipeline");
-    let db = dir.join("db.lg");
-    let index = dir.join("index.pis");
-    let queries = dir.join("queries.lg");
+/// Runs a command that must fail cleanly: exit code 1 and an `error:`
+/// line, never a panic. Returns its stderr.
+fn run_err(cmd: &mut Command) -> String {
+    let out = cmd.output().expect("binary must run");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    stderr
+}
 
-    // generate
-    let out = run_ok(pis().args([
-        "generate",
-        "--count",
-        "60",
-        "--seed",
-        "5",
-        "--out",
-        db.to_str().unwrap(),
-    ]));
-    assert!(out.contains("wrote 60 molecules"));
+/// The answer ids `pis search` printed, one list per query.
+fn answer_ids(out: &str) -> Vec<Vec<String>> {
+    let mut per_query: Vec<Vec<String>> = Vec::new();
+    for line in out.lines() {
+        if line.starts_with("query ") && line.contains(" answers from ") {
+            per_query.push(Vec::new());
+        } else if let Some(id) = line.strip_prefix("  g") {
+            let id = id.split(' ').next().expect("split yields a first token");
+            per_query.last_mut().expect("ids follow a query line").push(format!("g{id}"));
+        }
+    }
+    per_query
+}
 
-    // stats
-    let out = run_ok(pis().args(["stats", db.to_str().unwrap()]));
-    assert!(out.contains("graphs: 60"));
-    assert!(out.contains("atoms:"));
-
-    // build
+fn generate_build_sample(dir: &Path, count: &str, seed: &str, weighted: bool) -> [String; 3] {
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 temp path").to_string();
+    let (db, store, queries) = (path("db.lg"), path("store"), path("queries.lg"));
+    let mut generate = pis();
+    generate.args(["generate", "--count", count, "--seed", seed, "--out", &db]);
+    if weighted {
+        generate.arg("--weighted");
+    }
+    let out = run_ok(&mut generate);
+    assert!(out.contains(&format!("wrote {count} molecules")));
     let out = run_ok(pis().args([
         "build",
-        db.to_str().unwrap(),
+        &db,
         "--out",
-        index.to_str().unwrap(),
+        &store,
         "--max-edges",
         "4",
         "--min-support",
         "0.05",
     ]));
-    assert!(out.contains("indexed 60 graphs"));
-
-    // sample queries
-    let out = run_ok(pis().args([
-        "sample",
-        db.to_str().unwrap(),
-        "--edges",
-        "8",
-        "--count",
-        "2",
-        "--seed",
-        "3",
-        "--out",
-        queries.to_str().unwrap(),
-    ]));
+    assert!(out.contains(&format!("indexed {count} graphs")));
+    let out =
+        run_ok(pis().args([
+            "sample", &db, "--edges", "8", "--count", "2", "--seed", "3", "--out", &queries,
+        ]));
     assert!(out.contains("sampled 2 Q8 queries"));
+    [db, store, queries]
+}
 
-    // search (PIS)
-    let out = run_ok(pis().args([
-        "search",
-        db.to_str().unwrap(),
-        "--index",
-        index.to_str().unwrap(),
-        "--query",
-        queries.to_str().unwrap(),
-        "--sigma",
-        "1",
-    ]));
+#[test]
+fn full_pipeline() {
+    let dir = tmp_dir("pipeline");
+    let [db, store, queries] = generate_build_sample(&dir, "60", "5", false);
+
+    // stats
+    let out = run_ok(pis().args(["stats", &db]));
+    assert!(out.contains("graphs: 60"));
+    assert!(out.contains("atoms:"));
+
+    // search (PIS), straight from the store `build` wrote
+    let search = |sigma: &str, extra: &[&str]| {
+        run_ok(pis().args(["search", &store, "--query", &queries, "--sigma", sigma]).args(extra))
+    };
+    let out = search("1", &[]);
     assert!(out.contains("query 0"));
     assert!(out.contains("answers"));
+    assert!(!out.contains("recovery:"), "a fresh store opens clean: {out}");
 
     // search with explain plan
-    let explained = run_ok(pis().args([
-        "search",
-        db.to_str().unwrap(),
-        "--index",
-        index.to_str().unwrap(),
-        "--query",
-        queries.to_str().unwrap(),
-        "--sigma",
-        "1",
-        "--explain",
-    ]));
+    let explained = search("1", &["--explain"]);
     assert!(explained.contains("candidate funnel"));
     assert!(explained.contains("partition"));
 
-    // search (baselines agree on answer counts)
-    let topo = run_ok(pis().args([
-        "search",
-        db.to_str().unwrap(),
-        "--index",
-        index.to_str().unwrap(),
-        "--query",
-        queries.to_str().unwrap(),
-        "--sigma",
-        "1",
-        "--baseline",
-        "topo",
-    ]));
-    let pis_counts: Vec<&str> = out.lines().filter(|l| l.contains("answers from")).collect();
-    let topo_counts: Vec<&str> = topo.lines().filter(|l| l.contains("answers from")).collect();
-    assert_eq!(pis_counts.len(), topo_counts.len());
-    for (p, t) in pis_counts.iter().zip(&topo_counts) {
-        let answers =
-            |s: &str| s.split("): ").nth(1).and_then(|x| x.split(' ').next().map(String::from));
-        assert_eq!(answers(p), answers(t), "PIS and topoPrune answer counts differ");
-    }
+    // search (baselines agree on the answers)
+    assert_eq!(answer_ids(&out).len(), 2);
+    assert_eq!(answer_ids(&out), answer_ids(&search("1", &["--baseline", "topo"])));
+    assert_eq!(answer_ids(&out), answer_ids(&search("1", &["--baseline", "naive"])));
 
     // knn
-    let out = run_ok(pis().args([
-        "knn",
-        db.to_str().unwrap(),
-        "--index",
-        index.to_str().unwrap(),
-        "--query",
-        queries.to_str().unwrap(),
-        "--k",
-        "3",
-    ]));
+    let out = run_ok(pis().args(["knn", &store, "--query", &queries, "--k", "3"]));
     assert!(out.contains("neighbors"));
 
+    // An acknowledged insert made through the library sits in the WAL
+    // only; the CLI must replay it and answer with it. The inserted
+    // graph copies one that contains query 0 exactly, so it is itself an
+    // answer at sigma 0.
+    let query = parse_database(&std::fs::read_to_string(&queries).unwrap()).unwrap().remove(0);
+    let mut durable = DurableSystem::open(Path::new(&store), PisConfig::default()).unwrap();
+    let source = durable.system().search(&query, 0.0).answers[0];
+    let copy = durable.system().graph(source).clone();
+    let inserted = durable.insert_graph(copy).unwrap();
+    assert_eq!(inserted.index(), 60);
+    drop(durable);
+    let out = search("0", &[]);
+    assert!(out.contains("recovery: 1 WAL records replayed"), "{out}");
+    assert!(answer_ids(&out)[0].contains(&"g60".to_string()), "{out}");
+
+    // compact folds the WAL into a fresh snapshot; check verifies it.
+    let out = run_ok(pis().args(["compact", &store]));
+    assert!(out.contains("recovery: 1 WAL records replayed"), "{out}");
+    assert!(out.contains("61 graphs durable"), "{out}");
+    let out = run_ok(pis().args(["check", &store]));
+    assert!(out.contains("61 graphs after WAL replay"), "{out}");
+    assert!(out.contains("ok: store is consistent"), "{out}");
+    let out = search("0", &[]);
+    assert!(!out.contains("recovery:"), "{out}");
+    assert!(answer_ids(&out)[0].contains(&"g60".to_string()), "{out}");
+
     // dot
-    let out = run_ok(pis().args(["dot", db.to_str().unwrap(), "--graph", "0"]));
+    let out = run_ok(pis().args(["dot", &db, "--graph", "0"]));
     assert!(out.starts_with("graph g0 {"));
     assert!(out.contains(" -- "));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// On weighted data the store is built with the linear distance, and
+/// both baselines must measure with it too. `--baseline naive` used to
+/// scan with the edge-Hamming mutation distance whatever the index held:
+/// 1 and 4 answers here instead of 22 and 20.
+#[test]
+fn baselines_use_the_stores_distance_on_weighted_data() {
+    let dir = tmp_dir("weighted");
+    let [_, store, queries] = generate_build_sample(&dir, "40", "7", true);
+    let search = |extra: &[&str]| {
+        let out = run_ok(
+            pis().args(["search", &store, "--query", &queries, "--sigma", "0.5"]).args(extra),
+        );
+        answer_ids(&out)
+    };
+    let answers = search(&[]);
+    assert_eq!(answers.iter().map(Vec::len).collect::<Vec<_>>(), [22, 20]);
+    assert_eq!(answers, search(&["--baseline", "topo"]));
+    assert_eq!(answers, search(&["--baseline", "naive"]));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Outside input never panics `search` or `knn`: a directory that is not
+/// a store, and a store whose snapshot has one flipped byte, are typed
+/// errors. (A database and an index that disagree — the pair `knn` used
+/// to assert on — cannot be expressed any more: the store holds both.)
+#[test]
+fn bad_stores_are_errors_not_panics() {
+    let dir = tmp_dir("badstore");
+    let [_, store, queries] = generate_build_sample(&dir, "20", "9", false);
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    let snapshot = Path::new(&store).join("snapshot.pis");
+    let mut bytes = std::fs::read(&snapshot).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x04;
+    std::fs::write(&snapshot, &bytes).unwrap();
+    for subcommand in ["search", "knn"] {
+        let stderr =
+            run_err(pis().args([subcommand, empty.to_str().unwrap(), "--query", &queries]));
+        assert!(stderr.contains("cannot open store"), "{stderr}");
+        let stderr = run_err(pis().args([subcommand, &store, "--query", &queries]));
+        assert!(stderr.contains("corrupt"), "{stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -174,6 +221,10 @@ fn errors_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 
+    // The retired text-index converter is an unknown subcommand too.
+    let stderr = run_err(pis().args(["snapshot", "db.lg", "--out", "store"]));
+    assert!(stderr.contains("unknown subcommand 'snapshot'"), "{stderr}");
+
     let out = pis().args(["stats", "/nonexistent/db.lg"]).output().expect("binary runs");
     assert!(!out.status.success());
 
@@ -181,13 +232,15 @@ fn errors_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 
-    // A flag the subcommand does not know — retired (`--shards`) or
-    // misspelt — is an error, never silently the default behaviour.
-    // Flags are checked before any file is opened.
-    let common = ["db.lg", "--index", "index.pis", "--query", "q.lg"];
+    // A flag the subcommand does not know — retired (`--shards`,
+    // `--index`) or misspelt — is an error, never silently the default
+    // behaviour. Flags are checked before any file is opened.
+    let common = ["store", "--query", "q.lg"];
     for (subcommand, flag) in [
         ("search", vec!["--shards", "4"]),
         ("knn", vec!["--shards", "4"]),
+        ("search", vec!["--index", "x.pis"]),
+        ("knn", vec!["--index", "x.pis"]),
         ("search", vec!["--explian"]),
     ] {
         let out = pis().arg(subcommand).args(common).args(&flag).output().expect("binary runs");

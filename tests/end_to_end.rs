@@ -173,25 +173,30 @@ fn stats_expose_the_pruning_funnel() {
 #[test]
 fn save_load_round_trip_preserves_answers() {
     let db = MoleculeGenerator::default().database(30, 61);
-    let mut system = PisSystem::builder()
-        .gindex_features(GindexConfig {
-            max_edges: 4,
-            min_support_fraction: 0.05,
-            ..GindexConfig::default()
-        })
-        .build(db.clone());
+    let build = || {
+        PisSystem::builder()
+            .gindex_features(GindexConfig {
+                max_edges: 4,
+                min_support_fraction: 0.05,
+                ..GindexConfig::default()
+            })
+            .build(db.clone())
+    };
+    let mut system = build();
     let queries = sample_query_set(&db, 8, 3, 12);
 
+    // Persist a second, identically built system as a durable store,
+    // let go of it, and come back through recovery.
     let dir = std::env::temp_dir().join(format!("pis-system-{}", std::process::id()));
-    system.save_to(&dir).expect("save must succeed");
-    let loaded = PisSystem::load_from(&dir, PisConfig::default()).expect("load must succeed");
-    std::fs::remove_dir_all(&dir).ok();
+    drop(DurableSystem::create(&dir, build()).expect("create must succeed"));
+    let mut loaded = DurableSystem::open(&dir, PisConfig::default()).expect("open must succeed");
+    assert!(loaded.report().clean());
 
     for q in &queries {
         for sigma in [0.0, 1.0, 2.0] {
             assert_eq!(
                 answers_as_usize(&system.search(q, sigma)),
-                answers_as_usize(&loaded.search(q, sigma)),
+                answers_as_usize(&loaded.system().search(q, sigma)),
                 "loaded system diverged at sigma {sigma}"
             );
         }
@@ -199,14 +204,15 @@ fn save_load_round_trip_preserves_answers() {
 
     // The loaded system stays fully functional: dynamic insert + k-NN.
     let extra = MoleculeGenerator::default().database(1, 77).remove(0);
-    let mut loaded = loaded;
-    loaded.insert_graph(extra.clone());
+    loaded.insert_graph(extra.clone()).expect("durable insert must succeed");
     system.insert_graph(extra);
+    let loaded = loaded.system();
     let q = &queries[0];
     assert_eq!(answers_as_usize(&system.search(q, 2.0)), answers_as_usize(&loaded.search(q, 2.0)));
     let a = system.knn(q, 3);
     let b = loaded.knn(q, 3);
     assert_eq!(a.neighbors, b.neighbors);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
