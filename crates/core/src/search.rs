@@ -103,11 +103,6 @@ pub struct SearchStats {
     /// `EnhancedGreedy(2)` because the fragment pool exceeded the exact
     /// solver's node cap ([`EXACT_MWIS_MAX_NODES`]).
     pub exact_fallback: bool,
-    /// Classes whose R-tree was queried through its slow unfrozen path
-    /// because a freeze is pending. Stays 0 through the LSM insert
-    /// path; a persistent non-zero value means someone forgot to
-    /// compact after bulk mutation.
-    pub rtree_stale_classes: usize,
     /// The chosen partition's members (explain output).
     pub partition: Vec<PartitionFragment>,
 }
@@ -520,10 +515,7 @@ impl<'a> PisSearcher<'a> {
         budget: &BudgetState,
     ) -> SearchStats {
         let n = self.database.len();
-        let mut stats = SearchStats {
-            rtree_stale_classes: self.index.rtree_stale_classes(),
-            ..SearchStats::default()
-        };
+        let mut stats = SearchStats::default();
 
         // Lines 3–4: enumerate indexed fragments into the scratch-owned
         // arena (taken out for the duration of the borrow).
@@ -758,9 +750,9 @@ impl<'a> PisSearcher<'a> {
     /// always adjacent) — and each batch is answered in one pass by
     /// [`FragmentIndex::range_query_batch_normalized_into`], which
     /// prices every level's alphabet once per distinct query label and
-    /// descends the class arena once for the whole group. Lone probes
-    /// keep the scalar descent. Large probe sets fan the batches out
-    /// across the pool instead.
+    /// descends the class arena once for the whole group; a lone probe
+    /// is a batch of one. Large probe sets fan the batches out across
+    /// the pool instead.
     fn run_range_queries(
         &self,
         fragments: &FragmentBuffer,
@@ -807,29 +799,17 @@ impl<'a> PisSearcher<'a> {
         } else {
             let SearchScratch { range, hits, unique_fragment, slot_complete, .. } = scratch;
             for_each_sibling_group(fragments, unique_fragment, |s, e| {
-                let feature = fragments.feature(unique_fragment[s]);
-                let complete = if e - s == 1 {
-                    self.index.range_query_normalized_budgeted_into(
-                        feature,
-                        fragments.vector(unique_fragment[s]),
-                        sigma,
-                        range,
-                        budget,
-                        &mut hits[s],
-                    )
-                } else {
-                    // A batch descent prices all siblings in one pass;
-                    // a trip mid-descent invalidates the whole group.
-                    self.index.range_query_batch_normalized_budgeted_into(
-                        feature,
-                        e - s,
-                        |i| fragments.vector(unique_fragment[s + i]),
-                        sigma,
-                        range,
-                        budget,
-                        &mut hits[s..e],
-                    )
-                };
+                // A batch descent prices all siblings in one pass; a
+                // trip mid-descent invalidates the whole group.
+                let complete = self.index.range_query_batch_normalized_budgeted_into(
+                    fragments.feature(unique_fragment[s]),
+                    e - s,
+                    |i| fragments.vector(unique_fragment[s + i]),
+                    sigma,
+                    range,
+                    budget,
+                    &mut hits[s..e],
+                );
                 for flag in &mut slot_complete[s..e] {
                     *flag = complete;
                 }
@@ -846,10 +826,7 @@ impl<'a> PisSearcher<'a> {
     /// this path.
     pub fn search_reference(&self, query: &LabeledGraph, sigma: f64) -> SearchOutcome {
         let n = self.database.len();
-        let mut stats = SearchStats {
-            rtree_stale_classes: self.index.rtree_stale_classes(),
-            ..SearchStats::default()
-        };
+        let mut stats = SearchStats::default();
 
         // Lines 3–4: enumerate indexed fragments.
         let fragments = self.index.enumerate_query_fragments(query);
@@ -1142,7 +1119,7 @@ mod tests {
     use pis_distance::MutationDistance;
 
     use pis_graph::{EdgeAttr, GraphBuilder, Label, VertexAttr};
-    use pis_index::{Backend, IndexConfig};
+    use pis_index::IndexConfig;
     use pis_mining::exhaustive::exhaustive_features;
 
     fn cycle_with_edge_labels(labels: &[u32]) -> LabeledGraph {
@@ -1162,7 +1139,7 @@ mod tests {
             db,
             features,
             IndexDistance::Mutation(MutationDistance::edge_hamming()),
-            &IndexConfig { backend: Backend::Default, ..IndexConfig::default() },
+            &IndexConfig::default(),
         )
     }
 

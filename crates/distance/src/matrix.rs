@@ -3,9 +3,8 @@
 //! The mutation distance scores each label pair through a matrix `D`
 //! (Section 2): `MD = Σ D(l(v), l'(v')) + Σ D(l(e), l'(e'))`. A valid
 //! score matrix is symmetric with a zero diagonal and non-negative
-//! entries; it need not satisfy the triangle inequality, but metric
-//! matrices additionally enable the VP-tree index backend
-//! ([`ScoreMatrix::is_metric`]).
+//! entries; it need not satisfy the triangle inequality, and nothing in
+//! the index relies on it.
 
 use std::fmt;
 
@@ -225,45 +224,6 @@ impl ScoreMatrix {
     pub fn max_cost(&self) -> f64 {
         self.costs.iter().copied().fold(self.default_mismatch, f64::max)
     }
-
-    /// Whether the matrix induces a metric on the label space (required
-    /// by the VP-tree backend): distinct labels are separated, the
-    /// triangle inequality holds over the explicit range, and the
-    /// out-of-range fallback cannot break it (`max ≤ 2 × default`).
-    /// `O(size³)`.
-    pub fn is_metric(&self) -> bool {
-        // Out-of-range labels are pairwise `default_mismatch` apart and
-        // `default_mismatch` from every in-range label; a zero default
-        // would merge them, and an explicit cost above twice the default
-        // would violate the triangle through an out-of-range label.
-        if self.default_mismatch <= 0.0 || self.max_cost() > 2.0 * self.default_mismatch {
-            return false;
-        }
-        for i in 0..self.size {
-            for j in 0..self.size {
-                for k in 0..self.size {
-                    let (ij, ik, kj) = (
-                        self.costs[i * self.size + j],
-                        self.costs[i * self.size + k],
-                        self.costs[k * self.size + j],
-                    );
-                    if ij > ik + kj + 1e-12 {
-                        return false;
-                    }
-                }
-            }
-        }
-        // Distinct labels must also be separated, else "distance zero"
-        // merges labels and the index would over-prune.
-        for i in 0..self.size {
-            for j in (i + 1)..self.size {
-                if self.costs[i * self.size + j] == 0.0 {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -328,25 +288,6 @@ mod tests {
         assert_eq!(m.cost(Label(0), Label(2)), 2.0);
         assert_eq!(m.cost(Label(5), Label(6)), 2.0); // default
         assert_eq!(m.max_cost(), 2.0);
-    }
-
-    #[test]
-    fn metric_check() {
-        assert!(ScoreMatrix::unit(4).is_metric());
-        assert!(!ScoreMatrix::zero(3).is_metric()); // merges labels
-
-        // A matrix violating the triangle inequality.
-        let bad = ScoreMatrix::from_fn(3, 10.0, |a, b| {
-            if a == b {
-                0.0
-            } else if (a.0, b.0) == (0, 2) || (a.0, b.0) == (2, 0) {
-                10.0
-            } else {
-                1.0
-            }
-        })
-        .unwrap();
-        assert!(!bad.is_metric());
     }
 
     #[test]

@@ -143,11 +143,6 @@ impl MutationDistance {
             self.vertex_scores.is_zero()
         }
     }
-
-    /// Whether both matrices are metrics (VP-tree backend precondition).
-    pub fn is_metric(&self) -> bool {
-        self.vertex_scores.is_metric() && self.edge_scores.is_metric()
-    }
 }
 
 impl SuperimposedDistance for MutationDistance {
@@ -390,12 +385,6 @@ mod tests {
         let unit = MutationDistance::unit();
         assert!(!unit.position_is_zero(0, 1));
         assert!(!unit.position_is_zero(1, 1));
-    }
-
-    #[test]
-    fn metric_flags() {
-        assert!(MutationDistance::unit().is_metric());
-        assert!(!MutationDistance::edge_hamming().is_metric()); // zero vertex matrix
     }
 
     #[test]

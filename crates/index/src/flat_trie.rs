@@ -21,16 +21,17 @@
 //!   entry order — which makes **every** node's subtree postings a
 //!   contiguous range (`sub_start`/`sub_len`), not just a leaf's.
 //!
-//! [`FlatTrie::range_query`] replaces recursion with an iterative
+//! [`FlatTrie::range_query_batch_budgeted`] — the one descent; a lone
+//! probe is a batch of one — replaces recursion with an iterative
 //! level-by-level frontier: all levels' distinct labels are priced
 //! up-front through a batched cost callback (see
-//! `MutationDistance::position_costs_into`), surviving children are
-//! appended to the next frontier, and the descent **stops early at the
-//! first level from which every remaining level prices to zero**
+//! `MutationDistance::position_costs_into_multi`), surviving children
+//! are appended to the next frontier, and the descent **stops early at
+//! the first level from which every remaining level prices to zero**
 //! (under the paper's edge-Hamming distance the normalized vertex
 //! suffix always does), emitting whole subtree posting ranges instead
 //! of walking cost-free levels. All frontier state lives in a
-//! caller-owned [`TrieFrontier`], so steady-state descents allocate
+//! caller-owned [`BatchFrontier`], so steady-state descents allocate
 //! nothing. Per-path cost accumulation performs the same f64 additions
 //! in the same order as the pointer trie (skipped levels contribute
 //! exactly `+0.0`), so reported distances are byte-identical to the
@@ -43,7 +44,7 @@ use crate::trie::LabelTrie;
 
 /// Lane width of the unrolled frontier expansion: child costs are
 /// gathered into a buffer of this many slots, added and compared as
-/// lanes, and survivors compacted through a bit mask — the scalar
+/// lanes, and survivors compacted through a bit mask — the
 /// `push`-per-child loop only runs on the sub-lane tail. Eight f64
 /// lanes span one cache line and match the widest vector registers in
 /// common deployment (AVX-512); narrower ISAs simply split the lanes.
@@ -54,8 +55,8 @@ const LANES: usize = 8;
 /// the inherited `acc`, compare against `sigma` as lanes, then compact
 /// the survivor mask in ascending-child order (bit scan instead of a
 /// branch per child). Survivors' `(child, cost)` pairs are appended in
-/// exactly the order the scalar loop would produce, and each cost is
-/// the same single `acc + slot` addition — byte-identical output.
+/// exactly the order a child-by-child loop would produce, and each cost
+/// is the same single `acc + slot` addition — byte-identical output.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn expand_children_wide(
@@ -162,30 +163,7 @@ pub(crate) struct TriePartsOwned {
     pub alphabet: Vec<Label>,
 }
 
-/// Reusable frontier buffers for [`FlatTrie::range_query`]. One scratch
-/// serves any number of sequential queries against tries of any shape.
-#[derive(Clone, Debug, Default)]
-pub struct TrieFrontier {
-    /// Live nodes of the current level.
-    nodes: Vec<u32>,
-    /// Accumulated cost of each live node, parallel to `nodes`.
-    costs: Vec<f64>,
-    /// Double buffers for the next level.
-    next_nodes: Vec<u32>,
-    next_costs: Vec<f64>,
-    /// Per-distinct-label costs of **all** levels, laid out like the
-    /// trie's `alphabet` array.
-    label_costs: Vec<f64>,
-}
-
-impl TrieFrontier {
-    /// An empty scratch; it sizes itself on first use.
-    pub fn new() -> Self {
-        TrieFrontier::default()
-    }
-}
-
-/// Reusable state for [`FlatTrie::range_query_batch`]: the shared
+/// Reusable state for [`FlatTrie::range_query_batch_budgeted`]: the shared
 /// per-level pricing table and the node-major multi-probe frontier.
 /// One scratch serves any number of sequential batches against tries
 /// of any shape; steady-state batches allocate nothing.
@@ -806,149 +784,6 @@ impl FlatTrie {
         }
     }
 
-    /// Visits every stored `(graph, cost)` whose sequence is within
-    /// `sigma` of `query` — the iterative, frontier-batched equivalent
-    /// of [`LabelTrie::range_query`]. `level_costs(pos, query_label,
-    /// stored_labels, out)` prices a whole level's distinct labels in
-    /// one call (the batched kernel); each frontier node then pays one
-    /// table lookup per child, and the descent short-circuits through
-    /// any all-zero-cost suffix by emitting whole subtree posting
-    /// ranges. A graph stored under several qualifying sequences is
-    /// visited once per sequence; the caller keeps the minimum.
-    ///
-    /// # Panics
-    /// Panics if `query.len() != depth`.
-    pub fn range_query(
-        &self,
-        query: &[Label],
-        sigma: f64,
-        level_costs: impl FnMut(usize, Label, &[Label], &mut [f64]),
-        scratch: &mut TrieFrontier,
-        visit: impl FnMut(GraphId, f64),
-    ) {
-        let completed = self.range_query_budgeted(
-            query,
-            sigma,
-            level_costs,
-            scratch,
-            BudgetState::unlimited(),
-            visit,
-        );
-        debug_assert!(completed, "the unlimited budget never interrupts a descent");
-    }
-
-    /// [`FlatTrie::range_query`] under a budget: the descent consults
-    /// one [`CheckpointSite::RangeDescent`] checkpoint per frontier
-    /// level and returns `false` the moment the budget trips — visits
-    /// already made are then a meaningless prefix and the caller must
-    /// discard them (a partial descent's hit set is neither a subset
-    /// nor a superset of the true answer once minima are folded).
-    ///
-    /// # Panics
-    /// Panics if `query.len() != depth`.
-    pub fn range_query_budgeted(
-        &self,
-        query: &[Label],
-        sigma: f64,
-        mut level_costs: impl FnMut(usize, Label, &[Label], &mut [f64]),
-        scratch: &mut TrieFrontier,
-        budget: &BudgetState,
-        mut visit: impl FnMut(GraphId, f64),
-    ) -> bool {
-        assert_eq!(query.len(), self.depth, "query length must equal trie depth");
-        if self.depth == 0 {
-            for &g in &self.postings {
-                visit(g, 0.0);
-            }
-            return true;
-        }
-        let TrieFrontier { nodes, costs, next_nodes, next_costs, label_costs } = scratch;
-        // Price every level's alphabet up front (one batched call per
-        // level into the alphabet-shaped buffer)...
-        label_costs.clear();
-        label_costs.resize(self.alphabet.len(), 0.0);
-        for (l, &q) in query.iter().enumerate() {
-            let (s, e) = (self.alphabet_start[l] as usize, self.alphabet_start[l + 1] as usize);
-            level_costs(l, q, &self.alphabet[s..e], &mut label_costs[s..e]);
-        }
-        // ...then find the first level from which every remaining level
-        // prices to zero: below it, descent cannot change a path's cost,
-        // so whole subtrees resolve at once. Under the edge-Hamming
-        // evaluation distance this is the entire vertex suffix.
-        let mut zero_from = self.depth;
-        while zero_from > 0 {
-            let (s, e) = (
-                self.alphabet_start[zero_from - 1] as usize,
-                self.alphabet_start[zero_from] as usize,
-            );
-            if label_costs[s..e].iter().any(|&c| c != 0.0) {
-                break;
-            }
-            zero_from -= 1;
-        }
-        if zero_from == 0 {
-            // The whole query is cost-free against everything stored
-            // (and costs are non-negative, so sigma >= 0 admits all).
-            if sigma >= 0.0 {
-                for &g in &self.postings {
-                    visit(g, 0.0);
-                }
-            }
-            return true;
-        }
-        if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
-            return false;
-        }
-        nodes.clear();
-        costs.clear();
-        // Level 0: the virtual root's children are the whole first
-        // level.
-        for node in self.level_start[0]..self.level_start[1] {
-            let c = label_costs[self.label_idx[node as usize] as usize];
-            if c <= sigma {
-                nodes.push(node);
-                costs.push(c);
-            }
-        }
-        for _l in 1..zero_from {
-            if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
-                return false;
-            }
-            next_nodes.clear();
-            next_costs.clear();
-            for (&node, &acc) in nodes.iter().zip(costs.iter()) {
-                let cs = self.child_start[node as usize];
-                let ce = cs + self.child_len[node as usize];
-                expand_children_wide(
-                    &self.label_idx,
-                    0,
-                    label_costs,
-                    (cs, ce),
-                    acc,
-                    sigma,
-                    next_nodes,
-                    next_costs,
-                );
-            }
-            std::mem::swap(nodes, next_nodes);
-            std::mem::swap(costs, next_costs);
-            if nodes.is_empty() {
-                return true;
-            }
-        }
-        // The frontier sits at level `zero_from - 1`; every deeper level
-        // adds exactly 0.0, so each surviving node's whole subtree
-        // posting range carries its accumulated cost.
-        for (&node, &acc) in nodes.iter().zip(costs.iter()) {
-            let s = self.sub_start[node as usize] as usize;
-            let e = s + self.sub_len[node as usize] as usize;
-            for &g in &self.postings[s..e] {
-                visit(g, acc);
-            }
-        }
-        true
-    }
-
     /// Prices and descends a whole *probe batch* — `nprobes` query
     /// sequences against this class, concatenated row-major in `probes`
     /// (`probes.len() == nprobes * depth`) — in one arena pass.
@@ -965,49 +800,26 @@ impl FlatTrie {
     ///
     /// The descent walks the arena level by level with a node-major
     /// frontier: probes alive on the same node share one read of its
-    /// child range, single-probe nodes take the same wide-lane
-    /// expansion as [`FlatTrie::range_query`], and each probe
-    /// short-circuits through its own all-zero suffix independently.
-    /// Every resolved subtree is reported as
-    /// `emit(probe, cost, postings)` *during* the descent — emissions
-    /// of different probes interleave, but per probe the flattened
-    /// `(graph, cost)` multiset (exact f64 costs) is identical to a
-    /// scalar [`FlatTrie::range_query`] with the same query and
-    /// `sigma`, so an order-insensitive accumulator (e.g. a per-probe
-    /// minimum table) reproduces the scalar hits byte-for-byte.
+    /// child range, single-probe nodes take the wide-lane expansion of
+    /// a per-probe descent, and each probe short-circuits through its
+    /// own all-zero suffix independently. Every resolved subtree is
+    /// reported as `emit(probe, cost, postings)` *during* the descent —
+    /// emissions of different probes interleave, but per probe the
+    /// flattened `(graph, cost)` multiset (exact f64 costs) is what
+    /// [`LabelTrie::range_query`] visits for the same query and `sigma`
+    /// and does not depend on the probe's siblings, so an
+    /// order-insensitive accumulator (e.g. a per-probe minimum table)
+    /// reproduces the reference hits byte-for-byte. A graph stored under
+    /// several qualifying sequences is reported once per sequence; the
+    /// caller keeps the minimum.
     ///
-    /// # Panics
-    /// Panics if `probes.len() != nprobes * depth`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn range_query_batch(
-        &self,
-        nprobes: usize,
-        probes: &[Label],
-        sigma: f64,
-        level_costs_multi: impl FnMut(usize, &[Label], &[Label], &mut [f64]),
-        level_zero: impl FnMut(usize) -> bool,
-        scratch: &mut BatchFrontier,
-        emit: impl FnMut(u32, f64, &[GraphId]),
-    ) {
-        let completed = self.range_query_batch_budgeted(
-            nprobes,
-            probes,
-            sigma,
-            level_costs_multi,
-            level_zero,
-            scratch,
-            BudgetState::unlimited(),
-            emit,
-        );
-        debug_assert!(completed, "the unlimited budget never interrupts a descent");
-    }
-
-    /// [`FlatTrie::range_query_batch`] under a budget: one
-    /// [`CheckpointSite::RangeDescent`] checkpoint per frontier level
-    /// (and per per-probe descent level). Returns `false` the moment
-    /// the budget trips; emissions already made cover an unpredictable
-    /// probe subset, so the caller must discard the *whole batch's*
-    /// partial results.
+    /// The descent consults one [`CheckpointSite::RangeDescent`]
+    /// checkpoint per frontier level (and per per-probe descent level)
+    /// and returns `false` the moment the budget trips; emissions
+    /// already made cover an unpredictable probe subset, so the caller
+    /// must discard the *whole batch's* partial results (a partial
+    /// descent's hit set is neither a subset nor a superset of the true
+    /// answer once minima are folded).
     ///
     /// # Panics
     /// Panics if `probes.len() != nprobes * depth`.
@@ -1124,7 +936,8 @@ impl FlatTrie {
         // the node-major descent amortizes every arena read across
         // them. Below that, survivor sets separate fast and per-probe
         // wide-lane descents over the shared pricing table win — the
-        // group bookkeeping would outweigh the sharing. ---
+        // group bookkeeping would outweigh the sharing. A lone probe
+        // has no sibling to share with. ---
         let (l0s, l0e) = (self.level_start[0], self.level_start[1]);
         if 2.0 * sigma < max_total || nprobes == 1 {
             for p in 0..nprobes {
@@ -1204,7 +1017,7 @@ impl FlatTrie {
             // under 2 — selective sigmas separate the probes quickly —
             // the group bookkeeping is pure overhead, so regroup the
             // frontier probe-major (stable counting sort) and finish
-            // each probe with the scalar wide-lane descent, still on
+            // each probe with the per-probe wide-lane descent, still on
             // the shared pricing table.
             if fprobes.len() < 2 * nodes.len() {
                 by_probe_start.clear();
@@ -1286,8 +1099,8 @@ impl FlatTrie {
                 let ce = cs + self.child_len[node];
                 if let (&[p], &[acc]) = (live_probes, live_accs) {
                     // Single live probe on this node: take the same
-                    // wide-lane expansion as the scalar descent, each
-                    // survivor becoming its own next-level group.
+                    // wide-lane expansion as the per-probe descent,
+                    // each survivor becoming its own next-level group.
                     let row = row_of[p as usize * depth + lvl] as usize;
                     let before = next_nodes.len();
                     expand_children_wide(
@@ -1339,8 +1152,8 @@ impl FlatTrie {
     /// Finishes one probe's batched descent from a frontier sitting at
     /// level `from_level - 1`: expands through the probe's remaining
     /// cost-bearing levels with the wide-lane loop over its rows of the
-    /// shared pricing table (exactly the scalar descent's inner loop),
-    /// then emits each survivor's subtree posting range. Returns
+    /// shared pricing table, then emits each survivor's subtree posting
+    /// range — for a lone probe, the whole descent. Returns
     /// `false` when the budget trips mid-descent.
     #[allow(clippy::too_many_arguments)]
     fn descend_probe(
@@ -1409,28 +1222,106 @@ mod tests {
         xs.iter().map(|&x| Label(x)).collect()
     }
 
-    /// Unit Hamming cost regardless of position, batched form.
-    fn hamming(_pos: usize, q: Label, stored: &[Label], out: &mut [f64]) {
-        for (o, &s) in out.iter_mut().zip(stored) {
-            *o = if s == q { 0.0 } else { 1.0 };
+    /// Unit Hamming cost regardless of position.
+    fn hamming(_pos: usize, a: Label, b: Label) -> f64 {
+        if a == b {
+            0.0
+        } else {
+            1.0
         }
     }
 
-    fn collect(trie: &FlatTrie, query: &[Label], sigma: f64) -> Vec<(u32, f64)> {
-        let mut out = Vec::new();
-        let mut scratch = TrieFrontier::new();
-        trie.range_query(query, sigma, hamming, &mut scratch, |g, c| out.push((g.0, c)));
-        out.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        out
-    }
-
-    fn from_builder(entries: &[(Vec<Label>, GraphId)], depth: usize) -> (LabelTrie, FlatTrie) {
+    /// The pointer-trie reference over `entries`.
+    fn pointer_trie(depth: usize, entries: &[(Vec<Label>, GraphId)]) -> LabelTrie {
         let mut builder = LabelTrie::new(depth);
         for (seq, g) in entries {
             builder.insert(seq, *g);
         }
+        builder
+    }
+
+    fn from_builder(entries: &[(Vec<Label>, GraphId)], depth: usize) -> (LabelTrie, FlatTrie) {
+        let builder = pointer_trie(depth, entries);
         let flat = FlatTrie::freeze(&builder);
         (builder, flat)
+    }
+
+    /// Runs `probes` as one batch under the per-position `cost` and
+    /// returns each probe's visits — emitted ranges flattened to
+    /// `(graph, cost bits)` — sorted. `level_zero` is the kernel's
+    /// shared zero-level detector.
+    fn run_batch(
+        trie: &FlatTrie,
+        probes: &[Vec<Label>],
+        sigma: f64,
+        cost: impl Fn(usize, Label, Label) -> f64,
+        level_zero: impl FnMut(usize) -> bool,
+    ) -> Vec<Vec<(u32, u64)>> {
+        let flat: Vec<Label> = probes.iter().flat_map(|p| p.iter().copied()).collect();
+        let mut visits: Vec<Vec<(u32, u64)>> = vec![Vec::new(); probes.len()];
+        let completed = trie.range_query_batch_budgeted(
+            probes.len(),
+            &flat,
+            sigma,
+            |pos, queries, stored, out| {
+                for (qi, &q) in queries.iter().enumerate() {
+                    for (k, &s) in stored.iter().enumerate() {
+                        out[qi * stored.len() + k] = cost(pos, q, s);
+                    }
+                }
+            },
+            level_zero,
+            &mut BatchFrontier::new(),
+            BudgetState::unlimited(),
+            |p, acc, graphs| {
+                visits[p as usize].extend(graphs.iter().map(|g| (g.0, acc.to_bits())));
+            },
+        );
+        assert!(completed, "the unlimited budget never interrupts a descent");
+        for v in &mut visits {
+            v.sort_unstable();
+        }
+        visits
+    }
+
+    /// What the pointer trie visits for one probe, as sorted
+    /// `(graph, cost bits)`.
+    fn reference_visits(
+        reference: &LabelTrie,
+        probe: &[Label],
+        sigma: f64,
+        cost: impl Fn(usize, Label, Label) -> f64,
+    ) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        reference.range_query(probe, sigma, cost, |g, c| out.push((g.0, c.to_bits())));
+        out.sort_unstable();
+        out
+    }
+
+    /// Asserts every probe reproduces the pointer trie's visit multiset
+    /// bit-for-bit (costs compared by their f64 bits), both inside the
+    /// batch and alone as a batch of one.
+    fn assert_matches_reference(
+        reference: &LabelTrie,
+        trie: &FlatTrie,
+        probes: &[Vec<Label>],
+        sigma: f64,
+        cost: impl Fn(usize, Label, Label) -> f64 + Copy,
+        level_zero: impl Fn(usize) -> bool + Copy,
+    ) {
+        let batched = run_batch(trie, probes, sigma, cost, level_zero);
+        for (pi, (probe, got)) in probes.iter().zip(batched).enumerate() {
+            let expected = reference_visits(reference, probe, sigma, cost);
+            assert_eq!(got, expected, "probe {pi} sigma {sigma} in the batch");
+            let alone = run_batch(trie, std::slice::from_ref(probe), sigma, cost, level_zero);
+            assert_eq!(alone[0], expected, "probe {pi} sigma {sigma} alone");
+        }
+    }
+
+    /// One probe's Hamming visits, as sorted `(graph, cost)`.
+    fn collect(trie: &FlatTrie, query: &[Label], sigma: f64) -> Vec<(u32, f64)> {
+        let visits = run_batch(trie, &[query.to_vec()], sigma, hamming, |_| false);
+        visits[0].iter().map(|&(g, bits)| (g, f64::from_bits(bits))).collect()
     }
 
     #[test]
@@ -1478,29 +1369,16 @@ mod tests {
         assert_eq!(builder.len(), flat.len());
         // Hamming on the first two positions, free afterwards — the
         // descent must stop at level 2 and emit subtree ranges.
-        let scalar = |pos: usize, a: Label, b: Label| {
+        let cost = |pos: usize, a: Label, b: Label| {
             if a == b || pos >= 2 {
                 0.0
             } else {
                 1.0
             }
         };
-        let batched = |pos: usize, q: Label, stored: &[Label], out: &mut [f64]| {
-            for (o, &s) in out.iter_mut().zip(stored) {
-                *o = scalar(pos, q, s);
-            }
-        };
-        let mut scratch = TrieFrontier::new();
-        for query in [l(&[0, 0, 0, 0]), l(&[1, 2, 1, 1]), l(&[3, 2, 2, 0])] {
-            for sigma in [0.0, 1.0, 2.0, 4.0] {
-                let mut expected = Vec::new();
-                builder.range_query(&query, sigma, scalar, |g, c| expected.push((g.0, c)));
-                expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                let mut got = Vec::new();
-                flat.range_query(&query, sigma, batched, &mut scratch, |g, c| got.push((g.0, c)));
-                got.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                assert_eq!(got, expected, "sigma={sigma} query={query:?}");
-            }
+        let probes = [l(&[0, 0, 0, 0]), l(&[1, 2, 1, 1]), l(&[3, 2, 2, 0])];
+        for sigma in [0.0, 1.0, 2.0, 4.0] {
+            assert_matches_reference(&builder, &flat, &probes, sigma, cost, |_| false);
         }
     }
 
@@ -1509,15 +1387,9 @@ mod tests {
         let entries =
             vec![(l(&[1, 2]), GraphId(0)), (l(&[3, 4]), GraphId(1)), (l(&[3, 4]), GraphId(2))];
         let t = FlatTrie::from_entries(2, entries);
-        let free = |_pos: usize, _q: Label, stored: &[Label], out: &mut [f64]| {
-            for (o, _) in out.iter_mut().zip(stored) {
-                *o = 0.0;
-            }
-        };
-        let mut out = Vec::new();
-        t.range_query(&l(&[9, 9]), 0.0, free, &mut TrieFrontier::new(), |g, c| out.push((g.0, c)));
-        out.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(out, vec![(0, 0.0), (1, 0.0), (2, 0.0)]);
+        let zero = 0.0f64.to_bits();
+        let visits = run_batch(&t, &[l(&[9, 9])], 0.0, |_, _, _| 0.0, |_| false);
+        assert_eq!(visits[0], vec![(0, zero), (1, zero), (2, zero)]);
     }
 
     #[test]
@@ -1564,56 +1436,6 @@ mod tests {
         assert_eq!(seen, vec![(0, 4)]);
     }
 
-    /// Batched form of [`hamming`] for `range_query_batch`.
-    fn hamming_multi(_pos: usize, queries: &[Label], stored: &[Label], out: &mut [f64]) {
-        for (qi, &q) in queries.iter().enumerate() {
-            for (k, &s) in stored.iter().enumerate() {
-                out[qi * stored.len() + k] = if s == q { 0.0 } else { 1.0 };
-            }
-        }
-    }
-
-    /// Collects a batch probe's hits sorted, via the scalar descent.
-    fn collect_scalar(trie: &FlatTrie, query: &[Label], sigma: f64) -> Vec<(u32, u64)> {
-        let mut out = Vec::new();
-        let mut scratch = TrieFrontier::new();
-        trie.range_query(query, sigma, hamming, &mut scratch, |g, c| out.push((g.0, c.to_bits())));
-        out.sort_unstable();
-        out
-    }
-
-    /// Runs a batch and flattens each probe's emitted ranges into its
-    /// visit list.
-    fn run_batch(trie: &FlatTrie, probes: &[Vec<Label>], sigma: f64) -> Vec<Vec<(u32, u64)>> {
-        let flat: Vec<Label> = probes.iter().flat_map(|p| p.iter().copied()).collect();
-        let mut scratch = BatchFrontier::new();
-        let mut visits: Vec<Vec<(u32, u64)>> = vec![Vec::new(); probes.len()];
-        trie.range_query_batch(
-            probes.len(),
-            &flat,
-            sigma,
-            hamming_multi,
-            |_| false,
-            &mut scratch,
-            |p, acc, graphs| {
-                visits[p as usize].extend(graphs.iter().map(|g| (g.0, acc.to_bits())));
-            },
-        );
-        visits
-    }
-
-    /// Asserts every probe of a batch reproduces the scalar visit
-    /// multiset bit-for-bit (costs compared by their f64 bits).
-    fn assert_batch_matches_scalar(trie: &FlatTrie, probes: &[Vec<Label>], sigma: f64) {
-        let depth = trie.depth();
-        for (pi, (probe, mut got)) in probes.iter().zip(run_batch(trie, probes, sigma)).enumerate()
-        {
-            assert_eq!(probe.len(), depth);
-            got.sort_unstable();
-            assert_eq!(got, collect_scalar(trie, probe, sigma), "probe {pi} sigma {sigma}");
-        }
-    }
-
     #[test]
     fn batch_matches_scalar_on_random_data() {
         let mut entries = Vec::new();
@@ -1628,9 +1450,11 @@ mod tests {
             ]);
             entries.push((seq, GraphId(g % 30)));
         }
+        let reference = pointer_trie(4, &entries);
         let t = FlatTrie::from_entries(4, entries);
         // Duplicate probes included: the batch must price them once and
-        // answer them identically.
+        // answer them identically. Sigmas on both sides of half the
+        // worst-case path cost, so both descent modes run.
         let probes = vec![
             l(&[0, 0, 0, 0]),
             l(&[1, 2, 1, 1]),
@@ -1639,7 +1463,7 @@ mod tests {
             l(&[2, 1, 0, 1]),
         ];
         for sigma in [0.0, 1.0, 2.0, 4.0] {
-            assert_batch_matches_scalar(&t, &probes, sigma);
+            assert_matches_reference(&reference, &t, &probes, sigma, hamming, |_| false);
         }
     }
 
@@ -1654,61 +1478,22 @@ mod tests {
             (l(&[2, 2, 3, 4]), GraphId(3)),
             (l(&[2, 2, 4, 4]), GraphId(4)),
         ];
+        let reference = pointer_trie(4, &entries);
         let t = FlatTrie::from_entries(4, entries);
+        let probes = [l(&[1, 2, 3, 4]), l(&[2, 2, 9, 9]), l(&[9, 9, 9, 9])];
         for cut in 0..=4usize {
-            let scalar = |pos: usize, a: Label, b: Label| {
+            let cost = |pos: usize, a: Label, b: Label| {
                 if a == b || pos >= cut {
                     0.0
                 } else {
                     1.0
                 }
             };
-            let batched = |pos: usize, qs: &[Label], stored: &[Label], out: &mut [f64]| {
-                for (qi, &q) in qs.iter().enumerate() {
-                    for (k, &s) in stored.iter().enumerate() {
-                        out[qi * stored.len() + k] = scalar(pos, q, s);
-                    }
-                }
-            };
-            let probes = [l(&[1, 2, 3, 4]), l(&[2, 2, 9, 9]), l(&[9, 9, 9, 9])];
-            let flat: Vec<Label> = probes.iter().flat_map(|p| p.iter().copied()).collect();
             for sigma in [0.0, 1.0, 2.0] {
-                let mut batch = BatchFrontier::new();
                 // Exercise both zero-detection paths: the shared
                 // level_zero flag and the per-row scan.
-                for shared_zero in [false, true] {
-                    let mut visits: Vec<Vec<(u32, u64)>> = vec![Vec::new(); probes.len()];
-                    t.range_query_batch(
-                        probes.len(),
-                        &flat,
-                        sigma,
-                        batched,
-                        |pos| shared_zero && pos >= cut,
-                        &mut batch,
-                        |p, acc, graphs| {
-                            visits[p as usize].extend(graphs.iter().map(|g| (g.0, acc.to_bits())));
-                        },
-                    );
-                    for (pi, probe) in probes.iter().enumerate() {
-                        let mut got = visits[pi].clone();
-                        got.sort_unstable();
-                        let mut expected = Vec::new();
-                        let mut tf = TrieFrontier::new();
-                        t.range_query(
-                            probe,
-                            sigma,
-                            |pos, q, stored, out| {
-                                for (o, &s) in out.iter_mut().zip(stored) {
-                                    *o = scalar(pos, q, s);
-                                }
-                            },
-                            &mut tf,
-                            |g, c| expected.push((g.0, c.to_bits())),
-                        );
-                        expected.sort_unstable();
-                        assert_eq!(got, expected, "cut {cut} sigma {sigma} probe {pi}");
-                    }
-                }
+                assert_matches_reference(&reference, &t, &probes, sigma, cost, |_| false);
+                assert_matches_reference(&reference, &t, &probes, sigma, cost, |pos| pos >= cut);
             }
         }
     }
@@ -1716,43 +1501,27 @@ mod tests {
     #[test]
     fn batch_on_empty_singleton_and_depth_zero_tries() {
         let empty = FlatTrie::from_entries(2, Vec::new());
-        let mut batch = BatchFrontier::new();
-        empty.range_query_batch(
-            2,
-            &l(&[0, 0, 1, 1]),
-            5.0,
-            hamming_multi,
-            |_| false,
-            &mut batch,
-            |_, _, _| panic!("empty trie emitted a range"),
-        );
-        let singleton = FlatTrie::from_entries(2, vec![(l(&[3, 7]), GraphId(9))]);
-        assert_batch_matches_scalar(&singleton, &[l(&[3, 7]), l(&[3, 8]), l(&[0, 0])], 1.0);
-        let zero =
-            FlatTrie::from_entries(0, vec![(Vec::new(), GraphId(4)), (Vec::new(), GraphId(5))]);
-        let visits = {
-            let mut visits: Vec<Vec<(u32, f64)>> = vec![Vec::new(); 3];
-            zero.range_query_batch(3, &[], 0.0, hamming_multi, |_| false, &mut batch, {
-                let visits = &mut visits;
-                move |p, acc, graphs| {
-                    visits[p as usize].extend(graphs.iter().map(|g| (g.0, acc)));
-                }
-            });
-            visits
-        };
-        for got in visits {
-            assert_eq!(got, vec![(4, 0.0), (5, 0.0)]);
-        }
-        // An empty batch is a no-op.
-        singleton.range_query_batch(
-            0,
-            &[],
+        let visits = run_batch(&empty, &[l(&[0, 0]), l(&[1, 1])], 5.0, hamming, |_| false);
+        assert!(visits.iter().all(Vec::is_empty), "empty trie emitted a range");
+        let entries = vec![(l(&[3, 7]), GraphId(9))];
+        let singleton = FlatTrie::from_entries(2, entries.clone());
+        let probes = [l(&[3, 7]), l(&[3, 8]), l(&[0, 0])];
+        assert_matches_reference(
+            &pointer_trie(2, &entries),
+            &singleton,
+            &probes,
             1.0,
-            hamming_multi,
+            hamming,
             |_| false,
-            &mut batch,
-            |_, _, _| panic!("zero probes emitted a range"),
         );
+        let entries = vec![(Vec::new(), GraphId(4)), (Vec::new(), GraphId(5))];
+        let zero = FlatTrie::from_entries(0, entries.clone());
+        let probes = [Vec::new(), Vec::new(), Vec::new()];
+        assert_matches_reference(&pointer_trie(0, &entries), &zero, &probes, 0.0, hamming, |_| {
+            false
+        });
+        // An empty batch is a no-op.
+        assert!(run_batch(&singleton, &[], 1.0, hamming, |_| false).is_empty());
     }
 
     #[test]
@@ -1762,10 +1531,8 @@ mod tests {
         // child must be found, in ascending order, for full and
         // selective sigmas.
         for n in [1usize, 3, 7, 8, 9, 15, 16, 17, 31] {
-            let mut entries = Vec::new();
-            for i in 0..n as u32 {
-                entries.push((l(&[5, i]), GraphId(i)));
-            }
+            let entries: Vec<_> = (0..n as u32).map(|i| (l(&[5, i]), GraphId(i))).collect();
+            let reference = pointer_trie(2, &entries);
             let t = FlatTrie::from_entries(2, entries);
             // sigma large: all children survive the level-1 expansion.
             let all = collect(&t, &l(&[5, 0]), n as f64 + 1.0);
@@ -1776,8 +1543,10 @@ mod tests {
                 let exact = collect(&t, &l(&[5, probe]), 0.0);
                 assert_eq!(exact, vec![(probe, 0.0)], "n={n} probe={probe}");
             }
-            // The batch path takes the single-probe wide expansion too.
-            assert_batch_matches_scalar(&t, &[l(&[5, 0]), l(&[5, n as u32 / 2])], 1.0);
+            // A node-major batch takes the single-probe wide expansion
+            // wherever its probes part ways.
+            let probes = [l(&[5, 0]), l(&[5, n as u32 / 2])];
+            assert_matches_reference(&reference, &t, &probes, 1.0, hamming, |_| false);
         }
     }
 
@@ -1785,29 +1554,13 @@ mod tests {
     #[should_panic(expected = "probe batch")]
     fn batch_length_mismatch_rejected() {
         let t = FlatTrie::from_entries(2, vec![(l(&[1, 1]), GraphId(0))]);
-        let mut batch = BatchFrontier::new();
-        t.range_query_batch(
-            2,
-            &l(&[1, 1, 2]),
-            1.0,
-            hamming_multi,
-            |_| false,
-            &mut batch,
-            |_, _, _| {},
-        );
+        let _ = run_batch(&t, &[l(&[1, 1]), l(&[2])], 1.0, hamming, |_| false);
     }
 
     #[test]
     #[should_panic(expected = "sequence length")]
     fn wrong_length_rejected() {
         let _ = FlatTrie::from_entries(3, vec![(l(&[1]), GraphId(0))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "query length")]
-    fn wrong_query_length_rejected() {
-        let t = FlatTrie::from_entries(2, vec![(l(&[1, 1]), GraphId(0))]);
-        let _ = collect(&t, &l(&[1]), 1.0);
     }
 
     /// Clones a frozen trie's columns for mutation.

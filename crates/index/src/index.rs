@@ -18,31 +18,13 @@ use pis_graph::util::FxHasher;
 use pis_graph::{GraphId, Label, LabeledGraph, ScopedPool};
 use pis_mining::{FeatureId, FeatureSet};
 
-use crate::flat_trie::{BatchFrontier, FlatTrie, TrieFrontier};
+use crate::flat_trie::{BatchFrontier, FlatTrie};
 use crate::fragment::{
     label_vector_into, weight_vector_into, FragmentBuffer, FragmentVector, FragmentVectorRef,
     QueryFragment,
 };
 use crate::pending::PendingSet;
 use crate::rtree::RTree;
-use crate::vptree::VpTree;
-
-/// Which range-search structure each class uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Backend {
-    /// Pick the paper's default per distance: trie for the mutation
-    /// distance, R-tree for the linear distance.
-    #[default]
-    Default,
-    /// Force the trie (mutation distance only).
-    Trie,
-    /// Force the R-tree (linear distance only).
-    RTree,
-    /// Force the VP-tree (either distance; requires the triangle
-    /// inequality, which both unit-style mutation matrices and the
-    /// linear distance satisfy).
-    VpTree,
-}
 
 /// The superimposed distance an index is built for.
 #[derive(Clone, Debug)]
@@ -130,13 +112,6 @@ impl IndexDistance {
 /// Build-time options.
 #[derive(Clone, Debug)]
 pub struct IndexConfig {
-    /// Backend selection.
-    pub backend: Backend,
-    /// Cap on embeddings enumerated per `(feature, graph)` pair.
-    /// `usize::MAX` (default) guarantees exact range-query minima;
-    /// smaller values trade soundness of the lower bound for build time
-    /// and are only meant for ablations.
-    pub max_embeddings_per_fragment: usize,
     /// Number of build threads (0 = all available cores).
     pub threads: usize,
     /// Pending-buffer merge threshold for
@@ -149,12 +124,7 @@ pub struct IndexConfig {
 
 impl Default for IndexConfig {
     fn default() -> Self {
-        IndexConfig {
-            backend: Backend::Default,
-            max_embeddings_per_fragment: usize::MAX,
-            threads: 0,
-            merge_threshold: 64,
-        }
+        IndexConfig { threads: 0, merge_threshold: 64 }
     }
 }
 
@@ -173,11 +143,9 @@ pub struct RangeScratch {
     touched: Vec<GraphId>,
     /// Monotone query counter.
     generation: u64,
-    /// Frontier buffers for the flat trie's level-by-level descent.
-    frontier: TrieFrontier,
-    /// Multi-probe frontier for the flat trie's batched descent.
+    /// Frontier of the flat trie's descent.
     batch: BatchFrontier,
-    /// Probe-label flattening buffer for the batched descent.
+    /// Probe labels of one descent, row-major.
     probe_labels: Vec<Label>,
     /// Per-probe per-class-graph minimum rows of the trie paths
     /// (∞-initialized; trie postings are class-local slots).
@@ -211,16 +179,10 @@ pub struct IndexCheckReport {
     pub trie_classes: usize,
     /// Classes backed by an R-tree (pointer tree + frozen CSR arena).
     pub rtree_classes: usize,
-    /// Classes backed by a VP-tree (label or weight items).
-    pub vptree_classes: usize,
     /// Entries stored in frozen structures.
     pub frozen_entries: usize,
     /// Entries buffered in LSM pending sets.
     pub pending_entries: usize,
-    /// R-tree classes whose frozen arena is stale (see
-    /// [`FragmentIndex::rtree_stale_classes`]) — valid but serving the
-    /// slower pointer path until the next freeze/compact.
-    pub rtree_stale_classes: usize,
 }
 
 /// Monotone merge-work counters of one [`FragmentIndex`] value since it
@@ -236,11 +198,12 @@ pub struct MergeStats {
     pub entries_rewritten: u64,
 }
 
+/// The range-searchable structure of one class, fixed by the index
+/// distance: a trie of label vectors under the mutation distance, an
+/// R-tree of weight vectors under the linear distance.
 pub(crate) enum ClassImpl {
     Trie(FlatTrie),
-    VpLabels(VpTree<Label>),
     RTree(RTree),
-    VpWeights(VpTree<f64>),
 }
 
 pub(crate) struct ClassIndex {
@@ -280,17 +243,6 @@ impl FragmentIndex {
         distance: IndexDistance,
         config: &IndexConfig,
     ) -> Self {
-        // Validate the backend/distance pairing before spawning workers
-        // so the caller sees a direct panic message.
-        match (&distance, config.backend) {
-            (IndexDistance::Mutation(_), Backend::RTree) => {
-                panic!("the R-tree backend indexes weight vectors; use Trie or VpTree for the mutation distance")
-            }
-            (IndexDistance::Linear(_), Backend::Trie) => {
-                panic!("the trie backend indexes label vectors; use RTree or VpTree for the linear distance")
-            }
-            _ => {}
-        }
         // Fan out over contiguous graph ranges, every class per range:
         // graphs of one database cost about the same each, so equal
         // ranges balance on any worker count, where whole classes do
@@ -304,14 +256,14 @@ impl FragmentIndex {
                 let first = r * per_range;
                 structures
                     .iter()
-                    .map(|s| collect_class_rows(graphs, first, s, &distance, config, entries))
+                    .map(|s| collect_class_rows(graphs, first, s, &distance, entries))
                     .collect()
             });
         // A class's blocks joined in range order are the rows the serial
         // loop over the whole database writes, so the frozen structures
         // do not depend on the worker count.
         let classes: Vec<ClassIndex> = pool.map(&structures, 2, |class, s| {
-            freeze_class(ClassRows::concat(&blocks, class), s, &distance, config)
+            freeze_class(ClassRows::concat(&blocks, class), s, &distance)
         });
         let index = FragmentIndex {
             features,
@@ -359,8 +311,7 @@ impl FragmentIndex {
     /// Every class the graph touches is re-frozen: trie classes by one
     /// streaming sorted merge ([`FlatTrie::insert_batch`] — a copy of
     /// the class, O(stored + added)), R-tree classes by in-place inserts
-    /// and a re-flatten, VP-tree classes by a rebuild from their items
-    /// (VP-trees do not take in-place inserts without losing balance).
+    /// and a re-flatten.
     /// [`FragmentIndex::insert_graph_pending`] defers those merges until
     /// a class has buffered [`IndexConfig::merge_threshold`] entries and
     /// is the path for insert-heavy workloads.
@@ -423,7 +374,7 @@ impl FragmentIndex {
             let structure = &feature.structure;
             let ecount = structure.edge_count();
             let slots = structure.vertex_count() + ecount;
-            collect_graph_entries(structure, g, &self.distance, &self.config, entries);
+            collect_graph_entries(structure, g, &self.distance, entries);
             if entries.count == 0 {
                 continue;
             }
@@ -432,32 +383,25 @@ impl FragmentIndex {
             // posting list sorted.
             class.graphs.push(gid);
             class.entries += entries.count;
-            let labels = rows(&entries.labels, slots, entries.count).map(<[Label]>::to_vec);
-            let weights = rows(&entries.weights, slots, entries.count);
-            match (&class.imp, &self.distance) {
-                (ClassImpl::Trie(_), _) => {
+            match &self.distance {
+                IndexDistance::Mutation(_) => {
                     // Trie postings are class-local slots; the graph was
                     // just appended, so its slot is the last one.
                     let local = GraphId((class.graphs.len() - 1) as u32);
-                    class.pending.labels.extend(labels.map(|v| (v, local)));
+                    let labels = rows(&entries.labels, slots, entries.count);
+                    class.pending.labels.extend(labels.map(|v| (v.to_vec(), local)));
                 }
-                (ClassImpl::RTree(_), IndexDistance::Linear(ld)) => {
+                IndexDistance::Linear(ld) => {
                     // Stored R-tree points are scale-transformed so the
                     // weighted L1 becomes a plain L1; pending points get
                     // the same transform and the pending scan prices
                     // with the same plain L1.
+                    let weights = rows(&entries.weights, slots, entries.count);
                     class
                         .pending
                         .weights
                         .extend(weights.map(|v| (scale_weights(ld, ecount, v), gid)));
                 }
-                (ClassImpl::VpLabels(_), _) => {
-                    class.pending.labels.extend(labels.map(|v| (v, gid)));
-                }
-                (ClassImpl::VpWeights(_), _) => {
-                    class.pending.weights.extend(weights.map(|v| (v.to_vec(), gid)));
-                }
-                _ => unreachable!("class backend always matches the index distance"),
             }
         }
         gid
@@ -478,62 +422,28 @@ impl FragmentIndex {
     /// Merges class `ci`'s pending entries into its frozen structure
     /// (one batch rebuild), leaving the pending buffer empty.
     fn merge_class(&mut self, ci: usize) {
-        let feature = self.features.get(FeatureId(ci as u32));
-        let structure = &feature.structure;
-        let ecount = structure.edge_count();
-        let slots = structure.vertex_count() + structure.edge_count();
         let class = &mut self.classes[ci];
         let pending = std::mem::take(&mut class.pending);
-        match (&mut class.imp, &self.distance) {
-            (ClassImpl::Trie(trie), _) => trie.insert_batch(pending.labels),
-            (ClassImpl::RTree(rt), _) => {
+        match &mut class.imp {
+            ClassImpl::Trie(trie) => trie.insert_batch(pending.labels),
+            ClassImpl::RTree(rt) => {
                 // Pending points were scale-transformed at insert time.
                 for (v, gid) in &pending.weights {
                     rt.insert(v, *gid);
                 }
                 rt.freeze();
             }
-            (ClassImpl::VpLabels(_), IndexDistance::Mutation(md)) => {
-                let md = md.clone();
-                let placeholder = ClassImpl::Trie(FlatTrie::from_entries(0, Vec::new()));
-                let imp = std::mem::replace(&mut class.imp, placeholder);
-                let ClassImpl::VpLabels(vp) = imp else { unreachable!() };
-                let mut items = vp.into_items();
-                items.extend(pending.labels);
-                class.imp = ClassImpl::VpLabels(VpTree::build(slots, items, move |a, b| {
-                    md.label_vector_cost(ecount, a, b)
-                }));
-            }
-            (ClassImpl::VpWeights(_), IndexDistance::Linear(ld)) => {
-                let ld = *ld;
-                let placeholder = ClassImpl::Trie(FlatTrie::from_entries(0, Vec::new()));
-                let imp = std::mem::replace(&mut class.imp, placeholder);
-                let ClassImpl::VpWeights(vp) = imp else { unreachable!() };
-                let mut items = vp.into_items();
-                items.extend(pending.weights);
-                class.imp = ClassImpl::VpWeights(VpTree::build(slots, items, move |a, b| {
-                    ld.weight_vector_cost(ecount, a, b)
-                }));
-            }
-            _ => unreachable!("class backend always matches the index distance"),
         }
         self.merge_stats.merges += 1;
         self.merge_stats.entries_rewritten += class.entries as u64;
     }
 
-    /// Merges every class's pending buffer into its frozen structure
-    /// and re-freezes any stale R-tree. Query answers are unchanged;
-    /// compaction only restores the frozen-arena fast paths (and is the
-    /// required prelude to snapshotting).
+    /// Merges every class's pending buffer into its frozen structure.
+    /// Query answers are unchanged; compaction only restores the
+    /// frozen-arena fast paths (and is the required prelude to
+    /// snapshotting).
     pub fn compact(&mut self) {
         self.merge_where(|_, _| true);
-        for class in &mut self.classes {
-            if let ClassImpl::RTree(rt) = &mut class.imp {
-                if !rt.is_frozen() {
-                    rt.freeze();
-                }
-            }
-        }
         self.debug_validate("compact");
     }
 
@@ -555,16 +465,6 @@ impl FragmentIndex {
         self.classes[feature.index()].pending.len()
     }
 
-    /// Number of R-tree classes whose frozen arena is stale (in-place
-    /// inserts since the last freeze push queries onto the slower
-    /// pointer reference path until the next freeze/compact).
-    pub fn rtree_stale_classes(&self) -> usize {
-        self.classes
-            .iter()
-            .filter(|c| matches!(&c.imp, ClassImpl::RTree(rt) if !rt.is_frozen()))
-            .count()
-    }
-
     /// Deep structural validation of the whole index: every invariant
     /// the query paths rely on, checked bottom-up, with the first
     /// violation returned as a description — never a panic. An index
@@ -573,12 +473,12 @@ impl FragmentIndex {
     /// offline `pis check` fsck runs it on loaded stores.
     ///
     /// Per class: the posting list is strictly ascending and bounded by
-    /// the database size, the backend matches the distance, the frozen
-    /// structure revalidates ([`FlatTrie::validate`] /
-    /// [`RTree::validate`]) with the right shape, pending entries have
-    /// the class's slot count and in-range ids of the backend's id
-    /// convention, the entry count equals frozen + pending, and every
-    /// posting-list graph is referenced by at least one entry.
+    /// the database size, the structure matches the distance, is frozen
+    /// and revalidates ([`FlatTrie::validate`] / [`RTree::validate`])
+    /// with the right shape, pending entries have the class's slot
+    /// count and in-range ids of the structure's id convention, the
+    /// entry count equals frozen + pending, and every posting-list
+    /// graph is referenced by at least one entry.
     pub fn validate(&self) -> Result<IndexCheckReport, String> {
         let mut report = IndexCheckReport { classes: self.classes.len(), ..Default::default() };
         if self.classes.len() != self.features.len() {
@@ -603,7 +503,7 @@ impl FragmentIndex {
             }
             // Which posting-list graphs are backed by at least one
             // entry (frozen or pending). Trie entries use class-local
-            // slots; every other backend stores global graph ids.
+            // slots; R-tree entries store global graph ids.
             let mut seen = vec![false; class.graphs.len()];
             let see_global = |g: GraphId, seen: &mut [bool]| -> Result<(), String> {
                 match class.graphs.binary_search(&g) {
@@ -649,26 +549,12 @@ impl FragmentIndex {
                     report.trie_classes += 1;
                     trie.len()
                 }
-                (ClassImpl::VpLabels(vp), IndexDistance::Mutation(_)) => {
-                    for (seq, gid) in vp.items() {
-                        if seq.len() != slots {
-                            return Err(ctx(format!("vp item has {} of {slots} slots", seq.len())));
-                        }
-                        see_global(gid, &mut seen)?;
-                    }
-                    class.pending.validate(slots, self.graph_count, 0).map_err(&ctx)?;
-                    for &(_, gid) in &class.pending.labels {
-                        see_global(gid, &mut seen)?;
-                    }
-                    if !class.pending.weights.is_empty() {
-                        return Err(ctx("vp-label class buffers weight entries".to_string()));
-                    }
-                    report.vptree_classes += 1;
-                    vp.len()
-                }
                 (ClassImpl::RTree(rt), IndexDistance::Linear(_)) => {
                     if rt.dim() != slots {
                         return Err(ctx(format!("r-tree dim {} != {slots} class slots", rt.dim())));
+                    }
+                    if !rt.is_frozen() {
+                        return Err(ctx("r-tree class is not frozen".to_string()));
                     }
                     rt.validate().map_err(|m| ctx(format!("r-tree: {m}")))?;
                     let mut gids = Vec::with_capacity(rt.len());
@@ -684,30 +570,7 @@ impl FragmentIndex {
                         return Err(ctx("r-tree class buffers label entries".to_string()));
                     }
                     report.rtree_classes += 1;
-                    if !rt.is_frozen() {
-                        report.rtree_stale_classes += 1;
-                    }
                     rt.len()
-                }
-                (ClassImpl::VpWeights(vp), IndexDistance::Linear(_)) => {
-                    for (v, gid) in vp.items() {
-                        if v.len() != slots {
-                            return Err(ctx(format!("vp item has {} of {slots} slots", v.len())));
-                        }
-                        if v.iter().any(|x| !x.is_finite()) {
-                            return Err(ctx("vp item holds a non-finite weight".to_string()));
-                        }
-                        see_global(gid, &mut seen)?;
-                    }
-                    class.pending.validate(slots, 0, self.graph_count).map_err(&ctx)?;
-                    for &(_, gid) in &class.pending.weights {
-                        see_global(gid, &mut seen)?;
-                    }
-                    if !class.pending.labels.is_empty() {
-                        return Err(ctx("vp-weight class buffers label entries".to_string()));
-                    }
-                    report.vptree_classes += 1;
-                    vp.len()
                 }
                 _ => {
                     return Err(ctx("class backend does not match the index distance".to_string()))
@@ -775,7 +638,8 @@ impl FragmentIndex {
     /// the probe is a borrowed [`FragmentVectorRef`] (arena-backed
     /// fragments never materialize vectors), the per-graph minimum is
     /// kept in `scratch`'s dense accumulator (no hash map) and hits are
-    /// appended to `out` (cleared first), sorted by graph id.
+    /// appended to `out` (cleared first), sorted by graph id. A batch of
+    /// one through [`FragmentIndex::range_query_batch_normalized_into`].
     ///
     /// The probe `vector` must already be normalized for this index —
     /// true of every vector produced by
@@ -790,204 +654,32 @@ impl FragmentIndex {
         scratch: &mut RangeScratch,
         out: &mut Vec<(GraphId, f64)>,
     ) {
-        let completed = self.range_query_normalized_budgeted_into(
+        self.range_query_batch_normalized_into(
             feature,
-            vector,
+            1,
+            |_| vector,
             sigma,
             scratch,
-            BudgetState::unlimited(),
-            out,
+            std::slice::from_mut(out),
         );
-        debug_assert!(completed, "the unlimited budget never interrupts a range query");
     }
 
-    /// [`FragmentIndex::range_query_normalized_into`] under a budget.
-    /// Returns `false` — with `out` cleared — when the budget trips
-    /// before the query finishes: a partial hit list is unusable (its
-    /// minima may be wrong and its absences mean nothing), so the
-    /// caller must treat the whole probe as unanswered. Trie classes
-    /// checkpoint per descent level; the other backends consult one
-    /// coarse checkpoint up front.
-    pub fn range_query_normalized_budgeted_into(
-        &self,
-        feature: FeatureId,
-        vector: FragmentVectorRef<'_>,
-        sigma: f64,
-        scratch: &mut RangeScratch,
-        budget: &BudgetState,
-        out: &mut Vec<(GraphId, f64)>,
-    ) -> bool {
-        let class = &self.classes[feature.index()];
-        let ecount = self.features.get(feature).edge_count();
-        if let (
-            ClassImpl::Trie(trie),
-            FragmentVectorRef::Labels(labels),
-            IndexDistance::Mutation(md),
-        ) = (&class.imp, vector, &self.distance)
-        {
-            // Frontier descent with batched per-level costs: every
-            // distinct stored label of a level is priced once. Trie
-            // postings are *class-local* slots, so the per-graph
-            // minimum accumulates in a compact ∞-initialized row (one
-            // slot per class graph, no generation stamps) and the
-            // readout sweeps the row in slot order — class graphs are
-            // sorted ascending, so the hits come out id-sorted without
-            // a per-probe sort.
-            let c = class.graphs.len();
-            let RangeScratch { frontier, class_best, .. } = scratch;
-            class_best.clear();
-            class_best.resize(c, f64::INFINITY);
-            let completed = trie.range_query_budgeted(
-                labels,
-                sigma,
-                |pos, q, stored, costs| md.position_costs_into(pos, ecount, q, stored, costs),
-                frontier,
-                budget,
-                |g, d| {
-                    let b = &mut class_best[g.index()];
-                    if d < *b {
-                        *b = d;
-                    }
-                },
-            );
-            if !completed {
-                out.clear();
-                return false;
-            }
-            if !class.pending.labels.is_empty() {
-                // Pending entries fold into the same per-slot minimum
-                // row before readout, priced with the exact positional
-                // kernel of the descent — identical bits to post-merge.
-                if !budget
-                    .checkpoint(CheckpointSite::RangeDescent, class.pending.labels.len() as u64)
-                {
-                    out.clear();
-                    return false;
-                }
-                class.pending.scan_labels_positional(
-                    sigma,
-                    |pos, stored| md.position_cost(pos, ecount, labels[pos], stored),
-                    |g, d| {
-                        let b = &mut class_best[g.index()];
-                        if d < *b {
-                            *b = d;
-                        }
-                    },
-                );
-            }
-            emit_class_hits(&class.graphs, class_best, out);
-            return true;
-        }
-        if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
-            out.clear();
-            return false;
-        }
-        scratch.begin(self.graph_count);
-        let RangeScratch { stamp, best, touched, generation, .. } = scratch;
-        let generation = *generation;
-        let mut visit = |g: GraphId, d: f64| {
-            let i = g.index();
-            if stamp[i] != generation {
-                stamp[i] = generation;
-                best[i] = d;
-                touched.push(g);
-            } else if d < best[i] {
-                best[i] = d;
-            }
-        };
-        // Each backend arm also scans the class's pending buffer with
-        // the same cost function the frozen structure prices with, so a
-        // pending entry and its post-merge self emit identical bits.
-        let pending_units = class.pending.len() as u64;
-        let charge_pending =
-            || pending_units == 0 || budget.checkpoint(CheckpointSite::RangeDescent, pending_units);
-        match (&class.imp, vector, &self.distance) {
-            (
-                ClassImpl::VpLabels(vp),
-                FragmentVectorRef::Labels(labels),
-                IndexDistance::Mutation(md),
-            ) => {
-                vp.range_query(
-                    labels,
-                    sigma,
-                    |a: &[Label], b: &[Label]| md.label_vector_cost(ecount, a, b),
-                    &mut visit,
-                );
-                if !charge_pending() {
-                    out.clear();
-                    return false;
-                }
-                class.pending.scan_labels(
-                    sigma,
-                    |stored| md.label_vector_cost(ecount, labels, stored),
-                    &mut visit,
-                );
-            }
-            (ClassImpl::RTree(rt), FragmentVectorRef::Weights(ws), IndexDistance::Linear(ld)) => {
-                // The tree stores *scale-transformed* coordinates (see
-                // `scale_weights`), turning the weighted L1 of the
-                // linear distance into a plain L1 — so the query vector
-                // gets the same transform and distances come out exact.
-                let scaled = scale_weights(ld, ecount, ws);
-                rt.range_query(&scaled, sigma, &mut visit);
-                if !charge_pending() {
-                    out.clear();
-                    return false;
-                }
-                // Pending points were scale-transformed at insert time.
-                class.pending.scan_weights(
-                    sigma,
-                    |stored| crate::rtree::l1(&scaled, stored),
-                    &mut visit,
-                );
-            }
-            (
-                ClassImpl::VpWeights(vp),
-                FragmentVectorRef::Weights(ws),
-                IndexDistance::Linear(ld),
-            ) => {
-                let ld = *ld;
-                vp.range_query(
-                    ws,
-                    sigma,
-                    move |a: &[f64], b: &[f64]| ld.weight_vector_cost(ecount, a, b),
-                    &mut visit,
-                );
-                if !charge_pending() {
-                    out.clear();
-                    return false;
-                }
-                class.pending.scan_weights(
-                    sigma,
-                    |stored| ld.weight_vector_cost(ecount, ws, stored),
-                    &mut visit,
-                );
-            }
-            _ => panic!("fragment vector kind does not match the class backend"),
-        }
-        out.clear();
-        scratch.touched.sort_unstable();
-        out.extend(scratch.touched.iter().map(|&g| (g, scratch.best[g.index()])));
-        true
-    }
-
-    /// Batched form of [`FragmentIndex::range_query_normalized_into`]:
-    /// answers `nprobes` sibling probes — distinct normalized vectors of
-    /// the *same* class, yielded by `probe(i)` — in one pass,
-    /// writing probe `i`'s hits (sorted by graph id, minimum distance
-    /// per graph) into `outs[i]`.
+    /// Answers `nprobes` sibling probes — normalized vectors of the
+    /// *same* class, yielded by `probe(i)` — in one pass, writing probe
+    /// `i`'s hits (sorted by graph id, minimum distance per graph) into
+    /// `outs[i]` (cleared first).
     ///
-    /// On a trie class this runs [`FlatTrie::range_query_batch`]: each
-    /// level's alphabet is priced once per distinct query label across
-    /// the whole batch and the arena is descended once with per-probe
-    /// cost lanes, instead of one full descent per probe. Every other
-    /// backend falls back to per-probe queries. Either way `outs[i]` is
-    /// identical — exact f64 distances included — to a per-probe
-    /// [`FragmentIndex::range_query_normalized_into`] call.
+    /// On a trie class this runs [`FlatTrie::range_query_batch_budgeted`]:
+    /// each level's alphabet is priced once per distinct query label
+    /// across the whole batch and the arena is descended once with
+    /// per-probe cost lanes, instead of one full descent per probe.
+    /// R-tree classes answer probe by probe. Either way `outs[i]` does
+    /// not depend on which siblings the probe was batched with — exact
+    /// f64 distances included.
     ///
     /// # Panics
     /// Panics if `outs.len() != nprobes` or a probe's vector kind does
-    /// not match the class backend.
+    /// not match the index distance.
     pub fn range_query_batch_normalized_into<'q>(
         &self,
         feature: FeatureId,
@@ -1011,9 +703,13 @@ impl FragmentIndex {
 
     /// [`FragmentIndex::range_query_batch_normalized_into`] under a
     /// budget. Returns `false` — with every probe's `outs[i]` cleared —
-    /// when the budget trips mid-batch: emissions interleave across
-    /// probes during the shared descent, so a trip invalidates the
-    /// whole sibling group, not just one probe.
+    /// when the budget trips mid-batch: a partial hit list is unusable
+    /// (its minima may be wrong and its absences mean nothing), and
+    /// emissions interleave across probes during the shared descent, so
+    /// a trip invalidates the whole sibling group, not just one probe.
+    /// Trie classes checkpoint per descent level; R-tree classes consult
+    /// one coarse checkpoint per probe up front. Either way one more
+    /// checkpoint covers the scan of the class's pending entries.
     #[allow(clippy::too_many_arguments)]
     pub fn range_query_batch_normalized_budgeted_into<'q>(
         &self,
@@ -1028,89 +724,86 @@ impl FragmentIndex {
         assert_eq!(outs.len(), nprobes, "one output buffer per probe");
         let class = &self.classes[feature.index()];
         let ecount = self.features.get(feature).edge_count();
-        if let (ClassImpl::Trie(trie), IndexDistance::Mutation(md)) = (&class.imp, &self.distance) {
-            scratch.probe_labels.clear();
-            for i in 0..nprobes {
-                scratch.probe_labels.extend_from_slice(probe(i).labels());
-            }
-            // One ∞-initialized per-graph minimum row per probe (trie
-            // postings are class-local slots); emitted subtree ranges
-            // fold straight into their probe's row during the descent.
-            let c = class.graphs.len();
-            let RangeScratch { batch, probe_labels, class_best, .. } = scratch;
-            class_best.clear();
-            class_best.resize(nprobes * c, f64::INFINITY);
-            let completed = trie.range_query_batch_budgeted(
-                nprobes,
-                probe_labels,
-                sigma,
-                |pos, qs, stored, out| md.position_costs_into_multi(pos, ecount, qs, stored, out),
-                |pos| md.position_is_zero(pos, ecount),
-                batch,
-                budget,
-                |p, acc, slots| {
-                    let row = &mut class_best[p as usize * c..(p as usize + 1) * c];
-                    for &s in slots {
-                        let b = &mut row[s.index()];
-                        if acc < *b {
-                            *b = acc;
-                        }
-                    }
-                },
-            );
-            if !completed {
-                for out in outs.iter_mut() {
-                    out.clear();
+        let completed = match (&class.imp, &self.distance) {
+            (ClassImpl::Trie(trie), IndexDistance::Mutation(md)) => {
+                scratch.probe_labels.clear();
+                for i in 0..nprobes {
+                    scratch.probe_labels.extend_from_slice(probe(i).labels());
                 }
-                return false;
-            }
-            if !class.pending.labels.is_empty() {
-                // Same per-probe pending scan as the scalar path (same
-                // kernel, same fold into the minimum row), charged as
-                // one checkpoint covering the whole sibling group.
-                let units = (nprobes * class.pending.labels.len()) as u64;
-                if !budget.checkpoint(CheckpointSite::RangeDescent, units) {
-                    for out in outs.iter_mut() {
-                        out.clear();
-                    }
-                    return false;
-                }
-                for p in 0..nprobes {
-                    let q = probe(p).labels();
-                    let row = &mut class_best[p * c..(p + 1) * c];
-                    class.pending.scan_labels_positional(
-                        sigma,
-                        |pos, stored| md.position_cost(pos, ecount, q[pos], stored),
-                        |g, d| {
-                            let b = &mut row[g.index()];
-                            if d < *b {
-                                *b = d;
-                            }
-                        },
-                    );
-                }
-            }
-            for (p, out) in outs.iter_mut().enumerate() {
-                emit_class_hits(&class.graphs, &class_best[p * c..(p + 1) * c], out);
-            }
-        } else {
-            for i in 0..nprobes {
-                if !self.range_query_normalized_budgeted_into(
-                    feature,
-                    probe(i),
+                // Trie postings are *class-local* slots, so each probe's
+                // per-graph minimum accumulates in a compact
+                // ∞-initialized row (one slot per class graph, no
+                // generation stamps); emitted subtree ranges fold
+                // straight into their probe's row during the descent.
+                let c = class.graphs.len();
+                let RangeScratch { batch, probe_labels, class_best, .. } = scratch;
+                class_best.clear();
+                class_best.resize(nprobes * c, f64::INFINITY);
+                let pending = &class.pending;
+                let completed = trie.range_query_batch_budgeted(
+                    nprobes,
+                    probe_labels,
                     sigma,
-                    scratch,
+                    |pos, qs, stored, out| {
+                        md.position_costs_into_multi(pos, ecount, qs, stored, out);
+                    },
+                    |pos| md.position_is_zero(pos, ecount),
+                    batch,
                     budget,
-                    &mut outs[i],
-                ) {
-                    for out in outs.iter_mut() {
-                        out.clear();
+                    |p, acc, slots| {
+                        let row = &mut class_best[p as usize * c..(p as usize + 1) * c];
+                        for &s in slots {
+                            let b = &mut row[s.index()];
+                            if acc < *b {
+                                *b = acc;
+                            }
+                        }
+                    },
+                ) && (pending.is_empty()
+                    || budget.checkpoint(
+                        CheckpointSite::RangeDescent,
+                        (nprobes * pending.len()) as u64,
+                    ));
+                if completed {
+                    for (p, out) in outs.iter_mut().enumerate() {
+                        // Pending entries fold into the same minimum row
+                        // before readout, priced position by position in
+                        // the descent's order — identical bits to
+                        // post-merge.
+                        let row = &mut class_best[p * c..(p + 1) * c];
+                        let q = probe(p).labels();
+                        pending.scan_labels_positional(
+                            sigma,
+                            |pos, stored| md.position_cost(pos, ecount, q[pos], stored),
+                            |g, d| {
+                                let b = &mut row[g.index()];
+                                if d < *b {
+                                    *b = d;
+                                }
+                            },
+                        );
+                        emit_class_hits(&class.graphs, row, out);
                     }
-                    return false;
                 }
+                completed
+            }
+            (ClassImpl::RTree(rt), IndexDistance::Linear(ld)) => (0..nprobes).all(|i| {
+                // The tree stores *scale-transformed* coordinates (see
+                // `scale_weights`), turning the weighted L1 of the
+                // linear distance into a plain L1 — so the query vector
+                // gets the same transform and distances come out exact.
+                let scaled = scale_weights(ld, ecount, probe(i).weights());
+                scratch.begin(self.graph_count);
+                rtree_range_query(rt, &class.pending, &scaled, sigma, scratch, budget, &mut outs[i])
+            }),
+            _ => unreachable!("the class structure always matches the index distance"),
+        };
+        if !completed {
+            for out in outs.iter_mut() {
+                out.clear();
             }
         }
-        true
+        completed
     }
 
     /// Enumerates the indexed fragments of a query graph (Algorithm 2,
@@ -1187,11 +880,53 @@ impl FragmentIndex {
 
 /// Reads an ∞-initialized per-class minimum row back into a hit list:
 /// class graphs are sorted ascending, so sweeping slots in order yields
-/// id-sorted hits without a per-probe sort. Shared by the scalar and
-/// batched trie paths so their outputs stay structurally identical.
+/// id-sorted hits without a per-probe sort.
 fn emit_class_hits(graphs: &[GraphId], row: &[f64], out: &mut Vec<(GraphId, f64)>) {
     out.clear();
     out.extend(graphs.iter().zip(row).filter(|(_, b)| b.is_finite()).map(|(&g, &b)| (g, b)));
+}
+
+/// One probe against an R-tree class: `scaled` is the scale-transformed
+/// query point and `scratch` has a generation open over the database.
+/// Hits land in `out` sorted by graph id; `false` means the budget
+/// tripped and `out` holds nothing usable.
+fn rtree_range_query(
+    rt: &RTree,
+    pending: &PendingSet,
+    scaled: &[f64],
+    sigma: f64,
+    scratch: &mut RangeScratch,
+    budget: &BudgetState,
+    out: &mut Vec<(GraphId, f64)>,
+) -> bool {
+    if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
+        return false;
+    }
+    let RangeScratch { stamp, best, touched, generation, .. } = scratch;
+    let generation = *generation;
+    let mut visit = |g: GraphId, d: f64| {
+        let i = g.index();
+        if stamp[i] != generation {
+            stamp[i] = generation;
+            best[i] = d;
+            touched.push(g);
+        } else if d < best[i] {
+            best[i] = d;
+        }
+    };
+    rt.range_query(scaled, sigma, &mut visit);
+    if !pending.is_empty() && !budget.checkpoint(CheckpointSite::RangeDescent, pending.len() as u64)
+    {
+        return false;
+    }
+    // Pending points were scale-transformed at insert time and are
+    // priced with the tree's own plain L1, so a pending entry and its
+    // post-merge self emit identical bits.
+    pending.scan_weights(sigma, |stored| crate::rtree::l1(scaled, stored), &mut visit);
+    touched.sort_unstable();
+    out.clear();
+    out.extend(touched.iter().map(|&g| (g, best[g.index()])));
+    true
 }
 
 /// Applies the linear distance's per-segment scales to a raw weight
@@ -1286,7 +1021,6 @@ fn collect_graph_entries(
     structure: &LabeledGraph,
     g: &LabeledGraph,
     distance: &IndexDistance,
-    config: &IndexConfig,
     out: &mut GraphEntries,
 ) {
     out.labels.clear();
@@ -1307,7 +1041,6 @@ fn collect_graph_entries(
     let slots = structure.vertex_count() + ecount_slots;
     out.table.clear();
     let matcher = SubgraphMatcher::new(structure, g, IsoConfig::STRUCTURE);
-    let mut remaining = config.max_embeddings_per_fragment;
     matcher.for_each(|emb| {
         // Read the vector in place after the rows kept so far; a
         // repeat is cut off again.
@@ -1345,12 +1078,7 @@ fn collect_graph_entries(
                 }
             }
         }
-        remaining -= 1;
-        if remaining == 0 {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
+        ControlFlow::Continue(())
     });
 }
 
@@ -1392,12 +1120,11 @@ fn collect_class_rows(
     first: usize,
     structure: &LabeledGraph,
     distance: &IndexDistance,
-    config: &IndexConfig,
     entries: &mut GraphEntries,
 ) -> ClassRows {
     let mut rows = ClassRows::default();
     for (i, g) in graphs.iter().enumerate() {
-        collect_graph_entries(structure, g, distance, config, entries);
+        collect_graph_entries(structure, g, distance, entries);
         rows.labels.extend_from_slice(&entries.labels);
         rows.weights.extend_from_slice(&entries.weights);
         rows.row_graphs.extend(std::iter::repeat_n(GraphId((first + i) as u32), entries.count));
@@ -1406,12 +1133,11 @@ fn collect_class_rows(
 }
 
 /// Freezes one class's rows (all of the database, in graph order) into
-/// its range-search structure.
+/// the range-search structure of the index distance.
 fn freeze_class(
     ClassRows { labels, weights, row_graphs }: ClassRows,
     structure: &LabeledGraph,
     distance: &IndexDistance,
-    config: &IndexConfig,
 ) -> ClassIndex {
     let ecount = structure.edge_count();
     let slots = structure.vertex_count() + ecount;
@@ -1424,12 +1150,12 @@ fn freeze_class(
     }
 
     let entries = row_graphs.len();
-    let weight_rows = || rows(&weights, slots, entries).zip(row_graphs.iter().copied());
-    let imp = match (distance, config.backend) {
-        (IndexDistance::Mutation(_), Backend::Default | Backend::Trie) => {
+    let imp = match distance {
+        IndexDistance::Mutation(_) => {
             // Trie postings are *class-local* slots into the sorted
             // `graphs` posting list, so range readouts sweep a compact
-            // per-class row (see `range_query_normalized_into`); slots
+            // per-class row (see
+            // `range_query_batch_normalized_budgeted_into`); slots
             // ascend with the ids, so the arena's entry order is the
             // same either way.
             let mut slot = 0usize;
@@ -1444,17 +1170,9 @@ fn freeze_class(
             // path never constructs pointer nodes at all.
             ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings))
         }
-        (IndexDistance::Mutation(md), Backend::VpTree) => {
-            let md = md.clone();
-            let items =
-                rows(&labels, slots, entries).map(<[Label]>::to_vec).zip(row_graphs).collect();
-            ClassImpl::VpLabels(VpTree::build(slots, items, move |a, b| {
-                md.label_vector_cost(ecount, a, b)
-            }))
-        }
-        (IndexDistance::Linear(ld), Backend::Default | Backend::RTree) => {
+        IndexDistance::Linear(ld) => {
             let mut rt = RTree::new(slots);
-            for (v, gid) in weight_rows() {
+            for (v, &gid) in rows(&weights, slots, entries).zip(&row_graphs) {
                 rt.insert(&scale_weights(ld, ecount, v), gid);
             }
             // Flatten the built pointer tree into the CSR/SoA query
@@ -1462,19 +1180,6 @@ fn freeze_class(
             // blocks; the pointer path stays as builder/reference).
             rt.freeze();
             ClassImpl::RTree(rt)
-        }
-        (IndexDistance::Linear(ld), Backend::VpTree) => {
-            let ld = *ld;
-            let items = weight_rows().map(|(v, gid)| (v.to_vec(), gid)).collect();
-            ClassImpl::VpWeights(VpTree::build(slots, items, move |a, b| {
-                ld.weight_vector_cost(ecount, a, b)
-            }))
-        }
-        (IndexDistance::Mutation(_), Backend::RTree) => {
-            panic!("the R-tree backend indexes weight vectors; use Trie or VpTree for the mutation distance")
-        }
-        (IndexDistance::Linear(_), Backend::Trie) => {
-            panic!("the trie backend indexes label vectors; use RTree or VpTree for the linear distance")
         }
     };
     ClassIndex::restored(imp, graphs, entries)
@@ -1508,21 +1213,21 @@ mod tests {
         ]
     }
 
-    fn build_md(db: &[LabeledGraph], max_edges: usize, backend: Backend) -> FragmentIndex {
+    fn build_md(db: &[LabeledGraph], max_edges: usize) -> FragmentIndex {
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, max_edges);
         FragmentIndex::build(
             db,
             features,
             IndexDistance::Mutation(MutationDistance::edge_hamming()),
-            &IndexConfig { backend, ..IndexConfig::default() },
+            &IndexConfig::default(),
         )
     }
 
     #[test]
     fn posting_lists_match_structural_containment() {
         let db = small_db();
-        let index = build_md(&db, 3, Backend::Default);
+        let index = build_md(&db, 3);
         for f in index.features().iter() {
             let expected: Vec<GraphId> = db
                 .iter()
@@ -1539,7 +1244,7 @@ mod tests {
         // The index-computed d(g, G) must equal the brute-force minimum
         // superimposed distance for every fragment/graph pair it reports.
         let db = small_db();
-        let index = build_md(&db, 4, Backend::Default);
+        let index = build_md(&db, 4);
         let md = MutationDistance::edge_hamming();
         let query = cycle_with_edge_labels(&[1, 1, 1, 2, 1, 1]);
         for qf in index.enumerate_query_fragments(&query) {
@@ -1579,67 +1284,6 @@ mod tests {
                             );
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn trie_and_vptree_backends_agree() {
-        let db = small_db();
-        let trie_index = build_md(&db, 3, Backend::Trie);
-        let vp_index = build_md(&db, 3, Backend::VpTree);
-        let query = cycle_with_edge_labels(&[1, 2, 1, 2, 1, 2]);
-        for qf in trie_index.enumerate_query_fragments(&query) {
-            for sigma in [0.0, 1.0, 3.0] {
-                let a = trie_index.range_query(qf.feature, &qf.vector, sigma);
-                let b = vp_index.range_query(qf.feature, &qf.vector, sigma);
-                assert_eq!(a.len(), b.len(), "hit counts differ at sigma={sigma}");
-                for ((g1, d1), (g2, d2)) in a.iter().zip(&b) {
-                    assert_eq!(g1, g2);
-                    assert!((d1 - d2).abs() < 1e-9);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn linear_distance_rtree_and_vptree_agree() {
-        // Weighted 3-cycles with distinct edge weights.
-        let mk = |ws: [f64; 3]| {
-            let mut b = GraphBuilder::new();
-            let vs = b.add_vertices(3, VertexAttr::labeled(Label(0)));
-            for (i, w) in ws.into_iter().enumerate() {
-                b.add_edge(vs[i], vs[(i + 1) % 3], EdgeAttr { label: Label(0), weight: w })
-                    .unwrap();
-            }
-            b.build()
-        };
-        let db = vec![mk([1.0, 1.0, 1.0]), mk([1.0, 1.5, 2.0]), mk([4.0, 4.0, 4.0])];
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let features = exhaustive_features(&structures, 3);
-        let ld = LinearDistance::edges_only();
-        let rt = FragmentIndex::build(
-            &db,
-            features.clone(),
-            IndexDistance::Linear(ld),
-            &IndexConfig { backend: Backend::RTree, ..IndexConfig::default() },
-        );
-        let vp = FragmentIndex::build(
-            &db,
-            features,
-            IndexDistance::Linear(ld),
-            &IndexConfig { backend: Backend::VpTree, ..IndexConfig::default() },
-        );
-        let query = mk([1.0, 1.25, 2.0]);
-        for qf in rt.enumerate_query_fragments(&query) {
-            for sigma in [0.0, 0.5, 2.0] {
-                let a = rt.range_query(qf.feature, &qf.vector, sigma);
-                let b = vp.range_query(qf.feature, &qf.vector, sigma);
-                assert_eq!(a.len(), b.len(), "hit counts differ at sigma {sigma}");
-                for ((g1, d1), (g2, d2)) in a.iter().zip(&b) {
-                    assert_eq!(g1, g2);
-                    assert!((d1 - d2).abs() < 1e-9, "{d1} vs {d2}");
                 }
             }
         }
@@ -1687,7 +1331,7 @@ mod tests {
     #[test]
     fn batched_range_queries_equal_per_probe_queries() {
         let db = small_db();
-        let index = build_md(&db, 4, Backend::Default);
+        let index = build_md(&db, 4);
         let query = cycle_with_edge_labels(&[1, 1, 1, 2, 1, 1]);
         let frags = index.enumerate_query_fragments(&query);
         // Group the fragments per feature (the enumeration order is
@@ -1768,7 +1412,7 @@ mod tests {
     #[test]
     fn query_fragments_dedup_automorphisms() {
         let db = vec![cycle_graph(6, Label(0), Label(1))];
-        let index = build_md(&db, 2, Backend::Default);
+        let index = build_md(&db, 2);
         let query = cycle_graph(6, Label(0), Label(1));
         let frags = index.enumerate_query_fragments(&query);
         // 1-edge fragments: 6 sites; 2-edge path fragments: 6 sites.
@@ -1804,26 +1448,19 @@ mod tests {
         let db: Vec<LabeledGraph> = (0..40).map(graph).collect();
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 4);
-        // Only the flat trie compares as a value; the other structures
-        // are compared through their full `Debug` rendering.
+        // Only the flat trie compares as a value; the R-tree is compared
+        // through its full `Debug` rendering.
         fn same_debug(a: &impl std::fmt::Debug, b: &impl std::fmt::Debug) -> bool {
             format!("{a:?}") == format!("{b:?}")
         }
         let same_class = |a: &ClassImpl, b: &ClassImpl| match (a, b) {
             (ClassImpl::Trie(a), ClassImpl::Trie(b)) => a == b,
-            (ClassImpl::VpLabels(a), ClassImpl::VpLabels(b)) => same_debug(a, b),
             (ClassImpl::RTree(a), ClassImpl::RTree(b)) => same_debug(a, b),
-            (ClassImpl::VpWeights(a), ClassImpl::VpWeights(b)) => same_debug(a, b),
             _ => false,
         };
         let md = IndexDistance::Mutation(MutationDistance::unit());
         let ld = IndexDistance::Linear(LinearDistance::default());
-        for (backend, distance) in [
-            (Backend::Trie, &md),
-            (Backend::VpTree, &md),
-            (Backend::RTree, &ld),
-            (Backend::VpTree, &ld),
-        ] {
+        for (name, distance) in [("trie", &md), ("r-tree", &ld)] {
             // Fewer graphs than workers, and no graphs at all, included.
             for size in [0, 1, 5, 40] {
                 let db = &db[..size];
@@ -1832,13 +1469,13 @@ mod tests {
                         db,
                         features.clone(),
                         distance.clone(),
-                        &IndexConfig { backend, threads, ..IndexConfig::default() },
+                        &IndexConfig { threads, ..IndexConfig::default() },
                     )
                 };
                 let serial = build(1);
                 let bytes = crate::encode_snapshot(&serial, db).unwrap();
                 for threads in [2, 3, 7] {
-                    let case = format!("{backend:?} {size} graphs {threads} threads");
+                    let case = format!("{name} {size} graphs {threads} threads");
                     let parallel = build(threads);
                     assert_eq!(parallel.total_entries(), serial.total_entries(), "{case}");
                     for (f, (p, s)) in parallel.classes.iter().zip(&serial.classes).enumerate() {
@@ -1856,11 +1493,11 @@ mod tests {
     fn incremental_insert_equals_bulk_build_trie() {
         let db = small_db();
         // Build on a prefix, insert the rest.
-        let mut incremental = build_md(&db[..2], 3, Backend::Default);
+        let mut incremental = build_md(&db[..2], 3);
         for g in &db[2..] {
             incremental.insert_graph(g);
         }
-        let bulk = build_md(&db, 3, Backend::Default);
+        let bulk = build_md(&db, 3);
         assert_eq!(incremental.graph_count(), bulk.graph_count());
         assert_eq!(incremental.total_entries(), bulk.total_entries());
         for f in bulk.features().iter() {
@@ -1869,26 +1506,6 @@ mod tests {
         let query = cycle_with_edge_labels(&[1, 1, 2, 1, 1, 1]);
         for qf in bulk.enumerate_query_fragments(&query) {
             for sigma in [0.0, 1.0, 3.0] {
-                assert_eq!(
-                    incremental.range_query(qf.feature, &qf.vector, sigma),
-                    bulk.range_query(qf.feature, &qf.vector, sigma),
-                    "sigma {sigma}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_insert_equals_bulk_build_vptree() {
-        let db = small_db();
-        let mut incremental = build_md(&db[..2], 3, Backend::VpTree);
-        for g in &db[2..] {
-            incremental.insert_graph(g);
-        }
-        let bulk = build_md(&db, 3, Backend::VpTree);
-        let query = cycle_with_edge_labels(&[1, 2, 1, 2, 1, 2]);
-        for qf in bulk.enumerate_query_fragments(&query) {
-            for sigma in [0.0, 2.0, 6.0] {
                 assert_eq!(
                     incremental.range_query(qf.feature, &qf.vector, sigma),
                     bulk.range_query(qf.feature, &qf.vector, sigma),
@@ -1942,7 +1559,7 @@ mod tests {
     fn inserted_graph_without_features_only_bumps_count() {
         // A graph too small to hold any feature: no postings change.
         let db = small_db();
-        let mut index = build_md(&db, 3, Backend::Default);
+        let mut index = build_md(&db, 3);
         let before = index.total_entries();
         let tiny = {
             let mut b = GraphBuilder::new();
@@ -1953,20 +1570,6 @@ mod tests {
         assert_eq!(gid.index(), db.len());
         assert_eq!(index.total_entries(), before);
         assert_eq!(index.graph_count(), db.len() + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "R-tree backend indexes weight vectors")]
-    fn mutation_plus_rtree_rejected() {
-        let db = small_db();
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let features = exhaustive_features(&structures, 2);
-        let _ = FragmentIndex::build(
-            &db,
-            features,
-            IndexDistance::Mutation(MutationDistance::edge_hamming()),
-            &IndexConfig { backend: Backend::RTree, ..IndexConfig::default() },
-        );
     }
 
     /// A populated class for corruption below (the build itself already
@@ -1980,11 +1583,11 @@ mod tests {
     #[test]
     fn validate_reports_per_backend_tallies() {
         let db = small_db();
-        let index = build_md(&db, 3, Backend::Trie);
+        let index = build_md(&db, 3);
         let report = index.validate().unwrap();
         assert_eq!(report.classes, index.features().len());
         assert_eq!(report.trie_classes, report.classes);
-        assert_eq!(report.rtree_classes + report.vptree_classes, 0);
+        assert_eq!(report.rtree_classes, 0);
         assert_eq!(report.frozen_entries, index.total_entries());
         assert_eq!(report.pending_entries, 0);
     }
@@ -1994,13 +1597,13 @@ mod tests {
         let db = small_db();
 
         // Entry-count drift.
-        let mut bad = build_md(&db, 3, Backend::Trie);
+        let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
         bad.classes[ci].entries += 1;
         assert!(bad.validate().unwrap_err().contains("entries"));
 
         // Posting list out of order.
-        let mut bad = build_md(&db, 3, Backend::Trie);
+        let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
         if bad.classes[ci].graphs.len() > 1 {
             bad.classes[ci].graphs.reverse();
@@ -2008,31 +1611,47 @@ mod tests {
         }
 
         // Posting list past the database.
-        let mut bad = build_md(&db, 3, Backend::Trie);
+        let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
         bad.classes[ci].graphs.push(GraphId(bad.graph_count as u32));
         assert!(bad.validate().unwrap_err().contains("past the"));
 
         // A pending entry whose vector has the wrong arity.
-        let mut bad = build_md(&db, 3, Backend::Trie);
+        let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
         bad.classes[ci].pending.labels.push((vec![Label(1)], GraphId(0)));
         assert!(bad.validate().unwrap_err().contains("slots"));
 
         // A weight entry buffered into a label-backed class.
-        let mut bad = build_md(&db, 3, Backend::Trie);
+        let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
         bad.classes[ci].entries += 1;
         let feature = bad.features.get(FeatureId(ci as u32));
         let slots = feature.structure.vertex_count() + feature.structure.edge_count();
         bad.classes[ci].pending.weights.push((vec![0.0; slots], GraphId(0)));
         assert!(bad.validate().unwrap_err().contains("weight entry"));
+
+        // An R-tree class left unfrozen: build, merge and load all end
+        // in a freeze, so a stale arena is a fault, not a state.
+        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+        let mut bad = FragmentIndex::build(
+            &db,
+            exhaustive_features(&structures, 3),
+            IndexDistance::Linear(LinearDistance::default()),
+            &IndexConfig::default(),
+        );
+        let ci = full_class(&bad);
+        let ClassImpl::RTree(rt) = &mut bad.classes[ci].imp else {
+            panic!("linear-distance classes are R-trees");
+        };
+        rt.insert(&vec![0.0; rt.dim()], GraphId(0));
+        assert!(bad.validate().unwrap_err().contains("not frozen"));
     }
 
     #[test]
     fn validate_rejects_mismatched_backend() {
         let db = small_db();
-        let mut bad = build_md(&db, 3, Backend::Trie);
+        let mut bad = build_md(&db, 3);
         // Swap the distance out from under trie-backed classes.
         bad.distance = IndexDistance::Linear(LinearDistance::edges_only());
         assert!(bad.validate().unwrap_err().contains("backend"));

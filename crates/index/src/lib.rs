@@ -4,7 +4,7 @@
 //! selected feature structures — and every fragment's *label vector*
 //! (categorical labels or numeric weights read in the feature's
 //! canonical order) is stored in a per-equivalence-class index that
-//! answers range queries `d(g, g') ≤ σ`:
+//! answers range queries `d(g, g') ≤ σ` — one structure per distance:
 //!
 //! * [`flat_trie::FlatTrie`] — categorical labels under the mutation
 //!   distance: a cache-resident level-major arena descended level by
@@ -12,9 +12,11 @@
 //!   [`trie::LabelTrie`] is retained as the builder and executable
 //!   reference);
 //! * [`rtree::RTree`] — numeric weights under the linear distance (L1
-//!   ball queries, the paper's Example 3);
-//! * [`vptree::VpTree`] — any metric distance (the "metric-based index
-//!   \[6\]" option), used in ablations A2/A3.
+//!   ball queries, the paper's Example 3).
+//!
+//! The paper's third option, a "metric-based index \[6\]", is not
+//! carried: mutation score matrices need not satisfy the triangle
+//! inequality it prunes by (DESIGN.md §5, A2/A3).
 //!
 //! The hash table of Figure 5 maps a structure's canonical DFS-code
 //! sequence to its class; [`index::FragmentIndex`] ties everything
@@ -37,13 +39,12 @@ pub mod persist;
 pub mod rtree;
 pub mod snapshot;
 pub mod trie;
-pub mod vptree;
 pub mod wal;
 
-pub use flat_trie::{BatchFrontier, FlatTrie, TrieFrontier};
+pub use flat_trie::{BatchFrontier, FlatTrie};
 pub use fragment::{FragmentBuffer, FragmentVector, FragmentVectorRef, QueryFragment};
 pub use index::{
-    Backend, FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,
+    FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,
 };
 pub use persist::PersistError;
 pub use snapshot::{decode_snapshot, encode_snapshot, load_snapshot, write_snapshot};

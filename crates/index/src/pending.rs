@@ -16,15 +16,14 @@ use pis_graph::{GraphId, Label};
 
 /// Entries inserted into a class since it was last frozen or merged.
 ///
-/// Graph-id convention follows the owning backend: trie classes store
-/// class-local posting slots, every other backend stores global graph
-/// ids, and R-tree classes additionally store the points
-/// scale-transformed (exactly as the frozen structures do).
+/// Graph-id convention follows the owning structure: trie classes store
+/// class-local posting slots, R-tree classes store global graph ids and
+/// the points scale-transformed (exactly as the frozen structures do).
 #[derive(Clone, Debug, Default)]
 pub struct PendingSet {
-    /// Label-vector entries (trie / vp-label classes).
+    /// Label-vector entries (trie classes).
     pub(crate) labels: Vec<(Vec<Label>, GraphId)>,
-    /// Weight-vector entries (R-tree / vp-weight classes).
+    /// Weight-vector entries (R-tree classes).
     pub(crate) weights: Vec<(Vec<f64>, GraphId)>,
 }
 
@@ -45,8 +44,8 @@ impl PendingSet {
     /// and weights are finite. Returns the first violation as a
     /// description; the owning [`crate::index::FragmentIndex`] supplies
     /// the bounds (class-local slots for trie classes, global graph ids
-    /// everywhere else) and separately rejects entries of the wrong
-    /// kind for the backend.
+    /// for R-tree classes) and separately rejects entries of the wrong
+    /// kind for the structure.
     pub fn validate(
         &self,
         slots: usize,
@@ -103,24 +102,8 @@ impl PendingSet {
         }
     }
 
-    /// Scans label entries with a whole-vector metric (vp-label
+    /// Scans weight entries with a whole-vector metric (R-tree
     /// classes), emitting entries within `sigma`.
-    pub(crate) fn scan_labels(
-        &self,
-        sigma: f64,
-        mut cost: impl FnMut(&[Label]) -> f64,
-        mut visit: impl FnMut(GraphId, f64),
-    ) {
-        for (seq, gid) in &self.labels {
-            let d = cost(seq);
-            if d <= sigma {
-                visit(*gid, d);
-            }
-        }
-    }
-
-    /// Scans weight entries with a whole-vector metric (R-tree /
-    /// vp-weight classes), emitting entries within `sigma`.
     pub(crate) fn scan_weights(
         &self,
         sigma: f64,

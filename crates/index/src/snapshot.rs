@@ -18,8 +18,8 @@
 //!
 //! Every structural count is bounds-checked against the bytes actually
 //! present, every float is rejected when non-finite, trie arenas are
-//! revalidated by `FlatTrie::from_parts`, and non-trie classes are
-//! rebuilt from their stored entries the way the build freezes them —
+//! revalidated by `FlatTrie::from_parts`, and R-tree classes are
+//! rebuilt from their stored points the way the build freezes them —
 //! so a loaded snapshot answers queries bit-identically and corrupt
 //! input of any shape surfaces as [`PersistError::Corrupt`], never a
 //! panic.
@@ -38,12 +38,9 @@ use pis_mining::FeatureSet;
 
 use crate::codec::{atomic_write, crc32, idx, len64, u32_idx, u32_of, ByteReader, ByteWriter};
 use crate::flat_trie::{FlatTrie, TriePartsOwned};
-use crate::index::{
-    Backend, ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance, MergeStats,
-};
+use crate::index::{ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance, MergeStats};
 use crate::persist::PersistError;
 use crate::rtree::RTree;
-use crate::vptree::VpTree;
 
 const MAGIC: &[u8; 8] = b"PISSNAP1";
 const VERSION: u32 = 1;
@@ -55,6 +52,20 @@ const KIND_META: u32 = 1;
 const KIND_FEATURES: u32 = 2;
 const KIND_DATABASE: u32 = 3;
 const KIND_CLASSES: u32 = 4;
+
+/// META's two retired slots, kept so persisted bytes do not move. The
+/// embedding cap is always "none": an index built under a cap had wrong
+/// range-query minima, so any other value is refused on read. The
+/// backend byte once chose among structures; `0`–`2` named pairings that
+/// still exist (the class tags say which), `3` the VP-tree.
+const NO_EMBEDDING_CAP: u64 = u64::MAX;
+const BACKEND_BY_DISTANCE: u8 = 0;
+const BACKEND_VPTREE: u8 = 3;
+
+/// Class tags. `1` and `3` were the VP-tree classes (label and weight
+/// items) and decode to [`PersistError::Corrupt`].
+const CLASS_TRIE: u8 = 0;
+const CLASS_RTREE: u8 = 2;
 
 /// Serializes the index and its database into snapshot bytes.
 ///
@@ -106,13 +117,8 @@ fn encode_meta(
     w: &mut ByteWriter,
 ) -> Result<(), PersistError> {
     w.u64(len64(index.graph_count));
-    w.u64(len64(index.config.max_embeddings_per_fragment));
-    w.u8(match index.config.backend {
-        Backend::Default => 0,
-        Backend::Trie => 1,
-        Backend::RTree => 2,
-        Backend::VpTree => 3,
-    });
+    w.u64(NO_EMBEDDING_CAP);
+    w.u8(BACKEND_BY_DISTANCE);
     w.u64(len64(index.config.merge_threshold));
     match &index.distance {
         IndexDistance::Mutation(md) => {
@@ -177,10 +183,8 @@ fn encode_classes(
     w.u32(u32_of(index.classes.len(), "class count")?);
     for class in &index.classes {
         w.u8(match &class.imp {
-            ClassImpl::Trie(_) => 0,
-            ClassImpl::VpLabels(_) => 1,
-            ClassImpl::RTree(_) => 2,
-            ClassImpl::VpWeights(_) => 3,
+            ClassImpl::Trie(_) => CLASS_TRIE,
+            ClassImpl::RTree(_) => CLASS_RTREE,
         });
         w.u32(u32_of(class.graphs.len(), "posting length")?);
         for g in &class.graphs {
@@ -215,30 +219,12 @@ fn encode_classes(
                     w.u32(l.0);
                 }
             }
-            ClassImpl::VpLabels(vp) => {
-                w.u32(u32_of(vp.len(), "label entry count")?);
-                for (seq, gid) in vp.items() {
-                    for l in seq {
-                        w.u32(l.0);
-                    }
-                    w.u32(gid.0);
-                }
-            }
             ClassImpl::RTree(rt) => {
                 w.u32(u32_of(rt.len(), "weight entry count")?);
                 let mut flat: Vec<(Vec<f64>, GraphId)> = Vec::with_capacity(rt.len());
                 rt.for_each_entry(|p, gid| flat.push((p.to_vec(), gid)));
                 for (p, gid) in flat {
                     for x in p {
-                        w.f64_bits(x);
-                    }
-                    w.u32(gid.0);
-                }
-            }
-            ClassImpl::VpWeights(vp) => {
-                w.u32(u32_of(vp.len(), "weight entry count")?);
-                for (p, gid) in vp.items() {
-                    for &x in p {
                         w.f64_bits(x);
                     }
                     w.u32(gid.0);
@@ -319,7 +305,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
     let section = |k: u32| ByteReader::new(payloads[idx(k) - 1], offsets[idx(k) - 1]);
 
     let meta = decode_meta(&mut section(KIND_META))?;
-    let (features, class_shapes) = decode_features(&mut section(KIND_FEATURES))?;
+    let (features, class_slots) = decode_features(&mut section(KIND_FEATURES))?;
     let database = decode_database(&mut section(KIND_DATABASE))?;
     if database.len() != meta.graph_count {
         return Err(corrupt(
@@ -331,18 +317,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
             ),
         ));
     }
-    let classes = decode_classes(&mut section(KIND_CLASSES), &meta, &class_shapes)?;
+    let classes = decode_classes(&mut section(KIND_CLASSES), &meta, &class_slots)?;
     let index = FragmentIndex {
         features,
         distance: meta.distance,
         classes,
         graph_count: meta.graph_count,
-        config: IndexConfig {
-            backend: meta.backend,
-            max_embeddings_per_fragment: meta.max_embeddings,
-            threads: 0,
-            merge_threshold: meta.merge_threshold,
-        },
+        config: IndexConfig { threads: 0, merge_threshold: meta.merge_threshold },
         merge_stats: MergeStats::default(),
     };
     // Structural fsck on every load: the per-section CRCs catch bit
@@ -381,8 +362,6 @@ fn corrupt(offset: u64, message: &str) -> PersistError {
 
 struct Meta {
     graph_count: usize,
-    max_embeddings: usize,
-    backend: Backend,
     merge_threshold: usize,
     distance: IndexDistance,
 }
@@ -407,14 +386,19 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<Meta, PersistError> {
     // Infallible after the u32 bound above.
     let graph_count =
         usize::try_from(graph_count).map_err(|_| r.corrupt("graph count exceeds usize"))?;
-    let max_embeddings = r.u64_usize("max embeddings")?;
-    let backend = match r.u8("backend tag")? {
-        0 => Backend::Default,
-        1 => Backend::Trie,
-        2 => Backend::RTree,
-        3 => Backend::VpTree,
+    let cap = r.u64("embedding cap")?;
+    if cap != NO_EMBEDDING_CAP {
+        return Err(r.corrupt(&format!(
+            "index built under an embedding cap of {cap}: unsupported, rebuild the store"
+        )));
+    }
+    match r.u8("backend tag")? {
+        t if t < BACKEND_VPTREE => {}
+        BACKEND_VPTREE => {
+            return Err(r.corrupt("VP-tree backend: unsupported, rebuild the store"));
+        }
         t => return Err(r.corrupt(&format!("unknown backend tag {t}"))),
-    };
+    }
     let merge_threshold = r.u64_usize("merge threshold")?;
     let distance = match r.u8("distance tag")? {
         0 => {
@@ -432,7 +416,7 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<Meta, PersistError> {
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes in META section"));
     }
-    Ok(Meta { graph_count, max_embeddings, backend, merge_threshold, distance })
+    Ok(Meta { graph_count, merge_threshold, distance })
 }
 
 fn decode_matrix(r: &mut ByteReader<'_>) -> Result<ScoreMatrix, PersistError> {
@@ -452,17 +436,12 @@ fn decode_matrix(r: &mut ByteReader<'_>) -> Result<ScoreMatrix, PersistError> {
         .map_err(|e| r.corrupt(&e.to_string()))
 }
 
-/// Per-class slot/edge counts derived from the features, in class
-/// (= feature) order.
-struct ClassShape {
-    slots: usize,
-    ecount: usize,
-}
-
-fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<ClassShape>), PersistError> {
+/// Decodes the features and, beside them in class (= feature) order,
+/// each class's slot count.
+fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<usize>), PersistError> {
     let count = bounded_count(r, "feature count", 16)?;
     let mut features = FeatureSet::new();
-    let mut shapes = Vec::with_capacity(count);
+    let mut class_slots = Vec::with_capacity(count);
     for _ in 0..count {
         let support = r.u64_usize("feature support")?;
         let seq_len = bounded_count(r, "feature sequence length", 4)?;
@@ -472,10 +451,7 @@ fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<ClassShape
         }
         // Full structural validation, canonicality included.
         let code = sequence_to_code(&seq).map_err(|m| r.corrupt(m))?;
-        shapes.push(ClassShape {
-            slots: code.vertex_count() + code.edge_count(),
-            ecount: code.edge_count(),
-        });
+        class_slots.push(code.vertex_count() + code.edge_count());
         let (_, fresh) = features.insert(code, support);
         if !fresh {
             return Err(r.corrupt("duplicate feature"));
@@ -484,7 +460,7 @@ fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<ClassShape
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes in FEATURES section"));
     }
-    Ok((features, shapes))
+    Ok((features, class_slots))
 }
 
 /// Rebuilds a DFS code from its `to_sequence` serialization.
@@ -566,14 +542,14 @@ fn decode_database(r: &mut ByteReader<'_>) -> Result<Vec<LabeledGraph>, PersistE
 fn decode_classes(
     r: &mut ByteReader<'_>,
     meta: &Meta,
-    shapes: &[ClassShape],
+    class_slots: &[usize],
 ) -> Result<Vec<ClassIndex>, PersistError> {
     let count = bounded_count(r, "class count", 1)?;
-    if count != shapes.len() {
-        return Err(r.corrupt(&format!("{count} classes for {} features", shapes.len())));
+    if count != class_slots.len() {
+        return Err(r.corrupt(&format!("{count} classes for {} features", class_slots.len())));
     }
     let mut classes = Vec::with_capacity(count);
-    for shape in shapes {
+    for &slots in class_slots {
         let tag = r.u8("class backend tag")?;
         let posting_len = bounded_count(r, "posting length", 4)?;
         let mut graphs = Vec::with_capacity(posting_len);
@@ -589,39 +565,20 @@ fn decode_classes(
             return Err(r.corrupt("posting graph id out of range"));
         }
         let entries = r.u64_usize("entry count")?;
-        let (slots, ecount) = (shape.slots, shape.ecount);
-        let imp = match (tag, &meta.distance) {
-            (0, _) => decode_trie(r, shape, graphs.len())?,
-            (1, IndexDistance::Mutation(md)) => {
-                let items = decode_label_items(r, shape, meta.graph_count)?;
-                let md = md.clone();
-                ClassImpl::VpLabels(VpTree::build(slots, items, move |a, b| {
-                    md.label_vector_cost(ecount, a, b)
-                }))
-            }
-            (2, _) => {
+        let imp = match tag {
+            CLASS_TRIE => decode_trie(r, slots, graphs.len())?,
+            CLASS_RTREE => {
                 // Stored points are already scale-transformed; freeze
                 // the rebuilt tree into its query arena.
                 let mut rt = RTree::new(slots);
-                for (v, gid) in decode_weight_items(r, shape, meta.graph_count)? {
+                for (v, gid) in decode_weight_items(r, slots, meta.graph_count)? {
                     rt.insert(&v, gid);
                 }
                 rt.freeze();
                 ClassImpl::RTree(rt)
             }
-            (3, IndexDistance::Linear(ld)) => {
-                let items = decode_weight_items(r, shape, meta.graph_count)?;
-                let ld = *ld;
-                ClassImpl::VpWeights(VpTree::build(slots, items, move |a, b| {
-                    ld.weight_vector_cost(ecount, a, b)
-                }))
-            }
-            (1 | 3, _) => {
-                return Err(
-                    r.corrupt(&format!("class backend tag {tag} incompatible with the distance"))
-                )
-            }
-            (t, _) => return Err(r.corrupt(&format!("unknown class backend tag {t}"))),
+            1 | 3 => return Err(r.corrupt("VP-tree class: unsupported, rebuild the store")),
+            t => return Err(r.corrupt(&format!("unknown class backend tag {t}"))),
         };
         classes.push(ClassIndex::restored(imp, graphs, entries));
     }
@@ -637,14 +594,14 @@ fn decode_classes(
 /// here, where the class size is known.
 fn decode_trie(
     r: &mut ByteReader<'_>,
-    shape: &ClassShape,
+    slots: usize,
     class_size: usize,
 ) -> Result<ClassImpl, PersistError> {
     let depth = r.u32_usize("trie depth")?;
     // Queries index probe vectors of `slots` labels by trie level, so a
     // depth mismatch would read out of bounds at query time.
-    if depth != shape.slots {
-        return Err(r.corrupt(&format!("trie depth {depth} != {} class slots", shape.slots)));
+    if depth != slots {
+        return Err(r.corrupt(&format!("trie depth {depth} != {slots} class slots")));
     }
     let nodes = bounded_count(r, "trie node count", 4)?;
     let postings_len = bounded_count(r, "trie posting count", 4)?;
@@ -690,37 +647,16 @@ fn decode_trie(
     Ok(ClassImpl::Trie(trie))
 }
 
-fn decode_label_items(
-    r: &mut ByteReader<'_>,
-    shape: &ClassShape,
-    graph_count: usize,
-) -> Result<Vec<(Vec<Label>, GraphId)>, PersistError> {
-    let count = bounded_count(r, "label entry count", (shape.slots + 1) * 4)?;
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut v = Vec::with_capacity(shape.slots);
-        for _ in 0..shape.slots {
-            v.push(Label(r.u32("label slot")?));
-        }
-        let gid = GraphId(r.u32("entry graph id")?);
-        if gid.index() >= graph_count {
-            return Err(r.corrupt("entry graph id out of range"));
-        }
-        items.push((v, gid));
-    }
-    Ok(items)
-}
-
 fn decode_weight_items(
     r: &mut ByteReader<'_>,
-    shape: &ClassShape,
+    slots: usize,
     graph_count: usize,
 ) -> Result<Vec<(Vec<f64>, GraphId)>, PersistError> {
-    let count = bounded_count(r, "weight entry count", shape.slots * 8 + 4)?;
+    let count = bounded_count(r, "weight entry count", slots * 8 + 4)?;
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
-        let mut v = Vec::with_capacity(shape.slots);
-        for _ in 0..shape.slots {
+        let mut v = Vec::with_capacity(slots);
+        for _ in 0..slots {
             v.push(r.f64_finite("weight slot")?);
         }
         let gid = GraphId(r.u32("entry graph id")?);
@@ -750,41 +686,67 @@ mod tests {
         b.build()
     }
 
-    fn sample(backend: Backend, distance: IndexDistance) -> (FragmentIndex, Vec<LabeledGraph>) {
+    fn sample(distance: IndexDistance) -> (FragmentIndex, Vec<LabeledGraph>) {
         let db = vec![ring(&[1, 1, 2, 1]), ring(&[1, 2, 1, 2]), ring(&[2, 2, 2, 2])];
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let index = FragmentIndex::build(
             &db,
             exhaustive_features(&structures, 3),
             distance,
-            &crate::IndexConfig { backend, ..crate::IndexConfig::default() },
+            &IndexConfig::default(),
         );
         (index, db)
     }
 
     #[test]
     fn round_trip_is_byte_identical_per_backend() {
-        for (backend, distance) in [
-            (Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming())),
-            (Backend::VpTree, IndexDistance::Mutation(MutationDistance::edge_hamming())),
-            (Backend::RTree, IndexDistance::Linear(LinearDistance::default())),
-            (Backend::VpTree, IndexDistance::Linear(LinearDistance::default())),
+        for distance in [
+            IndexDistance::Mutation(MutationDistance::edge_hamming()),
+            IndexDistance::Linear(LinearDistance::default()),
         ] {
-            let (index, db) = sample(backend, distance);
+            let (index, db) = sample(distance.clone());
             let bytes = encode_snapshot(&index, &db).unwrap();
             let (loaded, db2) = decode_snapshot(&bytes).unwrap();
             // A snapshot is a total serialization of index state and
             // database: re-encoding what was decoded must reproduce it.
             // (This R-tree fits one leaf; a larger one re-encodes as a
             // permutation of its points — `tests/proptest_index.rs`.)
-            assert_eq!(encode_snapshot(&loaded, &db2).unwrap(), bytes, "{backend:?}");
+            assert_eq!(encode_snapshot(&loaded, &db2).unwrap(), bytes, "{distance:?}");
+        }
+    }
+
+    /// META's retired slots on hand-built section bytes: the embedding
+    /// cap must read "none" and the backend byte may name anything but
+    /// the VP-tree.
+    #[test]
+    fn meta_retired_slots_accept_only_supported_values() {
+        let meta = |cap: u64, backend: u8| {
+            let mut w = ByteWriter::new();
+            w.u64(3); // graph count
+            w.u64(cap);
+            w.u8(backend);
+            w.u64(64); // merge threshold
+            w.u8(1); // linear distance: vertex scale, edge scale
+            w.f64_bits(0.0);
+            w.f64_bits(1.0);
+            w.into_bytes()
+        };
+        let decode = |bytes: Vec<u8>| decode_meta(&mut ByteReader::new(&bytes, 0));
+        for backend in 0..=2 {
+            let m = decode(meta(u64::MAX, backend)).unwrap();
+            assert_eq!((m.graph_count, m.merge_threshold), (3, 64), "backend tag {backend}");
+        }
+        for (cap, backend) in [(u64::MAX, 3), (u64::MAX, 4), (1000, 0), (0, 0)] {
+            assert!(
+                matches!(decode(meta(cap, backend)), Err(PersistError::Corrupt { .. })),
+                "cap {cap} backend tag {backend} must be refused"
+            );
         }
     }
 
     #[test]
     fn footer_catches_any_byte_flip() {
-        let (index, db) =
-            sample(Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming()));
+        let (index, db) = sample(IndexDistance::Mutation(MutationDistance::edge_hamming()));
         let bytes = encode_snapshot(&index, &db).unwrap();
         for pos in [8, bytes.len() / 2, bytes.len() - 5] {
             let mut bad = bytes.clone();
@@ -798,8 +760,7 @@ mod tests {
 
     #[test]
     fn truncation_is_typed() {
-        let (index, db) =
-            sample(Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming()));
+        let (index, db) = sample(IndexDistance::Mutation(MutationDistance::edge_hamming()));
         let bytes = encode_snapshot(&index, &db).unwrap();
         for cut in [0, 4, 9, 20, bytes.len() / 2, bytes.len() - 1] {
             assert!(
@@ -814,8 +775,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pis-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snapshot.pis");
-        let (mut index, db) =
-            sample(Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming()));
+        let (mut index, db) = sample(IndexDistance::Mutation(MutationDistance::edge_hamming()));
         write_snapshot(&path, &mut index, &db).unwrap();
         let (loaded, db2) = load_snapshot(&path).unwrap();
         assert_eq!(encode_snapshot(&loaded, &db2).unwrap(), encode_snapshot(&index, &db).unwrap());
@@ -824,8 +784,7 @@ mod tests {
 
     #[test]
     fn loaded_index_accepts_incremental_inserts() {
-        let (index, db) =
-            sample(Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming()));
+        let (index, db) = sample(IndexDistance::Mutation(MutationDistance::edge_hamming()));
         let (mut loaded, _) = decode_snapshot(&encode_snapshot(&index, &db).unwrap()).unwrap();
         let added = ring(&[2, 1, 1, 1]);
         let gid = loaded.insert_graph(&added);

@@ -7,9 +7,7 @@
 
 use pis_distance::MutationDistance;
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
-use pis_index::{
-    encode_snapshot, Backend, FlatTrie, FragmentIndex, IndexConfig, IndexDistance, LabelTrie,
-};
+use pis_index::{encode_snapshot, FlatTrie, FragmentIndex, IndexConfig, IndexDistance, LabelTrie};
 use pis_mining::exhaustive::exhaustive_features;
 use proptest::prelude::*;
 
@@ -151,7 +149,7 @@ proptest! {
                 // Vertex labels priced too, so no slot is erased and
                 // classes hold many distinct sequences.
                 IndexDistance::Mutation(MutationDistance::unit()),
-                &IndexConfig { backend: Backend::Trie, merge_threshold, ..IndexConfig::default() },
+                &IndexConfig { merge_threshold, ..IndexConfig::default() },
             )
         };
         let mut grown = build(&db[..prefix]);

@@ -1,11 +1,11 @@
 //! LSM pending-buffer equivalence: range queries over (frozen +
 //! pending) must be *bit-identical* (f64 payloads included) to queries
-//! over the merged index, for every backend, and the automatic
+//! over the merged index, for both class structures, and the automatic
 //! threshold merge must not change a single answer.
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
-use pis_index::{encode_snapshot, Backend, FragmentIndex, IndexConfig, IndexDistance};
+use pis_index::{encode_snapshot, FragmentIndex, IndexConfig, IndexDistance};
 use pis_mining::exhaustive::exhaustive_features;
 
 fn ring(edge_labels: &[u32]) -> LabeledGraph {
@@ -28,14 +28,14 @@ fn incoming() -> Vec<LabeledGraph> {
     vec![ring(&[2, 1, 2, 1]), ring(&[1, 1, 1, 1]), ring(&[3, 2, 1, 2]), ring(&[1, 2, 3, 1, 2])]
 }
 
-fn build(backend: Backend, distance: &IndexDistance, merge_threshold: usize) -> FragmentIndex {
+fn build(distance: &IndexDistance, merge_threshold: usize) -> FragmentIndex {
     let db = base_db();
     let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
     FragmentIndex::build(
         &db,
         exhaustive_features(&structures, 3),
         distance.clone(),
-        &IndexConfig { backend, merge_threshold, ..IndexConfig::default() },
+        &IndexConfig { merge_threshold, ..IndexConfig::default() },
     )
 }
 
@@ -55,12 +55,12 @@ fn all_answers(index: &FragmentIndex, queries: &[LabeledGraph]) -> Vec<(u32, Gra
     out
 }
 
-fn backends() -> [(Backend, IndexDistance); 4] {
+/// Both class structures, named for assertion messages: a trie under
+/// the mutation distance, an R-tree under the linear distance.
+fn backends() -> [(&'static str, IndexDistance); 2] {
     [
-        (Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming())),
-        (Backend::VpTree, IndexDistance::Mutation(MutationDistance::edge_hamming())),
-        (Backend::RTree, IndexDistance::Linear(LinearDistance::default())),
-        (Backend::VpTree, IndexDistance::Linear(LinearDistance::default())),
+        ("trie", IndexDistance::Mutation(MutationDistance::edge_hamming())),
+        ("r-tree", IndexDistance::Linear(LinearDistance::default())),
     ]
 }
 
@@ -69,13 +69,13 @@ fn pending_queries_are_bit_identical_to_merged() {
     for (backend, distance) in backends() {
         // merge_threshold 0 disables auto-merge: `lsm` keeps its
         // pending buffers, `merged` is compacted by hand.
-        let mut lsm = build(backend, &distance, 0);
-        let mut merged = build(backend, &distance, 0);
+        let mut lsm = build(&distance, 0);
+        let mut merged = build(&distance, 0);
         for g in incoming() {
             lsm.insert_graph_pending(&g);
             merged.insert_graph_pending(&g);
         }
-        assert!(lsm.pending_entries() > 0, "{backend:?}: inserts must land in pending buffers");
+        assert!(lsm.pending_entries() > 0, "{backend}: inserts must land in pending buffers");
         merged.compact();
         assert_eq!(merged.pending_entries(), 0);
 
@@ -83,7 +83,7 @@ fn pending_queries_are_bit_identical_to_merged() {
         assert_eq!(
             all_answers(&lsm, &queries),
             all_answers(&merged, &queries),
-            "{backend:?}: pending scan must match the merged structures bit-for-bit"
+            "{backend}: pending scan must match the merged structures bit-for-bit"
         );
     }
 }
@@ -91,32 +91,32 @@ fn pending_queries_are_bit_identical_to_merged() {
 #[test]
 fn pending_matches_the_eager_insert_path() {
     for (backend, distance) in backends() {
-        let mut lsm = build(backend, &distance, 0);
-        let mut eager = build(backend, &distance, 0);
+        let mut lsm = build(&distance, 0);
+        let mut eager = build(&distance, 0);
         for g in incoming() {
             lsm.insert_graph_pending(&g);
             eager.insert_graph(&g);
         }
         let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
-        assert_eq!(all_answers(&lsm, &queries), all_answers(&eager, &queries), "{backend:?}");
+        assert_eq!(all_answers(&lsm, &queries), all_answers(&eager, &queries), "{backend}");
     }
 }
 
 #[test]
 fn threshold_merges_automatically_without_changing_answers() {
     for (backend, distance) in backends() {
-        let mut auto = build(backend, &distance, 2);
-        let mut manual = build(backend, &distance, 0);
+        let mut auto = build(&distance, 2);
+        let mut manual = build(&distance, 0);
         for g in incoming() {
             auto.insert_graph_pending(&g);
             manual.insert_graph_pending(&g);
         }
         // Threshold 2 with several entries per class per insert: every
         // touched class must have crossed it and merged.
-        assert_eq!(auto.pending_entries(), 0, "{backend:?}: threshold merge did not fire");
+        assert_eq!(auto.pending_entries(), 0, "{backend}: threshold merge did not fire");
         manual.compact();
         let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
-        assert_eq!(all_answers(&auto, &queries), all_answers(&manual, &queries), "{backend:?}");
+        assert_eq!(all_answers(&auto, &queries), all_answers(&manual, &queries), "{backend}");
     }
 }
 
@@ -130,13 +130,13 @@ fn batch_insert_equals_one_at_a_time() {
     let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
     for (backend, distance) in backends() {
         for merge_threshold in [0, 2, 7, 64] {
-            let mut single = build(backend, &distance, merge_threshold);
-            let mut batch = build(backend, &distance, merge_threshold);
+            let mut single = build(&distance, merge_threshold);
+            let mut batch = build(&distance, merge_threshold);
             for g in incoming() {
                 single.insert_graph_pending(&g);
             }
             batch.insert_graphs_pending(&incoming());
-            let context = format!("{backend:?} threshold {merge_threshold}");
+            let context = format!("{backend} threshold {merge_threshold}");
             assert_eq!(batch.graph_count(), single.graph_count(), "{context}");
             assert_eq!(batch.total_entries(), single.total_entries(), "{context}");
             assert_eq!(all_answers(&batch, &queries), all_answers(&single, &queries), "{context}");
@@ -166,34 +166,35 @@ fn batch_insert_equals_one_at_a_time() {
 #[test]
 fn merge_stats_count_merges_and_rewritten_entries() {
     for (backend, distance) in backends() {
-        let mut index = build(backend, &distance, 0);
-        assert_eq!(index.merge_stats(), Default::default(), "{backend:?}");
+        let mut index = build(&distance, 0);
+        assert_eq!(index.merge_stats(), Default::default(), "{backend}");
         index.insert_graphs_pending(&incoming());
-        assert_eq!(index.merge_stats().merges, 0, "{backend:?}: threshold 0 never auto-merges");
+        assert_eq!(index.merge_stats().merges, 0, "{backend}: threshold 0 never auto-merges");
         let touched =
             index.features().iter().filter(|f| index.class_pending_entries(f.id) > 0).count();
         // incoming() holds 4- and 5-rings, so every class is touched and
         // a compaction rewrites the whole index.
-        assert_eq!(touched, index.features().len(), "{backend:?}");
+        assert_eq!(touched, index.features().len(), "{backend}");
         index.compact();
         let stats = index.merge_stats();
-        assert_eq!(stats.merges, touched as u64, "{backend:?}");
-        assert_eq!(stats.entries_rewritten, index.total_entries() as u64, "{backend:?}");
+        assert_eq!(stats.merges, touched as u64, "{backend}");
+        assert_eq!(stats.entries_rewritten, index.total_entries() as u64, "{backend}");
         index.compact();
-        assert_eq!(index.merge_stats(), stats, "{backend:?}: an idle compaction merges nothing");
+        assert_eq!(index.merge_stats(), stats, "{backend}: an idle compaction merges nothing");
     }
 }
 
 #[test]
 fn compact_leaves_no_stale_rtrees() {
-    let (backend, distance) = (Backend::RTree, IndexDistance::Linear(LinearDistance::default()));
-    let mut index = build(backend, &distance, 0);
+    let distance = IndexDistance::Linear(LinearDistance::default());
+    let mut index = build(&distance, 0);
     for g in incoming() {
         index.insert_graph_pending(&g);
     }
-    // Pending inserts never unfreeze the frozen side.
-    assert_eq!(index.rtree_stale_classes(), 0);
+    // Pending inserts never unfreeze the frozen side, and a merge ends
+    // in a freeze: `validate` refuses an unfrozen R-tree class.
+    assert!(index.validate().unwrap().rtree_classes > 0);
     index.compact();
-    assert_eq!(index.rtree_stale_classes(), 0);
+    index.validate().unwrap();
     assert_eq!(index.pending_entries(), 0);
 }

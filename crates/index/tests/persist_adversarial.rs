@@ -11,9 +11,9 @@
 
 use pis_distance::MutationDistance;
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
+use pis_index::codec::crc32;
 use pis_index::{
-    decode_snapshot, encode_snapshot, wal, Backend, FragmentIndex, IndexConfig, IndexDistance,
-    PersistError,
+    decode_snapshot, encode_snapshot, wal, FragmentIndex, IndexConfig, IndexDistance, PersistError,
 };
 use pis_mining::exhaustive::exhaustive_features;
 use proptest::prelude::*;
@@ -33,14 +33,14 @@ fn ring(labels: &[u32]) -> LabeledGraph {
 // ---------------------------------------------------------------------
 
 /// A valid snapshot (index + database) for mutation over.
-fn valid_snapshot(backend: Backend) -> Vec<u8> {
+fn valid_snapshot() -> Vec<u8> {
     let db = vec![ring(&[1, 1, 1, 1]), ring(&[1, 2, 1, 2]), ring(&[2, 2, 2, 2])];
     let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
     let index = FragmentIndex::build(
         &db,
         exhaustive_features(&structures, 3),
         IndexDistance::Mutation(MutationDistance::edge_hamming()),
-        &IndexConfig { backend, ..IndexConfig::default() },
+        &IndexConfig::default(),
     );
     encode_snapshot(&index, &db).unwrap()
 }
@@ -60,7 +60,7 @@ fn snapshot_survives(bytes: &[u8]) -> Result<(), String> {
 /// error. (The proptest below sweeps the payload region too.)
 #[test]
 fn snapshot_header_truncations_are_exhaustively_typed() {
-    let bytes = valid_snapshot(Backend::Trie);
+    let bytes = valid_snapshot();
     // magic(8) + version(4) + section_count(4) + 4 table entries of 24.
     let header_len = 8 + 4 + 4 + 4 * 24;
     assert!(bytes.len() > header_len);
@@ -77,7 +77,7 @@ fn snapshot_header_truncations_are_exhaustively_typed() {
 /// itself breaks the checksum comparison.
 #[test]
 fn snapshot_bit_flip_corpus_is_always_rejected() {
-    let bytes = valid_snapshot(Backend::Trie);
+    let bytes = valid_snapshot();
     // Step through the file; XOR with a non-zero pattern at each spot.
     for pos in (0..bytes.len()).step_by(7) {
         let mut bad = bytes.clone();
@@ -89,13 +89,46 @@ fn snapshot_bit_flip_corpus_is_always_rejected() {
     }
 }
 
+/// A snapshot written when VP-tree classes existed (class tags `1` and
+/// `3`) is intact by every checksum and still unreadable: patching the
+/// first class tag and refreshing the CLASSES and footer CRCs must
+/// decode to a typed corruption error naming the class, not a panic.
+#[test]
+fn retired_class_tags_are_typed_corruption() {
+    for tag in [1u8, 3] {
+        let mut bytes = valid_snapshot();
+        // CLASSES is the fourth entry of the section table, which
+        // follows magic(8) + version(4) + section_count(4); an entry is
+        // kind(4) + offset(8) + len(8) + crc(4).
+        let entry = 16 + 3 * 24;
+        let field = |at: usize| {
+            usize::try_from(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())).unwrap()
+        };
+        let (offset, len) = (field(entry + 4), field(entry + 12));
+        // Payload: class count (u32), then the first class's tag.
+        assert_eq!(bytes[offset + 4], 0, "the first class is a trie");
+        bytes[offset + 4] = tag;
+        let section_crc = crc32(&bytes[offset..offset + len]);
+        bytes[entry + 20..entry + 24].copy_from_slice(&section_crc.to_le_bytes());
+        let footer_at = bytes.len() - 4;
+        let footer_crc = crc32(&bytes[..footer_at]);
+        bytes[footer_at..].copy_from_slice(&footer_crc.to_le_bytes());
+        match decode_snapshot(&bytes) {
+            Err(PersistError::Corrupt { message, .. }) => {
+                assert!(message.contains("VP-tree class"), "tag {tag}: {message}");
+            }
+            other => panic!("tag {tag} must be typed corruption, got {:?}", other.map(|_| ())),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Truncating a snapshot anywhere never panics the decoder.
     #[test]
-    fn snapshot_truncations_never_panic(frac in 0usize..10_000, backend in 0u8..2) {
-        let bytes = valid_snapshot(if backend == 0 { Backend::Trie } else { Backend::VpTree });
+    fn snapshot_truncations_never_panic(frac in 0usize..10_000) {
+        let bytes = valid_snapshot();
         let cut = bytes.len() * frac / 10_000;
         prop_assert!(snapshot_survives(&bytes[..cut]).is_ok());
     }
@@ -108,7 +141,7 @@ proptest! {
         byte in 0u8..=255,
         kind in 0u8..3,
     ) {
-        let mut bytes = valid_snapshot(Backend::Trie);
+        let mut bytes = valid_snapshot();
         let pos = pos % bytes.len();
         match kind {
             0 => bytes[pos] = byte,
@@ -215,14 +248,12 @@ proptest! {
     #[test]
     fn snapshot_plus_wal_replay_is_bit_identical_to_live(
         extra in prop::collection::vec(prop::collection::vec(1u32..4, 4), 1..4),
-        backend in 0u8..2,
     ) {
-        let backend = if backend == 0 { Backend::Trie } else { Backend::VpTree };
         let mut db = vec![ring(&[1, 1, 1, 1]), ring(&[1, 2, 1, 2]), ring(&[2, 2, 2, 2])];
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 3);
         let distance = IndexDistance::Mutation(MutationDistance::edge_hamming());
-        let config = IndexConfig { backend, ..IndexConfig::default() };
+        let config = IndexConfig::default();
 
         // Live side: never persisted.
         let mut live = FragmentIndex::build(&db, features.clone(), distance.clone(), &config);

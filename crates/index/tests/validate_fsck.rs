@@ -11,9 +11,7 @@
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{EdgeAttr, GraphBuilder, Label, LabeledGraph, VertexAttr};
-use pis_index::{
-    decode_snapshot, encode_snapshot, Backend, FragmentIndex, IndexConfig, IndexDistance,
-};
+use pis_index::{decode_snapshot, encode_snapshot, FragmentIndex, IndexConfig, IndexDistance};
 use pis_mining::exhaustive::exhaustive_features;
 use proptest::prelude::*;
 
@@ -51,25 +49,23 @@ fn assert_valid(index: &FragmentIndex, context: &str) -> Result<(), TestCaseErro
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Mutation distance, both label backends: every lifecycle stage
+    /// Mutation distance (trie classes): every lifecycle stage
     /// validates, and the tallies stay consistent with the public
     /// counters.
     #[test]
     fn label_lifecycle_always_validates(
         extra in prop::collection::vec(prop::collection::vec(1u32..4, 4), 1..5),
-        backend in 0u8..2,
         merge_threshold in 0usize..6,
         eager in 0u8..2,
     ) {
         let eager = eager == 1;
-        let backend = if backend == 0 { Backend::Trie } else { Backend::VpTree };
         let mut db = vec![ring(&[1, 1, 1, 1]), ring(&[1, 2, 1, 2]), ring(&[2, 2, 2, 2])];
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let mut index = FragmentIndex::build(
             &db,
             exhaustive_features(&structures, 3),
             IndexDistance::Mutation(MutationDistance::edge_hamming()),
-            &IndexConfig { backend, merge_threshold, ..IndexConfig::default() },
+            &IndexConfig { merge_threshold, ..IndexConfig::default() },
         );
         assert_valid(&index, "after build")?;
         for ls in &extra {
@@ -99,15 +95,13 @@ proptest! {
     }
 
     /// Linear distance over weight vectors: the R-tree (with its
-    /// re-flatten arena comparison) and the vp-tree validate through
-    /// the same lifecycle.
+    /// re-flatten arena comparison) validates through the same
+    /// lifecycle.
     #[test]
     fn weight_lifecycle_always_validates(
         extra in prop::collection::vec(prop::collection::vec(1u32..40, 4), 1..5),
-        backend in 0u8..2,
         merge_threshold in 0usize..6,
     ) {
-        let backend = if backend == 0 { Backend::RTree } else { Backend::VpTree };
         let db = vec![
             weighted_ring(&[1.0, 1.0, 1.0, 1.0]),
             weighted_ring(&[1.0, 1.5, 2.0, 2.5]),
@@ -118,7 +112,7 @@ proptest! {
             &db,
             exhaustive_features(&structures, 3),
             IndexDistance::Linear(LinearDistance::edges_only()),
-            &IndexConfig { backend, merge_threshold, ..IndexConfig::default() },
+            &IndexConfig { merge_threshold, ..IndexConfig::default() },
         );
         assert_valid(&index, "after build")?;
         for ws in &extra {

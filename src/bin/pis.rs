@@ -76,19 +76,6 @@ fn parse_budget(flags: &Flags<'_>) -> Result<QueryBudget, String> {
     Ok(budget)
 }
 
-/// Prints the stale-R-tree warning when any class would answer through
-/// its slow unfrozen path (someone forgot to compact after bulk
-/// mutation).
-fn warn_stale_rtrees(index: &FragmentIndex) {
-    let stale = index.rtree_stale_classes();
-    if stale > 0 {
-        println!(
-            "warning: {stale} class R-tree(s) are stale (unfrozen); queries take the slow \
-             path — run `pis compact` on the store or rebuild the index"
-        );
-    }
-}
-
 fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     let command = it.next().ok_or("missing subcommand")?;
@@ -318,7 +305,6 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
     let explain = flags.has("explain");
     let store = open_store(&dir, parse_budget(&flags)?)?;
     let system = store.system();
-    warn_stale_rtrees(system.index());
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
         let (answers, distances, candidates) = match flags.value("baseline") {
@@ -374,7 +360,6 @@ fn cmd_knn(args: &[&String]) -> Result<(), String> {
     let k: usize = flags.num("k", 5)?;
     let store = open_store(&dir, parse_budget(&flags)?)?;
     let system = store.system();
-    warn_stale_rtrees(system.index());
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
         let knn = system.try_knn(q, k).map_err(|e| format!("query {qi}: {e}"))?;
@@ -433,21 +418,14 @@ fn cmd_check(args: &[&String]) -> Result<(), String> {
     println!("checking {}", dir.display());
     println!("  snapshot: {} bytes, all section and footer checksums valid", report.snapshot_bytes);
     println!(
-        "  index:    {} classes ({} trie, {} r-tree, {} vp-tree), \
+        "  index:    {} classes ({} trie, {} r-tree), \
          {} frozen + {} pending entries, all invariants hold",
         report.index.classes,
         report.index.trie_classes,
         report.index.rtree_classes,
-        report.index.vptree_classes,
         report.index.frozen_entries,
         report.index.pending_entries
     );
-    if report.index.rtree_stale_classes > 0 {
-        println!(
-            "  warning:  {} r-tree class(es) stale (unfrozen slow path) — run `pis compact`",
-            report.index.rtree_stale_classes
-        );
-    }
     println!(
         "  wal:      {} bytes, {} records ({} replayable, {} already in the snapshot), \
          {} torn tail bytes",

@@ -38,7 +38,7 @@
 //! | [`graph`] | §2 | labeled graphs, VF2, DFS codes, enumeration |
 //! | [`distance`] | §2 | mutation & linear distances, brute oracle |
 //! | [`mining`] | §4 | gSpan, gIndex, GraphGrep path features |
-//! | [`index`] | §4 | fragment index: trie / R-tree / VP-tree |
+//! | [`index`] | §4 | fragment index: a trie or an R-tree per class |
 //! | [`partition`] | §5 | overlapping-relation graph, MWIS solvers |
 //! | [`core`] | §3–6 | Algorithm 2, verification, baselines |
 //! | [`datasets`] | §7 | synthetic chemical generator, SDF, queries |
@@ -61,7 +61,7 @@ use pis_core::{
 };
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{GraphId, LabeledGraph};
-use pis_index::{Backend, FragmentIndex, IndexConfig, IndexDistance};
+use pis_index::{FragmentIndex, IndexConfig, IndexDistance};
 use pis_mining::{FeatureSet, GindexConfig};
 
 /// Everything needed for typical use.
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use pis_graph::{
         EdgeAttr, EdgeId, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr, VertexId,
     };
-    pub use pis_index::{Backend, IndexDistance};
+    pub use pis_index::IndexDistance;
     pub use pis_mining::GindexConfig;
 }
 
@@ -104,14 +104,13 @@ impl Default for FeatureSource {
 pub struct PisSystemBuilder {
     distance: Option<IndexDistance>,
     features: FeatureSource,
-    backend: Backend,
     index_config: IndexConfig,
     search_config: PisConfig,
 }
 
 impl PisSystemBuilder {
     /// A builder with the paper's defaults: edge-Hamming mutation
-    /// distance, gIndex features, trie backend, greedy partition.
+    /// distance (a trie per class), gIndex features, greedy partition.
     pub fn new() -> Self {
         PisSystemBuilder::default()
     }
@@ -146,12 +145,6 @@ impl PisSystemBuilder {
         self
     }
 
-    /// Choose the per-class range-search backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Override search-time configuration (λ, ε, partition algorithm).
     pub fn search_config(mut self, config: PisConfig) -> Self {
         self.search_config = config;
@@ -173,7 +166,7 @@ impl PisSystemBuilder {
 
     /// Mines features, builds the fragment index and assembles the
     /// system.
-    pub fn build(mut self, database: Vec<LabeledGraph>) -> PisSystem {
+    pub fn build(self, database: Vec<LabeledGraph>) -> PisSystem {
         let distance = self
             .distance
             .unwrap_or_else(|| IndexDistance::Mutation(MutationDistance::edge_hamming()));
@@ -190,11 +183,6 @@ impl PisSystemBuilder {
                 }
             }
         };
-        // An explicit backend() call wins; otherwise whatever the
-        // index_config carries (possibly also Default) stands.
-        if self.backend != Backend::Default {
-            self.index_config.backend = self.backend;
-        }
         let index = FragmentIndex::build(&database, features, distance, &self.index_config);
         PisSystem { database, index, config: self.search_config }
     }
@@ -354,8 +342,7 @@ impl PisSystem {
         gid
     }
 
-    /// Merges every LSM pending buffer into its frozen structure and
-    /// re-freezes any stale R-tree.
+    /// Merges every LSM pending buffer into its frozen structure.
     pub fn compact(&mut self) {
         self.index.compact();
     }
@@ -404,23 +391,6 @@ mod tests {
         assert!(system.index().distance().is_mutation());
         assert_eq!(system.database().len(), 3);
         assert_eq!(system.config().lambda, 1.0);
-    }
-
-    #[test]
-    fn explicit_backend_wins_over_index_config() {
-        let db = tiny_db();
-        let via_backend = PisSystem::builder()
-            .exhaustive_features(2)
-            .index_config(IndexConfig { backend: Backend::Trie, ..IndexConfig::default() })
-            .backend(Backend::VpTree)
-            .build(db.clone());
-        // Both answer identically regardless of backend.
-        let q = db[0].clone();
-        let trie_system = PisSystem::builder()
-            .exhaustive_features(2)
-            .index_config(IndexConfig { backend: Backend::Trie, ..IndexConfig::default() })
-            .build(db);
-        assert_eq!(via_backend.search(&q, 1.0).answers, trie_system.search(&q, 1.0).answers);
     }
 
     #[test]

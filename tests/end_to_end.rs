@@ -1,6 +1,6 @@
 //! End-to-end integration: the full PIS system against the brute-force
-//! oracle on realistic synthetic molecules, across feature sources,
-//! backends and distances.
+//! oracle on realistic synthetic molecules, across feature sources and
+//! distances.
 
 mod common;
 
@@ -80,23 +80,6 @@ fn feature_sources_agree_on_answers() {
                     "feature source {i} disagrees at sigma {sigma}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn trie_and_vptree_systems_agree() {
-    let db = MoleculeGenerator::default().database(30, 21);
-    let queries = sample_query_set(&db, 6, 3, 4);
-    let trie = PisSystem::builder().exhaustive_features(3).backend(Backend::Trie).build(db.clone());
-    let vp = PisSystem::builder().exhaustive_features(3).backend(Backend::VpTree).build(db.clone());
-    for q in &queries {
-        for sigma in [0.0, 1.0, 3.0] {
-            assert_eq!(
-                answers_as_usize(&trie.search(q, sigma)),
-                answers_as_usize(&vp.search(q, sigma)),
-                "backends disagree at sigma {sigma}"
-            );
         }
     }
 }

@@ -1,42 +1,143 @@
 //! Property tests of the fragment index on arbitrary databases: range
-//! queries must equal brute-force minimum superposition distances,
-//! backends must agree, and snapshots must round-trip exactly.
+//! queries must equal brute-force minimum superposition distances under
+//! both distances, the trie descent must equal the pointer-trie
+//! reference bit for bit, and snapshots must round-trip exactly.
 
 mod common;
 
 use common::{connected_graph, graph_database};
 use pis::distance::oracle::min_superimposed_distance_brute;
 use pis::index::{
-    decode_snapshot, encode_snapshot, Backend, FragmentIndex, IndexConfig, IndexDistance,
+    decode_snapshot, encode_snapshot, FragmentIndex, FragmentVector, IndexConfig, IndexDistance,
+    LabelTrie,
 };
 use pis::mining::exhaustive::exhaustive_features;
 use pis::prelude::*;
 use proptest::prelude::*;
 
-fn build_index(db: &[LabeledGraph], backend: Backend, max_edges: usize) -> FragmentIndex {
+/// The index over every structure of up to three edges in `db`.
+fn build_index(db: &[LabeledGraph], distance: IndexDistance) -> FragmentIndex {
     let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-    FragmentIndex::build(
-        db,
-        exhaustive_features(&structures, max_edges),
-        IndexDistance::Mutation(MutationDistance::edge_hamming()),
-        &IndexConfig { backend, ..IndexConfig::default() },
-    )
+    FragmentIndex::build(db, exhaustive_features(&structures, 3), distance, &IndexConfig::default())
 }
 
-/// Rebuilds a query fragment as a standalone labeled graph (the
-/// fragment's vector in the feature's canonical layout).
+/// A legal mutation distance that is not a metric: the edge matrix
+/// breaks the triangle inequality (c(0,1) = 10 > c(0,2) + c(2,1) = 2)
+/// and vertex labels are ignored. An index that prunes by the triangle
+/// inequality silently drops hits on it.
+fn non_metric_distance() -> MutationDistance {
+    let edges = ScoreMatrix::from_fn(3, 1.0, |a, b| match (a.0.min(b.0), a.0.max(b.0)) {
+        (x, y) if x == y => 0.0,
+        (0, 1) => 10.0,
+        _ => 1.0,
+    })
+    .expect("symmetric, zero diagonal, non-negative");
+    MutationDistance::new(ScoreMatrix::zero(3), edges)
+}
+
+/// Rebuilds a query fragment as a standalone graph (the fragment's
+/// vector in the feature's canonical layout: edge slots, then vertex
+/// slots), labeled under the mutation distance and weighted under the
+/// linear distance.
 fn fragment_as_graph(index: &FragmentIndex, qf: &pis::index::QueryFragment) -> LabeledGraph {
     let feature = index.features().get(qf.feature);
-    let labels = qf.vector.labels();
+    let slot = |i: usize| match &qf.vector {
+        FragmentVector::Labels(v) => (v[i], 0.0),
+        FragmentVector::Weights(v) => (Label(0), v[i]),
+    };
     let ecount = feature.edge_count();
     let mut b = GraphBuilder::new();
     for (i, _) in feature.structure.vertex_ids().enumerate() {
-        b.add_vertex(VertexAttr::labeled(labels[ecount + i]));
+        let (label, weight) = slot(ecount + i);
+        b.add_vertex(VertexAttr { label, weight });
     }
     for (j, e) in feature.structure.edges().iter().enumerate() {
-        b.add_edge(e.source, e.target, EdgeAttr::labeled(labels[j])).expect("feature is simple");
+        let (label, weight) = slot(j);
+        b.add_edge(e.source, e.target, EdgeAttr { label, weight }).expect("feature is simple");
     }
     b.build()
+}
+
+/// Eq. (3) against the oracle: `range_query` returns exactly the graphs
+/// whose brute-force minimum superposition distance from the fragment is
+/// within `sigma` (complete), each with that distance (sound, 1e-9).
+fn assert_range_queries_equal_brute_force(
+    index: &FragmentIndex,
+    db: &[LabeledGraph],
+    query: &LabeledGraph,
+    distance: &dyn SuperimposedDistance,
+    sigma: f64,
+) -> Result<(), TestCaseError> {
+    for qf in index.enumerate_query_fragments(query) {
+        let frag = fragment_as_graph(index, &qf);
+        let hits = index.range_query(qf.feature, &qf.vector, sigma);
+        for (gid, d) in &hits {
+            let brute = min_superimposed_distance_brute(&frag, &db[gid.index()], distance)
+                .expect("hits contain the structure");
+            prop_assert!((d - brute).abs() < 1e-9, "distance {} vs brute {}", d, brute);
+            prop_assert!(*d <= sigma);
+        }
+        for (gi, g) in db.iter().enumerate() {
+            if let Some(brute) = min_superimposed_distance_brute(&frag, g, distance) {
+                if brute <= sigma {
+                    prop_assert!(
+                        hits.iter().any(|(h, _)| h.index() == gi),
+                        "graph {} at distance {} missing at sigma {}",
+                        gi,
+                        brute,
+                        sigma
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What the pointer-trie reference answers for `probe` against one
+/// class: the class's logical content rebuilt from `db` (duplicates
+/// included: insert dedups exactly like the arena builder does),
+/// descended, and folded to the per-graph minimum, sorted by graph id.
+fn reference_hits(
+    index: &FragmentIndex,
+    db: &[LabeledGraph],
+    md: &MutationDistance,
+    feature: pis::mining::FeatureId,
+    probe: &[Label],
+    sigma: f64,
+) -> Vec<(GraphId, f64)> {
+    let feature = index.features().get(feature);
+    let ecount = feature.edge_count();
+    let mut reference = LabelTrie::new(probe.len());
+    for (gid, g) in db.iter().enumerate() {
+        let matcher = pis::graph::iso::SubgraphMatcher::new(
+            &feature.structure,
+            g,
+            pis::graph::iso::IsoConfig::STRUCTURE,
+        );
+        matcher.for_each(|emb| {
+            let mut v = pis::index::fragment::label_vector(&feature.structure, g, emb);
+            index.distance().normalize_labels(ecount, &mut v);
+            reference.insert(&v, GraphId(gid as u32));
+            std::ops::ControlFlow::Continue(())
+        });
+    }
+    let mut best: std::collections::BTreeMap<u32, f64> = Default::default();
+    reference.range_query(
+        probe,
+        sigma,
+        |pos, a, b| md.position_cost(pos, ecount, a, b),
+        |g, d| {
+            best.entry(g.0)
+                .and_modify(|m| {
+                    if d < *m {
+                        *m = d;
+                    }
+                })
+                .or_insert(d);
+        },
+    );
+    best.into_iter().map(|(g, d)| (GraphId(g), d)).collect()
 }
 
 /// Copies a graph with weights derived from its labels, so the linear
@@ -58,63 +159,42 @@ fn reweight(g: &LabeledGraph) -> LabeledGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Eq. (3): the index range query returns exactly the graphs within
-    /// sigma, each with its exact minimum superposition distance.
+    /// Eq. (3) under the mutation distance: the index range query
+    /// returns exactly the graphs within sigma, each with its exact
+    /// minimum superposition distance — for the paper's edge-Hamming
+    /// setting, the unit distance, and a score matrix that is no metric.
     #[test]
     fn range_query_equals_brute_force(
         db in graph_database(6, 5, 3),
         query in connected_graph(4, 2, 3),
         sigma in 0.0f64..3.0,
+        which in 0u8..3,
     ) {
-        let index = build_index(&db, Backend::Default, 3);
-        let md = MutationDistance::edge_hamming();
-        for qf in index.enumerate_query_fragments(&query) {
-            let frag = fragment_as_graph(&index, &qf);
-            let hits = index.range_query(qf.feature, &qf.vector, sigma);
-            // Soundness: every hit's distance is exact and within sigma.
-            for (gid, d) in &hits {
-                let brute = min_superimposed_distance_brute(&frag, &db[gid.index()], &md)
-                    .expect("hits contain the structure");
-                prop_assert!((d - brute).abs() < 1e-9, "distance {} vs brute {}", d, brute);
-                prop_assert!(*d <= sigma);
-            }
-            // Completeness: no graph within sigma is missed.
-            for (gi, g) in db.iter().enumerate() {
-                if let Some(brute) = min_superimposed_distance_brute(&frag, g, &md) {
-                    if brute <= sigma {
-                        prop_assert!(
-                            hits.iter().any(|(h, _)| h.index() == gi),
-                            "graph {} at distance {} missing at sigma {}",
-                            gi, brute, sigma
-                        );
-                    }
-                }
-            }
-        }
+        let md = match which {
+            0 => MutationDistance::edge_hamming(),
+            1 => MutationDistance::unit(),
+            _ => non_metric_distance(),
+        };
+        let index = build_index(&db, IndexDistance::Mutation(md.clone()));
+        assert_range_queries_equal_brute_force(&index, &db, &query, &md, sigma)?;
     }
 
-    /// The trie and the VP-tree backend agree entry-for-entry.
+    /// Eq. (3) under the linear distance: the R-tree's hits, held to the
+    /// same oracle.
     #[test]
-    fn backends_agree(
-        db in graph_database(5, 5, 2),
-        query in connected_graph(4, 1, 2),
-        sigma in 0.0f64..3.0,
+    fn linear_range_query_equals_brute_force(
+        db in graph_database(5, 5, 3),
+        query in connected_graph(4, 1, 3),
+        sigma in 0.0f64..2.0,
     ) {
-        let trie = build_index(&db, Backend::Trie, 3);
-        let vp = build_index(&db, Backend::VpTree, 3);
-        for qf in trie.enumerate_query_fragments(&query) {
-            let a = trie.range_query(qf.feature, &qf.vector, sigma);
-            let b = vp.range_query(qf.feature, &qf.vector, sigma);
-            prop_assert_eq!(a.len(), b.len());
-            for ((g1, d1), (g2, d2)) in a.iter().zip(&b) {
-                prop_assert_eq!(g1, g2);
-                prop_assert!((d1 - d2).abs() < 1e-9);
-            }
-        }
+        let db: Vec<LabeledGraph> = db.iter().map(reweight).collect();
+        let ld = LinearDistance::edges_only();
+        let index = build_index(&db, IndexDistance::Linear(ld));
+        assert_range_queries_equal_brute_force(&index, &db, &reweight(&query), &ld, sigma)?;
     }
 
-    /// A snapshot round-trips arbitrary indexes exactly, on every
-    /// backend/distance pairing: re-encoding what was decoded reproduces
+    /// A snapshot round-trips arbitrary indexes exactly, under both
+    /// distances: re-encoding what was decoded reproduces
     /// the bytes (the R-tree: the size), and the decoded index answers
     /// range queries with the same graphs and the same f64 bits.
     #[test]
@@ -129,26 +209,25 @@ proptest! {
         let bits = |hits: Vec<(GraphId, f64)>| -> Vec<(GraphId, u64)> {
             hits.into_iter().map(|(g, d)| (g, d.to_bits())).collect()
         };
-        for (backend, distance) in [
-            (Backend::Trie, IndexDistance::Mutation(MutationDistance::edge_hamming())),
-            (Backend::VpTree, IndexDistance::Mutation(MutationDistance::edge_hamming())),
-            (Backend::RTree, IndexDistance::Linear(LinearDistance::edges_only())),
-            (Backend::VpTree, IndexDistance::Linear(LinearDistance::edges_only())),
+        for distance in [
+            IndexDistance::Mutation(MutationDistance::edge_hamming()),
+            IndexDistance::Linear(LinearDistance::edges_only()),
         ] {
-            let config = IndexConfig { backend, ..IndexConfig::default() };
-            let index = FragmentIndex::build(&db, features.clone(), distance, &config);
+            let rtree = !distance.is_mutation();
+            let index =
+                FragmentIndex::build(&db, features.clone(), distance, &IndexConfig::default());
             let bytes = encode_snapshot(&index, &db).expect("snapshot encodes");
             let (loaded, loaded_db) = decode_snapshot(&bytes).expect("round trip");
             let again = encode_snapshot(&loaded, &loaded_db).expect("snapshot re-encodes");
             // (Not `prop_assert_eq`: a failure would print both files.)
-            if backend == Backend::RTree {
+            if rtree {
                 // An R-tree is stored as its points in traversal order
                 // and rebuilt by inserting them in that order; traversal
                 // order depends on insertion history, so the rebuilt
                 // tree re-encodes as a permutation of the same points.
                 prop_assert!(again.len() == bytes.len(), "RTree snapshot changed size");
             } else {
-                prop_assert!(again == bytes, "{:?} snapshot is not a fixed point", backend);
+                prop_assert!(again == bytes, "trie snapshot is not a fixed point");
             }
             prop_assert_eq!(loaded.graph_count(), index.graph_count());
             prop_assert_eq!(loaded.total_entries(), index.total_entries());
@@ -157,7 +236,7 @@ proptest! {
                     prop_assert_eq!(
                         bits(index.range_query(qf.feature, &qf.vector, sigma)),
                         bits(loaded.range_query(qf.feature, &qf.vector, sigma)),
-                        "{:?} sigma {}", backend, sigma
+                        "r-tree {} sigma {}", rtree, sigma
                     );
                 }
             }
@@ -178,92 +257,19 @@ proptest! {
         unit in prop::sample::select(vec![false, true]),
     ) {
         let md = if unit { MutationDistance::unit() } else { MutationDistance::edge_hamming() };
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let index = FragmentIndex::build(
-            &db,
-            exhaustive_features(&structures, 3),
-            IndexDistance::Mutation(md.clone()),
-            &IndexConfig::default(),
-        );
+        let index = build_index(&db, IndexDistance::Mutation(md.clone()));
         for qf in index.enumerate_query_fragments(&query) {
-            let feature = index.features().get(qf.feature);
-            let ecount = feature.edge_count();
-            // Rebuild the class's logical content in the pointer trie
-            // (duplicates included: insert dedups exactly like the
-            // arena builder does).
-            let mut reference = pis::index::LabelTrie::new(qf.vector.len());
-            for (gid, g) in db.iter().enumerate() {
-                let matcher = pis::graph::iso::SubgraphMatcher::new(
-                    &feature.structure,
-                    g,
-                    pis::graph::iso::IsoConfig::STRUCTURE,
-                );
-                matcher.for_each(|emb| {
-                    let mut v = pis::index::fragment::label_vector(&feature.structure, g, emb);
-                    index.distance().normalize_labels(ecount, &mut v);
-                    reference.insert(&v, GraphId(gid as u32));
-                    std::ops::ControlFlow::Continue(())
-                });
-            }
-            // Reference hits: pointer-trie descent + per-graph minimum.
-            let mut best: std::collections::BTreeMap<u32, f64> = Default::default();
-            reference.range_query(
-                qf.vector.labels(),
-                sigma,
-                |pos, a, b| md.position_cost(pos, ecount, a, b),
-                |g, d| {
-                    best.entry(g.0)
-                        .and_modify(|m| if d < *m { *m = d })
-                        .or_insert(d);
-                },
-            );
-            let expected: Vec<(GraphId, f64)> =
-                best.into_iter().map(|(g, d)| (GraphId(g), d)).collect();
+            let expected = reference_hits(&index, &db, &md, qf.feature, qf.vector.labels(), sigma);
             let hits = index.range_query(qf.feature, &qf.vector, sigma);
             // Byte-identical: exact f64 equality, not tolerance.
             prop_assert_eq!(hits, expected, "sigma {}", sigma);
         }
     }
 
-    /// All flat-layout backends of the linear distance (SoA R-tree
-    /// coordinates, SoA VP-tree vectors) agree with each other.
-    #[test]
-    fn linear_backends_agree(
-        db in graph_database(5, 5, 3),
-        query in connected_graph(4, 1, 3),
-        sigma in 0.0f64..2.0,
-    ) {
-        let db: Vec<LabeledGraph> = db.iter().map(reweight).collect();
-        let query = reweight(&query);
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let features = exhaustive_features(&structures, 3);
-        let ld = IndexDistance::Linear(LinearDistance::edges_only());
-        let rt = FragmentIndex::build(
-            &db,
-            features.clone(),
-            ld.clone(),
-            &IndexConfig { backend: Backend::RTree, ..IndexConfig::default() },
-        );
-        let vp = FragmentIndex::build(
-            &db,
-            features,
-            ld,
-            &IndexConfig { backend: Backend::VpTree, ..IndexConfig::default() },
-        );
-        for qf in rt.enumerate_query_fragments(&query) {
-            let a = rt.range_query(qf.feature, &qf.vector, sigma);
-            let b = vp.range_query(qf.feature, &qf.vector, sigma);
-            prop_assert_eq!(a.len(), b.len(), "hit counts differ at sigma {}", sigma);
-            for ((g1, d1), (g2, d2)) in a.iter().zip(&b) {
-                prop_assert_eq!(g1, g2);
-                prop_assert!((d1 - d2).abs() < 1e-9, "{} vs {}", d1, d2);
-            }
-        }
-    }
-
     /// The batched multi-probe descent answers every sibling group —
     /// duplicate probes included — **byte-identically** (f64 bits, not
-    /// tolerance) to per-probe range queries, across both the
+    /// tolerance) to the pointer-trie reference queried probe by probe,
+    /// and so does each probe alone (a batch of one), across both the
     /// edge-Hamming setting (whole-vertex zero suffix) and the unit
     /// distance (no zero suffix), and across sigmas spanning the
     /// zero-suffix short-circuit and both descent modes.
@@ -275,13 +281,7 @@ proptest! {
         unit in prop::sample::select(vec![false, true]),
     ) {
         let md = if unit { MutationDistance::unit() } else { MutationDistance::edge_hamming() };
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let index = FragmentIndex::build(
-            &db,
-            exhaustive_features(&structures, 3),
-            IndexDistance::Mutation(md),
-            &IndexConfig::default(),
-        );
+        let index = build_index(&db, IndexDistance::Mutation(md.clone()));
         let frags = index.enumerate_query_fragments(&query);
         let mut scratch = pis::index::RangeScratch::new();
         let mut i = 0;
@@ -304,28 +304,27 @@ proptest! {
                 &mut scratch,
                 &mut outs,
             );
+            let bits = |hits: &[(GraphId, f64)]| -> Vec<(u32, u64)> {
+                hits.iter().map(|&(g, d)| (g.0, d.to_bits())).collect()
+            };
             for (k, out) in outs.iter().enumerate() {
-                let mut expected = Vec::new();
-                index.range_query_normalized_into(
-                    feature,
-                    frags[probe_of[k]].vector.as_view(),
-                    sigma,
-                    &mut scratch,
-                    &mut expected,
+                let probe = frags[probe_of[k]].vector.as_view();
+                let want = bits(&reference_hits(&index, &db, &md, feature, probe.labels(), sigma));
+                prop_assert_eq!(
+                    bits(out), want.clone(), "feature {} probe {} sigma {}", feature, k, sigma
                 );
-                let got: Vec<(u32, u64)> =
-                    out.iter().map(|&(g, d)| (g.0, d.to_bits())).collect();
-                let want: Vec<(u32, u64)> =
-                    expected.iter().map(|&(g, d)| (g.0, d.to_bits())).collect();
-                prop_assert_eq!(got, want, "feature {} probe {} sigma {}", feature, k, sigma);
+                let mut alone = Vec::new();
+                index.range_query_normalized_into(feature, probe, sigma, &mut scratch, &mut alone);
+                prop_assert_eq!(
+                    bits(&alone), want, "feature {} probe {} alone sigma {}", feature, k, sigma
+                );
             }
             i = j;
         }
     }
 
-    /// The batch entry point of a linear-distance (R-tree) index — the
-    /// per-probe fallback — agrees bit-for-bit with scalar range
-    /// queries too.
+    /// The batch entry point of a linear-distance (R-tree) index
+    /// answers each probe bit-for-bit as it answers it alone.
     #[test]
     fn batched_linear_range_queries_equal_per_probe(
         db in graph_database(5, 5, 3),
@@ -334,13 +333,7 @@ proptest! {
     ) {
         let db: Vec<LabeledGraph> = db.iter().map(reweight).collect();
         let query = reweight(&query);
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let index = FragmentIndex::build(
-            &db,
-            exhaustive_features(&structures, 3),
-            IndexDistance::Linear(LinearDistance::edges_only()),
-            &IndexConfig { backend: Backend::RTree, ..IndexConfig::default() },
-        );
+        let index = build_index(&db, IndexDistance::Linear(LinearDistance::edges_only()));
         let frags = index.enumerate_query_fragments(&query);
         let mut scratch = pis::index::RangeScratch::new();
         let mut i = 0;
