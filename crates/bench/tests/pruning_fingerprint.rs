@@ -13,10 +13,20 @@
 //! was written and shown to pass on the parent commit, beside a fresh
 //! smoke run of that harness printing the same nine numbers, before the
 //! harness and its taps inside the searcher were deleted.
+//!
+//! The intersection counts and the partition-weight bits were added the
+//! same way in PR 20: recorded on its parent commit, before the funnel
+//! stopped reading hit lists. They hold the fused read-out of the range
+//! rows — a dropped hit or pending entry moves `|CQ|` after the
+//! intersection, a wrong term of Definition 5 (the missing-graphs term
+//! included) or a reordered sum moves the weight bits. Every count is
+//! read twice, off the frozen index and off one that holds the last ten
+//! graphs in its pending buffers.
 
 use pis_bench::pipeline_workload::{MAX_FRAGMENT_EDGES, QUERY_EDGES, SIGMAS};
 use pis_bench::{ExperimentScale, TestBed};
 use pis_core::{PisConfig, PisSearcher};
+use pis_index::{FragmentIndex, IndexConfig};
 
 /// Per σ ∈ {1, 2, 4}: candidates of a prune-only search (no structure
 /// check, no verification), verified answers, and range-query hits
@@ -25,33 +35,65 @@ use pis_core::{PisConfig, PisSearcher};
 const PRUNE_CANDIDATES: [usize; 3] = [39, 114, 193];
 const ANSWERS: [usize; 3] = [4, 5, 9];
 const RANGE_HITS: [usize; 3] = [42_149, 47_343, 48_779];
+/// Per σ, over the same prune-only searches: `|CQ|` after the
+/// per-fragment intersection, summed, and the XOR of the four
+/// `partition_weight` bit patterns.
+const AFTER_INTERSECTION: [usize; 3] = [46, 132, 198];
+const PARTITION_WEIGHT_BITS: [u64; 3] =
+    [0x000b_d6f5_bd6f_5bd2, 0x0001_a097_da09_7da4, 0x7fe6_2549_5254_9527];
 
 #[test]
 fn smoke_fingerprint_is_pinned() {
     let scale = ExperimentScale { db_size: 100, query_count: 4, ..ExperimentScale::smoke() };
     let bed = TestBed::build(&scale, MAX_FRAGMENT_EDGES);
     let queries = bed.query_set(QUERY_EDGES);
-    let prune_only = PisConfig { verify: false, structure_check: false, ..PisConfig::default() };
-    let pruner = PisSearcher::new(&bed.index, &bed.db, prune_only);
-    let full = PisSearcher::new(&bed.index, &bed.db, PisConfig::default());
+    // The same database with its last ten graphs left in the pending
+    // buffers: every count below must read the same off both indexes.
+    let frozen = bed.db.len() - 10;
+    let mut buffered = FragmentIndex::build(
+        &bed.db[..frozen],
+        bed.index.features().clone(),
+        bed.index.distance().clone(),
+        &IndexConfig { merge_threshold: 0, ..IndexConfig::default() },
+    );
+    buffered.insert_graphs_pending(&bed.db[frozen..]);
+    assert!(buffered.pending_entries() > 0);
 
-    for (i, sigma) in SIGMAS.into_iter().enumerate() {
-        let candidates: usize =
-            queries.iter().map(|q| pruner.search(q, sigma).candidates.len()).sum();
-        let answers: usize = queries.iter().map(|q| full.search(q, sigma).answers.len()).sum();
-        let mut range_hits = 0;
-        for q in &queries {
-            let mut probes = Vec::new();
-            for fragment in bed.index.enumerate_query_fragments(q) {
-                let probe = (fragment.feature, fragment.vector);
-                if !probes.contains(&probe) {
-                    range_hits += bed.index.range_query(probe.0, &probe.1, sigma).len();
-                    probes.push(probe);
+    for (name, index) in [("frozen", &bed.index), ("ten graphs pending", &buffered)] {
+        let prune_only =
+            PisConfig { verify: false, structure_check: false, ..PisConfig::default() };
+        let pruner = PisSearcher::new(index, &bed.db, prune_only);
+        let full = PisSearcher::new(index, &bed.db, PisConfig::default());
+        for (i, sigma) in SIGMAS.into_iter().enumerate() {
+            let at = format!("at sigma {sigma}, {name}");
+            let pruned: Vec<_> = queries.iter().map(|q| pruner.search(q, sigma)).collect();
+            let candidates: usize = pruned.iter().map(|o| o.candidates.len()).sum();
+            let after_intersection: usize =
+                pruned.iter().map(|o| o.stats.candidates_after_intersection).sum();
+            let weight_bits = pruned.iter().fold(0, |x, o| x ^ o.stats.partition_weight.to_bits());
+            let answers: usize = queries.iter().map(|q| full.search(q, sigma).answers.len()).sum();
+            let mut range_hits = 0;
+            for q in &queries {
+                let mut probes = Vec::new();
+                for fragment in index.enumerate_query_fragments(q) {
+                    let probe = (fragment.feature, fragment.vector);
+                    if !probes.contains(&probe) {
+                        range_hits += index.range_query(probe.0, &probe.1, sigma).len();
+                        probes.push(probe);
+                    }
                 }
             }
+            assert_eq!(candidates, PRUNE_CANDIDATES[i], "prune-only candidates {at}");
+            assert_eq!(answers, ANSWERS[i], "answers {at}");
+            assert_eq!(range_hits, RANGE_HITS[i], "range hits {at}");
+            assert_eq!(
+                after_intersection, AFTER_INTERSECTION[i],
+                "candidates after intersection {at}"
+            );
+            assert_eq!(
+                weight_bits, PARTITION_WEIGHT_BITS[i],
+                "partition weight bits {at}: {weight_bits:#018x}"
+            );
         }
-        assert_eq!(candidates, PRUNE_CANDIDATES[i], "prune-only candidates at sigma {sigma}");
-        assert_eq!(answers, ANSWERS[i], "answers at sigma {sigma}");
-        assert_eq!(range_hits, RANGE_HITS[i], "range hits at sigma {sigma}");
     }
 }

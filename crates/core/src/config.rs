@@ -56,14 +56,28 @@ pub struct PisConfig {
     pub budget: QueryBudget,
 }
 
-/// Break-even point of the range-query fan-out: below this many unique
-/// probes a search prices them serially through the shared scratch; at
-/// or above it, probe groups spread across the thread pool (the
-/// measured break-even on commodity 8–16 core hardware).
+/// Threshold of the range-query fan-out: below this many unique probes
+/// a search prices them serially through the shared scratch; at or
+/// above it, probe groups are shared out across the thread pool.
+///
+/// Not a measured break-even: 48 (like
+/// [`DEFAULT_PARALLEL_VERIFY_THRESHOLD`]'s 64) is a carry-over that was
+/// never measured beyond 2 cores, and ROADMAP direction 5 is to settle
+/// both or remove the fan-outs. What is known (2 cores, `tight_10k`,
+/// measured on the parent of PR 20, when the pool spawned every worker
+/// and split the slice into fixed halves): a fan-out's first thread
+/// started 0.11–0.17 ms after the call and its second 0.29–0.62 ms,
+/// each fan-out's wall time was 0.22–0.26 ms more than its busier
+/// worker's own run time, and two threads returned 1.27× on the range
+/// queries, 1.47× on the structure check and 1.40× on verification
+/// over the same query forced serial. Those latencies are why the pool
+/// now works on the calling thread and hands out blocks
+/// (`pis_graph::pool`).
 pub const DEFAULT_PARALLEL_FRAGMENT_THRESHOLD: usize = 48;
 
-/// Break-even point of the structure check and candidate verification:
-/// batches smaller than this run on the calling thread.
+/// Threshold of the structure check and candidate verification:
+/// batches smaller than this run on the calling thread. An unmeasured
+/// carry-over, see [`DEFAULT_PARALLEL_FRAGMENT_THRESHOLD`].
 pub const DEFAULT_PARALLEL_VERIFY_THRESHOLD: usize = 64;
 
 impl Default for PisConfig {

@@ -4,9 +4,10 @@
 //!
 //! 1. enumerate the indexed fragments of `Q` (lines 3–4);
 //! 2. per fragment, one index range query yields `T = {G : d(g, G) ≤ σ}`
-//!    with exact minima; `CQ ← CQ ∩ T` removes structure and distance
-//!    violators (lines 6–17), and the hits give the fragment's
-//!    selectivity `w(g)` (line 18);
+//!    with exact minima, as a row of per-class-graph minima; one pass
+//!    over the row, where it was computed, gives both `CQ ← CQ ∩ T`
+//!    (structure and distance violators go, lines 6–17) and the
+//!    fragment's selectivity `w(g)` (line 18);
 //! 3. fragments with `w(g) ≤ ε` are dropped (line 5 — evaluated here
 //!    because `w` is only known after the range queries; see `DESIGN.md` §2.4);
 //! 4. the overlapping-relation graph is built and a maximum-selectivity
@@ -20,11 +21,13 @@
 //!
 //! The funnel is engineered around three ideas:
 //!
-//! * **dense state** — the candidate set is a [`GraphBitSet`] (one bit
-//!   per database graph; intersections are word-parallel `AND`s) and
-//!   the partition lower bound accumulates in a generation-stamped
-//!   per-graph array, so step 5 reads hits sequentially instead of
-//!   binary-searching per candidate;
+//! * **dense state** — a range query's hits stay the minima rows the
+//!   index wrote (`∞` = no hit) and are never copied into lists; the
+//!   candidate set is a [`GraphBitSet`] (one bit per database graph;
+//!   intersections are word-parallel `AND`s) that starts as the whole
+//!   database, and the partition lower bound accumulates in a
+//!   generation-stamped per-graph array, so step 5 sweeps the chosen
+//!   fragments' rows instead of binary-searching per candidate;
 //! * **reuse** — all of that state lives in a [`SearchScratch`] that
 //!   callers ([`PisSearcher::search_with_scratch`], `knn`'s radius
 //!   doubling, `run_workload`) thread through repeated searches, making
@@ -35,8 +38,9 @@
 //!   solvers fill a reused selection buffer (`DESIGN.md` §6.6);
 //! * **deduplication** — automorphic query fragments produce identical
 //!   `(feature, vector)` probes; each unique probe runs one range query
-//!   (memoized in the scratch), and large probe sets fan out across the
-//!   shared [`ScopedPool`].
+//!   (memoized in the scratch), and large probe sets share their
+//!   sibling groups out across the [`ScopedPool`], each worker reading
+//!   out the rows it computed.
 //!
 //! [`PisSearcher::search_reference`] keeps the seed's straight-line
 //! implementation as an executable specification; differential tests
@@ -47,7 +51,8 @@ use pis_graph::budget::{BudgetState, BudgetStats, CheckpointSite, QueryBudget};
 use pis_graph::util::FxHashMap;
 use pis_graph::{GraphBitSet, GraphId, LabeledGraph, ScopedPool};
 use pis_index::{
-    FragmentBuffer, FragmentIndex, FragmentVectorRef, IndexDistance, QueryFragment, RangeScratch,
+    row_hits, FragmentBuffer, FragmentIndex, FragmentVectorRef, IndexDistance, QueryFragment,
+    RangeScratch,
 };
 use pis_partition::reference::{
     enhanced_greedy_mwis_ref, exact_mwis_ref, greedy_mwis_ref, AdjOverlapGraph,
@@ -62,7 +67,7 @@ use crate::config::{
     DEFAULT_PARALLEL_VERIFY_THRESHOLD,
 };
 use crate::error::{validate_query, validate_sigma, QueryError};
-use crate::selectivity::selectivity;
+use crate::selectivity::{read_out_row, selectivity};
 use crate::verify::{min_superimposed_distance_reference, VerifyScratch};
 
 /// One fragment chosen into the partition (for explain output).
@@ -217,18 +222,27 @@ type ScoredFragment = (QueryFragment, Vec<(GraphId, f64)>, f64);
 /// fragment enumeration included, via the arena-backed
 /// [`FragmentBuffer`] — performs no heap allocation outside the
 /// returned [`SearchOutcome`]. (When a large probe set fans out across
-/// the pool, workers trade per-slot buffer allocations for core
-/// scaling.) Scratches are independent — one per thread for concurrent
-/// searches.
+/// the pool, workers trade one row-buffer allocation per sibling group
+/// for core scaling.) Scratches are independent — one per thread for
+/// concurrent searches.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     /// Arena-backed store for the query's enumerated fragments.
     fragments: FragmentBuffer,
-    /// Range-query dense accumulator (shared across the whole search).
+    /// Range-query descent state (shared across the whole search).
     range: RangeScratch,
+    /// Minima rows of this search's range queries, one buffer per
+    /// sibling group (`pis_index::FragmentIndex::range_query_batch_rows`)
+    /// — the only form hits take in the funnel. The serial arm refills
+    /// the buffers search after search; the pooled arm's workers
+    /// allocate theirs and hand them back by move.
+    rows: Vec<Vec<f64>>,
+    /// Per slot: its row's buffer in `rows` and offset there (the row
+    /// is as long as the slot's class).
+    row_at: Vec<(usize, usize)>,
     /// The live candidate set `CQ`.
     candidates: GraphBitSet,
-    /// Per-fragment membership mask, re-filled per intersection.
+    /// One probe's hit set `T`, re-filled per row read-out.
     mask: GraphBitSet,
     /// Partition lower-bound accumulator, stamped by `generation`.
     bound: Vec<f64>,
@@ -241,22 +255,17 @@ pub struct SearchScratch {
     memo: FxHashMap<Vec<u64>, usize>,
     /// Reusable probe-key assembly buffer.
     key_buf: Vec<u64>,
-    /// Per-slot range-query hits (buffers reused across searches).
-    hits: Vec<Vec<(GraphId, f64)>>,
-    /// Per-slot selectivity `w(g)`.
+    /// Per-slot selectivity `w(g)` (a placeholder on incomplete slots).
     weights: Vec<f64>,
-    /// Slots in use this search.
-    slots_used: usize,
     /// Per-fragment slot assignment.
     slot_of: Vec<usize>,
     /// Fragment index that first produced each slot.
     unique_fragment: Vec<usize>,
-    /// Which slots have already been intersected into `candidates`.
-    intersected: Vec<bool>,
     /// Whether each slot's range query ran to completion under the
-    /// query budget. An incomplete slot's hits are empty and must not
-    /// prune (its true hit set is unknown): the slot is skipped by the
-    /// intersection and excluded from the fragment pool.
+    /// query budget. An incomplete slot has no row and must not prune
+    /// (its true hit set is unknown): it is never read out — so it
+    /// neither shrinks `candidates` nor gets a weight — and is excluded
+    /// from the fragment pool.
     slot_complete: Vec<bool>,
     /// The final candidate list of the last search, ascending.
     cand_buf: Vec<GraphId>,
@@ -301,10 +310,11 @@ impl SearchScratch {
         &mut self.verify
     }
 
-    /// Prepares for a search over `n` database graphs.
+    /// Prepares for a search over `n` database graphs: `CQ` starts as
+    /// the whole database.
     fn begin(&mut self, n: usize) {
         self.candidates.reset(n);
-        self.mask.reset(n);
+        self.candidates.fill();
         if self.bound.len() < n {
             self.bound.resize(n, 0.0);
             self.seen_in.resize(n, 0);
@@ -312,10 +322,9 @@ impl SearchScratch {
         }
         self.memo.clear();
         self.weights.clear();
-        self.slots_used = 0;
+        self.row_at.clear();
         self.slot_of.clear();
         self.unique_fragment.clear();
-        self.intersected.clear();
         self.slot_complete.clear();
         self.cand_buf.clear();
         self.cand_lb.clear();
@@ -340,15 +349,14 @@ impl SearchScratch {
         let slot = match self.memo.get(&self.key_buf) {
             Some(&s) => s,
             None => {
-                let s = self.slots_used;
-                self.slots_used += 1;
-                if self.hits.len() < self.slots_used {
-                    self.hits.push(Vec::new());
-                }
+                let s = self.unique_fragment.len();
                 self.memo.insert(self.key_buf.clone(), s);
                 self.unique_fragment.push(fragment_idx);
-                self.intersected.push(false);
-                self.slot_complete.push(true);
+                // Placeholders until the slot's group is answered; an
+                // incomplete slot keeps them and never reads them.
+                self.weights.push(0.0);
+                self.row_at.push((0, 0));
+                self.slot_complete.push(false);
                 s
             }
         };
@@ -524,55 +532,16 @@ impl<'a> PisSearcher<'a> {
         stats.query_fragments = fragments.len();
 
         // Lines 6–18: one range query per *unique* `(feature, vector)`
-        // probe — automorphic fragments share hits and selectivity.
+        // probe — automorphic fragments share the row and everything
+        // read off it. `CQ` starts as the whole database (the
+        // zero-fragment query — and the fully truncated one — keeps it)
+        // and every completed probe's hit set is ANDed in as its row is
+        // read out, together with its selectivity.
         scratch.begin(n);
         for i in 0..fragments.len() {
             scratch.assign_slot(i, fragments.feature(i), fragments.vector(i));
         }
         self.run_range_queries(&fragments, sigma, scratch, budget);
-        for s in 0..scratch.slots_used {
-            // An incomplete slot's hits are cleared; a selectivity
-            // computed from them would be fiction. The placeholder never
-            // matters: incomplete slots are barred from the pool below.
-            let w = if scratch.slot_complete[s] {
-                selectivity(&scratch.hits[s], n, sigma, self.config.lambda)
-            } else {
-                0.0
-            };
-            scratch.weights.push(w);
-        }
-
-        // `CQ` seeds from the first completed fragment's hits (the
-        // zero-fragment query — and the fully truncated one — keeps the
-        // full universe) and shrinks by word-parallel intersection;
-        // duplicate probes are idempotent and skipped, incomplete slots
-        // must not prune.
-        let mut seeded = false;
-        for fi in 0..fragments.len() {
-            let slot = scratch.slot_of[fi];
-            if scratch.intersected[slot] || !scratch.slot_complete[slot] {
-                continue;
-            }
-            scratch.intersected[slot] = true;
-            if !seeded {
-                seeded = true;
-                for &(g, _) in &scratch.hits[slot] {
-                    scratch.candidates.insert(g);
-                }
-            } else {
-                scratch.mask.clear();
-                for &(g, _) in &scratch.hits[slot] {
-                    scratch.mask.insert(g);
-                }
-                scratch.candidates.intersect_with(&scratch.mask);
-                if scratch.candidates.is_empty() {
-                    break;
-                }
-            }
-        }
-        if !seeded {
-            scratch.candidates.fill();
-        }
         stats.candidates_after_intersection = scratch.candidates.count();
 
         // Line 5: drop fragments with selectivity <= epsilon. Fragments
@@ -636,9 +605,9 @@ impl<'a> PisSearcher<'a> {
         stats.partition_weight = selection_weight(&scratch.overlap, &scratch.selection);
 
         // Lines 21–23: partition lower-bound pruning. Each partition
-        // fragment's hits stream into a dense stamped accumulator; a
-        // candidate survives iff every partition fragment contained it
-        // and the summed bound stays within sigma.
+        // fragment's row streams, in partition order, into a dense
+        // stamped accumulator; a candidate survives iff every partition
+        // fragment contained it and the summed bound stays within sigma.
         let partition: Vec<usize> = scratch.selection.iter().map(|&i| scratch.pool[i]).collect();
         stats.partition = partition
             .iter()
@@ -651,7 +620,10 @@ impl<'a> PisSearcher<'a> {
         scratch.generation += 1;
         let generation = scratch.generation;
         for &fi in &partition {
-            for &(g, d) in &scratch.hits[scratch.slot_of[fi]] {
+            let graphs = self.index.class_graphs(fragments.feature(fi));
+            let (buffer, at) = scratch.row_at[scratch.slot_of[fi]];
+            let row = &scratch.rows[buffer][at..at + graphs.len()];
+            for (g, d) in row_hits(graphs, row) {
                 if !scratch.candidates.contains(g) {
                     continue;
                 }
@@ -744,15 +716,19 @@ impl<'a> PisSearcher<'a> {
         stats
     }
 
-    /// Runs the range queries of one search: unique probe slots are
-    /// grouped into *sibling batches* — consecutive slots of the same
-    /// feature (the enumeration is feature-major, so equal features are
-    /// always adjacent) — and each batch is answered in one pass by
-    /// [`FragmentIndex::range_query_batch_normalized_into`], which
-    /// prices every level's alphabet once per distinct query label and
-    /// descends the class arena once for the whole group; a lone probe
-    /// is a batch of one. Large probe sets fan the batches out across
-    /// the pool instead.
+    /// Runs the range queries of one search and reads their rows out:
+    /// unique probe slots are grouped into *sibling batches* —
+    /// consecutive slots of the same feature (the enumeration is
+    /// feature-major, so equal features are always adjacent) — and each
+    /// batch is answered in one pass by
+    /// [`FragmentIndex::range_query_batch_rows`], which prices every
+    /// level's alphabet once per distinct query label and descends the
+    /// class arena once for the whole group; a lone probe is a batch of
+    /// one. Each completed group's rows are read once, by the thread
+    /// that computed them ([`read_out_row`]): per probe the selectivity
+    /// and the hit set, ANDed into `CQ`. Large probe sets share the
+    /// groups out across the pool instead; every group then ANDs into a
+    /// set of its own and the sets meet in `CQ` after the join.
     fn run_range_queries(
         &self,
         fragments: &FragmentBuffer,
@@ -760,59 +736,116 @@ impl<'a> PisSearcher<'a> {
         scratch: &mut SearchScratch,
         budget: &BudgetState,
     ) {
+        let n = self.database.len();
+        let SearchScratch {
+            range,
+            rows,
+            row_at,
+            candidates,
+            mask,
+            weights,
+            unique_fragment,
+            slot_complete,
+            ..
+        } = scratch;
+        let unique_fragment = unique_fragment.as_slice();
+        // Answers the group of slots `s..e` into `rows` and, if the
+        // budget let the descent finish, reads each probe's row out:
+        // its weight into `weights`, its hit set ANDed into `cq`. A
+        // batch descent prices all siblings in one pass, so a trip
+        // mid-descent invalidates the whole group — it then contributes
+        // nothing.
+        let answer_group = |(s, e): (usize, usize),
+                            range: &mut RangeScratch,
+                            rows: &mut Vec<f64>,
+                            mask: &mut GraphBitSet,
+                            cq: &mut GraphBitSet,
+                            weights: &mut [f64]| {
+            let feature = fragments.feature(unique_fragment[s]);
+            let complete = self.index.range_query_batch_rows(
+                feature,
+                e - s,
+                |i| fragments.vector(unique_fragment[s + i]),
+                sigma,
+                range,
+                budget,
+                rows,
+            );
+            if complete {
+                let graphs = self.index.class_graphs(feature);
+                let c = graphs.len();
+                for (k, w) in weights.iter_mut().enumerate() {
+                    let row = &rows[k * c..(k + 1) * c];
+                    *w = read_out_row(graphs, row, n, sigma, self.config.lambda, mask);
+                    cq.intersect_with(mask);
+                }
+            }
+            complete
+        };
+        // Where slot `s + k`'s row lies once its group's buffer is
+        // `rows[buffer]`.
+        let mut place = |buffer: usize, (s, e): (usize, usize), complete: bool| {
+            let c = self.index.class_graphs(fragments.feature(unique_fragment[s])).len();
+            for (k, at) in row_at[s..e].iter_mut().enumerate() {
+                *at = (buffer, k * c);
+            }
+            slot_complete[s..e].fill(complete);
+        };
         let pool = ScopedPool::default();
-        let unique = scratch.slots_used;
         if pool.workers() > 1
             && !ScopedPool::in_worker()
-            && unique >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD
+            && unique_fragment.len() >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD
         {
             // Inside a pool worker (e.g. a `run_workload` fan-out) a
             // nested map would run serially anyway — take the
-            // scratch-reusing serial path directly instead of
-            // allocating per-probe buffers.
-            let index = self.index;
-            let unique_fragment = &scratch.unique_fragment;
+            // buffer-reusing serial path directly instead of
+            // allocating per-group rows.
             let groups = sibling_groups(fragments, unique_fragment);
-            // One group's per-slot hit lists plus its completeness flag
-            // (false = the batch descent tripped the budget mid-group).
-            type GroupHits = (Vec<Vec<(GraphId, f64)>>, bool);
-            let results: Vec<GroupHits> =
-                pool.map_with(&groups, 2, RangeScratch::new, |range, _, &(s, e)| {
-                    let mut outs: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); e - s];
-                    let complete = index.range_query_batch_normalized_budgeted_into(
-                        fragments.feature(unique_fragment[s]),
-                        e - s,
-                        |i| fragments.vector(unique_fragment[s + i]),
-                        sigma,
+            // Last search's buffers go before this one's are allocated.
+            rows.clear();
+            let answered = pool.map_with(
+                &groups,
+                2,
+                || (RangeScratch::new(), GraphBitSet::default()),
+                |(range, mask), _, &(s, e)| {
+                    let mut group_rows = Vec::new();
+                    let mut group_weights = vec![0.0; e - s];
+                    let mut cq = GraphBitSet::new(n);
+                    cq.fill();
+                    let complete = answer_group(
+                        (s, e),
                         range,
-                        budget,
-                        &mut outs,
+                        &mut group_rows,
+                        mask,
+                        &mut cq,
+                        &mut group_weights,
                     );
-                    (outs, complete)
-                });
-            for (&(s, _), (outs, complete)) in groups.iter().zip(results) {
-                for (k, hits) in outs.into_iter().enumerate() {
-                    scratch.hits[s + k] = hits;
-                    scratch.slot_complete[s + k] = complete;
-                }
+                    (group_rows, group_weights, cq, complete)
+                },
+            );
+            for (&(s, e), (group_rows, group_weights, cq, complete)) in groups.iter().zip(answered)
+            {
+                weights[s..e].copy_from_slice(&group_weights);
+                candidates.intersect_with(&cq);
+                place(rows.len(), (s, e), complete);
+                rows.push(group_rows);
             }
         } else {
-            let SearchScratch { range, hits, unique_fragment, slot_complete, .. } = scratch;
+            let mut buffer = 0;
             for_each_sibling_group(fragments, unique_fragment, |s, e| {
-                // A batch descent prices all siblings in one pass; a
-                // trip mid-descent invalidates the whole group.
-                let complete = self.index.range_query_batch_normalized_budgeted_into(
-                    fragments.feature(unique_fragment[s]),
-                    e - s,
-                    |i| fragments.vector(unique_fragment[s + i]),
-                    sigma,
-                    range,
-                    budget,
-                    &mut hits[s..e],
-                );
-                for flag in &mut slot_complete[s..e] {
-                    *flag = complete;
+                if rows.len() == buffer {
+                    rows.push(Vec::new());
                 }
+                let complete = answer_group(
+                    (s, e),
+                    range,
+                    &mut rows[buffer],
+                    mask,
+                    candidates,
+                    &mut weights[s..e],
+                );
+                place(buffer, (s, e), complete);
+                buffer += 1;
             });
         }
     }

@@ -5,18 +5,36 @@
 //! cores, keep the results in input order, and don't bother below a
 //! break-even batch size". Before this module each site hand-rolled its
 //! own `std::thread::scope` chunking; they now share this one, so the
-//! chunking policy, the break-even guard and the panic story live in a
-//! single place.
+//! work-sharing policy, the break-even guard and the panic story live
+//! in a single place.
 //!
 //! Threads are scoped (borrowed inputs need no `'static`) and spawned
-//! per call — at one job per core per call the spawn cost is noise next
-//! to the work each site ships, and a persistent pool would drag in
-//! channels and lifetime plumbing the workspace otherwise avoids.
+//! per call; a persistent pool would drag in channels and lifetime
+//! plumbing the workspace otherwise avoids. The spawn is not free, and
+//! the policy is built around what it was measured to cost (2 cores,
+//! `tight_10k`, three fan-outs per query): a spawned thread ran its
+//! first item 0.11–0.17 ms after the call, the second one 0.29–0.62 ms
+//! after it, and each fan-out's wall time was 0.22–0.26 ms more than
+//! its busier worker's own run time, so two threads on fixed halves
+//! returned 1.27× (range queries), 1.47× (structure check) and 1.40×
+//! (verification) over the same query forced serial. Hence:
+//!
+//! * **the caller works** — a pool of `workers` threads spawns
+//!   `workers − 1` helpers and the calling thread starts on the slice
+//!   at once instead of sleeping through the helpers' start-up;
+//! * **blocks are claimed, not assigned** — every thread takes the next
+//!   small block off one shared cursor until the slice is spent, so a
+//!   helper that starts late, or items whose cost is uneven, shift work
+//!   to whoever is free instead of stretching the fan-out to its
+//!   slowest fixed share.
 //!
 //! Fan-outs do not nest: a `map` issued from inside a pool worker runs
-//! serially (a thread-local marks worker threads), so composed sites —
-//! a batch of queries whose searches would each fan out verification —
-//! stay at one thread per core instead of workers².
+//! serially (a thread-local marks worker threads — the caller too,
+//! while it works), so composed sites — a batch of queries whose
+//! searches would each fan out verification — stay at one thread per
+//! core instead of workers².
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 std::thread_local! {
     /// Set inside pool workers so nested `map` calls run serially —
@@ -26,7 +44,12 @@ std::thread_local! {
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// A chunking policy over scoped threads.
+/// Blocks a fan-out cuts per worker: enough that an uneven slice or a
+/// late helper rebalances, few enough that claiming stays free next to
+/// the work of a block.
+const BLOCKS_PER_WORKER: usize = 8;
+
+/// A work-sharing policy over scoped threads.
 #[derive(Clone, Copy, Debug)]
 pub struct ScopedPool {
     workers: usize,
@@ -43,16 +66,19 @@ impl ScopedPool {
         ScopedPool { workers }
     }
 
-    /// Number of worker threads the pool will use.
+    /// Number of threads a fan-out runs on, the calling thread
+    /// included.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Whether the current thread is a pool worker. Fan-outs issued
-    /// from workers run serially; callers that keep dedicated state for
-    /// the parallel branch (fresh per-worker buffers instead of a
-    /// shared scratch) should check this and take their serial,
-    /// state-reusing path directly.
+    /// Whether the current thread is working inside a pool fan-out —
+    /// a spawned helper, or the calling thread for as long as its own
+    /// `map` runs (it reads `false` again once the call returns or
+    /// unwinds). Fan-outs issued from workers run serially; callers
+    /// that keep dedicated state for the parallel branch (fresh
+    /// per-worker buffers instead of a shared scratch) should check
+    /// this and take their serial, state-reusing path directly.
     pub fn in_worker() -> bool {
         IN_POOL_WORKER.with(std::cell::Cell::get)
     }
@@ -61,7 +87,8 @@ impl ScopedPool {
     ///
     /// Runs serially when the pool has one worker or `items` is shorter
     /// than `min_parallel` (below break-even, threads cost more than
-    /// they save); otherwise chunks the slice across scoped threads.
+    /// they save); otherwise shares the slice among the calling thread
+    /// and scoped helpers.
     pub fn map<T, R>(
         &self,
         items: &[T],
@@ -75,10 +102,11 @@ impl ScopedPool {
         self.map_with(items, min_parallel, || (), |(), i, item| f(i, item))
     }
 
-    /// Like [`ScopedPool::map`], but hands every worker its own state
+    /// Like [`ScopedPool::map`], but hands every thread its own state
     /// built by `init` — scratch buffers, RNGs, anything `f` wants to
-    /// reuse across the items of one chunk. The serial path builds the
-    /// state once and reuses it for every item.
+    /// reuse across the items that thread ends up with (built when the
+    /// thread claims its first block, so at most `workers` times). The
+    /// serial path builds the state once and reuses it for every item.
     pub fn map_with<S, T, R>(
         &self,
         items: &[T],
@@ -90,57 +118,67 @@ impl ScopedPool {
         T: Sync,
         R: Send,
     {
-        if self.workers <= 1
-            || items.len() < min_parallel.max(2)
-            || IN_POOL_WORKER.with(std::cell::Cell::get)
-        {
+        if self.workers <= 1 || items.len() < min_parallel.max(2) || ScopedPool::in_worker() {
             let mut state = init();
             return items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
         }
-        let chunk = items.len().div_ceil(self.workers);
-        let mut results: Vec<Vec<R>> = Vec::with_capacity(items.len().div_ceil(chunk));
-        // Worker panics are caught per task, every worker is joined, and
-        // the *first* payload resurfaces on the calling thread — one
-        // panic, no leaked threads, and the pool (a plain policy struct)
-        // stays usable for the next call.
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, part)| {
-                    let f = &f;
-                    let init = &init;
-                    scope.spawn(move || {
-                        IN_POOL_WORKER.with(|w| w.set(true));
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut state = init();
-                            part.iter()
-                                .enumerate()
-                                .map(|(i, item)| f(&mut state, ci * chunk + i, item))
-                                .collect::<Vec<R>>()
-                        }))
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(part)) => results.push(part),
-                    Ok(Err(payload)) => {
-                        first_panic.get_or_insert(payload);
-                    }
-                    // A panic that escaped catch_unwind (e.g. from a
-                    // panic hook) still surfaces.
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
+        let block = (items.len() / (self.workers * BLOCKS_PER_WORKER)).max(1);
+        let helpers = self.workers.min(items.len().div_ceil(block)) - 1;
+        // The cursor hands out block starts and publishes nothing else
+        // (items are shared read-only, results travel through `join`),
+        // so relaxed ordering is enough.
+        let next = AtomicUsize::new(0);
+        // One thread's share: its blocks as `(start, results)`.
+        let work = || {
+            let mut state = None;
+            let mut blocks: Vec<(usize, Vec<R>)> = Vec::new();
+            loop {
+                let start = next.fetch_add(block, Ordering::Relaxed);
+                if start >= items.len() {
+                    return blocks;
                 }
+                let state = state.get_or_insert_with(&init);
+                let part = &items[start..items.len().min(start + block)];
+                let results = part.iter().enumerate().map(|(i, item)| f(state, start + i, item));
+                blocks.push((start, results.collect()));
             }
+        };
+        // Panics are caught per thread — the caller's included, so its
+        // worker mark always comes off and every helper is joined —
+        // and a thread that panicked spends the cursor, so the others
+        // stop at their next claim.
+        let run = || {
+            IN_POOL_WORKER.with(|w| w.set(true));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
+            IN_POOL_WORKER.with(|w| w.set(false));
+            if outcome.is_err() {
+                next.store(items.len(), Ordering::Relaxed);
+            }
+            outcome
+        };
+        let mut outcomes = Vec::with_capacity(helpers + 1);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(run)).collect();
+            outcomes.push(run());
+            // A panic that escaped catch_unwind (e.g. from a panic
+            // hook) still surfaces.
+            outcomes.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)));
         });
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
+        // The *first* payload (the caller's, then the helpers' in spawn
+        // order) resurfaces on the calling thread — one panic, no
+        // leaked threads, and the pool (a plain policy struct) stays
+        // usable for the next call.
+        let mut blocks = Vec::new();
+        for outcome in outcomes {
+            match outcome {
+                Ok(part) => blocks.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
-        results.into_iter().flatten().collect()
+        blocks.sort_unstable_by_key(|&(start, _)| start);
+        let mut results = Vec::with_capacity(items.len());
+        results.extend(blocks.into_iter().flat_map(|(_, part)| part));
+        results
     }
 }
 
@@ -157,14 +195,21 @@ mod tests {
 
     #[test]
     fn results_stay_in_input_order() {
-        let items: Vec<u32> = (0..100).collect();
-        for workers in [1, 2, 7] {
+        // Each item spins for its own value, which falls 100x from the
+        // first item to the last: whoever claims the early blocks is
+        // still busy while the rest of the slice is handed out around
+        // it, and the results must come back in input order anyway.
+        let items: Vec<u32> = (0..100).map(|i| 100_000 - i * 1_000).collect();
+        for workers in [1, 2, 3, 7] {
             let pool = ScopedPool::new(workers);
-            let doubled = pool.map(&items, 0, |i, &x| (i, x * 2));
-            assert_eq!(doubled.len(), 100);
-            for (i, (idx, v)) in doubled.iter().enumerate() {
-                assert_eq!(*idx, i);
-                assert_eq!(*v, items[i] * 2);
+            let spun = pool.map(&items, 0, |i, &x| {
+                (0..x).fold(0u32, |acc, k| std::hint::black_box(acc ^ k));
+                (i, x * 2)
+            });
+            assert_eq!(spun.len(), 100);
+            for (i, (idx, v)) in spun.iter().enumerate() {
+                assert_eq!(*idx, i, "{workers} workers");
+                assert_eq!(*v, items[i] * 2, "{workers} workers");
             }
         }
     }
@@ -186,21 +231,45 @@ mod tests {
 
     #[test]
     fn per_worker_state_is_reused_within_a_chunk() {
-        let pool = ScopedPool::new(2);
-        // Each worker's state counts the items it saw; totals must cover
-        // the input exactly once.
-        let seen: Vec<usize> = pool.map_with(
-            &[0u8; 64],
-            2,
-            || 0usize,
-            |state, _, _| {
-                *state += 1;
-                *state
-            },
-        );
-        assert_eq!(seen.len(), 64);
-        // Counts restart per worker but each item was visited once.
-        assert!(seen.iter().all(|&c| c >= 1));
+        // (A thread's "chunk" is whatever blocks it claims.)
+        for workers in [2, 3, 7] {
+            let pool = ScopedPool::new(workers);
+            let built = std::sync::atomic::AtomicUsize::new(0);
+            // Each thread's state counts the items it saw; every item
+            // is visited exactly once whoever claims it.
+            let seen: Vec<usize> = pool.map_with(
+                &[0u8; 64],
+                2,
+                || {
+                    built.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    0usize
+                },
+                |state, _, _| {
+                    *state += 1;
+                    *state
+                },
+            );
+            assert_eq!(seen.len(), 64);
+            assert!(seen.iter().all(|&c| c >= 1));
+            let built = built.load(std::sync::atomic::Ordering::SeqCst);
+            assert!((1..=workers).contains(&built), "{built} states for {workers} workers");
+        }
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Two workers = the caller plus at most one helper, and the
+        // caller's share runs under the worker mark.
+        let caller = std::thread::current().id();
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        ScopedPool::new(2).map(&[(); 256], 2, |_, ()| {
+            assert!(ScopedPool::in_worker());
+            threads.lock().unwrap().insert(std::thread::current().id());
+        });
+        let mut threads = threads.into_inner().unwrap();
+        threads.remove(&caller);
+        assert!(threads.len() <= 1, "{} threads besides the caller ran f", threads.len());
+        assert!(!ScopedPool::in_worker(), "the mark comes off when the call returns");
     }
 
     #[test]
@@ -220,10 +289,10 @@ mod tests {
     fn worker_panic_surfaces_once_and_pool_stays_usable() {
         let pool = ScopedPool::new(4);
         let items: Vec<u32> = (0..64).collect();
-        // Two workers panic; exactly one payload must resurface (the
-        // first in chunk order), all workers must be joined (scoped
-        // threads guarantee no leak), and the same pool must serve the
-        // next call normally.
+        // Four items panic, whoever claims them; exactly one payload
+        // must resurface, all workers must be joined (scoped threads
+        // guarantee no leak), and the same pool must serve the next
+        // call normally.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.map(&items, 2, |_, &x| {
                 if x % 16 == 7 {
@@ -239,10 +308,42 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
             .expect("panic payload is a message");
         assert!(message.contains("worker bang"), "payload resurfaces verbatim: {message}");
-        // The pool is a plain chunking policy: the next call works.
+        // The pool is a plain policy struct: the next call works.
         let out = pool.map(&items, 2, |_, &x| x * 2);
         assert_eq!(out.len(), 64);
         assert_eq!(out[10], 20);
+    }
+
+    #[test]
+    fn caller_panic_surfaces_once_and_pool_stays_usable() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let pool = ScopedPool::new(2);
+        let caller = std::thread::current().id();
+        // The helper holds its first item until the caller is inside
+        // `f`, so the caller is certain to claim a block; the caller
+        // panics in the first item it is handed.
+        let caller_in = AtomicBool::new(false);
+        let panics = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.map(&[(); 64], 2, |_, ()| {
+                if std::thread::current().id() == caller {
+                    caller_in.store(true, Ordering::SeqCst);
+                    panics.fetch_add(1, Ordering::SeqCst);
+                    panic!("caller bang");
+                }
+                while !caller_in.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            })
+        }));
+        let payload = caught.expect_err("the caller's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller bang"));
+        assert_eq!(panics.load(Ordering::SeqCst), 1, "the caller stops at its first panic");
+        assert!(!ScopedPool::in_worker(), "the mark comes off when the call unwinds");
+        // Off the mark, the next call fans out again and works.
+        let out = pool.map(&[1u32, 2, 3, 4], 2, |_, &x| x * 2);
+        assert_eq!(out, vec![2, 4, 6, 8]);
+        assert!(!ScopedPool::in_worker());
     }
 
     #[test]

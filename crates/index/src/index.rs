@@ -7,6 +7,15 @@
 //! inserts them into the class backend. Range queries then answer
 //! Eq. (3) — `d(g, G) = min_{g' ⊑ G, g' ≅ g} d(g, g')` — without
 //! touching any database graph.
+//!
+//! The product of a range query is a **minima row**: one `f64` per
+//! graph of the probe's class, in [`FragmentIndex::class_graphs`] order,
+//! holding `d(g, G)` where it is within `σ` and `∞` where it is not
+//! ([`FragmentIndex::range_query_batch_rows`] — one descent, one
+//! accumulation, pending entries folded in). The search funnel reads
+//! rows directly; the `(graph, distance)` hit lists of
+//! [`FragmentIndex::range_query`] and its `_into` variants are
+//! [`row_hits`] collected — a view of the same rows.
 
 use std::hash::Hasher;
 use std::ops::ControlFlow;
@@ -128,28 +137,26 @@ impl Default for IndexConfig {
     }
 }
 
-/// Reusable state for [`FragmentIndex::range_query_normalized_into`]:
-/// a generation-stamped dense per-graph minimum, so repeated range
-/// queries neither hash nor allocate. One scratch serves any number of
+/// Reusable state of the range-query functions, so repeated queries
+/// neither hash nor allocate. One scratch serves any number of
 /// sequential queries against indexes of any size (it grows to the
 /// largest database seen).
 #[derive(Clone, Debug, Default)]
 pub struct RangeScratch {
-    /// Which generation last wrote each graph's slot.
+    /// R-tree classes' per-graph minimum, by global graph id and
+    /// generation-stamped: which generation last wrote each slot.
     stamp: Vec<u64>,
     /// Minimum distance seen this generation (valid iff stamp matches).
     best: Vec<f64>,
-    /// Graphs touched this generation — the hits, in visit order.
-    touched: Vec<GraphId>,
     /// Monotone query counter.
     generation: u64,
     /// Frontier of the flat trie's descent.
     batch: BatchFrontier,
     /// Probe labels of one descent, row-major.
     probe_labels: Vec<Label>,
-    /// Per-probe per-class-graph minimum rows of the trie paths
-    /// (∞-initialized; trie postings are class-local slots).
-    class_best: Vec<f64>,
+    /// The minima rows the list-returning functions read their hits
+    /// out of.
+    rows: Vec<f64>,
 }
 
 impl RangeScratch {
@@ -165,8 +172,19 @@ impl RangeScratch {
             self.stamp.resize(n, 0);
             self.best.resize(n, 0.0);
         }
-        self.touched.clear();
     }
+}
+
+/// The hits a minima row holds: `(graph, d(g, G))` for every finite
+/// cell, ascending by graph id. `graphs` is the row's class
+/// ([`FragmentIndex::class_graphs`]) — sorted, so sweeping the cells in
+/// order needs no sort.
+pub fn row_hits<'a>(
+    graphs: &'a [GraphId],
+    row: &'a [f64],
+) -> impl Iterator<Item = (GraphId, f64)> + 'a {
+    debug_assert_eq!(graphs.len(), row.len(), "one cell per class graph");
+    graphs.iter().zip(row).filter(|(_, d)| d.is_finite()).map(|(&g, &d)| (g, d))
 }
 
 /// Per-structure tallies from a full [`FragmentIndex::validate`] pass —
@@ -636,10 +654,10 @@ impl FragmentIndex {
 
     /// [`FragmentIndex::range_query`] without the per-call allocations:
     /// the probe is a borrowed [`FragmentVectorRef`] (arena-backed
-    /// fragments never materialize vectors), the per-graph minimum is
-    /// kept in `scratch`'s dense accumulator (no hash map) and hits are
-    /// appended to `out` (cleared first), sorted by graph id. A batch of
-    /// one through [`FragmentIndex::range_query_batch_normalized_into`].
+    /// fragments never materialize vectors), the minima row is kept in
+    /// `scratch` and hits are appended to `out` (cleared first), sorted
+    /// by graph id. A batch of one through
+    /// [`FragmentIndex::range_query_batch_normalized_into`].
     ///
     /// The probe `vector` must already be normalized for this index —
     /// true of every vector produced by
@@ -667,15 +685,10 @@ impl FragmentIndex {
     /// Answers `nprobes` sibling probes — normalized vectors of the
     /// *same* class, yielded by `probe(i)` — in one pass, writing probe
     /// `i`'s hits (sorted by graph id, minimum distance per graph) into
-    /// `outs[i]` (cleared first).
-    ///
-    /// On a trie class this runs [`FlatTrie::range_query_batch_budgeted`]:
-    /// each level's alphabet is priced once per distinct query label
-    /// across the whole batch and the arena is descended once with
-    /// per-probe cost lanes, instead of one full descent per probe.
-    /// R-tree classes answer probe by probe. Either way `outs[i]` does
-    /// not depend on which siblings the probe was batched with — exact
-    /// f64 distances included.
+    /// `outs[i]` (cleared first): the [`row_hits`] of the rows
+    /// [`FragmentIndex::range_query_batch_rows`] leaves, so `outs[i]`
+    /// does not depend on which siblings the probe was batched with —
+    /// exact f64 distances included.
     ///
     /// # Panics
     /// Panics if `outs.len() != nprobes` or a probe's vector kind does
@@ -689,29 +702,59 @@ impl FragmentIndex {
         scratch: &mut RangeScratch,
         outs: &mut [Vec<(GraphId, f64)>],
     ) {
-        let completed = self.range_query_batch_normalized_budgeted_into(
+        assert_eq!(outs.len(), nprobes, "one output buffer per probe");
+        let mut rows = std::mem::take(&mut scratch.rows);
+        let completed = self.range_query_batch_rows(
             feature,
             nprobes,
             probe,
             sigma,
             scratch,
             BudgetState::unlimited(),
-            outs,
+            &mut rows,
         );
         debug_assert!(completed, "the unlimited budget never interrupts a range query");
+        let graphs = self.class_graphs(feature);
+        let c = graphs.len();
+        for (p, out) in outs.iter_mut().enumerate() {
+            out.clear();
+            out.extend(row_hits(graphs, &rows[p * c..(p + 1) * c]));
+        }
+        scratch.rows = rows;
     }
 
-    /// [`FragmentIndex::range_query_batch_normalized_into`] under a
-    /// budget. Returns `false` — with every probe's `outs[i]` cleared —
-    /// when the budget trips mid-batch: a partial hit list is unusable
-    /// (its minima may be wrong and its absences mean nothing), and
-    /// emissions interleave across probes during the shared descent, so
-    /// a trip invalidates the whole sibling group, not just one probe.
-    /// Trie classes checkpoint per descent level; R-tree classes consult
-    /// one coarse checkpoint per probe up front. Either way one more
-    /// checkpoint covers the scan of the class's pending entries.
+    /// The range query itself: answers `nprobes` sibling probes —
+    /// normalized vectors of the *same* class, yielded by `probe(i)` —
+    /// in one pass under `budget`, leaving one minima row per probe in
+    /// `rows` (overwritten). With `c = class_graphs(feature).len()`,
+    /// cell `rows[i * c + k]` is probe `i`'s `d(g, G)` for
+    /// `G = class_graphs(feature)[k]` — minimized over the class's
+    /// frozen *and* pending entries — or `∞` when no fragment of `G`
+    /// lies within `sigma`. [`row_hits`] reads a row as a hit list.
+    ///
+    /// On a trie class this runs [`FlatTrie::range_query_batch_budgeted`]:
+    /// each level's alphabet is priced once per distinct query label
+    /// across the whole batch, the arena is descended once with
+    /// per-probe cost lanes, and emitted subtree ranges fold straight
+    /// into their probe's row (postings are class-local slots).
+    /// R-tree classes answer probe by probe through a per-graph
+    /// accumulator read out in class order. Either way a probe's row
+    /// does not depend on its siblings.
+    ///
+    /// Returns `false` — with `rows` emptied — when the budget trips
+    /// mid-batch: a partial row is unusable (its minima may be wrong and
+    /// its `∞` cells mean nothing), and updates interleave across
+    /// probes during the shared descent, so a trip invalidates the
+    /// whole sibling group, not just one probe. Trie classes checkpoint
+    /// per descent level; R-tree classes consult one coarse checkpoint
+    /// per probe up front. Either way one more checkpoint covers the
+    /// scan of the class's pending entries.
+    ///
+    /// # Panics
+    /// Panics if a probe's vector kind does not match the index
+    /// distance.
     #[allow(clippy::too_many_arguments)]
-    pub fn range_query_batch_normalized_budgeted_into<'q>(
+    pub fn range_query_batch_rows<'q>(
         &self,
         feature: FeatureId,
         nprobes: usize,
@@ -719,39 +762,32 @@ impl FragmentIndex {
         sigma: f64,
         scratch: &mut RangeScratch,
         budget: &BudgetState,
-        outs: &mut [Vec<(GraphId, f64)>],
+        rows: &mut Vec<f64>,
     ) -> bool {
-        assert_eq!(outs.len(), nprobes, "one output buffer per probe");
         let class = &self.classes[feature.index()];
         let ecount = self.features.get(feature).edge_count();
+        let c = class.graphs.len();
+        let pending = &class.pending;
+        rows.clear();
+        rows.resize(nprobes * c, f64::INFINITY);
         let completed = match (&class.imp, &self.distance) {
             (ClassImpl::Trie(trie), IndexDistance::Mutation(md)) => {
                 scratch.probe_labels.clear();
                 for i in 0..nprobes {
                     scratch.probe_labels.extend_from_slice(probe(i).labels());
                 }
-                // Trie postings are *class-local* slots, so each probe's
-                // per-graph minimum accumulates in a compact
-                // ∞-initialized row (one slot per class graph, no
-                // generation stamps); emitted subtree ranges fold
-                // straight into their probe's row during the descent.
-                let c = class.graphs.len();
-                let RangeScratch { batch, probe_labels, class_best, .. } = scratch;
-                class_best.clear();
-                class_best.resize(nprobes * c, f64::INFINITY);
-                let pending = &class.pending;
                 let completed = trie.range_query_batch_budgeted(
                     nprobes,
-                    probe_labels,
+                    &scratch.probe_labels,
                     sigma,
                     |pos, qs, stored, out| {
                         md.position_costs_into_multi(pos, ecount, qs, stored, out);
                     },
                     |pos| md.position_is_zero(pos, ecount),
-                    batch,
+                    &mut scratch.batch,
                     budget,
                     |p, acc, slots| {
-                        let row = &mut class_best[p as usize * c..(p as usize + 1) * c];
+                        let row = &mut rows[p as usize * c..(p as usize + 1) * c];
                         for &s in slots {
                             let b = &mut row[s.index()];
                             if acc < *b {
@@ -764,13 +800,12 @@ impl FragmentIndex {
                         CheckpointSite::RangeDescent,
                         (nprobes * pending.len()) as u64,
                     ));
-                if completed {
-                    for (p, out) in outs.iter_mut().enumerate() {
-                        // Pending entries fold into the same minimum row
-                        // before readout, priced position by position in
-                        // the descent's order — identical bits to
-                        // post-merge.
-                        let row = &mut class_best[p * c..(p + 1) * c];
+                if completed && !pending.is_empty() {
+                    for p in 0..nprobes {
+                        // Pending entries fold into the same row, priced
+                        // position by position in the descent's order —
+                        // identical bits to post-merge.
+                        let row = &mut rows[p * c..(p + 1) * c];
                         let q = probe(p).labels();
                         pending.scan_labels_positional(
                             sigma,
@@ -782,7 +817,6 @@ impl FragmentIndex {
                                 }
                             },
                         );
-                        emit_class_hits(&class.graphs, row, out);
                     }
                 }
                 completed
@@ -794,14 +828,13 @@ impl FragmentIndex {
                 // gets the same transform and distances come out exact.
                 let scaled = scale_weights(ld, ecount, probe(i).weights());
                 scratch.begin(self.graph_count);
-                rtree_range_query(rt, &class.pending, &scaled, sigma, scratch, budget, &mut outs[i])
+                let row = &mut rows[i * c..(i + 1) * c];
+                rtree_range_query(rt, class, &scaled, sigma, scratch, budget, row)
             }),
             _ => unreachable!("the class structure always matches the index distance"),
         };
         if !completed {
-            for out in outs.iter_mut() {
-                out.clear();
-            }
+            rows.clear();
         }
         completed
     }
@@ -878,43 +911,37 @@ impl FragmentIndex {
     }
 }
 
-/// Reads an ∞-initialized per-class minimum row back into a hit list:
-/// class graphs are sorted ascending, so sweeping slots in order yields
-/// id-sorted hits without a per-probe sort.
-fn emit_class_hits(graphs: &[GraphId], row: &[f64], out: &mut Vec<(GraphId, f64)>) {
-    out.clear();
-    out.extend(graphs.iter().zip(row).filter(|(_, b)| b.is_finite()).map(|(&g, &b)| (g, b)));
-}
-
 /// One probe against an R-tree class: `scaled` is the scale-transformed
-/// query point and `scratch` has a generation open over the database.
-/// Hits land in `out` sorted by graph id; `false` means the budget
-/// tripped and `out` holds nothing usable.
+/// query point, `scratch` has a generation open over the database and
+/// `row` is the probe's ∞-filled minima row. `false` means the budget
+/// tripped and `row` holds nothing usable.
 fn rtree_range_query(
     rt: &RTree,
-    pending: &PendingSet,
+    class: &ClassIndex,
     scaled: &[f64],
     sigma: f64,
     scratch: &mut RangeScratch,
     budget: &BudgetState,
-    out: &mut Vec<(GraphId, f64)>,
+    row: &mut [f64],
 ) -> bool {
     if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
         return false;
     }
-    let RangeScratch { stamp, best, touched, generation, .. } = scratch;
+    // R-tree entries carry global graph ids: minima accumulate per
+    // graph of the database and are read out in class order below.
+    let RangeScratch { stamp, best, generation, .. } = scratch;
     let generation = *generation;
     let mut visit = |g: GraphId, d: f64| {
         let i = g.index();
         if stamp[i] != generation {
             stamp[i] = generation;
             best[i] = d;
-            touched.push(g);
         } else if d < best[i] {
             best[i] = d;
         }
     };
     rt.range_query(scaled, sigma, &mut visit);
+    let pending = &class.pending;
     if !pending.is_empty() && !budget.checkpoint(CheckpointSite::RangeDescent, pending.len() as u64)
     {
         return false;
@@ -923,9 +950,11 @@ fn rtree_range_query(
     // priced with the tree's own plain L1, so a pending entry and its
     // post-merge self emit identical bits.
     pending.scan_weights(sigma, |stored| crate::rtree::l1(scaled, stored), &mut visit);
-    touched.sort_unstable();
-    out.clear();
-    out.extend(touched.iter().map(|&g| (g, best[g.index()])));
+    for (cell, g) in row.iter_mut().zip(&class.graphs) {
+        if stamp[g.index()] == generation {
+            *cell = best[g.index()];
+        }
+    }
     true
 }
 
@@ -1154,8 +1183,7 @@ fn freeze_class(
         IndexDistance::Mutation(_) => {
             // Trie postings are *class-local* slots into the sorted
             // `graphs` posting list, so range readouts sweep a compact
-            // per-class row (see
-            // `range_query_batch_normalized_budgeted_into`); slots
+            // per-class row (see `range_query_batch_rows`); slots
             // ascend with the ids, so the arena's entry order is the
             // same either way.
             let mut slot = 0usize;

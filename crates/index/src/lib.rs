@@ -44,7 +44,7 @@ pub mod wal;
 pub use flat_trie::{BatchFrontier, FlatTrie};
 pub use fragment::{FragmentBuffer, FragmentVector, FragmentVectorRef, QueryFragment};
 pub use index::{
-    FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,
+    row_hits, FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,
 };
 pub use persist::PersistError;
 pub use snapshot::{decode_snapshot, encode_snapshot, load_snapshot, write_snapshot};

@@ -1,15 +1,20 @@
 //! Property tests of the fragment index on arbitrary databases: range
 //! queries must equal brute-force minimum superposition distances under
 //! both distances, the trie descent must equal the pointer-trie
-//! reference bit for bit, and snapshots must round-trip exactly.
+//! reference bit for bit, the funnel's one-pass read-out of a minima
+//! row must equal the hit list it replaces, and snapshots must
+//! round-trip exactly.
 
 mod common;
 
 use common::{connected_graph, graph_database};
+use pis::core::selectivity::{read_out_row, selectivity};
 use pis::distance::oracle::min_superimposed_distance_brute;
+use pis::graph::budget::BudgetState;
+use pis::graph::GraphBitSet;
 use pis::index::{
-    decode_snapshot, encode_snapshot, FragmentIndex, FragmentVector, IndexConfig, IndexDistance,
-    LabelTrie,
+    decode_snapshot, encode_snapshot, row_hits, FragmentIndex, FragmentVector, IndexConfig,
+    IndexDistance, LabelTrie,
 };
 use pis::mining::exhaustive::exhaustive_features;
 use pis::prelude::*;
@@ -33,6 +38,124 @@ fn non_metric_distance() -> MutationDistance {
     })
     .expect("symmetric, zero diagonal, non-negative");
     MutationDistance::new(ScoreMatrix::zero(3), edges)
+}
+
+/// A mutation distance whose costs are no binary fractions, so a sum of
+/// them depends on the order it is taken in (edge-Hamming's 0/1 sums
+/// are exact in any order and cannot tell).
+fn fractional_distance() -> MutationDistance {
+    let scores = |step: f64| {
+        ScoreMatrix::from_fn(3, 0.9, |a, b| if a == b { 0.0 } else { step * (a.0 + b.0) as f64 })
+            .expect("symmetric, zero diagonal, non-negative")
+    };
+    MutationDistance::new(scores(0.1), scores(0.3))
+}
+
+/// What a linear-distance class answers for `probe`, from the
+/// definition: per graph, the least L1 distance (slot order) from the
+/// probe to the weight vector of any embedding of the class structure,
+/// kept when within `sigma`; sorted by graph id. Assumes unit scales on
+/// the scored slots (`LinearDistance::edges_only`).
+fn linear_reference_hits(
+    index: &FragmentIndex,
+    db: &[LabeledGraph],
+    feature: pis::mining::FeatureId,
+    probe: &[f64],
+    sigma: f64,
+) -> Vec<(GraphId, f64)> {
+    let feature = index.features().get(feature);
+    let ecount = feature.edge_count();
+    let mut hits = Vec::new();
+    for (gid, g) in db.iter().enumerate() {
+        let matcher = pis::graph::iso::SubgraphMatcher::new(
+            &feature.structure,
+            g,
+            pis::graph::iso::IsoConfig::STRUCTURE,
+        );
+        let mut best = f64::INFINITY;
+        matcher.for_each(|emb| {
+            let mut v = pis::index::fragment::weight_vector(&feature.structure, g, emb);
+            index.distance().normalize_weights(ecount, &mut v);
+            let d: f64 = probe.iter().zip(&v).map(|(x, y)| (x - y).abs()).sum();
+            best = best.min(d);
+            std::ops::ControlFlow::Continue(())
+        });
+        if best <= sigma {
+            hits.push((GraphId(gid as u32), best));
+        }
+    }
+    hits
+}
+
+/// Holds every probe of every sibling group of `query` to `reference`:
+/// the probe's minima row read back as a list ([`row_hits`]) equals the
+/// reference hits to the f64 bit, and so does the list-returning
+/// `range_query`; the funnel's fused read-out of the row returns
+/// `selectivity` of that list to the bit and leaves exactly the list's
+/// graphs in the mask.
+fn assert_rows_read_out_as_lists(
+    index: &FragmentIndex,
+    reference: impl Fn(&pis::index::QueryFragment) -> Vec<(GraphId, f64)>,
+    query: &LabeledGraph,
+    sigma: f64,
+    lambda: f64,
+) -> Result<(), TestCaseError> {
+    let bits = |hits: &[(GraphId, f64)]| -> Vec<(u32, u64)> {
+        hits.iter().map(|&(g, d)| (g.0, d.to_bits())).collect()
+    };
+    let n = index.graph_count();
+    let frags = index.enumerate_query_fragments(query);
+    let mut scratch = pis::index::RangeScratch::new();
+    let mut rows = Vec::new();
+    let mut mask = GraphBitSet::default();
+    let mut i = 0;
+    while i < frags.len() {
+        let feature = frags[i].feature;
+        let mut j = i + 1;
+        while j < frags.len() && frags[j].feature == feature {
+            j += 1;
+        }
+        let completed = index.range_query_batch_rows(
+            feature,
+            j - i,
+            |k| frags[i + k].vector.as_view(),
+            sigma,
+            &mut scratch,
+            BudgetState::unlimited(),
+            &mut rows,
+        );
+        prop_assert!(completed, "the unlimited budget never interrupts a range query");
+        let graphs = index.class_graphs(feature);
+        prop_assert_eq!(rows.len(), (j - i) * graphs.len());
+        for (k, frag) in frags[i..j].iter().enumerate() {
+            let at = format!("feature {feature} probe {k} sigma {sigma} lambda {lambda}");
+            let row = &rows[k * graphs.len()..(k + 1) * graphs.len()];
+            let list: Vec<(GraphId, f64)> = row_hits(graphs, row).collect();
+            prop_assert_eq!(bits(&list), bits(&reference(frag)), "row as a list, {}", at);
+            prop_assert_eq!(
+                bits(&index.range_query(feature, &frag.vector, sigma)),
+                bits(&list),
+                "range_query, {}",
+                at
+            );
+            let fused = read_out_row(graphs, row, n, sigma, lambda, &mut mask);
+            prop_assert_eq!(
+                fused.to_bits(),
+                selectivity(&list, n, sigma, lambda).to_bits(),
+                "fused weight, {}",
+                at
+            );
+            prop_assert_eq!(mask.universe(), n);
+            prop_assert_eq!(
+                mask.iter().collect::<Vec<_>>(),
+                list.iter().map(|&(g, _)| g).collect::<Vec<_>>(),
+                "mask, {}",
+                at
+            );
+        }
+        i = j;
+    }
+    Ok(())
 }
 
 /// Rebuilds a query fragment as a standalone graph (the fragment's
@@ -368,6 +491,56 @@ proptest! {
                 prop_assert_eq!(got, want);
             }
             i = j;
+        }
+    }
+
+    /// Read-out ≡ list. The funnel never builds a hit list: it reads each
+    /// probe's minima row once, for the selectivity and the hit set
+    /// together. Under both distance families — edge-Hamming, a
+    /// fractional score matrix (whose sums are order-sensitive) and the
+    /// linear distance — on a bulk-built index and on one that holds the
+    /// last graphs in its pending buffers, every probe's row is held to
+    /// the pointer-trie / definition-L1 reference over the whole
+    /// database, and its fused read-out to `selectivity` of that list.
+    #[test]
+    fn row_read_out_equals_hit_list(
+        db in graph_database(6, 5, 3),
+        query in connected_graph(4, 2, 3),
+        sigma in 0.0f64..3.0,
+        lambda in prop::sample::select(vec![0.5, 1.0, 2.0]),
+        which in 0u8..3,
+        frozen in 1usize..6,
+    ) {
+        let md = if which == 0 { MutationDistance::edge_hamming() } else { fractional_distance() };
+        let linear = which == 2;
+        let (db, query) = if linear {
+            (db.iter().map(reweight).collect(), reweight(&query))
+        } else {
+            (db, query)
+        };
+        let distance = if linear {
+            IndexDistance::Linear(LinearDistance::edges_only())
+        } else {
+            IndexDistance::Mutation(md.clone())
+        };
+        let bulk = build_index(&db, distance.clone());
+        // The same database with its tail left unmerged.
+        let frozen = frozen.min(db.len());
+        let mut buffered = FragmentIndex::build(
+            &db[..frozen],
+            bulk.features().clone(),
+            distance,
+            &IndexConfig { merge_threshold: 0, ..IndexConfig::default() },
+        );
+        buffered.insert_graphs_pending(&db[frozen..]);
+        for index in [&bulk, &buffered] {
+            let reference = |qf: &pis::index::QueryFragment| match &qf.vector {
+                FragmentVector::Labels(v) => reference_hits(index, &db, &md, qf.feature, v, sigma),
+                FragmentVector::Weights(v) => {
+                    linear_reference_hits(index, &db, qf.feature, v, sigma)
+                }
+            };
+            assert_rows_read_out_as_lists(index, reference, &query, sigma, lambda)?;
         }
     }
 
