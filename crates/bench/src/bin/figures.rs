@@ -21,7 +21,7 @@ use pis_bench::{
     bucketize, fmt_f64, measure_queries, render_table, BucketSpec, BucketedSeries, ExperimentScale,
     QueryMeasurement, TestBed,
 };
-use pis_core::{PartitionAlgo, PisConfig, PisSearcher};
+use pis_core::{PartitionAlgo, PisConfig, PisSearcher, SearchScratch};
 use pis_datasets::{AtomVocabulary, BondVocabulary, DatasetStats, MoleculeGenerator};
 use pis_distance::MutationDistance;
 use pis_graph::LabeledGraph;
@@ -293,10 +293,15 @@ impl Runner {
             &bed.db,
             PisConfig { verify: false, structure_check: false, ..PisConfig::default() },
         );
+        let mut scratch = SearchScratch::new();
         let usable: Vec<&LabeledGraph> = queries
             .iter()
             .filter(|q| {
-                let frags = probe.search(q, sigma).stats.fragments_in_pool;
+                let frags = probe
+                    .search(q, sigma, &mut scratch)
+                    .expect("sigma 2 is valid")
+                    .stats
+                    .fragments_in_pool;
                 if frags <= 100 {
                     true
                 } else {
@@ -318,7 +323,7 @@ impl Runner {
             let mut candidates = 0usize;
             let t = Instant::now();
             for q in &usable {
-                let o = searcher.search(q, sigma);
+                let o = searcher.search(q, sigma, &mut scratch).expect("sigma 2 is valid");
                 weight += o.stats.partition_weight;
                 size += o.stats.partition_size;
                 candidates += o.stats.candidates_after_partition;

@@ -5,14 +5,13 @@
 //! helpers reproduce the paper's protocol: query sets `Qm`, candidate
 //! counts `Yt` (topoPrune) and `Yp` (PIS), bucketing by `Yt`
 //! (`Q<300 … Q>5k`, thresholds scaled to the database size), and
-//! reduction ratios. The `figures` binary drives everything; Criterion
-//! micro-benches live under `benches/`.
+//! reduction ratios. The `figures` binary drives everything.
 
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 
-use pis_core::{PisConfig, PisSearcher};
+use pis_core::{PisConfig, PisSearcher, SearchScratch};
 use pis_datasets::{sample_query_set, MoleculeConfig, MoleculeGenerator};
 use pis_distance::MutationDistance;
 use pis_graph::{GraphId, LabeledGraph};
@@ -58,9 +57,8 @@ impl ExperimentScale {
     }
 }
 
-/// The canonical end-to-end pipeline workload, shared by the Criterion
-/// `bench_pipeline` bench and the pinned pruning fingerprint
-/// (`tests/pruning_fingerprint.rs`).
+/// The canonical end-to-end pipeline workload of the pinned pruning
+/// fingerprint (`tests/pruning_fingerprint.rs`).
 pub mod pipeline_workload {
     use super::ExperimentScale;
 
@@ -71,7 +69,7 @@ pub mod pipeline_workload {
     /// Thresholds swept.
     pub const SIGMAS: [f64; 3] = [1.0, 2.0, 4.0];
 
-    /// The scale both benchmarks run at.
+    /// The scale the fingerprint runs at.
     pub fn scale() -> ExperimentScale {
         ExperimentScale { db_size: 200, query_count: 5, ..ExperimentScale::smoke() }
     }
@@ -146,6 +144,9 @@ pub struct QueryMeasurement {
 
 /// Runs topoPrune and PIS (at each `sigma`, with `config` as the base
 /// search configuration) over a query set.
+///
+/// # Panics
+/// Panics if a `sigma` is not finite and non-negative.
 pub fn measure_queries(
     bed: &TestBed,
     queries: &[LabeledGraph],
@@ -157,6 +158,7 @@ pub fn measure_queries(
     // the exact containment set).
     let prune_config = PisConfig { verify: false, structure_check: false, ..config.clone() };
     let searcher = PisSearcher::new(&bed.index, &bed.db, prune_config);
+    let mut scratch = SearchScratch::new();
     queries
         .iter()
         .map(|q| {
@@ -167,7 +169,8 @@ pub fn measure_queries(
             let mut prune_time = Vec::with_capacity(sigmas.len());
             for &sigma in sigmas {
                 let start = Instant::now();
-                let outcome = searcher.search(q, sigma);
+                let outcome =
+                    searcher.search(q, sigma, &mut scratch).unwrap_or_else(|e| panic!("{e}"));
                 prune_time.push(start.elapsed());
                 yp.push(outcome.candidates.iter().filter(|g| topo_set.contains(g)).count());
             }

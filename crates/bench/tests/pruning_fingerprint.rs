@@ -25,7 +25,7 @@
 
 use pis_bench::pipeline_workload::{MAX_FRAGMENT_EDGES, QUERY_EDGES, SIGMAS};
 use pis_bench::{ExperimentScale, TestBed};
-use pis_core::{PisConfig, PisSearcher};
+use pis_core::{PisConfig, PisSearcher, SearchScratch};
 use pis_index::{FragmentIndex, IndexConfig};
 
 /// Per σ ∈ {1, 2, 4}: candidates of a prune-only search (no structure
@@ -64,14 +64,19 @@ fn smoke_fingerprint_is_pinned() {
             PisConfig { verify: false, structure_check: false, ..PisConfig::default() };
         let pruner = PisSearcher::new(index, &bed.db, prune_only);
         let full = PisSearcher::new(index, &bed.db, PisConfig::default());
+        let mut scratch = SearchScratch::new();
         for (i, sigma) in SIGMAS.into_iter().enumerate() {
             let at = format!("at sigma {sigma}, {name}");
-            let pruned: Vec<_> = queries.iter().map(|q| pruner.search(q, sigma)).collect();
+            let pruned: Vec<_> =
+                queries.iter().map(|q| pruner.search(q, sigma, &mut scratch).unwrap()).collect();
             let candidates: usize = pruned.iter().map(|o| o.candidates.len()).sum();
             let after_intersection: usize =
                 pruned.iter().map(|o| o.stats.candidates_after_intersection).sum();
             let weight_bits = pruned.iter().fold(0, |x, o| x ^ o.stats.partition_weight.to_bits());
-            let answers: usize = queries.iter().map(|q| full.search(q, sigma).answers.len()).sum();
+            let answers: usize = queries
+                .iter()
+                .map(|q| full.search(q, sigma, &mut scratch).unwrap().answers.len())
+                .sum();
             let mut range_hits = 0;
             for q in &queries {
                 let mut probes = Vec::new();

@@ -114,7 +114,7 @@ fn intersect_sorted(a: &[GraphId], b: &[GraphId]) -> Vec<GraphId> {
 mod tests {
     use super::*;
     use crate::config::PisConfig;
-    use crate::search::PisSearcher;
+    use crate::search::{PisSearcher, SearchScratch};
     use pis_distance::oracle::sssd_brute;
     use pis_distance::MutationDistance;
     use pis_graph::{EdgeAttr, GraphBuilder, Label, VertexAttr};
@@ -155,6 +155,7 @@ mod tests {
         let (db, index) = db_and_index();
         let md = MutationDistance::edge_hamming();
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
+        let mut scratch = SearchScratch::new();
         for q in [
             cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]),
             cycle_with_edge_labels(&[1, 2, 1, 1, 2, 1]),
@@ -166,7 +167,7 @@ mod tests {
                     .collect();
                 let naive = naive_scan(&db, &q, &md, sigma);
                 let topo = topo_prune(&index, &db, &q, sigma);
-                let pis = searcher.search(&q, sigma);
+                let pis = searcher.search(&q, sigma, &mut scratch).unwrap();
                 assert_eq!(naive.answers, expected, "naive, sigma={sigma}");
                 assert_eq!(topo.answers, expected, "topo, sigma={sigma}");
                 assert_eq!(pis.answers, expected, "pis, sigma={sigma}");
@@ -206,10 +207,11 @@ mod tests {
         let (db, index) = db_and_index();
         let searcher =
             PisSearcher::new(&index, &db, PisConfig { verify: false, ..PisConfig::default() });
+        let mut scratch = SearchScratch::new();
         for sigma in [0.0, 1.0, 2.0] {
             let q = cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]);
             let topo = topo_prune(&index, &db, &q, sigma);
-            let pis = searcher.search(&q, sigma);
+            let pis = searcher.search(&q, sigma, &mut scratch).unwrap();
             // Among structure-containing graphs, PIS keeps a subset.
             let yp = pis.candidates.iter().filter(|g| topo.candidates.contains(g)).count();
             assert!(yp <= topo.candidates.len(), "sigma={sigma}");

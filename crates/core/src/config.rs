@@ -1,4 +1,8 @@
-//! Search-time configuration.
+//! Search-time configuration: one [`PisConfig`] per searcher, read by
+//! both query entries ([`PisSearcher::search`](crate::PisSearcher::search)
+//! and [`PisSearcher::knn`](crate::PisSearcher::knn)). A different
+//! setting for one call — a per-query budget included — is a searcher
+//! built with a different config.
 
 use pis_graph::budget::QueryBudget;
 
@@ -39,20 +43,14 @@ pub struct PisConfig {
     /// Verify candidates (step 3). Disable to measure pruning in
     /// isolation, as the paper's figures do.
     pub verify: bool,
-    /// k-NN verification order: `true` (default) verifies candidates
-    /// cheapest partition lower bound first, so early exact distances
-    /// tighten the shared budget and let the scheduler skip candidates
-    /// whose bound already exceeds the provisional k-th distance.
-    /// `false` keeps candidate-id stream order (the seed schedule);
-    /// both orders return identical neighbors.
-    pub best_first_verify: bool,
     /// Per-query resource budget (deadline, work-unit limit,
-    /// cancellation token). The default is unlimited; searches under a
-    /// limited budget degrade gracefully and mark their outcome
+    /// cancellation token) — the only place a budget is set. Every
+    /// [`search`](crate::PisSearcher::search) and
+    /// [`knn`](crate::PisSearcher::knn) call starts a fresh budget from
+    /// it. The default is unlimited; searches under a limited budget
+    /// degrade gracefully and mark their outcome
     /// [`Truncated`](crate::Completeness::Truncated) instead of
-    /// blocking. A per-call budget
-    /// ([`PisSearcher::search_budgeted`](crate::PisSearcher::search_budgeted))
-    /// overrides this one.
+    /// blocking.
     pub budget: QueryBudget,
 }
 
@@ -88,7 +86,6 @@ impl Default for PisConfig {
             partition: PartitionAlgo::Greedy,
             structure_check: true,
             verify: true,
-            best_first_verify: true,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -106,7 +103,6 @@ mod tests {
         assert_eq!(c.partition, PartitionAlgo::Greedy);
         assert!(c.structure_check);
         assert!(c.verify);
-        assert!(c.best_first_verify);
         assert!(!c.budget.is_limited(), "the default budget is unlimited");
     }
 }

@@ -1,11 +1,12 @@
 //! Typed errors for API-boundary validation.
 //!
-//! The search entry points accept floating-point parameters and
+//! The query entries accept a floating-point threshold and
 //! user-supplied query graphs; a NaN threshold or an infinite edge
 //! weight would otherwise propagate silently through the funnel (NaN
 //! comparisons are all-false, so pruning decisions become arbitrary).
-//! The `try_` variants reject such inputs up front with a [`QueryError`]
-//! instead.
+//! [`PisSearcher::search`](crate::PisSearcher::search) and
+//! [`PisSearcher::knn`](crate::PisSearcher::knn) always reject such
+//! inputs up front with a [`QueryError`] instead.
 
 use std::fmt;
 
@@ -18,14 +19,6 @@ pub enum QueryError {
     InvalidSigma(f64),
     /// A query vertex or edge carries a non-finite weight.
     NonFiniteQueryWeight,
-    /// kNN radius bounds must be finite with
-    /// `0 ≤ initial_radius ≤ max_radius`.
-    InvalidRadiusBounds {
-        /// The rejected initial radius.
-        initial_radius: f64,
-        /// The rejected radius cap.
-        max_radius: f64,
-    },
 }
 
 impl fmt::Display for QueryError {
@@ -37,11 +30,6 @@ impl fmt::Display for QueryError {
             QueryError::NonFiniteQueryWeight => {
                 write!(f, "query graph carries a non-finite vertex or edge weight")
             }
-            QueryError::InvalidRadiusBounds { initial_radius, max_radius } => write!(
-                f,
-                "invalid radius bounds [{initial_radius}, {max_radius}]: \
-                 need finite 0 <= initial <= max"
-            ),
         }
     }
 }
@@ -67,18 +55,6 @@ pub(crate) fn validate_sigma(sigma: f64) -> Result<(), QueryError> {
     Ok(())
 }
 
-/// Validates kNN radius bounds.
-pub(crate) fn validate_radii(initial_radius: f64, max_radius: f64) -> Result<(), QueryError> {
-    if !initial_radius.is_finite()
-        || !max_radius.is_finite()
-        || initial_radius < 0.0
-        || max_radius < initial_radius
-    {
-        return Err(QueryError::InvalidRadiusBounds { initial_radius, max_radius });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,21 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn radius_validation() {
-        assert!(validate_radii(0.5, 2.0).is_ok());
-        assert!(validate_radii(0.0, 0.0).is_ok());
-        assert!(validate_radii(5.0, 1.0).is_err());
-        assert!(validate_radii(f64::NAN, 1.0).is_err());
-        assert!(validate_radii(0.0, f64::INFINITY).is_err());
-        assert!(validate_radii(-0.5, 1.0).is_err());
-    }
-
-    #[test]
     fn errors_render() {
         let e = QueryError::InvalidSigma(f64::NAN);
         assert!(e.to_string().contains("sigma"));
-        let e = QueryError::InvalidRadiusBounds { initial_radius: 2.0, max_radius: 1.0 };
-        assert!(e.to_string().contains("radius"));
         assert!(QueryError::NonFiniteQueryWeight.to_string().contains("weight"));
     }
 }

@@ -93,7 +93,7 @@ fn pct(x: usize, n: usize) -> String {
 mod tests {
     use super::*;
     use crate::config::PisConfig;
-    use crate::search::PisSearcher;
+    use crate::search::{PisSearcher, SearchScratch};
     use pis_distance::MutationDistance;
     use pis_graph::{EdgeAttr, GraphBuilder, Label, LabeledGraph, VertexAttr};
     use pis_index::{FragmentIndex, IndexConfig, IndexDistance};
@@ -121,7 +121,8 @@ mod tests {
             &IndexConfig::default(),
         );
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
-        let outcome = searcher.search(&ring(&[1, 1, 1, 1, 1, 1]), 1.0);
+        let outcome =
+            searcher.search(&ring(&[1, 1, 1, 1, 1, 1]), 1.0, &mut SearchScratch::new()).unwrap();
         let text = explain(&outcome, &index, 1.0);
         assert!(text.contains("sigma = 1"));
         assert!(text.contains("database                  3"));
@@ -141,7 +142,7 @@ mod tests {
             &IndexConfig::default(),
         );
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
-        let outcome = searcher.search(&ring(&[1, 1, 1]), 1.0);
+        let outcome = searcher.search(&ring(&[1, 1, 1]), 1.0, &mut SearchScratch::new()).unwrap();
         let text = explain(&outcome, &index, 1.0);
         assert!(text.contains('-'), "percentages degrade gracefully on empty input");
     }

@@ -19,26 +19,34 @@
 //! branch-and-bound proved `d > σ_old` (the bound must be retried with
 //! the bigger budget).
 //!
-//! Under [`PisConfig::best_first_verify`] (the default) each round
-//! verifies its unresolved candidates **cheapest partition lower bound
-//! first**: early exact distances tighten the provisional k-th-best,
-//! every later candidate is verified against the tightened budget
-//! `min(σ, k-th best)` instead of the full radius, and once `k`
+//! Each round verifies its unresolved candidates **cheapest partition
+//! lower bound first**: early exact distances tighten the provisional
+//! k-th-best, every later candidate is verified against the tightened
+//! budget `min(σ, k-th best)` instead of the full radius, and once `k`
 //! neighbors are in hand candidates whose lower bound already exceeds
 //! the k-th distance are skipped outright (their true distance can only
 //! be larger, and the bounds arrive in ascending order, so the rest of
 //! the list is skippable too — which only ever happens on the terminal
-//! round). The returned neighbors are identical to stream-order
-//! verification; only the work differs.
+//! round).
 //!
-//! [`PisConfig::best_first_verify`]: crate::PisConfig::best_first_verify
+//! The schedule has no knobs: the first radius is 1.0, and the
+//! widening stops at the largest distance the index distance can give
+//! the query (its maximum per-element costs times the query's size —
+//! see [`PisSearcher::knn`]). It is reached, like the range search,
+//! through one entry that validates its input and reads its budget from
+//! the searcher's [`PisConfig`](crate::PisConfig).
 
-use pis_graph::budget::{BudgetState, CheckpointSite, QueryBudget};
+use pis_graph::budget::{BudgetState, CheckpointSite};
 use pis_graph::util::FxHashMap;
 use pis_graph::{GraphId, LabeledGraph};
+use pis_index::IndexDistance;
 
-use crate::error::{validate_query, validate_radii, QueryError};
+use crate::error::{validate_query, QueryError};
 use crate::search::{distance_dyn, Completeness, PisSearcher, SearchScratch};
+
+/// The radius the first doubling round searches at: one edit under
+/// edge-Hamming, the σ of a typical tight range query.
+const INITIAL_RADIUS: f64 = 1.0;
 
 /// One k-NN result.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -82,84 +90,49 @@ pub struct KnnOutcome {
 
 impl PisSearcher<'_> {
     /// Finds the `k` structurally matching graphs nearest to `query`
-    /// under the index distance.
+    /// under the index distance (the top-k form of SSSD).
     ///
-    /// `initial_radius` seeds the progressive widening (a good value is
-    /// the σ of a typical range query; 1.0 works well for edge-Hamming).
-    /// Widening stops when `k` answers fit in the radius or the radius
-    /// covers the largest possible distance (`max_radius`).
+    /// Widening starts at radius 1.0, doubles, and stops when `k`
+    /// answers fit in the radius or the radius covers the largest
+    /// distance the query can have: for a mutation distance, the most
+    /// expensive edge mutation times the query's edges plus the most
+    /// expensive vertex mutation times its vertices (at least 1.0); a
+    /// linear distance is unbounded, so its cap is only a guard.
+    ///
+    /// The query's weights must be finite, or the call returns a
+    /// [`QueryError`] before any work runs. The search runs under a
+    /// fresh budget from [`PisConfig::budget`](crate::PisConfig::budget);
+    /// when it trips, the outcome holds the best-so-far neighbors, the
+    /// radius the search actually certified
+    /// ([`KnnOutcome::certified_radius`]) and a
+    /// [`Truncated`](Completeness::Truncated) marker. Every doubling
+    /// round re-runs the funnel through `scratch`.
     pub fn knn(
         &self,
         query: &LabeledGraph,
         k: usize,
-        initial_radius: f64,
-        max_radius: f64,
-    ) -> KnnOutcome {
-        let budget = BudgetState::new(&self.config().budget);
-        self.knn_with_state(query, k, initial_radius, max_radius, &budget)
-    }
-
-    /// [`PisSearcher::knn`] under a per-call [`QueryBudget`]. When the
-    /// budget trips, the outcome holds the best-so-far neighbors, the
-    /// radius the search actually certified
-    /// ([`KnnOutcome::certified_radius`]), and a
-    /// [`Truncated`](Completeness::Truncated) marker.
-    pub fn knn_budgeted(
-        &self,
-        query: &LabeledGraph,
-        k: usize,
-        initial_radius: f64,
-        max_radius: f64,
-        budget: &QueryBudget,
-    ) -> KnnOutcome {
-        let state = BudgetState::new(budget);
-        self.knn_with_state(query, k, initial_radius, max_radius, &state)
-    }
-
-    /// [`PisSearcher::knn`] with boundary validation: rejects
-    /// non-finite or inverted radius bounds and non-finite query
-    /// weights with a typed [`QueryError`] instead of panicking.
-    pub fn try_knn(
-        &self,
-        query: &LabeledGraph,
-        k: usize,
-        initial_radius: f64,
-        max_radius: f64,
+        scratch: &mut SearchScratch,
     ) -> Result<KnnOutcome, QueryError> {
-        validate_radii(initial_radius, max_radius)?;
         validate_query(query)?;
-        Ok(self.knn(query, k, initial_radius, max_radius))
-    }
-
-    fn knn_with_state(
-        &self,
-        query: &LabeledGraph,
-        k: usize,
-        initial_radius: f64,
-        max_radius: f64,
-        budget: &BudgetState,
-    ) -> KnnOutcome {
-        assert!(initial_radius >= 0.0 && max_radius >= initial_radius, "invalid radius bounds");
+        let budget = BudgetState::new(&self.config().budget);
+        let max_radius = max_radius(self.index().distance(), query);
         let mut outcome = KnnOutcome {
             neighbors: Vec::new(),
-            radius: initial_radius,
-            certified_radius: initial_radius,
+            radius: INITIAL_RADIUS,
+            certified_radius: INITIAL_RADIUS,
             completeness: Completeness::Exact,
             verification_calls: 0,
             reused_verifications: 0,
             rounds: 0,
         };
         if k == 0 {
-            return outcome;
+            return Ok(outcome);
         }
         let mut config = self.config().clone();
         config.verify = false;
         config.structure_check = true;
         let prune = PisSearcher::new(self.index(), self.database(), config);
 
-        // One scratch serves every doubling round: widening re-runs the
-        // funnel over the same database, so all buffers carry over.
-        let mut scratch = SearchScratch::new();
         // Exact distances resolved in earlier rounds — the seed each
         // widened round starts from. `min_superimposed_distance` returns
         // the true minimum whenever it returns at all, so a resolved
@@ -168,16 +141,9 @@ impl PisSearcher<'_> {
         // that statistic a count of distinct reuses.
         let mut resolved: FxHashMap<GraphId, (f64, bool)> = FxHashMap::default();
         let mut unresolved: Vec<(f64, GraphId)> = Vec::new();
-        let mut stream_ids: Vec<GraphId> = Vec::new();
         let mut neighbors: Vec<Neighbor> = Vec::new();
-        let by_distance_then_id = |a: &Neighbor, b: &Neighbor| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("distances are finite")
-                .then(a.graph.cmp(&b.graph))
-        };
         let distance = distance_dyn(self.index().distance());
-        let mut radius = initial_radius;
+        let mut radius = INITIAL_RADIUS;
         // The largest radius whose round fully completed under the
         // budget — the correctness the outcome can still promise after
         // a trip.
@@ -190,7 +156,7 @@ impl PisSearcher<'_> {
                 break;
             }
             outcome.rounds += 1;
-            prune.search_into(query, radius, &mut scratch, budget);
+            prune.search_into(query, radius, scratch, &budget);
             let candidates = scratch.candidates();
             let bounds = scratch.candidate_bounds();
             neighbors.clear();
@@ -207,66 +173,52 @@ impl PisSearcher<'_> {
                     None => unresolved.push((lb, g)),
                 }
             }
-            if self.config().best_first_verify {
-                // Cheapest-first: ascending partition lower bound, ids
-                // breaking ties for determinism.
-                unresolved.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0).expect("bounds are finite").then(a.1.cmp(&b.1))
-                });
-                neighbors.sort_by(by_distance_then_id);
-                neighbors.truncate(k);
-                let verify = scratch.verify_scratch();
-                verify.begin_query(query);
-                for &(lb, g) in &unresolved {
-                    let kth = (neighbors.len() == k).then(|| neighbors[k - 1].distance);
-                    if let Some(kth) = kth {
-                        // True distance ≥ lb > k-th best: can't place.
-                        // Bounds ascend, so the rest of the list can't
-                        // either — and with k answers in hand this is
-                        // the terminal round, so skipping is final.
-                        if lb > kth {
-                            break;
-                        }
-                    }
-                    let sigma = kth.map_or(radius, |kth| radius.min(kth));
-                    outcome.verification_calls += 1;
-                    match verify.distance_within_budgeted(
-                        query,
-                        &self.database()[g.index()],
-                        distance,
-                        sigma,
-                        budget,
-                    ) {
-                        Ok(Some(d)) => {
-                            resolved.insert(g, (d, false));
-                            let pos = neighbors.partition_point(|n| (n.distance, n.graph) < (d, g));
-                            neighbors.insert(pos, Neighbor { graph: g, distance: d });
-                            neighbors.truncate(k);
-                        }
-                        Ok(None) => {}
-                        // Tripped mid-DFS: this candidate and the rest
-                        // of the list stay unresolved; the round cannot
-                        // complete.
-                        Err(_) => break,
+            // Cheapest-first: ascending partition lower bound, ids
+            // breaking ties for determinism.
+            unresolved.sort_by(|a, b| {
+                a.0.partial_cmp(&b.0).expect("bounds are finite").then(a.1.cmp(&b.1))
+            });
+            neighbors.sort_by(|a, b| {
+                a.distance
+                    .partial_cmp(&b.distance)
+                    .expect("distances are finite")
+                    .then(a.graph.cmp(&b.graph))
+            });
+            neighbors.truncate(k);
+            let verify = scratch.verify_scratch();
+            verify.begin_query(query);
+            for &(lb, g) in &unresolved {
+                let kth = (neighbors.len() == k).then(|| neighbors[k - 1].distance);
+                if let Some(kth) = kth {
+                    // True distance ≥ lb > k-th best: can't place.
+                    // Bounds ascend, so the rest of the list can't
+                    // either — and with k answers in hand this is
+                    // the terminal round, so skipping is final.
+                    if lb > kth {
+                        break;
                     }
                 }
-            } else {
-                stream_ids.clear();
-                stream_ids.extend(unresolved.iter().map(|&(_, g)| g));
-                outcome.verification_calls += stream_ids.len();
-                let (resolved_now, _unverified) = self.verify_candidates_budgeted(
+                let sigma = kth.map_or(radius, |kth| radius.min(kth));
+                outcome.verification_calls += 1;
+                match verify.distance_within_budgeted(
                     query,
-                    &stream_ids,
-                    radius,
-                    scratch.verify_scratch(),
-                    budget,
-                );
-                for (graph, distance) in resolved_now {
-                    resolved.insert(graph, (distance, false));
-                    neighbors.push(Neighbor { graph, distance });
+                    &self.database()[g.index()],
+                    distance,
+                    sigma,
+                    &budget,
+                ) {
+                    Ok(Some(d)) => {
+                        resolved.insert(g, (d, false));
+                        let pos = neighbors.partition_point(|n| (n.distance, n.graph) < (d, g));
+                        neighbors.insert(pos, Neighbor { graph: g, distance: d });
+                        neighbors.truncate(k);
+                    }
+                    Ok(None) => {}
+                    // Tripped mid-DFS: this candidate and the rest
+                    // of the list stay unresolved; the round cannot
+                    // complete.
+                    Err(_) => break,
                 }
-                neighbors.sort_by(by_distance_then_id);
-                neighbors.truncate(k);
             }
             // A tripped round proves nothing about the graphs it did
             // not finish — stop widening and report best-so-far.
@@ -279,14 +231,27 @@ impl PisSearcher<'_> {
             if neighbors.len() == k || radius >= max_radius {
                 break;
             }
-            radius = (radius.max(0.5) * 2.0).min(max_radius);
+            radius = (radius * 2.0).min(max_radius);
         }
         outcome.neighbors = neighbors;
         outcome.radius = radius;
         outcome.certified_radius = if budget.is_tripped() { certified } else { radius };
-        outcome.completeness = Completeness::of_state(budget);
-        outcome
+        outcome.completeness = Completeness::of_state(&budget);
+        Ok(outcome)
     }
+}
+
+/// The widest radius [`PisSearcher::knn`] explores for `query`: the
+/// largest distance the index distance can give it.
+fn max_radius(distance: &IndexDistance, query: &LabeledGraph) -> f64 {
+    let max_radius = match distance {
+        IndexDistance::Mutation(md) => {
+            md.edge_scores().max_cost() * query.edge_count() as f64
+                + md.vertex_scores().max_cost() * query.vertex_count() as f64
+        }
+        IndexDistance::Linear(_) => f64::MAX / 4.0,
+    };
+    max_radius.max(INITIAL_RADIUS)
 }
 
 #[cfg(test)]
@@ -319,6 +284,12 @@ mod tests {
         )
     }
 
+    /// One kNN query through a fresh scratch, for inputs known to be
+    /// valid.
+    fn knn(searcher: &PisSearcher<'_>, query: &LabeledGraph, k: usize) -> KnnOutcome {
+        searcher.knn(query, k, &mut SearchScratch::new()).expect("valid query")
+    }
+
     #[test]
     fn knn_returns_nearest_in_order() {
         let db = vec![
@@ -330,7 +301,7 @@ mod tests {
         let index = setup(&db);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let query = ring(&[1, 1, 1, 1, 1, 1]);
-        let knn = searcher.knn(&query, 3, 1.0, 10.0);
+        let knn = knn(&searcher, &query, 3);
         let got: Vec<(u32, f64)> = knn.neighbors.iter().map(|n| (n.graph.0, n.distance)).collect();
         assert_eq!(got, vec![(0, 0.0), (1, 1.0), (2, 3.0)]);
     }
@@ -354,8 +325,11 @@ mod tests {
             .filter_map(|(i, g)| min_superimposed_distance_brute(&query, g, &md).map(|d| (i, d)))
             .collect();
         expected.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        // One scratch across every k: the doubling rounds of one query
+        // leave nothing behind for the next.
+        let mut scratch = SearchScratch::new();
         for k in 1..=db.len() {
-            let knn = searcher.knn(&query, k, 0.5, 10.0);
+            let knn = searcher.knn(&query, k, &mut scratch).unwrap();
             let got: Vec<(usize, f64)> =
                 knn.neighbors.iter().map(|n| (n.graph.index(), n.distance)).collect();
             assert_eq!(got, expected[..k.min(expected.len())].to_vec(), "k={k}");
@@ -369,17 +343,18 @@ mod tests {
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         // 6-ring query: the 3-ring can never match.
         let query = ring(&[1, 1, 1, 1, 1, 1]);
-        let knn = searcher.knn(&query, 10, 1.0, 8.0);
+        let knn = knn(&searcher, &query, 10);
         assert_eq!(knn.neighbors.len(), 2);
-        assert_eq!(knn.radius, 8.0, "radius must widen to the cap before giving up");
+        // Edge-Hamming: no distance exceeds the query's 6 edges.
+        assert_eq!(knn.radius, 6.0, "radius must widen to the cap before giving up");
     }
 
     #[test]
     fn widening_rounds_reuse_resolved_distances() {
-        // Query at distance 0/1/3/6 from the four rings; k = 3 with a
-        // tiny initial radius forces several doubling rounds, and the
-        // early candidates (d = 0, 1) must not be re-verified when the
-        // radius widens past 3 and 6.
+        // Query at distance 0/1/3/6 from the four rings; k = 4 forces
+        // the radius through 1, 2, 4 and the 6-edge cap, and the early
+        // candidates (d = 0, 1) must not be re-verified when the radius
+        // widens past 3 and 6.
         let db = vec![
             ring(&[1, 1, 1, 1, 1, 1]),
             ring(&[1, 1, 1, 1, 1, 2]),
@@ -389,9 +364,10 @@ mod tests {
         let index = setup(&db);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let query = ring(&[1, 1, 1, 1, 1, 1]);
-        let knn = searcher.knn(&query, 4, 0.5, 10.0);
+        let knn = knn(&searcher, &query, 4);
         let got: Vec<(u32, f64)> = knn.neighbors.iter().map(|n| (n.graph.0, n.distance)).collect();
         assert_eq!(got, vec![(0, 0.0), (1, 1.0), (2, 3.0), (3, 6.0)]);
+        assert_eq!(knn.radius, 6.0);
         assert!(knn.rounds >= 3, "expected several widening rounds, got {}", knn.rounds);
         assert!(
             knn.reused_verifications > 0,
@@ -421,18 +397,9 @@ mod tests {
         let db = vec![ring(&[1, 1, 1])];
         let index = setup(&db);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
-        let knn = searcher.knn(&ring(&[1, 1, 1]), 0, 1.0, 4.0);
+        let knn = knn(&searcher, &ring(&[1, 1, 1]), 0);
         assert!(knn.neighbors.is_empty());
         assert_eq!(knn.verification_calls, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid radius bounds")]
-    fn knn_rejects_bad_radii() {
-        let db = vec![ring(&[1, 1, 1])];
-        let index = setup(&db);
-        let searcher = PisSearcher::new(&index, &db, PisConfig::default());
-        let _ = searcher.knn(&ring(&[1, 1, 1]), 1, 5.0, 1.0);
     }
 
     #[test]
@@ -440,7 +407,7 @@ mod tests {
         let db = vec![ring(&[1, 1, 1, 1, 1, 1]), ring(&[1, 1, 1, 1, 1, 2])];
         let index = setup(&db);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
-        let knn = searcher.knn(&ring(&[1, 1, 1, 1, 1, 1]), 2, 0.5, 8.0);
+        let knn = knn(&searcher, &ring(&[1, 1, 1, 1, 1, 1]), 2);
         assert!(knn.completeness.is_exact());
         assert_eq!(knn.certified_radius, knn.radius);
     }
@@ -448,7 +415,6 @@ mod tests {
     #[test]
     fn budget_trip_returns_best_so_far_with_certified_radius() {
         use crate::search::Completeness;
-        use pis_distance::oracle::min_superimposed_distance_brute;
         let db = vec![
             ring(&[1, 1, 1, 1, 1, 1]),
             ring(&[1, 1, 1, 1, 1, 2]),
@@ -456,7 +422,6 @@ mod tests {
             ring(&[2, 2, 2, 2, 2, 2]),
         ];
         let index = setup(&db);
-        let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let query = ring(&[1, 1, 1, 1, 1, 1]);
         let md = MutationDistance::edge_hamming();
         // Sweep budgets from starvation upward: every truncation point
@@ -467,7 +432,9 @@ mod tests {
         for limit in [1u64, 64, 256, 4096, 1 << 20] {
             let budget =
                 pis_graph::budget::QueryBudget { node_limit: Some(limit), ..Default::default() };
-            let knn = searcher.knn_budgeted(&query, 4, 0.5, 10.0, &budget);
+            let searcher =
+                PisSearcher::new(&index, &db, PisConfig { budget, ..PisConfig::default() });
+            let knn = knn(&searcher, &query, 4);
             assert!(knn.certified_radius <= knn.radius);
             for n in &knn.neighbors {
                 let exact = min_superimposed_distance_brute(&query, &db[n.graph.index()], &md)
@@ -495,20 +462,30 @@ mod tests {
         let db = vec![ring(&[1, 1, 1])];
         let index = setup(&db);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
-        let q = ring(&[1, 1, 1]);
+        let mut b = GraphBuilder::new();
+        let vs = b.add_vertices(2, VertexAttr::labeled(Label(0)));
+        b.add_edge(vs[0], vs[1], EdgeAttr { label: Label(1), weight: f64::NAN }).unwrap();
+        let poisoned = b.build();
+        let mut scratch = SearchScratch::new();
         assert!(matches!(
-            searcher.try_knn(&q, 1, 5.0, 1.0),
-            Err(QueryError::InvalidRadiusBounds { .. })
+            searcher.knn(&poisoned, 1, &mut scratch),
+            Err(QueryError::NonFiniteQueryWeight)
         ));
-        assert!(matches!(
-            searcher.try_knn(&q, 1, f64::NAN, 1.0),
-            Err(QueryError::InvalidRadiusBounds { .. })
-        ));
-        assert!(matches!(
-            searcher.try_knn(&q, 1, 0.0, f64::INFINITY),
-            Err(QueryError::InvalidRadiusBounds { .. })
-        ));
-        let ok = searcher.try_knn(&q, 1, 0.5, 4.0).unwrap();
+        let ok = searcher.knn(&ring(&[1, 1, 1]), 1, &mut scratch).unwrap();
         assert_eq!(ok.neighbors.len(), 1);
+    }
+
+    #[test]
+    fn max_radius_follows_the_distance_and_the_query() {
+        let six_edges = ring(&[1, 1, 1, 1, 1, 1]);
+        let hamming = IndexDistance::Mutation(MutationDistance::edge_hamming());
+        assert_eq!(max_radius(&hamming, &six_edges), 6.0);
+        // Vertex mutations count too under the unit distance.
+        let unit = IndexDistance::Mutation(MutationDistance::unit());
+        assert_eq!(max_radius(&unit, &six_edges), 12.0);
+        // A lone vertex still gets one round at the initial radius.
+        let mut b = GraphBuilder::new();
+        b.add_vertices(1, VertexAttr::labeled(Label(0)));
+        assert_eq!(max_radius(&hamming, &b.build()), INITIAL_RADIUS);
     }
 }

@@ -14,6 +14,14 @@
 //! 3. **Candidate verification** ([`verify`]): a branch-and-bound
 //!    minimum-superimposed-distance matcher confirms survivors.
 //!
+//! A query is issued one way: [`PisSearcher::search`] for the range
+//! form (Definition 2) and [`PisSearcher::knn`] for its top-k form.
+//! Both take a caller-owned [`SearchScratch`] (hold one per thread and
+//! every buffer is reused across queries), validate their input into a
+//! [`QueryError`], and run under the budget of the searcher's
+//! [`PisConfig`]. [`PisSearcher::search_reference`] is the executable
+//! specification the tests hold `search` to.
+//!
 //! Baselines from Section 2 live in [`baseline`]: the naive full scan
 //! and `topoPrune` (structure-only filtering). The searcher's
 //! [`search::SearchStats`] expose every intermediate candidate count the
@@ -22,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod batch;
 pub mod config;
 pub mod error;
 pub mod explain;
@@ -32,7 +39,6 @@ pub mod selectivity;
 pub mod verify;
 
 pub use baseline::{naive_scan, topo_prune, BaselineOutcome};
-pub use batch::{run_workload, WorkloadReport};
 pub use config::{
     PartitionAlgo, PisConfig, DEFAULT_PARALLEL_FRAGMENT_THRESHOLD,
     DEFAULT_PARALLEL_VERIFY_THRESHOLD,

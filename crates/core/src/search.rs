@@ -29,10 +29,10 @@
 //!   generation-stamped per-graph array, so step 5 sweeps the chosen
 //!   fragments' rows instead of binary-searching per candidate;
 //! * **reuse** — all of that state lives in a [`SearchScratch`] that
-//!   callers ([`PisSearcher::search_with_scratch`], `knn`'s radius
-//!   doubling, `run_workload`) thread through repeated searches, making
-//!   the steady-state serial funnel allocation-free — including
-//!   fragment enumeration (the scratch-owned arena-backed
+//!   callers of [`PisSearcher::search`] and [`PisSearcher::knn`] (whose
+//!   radius doubling re-runs the funnel) thread through repeated
+//!   searches, making the steady-state serial funnel allocation-free —
+//!   including fragment enumeration (the scratch-owned arena-backed
 //!   `FragmentBuffer`) and the partition stage, where `Q̃` rebuilds in
 //!   place through a `PartitionScratch` and the mask-native MWIS
 //!   solvers fill a reused selection buffer (`DESIGN.md` §6.6);
@@ -47,7 +47,7 @@
 //! hold the optimized funnel to byte-identical outcomes against it.
 
 use pis_distance::SuperimposedDistance;
-use pis_graph::budget::{BudgetState, BudgetStats, CheckpointSite, QueryBudget};
+use pis_graph::budget::{BudgetState, BudgetStats, CheckpointSite};
 use pis_graph::util::FxHashMap;
 use pis_graph::{GraphBitSet, GraphId, LabeledGraph, ScopedPool};
 use pis_index::{
@@ -151,7 +151,7 @@ impl TruncationPhase {
 }
 
 /// Whether a search ran to completion or was cut short by its
-/// [`QueryBudget`].
+/// budget ([`PisConfig::budget`]).
 ///
 /// Truncated results stay *sound*: every reported answer is verified,
 /// and nothing is silently dropped — candidates whose verification was
@@ -400,67 +400,19 @@ impl<'a> PisSearcher<'a> {
         self.database
     }
 
-    /// Runs Algorithm 2 (plus the structure check and verification if
-    /// configured) for one query.
+    /// Answers one SSSD query (Definition 2): Algorithm 2, then the
+    /// structure check and verification if configured.
     ///
-    /// Allocates a fresh [`SearchScratch`] per call; callers issuing
-    /// many searches should hold one and use
-    /// [`PisSearcher::search_with_scratch`].
-    pub fn search(&self, query: &LabeledGraph, sigma: f64) -> SearchOutcome {
-        self.search_with_scratch(query, sigma, &mut SearchScratch::new())
-    }
-
-    /// [`PisSearcher::search`] with caller-provided scratch state, so
-    /// repeated searches reuse every internal buffer.
-    pub fn search_with_scratch(
-        &self,
-        query: &LabeledGraph,
-        sigma: f64,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutcome {
-        let budget = BudgetState::new(&self.config.budget);
-        self.search_with_state(query, sigma, &budget, scratch)
-    }
-
-    /// [`PisSearcher::search`] under a per-call [`QueryBudget`] that
-    /// overrides the configured one. When the budget trips, the
-    /// outcome's [`SearchOutcome::completeness`] is
+    /// `sigma` must be finite and non-negative and the query's weights
+    /// finite, or the call returns a [`QueryError`] before any work
+    /// runs. The search runs under a fresh budget from
+    /// [`PisConfig::budget`]; when it trips, the outcome's
+    /// [`SearchOutcome::completeness`] is
     /// [`Truncated`](Completeness::Truncated) and unverified survivors
-    /// land in [`SearchOutcome::possible`].
-    pub fn search_budgeted(
-        &self,
-        query: &LabeledGraph,
-        sigma: f64,
-        budget: &QueryBudget,
-    ) -> SearchOutcome {
-        self.search_budgeted_with_scratch(query, sigma, budget, &mut SearchScratch::new())
-    }
-
-    /// [`PisSearcher::search_budgeted`] with caller-provided scratch.
-    pub fn search_budgeted_with_scratch(
-        &self,
-        query: &LabeledGraph,
-        sigma: f64,
-        budget: &QueryBudget,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutcome {
-        let state = BudgetState::new(budget);
-        self.search_with_state(query, sigma, &state, scratch)
-    }
-
-    /// [`PisSearcher::search`] with boundary validation: rejects a
-    /// non-finite or negative `sigma` and non-finite query weights with
-    /// a typed [`QueryError`] instead of computing garbage.
-    pub fn try_search(
-        &self,
-        query: &LabeledGraph,
-        sigma: f64,
-    ) -> Result<SearchOutcome, QueryError> {
-        self.try_search_with_scratch(query, sigma, &mut SearchScratch::new())
-    }
-
-    /// [`PisSearcher::try_search`] with caller-provided scratch.
-    pub fn try_search_with_scratch(
+    /// land in [`SearchOutcome::possible`]. Every internal buffer lives
+    /// in `scratch`, so a caller issuing many searches holds one and
+    /// passes it each time.
+    pub fn search(
         &self,
         query: &LabeledGraph,
         sigma: f64,
@@ -468,20 +420,8 @@ impl<'a> PisSearcher<'a> {
     ) -> Result<SearchOutcome, QueryError> {
         validate_sigma(sigma)?;
         validate_query(query)?;
-        Ok(self.search_with_scratch(query, sigma, scratch))
-    }
-
-    /// The shared body of every search entry point: runs the funnel and
-    /// verification under one resolved budget state and assembles the
-    /// outcome (completeness included).
-    fn search_with_state(
-        &self,
-        query: &LabeledGraph,
-        sigma: f64,
-        budget: &BudgetState,
-        scratch: &mut SearchScratch,
-    ) -> SearchOutcome {
-        let mut stats = self.search_into(query, sigma, scratch, budget);
+        let budget = BudgetState::new(&self.config.budget);
+        let mut stats = self.search_into(query, sigma, scratch, &budget);
         let candidates = scratch.cand_buf.clone();
         let mut answers = Vec::new();
         let mut answer_distances = Vec::new();
@@ -493,7 +433,7 @@ impl<'a> PisSearcher<'a> {
                 &candidates,
                 sigma,
                 &mut scratch.verify,
-                budget,
+                &budget,
             );
             for (gid, d) in resolved {
                 answers.push(gid);
@@ -501,8 +441,8 @@ impl<'a> PisSearcher<'a> {
             }
             possible = unverified;
         }
-        let completeness = Completeness::of_state(budget);
-        SearchOutcome { candidates, answers, answer_distances, possible, completeness, stats }
+        let completeness = Completeness::of_state(&budget);
+        Ok(SearchOutcome { candidates, answers, answer_distances, possible, completeness, stats })
     }
 
     /// The pruning funnel (Algorithm 2 lines 3–23 plus the structure
@@ -796,7 +736,7 @@ impl<'a> PisSearcher<'a> {
             && !ScopedPool::in_worker()
             && unique_fragment.len() >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD
         {
-            // Inside a pool worker (e.g. a `run_workload` fan-out) a
+            // Inside a pool worker (a caller's own query fan-out) a
             // nested map would run serially anyway — take the
             // buffer-reusing serial path directly instead of
             // allocating per-group rows.
@@ -1155,6 +1095,11 @@ mod tests {
     use pis_index::IndexConfig;
     use pis_mining::exhaustive::exhaustive_features;
 
+    /// One search through a fresh scratch, for inputs known to be valid.
+    fn search(searcher: &PisSearcher<'_>, query: &LabeledGraph, sigma: f64) -> SearchOutcome {
+        searcher.search(query, sigma, &mut SearchScratch::new()).expect("valid query")
+    }
+
     fn cycle_with_edge_labels(labels: &[u32]) -> LabeledGraph {
         let mut b = GraphBuilder::new();
         let n = labels.len();
@@ -1199,7 +1144,7 @@ mod tests {
         ];
         for q in &queries {
             for sigma in [0.0, 1.0, 2.0, 4.0] {
-                let outcome = searcher.search(q, sigma);
+                let outcome = search(&searcher, q, sigma);
                 let expected: Vec<GraphId> =
                     sssd_brute(&db, q, &md, sigma).into_iter().map(|i| GraphId(i as u32)).collect();
                 assert_eq!(outcome.answers, expected, "query mismatch at sigma={sigma}");
@@ -1222,7 +1167,7 @@ mod tests {
             cycle_with_edge_labels(&[1, 2, 1, 2, 1, 2]),
         ] {
             for sigma in [0.0, 1.0, 2.0, 4.0] {
-                let fast = searcher.search_with_scratch(&q, sigma, &mut scratch);
+                let fast = searcher.search(&q, sigma, &mut scratch).unwrap();
                 let reference = searcher.search_reference(&q, sigma);
                 assert_eq!(fast.candidates, reference.candidates, "sigma={sigma}");
                 assert_eq!(fast.answers, reference.answers, "sigma={sigma}");
@@ -1244,8 +1189,8 @@ mod tests {
         ];
         let sigmas = [4.0, 0.0, 1.0];
         for (q, sigma) in queries.iter().zip(sigmas) {
-            let reused = searcher.search_with_scratch(q, sigma, &mut scratch);
-            let fresh = searcher.search(q, sigma);
+            let reused = searcher.search(q, sigma, &mut scratch).unwrap();
+            let fresh = search(&searcher, q, sigma);
             assert_eq!(reused.candidates, fresh.candidates);
             assert_eq!(reused.answers, fresh.answers);
             assert_eq!(reused.stats, fresh.stats);
@@ -1260,7 +1205,7 @@ mod tests {
         let q = cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]);
         let mut last = 0;
         for sigma in [0.0, 1.0, 2.0, 3.0, 6.0] {
-            let outcome = searcher.search(&q, sigma);
+            let outcome = search(&searcher, &q, sigma);
             assert!(outcome.candidates.len() >= last, "candidates shrank as sigma grew");
             last = outcome.candidates.len();
         }
@@ -1275,7 +1220,7 @@ mod tests {
         let index = build_index(&db, 6);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let q = cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]);
-        let outcome = searcher.search(&q, 2.0);
+        let outcome = search(&searcher, &q, 2.0);
         assert!(
             outcome.stats.candidates_after_partition <= outcome.stats.candidates_after_intersection
         );
@@ -1290,7 +1235,7 @@ mod tests {
         let index = build_index(&db, 3);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let q = cycle_with_edge_labels(&[1, 1, 2, 1, 1, 1]);
-        let o = searcher.search(&q, 1.0);
+        let o = search(&searcher, &q, 1.0);
         assert!(o.stats.query_fragments >= o.stats.fragments_in_pool);
         assert!(o.stats.fragments_in_pool >= o.stats.partition_size);
         assert_eq!(o.stats.verification_calls, o.candidates.len());
@@ -1311,7 +1256,7 @@ mod tests {
         for epsilon in [0.0, 0.2, 0.8] {
             let cfg = PisConfig { epsilon, ..PisConfig::default() };
             let searcher = PisSearcher::new(&index, &db, cfg);
-            let o = searcher.search(&q, sigma);
+            let o = search(&searcher, &q, sigma);
             assert_eq!(o.answers, expected, "epsilon={epsilon}");
         }
     }
@@ -1327,7 +1272,7 @@ mod tests {
         {
             let cfg = PisConfig { partition: algo, ..PisConfig::default() };
             let searcher = PisSearcher::new(&index, &db, cfg);
-            answer_sets.push(searcher.search(&q, sigma).answers);
+            answer_sets.push(search(&searcher, &q, sigma).answers);
         }
         assert_eq!(answer_sets[0], answer_sets[1]);
         assert_eq!(answer_sets[1], answer_sets[2]);
@@ -1351,7 +1296,7 @@ mod tests {
         let sigma = 1.0;
         let exact_cfg = PisConfig { partition: PartitionAlgo::Exact, ..PisConfig::default() };
         let searcher = PisSearcher::new(&index, &db, exact_cfg);
-        let outcome = searcher.search(&query, sigma);
+        let outcome = search(&searcher, &query, sigma);
         assert!(
             outcome.stats.fragments_in_pool > pis_partition::EXACT_MWIS_MAX_NODES,
             "test must exercise a pool beyond the cap, got {}",
@@ -1370,7 +1315,7 @@ mod tests {
         // except for the fallback flag.
         let eg_cfg =
             PisConfig { partition: PartitionAlgo::EnhancedGreedy(2), ..PisConfig::default() };
-        let eg = PisSearcher::new(&index, &db, eg_cfg).search(&query, sigma);
+        let eg = search(&PisSearcher::new(&index, &db, eg_cfg), &query, sigma);
         assert_eq!(outcome.candidates, eg.candidates);
         assert_eq!(outcome.answers, eg.answers);
         assert!(!eg.stats.exact_fallback);
@@ -1384,7 +1329,7 @@ mod tests {
         let index = build_index(&db, 4);
         let cfg = PisConfig { partition: PartitionAlgo::Exact, ..PisConfig::default() };
         let searcher = PisSearcher::new(&index, &db, cfg);
-        let o = searcher.search(&cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]), 2.0);
+        let o = search(&searcher, &cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]), 2.0);
         assert!(o.stats.fragments_in_pool <= pis_partition::EXACT_MWIS_MAX_NODES);
         assert!(!o.stats.exact_fallback);
     }
@@ -1395,7 +1340,7 @@ mod tests {
         let index = build_index(&db, 3);
         let cfg = PisConfig { verify: false, ..PisConfig::default() };
         let searcher = PisSearcher::new(&index, &db, cfg);
-        let o = searcher.search(&cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]), 1.0);
+        let o = search(&searcher, &cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]), 1.0);
         assert!(o.answers.is_empty());
         assert_eq!(o.stats.verification_calls, 0);
         assert!(!o.candidates.is_empty());
@@ -1414,7 +1359,7 @@ mod tests {
         let db = example_db();
         let index = build_index(&db, 4);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
-        let o = searcher.search(&cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]), 2.0);
+        let o = search(&searcher, &cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]), 2.0);
         assert_eq!(o.completeness, Completeness::Exact);
         assert!(o.possible.is_empty());
     }
@@ -1427,9 +1372,10 @@ mod tests {
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let q = cycle_with_edge_labels(&[1, 1, 1, 1, 1, 2]);
         let sigma = 2.0;
-        let exact = searcher.search(&q, sigma);
+        let exact = search(&searcher, &q, sigma);
         let budget = QueryBudget { node_limit: Some(1), ..QueryBudget::default() };
-        let truncated = searcher.search_budgeted(&q, sigma, &budget);
+        let starved = PisSearcher::new(&index, &db, PisConfig { budget, ..PisConfig::default() });
+        let truncated = search(&starved, &q, sigma);
         let Completeness::Truncated { phase, stats } = &truncated.completeness else {
             panic!("a one-unit budget must truncate this query");
         };
@@ -1461,10 +1407,12 @@ mod tests {
         let index = build_index(&db, 4);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let q = cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]);
-        let exact = searcher.search(&q, 2.0);
+        let exact = search(&searcher, &q, 2.0);
         let cancel = Arc::new(AtomicBool::new(true)); // cancelled from the start
         let budget = QueryBudget { cancel: Some(cancel.clone()), ..QueryBudget::default() };
-        let o = searcher.search_budgeted(&q, 2.0, &budget);
+        let cancellable =
+            PisSearcher::new(&index, &db, PisConfig { budget, ..PisConfig::default() });
+        let o = search(&cancellable, &q, 2.0);
         assert!(!o.completeness.is_exact());
         assert!(o.answers.is_empty(), "a pre-cancelled query cannot verify anything");
         for a in &exact.answers {
@@ -1472,7 +1420,7 @@ mod tests {
         }
         // Un-cancelling restores exact behavior on the same budget spec.
         cancel.store(false, Ordering::Relaxed);
-        let o = searcher.search_budgeted(&q, 2.0, &budget);
+        let o = search(&cancellable, &q, 2.0);
         assert_eq!(o.completeness, Completeness::Exact);
         assert_eq!(o.answers, exact.answers);
     }
@@ -1486,7 +1434,8 @@ mod tests {
         let q = cycle_with_edge_labels(&[1, 2, 1, 2, 1, 2]);
         let mut scratch = SearchScratch::new();
         let budget = QueryBudget { node_limit: Some(1), ..QueryBudget::default() };
-        let aborted = searcher.search_budgeted_with_scratch(&q, 2.0, &budget, &mut scratch);
+        let starved = PisSearcher::new(&index, &db, PisConfig { budget, ..PisConfig::default() });
+        let aborted = starved.search(&q, 2.0, &mut scratch).unwrap();
         assert!(!aborted.completeness.is_exact());
         // The scratch must carry no truncation residue into later
         // searches: outcomes through it are byte-identical to a fresh
@@ -1495,8 +1444,8 @@ mod tests {
             (cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]), 2.0),
             (cycle_with_edge_labels(&[1, 2, 1, 2, 1, 2]), 0.0),
         ] {
-            let reused = searcher.search_with_scratch(&q2, sigma, &mut scratch);
-            let fresh = searcher.search(&q2, sigma);
+            let reused = searcher.search(&q2, sigma, &mut scratch).unwrap();
+            let fresh = search(&searcher, &q2, sigma);
             assert_eq!(reused.candidates, fresh.candidates);
             assert_eq!(reused.answers, fresh.answers);
             assert_eq!(
@@ -1515,19 +1464,24 @@ mod tests {
         let index = build_index(&db, 3);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
         let q = cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]);
-        assert!(matches!(searcher.try_search(&q, f64::NAN), Err(QueryError::InvalidSigma(_))));
-        assert!(matches!(searcher.try_search(&q, -1.0), Err(QueryError::InvalidSigma(_))));
-        assert!(matches!(searcher.try_search(&q, f64::INFINITY), Err(QueryError::InvalidSigma(_))));
+        let mut scratch = SearchScratch::new();
+        for sigma in [f64::NAN, -1.0, f64::INFINITY] {
+            assert!(matches!(
+                searcher.search(&q, sigma, &mut scratch),
+                Err(QueryError::InvalidSigma(_))
+            ));
+        }
         let mut b = pis_graph::GraphBuilder::new();
         let vs = b.add_vertices(2, VertexAttr::labeled(Label(0)));
         b.add_edge(vs[0], vs[1], EdgeAttr { label: Label(1), weight: f64::NAN }).unwrap();
         let poisoned = b.build();
         assert!(matches!(
-            searcher.try_search(&poisoned, 1.0),
+            searcher.search(&poisoned, 1.0, &mut scratch),
             Err(QueryError::NonFiniteQueryWeight)
         ));
-        // Valid inputs pass through to the normal search.
-        let ok = searcher.try_search(&q, 1.0).unwrap();
-        assert_eq!(ok.answers, searcher.search(&q, 1.0).answers);
+        // A rejected query leaves the scratch as it found it: valid
+        // inputs through it equal a fresh scratch's search.
+        let ok = searcher.search(&q, 1.0, &mut scratch).unwrap();
+        assert_eq!(ok.answers, search(&searcher, &q, 1.0).answers);
     }
 }

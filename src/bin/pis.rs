@@ -305,11 +305,16 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
     let explain = flags.has("explain");
     let store = open_store(&dir, parse_budget(&flags)?)?;
     let system = store.system();
+    // One searcher and one scratch serve every query of the run.
+    let searcher = system.searcher();
+    let mut scratch = SearchScratch::new();
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
         let (answers, distances, candidates) = match flags.value("baseline") {
             None => {
-                let o = system.try_search(q, sigma).map_err(|e| format!("query {qi}: {e}"))?;
+                let o = searcher
+                    .search(q, sigma, &mut scratch)
+                    .map_err(|e| format!("query {qi}: {e}"))?;
                 if explain {
                     print!("{}", pis::core::explain(&o, system.index(), sigma));
                 }
@@ -359,10 +364,12 @@ fn cmd_knn(args: &[&String]) -> Result<(), String> {
     let queries = load_db(flags.required("query")?)?;
     let k: usize = flags.num("k", 5)?;
     let store = open_store(&dir, parse_budget(&flags)?)?;
-    let system = store.system();
+    // One searcher and one scratch serve every query of the run.
+    let searcher = store.system().searcher();
+    let mut scratch = SearchScratch::new();
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
-        let knn = system.try_knn(q, k).map_err(|e| format!("query {qi}: {e}"))?;
+        let knn = searcher.knn(q, k, &mut scratch).map_err(|e| format!("query {qi}: {e}"))?;
         println!(
             "query {qi}: {} neighbors (radius {}) in {:?}",
             knn.neighbors.len(),

@@ -56,9 +56,7 @@ pub use pis_index as index;
 pub use pis_mining as mining;
 pub use pis_partition as partition;
 
-use pis_core::{
-    BaselineOutcome, KnnOutcome, PisConfig, PisSearcher, QueryBudget, QueryError, SearchOutcome,
-};
+use pis_core::{BaselineOutcome, KnnOutcome, PisConfig, PisSearcher, SearchOutcome, SearchScratch};
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{GraphId, LabeledGraph};
 use pis_index::{FragmentIndex, IndexConfig, IndexDistance};
@@ -218,8 +216,10 @@ impl PisSystem {
     }
 
     /// A searcher bound to this system's index, database and
-    /// configuration. Hold one (plus a `SearchScratch`) to run many
-    /// queries without re-allocating the funnel's internal state.
+    /// configuration — the typed query path. Hold one (plus a
+    /// [`SearchScratch`]) to run many queries
+    /// without re-allocating the funnel's internal state, and to get
+    /// invalid input back as a [`QueryError`](pis_core::QueryError).
     pub fn searcher(&self) -> PisSearcher<'_> {
         PisSearcher::new(&self.index, &self.database, self.config.clone())
     }
@@ -227,76 +227,42 @@ impl PisSystem {
     /// Answers an SSSD query: all graphs within superimposed distance
     /// `sigma` of `query` (Definition 2), via Algorithm 2 plus
     /// verification.
+    ///
+    /// # Panics
+    /// Panics with the [`QueryError`](pis_core::QueryError) message if
+    /// `sigma` is not finite and non-negative or the query carries a
+    /// non-finite weight; [`PisSystem::searcher`] returns the error
+    /// instead.
     pub fn search(&self, query: &LabeledGraph, sigma: f64) -> SearchOutcome {
-        self.searcher().search(query, sigma)
+        self.search_with(query, sigma, self.config.clone())
     }
 
-    /// Runs the search with an overridden configuration.
+    /// Runs the search with an overridden configuration. A per-call
+    /// budget is `search_with(q, sigma, PisConfig { budget,
+    /// ..system.config().clone() })`.
+    ///
+    /// # Panics
+    /// On the same input as [`PisSystem::search`].
     pub fn search_with(
         &self,
         query: &LabeledGraph,
         sigma: f64,
         config: PisConfig,
     ) -> SearchOutcome {
-        PisSearcher::new(&self.index, &self.database, config).search(query, sigma)
-    }
-
-    /// [`PisSystem::search`] with the inputs validated first: rejects
-    /// non-finite or negative `sigma` and queries carrying NaN/∞
-    /// weights with a typed [`QueryError`] instead of propagating
-    /// garbage through the funnel.
-    pub fn try_search(
-        &self,
-        query: &LabeledGraph,
-        sigma: f64,
-    ) -> Result<SearchOutcome, QueryError> {
-        self.searcher().try_search(query, sigma)
-    }
-
-    /// [`PisSystem::search`] under a per-call [`QueryBudget`]
-    /// (deadline, node budget, cancellation). See
-    /// [`SearchOutcome::completeness`] for whether the answer set is
-    /// exact or truncated-but-sound.
-    pub fn search_budgeted(
-        &self,
-        query: &LabeledGraph,
-        sigma: f64,
-        budget: &QueryBudget,
-    ) -> SearchOutcome {
-        self.searcher().search_budgeted(query, sigma, budget)
+        PisSearcher::new(&self.index, &self.database, config)
+            .search(query, sigma, &mut SearchScratch::new())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Finds the `k` structurally matching graphs nearest to `query`
     /// (top-k form of SSSD, via progressive radius widening).
+    ///
+    /// # Panics
+    /// Panics with the [`QueryError`](pis_core::QueryError) message if
+    /// the query carries a non-finite weight; [`PisSystem::searcher`]
+    /// returns the error instead.
     pub fn knn(&self, query: &LabeledGraph, k: usize) -> KnnOutcome {
-        self.searcher().knn(query, k, 1.0, self.knn_max_radius(query))
-    }
-
-    /// [`PisSystem::knn`] with validated inputs (finite radii, finite
-    /// query weights) reported as a typed [`QueryError`].
-    pub fn try_knn(&self, query: &LabeledGraph, k: usize) -> Result<KnnOutcome, QueryError> {
-        self.searcher().try_knn(query, k, 1.0, self.knn_max_radius(query))
-    }
-
-    /// [`PisSystem::knn`] under a per-call [`QueryBudget`]. On a tripped
-    /// budget the outcome holds the best neighbors found so far and a
-    /// `certified_radius` up to which the ranking is guaranteed.
-    pub fn knn_budgeted(&self, query: &LabeledGraph, k: usize, budget: &QueryBudget) -> KnnOutcome {
-        self.searcher().knn_budgeted(query, k, 1.0, self.knn_max_radius(query), budget)
-    }
-
-    /// The widest radius `knn` will ever explore for `query`: mutation
-    /// distances are bounded by the per-element maxima times the query
-    /// size; linear distances get a generous cap.
-    fn knn_max_radius(&self, query: &LabeledGraph) -> f64 {
-        let max_radius = match self.index.distance() {
-            IndexDistance::Mutation(md) => {
-                md.edge_scores().max_cost() * query.edge_count() as f64
-                    + md.vertex_scores().max_cost() * query.vertex_count() as f64
-            }
-            IndexDistance::Linear(_) => f64::MAX / 4.0,
-        };
-        max_radius.max(1.0)
+        self.searcher().knn(query, k, &mut SearchScratch::new()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The structure-only baseline (Section 2).
@@ -408,36 +374,44 @@ mod tests {
         let system = PisSystem::builder().exhaustive_features(3).build(db.clone());
         let q = db[0].clone();
 
-        // Validation rejects bad sigma; a valid call matches `search`.
-        assert!(matches!(system.try_search(&q, f64::NAN), Err(QueryError::InvalidSigma(_))));
+        // The typed path rejects bad sigma; a valid call matches `search`.
+        let searcher = system.searcher();
+        let mut scratch = pis_core::SearchScratch::new();
+        assert!(matches!(
+            searcher.search(&q, f64::NAN, &mut scratch),
+            Err(pis_core::QueryError::InvalidSigma(_))
+        ));
         let exact = system.search(&q, 1.0);
-        let tried = system.try_search(&q, 1.0).expect("valid query");
+        let tried = searcher.search(&q, 1.0, &mut scratch).expect("valid query");
         assert_eq!(tried.answers, exact.answers);
         assert!(tried.completeness.is_exact());
 
-        // An unlimited per-call budget reproduces the exact outcome; an
-        // exhausted one truncates soundly (answers ⊆ exact).
-        let unlimited = system.search_budgeted(&q, 1.0, &QueryBudget::unlimited());
-        assert_eq!(unlimited.answers, exact.answers);
-        assert!(unlimited.completeness.is_exact());
-        let starved = system.search_budgeted(
-            &q,
-            1.0,
-            &QueryBudget { node_limit: Some(1), ..QueryBudget::default() },
-        );
-        assert!(!starved.completeness.is_exact());
-        assert!(starved.answers.iter().all(|g| exact.answers.contains(g)));
+        // A per-call budget is a config override: an exhausted one
+        // truncates soundly (answers ⊆ exact).
+        let starved = PisConfig {
+            budget: pis_core::QueryBudget { node_limit: Some(1), ..Default::default() },
+            ..system.config().clone()
+        };
+        let truncated = system.search_with(&q, 1.0, starved.clone());
+        assert!(!truncated.completeness.is_exact());
+        assert!(truncated.answers.iter().all(|g| exact.answers.contains(g)));
 
-        // kNN mirrors the same trio.
+        // kNN mirrors the same pair.
         let knn = system.knn(&q, 2);
-        let tried = system.try_knn(&q, 2).expect("valid query");
+        let tried = searcher.knn(&q, 2, &mut scratch).expect("valid query");
         assert_eq!(tried.neighbors, knn.neighbors);
-        let starved = system.knn_budgeted(
-            &q,
-            2,
-            &QueryBudget { node_limit: Some(1), ..QueryBudget::default() },
-        );
-        assert!(starved.certified_radius <= knn.radius);
+        let truncated = PisSearcher::new(system.index(), system.database(), starved)
+            .knn(&q, 2, &mut scratch)
+            .expect("valid query");
+        assert!(truncated.certified_radius <= knn.radius);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid sigma")]
+    fn search_panics_on_invalid_sigma() {
+        let db = tiny_db();
+        let system = PisSystem::builder().exhaustive_features(3).build(db.clone());
+        let _ = system.search(&db[0], f64::NAN);
     }
 
     #[test]

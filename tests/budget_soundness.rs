@@ -1,7 +1,8 @@
 //! Property tests of budget-governed search (DESIGN.md §6.9): whatever
 //! the budget, truncation must degrade *gracefully* — verified answers
-//! stay correct, nothing true is silently dropped, and an unlimited
-//! budget reproduces the exact search bit for bit.
+//! stay correct, nothing true is silently dropped, and a budget that
+//! never trips reproduces the exact search bit for bit. A budget is set
+//! in one place, `PisConfig::budget`; every property here sets it there.
 
 mod common;
 
@@ -10,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{connected_graph, graph_database};
+use pis::core::PisSearcher;
 use pis::distance::oracle::sssd_brute;
 use pis::prelude::*;
 use proptest::prelude::*;
@@ -47,7 +49,8 @@ proptest! {
             .mutation_distance(md)
             .exhaustive_features(3)
             .build(db);
-        let outcome = system.search_budgeted(&query, sigma, &budget);
+        let budgeted = PisConfig { budget, ..system.config().clone() };
+        let outcome = system.search_with(&query, sigma, budgeted);
         for a in &outcome.answers {
             prop_assert!(
                 exact.contains(&a.index()),
@@ -71,9 +74,12 @@ proptest! {
         }
     }
 
-    /// An infinite budget is not merely equivalent — it is bit-identical
-    /// to the unbudgeted search: same answers, same f64 distance bits,
-    /// same funnel statistics, `Completeness::Exact`.
+    /// A budget that is checked but never trips is not merely
+    /// equivalent — it is bit-identical to the unbudgeted search: same
+    /// answers, same f64 distance bits, same funnel statistics,
+    /// `Completeness::Exact`. The budget holds an un-set cancel token,
+    /// so every checkpoint runs its full test (the unlimited budget
+    /// skips them all) and only the outcome may not show it.
     #[test]
     fn infinite_budget_is_bit_identical(
         db in graph_database(8, 6, 3),
@@ -82,8 +88,15 @@ proptest! {
     ) {
         let system = PisSystem::builder().exhaustive_features(3).build(db);
         let plain = system.search(&query, sigma);
-        let budgeted = system.search_budgeted(&query, sigma, &QueryBudget::unlimited());
-        prop_assert!(budgeted.completeness.is_exact());
+        let never_trips = QueryBudget {
+            cancel: Some(Arc::new(AtomicBool::new(false))),
+            ..QueryBudget::default()
+        };
+        prop_assert!(never_trips.is_limited(), "the budget must take the checked path");
+        let config = PisConfig { budget: never_trips, ..system.config().clone() };
+        let budgeted = system.search_with(&query, sigma, config);
+        prop_assert!(plain.completeness.is_exact());
+        prop_assert_eq!(&budgeted.completeness, &Completeness::Exact);
         prop_assert!(budgeted.possible.is_empty());
         prop_assert_eq!(&plain.answers, &budgeted.answers);
         prop_assert_eq!(&plain.candidates, &budgeted.candidates);
@@ -96,7 +109,8 @@ proptest! {
 
     /// A scratch that lived through an aborted/truncated query is
     /// indistinguishable from a fresh one: the next (unbudgeted) search
-    /// through it reproduces the fresh-scratch outcome bit for bit.
+    /// through it reproduces the fresh-scratch outcome bit for bit. Two
+    /// searchers — one budgeted, one not — share the scratch.
     #[test]
     fn scratch_reuse_after_truncation_is_byte_identical(
         db in graph_database(8, 6, 3),
@@ -105,12 +119,17 @@ proptest! {
         budget in budget_strategy(),
     ) {
         let system = PisSystem::builder().exhaustive_features(3).build(db);
+        let budgeted = PisSearcher::new(
+            system.index(),
+            system.database(),
+            PisConfig { budget, ..system.config().clone() },
+        );
         let searcher = system.searcher();
         let mut reused = SearchScratch::new();
         // Possibly-truncated query through the scratch, then a clean one.
-        let _ = searcher.search_budgeted_with_scratch(&query, sigma, &budget, &mut reused);
-        let after = searcher.search_with_scratch(&query, sigma, &mut reused);
-        let fresh = searcher.search_with_scratch(&query, sigma, &mut SearchScratch::new());
+        let _ = budgeted.search(&query, sigma, &mut reused).unwrap();
+        let after = searcher.search(&query, sigma, &mut reused).unwrap();
+        let fresh = searcher.search(&query, sigma, &mut SearchScratch::new()).unwrap();
         prop_assert_eq!(&after.answers, &fresh.answers);
         prop_assert_eq!(&after.candidates, &fresh.candidates);
         prop_assert_eq!(&after.possible, &fresh.possible);
@@ -136,8 +155,9 @@ proptest! {
         let system = PisSystem::builder()
             .mutation_distance(md.clone())
             .exhaustive_features(3)
+            .search_config(PisConfig { budget, ..PisConfig::default() })
             .build(db.clone());
-        let outcome = system.knn_budgeted(&query, k, &budget);
+        let outcome = system.knn(&query, k);
         prop_assert!(outcome.certified_radius <= outcome.radius);
         for n in &outcome.neighbors {
             let brute = min_superimposed_distance_brute(&query, &db[n.graph.index()], &md);

@@ -258,6 +258,16 @@ fn errors_are_reported() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag {}", flag[0])), "{stderr}");
     }
+
+    // A threshold the search rejects is the query's typed error, on a
+    // real store with real queries.
+    let dir = tmp_dir("badsigma");
+    let [_, store, queries] = generate_build_sample(&dir, "20", "9", false);
+    for sigma in ["nan", "-1"] {
+        let stderr = run_err(pis().args(["search", &store, "--query", &queries, "--sigma", sigma]));
+        assert!(stderr.contains("error: query 0: invalid sigma"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

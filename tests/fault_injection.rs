@@ -161,7 +161,7 @@ fn checkpoint_panic_surfaces_and_searcher_stays_usable() {
     for site in ["verify", "range-descent"] {
         failpoints::arm_panic(site, 1);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            searcher.search_with_scratch(&query, sigma, &mut scratch)
+            searcher.search(&query, sigma, &mut scratch)
         }));
         failpoints::disarm_all();
         let payload = caught.expect_err("the injected panic must surface to the caller");
@@ -174,8 +174,8 @@ fn checkpoint_panic_surfaces_and_searcher_stays_usable() {
 
         // Same searcher, same scratch: the next query is exact and
         // equals a fresh-scratch run bit for bit.
-        let after = searcher.search_with_scratch(&query, sigma, &mut scratch);
-        let fresh = searcher.search_with_scratch(&query, sigma, &mut SearchScratch::new());
+        let after = searcher.search(&query, sigma, &mut scratch).unwrap();
+        let fresh = searcher.search(&query, sigma, &mut SearchScratch::new()).unwrap();
         assert!(after.completeness.is_exact(), "after a {site} panic");
         assert_eq!(after.answers, fresh.answers, "after a {site} panic");
         assert_eq!(after.candidates, fresh.candidates, "after a {site} panic");

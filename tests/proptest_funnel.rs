@@ -36,7 +36,7 @@ fn assert_equivalent(
 ) -> Result<(), TestCaseError> {
     let reference = searcher.search_reference(query, sigma);
     for round in 0..2 {
-        let fast = searcher.search_with_scratch(query, sigma, scratch);
+        let fast = searcher.search(query, sigma, scratch).unwrap();
         prop_assert_eq!(&fast.candidates, &reference.candidates, "candidates, round {}", round);
         prop_assert_eq!(&fast.answers, &reference.answers, "answers, round {}", round);
         prop_assert_eq!(
@@ -158,23 +158,21 @@ proptest! {
     }
 
     /// The knn radius schedule's seed reuse (resolved distances carried
-    /// across doubling rounds) never changes the answer: neighbors match
-    /// the brute-force ranking exactly, and reuse only ever removes
-    /// verification work.
+    /// across doubling rounds) and its cheapest-bound-first verification
+    /// never change the answer: neighbors match the brute-force ranking
+    /// exactly, and reuse only ever removes verification work.
     #[test]
     fn knn_seed_reuse_matches_brute_force(
         db in graph_database(8, 6, 3),
         query in connected_graph(5, 2, 3),
         k in 1usize..6,
-        initial_radius in prop::sample::select(vec![0.25, 0.5, 1.0]),
     ) {
         let system = PisSystem::builder()
             .mutation_distance(MutationDistance::edge_hamming())
             .exhaustive_features(3)
             .build(db.clone());
         let searcher = system.searcher();
-        let max_radius = (query.edge_count() as f64).max(1.0);
-        let knn = searcher.knn(&query, k, initial_radius, max_radius);
+        let knn = searcher.knn(&query, k, &mut SearchScratch::new()).unwrap();
         // Brute-force ranking: exact min distance per containing graph.
         let md = MutationDistance::edge_hamming();
         let mut expected: Vec<(usize, f64)> = db
@@ -208,51 +206,6 @@ proptest! {
             knn.reused_verifications <= db.len(),
             "distinct reuses ({}) exceed the database size ({})",
             knn.reused_verifications, db.len()
-        );
-    }
-
-    /// Best-first verification scheduling (the default) is a pure work
-    /// optimization: against stream-order scheduling
-    /// (`best_first_verify: false`, the seed schedule) it returns the
-    /// identical neighbor set with bit-identical distances, the same
-    /// final radius, the same round count and the same distinct-reuse
-    /// statistic — while never making *more* verification calls. Only
-    /// the terminal round ever tightens budgets or skips, so every
-    /// widening decision is shared between the two schedules.
-    #[test]
-    fn best_first_knn_matches_stream_order(
-        db in graph_database(8, 6, 3),
-        query in connected_graph(5, 2, 3),
-        k in 1usize..6,
-        initial_radius in prop::sample::select(vec![0.25, 0.5, 1.0]),
-    ) {
-        let system = PisSystem::builder()
-            .mutation_distance(MutationDistance::edge_hamming())
-            .exhaustive_features(3)
-            .build(db);
-        let best_first = system.searcher();
-        let stream = PisSearcher::new(
-            system.index(),
-            system.database(),
-            PisConfig { best_first_verify: false, ..PisConfig::default() },
-        );
-        let max_radius = (query.edge_count() as f64).max(1.0);
-        let a = best_first.knn(&query, k, initial_radius, max_radius);
-        let b = stream.knn(&query, k, initial_radius, max_radius);
-        let pairs = |o: &pis::core::KnnOutcome| -> Vec<(GraphId, u64)> {
-            o.neighbors.iter().map(|n| (n.graph, n.distance.to_bits())).collect()
-        };
-        prop_assert_eq!(pairs(&a), pairs(&b), "neighbor sets diverge");
-        prop_assert_eq!(a.radius.to_bits(), b.radius.to_bits(), "final radius diverges");
-        prop_assert_eq!(a.rounds, b.rounds, "widening schedule diverges");
-        prop_assert_eq!(
-            a.reused_verifications, b.reused_verifications,
-            "cross-round reuse diverges"
-        );
-        prop_assert!(
-            a.verification_calls <= b.verification_calls,
-            "best-first must not verify more: {} vs {}",
-            a.verification_calls, b.verification_calls
         );
     }
 
@@ -336,15 +289,14 @@ fn pooled_range_arm_equals_serial_arm() {
         }
 
         let mut scratch = SearchScratch::new();
-        let on_caller =
-            SIGMAS.map(|sigma| searcher.search_with_scratch(&query, sigma, &mut scratch));
+        let on_caller = SIGMAS.map(|sigma| searcher.search(&query, sigma, &mut scratch).unwrap());
         // Two explicit workers, so the serial side runs in a pool
         // worker whatever the core count; both workers do the same work
         // and the first one's outcomes are compared.
         let in_worker = ScopedPool::new(2)
             .map_with(&[(); 2], 2, SearchScratch::new, |scratch, _, ()| {
                 assert!(ScopedPool::in_worker());
-                SIGMAS.map(|sigma| searcher.search_with_scratch(&query, sigma, scratch))
+                SIGMAS.map(|sigma| searcher.search(&query, sigma, scratch).unwrap())
             })
             .swap_remove(0);
 

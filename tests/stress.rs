@@ -7,7 +7,6 @@
 //! cargo test --release --test stress -- --ignored
 //! ```
 
-use pis::core::run_workload;
 use pis::datasets::{sample_query_set, MoleculeGenerator};
 use pis::distance::oracle::sssd_brute;
 use pis::prelude::*;
@@ -68,27 +67,4 @@ fn incremental_growth_never_diverges() {
             }
         }
     }
-}
-
-#[test]
-#[ignore = "minutes-long randomized deep check; run with -- --ignored"]
-fn workload_statistics_are_consistent() {
-    let db = MoleculeGenerator::default().database(300, 5);
-    let system = PisSystem::builder()
-        .gindex_features(GindexConfig {
-            max_edges: 5,
-            min_support_fraction: 0.03,
-            ..GindexConfig::default()
-        })
-        .build(db.clone());
-    let queries = sample_query_set(&db, 14, 20, 3);
-    let searcher =
-        pis::core::PisSearcher::new(system.index(), system.database(), PisConfig::default());
-    let report = run_workload(&searcher, &queries, 2.0);
-    assert_eq!(report.queries, 20);
-    // Funnel monotonicity must hold in aggregate.
-    assert!(report.after_partition.mean <= report.after_intersection.mean);
-    assert!(report.after_structure.mean <= report.after_partition.mean);
-    assert!(report.answers.mean <= report.after_structure.mean);
-    println!("{report}");
 }
