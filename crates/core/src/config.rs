@@ -55,12 +55,12 @@ pub struct PisConfig {
 }
 
 /// Threshold of the range-query fan-out: below this many unique probes
-/// a search prices them serially through the shared scratch; at or
-/// above it, probe groups are shared out across the thread pool.
+/// a search's pool call answers the probe groups on the calling thread;
+/// at or above it, the pool shares them out across its workers.
 ///
 /// Not a measured break-even: 48 (like
 /// [`DEFAULT_PARALLEL_VERIFY_THRESHOLD`]'s 64) is a carry-over that was
-/// never measured beyond 2 cores, and ROADMAP direction 5 is to settle
+/// never measured beyond 2 cores, and ROADMAP direction 2(d) is to settle
 /// both or remove the fan-outs. What is known (2 cores, `tight_10k`,
 /// measured on the parent of PR 20, when the pool spawned every worker
 /// and split the slice into fixed halves): a fan-out's first thread

@@ -31,16 +31,25 @@
 //! * **reuse** — all of that state lives in a [`SearchScratch`] that
 //!   callers of [`PisSearcher::search`] and [`PisSearcher::knn`] (whose
 //!   radius doubling re-runs the funnel) thread through repeated
-//!   searches, making the steady-state serial funnel allocation-free —
-//!   including fragment enumeration (the scratch-owned arena-backed
-//!   `FragmentBuffer`) and the partition stage, where `Q̃` rebuilds in
+//!   searches. In steady state the descent, the candidate bookkeeping,
+//!   fragment enumeration (the scratch-owned arena-backed
+//!   `FragmentBuffer`), the partition stage — where `Q̃` rebuilds in
 //!   place through a `PartitionScratch` and the mask-native MWIS
-//!   solvers fill a reused selection buffer (`DESIGN.md` §6.6);
+//!   solvers fill a reused selection buffer (`DESIGN.md` §6.6) — and
+//!   the verifier allocate nothing; what does allocate, per search, is
+//!   what the per-item phases hand back: each sibling group's rows,
+//!   weights and `CQ` set, and one result per checked or verified
+//!   candidate;
 //! * **deduplication** — automorphic query fragments produce identical
 //!   `(feature, vector)` probes; each unique probe runs one range query
-//!   (memoized in the scratch), and large probe sets share their
-//!   sibling groups out across the [`ScopedPool`], each worker reading
-//!   out the rows it computed.
+//!   (memoized in the scratch), answered in sibling groups that each
+//!   read out the rows they computed.
+//!
+//! The three per-item phases — range queries per sibling group, the
+//! structure check and verification per candidate — each make one
+//! [`ScopedPool`] call, which alone decides whether they run serially
+//! or share the items out across the cores; the calling thread works
+//! in the scratch's own state either way.
 //!
 //! [`PisSearcher::search_reference`] keeps the seed's straight-line
 //! implementation as an executable specification; differential tests
@@ -102,7 +111,8 @@ pub struct SearchStats {
     /// Candidates surviving the exact structure check (equals
     /// `candidates_after_partition` when the check is disabled).
     pub candidates_after_structure: usize,
-    /// Verification calls performed (equals candidates when verifying).
+    /// Verification calls performed: candidates that reached the
+    /// verifier (all of them on an exact search).
     pub verification_calls: usize,
     /// Whether [`PartitionAlgo::Exact`] was demoted to
     /// `EnhancedGreedy(2)` because the fragment pool exceeded the exact
@@ -218,24 +228,26 @@ type ScoredFragment = (QueryFragment, Vec<(GraphId, f64)>, f64);
 /// Reusable state for the optimized candidate funnel.
 ///
 /// One scratch serves any number of sequential searches (it re-sizes to
-/// the database on every call); after warm-up the serial funnel —
-/// fragment enumeration included, via the arena-backed
-/// [`FragmentBuffer`] — performs no heap allocation outside the
-/// returned [`SearchOutcome`]. (When a large probe set fans out across
-/// the pool, workers trade one row-buffer allocation per sibling group
-/// for core scaling.) Scratches are independent — one per thread for
+/// the database on every call); after warm-up its buffers — fragment
+/// enumeration's arena-backed [`FragmentBuffer`] included — are reused,
+/// and a search allocates only what its per-item phases hand back (one
+/// row buffer, weight list and `CQ` set per sibling group, one result
+/// per checked or verified candidate) and the returned
+/// [`SearchOutcome`]. Scratches are independent — one per thread for
 /// concurrent searches.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     /// Arena-backed store for the query's enumerated fragments.
     fragments: FragmentBuffer,
-    /// Range-query descent state (shared across the whole search).
+    /// Range-query descent state (the calling thread's, across the
+    /// whole search).
     range: RangeScratch,
     /// Minima rows of this search's range queries, one buffer per
     /// sibling group (`pis_index::FragmentIndex::range_query_batch_rows`)
-    /// — the only form hits take in the funnel. The serial arm refills
-    /// the buffers search after search; the pooled arm's workers
-    /// allocate theirs and hand them back by move.
+    /// — the only form hits take in the funnel. Whichever thread
+    /// answers a group allocates its buffer and hands it back by move;
+    /// the last search's buffers are dropped before this one's are
+    /// allocated.
     rows: Vec<Vec<f64>>,
     /// Per slot: its row's buffer in `rows` and offset there (the row
     /// is as long as the slot's class).
@@ -427,14 +439,12 @@ impl<'a> PisSearcher<'a> {
         let mut answer_distances = Vec::new();
         let mut possible = Vec::new();
         if self.config.verify {
-            stats.verification_calls = candidates.len();
-            let (resolved, unverified) = self.verify_candidates_budgeted(
-                query,
-                &candidates,
-                sigma,
-                &mut scratch.verify,
-                &budget,
-            );
+            let calls = scratch.verify.stats().calls;
+            let (resolved, unverified) =
+                self.verify_candidates(query, &candidates, sigma, &mut scratch.verify, &budget);
+            // Candidates the budget turned away never reached the
+            // verifier and are not calls.
+            stats.verification_calls = (scratch.verify.stats().calls - calls) as usize;
             for (gid, d) in resolved {
                 answers.push(gid);
                 answer_distances.push(d);
@@ -602,48 +612,25 @@ impl<'a> PisSearcher<'a> {
         // pool like verification does (most checks are refutations,
         // which pay for a full DFS).
         if self.config.structure_check {
-            let database = self.database;
-            let pool = ScopedPool::default();
-            let fan_out = pool.workers() > 1
-                && !ScopedPool::in_worker()
-                && scratch.cand_buf.len() >= DEFAULT_PARALLEL_VERIFY_THRESHOLD;
-            let parallel_keep: Option<Vec<bool>> = fan_out.then(|| {
-                pool.map_with(
-                    &scratch.cand_buf,
-                    DEFAULT_PARALLEL_VERIFY_THRESHOLD,
-                    || {
-                        let mut verify = VerifyScratch::new();
-                        verify.begin_query(query);
-                        verify
-                    },
-                    |verify, _, &gid| {
-                        // A check the budget interrupts keeps its
-                        // candidate — refutation needs a completed DFS.
-                        budget.is_tripped()
-                            || verify
-                                .contains_structure_budgeted(query, &database[gid.index()], budget)
-                                .unwrap_or(true)
-                    },
-                )
-            });
-            if parallel_keep.is_none() {
-                scratch.verify.begin_query(query);
-            }
+            scratch.verify.begin_query(query);
+            let keep = ScopedPool::default().map_with(
+                &scratch.cand_buf,
+                DEFAULT_PARALLEL_VERIFY_THRESHOLD,
+                &mut scratch.verify,
+                || query_verifier(query),
+                |verify, _, &gid| {
+                    // A check the budget interrupts keeps its candidate —
+                    // refutation needs a completed DFS.
+                    budget.is_tripped()
+                        || verify
+                            .contains_structure_budgeted(query, &self.database[gid.index()], budget)
+                            .unwrap_or(true)
+                },
+            );
             let mut kept = 0;
-            for i in 0..scratch.cand_buf.len() {
-                let gid = scratch.cand_buf[i];
-                let keep = match &parallel_keep {
-                    Some(flags) => flags[i],
-                    None => {
-                        budget.is_tripped()
-                            || scratch
-                                .verify
-                                .contains_structure_budgeted(query, &database[gid.index()], budget)
-                                .unwrap_or(true)
-                    }
-                };
+            for (i, keep) in keep.into_iter().enumerate() {
                 if keep {
-                    scratch.cand_buf[kept] = gid;
+                    scratch.cand_buf[kept] = scratch.cand_buf[i];
                     scratch.cand_lb[kept] = scratch.cand_lb[i];
                     kept += 1;
                 }
@@ -666,9 +653,10 @@ impl<'a> PisSearcher<'a> {
     /// class arena once for the whole group; a lone probe is a batch of
     /// one. Each completed group's rows are read once, by the thread
     /// that computed them ([`read_out_row`]): per probe the selectivity
-    /// and the hit set, ANDed into `CQ`. Large probe sets share the
-    /// groups out across the pool instead; every group then ANDs into a
-    /// set of its own and the sets meet in `CQ` after the join.
+    /// and the hit set, ANDed into a `CQ` set of the group's own. The
+    /// groups go through one pool call, which shares large probe sets
+    /// out across the cores; their rows come back by move and their sets
+    /// meet in `CQ` in group order.
     fn run_range_queries(
         &self,
         fragments: &FragmentBuffer,
@@ -689,104 +677,66 @@ impl<'a> PisSearcher<'a> {
             ..
         } = scratch;
         let unique_fragment = unique_fragment.as_slice();
-        // Answers the group of slots `s..e` into `rows` and, if the
-        // budget let the descent finish, reads each probe's row out:
-        // its weight into `weights`, its hit set ANDed into `cq`. A
-        // batch descent prices all siblings in one pass, so a trip
-        // mid-descent invalidates the whole group — it then contributes
-        // nothing.
-        let answer_group = |(s, e): (usize, usize),
-                            range: &mut RangeScratch,
-                            rows: &mut Vec<f64>,
-                            mask: &mut GraphBitSet,
-                            cq: &mut GraphBitSet,
-                            weights: &mut [f64]| {
-            let feature = fragments.feature(unique_fragment[s]);
-            let complete = self.index.range_query_batch_rows(
-                feature,
-                e - s,
-                |i| fragments.vector(unique_fragment[s + i]),
-                sigma,
-                range,
-                budget,
-                rows,
-            );
-            if complete {
-                let graphs = self.index.class_graphs(feature);
-                let c = graphs.len();
-                for (k, w) in weights.iter_mut().enumerate() {
-                    let row = &rows[k * c..(k + 1) * c];
-                    *w = read_out_row(graphs, row, n, sigma, self.config.lambda, mask);
-                    cq.intersect_with(mask);
-                }
-            }
-            complete
+        let groups = sibling_groups(fragments, unique_fragment);
+        // The break-even counts probes and the pool counts groups: below
+        // it, no group count reaches `min_parallel`.
+        let min_parallel = if unique_fragment.len() >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD {
+            2
+        } else {
+            usize::MAX
         };
-        // Where slot `s + k`'s row lies once its group's buffer is
-        // `rows[buffer]`.
-        let mut place = |buffer: usize, (s, e): (usize, usize), complete: bool| {
+        // Last search's buffers go before this one's are allocated.
+        rows.clear();
+        // The calling thread works in the scratch's descent state and
+        // mask, moved out for the call and back after it.
+        let mut state = (std::mem::take(range), std::mem::take(mask));
+        // Answers the group of slots `s..e` and, if the budget let the
+        // descent finish, reads each probe's row out. A batch descent
+        // prices all siblings in one pass, so a trip mid-descent
+        // invalidates the whole group — it then contributes nothing.
+        let answered = ScopedPool::default().map_with(
+            &groups,
+            min_parallel,
+            &mut state,
+            || (RangeScratch::new(), GraphBitSet::default()),
+            |(range, mask), _, &(s, e)| {
+                let feature = fragments.feature(unique_fragment[s]);
+                let mut group_rows = Vec::new();
+                let mut group_weights = vec![0.0; e - s];
+                let mut cq = GraphBitSet::new(n);
+                cq.fill();
+                let complete = self.index.range_query_batch_rows(
+                    feature,
+                    e - s,
+                    |i| fragments.vector(unique_fragment[s + i]),
+                    sigma,
+                    range,
+                    budget,
+                    &mut group_rows,
+                );
+                if complete {
+                    let graphs = self.index.class_graphs(feature);
+                    let c = graphs.len();
+                    for (k, w) in group_weights.iter_mut().enumerate() {
+                        let row = &group_rows[k * c..(k + 1) * c];
+                        *w = read_out_row(graphs, row, n, sigma, self.config.lambda, mask);
+                        cq.intersect_with(mask);
+                    }
+                }
+                (group_rows, group_weights, cq, complete)
+            },
+        );
+        (*range, *mask) = state;
+        for (&(s, e), (group_rows, group_weights, cq, complete)) in groups.iter().zip(answered) {
+            weights[s..e].copy_from_slice(&group_weights);
+            candidates.intersect_with(&cq);
+            // Slot `s + k`'s row lies at `k * c` in the group's buffer.
             let c = self.index.class_graphs(fragments.feature(unique_fragment[s])).len();
             for (k, at) in row_at[s..e].iter_mut().enumerate() {
-                *at = (buffer, k * c);
+                *at = (rows.len(), k * c);
             }
             slot_complete[s..e].fill(complete);
-        };
-        let pool = ScopedPool::default();
-        if pool.workers() > 1
-            && !ScopedPool::in_worker()
-            && unique_fragment.len() >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD
-        {
-            // Inside a pool worker (a caller's own query fan-out) a
-            // nested map would run serially anyway — take the
-            // buffer-reusing serial path directly instead of
-            // allocating per-group rows.
-            let groups = sibling_groups(fragments, unique_fragment);
-            // Last search's buffers go before this one's are allocated.
-            rows.clear();
-            let answered = pool.map_with(
-                &groups,
-                2,
-                || (RangeScratch::new(), GraphBitSet::default()),
-                |(range, mask), _, &(s, e)| {
-                    let mut group_rows = Vec::new();
-                    let mut group_weights = vec![0.0; e - s];
-                    let mut cq = GraphBitSet::new(n);
-                    cq.fill();
-                    let complete = answer_group(
-                        (s, e),
-                        range,
-                        &mut group_rows,
-                        mask,
-                        &mut cq,
-                        &mut group_weights,
-                    );
-                    (group_rows, group_weights, cq, complete)
-                },
-            );
-            for (&(s, e), (group_rows, group_weights, cq, complete)) in groups.iter().zip(answered)
-            {
-                weights[s..e].copy_from_slice(&group_weights);
-                candidates.intersect_with(&cq);
-                place(rows.len(), (s, e), complete);
-                rows.push(group_rows);
-            }
-        } else {
-            let mut buffer = 0;
-            for_each_sibling_group(fragments, unique_fragment, |s, e| {
-                if rows.len() == buffer {
-                    rows.push(Vec::new());
-                }
-                let complete = answer_group(
-                    (s, e),
-                    range,
-                    &mut rows[buffer],
-                    mask,
-                    candidates,
-                    &mut weights[s..e],
-                );
-                place(buffer, (s, e), complete);
-                buffer += 1;
-            });
+            rows.push(group_rows);
         }
     }
 
@@ -904,17 +854,17 @@ impl<'a> PisSearcher<'a> {
         }
     }
 
-    /// Verifies candidates with the bound-propagating verifier, through
-    /// the shared pool when the batch is large enough to amortize thread
-    /// startup. Results stay in candidate order; phase counters land in
-    /// `verify` either way (parallel lanes verify through per-worker
-    /// scratches and merge their counters back).
+    /// Verifies candidates with the bound-propagating verifier, in one
+    /// pool call (shared out across the cores when the batch is large
+    /// enough to amortize thread start-up). Results stay in candidate
+    /// order; the calling thread verifies through `verify`, helpers
+    /// through scratches of their own, and every candidate's phase
+    /// counters land back in `verify`.
     ///
     /// Returns the verified `(graph, distance)` answers plus the
     /// candidates whose verification the budget interrupted (never
-    /// disproved — the caller reports them as `possible`). Pass
-    /// [`BudgetState::unlimited`] for the plain exhaustive pass.
-    pub(crate) fn verify_candidates_budgeted(
+    /// disproved — the caller reports them as `possible`).
+    pub(crate) fn verify_candidates(
         &self,
         query: &LabeledGraph,
         candidates: &[GraphId],
@@ -944,84 +894,57 @@ impl<'a> PisSearcher<'a> {
         distance: &D,
         budget: &BudgetState,
     ) -> (Vec<(GraphId, f64)>, Vec<GraphId>) {
-        let pool = ScopedPool::default();
+        verify.begin_query(query);
+        let results = ScopedPool::default().map_with(
+            candidates,
+            DEFAULT_PARALLEL_VERIFY_THRESHOLD,
+            verify,
+            || query_verifier(query),
+            |scratch, _, &gid| {
+                // A trip observed before this candidate starts means its
+                // DFS could never complete — skip straight to `possible`
+                // instead of burning the checkpoint interval first.
+                let d = if budget.is_tripped() {
+                    Err(pis_graph::budget::Interrupted)
+                } else {
+                    scratch.distance_within_budgeted(
+                        query,
+                        &self.database[gid.index()],
+                        distance,
+                        sigma,
+                        budget,
+                    )
+                };
+                (d, scratch.take_stats())
+            },
+        );
         let mut out = Vec::new();
         let mut possible = Vec::new();
-        if pool.workers() > 1
-            && !ScopedPool::in_worker()
-            && candidates.len() >= DEFAULT_PARALLEL_VERIFY_THRESHOLD
-        {
-            let database = self.database;
-            let results = pool.map_with(
-                candidates,
-                DEFAULT_PARALLEL_VERIFY_THRESHOLD,
-                || {
-                    let mut scratch = VerifyScratch::new();
-                    scratch.begin_query(query);
-                    scratch
-                },
-                |scratch, _, &gid| {
-                    // A trip observed before this candidate starts means
-                    // its DFS could never complete — skip straight to
-                    // `possible` instead of burning the checkpoint
-                    // interval first.
-                    let d = if budget.is_tripped() {
-                        Err(pis_graph::budget::Interrupted)
-                    } else {
-                        scratch.distance_within_budgeted(
-                            query,
-                            &database[gid.index()],
-                            distance,
-                            sigma,
-                            budget,
-                        )
-                    };
-                    (d, scratch.take_stats())
-                },
-            );
-            for (&gid, (resolved, stats)) in candidates.iter().zip(results) {
-                verify.absorb_stats(&stats);
-                match resolved {
-                    Ok(Some(d)) => out.push((gid, d)),
-                    Ok(None) => {}
-                    Err(_) => possible.push(gid),
-                }
-            }
-        } else {
-            verify.begin_query(query);
-            for &gid in candidates {
-                if budget.is_tripped() {
-                    possible.push(gid);
-                    continue;
-                }
-                match verify.distance_within_budgeted(
-                    query,
-                    &self.database[gid.index()],
-                    distance,
-                    sigma,
-                    budget,
-                ) {
-                    Ok(Some(d)) => out.push((gid, d)),
-                    Ok(None) => {}
-                    Err(_) => possible.push(gid),
-                }
+        for (&gid, (resolved, stats)) in candidates.iter().zip(results) {
+            verify.absorb_stats(&stats);
+            match resolved {
+                Ok(Some(d)) => out.push((gid, d)),
+                Ok(None) => {}
+                Err(_) => possible.push(gid),
             }
         }
         (out, possible)
     }
 }
 
-/// Visits the unique probe slots as maximal runs `[s, e)` of equal
-/// feature — the sibling batches of the range-query phase. Fragment
-/// enumeration is feature-major, so one linear scan finds every group;
-/// the callback form keeps the serial funnel allocation-free while the
-/// parallel fan-out collects the same groups through
-/// [`sibling_groups`].
-fn for_each_sibling_group(
-    fragments: &FragmentBuffer,
-    unique_fragment: &[usize],
-    mut visit: impl FnMut(usize, usize),
-) {
+/// A verifier scratch with `query`'s match plan built — a pool
+/// helper's state in the structure check and verification.
+fn query_verifier(query: &LabeledGraph) -> VerifyScratch {
+    let mut verify = VerifyScratch::new();
+    verify.begin_query(query);
+    verify
+}
+
+/// The unique probe slots as maximal runs `[s, e)` of equal feature —
+/// the sibling batches of the range-query phase. Fragment enumeration
+/// is feature-major, so one linear scan finds every group.
+fn sibling_groups(fragments: &FragmentBuffer, unique_fragment: &[usize]) -> Vec<(usize, usize)> {
+    let mut groups = Vec::new();
     let mut s = 0;
     while s < unique_fragment.len() {
         let feature = fragments.feature(unique_fragment[s]);
@@ -1029,16 +952,9 @@ fn for_each_sibling_group(
         while e < unique_fragment.len() && fragments.feature(unique_fragment[e]) == feature {
             e += 1;
         }
-        visit(s, e);
+        groups.push((s, e));
         s = e;
     }
-}
-
-/// The collected form of [`for_each_sibling_group`], for the parallel
-/// fan-out's work list.
-fn sibling_groups(fragments: &FragmentBuffer, unique_fragment: &[usize]) -> Vec<(usize, usize)> {
-    let mut groups = Vec::new();
-    for_each_sibling_group(fragments, unique_fragment, |s, e| groups.push((s, e)));
     groups
 }
 
@@ -1415,6 +1331,7 @@ mod tests {
         let o = search(&cancellable, &q, 2.0);
         assert!(!o.completeness.is_exact());
         assert!(o.answers.is_empty(), "a pre-cancelled query cannot verify anything");
+        assert_eq!(o.stats.verification_calls, 0);
         for a in &exact.answers {
             assert!(o.possible.contains(a), "cancelled query lost answer {a}");
         }

@@ -152,6 +152,11 @@ impl VerifyScratch {
         self.plan.rebuild_for_pattern(query);
     }
 
+    /// The phase counters accumulated so far.
+    pub fn stats(&self) -> VerifyStats {
+        self.stats
+    }
+
     /// Drains the accumulated phase counters, resetting them to zero.
     pub fn take_stats(&mut self) -> VerifyStats {
         std::mem::take(&mut self.stats)

@@ -1,9 +1,13 @@
 //! The workspace's one scoped thread-pool utility.
 //!
-//! Index build, candidate verification, batch workloads and per-fragment
-//! range queries all want the same thing: "map this slice across the
+//! Index build and the search funnel's three per-item phases (range
+//! queries per probe group, the structure check and verification per
+//! candidate) all want the same thing: "map this slice across the
 //! cores, keep the results in input order, and don't bother below a
-//! break-even batch size". Before this module each site hand-rolled its
+//! break-even batch size". The pool alone decides between the serial
+//! path and a fan-out; call sites write one path and pass the state
+//! they would have used serially, which the calling thread works in
+//! either way. Before this module each site hand-rolled its
 //! own `std::thread::scope` chunking; they now share this one, so the
 //! work-sharing policy, the break-even guard and the panic story live
 //! in a single place.
@@ -30,17 +34,17 @@
 //!
 //! Fan-outs do not nest: a `map` issued from inside a pool worker runs
 //! serially (a thread-local marks worker threads — the caller too,
-//! while it works), so composed sites — a batch of queries whose
-//! searches would each fan out verification — stay at one thread per
-//! core instead of workers².
+//! while it works), so composed sites — queries fanned out by a caller
+//! whose searches would each fan out verification — stay at one thread
+//! per core instead of workers².
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 std::thread_local! {
     /// Set inside pool workers so nested `map` calls run serially —
     /// an outer fan-out already owns the cores, and stacking fan-outs
-    /// (e.g. a batch of queries each verifying candidates in parallel)
-    /// would oversubscribe workers² threads.
+    /// (e.g. queries fanned out by a caller, each verifying candidates
+    /// in parallel) would oversubscribe workers² threads.
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -75,20 +79,19 @@ impl ScopedPool {
     /// Whether the current thread is working inside a pool fan-out —
     /// a spawned helper, or the calling thread for as long as its own
     /// `map` runs (it reads `false` again once the call returns or
-    /// unwinds). Fan-outs issued from workers run serially; callers
-    /// that keep dedicated state for the parallel branch (fresh
-    /// per-worker buffers instead of a shared scratch) should check
-    /// this and take their serial, state-reusing path directly.
+    /// unwinds). Fan-outs issued from workers run serially, in the
+    /// caller's state ([`ScopedPool::map_with`]).
     pub fn in_worker() -> bool {
         IN_POOL_WORKER.with(std::cell::Cell::get)
     }
 
     /// Maps `f` over `items`, returning results in input order.
     ///
-    /// Runs serially when the pool has one worker or `items` is shorter
+    /// Runs serially when the pool has one worker, `items` is shorter
     /// than `min_parallel` (below break-even, threads cost more than
-    /// they save); otherwise shares the slice among the calling thread
-    /// and scoped helpers.
+    /// they save) or the call is issued from inside a pool worker;
+    /// otherwise shares the slice among the calling thread and scoped
+    /// helpers.
     pub fn map<T, R>(
         &self,
         items: &[T],
@@ -99,18 +102,21 @@ impl ScopedPool {
         T: Sync,
         R: Send,
     {
-        self.map_with(items, min_parallel, || (), |(), i, item| f(i, item))
+        self.map_with(items, min_parallel, &mut (), || (), |(), i, item| f(i, item))
     }
 
-    /// Like [`ScopedPool::map`], but hands every thread its own state
-    /// built by `init` — scratch buffers, RNGs, anything `f` wants to
-    /// reuse across the items that thread ends up with (built when the
-    /// thread claims its first block, so at most `workers` times). The
-    /// serial path builds the state once and reuses it for every item.
+    /// Like [`ScopedPool::map`], but `f` works in per-thread state —
+    /// scratch buffers, RNGs, anything it wants to reuse across the
+    /// items a thread ends up with. The calling thread works in `state`,
+    /// the caller's own, both on the serial path and for its share of a
+    /// fan-out; `init` builds state only for helpers, when a helper
+    /// claims its first block (so at most `workers − 1` times, and never
+    /// on the serial path).
     pub fn map_with<S, T, R>(
         &self,
         items: &[T],
         min_parallel: usize,
+        state: &mut S,
         init: impl Fn() -> S + Sync,
         f: impl Fn(&mut S, usize, &T) -> R + Sync,
     ) -> Vec<R>
@@ -119,8 +125,7 @@ impl ScopedPool {
         R: Send,
     {
         if self.workers <= 1 || items.len() < min_parallel.max(2) || ScopedPool::in_worker() {
-            let mut state = init();
-            return items.iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
+            return items.iter().enumerate().map(|(i, item)| f(state, i, item)).collect();
         }
         let block = (items.len() / (self.workers * BLOCKS_PER_WORKER)).max(1);
         let helpers = self.workers.min(items.len().div_ceil(block)) - 1;
@@ -128,26 +133,20 @@ impl ScopedPool {
         // (items are shared read-only, results travel through `join`),
         // so relaxed ordering is enough.
         let next = AtomicUsize::new(0);
-        // One thread's share: its blocks as `(start, results)`.
-        let work = || {
-            let mut state = None;
-            let mut blocks: Vec<(usize, Vec<R>)> = Vec::new();
-            loop {
-                let start = next.fetch_add(block, Ordering::Relaxed);
-                if start >= items.len() {
-                    return blocks;
-                }
-                let state = state.get_or_insert_with(&init);
-                let part = &items[start..items.len().min(start + block)];
-                let results = part.iter().enumerate().map(|(i, item)| f(state, start + i, item));
-                blocks.push((start, results.collect()));
-            }
+        // The next unclaimed block as `(start, items)`; `None` once the
+        // slice is spent.
+        let claim = || {
+            let start = next.fetch_add(block, Ordering::Relaxed);
+            (start < items.len()).then(|| (start, &items[start..items.len().min(start + block)]))
+        };
+        let run = |state: &mut S, (start, part): (usize, &[T])| {
+            (start, part.iter().enumerate().map(|(i, item)| f(state, start + i, item)).collect())
         };
         // Panics are caught per thread — the caller's included, so its
         // worker mark always comes off and every helper is joined —
         // and a thread that panicked spends the cursor, so the others
         // stop at their next claim.
-        let run = || {
+        let guarded = |work: &mut dyn FnMut() -> Vec<(usize, Vec<R>)>| {
             IN_POOL_WORKER.with(|w| w.set(true));
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
             IN_POOL_WORKER.with(|w| w.set(false));
@@ -156,10 +155,19 @@ impl ScopedPool {
             }
             outcome
         };
+        // One thread's share: its blocks as `(start, results)`. A helper
+        // builds its state when it claims its first block.
+        let helper = || {
+            let mut own = None;
+            guarded(&mut || {
+                std::iter::from_fn(&claim).map(|b| run(own.get_or_insert_with(&init), b)).collect()
+            })
+        };
         let mut outcomes = Vec::with_capacity(helpers + 1);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(run)).collect();
-            outcomes.push(run());
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(helper)).collect();
+            outcomes
+                .push(guarded(&mut || std::iter::from_fn(&claim).map(|b| run(state, b)).collect()));
             // A panic that escaped catch_unwind (e.g. from a panic
             // hook) still surfaces.
             outcomes.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)));
@@ -217,16 +225,26 @@ mod tests {
     #[test]
     fn below_break_even_runs_serially_with_one_state() {
         let pool = ScopedPool::new(8);
-        // Count how many states get built: serial path builds exactly one.
-        let counter = std::sync::atomic::AtomicUsize::new(0);
+        // The serial path builds no state: every item runs in the
+        // caller's, which sees all three.
+        let built = std::sync::atomic::AtomicUsize::new(0);
+        let mut seen = Vec::new();
         let out = pool.map_with(
             &[1, 2, 3],
             64,
-            || counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
-            |_, _, &x: &i32| x,
+            &mut seen,
+            || {
+                built.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                Vec::new()
+            },
+            |seen, _, &x: &i32| {
+                seen.push(x);
+                x
+            },
         );
         assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(built.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -237,9 +255,11 @@ mod tests {
             let built = std::sync::atomic::AtomicUsize::new(0);
             // Each thread's state counts the items it saw; every item
             // is visited exactly once whoever claims it.
+            let mut on_caller = 0usize;
             let seen: Vec<usize> = pool.map_with(
                 &[0u8; 64],
                 2,
+                &mut on_caller,
                 || {
                     built.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     0usize
@@ -252,7 +272,10 @@ mod tests {
             assert_eq!(seen.len(), 64);
             assert!(seen.iter().all(|&c| c >= 1));
             let built = built.load(std::sync::atomic::Ordering::SeqCst);
-            assert!((1..=workers).contains(&built), "{built} states for {workers} workers");
+            assert!(built < workers, "{built} helper states for {workers} workers");
+            // The caller counts in its own state; what it left went to
+            // helpers, in states of theirs.
+            assert!(built > 0 || on_caller == 64, "{on_caller} items on the caller, no helper");
         }
     }
 
@@ -363,9 +386,9 @@ mod tests {
     #[test]
     fn nested_fan_outs_run_serially_in_workers() {
         // An inner map issued from inside a pool worker must not spawn
-        // its own threads: its per-call state counter stays at one
-        // state for all items (the serial path), whereas a top-level
-        // inner map with the same shape would chunk across workers.
+        // its own threads: it builds no helper state (the serial path
+        // runs in the caller's), whereas a top-level inner map with the
+        // same shape would hand blocks to helpers.
         let outer = ScopedPool::new(4);
         let states_per_inner: Vec<usize> = outer.map(&[(); 8], 2, |_, _| {
             let counter = std::sync::atomic::AtomicUsize::new(0);
@@ -373,11 +396,12 @@ mod tests {
             inner.map_with(
                 &[(); 16],
                 2,
+                &mut 0,
                 || counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
                 |_, _, _| (),
             );
             counter.load(std::sync::atomic::Ordering::SeqCst)
         });
-        assert!(states_per_inner.iter().all(|&n| n == 1), "nested map spawned workers");
+        assert!(states_per_inner.iter().all(|&n| n == 0), "nested map spawned workers");
     }
 }

@@ -269,14 +269,19 @@ impl FragmentIndex {
         let structures: Vec<&LabeledGraph> = features.iter().map(|f| &f.structure).collect();
         let per_range = db.len().div_ceil(pool.workers()).max(1);
         let ranges: Vec<&[LabeledGraph]> = db.chunks(per_range).collect();
-        let blocks: Vec<Vec<ClassRows>> =
-            pool.map_with(&ranges, 2, GraphEntries::default, |entries, r, graphs| {
+        let blocks: Vec<Vec<ClassRows>> = pool.map_with(
+            &ranges,
+            2,
+            &mut GraphEntries::default(),
+            GraphEntries::default,
+            |entries, r, graphs| {
                 let first = r * per_range;
                 structures
                     .iter()
                     .map(|s| collect_class_rows(graphs, first, s, &distance, entries))
                     .collect()
-            });
+            },
+        );
         // A class's blocks joined in range order are the rows the serial
         // loop over the whole database writes, so the frozen structures
         // do not depend on the worker count.

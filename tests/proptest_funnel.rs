@@ -10,16 +10,17 @@
 //! `answer_distances` and `SearchStats` across random databases, both
 //! distances, and all three partition algorithms.
 //!
-//! [`pooled_range_arm_equals_serial_arm`] holds the two range-query
-//! arms of the optimized path to each other the same way.
+//! [`pooled_range_arm_equals_serial_arm`] holds a search fanned out
+//! across the pool to the same search run serially the same way.
 
 mod common;
 
 use common::{connected_graph, distance_bits, graph_database, unique_probes};
 use pis::core::{
-    naive_scan, PartitionAlgo, PisConfig, PisSearcher, SearchScratch,
-    DEFAULT_PARALLEL_FRAGMENT_THRESHOLD,
+    naive_scan, PartitionAlgo, PisConfig, PisSearcher, SearchOutcome, SearchScratch,
+    DEFAULT_PARALLEL_FRAGMENT_THRESHOLD, DEFAULT_PARALLEL_VERIFY_THRESHOLD,
 };
+use pis::datasets::{sample_query_set, MoleculeGenerator};
 use pis::graph::ScopedPool;
 use pis::prelude::*;
 use proptest::prelude::*;
@@ -240,18 +241,22 @@ proptest! {
     }
 }
 
-/// The two range-query arms agree bit for bit. The same queries run
-/// once on the calling thread — where a probe set at or above the
-/// fan-out break-even spreads its sibling groups across the pool (given
-/// more than one core) and the per-group hits are merged back into the
-/// slots — and once from inside a pool worker, where `in_worker()`
-/// forces the serial arm through the shared scratch. One scratch is
-/// reused per side, across both distance families and all three
-/// partition algorithms, and both sides must equal `naive_scan`.
+/// A search fanned out across the pool equals the same search run
+/// serially, bit for bit. The same queries run once on the calling
+/// thread — where a probe set at or above the range-query break-even
+/// shares its sibling groups out across the pool, and a candidate set
+/// at or above the verification break-even shares out the structure
+/// check and verification (given more than one core) — and once from
+/// inside a pool worker, where `in_worker()` makes every one of those
+/// pool calls run serially in the caller's state. One scratch is reused
+/// per side, and both sides must equal `naive_scan`.
 ///
-/// Written against the runner directly (not `proptest!`) so the test
-/// can also assert, after the last case, that the generated queries did
-/// reach the break-even.
+/// Two inputs: generated databases across both distance families and
+/// all three partition algorithms, whose wide queries reach the
+/// range-query break-even, and a fixed 160-molecule database at σ = 4,
+/// whose candidate sets reach the 64-candidate one. Written against the
+/// runner directly (not `proptest!`) so the test can also assert, after
+/// the last case, that the break-evens were reached.
 #[test]
 fn pooled_range_arm_equals_serial_arm() {
     const SIGMAS: [f64; 2] = [0.5, 2.0];
@@ -287,32 +292,73 @@ fn pooled_range_arm_equals_serial_arm() {
         if unique_probes(system.index(), &query) >= DEFAULT_PARALLEL_FRAGMENT_THRESHOLD {
             wide_cases += 1;
         }
-
-        let mut scratch = SearchScratch::new();
-        let on_caller = SIGMAS.map(|sigma| searcher.search(&query, sigma, &mut scratch).unwrap());
-        // Two explicit workers, so the serial side runs in a pool
-        // worker whatever the core count; both workers do the same work
-        // and the first one's outcomes are compared.
-        let in_worker = ScopedPool::new(2)
-            .map_with(&[(); 2], 2, SearchScratch::new, |scratch, _, ()| {
-                assert!(ScopedPool::in_worker());
-                SIGMAS.map(|sigma| searcher.search(&query, sigma, scratch).unwrap())
-            })
-            .swap_remove(0);
-
-        for ((sigma, a), b) in SIGMAS.iter().zip(&on_caller).zip(&in_worker) {
-            prop_assert_eq!(&a.candidates, &b.candidates, "candidates, sigma {}", sigma);
-            prop_assert_eq!(&a.answers, &b.answers, "answers, sigma {}", sigma);
-            prop_assert_eq!(distance_bits(a), distance_bits(b), "distance bits, sigma {}", sigma);
-            prop_assert_eq!(&a.stats, &b.stats, "stats, sigma {}", sigma);
+        let (on_caller, in_worker) = on_caller_and_in_worker(|scratch| {
+            SIGMAS.map(|sigma| searcher.search(&query, sigma, scratch).unwrap())
+        });
+        for ((&sigma, a), b) in SIGMAS.iter().zip(&on_caller).zip(&in_worker) {
             let oracle = if linear {
-                naive_scan(system.database(), &query, &LinearDistance::edges_only(), *sigma)
+                naive_scan(system.database(), &query, &LinearDistance::edges_only(), sigma)
             } else {
-                naive_scan(system.database(), &query, &MutationDistance::edge_hamming(), *sigma)
+                naive_scan(system.database(), &query, &MutationDistance::edge_hamming(), sigma)
             };
-            prop_assert_eq!(&a.answers, &oracle.answers, "naive_scan, sigma {}", sigma);
+            same_outcome(a, b, &oracle.answers, sigma)?;
         }
         Ok(())
     });
     assert!(wide_cases > 0, "no generated query reached the fan-out break-even");
+
+    let sigma = 4.0;
+    let db = MoleculeGenerator::default().database(160, 29);
+    let queries = sample_query_set(&db, 10, 3, 5);
+    let system = PisSystem::builder()
+        .gindex_features(GindexConfig {
+            max_edges: 4,
+            min_support_fraction: 0.05,
+            ..GindexConfig::default()
+        })
+        .build(db);
+    let searcher = system.searcher();
+    let (on_caller, in_worker) = on_caller_and_in_worker(|scratch| {
+        queries.iter().map(|q| searcher.search(q, sigma, scratch).unwrap()).collect::<Vec<_>>()
+    });
+    for ((query, a), b) in queries.iter().zip(&on_caller).zip(&in_worker) {
+        let oracle = naive_scan(system.database(), query, &MutationDistance::edge_hamming(), sigma);
+        same_outcome(a, b, &oracle.answers, sigma).unwrap();
+    }
+    assert!(
+        on_caller.iter().all(|o| o.candidates.len() >= DEFAULT_PARALLEL_VERIFY_THRESHOLD),
+        "a molecule query fell short of the verification break-even: {:?}",
+        on_caller.iter().map(|o| o.candidates.len()).collect::<Vec<_>>()
+    );
+}
+
+/// Runs `search` through a fresh scratch once on the calling thread and
+/// once inside a pool worker. Two explicit workers, so the second run
+/// is in a worker whatever the core count; both items do the same work
+/// and the first one's result is kept.
+fn on_caller_and_in_worker<R: Send>(search: impl Fn(&mut SearchScratch) -> R + Sync) -> (R, R) {
+    let on_caller = search(&mut SearchScratch::new());
+    let in_worker = ScopedPool::new(2)
+        .map_with(&[(); 2], 2, &mut SearchScratch::new(), SearchScratch::new, |scratch, _, ()| {
+            assert!(ScopedPool::in_worker());
+            search(scratch)
+        })
+        .swap_remove(0);
+    (on_caller, in_worker)
+}
+
+/// Candidates, answers, distance bits and stats of `a` and `b` agree,
+/// and the answers are `oracle`'s.
+fn same_outcome(
+    a: &SearchOutcome,
+    b: &SearchOutcome,
+    oracle: &[GraphId],
+    sigma: f64,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&a.candidates, &b.candidates, "candidates, sigma {}", sigma);
+    prop_assert_eq!(&a.answers, &b.answers, "answers, sigma {}", sigma);
+    prop_assert_eq!(distance_bits(a), distance_bits(b), "distance bits, sigma {}", sigma);
+    prop_assert_eq!(&a.stats, &b.stats, "stats, sigma {}", sigma);
+    prop_assert_eq!(&a.answers[..], oracle, "naive_scan, sigma {}", sigma);
+    Ok(())
 }
