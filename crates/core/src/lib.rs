@@ -19,8 +19,8 @@
 //! Both take a caller-owned [`SearchScratch`] (hold one per thread and
 //! every buffer is reused across queries), validate their input into a
 //! [`QueryError`], and run under the budget of the searcher's
-//! [`PisConfig`]. [`PisSearcher::search_reference`] is the executable
-//! specification the tests hold `search` to.
+//! [`PisConfig`]. The tests hold `search` to the brute-force oracles
+//! (`naive_scan`, `pis_distance::oracle`), never to a second pipeline.
 //!
 //! Baselines from Section 2 live in [`baseline`]: the naive full scan
 //! and `topoPrune` (structure-only filtering). The searcher's
@@ -50,6 +50,4 @@ pub use pis_graph::budget::{BudgetStats, QueryBudget};
 pub use search::{
     Completeness, PisSearcher, SearchOutcome, SearchScratch, SearchStats, TruncationPhase,
 };
-pub use verify::{
-    min_superimposed_distance, min_superimposed_distance_reference, VerifyScratch, VerifyStats,
-};
+pub use verify::{min_superimposed_distance, VerifyScratch, VerifyStats};

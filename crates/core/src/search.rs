@@ -51,20 +51,18 @@
 //! or share the items out across the cores; the calling thread works
 //! in the scratch's own state either way.
 //!
-//! [`PisSearcher::search_reference`] keeps the seed's straight-line
-//! implementation as an executable specification; differential tests
-//! hold the optimized funnel to byte-identical outcomes against it.
+//! The tests hold the funnel to brute-force oracles, not to a second
+//! pipeline (`tests/proptest_funnel.rs`): answers equal `naive_scan`,
+//! answer distances equal `min_superimposed_distance_brute` to the bit,
+//! candidates cover the answers and pass every probe's brute range
+//! check, and the stage counters shrink monotonically.
 
 use pis_distance::SuperimposedDistance;
 use pis_graph::budget::{BudgetState, BudgetStats, CheckpointSite};
 use pis_graph::util::FxHashMap;
 use pis_graph::{GraphBitSet, GraphId, LabeledGraph, ScopedPool};
 use pis_index::{
-    row_hits, FragmentBuffer, FragmentIndex, FragmentVectorRef, IndexDistance, QueryFragment,
-    RangeScratch,
-};
-use pis_partition::reference::{
-    enhanced_greedy_mwis_ref, exact_mwis_ref, greedy_mwis_ref, AdjOverlapGraph,
+    row_hits, FragmentBuffer, FragmentIndex, FragmentVectorRef, IndexDistance, RangeScratch,
 };
 use pis_partition::{
     enhanced_greedy_mwis_with, exact_mwis_budgeted_with, greedy_mwis_with, selection_weight,
@@ -76,8 +74,8 @@ use crate::config::{
     DEFAULT_PARALLEL_VERIFY_THRESHOLD,
 };
 use crate::error::{validate_query, validate_sigma, QueryError};
-use crate::selectivity::{read_out_row, selectivity};
-use crate::verify::{min_superimposed_distance_reference, VerifyScratch};
+use crate::selectivity::read_out_row;
+use crate::verify::VerifyScratch;
 
 /// One fragment chosen into the partition (for explain output).
 #[derive(Clone, Debug, PartialEq)]
@@ -220,10 +218,6 @@ pub struct SearchOutcome {
     /// Stage counters.
     pub stats: SearchStats,
 }
-
-/// A query fragment with its range-query hits (sorted by graph id) and
-/// its selectivity `w(g)` — the unit of the reference pipeline.
-type ScoredFragment = (QueryFragment, Vec<(GraphId, f64)>, f64);
 
 /// Reusable state for the optimized candidate funnel.
 ///
@@ -740,120 +734,6 @@ impl<'a> PisSearcher<'a> {
         }
     }
 
-    /// The seed's straight-line transcription of Algorithm 2, kept as an
-    /// executable specification of the optimized funnel: per-fragment
-    /// `Vec` intersection, per-candidate binary-search pruning, no
-    /// memoization, no scratch. Differential tests
-    /// (`tests/proptest_funnel.rs`) hold [`PisSearcher::search`] to
-    /// byte-identical `candidates`, `answers` and `SearchStats` against
-    /// this path.
-    pub fn search_reference(&self, query: &LabeledGraph, sigma: f64) -> SearchOutcome {
-        let n = self.database.len();
-        let mut stats = SearchStats::default();
-
-        // Lines 3–4: enumerate indexed fragments.
-        let fragments = self.index.enumerate_query_fragments(query);
-        stats.query_fragments = fragments.len();
-
-        // Lines 6–18: one range query per fragment; intersect candidate
-        // sets and compute selectivities. Range-query hits arrive sorted
-        // by graph id, so the intersection is a linear merge.
-        let mut candidates: Vec<GraphId> = (0..n as u32).map(GraphId).collect();
-        let mut scored: Vec<ScoredFragment> = Vec::with_capacity(fragments.len());
-        for fragment in fragments {
-            let hits = self.index.range_query(fragment.feature, &fragment.vector, sigma);
-            let w = selectivity(&hits, n, sigma, self.config.lambda);
-            candidates = intersect_with_hits(&candidates, &hits);
-            scored.push((fragment, hits, w));
-        }
-        stats.candidates_after_intersection = candidates.len();
-
-        // Line 5: drop fragments with selectivity <= epsilon.
-        let pool: Vec<&ScoredFragment> =
-            scored.iter().filter(|(_, _, w)| *w > self.config.epsilon).collect();
-        stats.fragments_in_pool = pool.len();
-
-        // Lines 19–20: overlapping-relation graph + MWIS partition, on
-        // the retained pointer-adjacency reference implementations.
-        let overlap_input: Vec<(f64, Vec<pis_graph::VertexId>)> =
-            pool.iter().map(|(f, _, w)| (*w, f.vertices.clone())).collect();
-        let overlap = AdjOverlapGraph::new(&overlap_input);
-        let (algo, fell_back) = effective_partition_algo(self.config.partition, pool.len());
-        stats.exact_fallback = fell_back;
-        let selection = match algo {
-            PartitionAlgo::Greedy => greedy_mwis_ref(&overlap),
-            PartitionAlgo::EnhancedGreedy(k) => enhanced_greedy_mwis_ref(&overlap, k),
-            PartitionAlgo::Exact => exact_mwis_ref(&overlap),
-        };
-        stats.partition_size = selection.len();
-        stats.partition_weight = overlap.selection_weight(&selection);
-
-        // Lines 21–23: partition lower-bound pruning.
-        let partition: Vec<&ScoredFragment> = selection.iter().map(|&i| pool[i]).collect();
-        stats.partition = partition
-            .iter()
-            .map(|(f, _, w)| PartitionFragment {
-                feature: f.feature,
-                vertices: f.vertices.len(),
-                weight: *w,
-            })
-            .collect();
-        candidates.retain(|gid| {
-            let mut bound = 0.0;
-            for (_, hits, _) in &partition {
-                match hits.binary_search_by_key(gid, |(g, _)| *g) {
-                    Ok(i) => bound += hits[i].1,
-                    Err(_) => return false, // structure violation
-                }
-                if bound > sigma {
-                    return false;
-                }
-            }
-            true
-        });
-        stats.candidates_after_partition = candidates.len();
-
-        if self.config.structure_check {
-            candidates.retain(|gid| {
-                pis_graph::iso::is_subgraph(
-                    query,
-                    &self.database[gid.index()],
-                    pis_graph::iso::IsoConfig::STRUCTURE,
-                )
-            });
-        }
-        stats.candidates_after_structure = candidates.len();
-
-        // Step 3: candidate verification, on the seed's one-shot
-        // verifier (no remaining-cost bound, no scratch, no precheck).
-        let mut answers = Vec::new();
-        let mut answer_distances = Vec::new();
-        if self.config.verify {
-            stats.verification_calls = candidates.len();
-            let distance = distance_dyn(self.index.distance());
-            for &gid in &candidates {
-                if let Some(d) = min_superimposed_distance_reference(
-                    query,
-                    &self.database[gid.index()],
-                    distance,
-                    sigma,
-                ) {
-                    answers.push(gid);
-                    answer_distances.push(d);
-                }
-            }
-        }
-
-        SearchOutcome {
-            candidates,
-            answers,
-            answer_distances,
-            possible: Vec::new(),
-            completeness: Completeness::Exact,
-            stats,
-        }
-    }
-
     /// Verifies candidates with the bound-propagating verifier, in one
     /// pool call (shared out across the cores when the batch is large
     /// enough to amortize thread start-up). Results stay in candidate
@@ -975,24 +855,6 @@ fn effective_partition_algo(configured: PartitionAlgo, pool_len: usize) -> (Part
     }
 }
 
-/// Intersects a sorted candidate list with sorted range-query hits.
-fn intersect_with_hits(candidates: &[GraphId], hits: &[(GraphId, f64)]) -> Vec<GraphId> {
-    let mut out = Vec::with_capacity(candidates.len().min(hits.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < candidates.len() && j < hits.len() {
-        match candidates[i].cmp(&hits[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(candidates[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Borrows the index distance as a trait object for verification.
 pub(crate) fn distance_dyn(d: &IndexDistance) -> &dyn SuperimposedDistance {
     match d {
@@ -1004,7 +866,7 @@ pub(crate) fn distance_dyn(d: &IndexDistance) -> &dyn SuperimposedDistance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pis_distance::oracle::sssd_brute;
+    use pis_distance::oracle::{min_superimposed_distance_brute, sssd_brute};
     use pis_distance::MutationDistance;
 
     use pis_graph::{EdgeAttr, GraphBuilder, Label, VertexAttr};
@@ -1074,20 +936,35 @@ mod tests {
 
     #[test]
     fn optimized_funnel_equals_reference() {
+        // The reference is the definition: answers and their distances
+        // are the brute-force ones, bit for bit, through a reused scratch.
         let db = example_db();
         let index = build_index(&db, 4);
         let searcher = PisSearcher::new(&index, &db, PisConfig::default());
+        let md = MutationDistance::edge_hamming();
         let mut scratch = SearchScratch::new();
         for q in [
             cycle_with_edge_labels(&[1, 1, 1, 1, 1, 1]),
             cycle_with_edge_labels(&[1, 2, 1, 2, 1, 2]),
         ] {
             for sigma in [0.0, 1.0, 2.0, 4.0] {
-                let fast = searcher.search(&q, sigma, &mut scratch).unwrap();
-                let reference = searcher.search_reference(&q, sigma);
-                assert_eq!(fast.candidates, reference.candidates, "sigma={sigma}");
-                assert_eq!(fast.answers, reference.answers, "sigma={sigma}");
-                assert_eq!(fast.stats, reference.stats, "sigma={sigma}");
+                let o = searcher.search(&q, sigma, &mut scratch).unwrap();
+                let brute: Vec<(GraphId, u64)> = db
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, g)| {
+                        let d = min_superimposed_distance_brute(&q, g, &md)?;
+                        (d <= sigma).then_some((GraphId(i as u32), d.to_bits()))
+                    })
+                    .collect();
+                let got: Vec<(GraphId, u64)> = o
+                    .answers
+                    .iter()
+                    .zip(&o.answer_distances)
+                    .map(|(&g, d)| (g, d.to_bits()))
+                    .collect();
+                assert_eq!(got, brute, "sigma={sigma}");
+                assert_eq!(o.stats.verification_calls, o.candidates.len(), "sigma={sigma}");
             }
         }
     }
@@ -1220,12 +1097,6 @@ mod tests {
         );
         assert!(outcome.stats.exact_fallback, "fallback must be surfaced in the stats");
         assert_eq!(outcome.answers, vec![GraphId(0)]);
-
-        // The optimized funnel and the reference pipeline agree on the
-        // fallback path too.
-        let reference = searcher.search_reference(&query, sigma);
-        assert_eq!(outcome.candidates, reference.candidates);
-        assert_eq!(outcome.stats, reference.stats);
 
         // Byte-identical to asking for EnhancedGreedy(2) outright,
         // except for the fallback flag.

@@ -21,9 +21,9 @@
 //! candidate), the target adjacency bitset ([`AdjBits`]) rebuilds in
 //! place, and [`SubgraphMatcher::search_with_buffers`] threads
 //! caller-owned [`SearchBuffers`] through the DFS instead of allocating
-//! per call. [`MatchPlan::suffix_lower_bounds`] folds caller-supplied
-//! per-element cost floors into per-depth remaining-cost bounds — the
-//! admissible heuristic behind `pis-core`'s bound-propagating verifier.
+//! per call. [`MatchPlan::checks`] names the edges each plan depth
+//! closes — what `pis-core`'s bound-propagating verifier folds its
+//! per-element cost floors along.
 
 use std::ops::ControlFlow;
 
@@ -309,39 +309,6 @@ impl MatchPlan {
             }
             self.anchors.push(anchor);
             self.check_start.push(self.checks.len() as u32);
-        }
-    }
-
-    /// Folds per-element cost floors into per-depth remaining-cost
-    /// bounds: `out[d]` is a lower bound on the cost still to be paid
-    /// once the first `d` plan steps are assigned, with `out[len()] =
-    /// 0`.
-    ///
-    /// `vertex_floor[p]` must lower-bound the vertex cost of pattern
-    /// vertex `p` under any feasible image, and `edge_floor[e]` the edge
-    /// cost of pattern edge `e` under any feasible image. Each edge is
-    /// attributed to the depth of its later-placed endpoint — exactly
-    /// the step whose `checks` pay it during the DFS — so `out[d]`
-    /// covers precisely the cost components no partial assignment of
-    /// depth `d` has accumulated yet. Both floors may be
-    /// `f64::INFINITY` (no feasible image at all), which propagates into
-    /// the suffix and lets callers refute the whole pair up front.
-    pub fn suffix_lower_bounds(
-        &self,
-        vertex_floor: &[f64],
-        edge_floor: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let n = self.len();
-        out.clear();
-        out.resize(n + 1, 0.0);
-        let mut acc = 0.0;
-        for d in (0..n).rev() {
-            acc += vertex_floor[self.vertex(d).index()];
-            for &(_, e) in self.checks(d) {
-                acc += edge_floor[e.index()];
-            }
-            out[d] = acc;
         }
     }
 }
@@ -978,32 +945,5 @@ mod tests {
                 assert_eq!(reused.checks(d), fresh.checks(d));
             }
         }
-    }
-
-    #[test]
-    fn suffix_lower_bounds_accumulate_by_plan_depth() {
-        // Triangle: every vertex costs 1, every edge costs 10. The plan
-        // places 3 vertices; depth 1 still owes 2 vertices + all edges
-        // checked from depth 1 on. Attribution: the triangle's 3 edges
-        // split 1 at depth 1 (first anchored step) and 2 at depth 2.
-        let g = cycle_graph(3, l(0), l(0));
-        let mut plan = MatchPlan::new();
-        plan.rebuild_for_pattern(&g);
-        let vertex_floor = vec![1.0; 3];
-        let edge_floor = vec![10.0; 3];
-        let mut suffix = Vec::new();
-        plan.suffix_lower_bounds(&vertex_floor, &edge_floor, &mut suffix);
-        assert_eq!(suffix, vec![33.0, 32.0, 21.0, 0.0]);
-    }
-
-    #[test]
-    fn suffix_lower_bounds_propagate_infinity() {
-        let g = path_graph(2, l(0), l(0));
-        let mut plan = MatchPlan::new();
-        plan.rebuild_for_pattern(&g);
-        let mut suffix = Vec::new();
-        plan.suffix_lower_bounds(&[0.0, f64::INFINITY], &[0.0], &mut suffix);
-        assert!(suffix[0].is_infinite());
-        assert_eq!(*suffix.last().unwrap(), 0.0);
     }
 }

@@ -1,15 +1,16 @@
 //! Cache-resident trie layout: a level-major arena with
 //! frontier-batched range descent.
 //!
-//! The pointer trie ([`crate::trie::LabelTrie`]) is the natural *build*
-//! structure — cheap inserts, one heap node per prefix — but a terrible
-//! *query* structure: every descent chases `Vec<(Label, Node)>` child
-//! allocations scattered across the heap and recurses once per branch,
-//! and the per-position cost function is re-evaluated for every child
+//! The paper: "For the mutation distance, we can use a trie to
+//! accommodate the sequential representations of the labeled graphs."
+//! Every fragment of one equivalence class has the same vector length,
+//! so the trie has uniform depth. A pointer trie — one heap node per
+//! prefix — would make every descent chase child allocations scattered
+//! across the heap and re-evaluate the per-position cost for every child
 //! even though a level's children repeat a handful of labels.
 //!
-//! [`FlatTrie`] freezes the same logical trie into contiguous,
-//! level-major arrays:
+//! [`FlatTrie`] lays the trie out in contiguous, level-major arrays,
+//! built straight from sorted entry rows:
 //!
 //! * all nodes of one level are adjacent (`level_start` delimits
 //!   levels), and a node's children are a contiguous run in the next
@@ -32,15 +33,13 @@
 //! suffix always does), emitting whole subtree posting ranges instead
 //! of walking cost-free levels. All frontier state lives in a
 //! caller-owned [`BatchFrontier`], so steady-state descents allocate
-//! nothing. Per-path cost accumulation performs the same f64 additions
-//! in the same order as the pointer trie (skipped levels contribute
-//! exactly `+0.0`), so reported distances are byte-identical to the
-//! reference.
+//! nothing. A path's cost is the f64 sum of its per-position costs taken
+//! in position order (skipped levels contribute exactly `+0.0`), so each
+//! reported distance is bit-identical to summing the stored sequence's
+//! costs from the definition.
 
 use pis_graph::budget::{BudgetState, CheckpointSite};
 use pis_graph::{GraphId, Label};
-
-use crate::trie::LabelTrie;
 
 /// Lane width of the unrolled frontier expansion: child costs are
 /// gathered into a buffer of this many slots, added and compared as
@@ -233,7 +232,7 @@ impl BatchFrontier {
 
 impl FlatTrie {
     /// Builds the arena from `(sequence, graph)` entries (any order;
-    /// duplicates are dropped, matching [`LabelTrie::insert`]'s dedup).
+    /// duplicate pairs are stored once).
     ///
     /// # Panics
     /// Panics if any sequence length differs from `depth`.
@@ -246,19 +245,6 @@ impl FlatTrie {
             graphs.push(*g);
         }
         FlatTrie::from_rows(depth, labels, graphs)
-    }
-
-    /// Freezes an insert-friendly [`LabelTrie`] builder into the arena
-    /// layout. The two answer identical queries; only the memory layout
-    /// changes.
-    pub fn freeze(builder: &LabelTrie) -> Self {
-        let mut labels = Vec::with_capacity(builder.len() * builder.depth());
-        let mut graphs = Vec::with_capacity(builder.len());
-        builder.for_each_entry(|seq, g| {
-            labels.extend_from_slice(seq);
-            graphs.push(g);
-        });
-        FlatTrie::from_rows(builder.depth(), labels, graphs)
     }
 
     /// Builds the arena from a row-major entry matrix: row `i` is the
@@ -748,9 +734,9 @@ impl FlatTrie {
     }
 
     /// Visits every stored `(sequence, graph)` pair in lexicographic
-    /// sequence order (ascending graph ids within a sequence) — the
-    /// same deterministic order as [`LabelTrie::for_each_entry`], which
-    /// keeps persisted bytes identical across layouts.
+    /// sequence order (ascending graph ids within a sequence) — a
+    /// function of the stored entries alone, which keeps persisted bytes
+    /// independent of insert history.
     pub fn for_each_entry(&self, mut visit: impl FnMut(&[Label], GraphId)) {
         if self.depth == 0 {
             for &g in &self.postings {
@@ -805,13 +791,13 @@ impl FlatTrie {
     /// own all-zero suffix independently. Every resolved subtree is
     /// reported as `emit(probe, cost, postings)` *during* the descent —
     /// emissions of different probes interleave, but per probe the
-    /// flattened `(graph, cost)` multiset (exact f64 costs) is what
-    /// [`LabelTrie::range_query`] visits for the same query and `sigma`
-    /// and does not depend on the probe's siblings, so an
-    /// order-insensitive accumulator (e.g. a per-probe minimum table)
-    /// reproduces the reference hits byte-for-byte. A graph stored under
-    /// several qualifying sequences is reported once per sequence; the
-    /// caller keeps the minimum.
+    /// flattened `(graph, cost)` multiset is exactly the stored entries
+    /// whose position-order cost sum is within `sigma`, with that sum as
+    /// the cost (f64 bits), and does not depend on the probe's siblings,
+    /// so an order-insensitive accumulator (e.g. a per-probe minimum
+    /// table) sees the same hits whatever the batch. A graph stored
+    /// under several qualifying sequences is reported once per sequence;
+    /// the caller keeps the minimum.
     ///
     /// The descent consults one [`CheckpointSite::RangeDescent`]
     /// checkpoint per frontier level (and per per-probe descent level)
@@ -1231,21 +1217,6 @@ mod tests {
         }
     }
 
-    /// The pointer-trie reference over `entries`.
-    fn pointer_trie(depth: usize, entries: &[(Vec<Label>, GraphId)]) -> LabelTrie {
-        let mut builder = LabelTrie::new(depth);
-        for (seq, g) in entries {
-            builder.insert(seq, *g);
-        }
-        builder
-    }
-
-    fn from_builder(entries: &[(Vec<Label>, GraphId)], depth: usize) -> (LabelTrie, FlatTrie) {
-        let builder = pointer_trie(depth, entries);
-        let flat = FlatTrie::freeze(&builder);
-        (builder, flat)
-    }
-
     /// Runs `probes` as one batch under the per-position `cost` and
     /// returns each probe's visits — emitted ranges flattened to
     /// `(graph, cost bits)` — sorted. `level_zero` is the kernel's
@@ -1284,25 +1255,35 @@ mod tests {
         visits
     }
 
-    /// What the pointer trie visits for one probe, as sorted
-    /// `(graph, cost bits)`.
-    fn reference_visits(
-        reference: &LabelTrie,
+    /// What the definition says one probe visits: every distinct stored
+    /// entry whose per-position costs, summed in position order, stay
+    /// within `sigma`, with that sum — as sorted `(graph, cost bits)`.
+    fn brute_visits(
+        entries: &[(Vec<Label>, GraphId)],
         probe: &[Label],
         sigma: f64,
         cost: impl Fn(usize, Label, Label) -> f64,
     ) -> Vec<(u32, u64)> {
-        let mut out = Vec::new();
-        reference.range_query(probe, sigma, cost, |g, c| out.push((g.0, c.to_bits())));
+        let mut distinct = entries.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut out: Vec<(u32, u64)> = distinct
+            .iter()
+            .filter_map(|(seq, g)| {
+                let d =
+                    (0..probe.len()).fold(0.0, |acc, pos| acc + cost(pos, probe[pos], seq[pos]));
+                (d <= sigma).then_some((g.0, d.to_bits()))
+            })
+            .collect();
         out.sort_unstable();
         out
     }
 
-    /// Asserts every probe reproduces the pointer trie's visit multiset
-    /// bit-for-bit (costs compared by their f64 bits), both inside the
-    /// batch and alone as a batch of one.
-    fn assert_matches_reference(
-        reference: &LabelTrie,
+    /// Asserts every probe visits exactly [`brute_visits`] (costs
+    /// compared by their f64 bits), both inside the batch and alone as a
+    /// batch of one.
+    fn assert_matches_brute(
+        entries: &[(Vec<Label>, GraphId)],
         trie: &FlatTrie,
         probes: &[Vec<Label>],
         sigma: f64,
@@ -1311,7 +1292,7 @@ mod tests {
     ) {
         let batched = run_batch(trie, probes, sigma, cost, level_zero);
         for (pi, (probe, got)) in probes.iter().zip(batched).enumerate() {
-            let expected = reference_visits(reference, probe, sigma, cost);
+            let expected = brute_visits(entries, probe, sigma, cost);
             assert_eq!(got, expected, "probe {pi} sigma {sigma} in the batch");
             let alone = run_batch(trie, std::slice::from_ref(probe), sigma, cost, level_zero);
             assert_eq!(alone[0], expected, "probe {pi} sigma {sigma} alone");
@@ -1331,7 +1312,7 @@ mod tests {
             (l(&[1, 2, 4]), GraphId(1)),
             (l(&[9, 9, 9]), GraphId(2)),
         ];
-        let (_, t) = from_builder(&entries, 3);
+        let t = FlatTrie::from_entries(3, entries);
         assert_eq!(t.len(), 3);
         assert_eq!(collect(&t, &l(&[1, 2, 3]), 0.0), vec![(0, 0.0)]);
         assert_eq!(collect(&t, &l(&[1, 2, 3]), 1.0), vec![(0, 0.0), (1, 1.0)]);
@@ -1350,9 +1331,10 @@ mod tests {
 
     #[test]
     fn matches_pointer_trie_on_random_data() {
-        // Differential check including duplicate `(sequence, graph)`
-        // pairs, several sigmas, and a position-dependent cost whose
-        // zero-cost suffix exercises the subtree short-circuit.
+        // The definition over random entries, including duplicate
+        // `(sequence, graph)` pairs, several sigmas, and a
+        // position-dependent cost whose zero-cost suffix exercises the
+        // subtree short-circuit.
         let mut entries = Vec::new();
         let mut x = 1u64;
         for g in 0..80u32 {
@@ -1365,8 +1347,11 @@ mod tests {
             ]);
             entries.push((seq, GraphId(g % 20)));
         }
-        let (builder, flat) = from_builder(&entries, 4);
-        assert_eq!(builder.len(), flat.len());
+        let flat = FlatTrie::from_entries(4, entries.clone());
+        let mut distinct = entries.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(flat.len(), distinct.len());
         // Hamming on the first two positions, free afterwards — the
         // descent must stop at level 2 and emit subtree ranges.
         let cost = |pos: usize, a: Label, b: Label| {
@@ -1378,7 +1363,7 @@ mod tests {
         };
         let probes = [l(&[0, 0, 0, 0]), l(&[1, 2, 1, 1]), l(&[3, 2, 2, 0])];
         for sigma in [0.0, 1.0, 2.0, 4.0] {
-            assert_matches_reference(&builder, &flat, &probes, sigma, cost, |_| false);
+            assert_matches_brute(&entries, &flat, &probes, sigma, cost, |_| false);
         }
     }
 
@@ -1394,18 +1379,20 @@ mod tests {
 
     #[test]
     fn entry_iteration_matches_pointer_trie() {
-        let entries = vec![
+        // Entries come back sorted by sequence, then graph, once each.
+        let mut entries = vec![
             (l(&[2, 1]), GraphId(5)),
             (l(&[1, 1]), GraphId(3)),
             (l(&[1, 2]), GraphId(3)),
             (l(&[1, 1]), GraphId(1)),
+            (l(&[1, 2]), GraphId(3)),
         ];
-        let (builder, flat) = from_builder(&entries, 2);
-        let mut a = Vec::new();
-        builder.for_each_entry(|s, g| a.push((s.to_vec(), g)));
-        let mut b = Vec::new();
-        flat.for_each_entry(|s, g| b.push((s.to_vec(), g)));
-        assert_eq!(a, b);
+        let flat = FlatTrie::from_entries(2, entries.clone());
+        let mut visited = Vec::new();
+        flat.for_each_entry(|s, g| visited.push((s.to_vec(), g)));
+        entries.sort_unstable();
+        entries.dedup();
+        assert_eq!(visited, entries);
     }
 
     #[test]
@@ -1450,8 +1437,7 @@ mod tests {
             ]);
             entries.push((seq, GraphId(g % 30)));
         }
-        let reference = pointer_trie(4, &entries);
-        let t = FlatTrie::from_entries(4, entries);
+        let t = FlatTrie::from_entries(4, entries.clone());
         // Duplicate probes included: the batch must price them once and
         // answer them identically. Sigmas on both sides of half the
         // worst-case path cost, so both descent modes run.
@@ -1463,7 +1449,7 @@ mod tests {
             l(&[2, 1, 0, 1]),
         ];
         for sigma in [0.0, 1.0, 2.0, 4.0] {
-            assert_matches_reference(&reference, &t, &probes, sigma, hamming, |_| false);
+            assert_matches_brute(&entries, &t, &probes, sigma, hamming, |_| false);
         }
     }
 
@@ -1478,8 +1464,7 @@ mod tests {
             (l(&[2, 2, 3, 4]), GraphId(3)),
             (l(&[2, 2, 4, 4]), GraphId(4)),
         ];
-        let reference = pointer_trie(4, &entries);
-        let t = FlatTrie::from_entries(4, entries);
+        let t = FlatTrie::from_entries(4, entries.clone());
         let probes = [l(&[1, 2, 3, 4]), l(&[2, 2, 9, 9]), l(&[9, 9, 9, 9])];
         for cut in 0..=4usize {
             let cost = |pos: usize, a: Label, b: Label| {
@@ -1492,8 +1477,8 @@ mod tests {
             for sigma in [0.0, 1.0, 2.0] {
                 // Exercise both zero-detection paths: the shared
                 // level_zero flag and the per-row scan.
-                assert_matches_reference(&reference, &t, &probes, sigma, cost, |_| false);
-                assert_matches_reference(&reference, &t, &probes, sigma, cost, |pos| pos >= cut);
+                assert_matches_brute(&entries, &t, &probes, sigma, cost, |_| false);
+                assert_matches_brute(&entries, &t, &probes, sigma, cost, |pos| pos >= cut);
             }
         }
     }
@@ -1506,20 +1491,11 @@ mod tests {
         let entries = vec![(l(&[3, 7]), GraphId(9))];
         let singleton = FlatTrie::from_entries(2, entries.clone());
         let probes = [l(&[3, 7]), l(&[3, 8]), l(&[0, 0])];
-        assert_matches_reference(
-            &pointer_trie(2, &entries),
-            &singleton,
-            &probes,
-            1.0,
-            hamming,
-            |_| false,
-        );
+        assert_matches_brute(&entries, &singleton, &probes, 1.0, hamming, |_| false);
         let entries = vec![(Vec::new(), GraphId(4)), (Vec::new(), GraphId(5))];
         let zero = FlatTrie::from_entries(0, entries.clone());
         let probes = [Vec::new(), Vec::new(), Vec::new()];
-        assert_matches_reference(&pointer_trie(0, &entries), &zero, &probes, 0.0, hamming, |_| {
-            false
-        });
+        assert_matches_brute(&entries, &zero, &probes, 0.0, hamming, |_| false);
         // An empty batch is a no-op.
         assert!(run_batch(&singleton, &[], 1.0, hamming, |_| false).is_empty());
     }
@@ -1532,8 +1508,7 @@ mod tests {
         // selective sigmas.
         for n in [1usize, 3, 7, 8, 9, 15, 16, 17, 31] {
             let entries: Vec<_> = (0..n as u32).map(|i| (l(&[5, i]), GraphId(i))).collect();
-            let reference = pointer_trie(2, &entries);
-            let t = FlatTrie::from_entries(2, entries);
+            let t = FlatTrie::from_entries(2, entries.clone());
             // sigma large: all children survive the level-1 expansion.
             let all = collect(&t, &l(&[5, 0]), n as f64 + 1.0);
             assert_eq!(all.len(), n, "n={n}");
@@ -1546,7 +1521,7 @@ mod tests {
             // A node-major batch takes the single-probe wide expansion
             // wherever its probes part ways.
             let probes = [l(&[5, 0]), l(&[5, n as u32 / 2])];
-            assert_matches_reference(&reference, &t, &probes, 1.0, hamming, |_| false);
+            assert_matches_brute(&entries, &t, &probes, 1.0, hamming, |_| false);
         }
     }
 

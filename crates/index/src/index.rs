@@ -449,13 +449,8 @@ impl FragmentIndex {
         let pending = std::mem::take(&mut class.pending);
         match &mut class.imp {
             ClassImpl::Trie(trie) => trie.insert_batch(pending.labels),
-            ClassImpl::RTree(rt) => {
-                // Pending points were scale-transformed at insert time.
-                for (v, gid) in &pending.weights {
-                    rt.insert(v, *gid);
-                }
-                rt.freeze();
-            }
+            // Pending points were scale-transformed at insert time.
+            ClassImpl::RTree(rt) => rt.insert_batch(pending.weights),
         }
         self.merge_stats.merges += 1;
         self.merge_stats.entries_rewritten += class.entries as u64;
@@ -496,8 +491,8 @@ impl FragmentIndex {
     /// offline `pis check` fsck runs it on loaded stores.
     ///
     /// Per class: the posting list is strictly ascending and bounded by
-    /// the database size, the structure matches the distance, is frozen
-    /// and revalidates ([`FlatTrie::validate`] / [`RTree::validate`])
+    /// the database size, the structure matches the distance and
+    /// revalidates ([`FlatTrie::validate`] / [`RTree::validate`])
     /// with the right shape, pending entries have the class's slot
     /// count and in-range ids of the structure's id convention, the
     /// entry count equals frozen + pending, and every posting-list
@@ -575,9 +570,6 @@ impl FragmentIndex {
                 (ClassImpl::RTree(rt), IndexDistance::Linear(_)) => {
                     if rt.dim() != slots {
                         return Err(ctx(format!("r-tree dim {} != {slots} class slots", rt.dim())));
-                    }
-                    if !rt.is_frozen() {
-                        return Err(ctx("r-tree class is not frozen".to_string()));
                     }
                     rt.validate().map_err(|m| ctx(format!("r-tree: {m}")))?;
                     let mut gids = Vec::with_capacity(rt.len());
@@ -1205,13 +1197,11 @@ fn freeze_class(
         }
         IndexDistance::Linear(ld) => {
             let mut rt = RTree::new(slots);
-            for (v, &gid) in rows(&weights, slots, entries).zip(&row_graphs) {
-                rt.insert(&scale_weights(ld, ecount, v), gid);
-            }
-            // Flatten the built pointer tree into the CSR/SoA query
-            // arena (queries descend contiguous bounds and point
-            // blocks; the pointer path stays as builder/reference).
-            rt.freeze();
+            rt.insert_batch(
+                rows(&weights, slots, entries)
+                    .zip(&row_graphs)
+                    .map(|(v, &gid)| (scale_weights(ld, ecount, v), gid)),
+            );
             ClassImpl::RTree(rt)
         }
     };
@@ -1663,22 +1653,6 @@ mod tests {
         let slots = feature.structure.vertex_count() + feature.structure.edge_count();
         bad.classes[ci].pending.weights.push((vec![0.0; slots], GraphId(0)));
         assert!(bad.validate().unwrap_err().contains("weight entry"));
-
-        // An R-tree class left unfrozen: build, merge and load all end
-        // in a freeze, so a stale arena is a fault, not a state.
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        let mut bad = FragmentIndex::build(
-            &db,
-            exhaustive_features(&structures, 3),
-            IndexDistance::Linear(LinearDistance::default()),
-            &IndexConfig::default(),
-        );
-        let ci = full_class(&bad);
-        let ClassImpl::RTree(rt) = &mut bad.classes[ci].imp else {
-            panic!("linear-distance classes are R-trees");
-        };
-        rt.insert(&vec![0.0; rt.dim()], GraphId(0));
-        assert!(bad.validate().unwrap_err().contains("not frozen"));
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //!
 //! * [`flat_trie::FlatTrie`] — categorical labels under the mutation
 //!   distance: a cache-resident level-major arena descended level by
-//!   level with batched per-label costs (the insert-friendly pointer
-//!   [`trie::LabelTrie`] is retained as the builder and executable
-//!   reference);
+//!   level with batched per-label costs;
 //! * [`rtree::RTree`] — numeric weights under the linear distance (L1
 //!   ball queries, the paper's Example 3).
+//!
+//! Tests hold both to the definition, not to a second structure: a
+//! class's hits equal a scan of every stored entry that sums the
+//! per-position costs (the trie) or the L1 distance (the R-tree), to the
+//! f64 bit.
 //!
 //! The paper's third option, a "metric-based index \[6\]", is not
 //! carried: mutation score matrices need not satisfy the triangle
@@ -38,7 +41,6 @@ pub mod pending;
 pub mod persist;
 pub mod rtree;
 pub mod snapshot;
-pub mod trie;
 pub mod wal;
 
 pub use flat_trie::{BatchFrontier, FlatTrie};
@@ -48,5 +50,4 @@ pub use index::{
 };
 pub use persist::PersistError;
 pub use snapshot::{decode_snapshot, encode_snapshot, load_snapshot, write_snapshot};
-pub use trie::LabelTrie;
 pub use wal::{Wal, WalReplay};

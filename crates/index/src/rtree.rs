@@ -8,18 +8,16 @@
 //! distance from a query point to a rectangle lower-bounds the distance
 //! to every point inside, which makes subtree pruning exact.
 //!
-//! Like the trie (`DESIGN.md` §6.5), the pointer tree is kept as the
-//! *build* structure only: [`RTree::freeze`] flattens it into a
-//! level-major arena — CSR `child_start`/`child_len` child runs, SoA
-//! `bounds_min`/`bounds_max` rectangle blocks, and every leaf's points
-//! concatenated row-major — and [`RTree::range_query`] then descends
-//! the arena, scanning each node's child rectangles and each leaf's
+//! Like the trie (`DESIGN.md` §6.5), the pointer tree is the *build*
+//! structure only: every [`RTree::insert_batch`] ends by flattening it
+//! into a level-major arena — CSR `child_start`/`child_len` child runs,
+//! SoA `bounds_min`/`bounds_max` rectangle blocks, and every leaf's
+//! points concatenated row-major — and [`RTree::range_query`] descends
+//! that arena, scanning each node's child rectangles and each leaf's
 //! point block contiguously through the batched L1 kernels
 //! (`pis_distance::mbr_l1_costs_into` / `l1_costs_into`) instead of
-//! chasing per-node `Vec` allocations. Inserting marks the arena stale
-//! and queries fall back to the identical pointer descent until the
-//! next freeze, so the pointer path doubles as the executable
-//! reference ([`RTree::range_query_reference`]).
+//! chasing per-node `Vec` allocations. No tree is ever queried through a
+//! stale arena: there is no way to insert without re-flattening.
 
 use pis_distance::{l1_costs_into, mbr_l1_costs_into};
 use pis_graph::GraphId;
@@ -58,20 +56,6 @@ impl Mbr {
     /// high dimensions volume degenerates to 0/∞, margins stay stable.
     fn margin(&self) -> f64 {
         self.min.iter().zip(&self.max).map(|(lo, hi)| hi - lo).sum()
-    }
-
-    /// L1 distance from a point to this rectangle (0 if inside); a
-    /// lower bound on the L1 distance to any contained point.
-    fn l1_distance(&self, p: &[f64]) -> f64 {
-        let mut d = 0.0;
-        for ((&x, &lo), &hi) in p.iter().zip(&self.min).zip(&self.max) {
-            if x < lo {
-                d += lo - x;
-            } else if x > hi {
-                d += x - hi;
-            }
-        }
-        d
     }
 }
 
@@ -119,14 +103,16 @@ pub struct RTree {
     dim: usize,
     root: Node,
     entries: usize,
-    /// The frozen arena; `None` while inserts have outdated it.
-    flat: Option<FlatRTree>,
+    /// The query arena, re-flattened by every insert batch.
+    flat: FlatRTree,
 }
 
 impl RTree {
     /// An empty tree over `dim`-dimensional points.
     pub fn new(dim: usize) -> Self {
-        RTree { dim, root: Node::Leaf(Vec::new()), entries: 0, flat: None }
+        let root = Node::Leaf(Vec::new());
+        let flat = flatten(&root, dim);
+        RTree { dim, root, entries: 0, flat }
     }
 
     /// The point dimensionality.
@@ -144,83 +130,47 @@ impl RTree {
         self.entries == 0
     }
 
-    /// Inserts a point for a graph (duplicates allowed; the fragment
-    /// index dedups upstream).
+    /// Inserts points for graphs (duplicates allowed; the fragment index
+    /// dedups upstream), one at a time in the given order, then flattens
+    /// the grown pointer tree into the query arena (breadth-first;
+    /// O(tree)) — so the arena a query descends always holds every
+    /// point. The fragment index passes a whole class at build and load
+    /// time and a class's pending points at each merge.
     ///
     /// # Panics
-    /// Panics if `point.len() != dim`.
-    pub fn insert(&mut self, point: &[f64], graph: GraphId) {
-        assert_eq!(point.len(), self.dim, "point dimensionality must equal tree dim");
-        self.entries += 1;
-        self.flat = None;
-        if let Some((right_mbr, right)) = insert_rec(&mut self.root, point, graph) {
-            // Root split: grow the tree by one level.
-            let old_root = std::mem::replace(&mut self.root, Node::Inner(Vec::new()));
-            let left_mbr = node_mbr(&old_root).expect("split nodes are non-empty");
-            self.root = Node::Inner(vec![(left_mbr, old_root), (right_mbr, right)]);
-        }
-    }
-
-    /// Flattens the pointer tree into the level-major query arena
-    /// (breadth-first; O(tree)). Call once after a batch of inserts —
-    /// the fragment index freezes after its build loop and after each
-    /// inserted graph, mirroring the trie's one-rebuild-per-graph
-    /// contract. Queries on an unfrozen tree fall back to the pointer
-    /// descent, so freezing is a pure optimization, never a soundness
-    /// requirement.
-    pub fn freeze(&mut self) {
-        self.flat = Some(self.flatten());
-    }
-
-    /// The breadth-first flattening itself, shared by [`RTree::freeze`]
-    /// and [`RTree::validate`] (which re-flattens and demands the
-    /// stored arena match column for column).
-    fn flatten(&self) -> FlatRTree {
-        let mut flat = FlatRTree::default();
-        let root_mbr = node_mbr(&self.root)
-            .unwrap_or(Mbr { min: vec![0.0; self.dim], max: vec![0.0; self.dim] });
-        flat.push_node(&root_mbr);
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(&self.root);
-        let mut idx = 0usize;
-        while let Some(node) = queue.pop_front() {
-            match node {
-                Node::Leaf(points) => {
-                    flat.pt_start[idx] = flat.graphs.len() as u32;
-                    flat.pt_len[idx] = points.len() as u32;
-                    for (p, g) in points {
-                        flat.points.extend_from_slice(p);
-                        flat.graphs.push(*g);
-                    }
-                }
-                Node::Inner(children) => {
-                    flat.child_start[idx] = flat.child_start.len() as u32;
-                    flat.child_len[idx] = children.len() as u32;
-                    for (mbr, child) in children {
-                        flat.push_node(mbr);
-                        queue.push_back(child);
-                    }
-                }
+    /// Panics if any point's length differs from `dim`.
+    pub fn insert_batch<P: AsRef<[f64]>>(
+        &mut self,
+        points: impl IntoIterator<Item = (P, GraphId)>,
+    ) {
+        for (point, graph) in points {
+            let point = point.as_ref();
+            assert_eq!(point.len(), self.dim, "point dimensionality must equal tree dim");
+            self.entries += 1;
+            if let Some((right_mbr, right)) = insert_rec(&mut self.root, point, graph) {
+                // Root split: grow the tree by one level.
+                let old_root = std::mem::replace(&mut self.root, Node::Inner(Vec::new()));
+                let left_mbr = node_mbr(&old_root).expect("split nodes are non-empty");
+                self.root = Node::Inner(vec![(left_mbr, old_root), (right_mbr, right)]);
             }
-            idx += 1;
         }
-        flat
+        self.flat = flatten(&self.root, self.dim);
     }
 
-    /// Checks every structural invariant of the tree — and, when
-    /// frozen, of the CSR arena — returning the first violation as a
-    /// description, never a panic. A tree produced by any insert/freeze
-    /// sequence always passes; the checks exist for debug re-validation
-    /// after mutation and the offline `pis check` fsck.
+    /// Checks every structural invariant of the pointer tree and of its
+    /// CSR arena, returning the first violation as a description, never
+    /// a panic. A tree produced by any sequence of insert batches always
+    /// passes; the checks exist for debug re-validation after mutation
+    /// and the offline `pis check` fsck.
     ///
     /// Pointer tree: Guttman fanout bounds (`≤ MAX_ENTRIES` everywhere,
     /// `≥ MIN_ENTRIES` off the root), uniform leaf depth, finite
     /// coordinates of the right dimensionality, and every stored MBR
     /// exactly equal (f64 `==`) to its subtree's recomputed bounding
     /// rectangle — inserts maintain them exactly, so any drift is
-    /// corruption. Frozen arena: re-flattens the pointer tree and
-    /// demands equality column for column, which pins the CSR child
-    /// runs, the leaf point runs, and every bound.
+    /// corruption. Arena: re-flattens the pointer tree and demands
+    /// equality column for column, which pins the CSR child runs, the
+    /// leaf point runs, and every bound.
     pub fn validate(&self) -> Result<(), String> {
         fn walk(
             node: &Node,
@@ -304,48 +254,22 @@ impl RTree {
         if points != self.entries {
             return Err(format!("{points} stored points but the tree claims {}", self.entries));
         }
-        if let Some(flat) = &self.flat {
-            if *flat != self.flatten() {
-                return Err("frozen arena disagrees with the pointer tree".to_string());
-            }
+        if self.flat != flatten(&self.root, self.dim) {
+            return Err("frozen arena disagrees with the pointer tree".to_string());
         }
         Ok(())
     }
 
-    /// Whether the frozen arena is current (queries take the flat path).
-    pub fn is_frozen(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    /// Visits every `(graph, L1 distance)` within `sigma` of `query` —
-    /// through the frozen arena when current, else through the pointer
-    /// tree. Both paths visit the same points in the same order with
-    /// identical f64 distances (the batched kernels sum coordinates in
-    /// the same order as the scalar loops).
+    /// Visits every `(graph, L1 distance)` within `sigma` of `query`,
+    /// descending the arena. Each distance is the coordinate-order L1
+    /// sum, bit-identical to summing `|q_i − p_i|` in order (the batched
+    /// kernels keep the scalar loop's order).
     ///
     /// # Panics
     /// Panics if `query.len() != dim`.
     pub fn range_query(&self, query: &[f64], sigma: f64, mut visit: impl FnMut(GraphId, f64)) {
         assert_eq!(query.len(), self.dim, "query dimensionality must equal tree dim");
-        match &self.flat {
-            Some(flat) => search_flat(flat, self.dim, query, sigma, &mut visit),
-            None => search(&self.root, query, sigma, &mut visit),
-        }
-    }
-
-    /// The pointer-tree descent, kept as the executable reference for
-    /// the arena path (and the fallback for unfrozen trees).
-    ///
-    /// # Panics
-    /// Panics if `query.len() != dim`.
-    pub fn range_query_reference(
-        &self,
-        query: &[f64],
-        sigma: f64,
-        mut visit: impl FnMut(GraphId, f64),
-    ) {
-        assert_eq!(query.len(), self.dim, "query dimensionality must equal tree dim");
-        search(&self.root, query, sigma, &mut visit);
+        search_flat(&self.flat, self.dim, query, sigma, &mut visit);
     }
 
     /// Visits every stored `(point, graph)` pair (persistence and
@@ -382,6 +306,39 @@ impl RTree {
 
 pub(crate) fn l1(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+}
+
+/// The breadth-first flattening of a pointer tree into its query arena
+/// (also what [`RTree::validate`] re-derives and compares against).
+fn flatten(root: &Node, dim: usize) -> FlatRTree {
+    let mut flat = FlatRTree::default();
+    let root_mbr = node_mbr(root).unwrap_or(Mbr { min: vec![0.0; dim], max: vec![0.0; dim] });
+    flat.push_node(&root_mbr);
+    let mut queue = std::collections::VecDeque::new();
+    queue.push_back(root);
+    let mut idx = 0usize;
+    while let Some(node) = queue.pop_front() {
+        match node {
+            Node::Leaf(points) => {
+                flat.pt_start[idx] = flat.graphs.len() as u32;
+                flat.pt_len[idx] = points.len() as u32;
+                for (p, g) in points {
+                    flat.points.extend_from_slice(p);
+                    flat.graphs.push(*g);
+                }
+            }
+            Node::Inner(children) => {
+                flat.child_start[idx] = flat.child_start.len() as u32;
+                flat.child_len[idx] = children.len() as u32;
+                for (mbr, child) in children {
+                    flat.push_node(mbr);
+                    queue.push_back(child);
+                }
+            }
+        }
+        idx += 1;
+    }
+    flat
 }
 
 fn node_mbr(node: &Node) -> Option<Mbr> {
@@ -485,8 +442,8 @@ fn spread(points: &[(Vec<f64>, GraphId)], axis: usize) -> f64 {
 }
 
 /// Iterative arena descent: one batched rectangle scan per inner node,
-/// one batched point scan per leaf, children visited in the same
-/// depth-first order as the recursive pointer [`search`].
+/// one batched point scan per leaf, children visited depth-first and
+/// left to right.
 fn search_flat(
     flat: &FlatRTree,
     dim: usize,
@@ -529,29 +486,16 @@ fn search_flat(
     }
 }
 
-fn search(node: &Node, query: &[f64], sigma: f64, visit: &mut impl FnMut(GraphId, f64)) {
-    match node {
-        Node::Leaf(points) => {
-            for (p, g) in points {
-                let d = l1(p, query);
-                if d <= sigma {
-                    visit(*g, d);
-                }
-            }
-        }
-        Node::Inner(children) => {
-            for (mbr, child) in children {
-                if mbr.l1_distance(query) <= sigma {
-                    search(child, query, sigma, visit);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A tree holding `points[g]` for graph `g`.
+    fn tree(dim: usize, points: &[Vec<f64>]) -> RTree {
+        let mut t = RTree::new(dim);
+        t.insert_batch(points.iter().enumerate().map(|(g, p)| (p, GraphId(g as u32))));
+        t
+    }
 
     fn collect(t: &RTree, q: &[f64], sigma: f64) -> Vec<(u32, f64)> {
         let mut out = Vec::new();
@@ -560,12 +504,37 @@ mod tests {
         out
     }
 
+    /// The tree's hits as sorted `(graph, distance bits)`.
+    fn hits(t: &RTree, query: &[f64], sigma: f64) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        t.range_query(query, sigma, |g, d| out.push((g.0, d.to_bits())));
+        out.sort_unstable();
+        out
+    }
+
+    /// The definition: every point within `sigma` of `query` in
+    /// coordinate-order L1, as sorted `(graph, distance bits)`.
+    fn brute(points: &[Vec<f64>], query: &[f64], sigma: f64) -> Vec<(u32, u64)> {
+        let within = |(g, p): (usize, &Vec<f64>)| {
+            let d = l1(p, query);
+            (d <= sigma).then_some((g as u32, d.to_bits()))
+        };
+        points.iter().enumerate().filter_map(within).collect()
+    }
+
+    /// Deterministic point cloud shared by the arena tests.
+    fn random_points(n: u32, dim: usize) -> Vec<Vec<f64>> {
+        let mut x = 42u64;
+        let mut coordinate = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) % 1000) as f64 / 100.0
+        };
+        (0..n).map(|_| (0..dim).map(|_| coordinate()).collect()).collect()
+    }
+
     #[test]
     fn small_range_queries() {
-        let mut t = RTree::new(2);
-        t.insert(&[0.0, 0.0], GraphId(0));
-        t.insert(&[1.0, 0.0], GraphId(1));
-        t.insert(&[5.0, 5.0], GraphId(2));
+        let t = tree(2, &[vec![0.0, 0.0], vec![1.0, 0.0], vec![5.0, 5.0]]);
         assert_eq!(collect(&t, &[0.0, 0.0], 0.0), vec![(0, 0.0)]);
         assert_eq!(collect(&t, &[0.0, 0.0], 1.0), vec![(0, 0.0), (1, 1.0)]);
         assert_eq!(collect(&t, &[0.0, 0.0], 10.0).len(), 3);
@@ -574,118 +543,73 @@ mod tests {
     #[test]
     fn agrees_with_linear_scan_after_splits() {
         // Enough points to force several levels.
-        let mut t = RTree::new(3);
-        let mut points = Vec::new();
-        let mut x = 42u64;
-        for g in 0..500u32 {
-            let mut p = Vec::with_capacity(3);
-            for _ in 0..3 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                p.push(((x >> 33) % 1000) as f64 / 100.0);
-            }
-            t.insert(&p, GraphId(g));
-            points.push(p);
-        }
+        let points = random_points(500, 3);
+        let t = tree(3, &points);
         assert!(t.height() >= 3, "height {}", t.height());
         assert_eq!(t.len(), 500);
-        let query = [5.0, 5.0, 5.0];
         for sigma in [0.5, 2.0, 7.5] {
-            let mut expected: Vec<(u32, f64)> = points
-                .iter()
-                .enumerate()
-                .map(|(g, p)| (g as u32, l1(p, &query)))
-                .filter(|&(_, d)| d <= sigma)
-                .collect();
-            expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(collect(&t, &query, sigma), expected, "sigma={sigma}");
+            let query = [5.0, 5.0, 5.0];
+            assert_eq!(hits(&t, &query, sigma), brute(&points, &query, sigma), "sigma={sigma}");
         }
-    }
-
-    /// Deterministic point cloud shared by the arena tests.
-    fn random_tree(n: u32, dim: usize) -> (RTree, Vec<Vec<f64>>) {
-        let mut t = RTree::new(dim);
-        let mut points = Vec::new();
-        let mut x = 42u64;
-        for g in 0..n {
-            let mut p = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                p.push(((x >> 33) % 1000) as f64 / 100.0);
-            }
-            t.insert(&p, GraphId(g));
-            points.push(p);
-        }
-        (t, points)
     }
 
     #[test]
     fn frozen_arena_matches_pointer_reference() {
-        // Same visits, same order, bit-identical distances — across
-        // splits, several sigmas, and ragged leaf/child counts.
+        // The arena's hits are the brute L1 scan over the inserted
+        // points, f64 bits included — across splits, several sigmas,
+        // and ragged leaf/child counts.
         for n in [1u32, 7, 8, 9, 60, 500] {
-            let (mut t, _) = random_tree(n, 3);
-            assert!(!t.is_frozen());
-            t.freeze();
-            assert!(t.is_frozen());
+            let points = random_points(n, 3);
+            let t = tree(3, &points);
             for sigma in [0.0, 0.5, 2.0, 7.5, 100.0] {
                 let query = [5.0, 5.0, 5.0];
-                let mut arena = Vec::new();
-                t.range_query(&query, sigma, |g, d| arena.push((g.0, d.to_bits())));
-                let mut reference = Vec::new();
-                t.range_query_reference(&query, sigma, |g, d| reference.push((g.0, d.to_bits())));
-                assert_eq!(arena, reference, "n={n} sigma={sigma}");
+                assert_eq!(hits(&t, &query, sigma), brute(&points, &query, sigma), "n={n}");
             }
         }
     }
 
     #[test]
     fn insert_invalidates_the_arena_and_queries_stay_correct() {
-        let (mut t, _) = random_tree(50, 2);
-        t.freeze();
-        assert!(t.is_frozen());
-        t.insert(&[1.0, 1.0], GraphId(999));
-        assert!(!t.is_frozen(), "insert must mark the arena stale");
-        // Unfrozen queries fall back to the pointer path and see the
-        // new point.
-        let mut found = false;
-        t.range_query(&[1.0, 1.0], 0.0, |g, _| found |= g.0 == 999);
-        assert!(found);
-        // Re-freezing restores the arena with the new point included.
-        t.freeze();
-        let mut found = false;
-        t.range_query(&[1.0, 1.0], 0.0, |g, _| found |= g.0 == 999);
-        assert!(found);
+        // A batch replaces the arena: the next query sees the new points,
+        // and the arena is again the flattening of the grown tree.
+        let mut points = random_points(50, 2);
+        let mut t = tree(2, &points);
+        assert_eq!(hits(&t, &[1.0, 1.0], 0.5), brute(&points, &[1.0, 1.0], 0.5));
+        points.extend([vec![1.0, 1.0], vec![9.5, 0.5]]);
+        t.insert_batch([(&points[50], GraphId(50)), (&points[51], GraphId(51))]);
+        assert_eq!(hits(&t, &[1.0, 1.0], 0.5), brute(&points, &[1.0, 1.0], 0.5));
+        assert_eq!(hits(&t, &[5.0, 5.0], 4.0), brute(&points, &[5.0, 5.0], 4.0));
+        t.validate().unwrap();
     }
 
     #[test]
     fn frozen_empty_and_zero_dim_trees() {
-        let mut t = RTree::new(4);
-        t.freeze();
+        let t = RTree::new(4);
         let mut any = false;
         t.range_query(&[0.0; 4], 100.0, |_, _| any = true);
         assert!(!any);
         // Zero-dimensional points are all at distance zero.
-        let mut z = RTree::new(0);
-        z.insert(&[], GraphId(3));
-        z.freeze();
+        let z = tree(0, &[Vec::new()]);
         let mut got = Vec::new();
         z.range_query(&[], 0.0, |g, d| got.push((g.0, d)));
-        assert_eq!(got, vec![(3, 0.0)]);
+        assert_eq!(got, vec![(0, 0.0)]);
     }
 
     #[test]
     fn mbr_l1_distance() {
+        // The rectangle kernel the descent prunes by: 0 inside, else the
+        // L1 gap to the box.
         let m = Mbr { min: vec![1.0, 1.0], max: vec![2.0, 3.0] };
-        assert_eq!(m.l1_distance(&[1.5, 2.0]), 0.0); // inside
-        assert_eq!(m.l1_distance(&[0.0, 2.0]), 1.0);
-        assert_eq!(m.l1_distance(&[3.0, 4.0]), 2.0);
+        for (q, want) in [([1.5, 2.0], 0.0), ([0.0, 2.0], 1.0), ([3.0, 4.0], 2.0)] {
+            let mut d = [f64::NAN];
+            mbr_l1_costs_into(&q, &m.min, &m.max, &mut d);
+            assert_eq!(d[0], want, "{q:?}");
+        }
     }
 
     #[test]
     fn duplicates_are_kept() {
-        let mut t = RTree::new(1);
-        t.insert(&[1.0], GraphId(0));
-        t.insert(&[1.0], GraphId(0));
+        let t = tree(1, &[vec![1.0], vec![1.0]]);
         assert_eq!(t.len(), 2);
         assert_eq!(collect(&t, &[1.0], 0.0).len(), 2);
     }
@@ -693,8 +617,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimensionality")]
     fn wrong_dim_rejected() {
-        let mut t = RTree::new(2);
-        t.insert(&[1.0], GraphId(0));
+        tree(2, &[vec![1.0]]);
     }
 
     #[test]
@@ -708,19 +631,16 @@ mod tests {
     #[test]
     fn validate_accepts_every_built_tree() {
         for n in [0u32, 1, 7, 8, 9, 60, 500] {
-            let (mut t, _) = random_tree(n, 3);
-            t.validate().unwrap_or_else(|m| panic!("pointer tree of {n}: {m}"));
-            t.freeze();
-            t.validate().unwrap_or_else(|m| panic!("frozen tree of {n}: {m}"));
-            t.insert(&[1.0, 2.0, 3.0], GraphId(n));
-            t.validate().unwrap_or_else(|m| panic!("post-insert tree of {n}: {m}"));
+            let mut t = tree(3, &random_points(n, 3));
+            t.validate().unwrap_or_else(|m| panic!("tree of {n}: {m}"));
+            t.insert_batch([([1.0, 2.0, 3.0], GraphId(n))]);
+            t.validate().unwrap_or_else(|m| panic!("grown tree of {n}: {m}"));
         }
     }
 
     #[test]
     fn validate_rejects_corruption() {
-        let (mut t, _) = random_tree(200, 3);
-        t.freeze();
+        let t = tree(3, &random_points(200, 3));
         t.validate().unwrap();
 
         // Entry-count drift.
@@ -734,9 +654,9 @@ mod tests {
         children[0].0.min[0] += 0.25;
         assert!(bad.validate().unwrap_err().contains("MBR"));
 
-        // Frozen-arena drift: a flipped point coordinate, a rewired
-        // graph id, and a perturbed bound must all be caught by the
-        // re-flatten comparison.
+        // Arena drift: a flipped point coordinate, a rewired graph id,
+        // and a perturbed bound must all be caught by the re-flatten
+        // comparison.
         for mutate in [
             (|f: &mut FlatRTree| f.points[0] += 1.0) as fn(&mut FlatRTree),
             |f| f.graphs[0] = GraphId(u32::MAX),
@@ -744,7 +664,7 @@ mod tests {
             |f| f.child_len[0] = f.child_len[0].wrapping_sub(1),
         ] {
             let mut bad = t.clone();
-            mutate(bad.flat.as_mut().unwrap());
+            mutate(&mut bad.flat);
             assert_eq!(bad.validate().unwrap_err(), "frozen arena disagrees with the pointer tree");
         }
     }

@@ -568,13 +568,9 @@ fn decode_classes(
         let imp = match tag {
             CLASS_TRIE => decode_trie(r, slots, graphs.len())?,
             CLASS_RTREE => {
-                // Stored points are already scale-transformed; freeze
-                // the rebuilt tree into its query arena.
+                // Stored points are already scale-transformed.
                 let mut rt = RTree::new(slots);
-                for (v, gid) in decode_weight_items(r, slots, meta.graph_count)? {
-                    rt.insert(&v, gid);
-                }
-                rt.freeze();
+                rt.insert_batch(decode_weight_items(r, slots, meta.graph_count)?);
                 ClassImpl::RTree(rt)
             }
             1 | 3 => return Err(r.corrupt("VP-tree class: unsupported, rebuild the store")),

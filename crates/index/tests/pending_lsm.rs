@@ -191,8 +191,8 @@ fn compact_leaves_no_stale_rtrees() {
     for g in incoming() {
         index.insert_graph_pending(&g);
     }
-    // Pending inserts never unfreeze the frozen side, and a merge ends
-    // in a freeze: `validate` refuses an unfrozen R-tree class.
+    // Pending inserts leave the trees alone, and a merge re-flattens
+    // the tree it grows: `validate` compares each arena with its tree.
     assert!(index.validate().unwrap().rtree_classes > 0);
     index.compact();
     index.validate().unwrap();

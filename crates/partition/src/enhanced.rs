@@ -11,8 +11,7 @@
 //! The subset enumeration tracks its members in a bit mask, so the
 //! inner independence test — "is candidate `v` adjacent to anything
 //! already in the set?" — is one `neighbor_mask(v) & members` AND
-//! instead of a linear `contains` per member. Selections are
-//! byte-identical to [`crate::reference::enhanced_greedy_mwis_ref`].
+//! instead of a linear `contains` per member.
 
 use crate::overlap::OverlapGraph;
 use crate::scratch::{mask_clear, mask_or, mask_set, masks_intersect, PartitionScratch, BITS};

@@ -11,10 +11,9 @@
 //! the bound and the pivot come from one bit-scan (popcounting
 //! `neighbor_mask(v) & alive` per live node), and including the pivot
 //! removes its closed neighborhood with a single word-parallel AND-NOT
-//! into the next arena level. Selections are byte-identical to
-//! [`crate::reference::exact_mwis_ref`] — the pivot rule (`max_by_key`
-//! keeps the *last* maximum) and the floating-point summation order are
-//! both preserved.
+//! into the next arena level. The pivot rule (`max_by_key` keeps the
+//! *last* maximum) fixes which of several optimal sets is returned; the
+//! tests hold its weight to brute-force enumeration.
 
 use pis_graph::budget::{BudgetState, CheckpointSite};
 

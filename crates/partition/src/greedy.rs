@@ -4,8 +4,7 @@
 //! together with its neighbors. Runs in `O(c·n)` scans where `c` is the
 //! maximum independent-set size, with optimality ratio `1/c`
 //! (Theorem 2). Ties break toward the smaller node index so results are
-//! deterministic, byte-identical to
-//! [`crate::reference::greedy_mwis_ref`].
+//! deterministic; the tests check every pick against that rule.
 //!
 //! The removed set lives in a covered-vertex mask: each round's scan
 //! iterates only the words with live bits, and retiring the chosen node

@@ -22,11 +22,13 @@
 //!   `*_with` solver variants and
 //!   [`OverlapGraph::rebuild_from_sets`](overlap::OverlapGraph::rebuild_from_sets)
 //!   draw every buffer from it, so a reused scratch makes the whole
-//!   partition stage allocation-free in steady state;
-//! * [`mod@reference`] — the original pointer-adjacency graph and solvers,
-//!   retained as the executable specification: proptests hold every
-//!   mask-native path to byte-identical adjacency and selections
-//!   against it.
+//!   partition stage allocation-free in steady state.
+//!
+//! The tests hold these to definitions, not to a second implementation
+//! (`tests/mask_equivalence.rs`): two fragments are adjacent iff their
+//! vertex sets intersect, every selection is independent, Greedy's picks
+//! follow Algorithm 1's rule, and `Exact`'s weight equals brute-force
+//! enumeration on small instances.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +36,6 @@ pub mod enhanced;
 pub mod exact;
 pub mod greedy;
 pub mod overlap;
-pub mod reference;
 pub mod scratch;
 
 pub use enhanced::{enhanced_greedy_mwis, enhanced_greedy_mwis_with};

@@ -1,71 +1,123 @@
-//! Differential equivalence suite for the mask-native partition stage.
+//! The mask-native partition stage held to its definitions.
 //!
-//! The pointer-adjacency graph and solvers retained in
-//! `pis_partition::reference` are the executable specification; these
-//! properties hold the mask-native `OverlapGraph` (vertex→fragment
-//! incidence construction, multi-word neighbor rows) and the three MWIS
-//! solvers to **byte-identical** adjacency and selections across vertex
-//! id ranges (below and far beyond the old 128-id u128 cutoff),
-//! duplicate vertices, empty sets, >128-node instances, and zero-weight
+//! Every property compares against a brute-force reading of the paper,
+//! never against a second implementation: two fragments of `Q̃` are
+//! adjacent iff their vertex sets intersect; every solver returns an
+//! independent set; Greedy (Algorithm 1) picks the heaviest uncovered
+//! node, lowest index on ties, until every node is covered, and
+//! EnhancedGreedy(1) is Greedy; `Exact`'s weight equals enumeration of
+//! every subset and is at least both greedy weights. Inputs span vertex
+//! ids below and far beyond any fixed-width mask, duplicate vertices,
+//! empty sets, multi-word (>64- and >128-node) instances and zero-weight
 //! nodes.
 
 use pis_graph::VertexId;
-use pis_partition::reference::{
-    enhanced_greedy_mwis_ref, exact_mwis_ref, greedy_mwis_ref, AdjOverlapGraph,
-};
 use pis_partition::{
-    enhanced_greedy_mwis, exact_mwis, greedy_mwis, OverlapGraph, EXACT_MWIS_MAX_NODES,
+    enhanced_greedy_mwis, exact_mwis, greedy_mwis, selection_weight, OverlapGraph,
+    EXACT_MWIS_MAX_NODES,
 };
 use proptest::prelude::*;
 
-/// Mask adjacency decoded into sorted neighbor lists, one per node.
-fn mask_adjacency(g: &OverlapGraph) -> Vec<Vec<usize>> {
-    (0..g.len()).map(|v| g.neighbors(v).collect()).collect()
+/// `selection` names distinct nodes below `n`, no two of them adjacent.
+fn independent(n: usize, adjacent: &impl Fn(usize, usize) -> bool, selection: &[usize]) -> bool {
+    selection
+        .iter()
+        .enumerate()
+        .all(|(i, &u)| u < n && selection[i + 1..].iter().all(|&v| u != v && !adjacent(u, v)))
 }
 
-/// Reference adjacency as `usize` lists, one per node.
-fn ref_adjacency(g: &AdjOverlapGraph) -> Vec<Vec<usize>> {
-    (0..g.len()).map(|v| g.neighbors(v).iter().map(|&n| n as usize).collect()).collect()
+/// Holds `selection` to Algorithm 1: each pick is the heaviest node not
+/// yet covered (picked, or next to a pick), the lowest index on ties,
+/// and picking stops only once every node is covered.
+fn assert_greedy_rule(
+    weights: &[f64],
+    adjacent: &impl Fn(usize, usize) -> bool,
+    selection: &[usize],
+) -> Result<(), TestCaseError> {
+    let covered = |picks: &[usize], v: usize| picks.iter().any(|&p| p == v || adjacent(p, v));
+    for (i, &v) in selection.iter().enumerate() {
+        let picks = &selection[..i];
+        let rule = (0..weights.len()).filter(|&u| !covered(picks, u)).fold(
+            None,
+            |best: Option<usize>, u| match best {
+                Some(b) if weights[b] >= weights[u] => Some(b),
+                _ => Some(u),
+            },
+        );
+        prop_assert_eq!(Some(v), rule, "pick {} of {:?}", i, selection);
+    }
+    prop_assert!(
+        (0..weights.len()).all(|u| covered(selection, u)),
+        "greedy stopped early: {:?}",
+        selection
+    );
+    Ok(())
 }
 
-/// Builds both graph representations from the same fragment sets.
-fn both_from_sets(sets: &[Vec<u32>]) -> (OverlapGraph, AdjOverlapGraph) {
-    let frags: Vec<(f64, Vec<VertexId>)> =
-        sets.iter().map(|vs| (1.0, vs.iter().map(|&v| VertexId(v)).collect())).collect();
-    (OverlapGraph::new(&frags), AdjOverlapGraph::new(&frags))
+/// The maximum independent-set weight by enumerating every subset.
+fn brute_mwis_weight(weights: &[f64], adjacent: &impl Fn(usize, usize) -> bool) -> f64 {
+    let n = weights.len();
+    let neighbors: Vec<u32> =
+        (0..n).map(|u| (0..n).filter(|&v| adjacent(u, v)).fold(0, |m, v| m | 1 << v)).collect();
+    (0u32..1 << n)
+        .filter(|&set| (0..n).all(|v| set >> v & 1 == 0 || neighbors[v] & set == 0))
+        .map(|set| (0..n).filter(|&v| set >> v & 1 == 1).map(|v| weights[v]).sum())
+        .fold(0.0, f64::max)
 }
 
-/// Builds both graph representations from the same weights and edges.
-fn both_from_parts(
+/// `Q̃` from raw draws (endpoints folded into range, self-loops
+/// dropped, repeats allowed) and its adjacency from the definition: the
+/// edge list as drawn.
+fn instance(
     weights: &[f64],
     raw_edges: &[(usize, usize)],
-) -> (OverlapGraph, AdjOverlapGraph) {
+) -> (OverlapGraph, impl Fn(usize, usize) -> bool) {
     let n = weights.len();
-    let edges: Vec<(usize, usize)> = if n < 2 {
-        Vec::new()
-    } else {
-        raw_edges
-            .iter()
-            .filter_map(|&(a, b)| {
-                let (u, v) = (a % n, b % n);
-                (u != v).then_some((u.min(v), u.max(v)))
-            })
-            .collect()
-    };
-    (
-        OverlapGraph::from_parts(weights.to_vec(), edges.clone()),
-        AdjOverlapGraph::from_parts(weights.to_vec(), edges),
-    )
+    let edges: Vec<(usize, usize)> = raw_edges
+        .iter()
+        .filter(|_| n >= 2)
+        .map(|&(a, b)| (a % n, b % n))
+        .filter(|&(u, v)| u != v)
+        .collect();
+    let mut matrix = vec![false; n * n];
+    for &(u, v) in &edges {
+        matrix[u * n + v] = true;
+        matrix[v * n + u] = true;
+    }
+    (OverlapGraph::from_parts(weights.to_vec(), edges), move |u: usize, v: usize| matrix[u * n + v])
+}
+
+/// Greedy, EnhancedGreedy(1) and EnhancedGreedy(2) on one instance:
+/// independent, Greedy by Algorithm 1's rule, EnhancedGreedy(1) equal
+/// to it, and EnhancedGreedy(2) maximal too.
+fn assert_greedy_solvers(
+    graph: &OverlapGraph,
+    weights: &[f64],
+    adjacent: &impl Fn(usize, usize) -> bool,
+) -> Result<(), TestCaseError> {
+    let n = weights.len();
+    let greedy = greedy_mwis(graph);
+    prop_assert!(independent(n, adjacent, &greedy), "greedy {:?}", greedy);
+    assert_greedy_rule(weights, adjacent, &greedy)?;
+    prop_assert_eq!(enhanced_greedy_mwis(graph, 1), greedy);
+    let k2 = enhanced_greedy_mwis(graph, 2);
+    prop_assert!(independent(n, adjacent, &k2), "enhanced(2) {:?}", k2);
+    prop_assert!(
+        (0..n).all(|u| k2.iter().any(|&p| p == u || adjacent(p, u))),
+        "enhanced(2) stopped early: {:?}",
+        k2
+    );
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Incidence-built mask adjacency equals the all-pairs sorted-merge
-    /// reference across mixed vertex-id ranges (small dense ids force
-    /// duplicates and heavy sharing; ids near `u32::MAX` would overflow
-    /// any fixed-width mask of vertex ids), duplicate vertices inside a
-    /// set, and empty sets.
+    /// Incidence-built mask adjacency equals the definition — nodes are
+    /// adjacent iff their vertex sets share a vertex — across mixed
+    /// vertex-id ranges (small dense ids force duplicates and heavy
+    /// sharing; ids near `u32::MAX` would overflow any fixed-width mask
+    /// of vertex ids), duplicate vertices inside a set, and empty sets.
     #[test]
     fn mask_adjacency_matches_sorted_merge(
         sets in proptest::collection::vec(
@@ -79,14 +131,20 @@ proptest! {
     ) {
         let mut all = sets;
         all.extend(wide_sets);
-        let (mask, reference) = both_from_sets(&all);
-        prop_assert_eq!(mask.len(), reference.len());
-        prop_assert_eq!(mask_adjacency(&mask), ref_adjacency(&reference));
+        let frags: Vec<(f64, Vec<VertexId>)> =
+            all.iter().map(|vs| (1.0, vs.iter().map(|&v| VertexId(v)).collect())).collect();
+        let mask = OverlapGraph::new(&frags);
+        prop_assert_eq!(mask.len(), all.len());
+        for u in 0..all.len() {
+            let expected: Vec<usize> = (0..all.len())
+                .filter(|&v| v != u && all[u].iter().any(|x| all[v].contains(x)))
+                .collect();
+            prop_assert_eq!(mask.neighbors(u).collect::<Vec<_>>(), expected, "node {}", u);
+        }
     }
 
-    /// Greedy and EnhancedGreedy(k) return byte-identical selections to
-    /// the pointer reference, including >128-node (multi-word) instances
-    /// and zero-weight nodes.
+    /// Greedy and EnhancedGreedy(k) against their definitions, including
+    /// >128-node (multi-word) instances and zero-weight nodes.
     #[test]
     fn greedy_solvers_match_pointer_reference(
         weights in proptest::collection::vec(
@@ -95,37 +153,36 @@ proptest! {
         ),
         raw_edges in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..500),
     ) {
-        let (mask, reference) = both_from_parts(&weights, &raw_edges);
-        prop_assert_eq!(greedy_mwis(&mask), greedy_mwis_ref(&reference));
-        for k in [1, 2] {
-            prop_assert_eq!(
-                enhanced_greedy_mwis(&mask, k),
-                enhanced_greedy_mwis_ref(&reference, k),
-                "k={}", k
-            );
-        }
+        let (graph, adjacent) = instance(&weights, &raw_edges);
+        assert_greedy_solvers(&graph, &weights, &adjacent)?;
     }
 
-    /// Exact branch-and-bound matches the pointer reference on small
-    /// random instances of any shape (the weak remaining-weight bound
-    /// makes large sparse instances intractable for both).
+    /// Exact branch-and-bound on instances small enough to enumerate:
+    /// an independent set whose weight is the brute-force optimum, and at
+    /// least what either greedy solver finds. Weights are dyadic, so
+    /// every sum is exact in any order.
     #[test]
     fn exact_solver_matches_pointer_reference(
         weights in proptest::collection::vec(
             prop::sample::select(vec![0.0, 0.5, 1.0, 2.5, 7.0]),
-            0..18,
+            0..15,
         ),
-        raw_edges in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..80),
+        raw_edges in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..60),
     ) {
-        let (mask, reference) = both_from_parts(&weights, &raw_edges);
-        let opt = exact_mwis(&mask);
-        prop_assert_eq!(&opt, &exact_mwis_ref(&reference));
-        prop_assert!(mask.is_independent(&opt));
+        let (graph, adjacent) = instance(&weights, &raw_edges);
+        let opt = exact_mwis(&graph);
+        prop_assert!(independent(weights.len(), &adjacent, &opt), "exact {:?}", opt);
+        prop_assert!(opt.windows(2).all(|w| w[0] < w[1]), "exact selection is sorted");
+        let weight = selection_weight(&graph, &opt);
+        prop_assert_eq!(weight, brute_mwis_weight(&weights, &adjacent));
+        prop_assert!(weight >= selection_weight(&graph, &greedy_mwis(&graph)));
+        prop_assert!(weight >= selection_weight(&graph, &enhanced_greedy_mwis(&graph, 2)));
     }
 
-    /// Exact equivalence on multi-word (>64-node) instances: a clique
-    /// plus isolated nodes keeps the branch-and-bound linear while the
-    /// masks span two words.
+    /// Exact on multi-word (>64-node) instances: a clique plus isolated
+    /// nodes, whose one optimum — the clique's heavy node and every
+    /// isolated node — is known, and which keeps the branch-and-bound
+    /// linear while the masks span two words.
     #[test]
     fn exact_solver_matches_reference_past_64_nodes(
         clique in 60usize..EXACT_MWIS_MAX_NODES - 8,
@@ -135,34 +192,29 @@ proptest! {
         let n = clique + isolated;
         let mut weights = vec![1.0; n];
         weights[heavy % clique] = 3.0;
-        let mut edges = Vec::new();
-        for u in 0..clique {
-            for v in (u + 1)..clique {
-                edges.push((u, v));
-            }
-        }
-        let mask = OverlapGraph::from_parts(weights.clone(), edges.clone());
-        let reference = AdjOverlapGraph::from_parts(weights, edges);
-        prop_assert_eq!(exact_mwis(&mask), exact_mwis_ref(&reference));
+        let edges: Vec<(usize, usize)> =
+            (0..clique).flat_map(|u| (u + 1..clique).map(move |v| (u, v))).collect();
+        let graph = OverlapGraph::from_parts(weights, edges);
+        let expected: Vec<usize> = std::iter::once(heavy % clique).chain(clique..n).collect();
+        prop_assert_eq!(exact_mwis(&graph), expected);
     }
 }
 
-/// Selections also agree when both graphs are built from the same
-/// fragment vertex sets end to end (construction + solver).
+/// Construction and solvers end to end on fragment vertex sets: 140
+/// interval fragments over a long path of query vertices (node `i`
+/// covers `{i, i+1, i+2}`), so `Q̃` is a band graph — nodes adjacent iff
+/// at most 2 apart — needing multi-word rows.
 #[test]
 fn end_to_end_sets_to_selection_agreement() {
-    // 140 interval fragments over a long path of query vertices: node i
-    // covers {i, i+1, i+2}, so the overlap graph is a 140-node band
-    // graph needing multi-word rows.
-    let sets: Vec<Vec<u32>> = (0..140u32).map(|i| vec![i, i + 1, i + 2]).collect();
-    let frags: Vec<(f64, Vec<VertexId>)> = sets
-        .iter()
-        .enumerate()
-        .map(|(i, vs)| (0.5 + (i % 7) as f64 * 0.3, vs.iter().map(|&v| VertexId(v)).collect()))
+    let weights: Vec<f64> = (0..140).map(|i| 0.5 + (i % 7) as f64 * 0.3).collect();
+    let frags: Vec<(f64, Vec<VertexId>)> = (0..140u32)
+        .map(|i| (weights[i as usize], vec![VertexId(i), VertexId(i + 1), VertexId(i + 2)]))
         .collect();
-    let mask = OverlapGraph::new(&frags);
-    let reference = AdjOverlapGraph::new(&frags);
-    assert_eq!(mask_adjacency(&mask), ref_adjacency(&reference));
-    assert_eq!(greedy_mwis(&mask), greedy_mwis_ref(&reference));
-    assert_eq!(enhanced_greedy_mwis(&mask, 2), enhanced_greedy_mwis_ref(&reference, 2));
+    let graph = OverlapGraph::new(&frags);
+    let adjacent = |u: usize, v: usize| u != v && u.abs_diff(v) <= 2;
+    for u in 0..140 {
+        let expected: Vec<usize> = (0..140).filter(|&v| adjacent(u, v)).collect();
+        assert_eq!(graph.neighbors(u).collect::<Vec<_>>(), expected, "node {u}");
+    }
+    assert_greedy_solvers(&graph, &weights, &adjacent).unwrap();
 }

@@ -85,3 +85,127 @@ pub fn unique_probes(index: &pis::index::FragmentIndex, query: &LabeledGraph) ->
 pub fn distance_bits(outcome: &SearchOutcome) -> Vec<u64> {
     outcome.answer_distances.iter().map(|d| d.to_bits()).collect()
 }
+
+/// σ for the oracle properties: half the draws are the integers 0–4,
+/// where edge-Hamming distances tie with σ and a bound one ulp too high
+/// flips the answer; the rest are arbitrary reals in `[0, 4)`.
+pub fn sigma() -> impl Strategy<Value = f64> {
+    (0u32..10, 0.0f64..4.0).prop_map(|(k, x)| if k < 5 { f64::from(k) } else { x })
+}
+
+/// Rebuilds a query fragment as a standalone graph (the fragment's
+/// vector in the feature's canonical layout: edge slots, then vertex
+/// slots), labeled under the mutation distance and weighted under the
+/// linear distance — what the definition measures a range query from.
+pub fn fragment_as_graph(
+    index: &pis::index::FragmentIndex,
+    qf: &pis::index::QueryFragment,
+) -> LabeledGraph {
+    let feature = index.features().get(qf.feature);
+    let slot = |i: usize| match &qf.vector {
+        pis::index::FragmentVector::Labels(v) => (v[i], 0.0),
+        pis::index::FragmentVector::Weights(v) => (Label(0), v[i]),
+    };
+    let ecount = feature.edge_count();
+    let mut b = GraphBuilder::new();
+    for (i, _) in feature.structure.vertex_ids().enumerate() {
+        let (label, weight) = slot(ecount + i);
+        b.add_vertex(VertexAttr { label, weight });
+    }
+    for (j, e) in feature.structure.edges().iter().enumerate() {
+        let (label, weight) = slot(j);
+        b.add_edge(e.source, e.target, EdgeAttr { label, weight }).expect("feature is simple");
+    }
+    b.build()
+}
+
+/// Shrinks a failing `(db, query)` case for a readable report. `fails`
+/// re-runs the property and returns its failure message, if any. While
+/// some one-step reduction still fails — one database graph dropped; one
+/// edge or vertex dropped from the query (kept connected and non-empty)
+/// or from a database graph; one label moved one step toward 0 — the
+/// first such reduction replaces the case. Returns the case no single
+/// step shrinks further, with its message.
+pub fn shrink_case(
+    mut db: Vec<LabeledGraph>,
+    mut query: LabeledGraph,
+    mut message: String,
+    fails: impl Fn(&[LabeledGraph], &LabeledGraph) -> Option<String>,
+) -> (Vec<LabeledGraph>, LabeledGraph, String) {
+    'shrink: loop {
+        let mut cases: Vec<(Vec<LabeledGraph>, LabeledGraph)> = (0..db.len())
+            .map(|i| {
+                let mut fewer = db.clone();
+                fewer.remove(i);
+                (fewer, query.clone())
+            })
+            .collect();
+        for q in reductions(&query) {
+            if q.vertex_count() > 0 && q.is_connected() {
+                cases.push((db.clone(), q));
+            }
+        }
+        for (i, g) in db.iter().enumerate() {
+            for smaller in reductions(g) {
+                let mut next = db.clone();
+                next[i] = smaller;
+                cases.push((next, query.clone()));
+            }
+        }
+        for (next_db, next_query) in cases {
+            if let Some(m) = fails(&next_db, &next_query) {
+                (db, query, message) = (next_db, next_query, m);
+                continue 'shrink;
+            }
+        }
+        return (db, query, message);
+    }
+}
+
+/// Every one-step reduction of `g`: one edge dropped, one vertex dropped
+/// (with its edges), or one nonzero label lowered by one.
+fn reductions(g: &LabeledGraph) -> Vec<LabeledGraph> {
+    let lower = |l: Label| Label(l.0 - 1);
+    let mut out: Vec<LabeledGraph> = g
+        .edge_ids()
+        .map(|drop| rebuild(g, |_, a| Some(a), |e, a| (e != drop).then_some(a)))
+        .collect();
+    for drop in g.vertex_ids() {
+        out.push(rebuild(g, |v, a| (v != drop).then_some(a), |_, a| Some(a)));
+    }
+    for at in g.vertex_ids().filter(|&v| g.vertex(v).label.0 > 0) {
+        out.push(rebuild(
+            g,
+            |v, a| Some(if v == at { VertexAttr { label: lower(a.label), ..a } } else { a }),
+            |_, a| Some(a),
+        ));
+    }
+    for at in g.edge_ids().filter(|&e| g.edge(e).attr.label.0 > 0) {
+        out.push(rebuild(
+            g,
+            |_, a| Some(a),
+            |e, a| Some(if e == at { EdgeAttr { label: lower(a.label), ..a } } else { a }),
+        ));
+    }
+    out
+}
+
+/// `g` with each vertex and edge passed through `vertex` / `edge`:
+/// `None` drops it, and an edge goes with either endpoint.
+fn rebuild(
+    g: &LabeledGraph,
+    vertex: impl Fn(VertexId, VertexAttr) -> Option<VertexAttr>,
+    edge: impl Fn(EdgeId, EdgeAttr) -> Option<EdgeAttr>,
+) -> LabeledGraph {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<Option<VertexId>> =
+        g.vertex_ids().map(|v| vertex(v, g.vertex(v)).map(|a| b.add_vertex(a))).collect();
+    for e in g.edge_ids() {
+        let old = g.edge(e);
+        let (u, v) = (ids[old.source.index()], ids[old.target.index()]);
+        if let (Some(u), Some(v), Some(attr)) = (u, v, edge(e, old.attr)) {
+            b.add_edge(u, v, attr).expect("a subgraph of a simple graph is simple");
+        }
+    }
+    b.build()
+}

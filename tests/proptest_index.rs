@@ -1,20 +1,20 @@
 //! Property tests of the fragment index on arbitrary databases: range
 //! queries must equal brute-force minimum superposition distances under
-//! both distances, the trie descent must equal the pointer-trie
-//! reference bit for bit, the funnel's one-pass read-out of a minima
-//! row must equal the hit list it replaces, and snapshots must
-//! round-trip exactly.
+//! both distances, trie and R-tree hits must equal a definition brute
+//! over the class's entries bit for bit, the funnel's one-pass read-out
+//! of a minima row must equal the hit list it replaces, and snapshots
+//! must round-trip exactly.
 
 mod common;
 
-use common::{connected_graph, graph_database};
+use common::{connected_graph, fragment_as_graph, graph_database, sigma};
 use pis::core::selectivity::{read_out_row, selectivity};
 use pis::distance::oracle::min_superimposed_distance_brute;
 use pis::graph::budget::BudgetState;
 use pis::graph::GraphBitSet;
 use pis::index::{
     decode_snapshot, encode_snapshot, row_hits, FragmentIndex, FragmentVector, IndexConfig,
-    IndexDistance, LabelTrie,
+    IndexDistance,
 };
 use pis::mining::exhaustive::exhaustive_features;
 use pis::prelude::*;
@@ -158,29 +158,6 @@ fn assert_rows_read_out_as_lists(
     Ok(())
 }
 
-/// Rebuilds a query fragment as a standalone graph (the fragment's
-/// vector in the feature's canonical layout: edge slots, then vertex
-/// slots), labeled under the mutation distance and weighted under the
-/// linear distance.
-fn fragment_as_graph(index: &FragmentIndex, qf: &pis::index::QueryFragment) -> LabeledGraph {
-    let feature = index.features().get(qf.feature);
-    let slot = |i: usize| match &qf.vector {
-        FragmentVector::Labels(v) => (v[i], 0.0),
-        FragmentVector::Weights(v) => (Label(0), v[i]),
-    };
-    let ecount = feature.edge_count();
-    let mut b = GraphBuilder::new();
-    for (i, _) in feature.structure.vertex_ids().enumerate() {
-        let (label, weight) = slot(ecount + i);
-        b.add_vertex(VertexAttr { label, weight });
-    }
-    for (j, e) in feature.structure.edges().iter().enumerate() {
-        let (label, weight) = slot(j);
-        b.add_edge(e.source, e.target, EdgeAttr { label, weight }).expect("feature is simple");
-    }
-    b.build()
-}
-
 /// Eq. (3) against the oracle: `range_query` returns exactly the graphs
 /// whose brute-force minimum superposition distance from the fragment is
 /// within `sigma` (complete), each with that distance (sound, 1e-9).
@@ -217,10 +194,11 @@ fn assert_range_queries_equal_brute_force(
     Ok(())
 }
 
-/// What the pointer-trie reference answers for `probe` against one
-/// class: the class's logical content rebuilt from `db` (duplicates
-/// included: insert dedups exactly like the arena builder does),
-/// descended, and folded to the per-graph minimum, sorted by graph id.
+/// What a mutation-distance class answers for `probe`, from the
+/// definition: per graph, the least position-order sum of
+/// `position_cost` from the probe to the normalized label vector of any
+/// embedding of the class structure, kept when within `sigma`; sorted by
+/// graph id.
 fn reference_hits(
     index: &FragmentIndex,
     db: &[LabeledGraph],
@@ -231,36 +209,27 @@ fn reference_hits(
 ) -> Vec<(GraphId, f64)> {
     let feature = index.features().get(feature);
     let ecount = feature.edge_count();
-    let mut reference = LabelTrie::new(probe.len());
+    let mut hits = Vec::new();
     for (gid, g) in db.iter().enumerate() {
         let matcher = pis::graph::iso::SubgraphMatcher::new(
             &feature.structure,
             g,
             pis::graph::iso::IsoConfig::STRUCTURE,
         );
+        let mut best = f64::INFINITY;
         matcher.for_each(|emb| {
             let mut v = pis::index::fragment::label_vector(&feature.structure, g, emb);
             index.distance().normalize_labels(ecount, &mut v);
-            reference.insert(&v, GraphId(gid as u32));
+            let d = (0..probe.len())
+                .fold(0.0, |acc, pos| acc + md.position_cost(pos, ecount, probe[pos], v[pos]));
+            best = best.min(d);
             std::ops::ControlFlow::Continue(())
         });
+        if best <= sigma {
+            hits.push((GraphId(gid as u32), best));
+        }
     }
-    let mut best: std::collections::BTreeMap<u32, f64> = Default::default();
-    reference.range_query(
-        probe,
-        sigma,
-        |pos, a, b| md.position_cost(pos, ecount, a, b),
-        |g, d| {
-            best.entry(g.0)
-                .and_modify(|m| {
-                    if d < *m {
-                        *m = d;
-                    }
-                })
-                .or_insert(d);
-        },
-    );
-    best.into_iter().map(|(g, d)| (GraphId(g), d)).collect()
+    hits
 }
 
 /// Copies a graph with weights derived from its labels, so the linear
@@ -290,7 +259,7 @@ proptest! {
     fn range_query_equals_brute_force(
         db in graph_database(6, 5, 3),
         query in connected_graph(4, 2, 3),
-        sigma in 0.0f64..3.0,
+        sigma in sigma(),
         which in 0u8..3,
     ) {
         let md = match which {
@@ -366,17 +335,17 @@ proptest! {
         }
     }
 
-    /// The frozen arena answers range queries **byte-identically** to
-    /// the retained pointer-trie reference: same graphs, same f64
-    /// distances (the frontier descent performs the same additions in
-    /// the same order), across sigmas, position-dependent costs (unit
-    /// distance scores vertex slots too) and duplicate
-    /// `(sequence, graph)` storage.
+    /// The trie arena answers range queries **byte-identically** to the
+    /// definition brute over the class: same graphs, same f64 distances
+    /// (the frontier descent adds the per-position costs in position
+    /// order), across sigmas, position-dependent costs (unit distance
+    /// scores vertex slots too) and duplicate `(sequence, graph)`
+    /// storage.
     #[test]
     fn flat_trie_byte_identical_to_pointer_reference(
         db in graph_database(6, 5, 3),
         query in connected_graph(4, 2, 3),
-        sigma in 0.0f64..4.0,
+        sigma in sigma(),
         unit in prop::sample::select(vec![false, true]),
     ) {
         let md = if unit { MutationDistance::unit() } else { MutationDistance::edge_hamming() };
@@ -391,7 +360,7 @@ proptest! {
 
     /// The batched multi-probe descent answers every sibling group —
     /// duplicate probes included — **byte-identically** (f64 bits, not
-    /// tolerance) to the pointer-trie reference queried probe by probe,
+    /// tolerance) to the definition brute, probe by probe,
     /// and so does each probe alone (a batch of one), across both the
     /// edge-Hamming setting (whole-vertex zero suffix) and the unit
     /// distance (no zero suffix), and across sigmas spanning the
@@ -400,7 +369,7 @@ proptest! {
     fn batched_range_queries_byte_identical_to_per_probe(
         db in graph_database(6, 5, 3),
         query in connected_graph(4, 2, 3),
-        sigma in 0.0f64..4.0,
+        sigma in sigma(),
         unit in prop::sample::select(vec![false, true]),
     ) {
         let md = if unit { MutationDistance::unit() } else { MutationDistance::edge_hamming() };
@@ -500,13 +469,13 @@ proptest! {
     /// fractional score matrix (whose sums are order-sensitive) and the
     /// linear distance — on a bulk-built index and on one that holds the
     /// last graphs in its pending buffers, every probe's row is held to
-    /// the pointer-trie / definition-L1 reference over the whole
-    /// database, and its fused read-out to `selectivity` of that list.
+    /// the definition brute (label or L1) over the whole database, and
+    /// its fused read-out to `selectivity` of that list.
     #[test]
     fn row_read_out_equals_hit_list(
         db in graph_database(6, 5, 3),
         query in connected_graph(4, 2, 3),
-        sigma in 0.0f64..3.0,
+        sigma in sigma(),
         lambda in prop::sample::select(vec![0.5, 1.0, 2.0]),
         which in 0u8..3,
         frozen in 1usize..6,
@@ -544,8 +513,9 @@ proptest! {
         }
     }
 
-    /// The frozen R-tree arena visits the same points in the same order
-    /// with bit-identical distances as the retained pointer descent.
+    /// The R-tree arena visits exactly the points within `sigma` of the
+    /// query, each with its coordinate-order L1 distance to the f64 bit,
+    /// across splits of up to 120 points.
     #[test]
     fn rtree_arena_matches_pointer_reference(
         points in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 1..120),
@@ -553,17 +523,21 @@ proptest! {
         qy in 0.0f64..10.0,
         sigma in 0.0f64..12.0,
     ) {
+        let points: Vec<[f64; 3]> = points.iter().map(|&(x, y, z)| [x, y, z]).collect();
         let mut t = pis::index::rtree::RTree::new(3);
-        for (g, &(x, y, z)) in points.iter().enumerate() {
-            t.insert(&[x, y, z], GraphId(g as u32));
-        }
-        t.freeze();
+        t.insert_batch(points.iter().enumerate().map(|(g, p)| (p, GraphId(g as u32))));
         let q = [qx, qy, 5.0];
         let mut arena = Vec::new();
         t.range_query(&q, sigma, |g, d| arena.push((g.0, d.to_bits())));
-        let mut reference = Vec::new();
-        t.range_query_reference(&q, sigma, |g, d| reference.push((g.0, d.to_bits())));
-        prop_assert_eq!(arena, reference);
+        arena.sort_unstable();
+        let brute: Vec<(u32, u64)> = points
+            .iter()
+            .enumerate()
+            .map(|(g, p)| (g as u32, q.iter().zip(p).map(|(a, b)| (a - b).abs()).sum::<f64>()))
+            .filter(|&(_, d)| d <= sigma)
+            .map(|(g, d)| (g, d.to_bits()))
+            .collect();
+        prop_assert_eq!(arena, brute);
     }
 
     /// Incremental insertion matches bulk construction on arbitrary
