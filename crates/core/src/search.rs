@@ -37,13 +37,14 @@
 //!   place through a `PartitionScratch` and the mask-native MWIS
 //!   solvers fill a reused selection buffer (`DESIGN.md` §6.6) — and
 //!   the verifier allocate nothing; what does allocate, per search, is
-//!   what the per-item phases hand back: each sibling group's rows,
-//!   weights and `CQ` set, and one result per checked or verified
-//!   candidate;
+//!   what the per-item phases hand back: each unique probe's row, each
+//!   sibling group's weights and `CQ` set, and one result per checked
+//!   or verified candidate;
 //! * **deduplication** — automorphic query fragments produce identical
 //!   `(feature, vector)` probes; each unique probe runs one range query
-//!   (memoized in the scratch), answered in sibling groups that each
-//!   read out the rows they computed.
+//!   (memoized in the scratch). Probes of one feature form a sibling
+//!   group, the range phase's unit of work, which descends its probes
+//!   one after another and reads out the rows it computed.
 //!
 //! The three per-item phases — range queries per sibling group, the
 //! structure check and verification per candidate — each make one
@@ -225,8 +226,8 @@ pub struct SearchOutcome {
 /// the database on every call); after warm-up its buffers — fragment
 /// enumeration's arena-backed [`FragmentBuffer`] included — are reused,
 /// and a search allocates only what its per-item phases hand back (one
-/// row buffer, weight list and `CQ` set per sibling group, one result
-/// per checked or verified candidate) and the returned
+/// row per unique probe, one weight list and `CQ` set per sibling
+/// group, one result per checked or verified candidate) and the returned
 /// [`SearchOutcome`]. Scratches are independent — one per thread for
 /// concurrent searches.
 #[derive(Debug, Default)]
@@ -236,16 +237,13 @@ pub struct SearchScratch {
     /// Range-query descent state (the calling thread's, across the
     /// whole search).
     range: RangeScratch,
-    /// Minima rows of this search's range queries, one buffer per
-    /// sibling group (`pis_index::FragmentIndex::range_query_batch_rows`)
-    /// — the only form hits take in the funnel. Whichever thread
-    /// answers a group allocates its buffer and hands it back by move;
-    /// the last search's buffers are dropped before this one's are
-    /// allocated.
+    /// Minima rows of this search's range queries, one per slot
+    /// (`pis_index::FragmentIndex::range_query_row`; empty on an
+    /// incomplete slot) — the only form hits take in the funnel.
+    /// Whichever thread answers a slot's group allocates its row and
+    /// hands it back by move; the last search's rows are dropped before
+    /// this one's are allocated.
     rows: Vec<Vec<f64>>,
-    /// Per slot: its row's buffer in `rows` and offset there (the row
-    /// is as long as the slot's class).
-    row_at: Vec<(usize, usize)>,
     /// The live candidate set `CQ`.
     candidates: GraphBitSet,
     /// One probe's hit set `T`, re-filled per row read-out.
@@ -328,7 +326,6 @@ impl SearchScratch {
         }
         self.memo.clear();
         self.weights.clear();
-        self.row_at.clear();
         self.slot_of.clear();
         self.unique_fragment.clear();
         self.slot_complete.clear();
@@ -361,7 +358,6 @@ impl SearchScratch {
                 // Placeholders until the slot's group is answered; an
                 // incomplete slot keeps them and never reads them.
                 self.weights.push(0.0);
-                self.row_at.push((0, 0));
                 self.slot_complete.push(false);
                 s
             }
@@ -565,8 +561,7 @@ impl<'a> PisSearcher<'a> {
         let generation = scratch.generation;
         for &fi in &partition {
             let graphs = self.index.class_graphs(fragments.feature(fi));
-            let (buffer, at) = scratch.row_at[scratch.slot_of[fi]];
-            let row = &scratch.rows[buffer][at..at + graphs.len()];
+            let row = &scratch.rows[scratch.slot_of[fi]];
             for (g, d) in row_hits(graphs, row) {
                 if !scratch.candidates.contains(g) {
                     continue;
@@ -638,19 +633,17 @@ impl<'a> PisSearcher<'a> {
     }
 
     /// Runs the range queries of one search and reads their rows out:
-    /// unique probe slots are grouped into *sibling batches* —
+    /// unique probe slots are grouped into *sibling groups* —
     /// consecutive slots of the same feature (the enumeration is
     /// feature-major, so equal features are always adjacent) — and each
-    /// batch is answered in one pass by
-    /// [`FragmentIndex::range_query_batch_rows`], which prices every
-    /// level's alphabet once per distinct query label and descends the
-    /// class arena once for the whole group; a lone probe is a batch of
-    /// one. Each completed group's rows are read once, by the thread
-    /// that computed them ([`read_out_row`]): per probe the selectivity
-    /// and the hit set, ANDed into a `CQ` set of the group's own. The
-    /// groups go through one pool call, which shares large probe sets
-    /// out across the cores; their rows come back by move and their sets
-    /// meet in `CQ` in group order.
+    /// group answers its probes one after another through
+    /// [`FragmentIndex::range_query_row`]. Each completed group's rows
+    /// are read once, by the thread that computed them
+    /// ([`read_out_row`]): per probe the selectivity and the hit set,
+    /// ANDed into a `CQ` set of the group's own. The groups go through
+    /// one pool call, which shares large probe sets out across the
+    /// cores; their rows come back by move and their sets meet in `CQ`
+    /// in group order.
     fn run_range_queries(
         &self,
         fragments: &FragmentBuffer,
@@ -662,7 +655,6 @@ impl<'a> PisSearcher<'a> {
         let SearchScratch {
             range,
             rows,
-            row_at,
             candidates,
             mask,
             weights,
@@ -679,15 +671,15 @@ impl<'a> PisSearcher<'a> {
         } else {
             usize::MAX
         };
-        // Last search's buffers go before this one's are allocated.
+        // Last search's rows go before this one's are allocated.
         rows.clear();
         // The calling thread works in the scratch's descent state and
         // mask, moved out for the call and back after it.
         let mut state = (std::mem::take(range), std::mem::take(mask));
-        // Answers the group of slots `s..e` and, if the budget let the
-        // descent finish, reads each probe's row out. A batch descent
-        // prices all siblings in one pass, so a trip mid-descent
-        // invalidates the whole group — it then contributes nothing.
+        // Answers the group of slots `s..e` and, if the budget let every
+        // descent finish, reads each probe's row out. A trip on any
+        // probe invalidates the whole group — it then contributes
+        // nothing.
         let answered = ScopedPool::default().map_with(
             &groups,
             min_parallel,
@@ -695,24 +687,18 @@ impl<'a> PisSearcher<'a> {
             || (RangeScratch::new(), GraphBitSet::default()),
             |(range, mask), _, &(s, e)| {
                 let feature = fragments.feature(unique_fragment[s]);
-                let mut group_rows = Vec::new();
+                let mut group_rows = vec![Vec::new(); e - s];
                 let mut group_weights = vec![0.0; e - s];
                 let mut cq = GraphBitSet::new(n);
                 cq.fill();
-                let complete = self.index.range_query_batch_rows(
-                    feature,
-                    e - s,
-                    |i| fragments.vector(unique_fragment[s + i]),
-                    sigma,
-                    range,
-                    budget,
-                    &mut group_rows,
-                );
+                let complete =
+                    group_rows.iter_mut().zip(&unique_fragment[s..e]).all(|(row, &fi)| {
+                        let probe = fragments.vector(fi);
+                        self.index.range_query_row(feature, probe, sigma, range, budget, row)
+                    });
                 if complete {
                     let graphs = self.index.class_graphs(feature);
-                    let c = graphs.len();
-                    for (k, w) in group_weights.iter_mut().enumerate() {
-                        let row = &group_rows[k * c..(k + 1) * c];
+                    for (row, w) in group_rows.iter().zip(&mut group_weights) {
                         *w = read_out_row(graphs, row, n, sigma, self.config.lambda, mask);
                         cq.intersect_with(mask);
                     }
@@ -724,13 +710,9 @@ impl<'a> PisSearcher<'a> {
         for (&(s, e), (group_rows, group_weights, cq, complete)) in groups.iter().zip(answered) {
             weights[s..e].copy_from_slice(&group_weights);
             candidates.intersect_with(&cq);
-            // Slot `s + k`'s row lies at `k * c` in the group's buffer.
-            let c = self.index.class_graphs(fragments.feature(unique_fragment[s])).len();
-            for (k, at) in row_at[s..e].iter_mut().enumerate() {
-                *at = (rows.len(), k * c);
-            }
             slot_complete[s..e].fill(complete);
-            rows.push(group_rows);
+            // Groups cover the slots in order, so the rows land by slot.
+            rows.extend(group_rows);
         }
     }
 
@@ -821,7 +803,7 @@ fn query_verifier(query: &LabeledGraph) -> VerifyScratch {
 }
 
 /// The unique probe slots as maximal runs `[s, e)` of equal feature —
-/// the sibling batches of the range-query phase. Fragment enumeration
+/// the sibling groups of the range-query phase. Fragment enumeration
 /// is feature-major, so one linear scan finds every group.
 fn sibling_groups(fragments: &FragmentBuffer, unique_fragment: &[usize]) -> Vec<(usize, usize)> {
     let mut groups = Vec::new();
@@ -1243,6 +1225,70 @@ mod tests {
             assert_eq!(reused.stats, fresh.stats);
             assert_eq!(reused.completeness, Completeness::Exact);
         }
+    }
+
+    /// Copies a graph with dyadic weights (multiples of 0.25 in
+    /// `[0.5, 2.25]`) drawn from `rng`, so every linear-distance sum is
+    /// exact and a bound can be compared to a distance without slack.
+    fn dyadic_weights(g: &LabeledGraph, rng: &mut impl rand::Rng) -> LabeledGraph {
+        let mut weight = || 0.5 + 0.25 * rng.random_range(0..8u32) as f64;
+        let mut b = GraphBuilder::new();
+        for v in g.vertex_ids() {
+            b.add_vertex(VertexAttr { label: g.vertex(v).label, weight: weight() });
+        }
+        for e in g.edges() {
+            b.add_edge(e.source, e.target, EdgeAttr { label: e.attr.label, weight: weight() })
+                .unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn candidate_bounds_never_exceed_the_true_distance() {
+        // Eq. 2 on the rows the funnel actually read: every final
+        // candidate's partition bound is at most its minimum
+        // superimposed distance whenever the query occurs in it, under
+        // both distance families and σ ∈ {0, …, 4}. Costs are integers
+        // or dyadic, so the comparison needs no tolerance.
+        use pis_distance::LinearDistance;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let molecules = pis_datasets::MoleculeGenerator::default().database(12, 2006);
+        let mut rng = StdRng::seed_from_u64(27);
+        let (mut checked, mut positive) = (0, 0);
+        for which in 0..3 {
+            let (db, distance) = match which {
+                0 => (molecules.clone(), IndexDistance::Mutation(MutationDistance::edge_hamming())),
+                1 => (molecules.clone(), IndexDistance::Mutation(MutationDistance::unit())),
+                _ => (
+                    molecules.iter().map(|g| dyadic_weights(g, &mut rng)).collect(),
+                    IndexDistance::Linear(LinearDistance::new()),
+                ),
+            };
+            let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+            let features = exhaustive_features(&structures, 3);
+            let index = FragmentIndex::build(&db, features, distance, &IndexConfig::default());
+            let searcher = PisSearcher::new(&index, &db, PisConfig::default());
+            let mut scratch = SearchScratch::new();
+            for g in &db {
+                let Some(q) = pis_datasets::query::sample_query(g, 6, &mut rng) else { continue };
+                let truth: Vec<Option<f64>> = db
+                    .iter()
+                    .map(|t| min_superimposed_distance_brute(&q, t, distance_dyn(index.distance())))
+                    .collect();
+                for sigma in [0.0, 1.0, 2.0, 3.0, 4.0] {
+                    searcher.search_into(&q, sigma, &mut scratch, BudgetState::unlimited());
+                    let bounds = scratch.candidate_bounds();
+                    for (&gid, &lb) in scratch.candidates().iter().zip(bounds) {
+                        let Some(d) = truth[gid.index()] else { continue };
+                        assert!(lb <= d, "distance {which}, σ {sigma}, {gid}: bound {lb} > {d}");
+                        checked += 1;
+                        positive += usize::from(lb > 0.0);
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000 && positive > 500, "too few bounds checked ({checked}, {positive})");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub fn selectivity(hits: &[(GraphId, f64)], database_size: usize, sigma: f64, la
 }
 
 /// The funnel's one pass over a completed probe's minima row
-/// (`pis_index::FragmentIndex::range_query_batch_rows`; `graphs` is the
+/// (`pis_index::FragmentIndex::range_query_row`; `graphs` is the
 /// row's class): returns `w(g)` and leaves the hit set `T` in `mask`
 /// (re-sized to the database first), Algorithm 2's lines 17 and 18 read
 /// off the same cells. The weight is [`selectivity`] of the row's

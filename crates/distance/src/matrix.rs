@@ -169,31 +169,6 @@ impl ScoreMatrix {
         }
     }
 
-    /// Multi-query form of [`ScoreMatrix::costs_into`]: prices every
-    /// query label of `queries` against the same stored-label batch in
-    /// one call, writing row `qi` (the costs of `queries[qi]` against
-    /// all of `bs`) into `out[qi * bs.len()..(qi + 1) * bs.len()]`.
-    ///
-    /// This is the pricing kernel of the flat trie's *batched* descent:
-    /// a probe batch prices each level's alphabet once per **distinct**
-    /// query label (the caller dedups), and every sibling probe then
-    /// indexes the shared row instead of re-running the scan. Row `qi`
-    /// is byte-identical to a direct `costs_into(queries[qi], bs, ..)`
-    /// call.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != queries.len() * bs.len()`.
-    pub fn costs_into_multi(&self, queries: &[Label], bs: &[Label], out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            queries.len() * bs.len(),
-            "cost output must cover every (query, stored) pair"
-        );
-        for (q, row) in queries.iter().zip(out.chunks_exact_mut(bs.len().max(1))) {
-            self.costs_into(*q, bs, row);
-        }
-    }
-
     /// Whether every entry (and the out-of-range fallback) is zero, so
     /// the matrix can never contribute cost. O(1) — the flag is cached
     /// at construction. Lets callers skip whole pricing passes for the
@@ -309,38 +284,6 @@ mod tests {
                 assert_eq!(c, m.cost(q, s), "q={q:?} s={s:?}");
             }
         }
-    }
-
-    #[test]
-    fn costs_into_multi_matches_per_query_rows() {
-        let m = ScoreMatrix::from_fn(3, 2.0, |a, b| {
-            if a == b {
-                0.0
-            } else {
-                (a.0 as f64 - b.0 as f64).abs()
-            }
-        })
-        .unwrap();
-        let queries = [Label(0), Label(2), Label(7), Label(0)]; // incl. duplicate + out-of-range
-        let stored = [Label(0), Label(1), Label(2), Label(9)];
-        let mut multi = vec![f64::NAN; queries.len() * stored.len()];
-        m.costs_into_multi(&queries, &stored, &mut multi);
-        let mut row = vec![f64::NAN; stored.len()];
-        for (qi, &q) in queries.iter().enumerate() {
-            m.costs_into(q, &stored, &mut row);
-            assert_eq!(&multi[qi * stored.len()..(qi + 1) * stored.len()], &row[..], "q={q:?}");
-        }
-        // Empty batches are fine.
-        m.costs_into_multi(&[], &stored, &mut []);
-        m.costs_into_multi(&queries, &[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "every (query, stored) pair")]
-    fn costs_into_multi_rejects_length_mismatch() {
-        let m = ScoreMatrix::unit(2);
-        let mut out = vec![0.0; 3];
-        m.costs_into_multi(&[Label(0), Label(1)], &[Label(0), Label(1)], &mut out);
     }
 
     #[test]

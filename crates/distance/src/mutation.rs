@@ -109,32 +109,10 @@ impl MutationDistance {
         }
     }
 
-    /// Multi-query form of [`MutationDistance::position_costs_into`]:
-    /// prices every distinct query label of a probe batch against one
-    /// trie level's alphabet in a single call (row `qi` covers
-    /// `queries[qi]`; see [`ScoreMatrix::costs_into_multi`]).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != queries.len() * stored.len()`.
-    pub fn position_costs_into_multi(
-        &self,
-        pos: usize,
-        edge_count: usize,
-        queries: &[Label],
-        stored: &[Label],
-        out: &mut [f64],
-    ) {
-        if pos < edge_count {
-            self.edge_scores.costs_into_multi(queries, stored, out);
-        } else {
-            self.vertex_scores.costs_into_multi(queries, stored, out);
-        }
-    }
-
     /// Whether vector position `pos` can never contribute cost (its
-    /// score matrix is all-zero), for **any** query label. O(1) — this
-    /// is the shared zero-prefix detection of the batched descent: one
-    /// flag check replaces a per-probe scan of the priced level.
+    /// score matrix is all-zero), for **any** query label. O(1) — the
+    /// flat trie's descent skips pricing such a level outright instead
+    /// of scanning a row of zeros.
     #[inline]
     pub fn position_is_zero(&self, pos: usize, edge_count: usize) -> bool {
         if pos < edge_count {
@@ -356,22 +334,6 @@ mod tests {
                 for (&s, &c) in stored.iter().zip(&out) {
                     assert_eq!(c, d.position_cost(pos, edge_count, q, s));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_query_position_costs_match_scalar_rows() {
-        let d = MutationDistance::new(ScoreMatrix::uniform(0, 2.0), ScoreMatrix::unit(0));
-        let stored = [Label(0), Label(1), Label(5)];
-        let queries = [Label(0), Label(5), Label(0)];
-        let mut multi = vec![f64::NAN; queries.len() * stored.len()];
-        let mut row = vec![f64::NAN; stored.len()];
-        for (pos, edge_count) in [(0usize, 2usize), (2, 2), (1, 0)] {
-            d.position_costs_into_multi(pos, edge_count, &queries, &stored, &mut multi);
-            for (qi, &q) in queries.iter().enumerate() {
-                d.position_costs_into(pos, edge_count, q, &stored, &mut row);
-                assert_eq!(&multi[qi * stored.len()..(qi + 1) * stored.len()], &row[..]);
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Cache-resident trie layout: a level-major arena with
-//! frontier-batched range descent.
+//! Cache-resident trie layout: a level-major arena with an iterative
+//! frontier range descent.
 //!
 //! The paper: "For the mutation distance, we can use a trie to
 //! accommodate the sequential representations of the labeled graphs."
@@ -22,21 +22,21 @@
 //!   entry order — which makes **every** node's subtree postings a
 //!   contiguous range (`sub_start`/`sub_len`), not just a leaf's.
 //!
-//! [`FlatTrie::range_query_batch_budgeted`] — the one descent; a lone
-//! probe is a batch of one — replaces recursion with an iterative
-//! level-by-level frontier: all levels' distinct labels are priced
-//! up-front through a batched cost callback (see
-//! `MutationDistance::position_costs_into_multi`), surviving children
-//! are appended to the next frontier, and the descent **stops early at
-//! the first level from which every remaining level prices to zero**
-//! (under the paper's edge-Hamming distance the normalized vertex
-//! suffix always does), emitting whole subtree posting ranges instead
-//! of walking cost-free levels. All frontier state lives in a
-//! caller-owned [`BatchFrontier`], so steady-state descents allocate
-//! nothing. A path's cost is the f64 sum of its per-position costs taken
-//! in position order (skipped levels contribute exactly `+0.0`), so each
-//! reported distance is bit-identical to summing the stored sequence's
-//! costs from the definition.
+//! [`FlatTrie::range_query`] — the one descent, answering one probe —
+//! replaces recursion with an iterative level-by-level frontier: every
+//! level's alphabet is priced up front into one cost row through a
+//! slice cost callback (see `MutationDistance::position_costs_into`),
+//! surviving children are appended to the next frontier, and the
+//! descent **stops early at the first level from which every remaining
+//! level prices to zero** (under the paper's edge-Hamming distance the
+//! normalized vertex suffix always does), emitting whole subtree
+//! posting ranges instead of walking cost-free levels. All frontier
+//! state lives in a caller-owned [`TrieFrontier`], so steady-state
+//! descents allocate nothing. A path's cost is the f64 sum of its
+//! per-position costs taken in position order (skipped levels
+//! contribute exactly `+0.0`), so each reported distance is
+//! bit-identical to summing the stored sequence's costs from the
+//! definition.
 
 use pis_graph::budget::{BudgetState, CheckpointSite};
 use pis_graph::{GraphId, Label};
@@ -50,17 +50,15 @@ use pis_graph::{GraphId, Label};
 const LANES: usize = 8;
 
 /// Expands one contiguous child range `cs..ce` in [`LANES`]-wide chunks:
-/// gather each child's cost slot (`table[idx[child] - idx_base]`), add
-/// the inherited `acc`, compare against `sigma` as lanes, then compact
-/// the survivor mask in ascending-child order (bit scan instead of a
-/// branch per child). Survivors' `(child, cost)` pairs are appended in
-/// exactly the order a child-by-child loop would produce, and each cost
-/// is the same single `acc + slot` addition — byte-identical output.
+/// gather each child's cost slot (`table[idx[child]]`), add the
+/// inherited `acc`, compare against `sigma` as lanes, then compact the
+/// survivor mask in ascending-child order (bit scan instead of a branch
+/// per child). Survivors' `(child, cost)` pairs are appended in exactly
+/// the order a child-by-child loop would produce, and each cost is the
+/// same single `acc + slot` addition — byte-identical output.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn expand_children_wide(
     idx: &[u32],
-    idx_base: u32,
     table: &[f64],
     (cs, ce): (u32, u32),
     acc: f64,
@@ -73,7 +71,7 @@ fn expand_children_wide(
     let end = ce as usize;
     while child + LANES <= end {
         for (k, slot) in lane.iter_mut().enumerate() {
-            *slot = acc + table[(idx[child + k] - idx_base) as usize];
+            *slot = acc + table[idx[child + k] as usize];
         }
         let mut mask = 0u32;
         for (k, &c) in lane.iter().enumerate() {
@@ -88,7 +86,7 @@ fn expand_children_wide(
         child += LANES;
     }
     while child < end {
-        let c = acc + table[(idx[child] - idx_base) as usize];
+        let c = acc + table[idx[child] as usize];
         if c <= sigma {
             out_nodes.push(child as u32);
             out_costs.push(c);
@@ -162,71 +160,27 @@ pub(crate) struct TriePartsOwned {
     pub alphabet: Vec<Label>,
 }
 
-/// Reusable state for [`FlatTrie::range_query_batch_budgeted`]: the shared
-/// per-level pricing table and the node-major multi-probe frontier.
-/// One scratch serves any number of sequential batches against tries
-/// of any shape; steady-state batches allocate nothing.
+/// Reusable state for [`FlatTrie::range_query`]: the probe's per-level
+/// cost rows and the frontier with its next-level double buffer. One
+/// scratch serves any number of sequential queries against tries of
+/// any shape; steady-state queries allocate nothing.
 #[derive(Clone, Debug, Default)]
-pub struct BatchFrontier {
-    /// Cost rows, level-major then row-major: level `l` holds one row
-    /// per *distinct* query label of the batch at that level, each row
-    /// spanning the level's alphabet.
+pub struct TrieFrontier {
+    /// The probe's cost of every alphabet slot, in the alphabet's own
+    /// level-major layout, so a node's `label_idx` indexes it directly.
     costs: Vec<f64>,
-    /// Distinct-label gathering buffer (per level during pricing).
-    distinct: Vec<Label>,
-    /// Whether each distinct row of the current level is all-zero.
-    distinct_zero: Vec<bool>,
-    /// Per probe per level (`p * depth + l`): offset of the probe's
-    /// cost row in `costs`.
-    row_of: Vec<u32>,
-    /// Per probe per level: whether that row prices everything to zero.
-    row_zero: Vec<bool>,
-    /// Per probe: first level from which every remaining level prices
-    /// to zero (the probe's zero-suffix boundary).
-    zero_from: Vec<u32>,
-    /// Frontier, node-major: `nodes[g]` carries the probe entries
-    /// `group_start[g]..group_start[g + 1]` of the parallel
-    /// `probes`/`accs` arrays — sibling probes alive on the same node
-    /// share one arena read per child.
+    /// Frontier nodes of the current level and their accumulated costs.
     nodes: Vec<u32>,
-    group_start: Vec<u32>,
-    probes: Vec<u32>,
     accs: Vec<f64>,
     /// Double buffers for the next level.
     next_nodes: Vec<u32>,
-    next_group_start: Vec<u32>,
-    next_probes: Vec<u32>,
     next_accs: Vec<f64>,
-    /// Staging for the rare levels where *some* (not all) probes of a
-    /// group retire into their zero suffix.
-    group_probes: Vec<u32>,
-    group_accs: Vec<f64>,
-    /// Probe-major regrouping of the frontier (counting sort), used
-    /// when sibling occupancy collapses and the descent switches to
-    /// per-probe wide expansion: probe `p` owns
-    /// `by_probe_start[p]..by_probe_start[p + 1]` of the sorted arrays.
-    by_probe_start: Vec<u32>,
-    sorted_nodes: Vec<u32>,
-    sorted_accs: Vec<f64>,
 }
 
-impl BatchFrontier {
+impl TrieFrontier {
     /// An empty scratch; it sizes itself on first use.
     pub fn new() -> Self {
-        BatchFrontier::default()
-    }
-
-    fn reset(&mut self, nprobes: usize, depth: usize) {
-        self.costs.clear();
-        self.row_of.clear();
-        self.row_of.resize(nprobes * depth, 0);
-        self.row_zero.clear();
-        self.row_zero.resize(nprobes * depth, false);
-        self.zero_from.clear();
-        self.nodes.clear();
-        self.group_start.clear();
-        self.probes.clear();
-        self.accs.clear();
+        TrieFrontier::default()
     }
 }
 
@@ -770,400 +724,98 @@ impl FlatTrie {
         }
     }
 
-    /// Prices and descends a whole *probe batch* — `nprobes` query
-    /// sequences against this class, concatenated row-major in `probes`
-    /// (`probes.len() == nprobes * depth`) — in one arena pass.
+    /// Answers one probe — a query sequence of trie depth — leaving
+    /// every stored entry whose position-order cost sum is within
+    /// `sigma` to `emit(cost, postings)`, one call per resolved subtree.
     ///
-    /// Pricing is shared: each level's alphabet is priced **once per
-    /// distinct query label of the batch**
-    /// (`level_costs_multi(level, distinct_queries, stored, rows)`,
-    /// see `MutationDistance::position_costs_into_multi`), so sibling
-    /// probes repeating a label never re-pay the kernel.
-    /// `level_zero(level)` is the shared zero-prefix detector: return
-    /// `true` when the level prices to zero for *every* query label
-    /// (e.g. `MutationDistance::position_is_zero`), and the kernel call
-    /// is skipped outright.
+    /// Each level's alphabet is priced once, up front, into one cost
+    /// row: `level_costs(level, query_label, alphabet, row)` (e.g.
+    /// `MutationDistance::position_costs_into`). `level_zero(level)`
+    /// is the zero-level detector: return `true` when the level prices
+    /// to zero for *every* query label (e.g.
+    /// `MutationDistance::position_is_zero`), and the kernel call is
+    /// skipped outright; a priced row of zeros counts as zero too.
     ///
-    /// The descent walks the arena level by level with a node-major
-    /// frontier: probes alive on the same node share one read of its
-    /// child range, single-probe nodes take the wide-lane expansion of
-    /// a per-probe descent, and each probe short-circuits through its
-    /// own all-zero suffix independently. Every resolved subtree is
-    /// reported as `emit(probe, cost, postings)` *during* the descent —
-    /// emissions of different probes interleave, but per probe the
-    /// flattened `(graph, cost)` multiset is exactly the stored entries
-    /// whose position-order cost sum is within `sigma`, with that sum as
-    /// the cost (f64 bits), and does not depend on the probe's siblings,
-    /// so an order-insensitive accumulator (e.g. a per-probe minimum
-    /// table) sees the same hits whatever the batch. A graph stored
-    /// under several qualifying sequences is reported once per sequence;
-    /// the caller keeps the minimum.
+    /// The descent walks the arena level by level with the wide-lane
+    /// expansion and stops at the probe's zero-suffix boundary — the
+    /// first level from which every remaining level prices to zero —
+    /// reporting each surviving node's whole subtree posting range at
+    /// its accumulated cost. The flattened `(graph, cost)` multiset is
+    /// exactly the stored entries whose position-order cost sum is
+    /// within `sigma`, with that sum as the cost (f64 bits). A graph
+    /// stored under several qualifying sequences is reported once per
+    /// sequence; the caller keeps the minimum.
     ///
     /// The descent consults one [`CheckpointSite::RangeDescent`]
-    /// checkpoint per frontier level (and per per-probe descent level)
-    /// and returns `false` the moment the budget trips; emissions
-    /// already made cover an unpredictable probe subset, so the caller
-    /// must discard the *whole batch's* partial results (a partial
-    /// descent's hit set is neither a subset nor a superset of the true
-    /// answer once minima are folded).
+    /// checkpoint before level 0 and one per cost-bearing level after
+    /// it, and returns `false` the moment the budget trips; emissions
+    /// already made are a partial answer the caller must discard.
     ///
     /// # Panics
-    /// Panics if `probes.len() != nprobes * depth`.
+    /// Panics if `probe.len()` differs from the trie depth.
     #[allow(clippy::too_many_arguments)]
-    pub fn range_query_batch_budgeted(
+    pub fn range_query(
         &self,
-        nprobes: usize,
-        probes: &[Label],
+        probe: &[Label],
         sigma: f64,
-        mut level_costs_multi: impl FnMut(usize, &[Label], &[Label], &mut [f64]),
+        mut level_costs: impl FnMut(usize, Label, &[Label], &mut [f64]),
         mut level_zero: impl FnMut(usize) -> bool,
-        scratch: &mut BatchFrontier,
+        scratch: &mut TrieFrontier,
         budget: &BudgetState,
-        mut emit: impl FnMut(u32, f64, &[GraphId]),
+        mut emit: impl FnMut(f64, &[GraphId]),
     ) -> bool {
         let depth = self.depth;
-        assert_eq!(
-            probes.len(),
-            nprobes * depth,
-            "probe batch must hold nprobes sequences of trie depth"
-        );
-        scratch.reset(nprobes, depth);
-        if nprobes == 0 || self.postings.is_empty() {
+        assert_eq!(probe.len(), depth, "probe length must equal trie depth");
+        if self.postings.is_empty() {
             return true;
         }
         if depth == 0 {
-            // The virtual root is a leaf: every probe matches the whole
+            // The virtual root is a leaf: the probe matches the whole
             // store at cost zero.
-            for p in 0..nprobes {
-                emit(p as u32, 0.0, &self.postings);
-            }
+            emit(0.0, &self.postings);
             return true;
         }
-        // --- Shared pricing: one kernel row per (level, distinct query
-        // label); every probe's row offset is resolved up front. The
-        // same pass accumulates the worst-case path cost, which decides
-        // the descent mode below. ---
-        let mut max_total = 0.0f64;
-        for l in 0..depth {
-            let (a0, a1) = (self.alphabet_start[l] as usize, self.alphabet_start[l + 1] as usize);
-            let alpha = &self.alphabet[a0..a1];
-            let alen = alpha.len();
-            scratch.distinct.clear();
-            for p in 0..nprobes {
-                scratch.distinct.push(probes[p * depth + l]);
-            }
-            scratch.distinct.sort_unstable();
-            scratch.distinct.dedup();
-            let base = scratch.costs.len();
-            scratch.costs.resize(base + scratch.distinct.len() * alen, 0.0);
-            scratch.distinct_zero.clear();
+        let TrieFrontier { costs, nodes, accs, next_nodes, next_accs } = scratch;
+        // Price every level into the alphabet's layout; the probe's
+        // zero-suffix boundary is one past the last level that can
+        // price anything.
+        costs.clear();
+        costs.resize(self.alphabet.len(), 0.0);
+        let mut zero_from = 0;
+        for (l, &label) in probe.iter().enumerate() {
             if level_zero(l) {
-                // The level cannot price anything for any query label —
-                // the zero-filled rows are already exact, skip the
-                // kernel and the per-row scans.
-                scratch.distinct_zero.resize(scratch.distinct.len(), true);
-            } else {
-                let rows = &mut scratch.costs[base..];
-                level_costs_multi(l, &scratch.distinct, alpha, rows);
-                scratch
-                    .distinct_zero
-                    .extend(rows.chunks_exact(alen).map(|row| row.iter().all(|&c| c == 0.0)));
-                max_total += rows.iter().copied().fold(0.0, f64::max);
+                continue;
             }
-            for p in 0..nprobes {
-                let di = scratch
-                    .distinct
-                    .binary_search(&probes[p * depth + l])
-                    .expect("every probe label was gathered");
-                scratch.row_of[p * depth + l] = (base + di * alen) as u32;
-                scratch.row_zero[p * depth + l] = scratch.distinct_zero[di];
+            let (a0, a1) = (self.alphabet_start[l] as usize, self.alphabet_start[l + 1] as usize);
+            let row = &mut costs[a0..a1];
+            level_costs(l, label, &self.alphabet[a0..a1], row);
+            if row.iter().any(|&c| c != 0.0) {
+                zero_from = l + 1;
             }
         }
-        // Per-probe zero-suffix boundary; probes whose whole query
-        // prices to zero resolve to the full store immediately.
-        let mut max_zero = 0u32;
-        for p in 0..nprobes {
-            let mut zf = depth as u32;
-            while zf > 0 && scratch.row_zero[p * depth + zf as usize - 1] {
-                zf -= 1;
-            }
-            scratch.zero_from.push(zf);
-            max_zero = max_zero.max(zf);
-            if zf == 0 && sigma >= 0.0 {
-                // Costs are non-negative, so sigma >= 0 admits all.
-                emit(p as u32, 0.0, &self.postings);
-            }
-        }
-        if max_zero == 0 {
-            return true;
-        }
-        let BatchFrontier {
-            costs,
-            row_of,
-            zero_from,
-            nodes,
-            group_start,
-            probes: fprobes,
-            accs,
-            next_nodes,
-            next_group_start,
-            next_probes,
-            next_accs,
-            group_probes,
-            group_accs,
-            by_probe_start,
-            sorted_nodes,
-            sorted_accs,
-            ..
-        } = scratch;
-        // --- Descent mode. When `sigma` covers at least half the
-        // worst-case path cost, most paths survive most levels, the
-        // sibling probes stay stacked on the same frontier nodes, and
-        // the node-major descent amortizes every arena read across
-        // them. Below that, survivor sets separate fast and per-probe
-        // wide-lane descents over the shared pricing table win — the
-        // group bookkeeping would outweigh the sharing. A lone probe
-        // has no sibling to share with. ---
-        let (l0s, l0e) = (self.level_start[0], self.level_start[1]);
-        if 2.0 * sigma < max_total || nprobes == 1 {
-            for p in 0..nprobes {
-                if zero_from[p] == 0 {
-                    continue;
-                }
-                if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
-                    return false;
-                }
-                let row0 = row_of[p * depth] as usize;
-                nodes.clear();
-                accs.clear();
-                for node in l0s..l0e {
-                    // Level-0 cost slots start at 0.
-                    let c = costs[row0 + self.label_idx[node as usize] as usize];
-                    if c <= sigma {
-                        nodes.push(node);
-                        accs.push(c);
-                    }
-                }
-                if !self.descend_probe(
-                    p, 1, sigma, costs, row_of, zero_from, nodes, accs, next_nodes, next_accs,
-                    budget, &mut emit,
-                ) {
-                    return false;
-                }
+        if zero_from == 0 {
+            // Costs are non-negative, so sigma >= 0 admits all.
+            if sigma >= 0.0 {
+                emit(0.0, &self.postings);
             }
             return true;
         }
-        // Seed with level 0 (node-major so sibling probes group).
-        group_start.push(0);
-        for node in l0s..l0e {
-            let rel = self.label_idx[node as usize] as usize; // level-0 slots start at 0
-            let mut began = false;
-            for p in 0..nprobes {
-                if zero_from[p] == 0 {
-                    continue;
-                }
-                let c = costs[row_of[p * depth] as usize + rel];
-                if c <= sigma {
-                    if !began {
-                        nodes.push(node);
-                        began = true;
-                    }
-                    fprobes.push(p as u32);
-                    accs.push(c);
-                }
-            }
-            if began {
-                group_start.push(fprobes.len() as u32);
+        if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
+            return false;
+        }
+        nodes.clear();
+        accs.clear();
+        for node in self.level_start[0]..self.level_start[1] {
+            let c = costs[self.label_idx[node as usize] as usize];
+            if c <= sigma {
+                nodes.push(node);
+                accs.push(c);
             }
         }
-        let mut frontier_level = 0usize;
-        loop {
-            if nodes.is_empty() {
-                return true;
-            }
+        for _ in 1..zero_from {
             if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
                 return false;
             }
-            let lvl = frontier_level + 1;
-            if lvl >= max_zero as usize {
-                // Every remaining probe's zero suffix starts here: each
-                // entry resolves to its node's whole subtree range.
-                for g in 0..nodes.len() {
-                    let node = nodes[g] as usize;
-                    let sub = self.subtree_postings(node);
-                    for i in group_start[g] as usize..group_start[g + 1] as usize {
-                        emit(fprobes[i], accs[i], sub);
-                    }
-                }
-                return true;
-            }
-            // Adaptive lane occupancy: node-major groups pay off while
-            // several sibling probes ride each frontier node (one arena
-            // read serves them all). Once the average occupancy drops
-            // under 2 — selective sigmas separate the probes quickly —
-            // the group bookkeeping is pure overhead, so regroup the
-            // frontier probe-major (stable counting sort) and finish
-            // each probe with the per-probe wide-lane descent, still on
-            // the shared pricing table.
-            if fprobes.len() < 2 * nodes.len() {
-                by_probe_start.clear();
-                by_probe_start.resize(nprobes + 1, 0);
-                for &p in fprobes.iter() {
-                    by_probe_start[p as usize + 1] += 1;
-                }
-                for p in 0..nprobes {
-                    by_probe_start[p + 1] += by_probe_start[p];
-                }
-                let total = fprobes.len();
-                sorted_nodes.clear();
-                sorted_nodes.resize(total, 0);
-                sorted_accs.clear();
-                sorted_accs.resize(total, 0.0);
-                group_probes.clear();
-                group_probes.extend_from_slice(by_probe_start);
-                for g in 0..nodes.len() {
-                    for i in group_start[g] as usize..group_start[g + 1] as usize {
-                        let cursor = &mut group_probes[fprobes[i] as usize];
-                        let pos = *cursor as usize;
-                        *cursor += 1;
-                        sorted_nodes[pos] = nodes[g];
-                        sorted_accs[pos] = accs[i];
-                    }
-                }
-                for p in 0..nprobes {
-                    let (ps, pe) = (by_probe_start[p] as usize, by_probe_start[p + 1] as usize);
-                    if ps == pe {
-                        continue;
-                    }
-                    nodes.clear();
-                    nodes.extend_from_slice(&sorted_nodes[ps..pe]);
-                    accs.clear();
-                    accs.extend_from_slice(&sorted_accs[ps..pe]);
-                    if !self.descend_probe(
-                        p, lvl, sigma, costs, row_of, zero_from, nodes, accs, next_nodes,
-                        next_accs, budget, &mut emit,
-                    ) {
-                        return false;
-                    }
-                }
-                return true;
-            }
-            let any_retiring = zero_from.iter().any(|&zf| zf as usize == lvl);
-            let alpha_base = self.alphabet_start[lvl];
-            next_nodes.clear();
-            next_group_start.clear();
-            next_group_start.push(0);
-            next_probes.clear();
-            next_accs.clear();
-            for g in 0..nodes.len() {
-                let node = nodes[g] as usize;
-                let (es, ee) = (group_start[g] as usize, group_start[g + 1] as usize);
-                // The group's live entries; on the rare levels where
-                // some (not all) probes retire into their zero suffix,
-                // the retirees emit their subtree range here and the
-                // survivors are staged aside.
-                let (mut live_probes, mut live_accs): (&[u32], &[f64]) =
-                    (&fprobes[es..ee], &accs[es..ee]);
-                if any_retiring {
-                    group_probes.clear();
-                    group_accs.clear();
-                    let sub = self.subtree_postings(node);
-                    for i in es..ee {
-                        if zero_from[fprobes[i] as usize] as usize == lvl {
-                            emit(fprobes[i], accs[i], sub);
-                        } else {
-                            group_probes.push(fprobes[i]);
-                            group_accs.push(accs[i]);
-                        }
-                    }
-                    if group_probes.is_empty() {
-                        continue;
-                    }
-                    (live_probes, live_accs) = (group_probes.as_slice(), group_accs.as_slice());
-                }
-                let cs = self.child_start[node];
-                let ce = cs + self.child_len[node];
-                if let (&[p], &[acc]) = (live_probes, live_accs) {
-                    // Single live probe on this node: take the same
-                    // wide-lane expansion as the per-probe descent,
-                    // each survivor becoming its own next-level group.
-                    let row = row_of[p as usize * depth + lvl] as usize;
-                    let before = next_nodes.len();
-                    expand_children_wide(
-                        &self.label_idx,
-                        alpha_base,
-                        &costs[row..],
-                        (cs, ce),
-                        acc,
-                        sigma,
-                        next_nodes,
-                        next_accs,
-                    );
-                    for _ in before..next_nodes.len() {
-                        next_probes.push(p);
-                        next_group_start.push(next_probes.len() as u32);
-                    }
-                } else {
-                    // Shared arena reads: one label load per child, all
-                    // sibling probes priced from their own row lane.
-                    for child in cs..ce {
-                        let rel = (self.label_idx[child as usize] - alpha_base) as usize;
-                        let mut began = false;
-                        for (&p, &acc) in live_probes.iter().zip(live_accs.iter()) {
-                            let row = row_of[p as usize * depth + lvl] as usize;
-                            let c = acc + costs[row + rel];
-                            if c <= sigma {
-                                if !began {
-                                    next_nodes.push(child);
-                                    began = true;
-                                }
-                                next_probes.push(p);
-                                next_accs.push(c);
-                            }
-                        }
-                        if began {
-                            next_group_start.push(next_probes.len() as u32);
-                        }
-                    }
-                }
-            }
-            std::mem::swap(nodes, next_nodes);
-            std::mem::swap(group_start, next_group_start);
-            std::mem::swap(fprobes, next_probes);
-            std::mem::swap(accs, next_accs);
-            frontier_level = lvl;
-        }
-    }
-
-    /// Finishes one probe's batched descent from a frontier sitting at
-    /// level `from_level - 1`: expands through the probe's remaining
-    /// cost-bearing levels with the wide-lane loop over its rows of the
-    /// shared pricing table, then emits each survivor's subtree posting
-    /// range — for a lone probe, the whole descent. Returns
-    /// `false` when the budget trips mid-descent.
-    #[allow(clippy::too_many_arguments)]
-    fn descend_probe(
-        &self,
-        p: usize,
-        from_level: usize,
-        sigma: f64,
-        costs: &[f64],
-        row_of: &[u32],
-        zero_from: &[u32],
-        nodes: &mut Vec<u32>,
-        accs: &mut Vec<f64>,
-        next_nodes: &mut Vec<u32>,
-        next_accs: &mut Vec<f64>,
-        budget: &BudgetState,
-        emit: &mut impl FnMut(u32, f64, &[GraphId]),
-    ) -> bool {
-        let depth = self.depth;
-        for lvl in from_level..zero_from[p] as usize {
-            if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
-                return false;
-            }
-            let row = row_of[p * depth + lvl] as usize;
-            let base = self.alphabet_start[lvl];
             next_nodes.clear();
             next_accs.clear();
             for (&node, &acc) in nodes.iter().zip(accs.iter()) {
@@ -1171,8 +823,7 @@ impl FlatTrie {
                 let ce = cs + self.child_len[node as usize];
                 expand_children_wide(
                     &self.label_idx,
-                    base,
-                    &costs[row..],
+                    costs,
                     (cs, ce),
                     acc,
                     sigma,
@@ -1187,7 +838,7 @@ impl FlatTrie {
             }
         }
         for (&node, &acc) in nodes.iter().zip(accs.iter()) {
-            emit(p as u32, acc, self.subtree_postings(node as usize));
+            emit(acc, self.subtree_postings(node as usize));
         }
         true
     }
@@ -1217,41 +868,34 @@ mod tests {
         }
     }
 
-    /// Runs `probes` as one batch under the per-position `cost` and
-    /// returns each probe's visits — emitted ranges flattened to
+    /// Runs one probe under the per-position `cost` through `scratch`
+    /// and returns its visits — emitted ranges flattened to
     /// `(graph, cost bits)` — sorted. `level_zero` is the kernel's
-    /// shared zero-level detector.
-    fn run_batch(
+    /// zero-level detector.
+    fn run_probe(
         trie: &FlatTrie,
-        probes: &[Vec<Label>],
+        probe: &[Label],
         sigma: f64,
         cost: impl Fn(usize, Label, Label) -> f64,
         level_zero: impl FnMut(usize) -> bool,
-    ) -> Vec<Vec<(u32, u64)>> {
-        let flat: Vec<Label> = probes.iter().flat_map(|p| p.iter().copied()).collect();
-        let mut visits: Vec<Vec<(u32, u64)>> = vec![Vec::new(); probes.len()];
-        let completed = trie.range_query_batch_budgeted(
-            probes.len(),
-            &flat,
+        scratch: &mut TrieFrontier,
+    ) -> Vec<(u32, u64)> {
+        let mut visits = Vec::new();
+        let completed = trie.range_query(
+            probe,
             sigma,
-            |pos, queries, stored, out| {
-                for (qi, &q) in queries.iter().enumerate() {
-                    for (k, &s) in stored.iter().enumerate() {
-                        out[qi * stored.len() + k] = cost(pos, q, s);
-                    }
+            |pos, query, stored, out| {
+                for (o, &s) in out.iter_mut().zip(stored) {
+                    *o = cost(pos, query, s);
                 }
             },
             level_zero,
-            &mut BatchFrontier::new(),
+            scratch,
             BudgetState::unlimited(),
-            |p, acc, graphs| {
-                visits[p as usize].extend(graphs.iter().map(|g| (g.0, acc.to_bits())));
-            },
+            |acc, graphs| visits.extend(graphs.iter().map(|g| (g.0, acc.to_bits()))),
         );
         assert!(completed, "the unlimited budget never interrupts a descent");
-        for v in &mut visits {
-            v.sort_unstable();
-        }
+        visits.sort_unstable();
         visits
     }
 
@@ -1280,8 +924,8 @@ mod tests {
     }
 
     /// Asserts every probe visits exactly [`brute_visits`] (costs
-    /// compared by their f64 bits), both inside the batch and alone as a
-    /// batch of one.
+    /// compared by their f64 bits), one after another through one
+    /// shared scratch, so state left by an earlier probe would show.
     fn assert_matches_brute(
         entries: &[(Vec<Label>, GraphId)],
         trie: &FlatTrie,
@@ -1290,19 +934,18 @@ mod tests {
         cost: impl Fn(usize, Label, Label) -> f64 + Copy,
         level_zero: impl Fn(usize) -> bool + Copy,
     ) {
-        let batched = run_batch(trie, probes, sigma, cost, level_zero);
-        for (pi, (probe, got)) in probes.iter().zip(batched).enumerate() {
+        let mut scratch = TrieFrontier::new();
+        for (pi, probe) in probes.iter().enumerate() {
+            let got = run_probe(trie, probe, sigma, cost, level_zero, &mut scratch);
             let expected = brute_visits(entries, probe, sigma, cost);
-            assert_eq!(got, expected, "probe {pi} sigma {sigma} in the batch");
-            let alone = run_batch(trie, std::slice::from_ref(probe), sigma, cost, level_zero);
-            assert_eq!(alone[0], expected, "probe {pi} sigma {sigma} alone");
+            assert_eq!(got, expected, "probe {pi} sigma {sigma}");
         }
     }
 
     /// One probe's Hamming visits, as sorted `(graph, cost)`.
     fn collect(trie: &FlatTrie, query: &[Label], sigma: f64) -> Vec<(u32, f64)> {
-        let visits = run_batch(trie, &[query.to_vec()], sigma, hamming, |_| false);
-        visits[0].iter().map(|&(g, bits)| (g, f64::from_bits(bits))).collect()
+        let visits = run_probe(trie, query, sigma, hamming, |_| false, &mut TrieFrontier::new());
+        visits.into_iter().map(|(g, bits)| (g, f64::from_bits(bits))).collect()
     }
 
     #[test]
@@ -1373,8 +1016,9 @@ mod tests {
             vec![(l(&[1, 2]), GraphId(0)), (l(&[3, 4]), GraphId(1)), (l(&[3, 4]), GraphId(2))];
         let t = FlatTrie::from_entries(2, entries);
         let zero = 0.0f64.to_bits();
-        let visits = run_batch(&t, &[l(&[9, 9])], 0.0, |_, _, _| 0.0, |_| false);
-        assert_eq!(visits[0], vec![(0, zero), (1, zero), (2, zero)]);
+        let visits =
+            run_probe(&t, &l(&[9, 9]), 0.0, |_, _, _| 0.0, |_| false, &mut TrieFrontier::new());
+        assert_eq!(visits, vec![(0, zero), (1, zero), (2, zero)]);
     }
 
     #[test]
@@ -1438,9 +1082,8 @@ mod tests {
             entries.push((seq, GraphId(g % 30)));
         }
         let t = FlatTrie::from_entries(4, entries.clone());
-        // Duplicate probes included: the batch must price them once and
-        // answer them identically. Sigmas on both sides of half the
-        // worst-case path cost, so both descent modes run.
+        // Duplicate probes included: through a shared scratch they must
+        // be answered identically.
         let probes = vec![
             l(&[0, 0, 0, 0]),
             l(&[1, 2, 1, 1]),
@@ -1455,8 +1098,9 @@ mod tests {
 
     #[test]
     fn batch_zero_suffix_boundaries_match_scalar() {
-        // Position-dependent costs: free from level `cut` on, so probes
-        // retire at different levels depending on their own labels too.
+        // Position-dependent costs: free from level `cut` on, so the
+        // descent stops at the zero-suffix boundary (or, at cut 0,
+        // emits the whole store without descending).
         let entries = vec![
             (l(&[1, 2, 3, 4]), GraphId(0)),
             (l(&[1, 2, 3, 5]), GraphId(1)),
@@ -1475,8 +1119,8 @@ mod tests {
                 }
             };
             for sigma in [0.0, 1.0, 2.0] {
-                // Exercise both zero-detection paths: the shared
-                // level_zero flag and the per-row scan.
+                // Exercise both zero-detection paths: the level_zero
+                // flag and the scan of the priced row.
                 assert_matches_brute(&entries, &t, &probes, sigma, cost, |_| false);
                 assert_matches_brute(&entries, &t, &probes, sigma, cost, |pos| pos >= cut);
             }
@@ -1486,8 +1130,11 @@ mod tests {
     #[test]
     fn batch_on_empty_singleton_and_depth_zero_tries() {
         let empty = FlatTrie::from_entries(2, Vec::new());
-        let visits = run_batch(&empty, &[l(&[0, 0]), l(&[1, 1])], 5.0, hamming, |_| false);
-        assert!(visits.iter().all(Vec::is_empty), "empty trie emitted a range");
+        let mut scratch = TrieFrontier::new();
+        for probe in [l(&[0, 0]), l(&[1, 1])] {
+            let visits = run_probe(&empty, &probe, 5.0, hamming, |_| false, &mut scratch);
+            assert!(visits.is_empty(), "empty trie emitted a range");
+        }
         let entries = vec![(l(&[3, 7]), GraphId(9))];
         let singleton = FlatTrie::from_entries(2, entries.clone());
         let probes = [l(&[3, 7]), l(&[3, 8]), l(&[0, 0])];
@@ -1496,8 +1143,6 @@ mod tests {
         let zero = FlatTrie::from_entries(0, entries.clone());
         let probes = [Vec::new(), Vec::new(), Vec::new()];
         assert_matches_brute(&entries, &zero, &probes, 0.0, hamming, |_| false);
-        // An empty batch is a no-op.
-        assert!(run_batch(&singleton, &[], 1.0, hamming, |_| false).is_empty());
     }
 
     #[test]
@@ -1518,18 +1163,18 @@ mod tests {
                 let exact = collect(&t, &l(&[5, probe]), 0.0);
                 assert_eq!(exact, vec![(probe, 0.0)], "n={n} probe={probe}");
             }
-            // A node-major batch takes the single-probe wide expansion
-            // wherever its probes part ways.
+            // Probes whose survivors sit on either side of a lane
+            // boundary.
             let probes = [l(&[5, 0]), l(&[5, n as u32 / 2])];
             assert_matches_brute(&entries, &t, &probes, 1.0, hamming, |_| false);
         }
     }
 
     #[test]
-    #[should_panic(expected = "probe batch")]
+    #[should_panic(expected = "probe length")]
     fn batch_length_mismatch_rejected() {
         let t = FlatTrie::from_entries(2, vec![(l(&[1, 1]), GraphId(0))]);
-        let _ = run_batch(&t, &[l(&[1, 1]), l(&[2])], 1.0, hamming, |_| false);
+        let _ = run_probe(&t, &l(&[2]), 1.0, hamming, |_| false, &mut TrieFrontier::new());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! The product of a range query is a **minima row**: one `f64` per
 //! graph of the probe's class, in [`FragmentIndex::class_graphs`] order,
 //! holding `d(g, G)` where it is within `σ` and `∞` where it is not
-//! ([`FragmentIndex::range_query_batch_rows`] — one descent, one
+//! ([`FragmentIndex::range_query_row`] — one descent per probe, one
 //! accumulation, pending entries folded in). The search funnel reads
 //! rows directly; the `(graph, distance)` hit lists of
 //! [`FragmentIndex::range_query`] and its `_into` variants are
@@ -27,7 +27,7 @@ use pis_graph::util::FxHasher;
 use pis_graph::{GraphId, Label, LabeledGraph, ScopedPool};
 use pis_mining::{FeatureId, FeatureSet};
 
-use crate::flat_trie::{BatchFrontier, FlatTrie};
+use crate::flat_trie::{FlatTrie, TrieFrontier};
 use crate::fragment::{
     label_vector_into, weight_vector_into, FragmentBuffer, FragmentVector, FragmentVectorRef,
     QueryFragment,
@@ -151,12 +151,10 @@ pub struct RangeScratch {
     /// Monotone query counter.
     generation: u64,
     /// Frontier of the flat trie's descent.
-    batch: BatchFrontier,
-    /// Probe labels of one descent, row-major.
-    probe_labels: Vec<Label>,
-    /// The minima rows the list-returning functions read their hits
+    frontier: TrieFrontier,
+    /// The minima row the list-returning functions read their hits
     /// out of.
-    rows: Vec<f64>,
+    row: Vec<f64>,
 }
 
 impl RangeScratch {
@@ -653,8 +651,8 @@ impl FragmentIndex {
     /// the probe is a borrowed [`FragmentVectorRef`] (arena-backed
     /// fragments never materialize vectors), the minima row is kept in
     /// `scratch` and hits are appended to `out` (cleared first), sorted
-    /// by graph id. A batch of one through
-    /// [`FragmentIndex::range_query_batch_normalized_into`].
+    /// by graph id — the [`row_hits`] of the row
+    /// [`FragmentIndex::range_query_row`] leaves.
     ///
     /// The probe `vector` must already be normalized for this index —
     /// true of every vector produced by
@@ -669,23 +667,25 @@ impl FragmentIndex {
         scratch: &mut RangeScratch,
         out: &mut Vec<(GraphId, f64)>,
     ) {
-        self.range_query_batch_normalized_into(
+        let mut row = std::mem::take(&mut scratch.row);
+        let completed = self.range_query_row(
             feature,
-            1,
-            |_| vector,
+            vector,
             sigma,
             scratch,
-            std::slice::from_mut(out),
+            BudgetState::unlimited(),
+            &mut row,
         );
+        debug_assert!(completed, "the unlimited budget never interrupts a range query");
+        out.clear();
+        out.extend(row_hits(self.class_graphs(feature), &row));
+        scratch.row = row;
     }
 
-    /// Answers `nprobes` sibling probes — normalized vectors of the
-    /// *same* class, yielded by `probe(i)` — in one pass, writing probe
-    /// `i`'s hits (sorted by graph id, minimum distance per graph) into
-    /// `outs[i]` (cleared first): the [`row_hits`] of the rows
-    /// [`FragmentIndex::range_query_batch_rows`] leaves, so `outs[i]`
-    /// does not depend on which siblings the probe was batched with —
-    /// exact f64 distances included.
+    /// Answers `nprobes` probes of the *same* class — normalized
+    /// vectors yielded by `probe(i)` — writing probe `i`'s hits into
+    /// `outs[i]` through [`FragmentIndex::range_query_normalized_into`],
+    /// one probe after another.
     ///
     /// # Panics
     /// Panics if `outs.len() != nprobes` or a probe's vector kind does
@@ -700,91 +700,62 @@ impl FragmentIndex {
         outs: &mut [Vec<(GraphId, f64)>],
     ) {
         assert_eq!(outs.len(), nprobes, "one output buffer per probe");
-        let mut rows = std::mem::take(&mut scratch.rows);
-        let completed = self.range_query_batch_rows(
-            feature,
-            nprobes,
-            probe,
-            sigma,
-            scratch,
-            BudgetState::unlimited(),
-            &mut rows,
-        );
-        debug_assert!(completed, "the unlimited budget never interrupts a range query");
-        let graphs = self.class_graphs(feature);
-        let c = graphs.len();
-        for (p, out) in outs.iter_mut().enumerate() {
-            out.clear();
-            out.extend(row_hits(graphs, &rows[p * c..(p + 1) * c]));
+        for (i, out) in outs.iter_mut().enumerate() {
+            self.range_query_normalized_into(feature, probe(i), sigma, scratch, out);
         }
-        scratch.rows = rows;
     }
 
-    /// The range query itself: answers `nprobes` sibling probes —
-    /// normalized vectors of the *same* class, yielded by `probe(i)` —
-    /// in one pass under `budget`, leaving one minima row per probe in
-    /// `rows` (overwritten). With `c = class_graphs(feature).len()`,
-    /// cell `rows[i * c + k]` is probe `i`'s `d(g, G)` for
+    /// The range query itself: answers one normalized probe of class
+    /// `feature` under `budget`, leaving its minima row in `row`
+    /// (overwritten). Cell `row[k]` is the probe's `d(g, G)` for
     /// `G = class_graphs(feature)[k]` — minimized over the class's
     /// frozen *and* pending entries — or `∞` when no fragment of `G`
     /// lies within `sigma`. [`row_hits`] reads a row as a hit list.
     ///
-    /// On a trie class this runs [`FlatTrie::range_query_batch_budgeted`]:
-    /// each level's alphabet is priced once per distinct query label
-    /// across the whole batch, the arena is descended once with
-    /// per-probe cost lanes, and emitted subtree ranges fold straight
-    /// into their probe's row (postings are class-local slots).
-    /// R-tree classes answer probe by probe through a per-graph
-    /// accumulator read out in class order. Either way a probe's row
-    /// does not depend on its siblings.
+    /// On a trie class this runs [`FlatTrie::range_query`], each
+    /// level's alphabet priced once by
+    /// `MutationDistance::position_costs_into`, and emitted subtree
+    /// ranges fold straight into the row (postings are class-local
+    /// slots). An R-tree class collects per-graph minima in a stamped
+    /// accumulator and reads it out in class order.
     ///
-    /// Returns `false` — with `rows` emptied — when the budget trips
-    /// mid-batch: a partial row is unusable (its minima may be wrong and
-    /// its `∞` cells mean nothing), and updates interleave across
-    /// probes during the shared descent, so a trip invalidates the
-    /// whole sibling group, not just one probe. Trie classes checkpoint
-    /// per descent level; R-tree classes consult one coarse checkpoint
-    /// per probe up front. Either way one more checkpoint covers the
-    /// scan of the class's pending entries.
+    /// Returns `false` — with `row` emptied — when the budget trips: a
+    /// partial row is unusable (its minima may be wrong and its `∞`
+    /// cells mean nothing). Trie classes checkpoint per descent level;
+    /// R-tree classes consult one coarse checkpoint up front. Either
+    /// way one more checkpoint covers the scan of the class's pending
+    /// entries.
     ///
     /// # Panics
-    /// Panics if a probe's vector kind does not match the index
+    /// Panics if the probe's vector kind does not match the index
     /// distance.
-    #[allow(clippy::too_many_arguments)]
-    pub fn range_query_batch_rows<'q>(
+    pub fn range_query_row(
         &self,
         feature: FeatureId,
-        nprobes: usize,
-        probe: impl Fn(usize) -> FragmentVectorRef<'q>,
+        probe: FragmentVectorRef<'_>,
         sigma: f64,
         scratch: &mut RangeScratch,
         budget: &BudgetState,
-        rows: &mut Vec<f64>,
+        row: &mut Vec<f64>,
     ) -> bool {
         let class = &self.classes[feature.index()];
         let ecount = self.features.get(feature).edge_count();
-        let c = class.graphs.len();
         let pending = &class.pending;
-        rows.clear();
-        rows.resize(nprobes * c, f64::INFINITY);
+        row.clear();
+        row.resize(class.graphs.len(), f64::INFINITY);
         let completed = match (&class.imp, &self.distance) {
             (ClassImpl::Trie(trie), IndexDistance::Mutation(md)) => {
-                scratch.probe_labels.clear();
-                for i in 0..nprobes {
-                    scratch.probe_labels.extend_from_slice(probe(i).labels());
-                }
-                let completed = trie.range_query_batch_budgeted(
-                    nprobes,
-                    &scratch.probe_labels,
+                let q = probe.labels();
+                let completed = trie.range_query(
+                    q,
                     sigma,
-                    |pos, qs, stored, out| {
-                        md.position_costs_into_multi(pos, ecount, qs, stored, out);
+                    |pos, query, stored, out| {
+                        md.position_costs_into(pos, ecount, query, stored, out);
                     },
                     |pos| md.position_is_zero(pos, ecount),
-                    &mut scratch.batch,
+                    &mut scratch.frontier,
                     budget,
-                    |p, acc, slots| {
-                        let row = &mut rows[p as usize * c..(p as usize + 1) * c];
+                    |acc, slots| {
                         for &s in slots {
                             let b = &mut row[s.index()];
                             if acc < *b {
@@ -793,45 +764,37 @@ impl FragmentIndex {
                         }
                     },
                 ) && (pending.is_empty()
-                    || budget.checkpoint(
-                        CheckpointSite::RangeDescent,
-                        (nprobes * pending.len()) as u64,
-                    ));
+                    || budget.checkpoint(CheckpointSite::RangeDescent, pending.len() as u64));
                 if completed && !pending.is_empty() {
-                    for p in 0..nprobes {
-                        // Pending entries fold into the same row, priced
-                        // position by position in the descent's order —
-                        // identical bits to post-merge.
-                        let row = &mut rows[p * c..(p + 1) * c];
-                        let q = probe(p).labels();
-                        pending.scan_labels_positional(
-                            sigma,
-                            |pos, stored| md.position_cost(pos, ecount, q[pos], stored),
-                            |g, d| {
-                                let b = &mut row[g.index()];
-                                if d < *b {
-                                    *b = d;
-                                }
-                            },
-                        );
-                    }
+                    // Pending entries fold into the same row, priced
+                    // position by position in the descent's order —
+                    // identical bits to post-merge.
+                    pending.scan_labels_positional(
+                        sigma,
+                        |pos, stored| md.position_cost(pos, ecount, q[pos], stored),
+                        |g, d| {
+                            let b = &mut row[g.index()];
+                            if d < *b {
+                                *b = d;
+                            }
+                        },
+                    );
                 }
                 completed
             }
-            (ClassImpl::RTree(rt), IndexDistance::Linear(ld)) => (0..nprobes).all(|i| {
+            (ClassImpl::RTree(rt), IndexDistance::Linear(ld)) => {
                 // The tree stores *scale-transformed* coordinates (see
                 // `scale_weights`), turning the weighted L1 of the
                 // linear distance into a plain L1 — so the query vector
                 // gets the same transform and distances come out exact.
-                let scaled = scale_weights(ld, ecount, probe(i).weights());
+                let scaled = scale_weights(ld, ecount, probe.weights());
                 scratch.begin(self.graph_count);
-                let row = &mut rows[i * c..(i + 1) * c];
                 rtree_range_query(rt, class, &scaled, sigma, scratch, budget, row)
-            }),
+            }
             _ => unreachable!("the class structure always matches the index distance"),
         };
         if !completed {
-            rows.clear();
+            row.clear();
         }
         completed
     }
@@ -1180,7 +1143,7 @@ fn freeze_class(
         IndexDistance::Mutation(_) => {
             // Trie postings are *class-local* slots into the sorted
             // `graphs` posting list, so range readouts sweep a compact
-            // per-class row (see `range_query_batch_rows`); slots
+            // per-class row (see `range_query_row`); slots
             // ascend with the ids, so the arena's entry order is the
             // same either way.
             let mut slot = 0usize;

@@ -8,7 +8,7 @@
 //!
 //! * [`flat_trie::FlatTrie`] — categorical labels under the mutation
 //!   distance: a cache-resident level-major arena descended level by
-//!   level with batched per-label costs;
+//!   level, one probe at a time, with each level's labels priced once;
 //! * [`rtree::RTree`] — numeric weights under the linear distance (L1
 //!   ball queries, the paper's Example 3).
 //!
@@ -43,7 +43,7 @@ pub mod rtree;
 pub mod snapshot;
 pub mod wal;
 
-pub use flat_trie::{BatchFrontier, FlatTrie};
+pub use flat_trie::{FlatTrie, TrieFrontier};
 pub use fragment::{FragmentBuffer, FragmentVector, FragmentVectorRef, QueryFragment};
 pub use index::{
     row_hits, FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,

@@ -87,8 +87,9 @@ fn linear_reference_hits(
     hits
 }
 
-/// Holds every probe of every sibling group of `query` to `reference`:
-/// the probe's minima row read back as a list ([`row_hits`]) equals the
+/// Holds every probe of `query` to `reference`, one row at a time
+/// through one scratch: the probe's minima row read back as a list
+/// ([`row_hits`]) equals the
 /// reference hits to the f64 bit, and so does the list-returning
 /// `range_query`; the funnel's fused read-out of the row returns
 /// `selectivity` of that list to the bit and leaves exactly the list's
@@ -106,54 +107,44 @@ fn assert_rows_read_out_as_lists(
     let n = index.graph_count();
     let frags = index.enumerate_query_fragments(query);
     let mut scratch = pis::index::RangeScratch::new();
-    let mut rows = Vec::new();
+    let mut row = Vec::new();
     let mut mask = GraphBitSet::default();
-    let mut i = 0;
-    while i < frags.len() {
-        let feature = frags[i].feature;
-        let mut j = i + 1;
-        while j < frags.len() && frags[j].feature == feature {
-            j += 1;
-        }
-        let completed = index.range_query_batch_rows(
+    for (k, frag) in frags.iter().enumerate() {
+        let feature = frag.feature;
+        let at = format!("feature {feature} probe {k} sigma {sigma} lambda {lambda}");
+        let completed = index.range_query_row(
             feature,
-            j - i,
-            |k| frags[i + k].vector.as_view(),
+            frag.vector.as_view(),
             sigma,
             &mut scratch,
             BudgetState::unlimited(),
-            &mut rows,
+            &mut row,
         );
         prop_assert!(completed, "the unlimited budget never interrupts a range query");
         let graphs = index.class_graphs(feature);
-        prop_assert_eq!(rows.len(), (j - i) * graphs.len());
-        for (k, frag) in frags[i..j].iter().enumerate() {
-            let at = format!("feature {feature} probe {k} sigma {sigma} lambda {lambda}");
-            let row = &rows[k * graphs.len()..(k + 1) * graphs.len()];
-            let list: Vec<(GraphId, f64)> = row_hits(graphs, row).collect();
-            prop_assert_eq!(bits(&list), bits(&reference(frag)), "row as a list, {}", at);
-            prop_assert_eq!(
-                bits(&index.range_query(feature, &frag.vector, sigma)),
-                bits(&list),
-                "range_query, {}",
-                at
-            );
-            let fused = read_out_row(graphs, row, n, sigma, lambda, &mut mask);
-            prop_assert_eq!(
-                fused.to_bits(),
-                selectivity(&list, n, sigma, lambda).to_bits(),
-                "fused weight, {}",
-                at
-            );
-            prop_assert_eq!(mask.universe(), n);
-            prop_assert_eq!(
-                mask.iter().collect::<Vec<_>>(),
-                list.iter().map(|&(g, _)| g).collect::<Vec<_>>(),
-                "mask, {}",
-                at
-            );
-        }
-        i = j;
+        prop_assert_eq!(row.len(), graphs.len());
+        let list: Vec<(GraphId, f64)> = row_hits(graphs, &row).collect();
+        prop_assert_eq!(bits(&list), bits(&reference(frag)), "row as a list, {}", at);
+        prop_assert_eq!(
+            bits(&index.range_query(feature, &frag.vector, sigma)),
+            bits(&list),
+            "range_query, {}",
+            at
+        );
+        let fused = read_out_row(graphs, &row, n, sigma, lambda, &mut mask);
+        prop_assert_eq!(
+            fused.to_bits(),
+            selectivity(&list, n, sigma, lambda).to_bits(),
+            "fused weight, {}",
+            at
+        );
+        prop_assert_eq!(mask.universe(), n);
+        prop_assert_eq!(
+            mask.iter().collect::<Vec<_>>(),
+            list.iter().map(|&(g, _)| g).collect::<Vec<_>>(),
+            "mask, {}",
+            at
+        );
     }
     Ok(())
 }
@@ -358,13 +349,12 @@ proptest! {
         }
     }
 
-    /// The batched multi-probe descent answers every sibling group —
-    /// duplicate probes included — **byte-identically** (f64 bits, not
-    /// tolerance) to the definition brute, probe by probe,
-    /// and so does each probe alone (a batch of one), across both the
-    /// edge-Hamming setting (whole-vertex zero suffix) and the unit
-    /// distance (no zero suffix), and across sigmas spanning the
-    /// zero-suffix short-circuit and both descent modes.
+    /// The batch entry answers every sibling group — duplicate probes
+    /// included — **byte-identically** (f64 bits, not tolerance) to
+    /// the definition brute, probe by probe, and so does each probe
+    /// alone, across both the edge-Hamming setting (whole-vertex zero
+    /// suffix) and the unit distance (no zero suffix), and across
+    /// sigmas spanning the zero-suffix short-circuit.
     #[test]
     fn batched_range_queries_byte_identical_to_per_probe(
         db in graph_database(6, 5, 3),
@@ -383,8 +373,8 @@ proptest! {
             while j < frags.len() && frags[j].feature == feature {
                 j += 1;
             }
-            // Repeat the group's first probes so the batch prices
-            // duplicates through the shared rows.
+            // Repeat the group's first probes so the batch answers
+            // duplicates through the same scratch.
             let mut probe_of: Vec<usize> = (i..j).collect();
             probe_of.extend(i..j.min(i + 2));
             let mut outs: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); probe_of.len()];
