@@ -20,8 +20,9 @@
 //! rows — a dropped hit or pending entry moves `|CQ|` after the
 //! intersection, a wrong term of Definition 5 (the missing-graphs term
 //! included) or a reordered sum moves the weight bits. Every count is
-//! read twice, off the frozen index and off one that holds the last ten
-//! graphs in its pending buffers.
+//! read twice, off the frozen index and off one that had the last ten
+//! graphs inserted one at a time, with some of their entries still in
+//! the classes' pending structures.
 
 use pis_bench::pipeline_workload::{MAX_FRAGMENT_EDGES, QUERY_EDGES, SIGMAS};
 use pis_bench::{ExperimentScale, TestBed};
@@ -47,19 +48,21 @@ fn smoke_fingerprint_is_pinned() {
     let scale = ExperimentScale { db_size: 100, query_count: 4, ..ExperimentScale::smoke() };
     let bed = TestBed::build(&scale, MAX_FRAGMENT_EDGES);
     let queries = bed.query_set(QUERY_EDGES);
-    // The same database with its last ten graphs left in the pending
-    // buffers: every count below must read the same off both indexes.
+    // The same database with its last ten graphs inserted one at a
+    // time: every count below must read the same off both indexes.
     let frozen = bed.db.len() - 10;
     let mut buffered = FragmentIndex::build(
         &bed.db[..frozen],
         bed.index.features().clone(),
         bed.index.distance().clone(),
-        &IndexConfig { merge_threshold: 0, ..IndexConfig::default() },
+        &IndexConfig::default(),
     );
-    buffered.insert_graphs_pending(&bed.db[frozen..]);
+    for g in &bed.db[frozen..] {
+        buffered.insert_graph_pending(g);
+    }
     assert!(buffered.pending_entries() > 0);
 
-    for (name, index) in [("frozen", &bed.index), ("ten graphs pending", &buffered)] {
+    for (name, index) in [("frozen", &bed.index), ("ten graphs inserted", &buffered)] {
         let prune_only =
             PisConfig { verify: false, structure_check: false, ..PisConfig::default() };
         let pruner = PisSearcher::new(index, &bed.db, prune_only);

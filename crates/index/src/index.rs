@@ -8,12 +8,17 @@
 //! Eq. (3) — `d(g, G) = min_{g' ⊑ G, g' ≅ g} d(g, g')` — without
 //! touching any database graph.
 //!
+//! Inserted graphs land in a second, small instance of the class's own
+//! structure — the *pending* structure — until the class holds 64
+//! pending entries and merges them into the frozen one
+//! ([`FragmentIndex::insert_graphs_pending`]).
+//!
 //! The product of a range query is a **minima row**: one `f64` per
 //! graph of the probe's class, in [`FragmentIndex::class_graphs`] order,
 //! holding `d(g, G)` where it is within `σ` and `∞` where it is not
-//! ([`FragmentIndex::range_query_row`] — one descent per probe, one
-//! accumulation, pending entries folded in). The search funnel reads
-//! rows directly; the `(graph, distance)` hit lists of
+//! ([`FragmentIndex::range_query_row`] — the one kernel run over the
+//! frozen structure and then the pending one, into one row). The search
+//! funnel reads rows directly; the `(graph, distance)` hit lists of
 //! [`FragmentIndex::range_query`] and its `_into` variants are
 //! [`row_hits`] collected — a view of the same rows.
 
@@ -32,7 +37,6 @@ use crate::fragment::{
     label_vector_into, weight_vector_into, FragmentBuffer, FragmentVector, FragmentVectorRef,
     QueryFragment,
 };
-use crate::pending::PendingSet;
 use crate::rtree::RTree;
 
 /// The superimposed distance an index is built for.
@@ -119,23 +123,17 @@ impl IndexDistance {
 }
 
 /// Build-time options.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IndexConfig {
     /// Number of build threads (0 = all available cores).
     pub threads: usize,
-    /// Pending-buffer merge threshold for
-    /// [`FragmentIndex::insert_graph_pending`]: once a class buffers
-    /// this many unmerged entries it is merged (re-frozen)
-    /// automatically. `0` disables automatic merging — pending entries
-    /// then accumulate until an explicit [`FragmentIndex::compact`].
-    pub merge_threshold: usize,
 }
 
-impl Default for IndexConfig {
-    fn default() -> Self {
-        IndexConfig { threads: 0, merge_threshold: 64 }
-    }
-}
+/// Pending entries at which a class merges its pending structure into
+/// the frozen one. Merging every insert at once (a threshold of 1)
+/// measured 2.2–3.0× slower inserts at 2 000 and 10 000 graphs
+/// (DESIGN.md §6.10).
+const MERGE_THRESHOLD: usize = 64;
 
 /// Reusable state of the range-query functions, so repeated queries
 /// neither hash nor allocate. One scratch serves any number of
@@ -197,7 +195,8 @@ pub struct IndexCheckReport {
     pub rtree_classes: usize,
     /// Entries stored in frozen structures.
     pub frozen_entries: usize,
-    /// Entries buffered in LSM pending sets.
+    /// Entries held in pending structures, not yet merged into the
+    /// frozen ones.
     pub pending_entries: usize,
 }
 
@@ -206,8 +205,8 @@ pub struct IndexCheckReport {
 /// as a count, where a timing would depend on the machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Class merges performed (a pending buffer folded into its frozen
-    /// structure), by threshold, batch end or [`FragmentIndex::compact`].
+    /// Class merges performed (a pending structure folded into its
+    /// frozen one), by threshold or [`FragmentIndex::compact`].
     pub merges: u64,
     /// Entries written into rebuilt frozen structures over all merges —
     /// each merge rewrites its whole class, stored entries included.
@@ -222,21 +221,98 @@ pub(crate) enum ClassImpl {
     RTree(RTree),
 }
 
+/// Entries on their way into a class structure, in the form it stores
+/// them: label rows under class-local posting slots for a trie,
+/// scale-transformed points under global graph ids for an R-tree.
+enum ClassEntries {
+    Labels(Vec<(Vec<Label>, GraphId)>),
+    Points(Vec<(Vec<f64>, GraphId)>),
+}
+
+impl ClassImpl {
+    /// An empty structure of the same kind and shape.
+    fn empty_like(&self) -> ClassImpl {
+        match self {
+            ClassImpl::Trie(trie) => {
+                ClassImpl::Trie(FlatTrie::from_entries(trie.depth(), Vec::new()))
+            }
+            ClassImpl::RTree(rt) => ClassImpl::RTree(RTree::new(rt.dim())),
+        }
+    }
+
+    /// Stored entries.
+    fn len(&self) -> usize {
+        match self {
+            ClassImpl::Trie(trie) => trie.len(),
+            ClassImpl::RTree(rt) => rt.len(),
+        }
+    }
+
+    /// Every stored entry.
+    fn entries(&self) -> ClassEntries {
+        match self {
+            ClassImpl::Trie(trie) => {
+                let mut out = Vec::with_capacity(trie.len());
+                trie.for_each_entry(|seq, slot| out.push((seq.to_vec(), slot)));
+                ClassEntries::Labels(out)
+            }
+            ClassImpl::RTree(rt) => {
+                let mut out = Vec::with_capacity(rt.len());
+                rt.for_each_entry(|p, gid| out.push((p.to_vec(), gid)));
+                ClassEntries::Points(out)
+            }
+        }
+    }
+
+    /// Adds `entries` in one batch.
+    fn insert(&mut self, entries: ClassEntries) {
+        match (self, entries) {
+            (ClassImpl::Trie(trie), ClassEntries::Labels(entries)) => trie.insert_batch(entries),
+            (ClassImpl::RTree(rt), ClassEntries::Points(mut points)) => {
+                // An R-tree's shape depends on insertion order (a trie's
+                // does not): taking points by graph id, then coordinate
+                // bits, makes it independent of how they arrived.
+                points.sort_unstable_by(|(p, g), (q, h)| {
+                    let bits = |x: &f64| x.to_bits();
+                    g.cmp(h).then_with(|| p.iter().map(bits).cmp(q.iter().map(bits)))
+                });
+                rt.insert_batch(points);
+            }
+            _ => unreachable!("entries always come in their class structure's form"),
+        }
+    }
+}
+
 pub(crate) struct ClassIndex {
-    pub(crate) imp: ClassImpl,
+    pub(crate) frozen: ClassImpl,
+    /// The entries inserted since the last merge, in a second instance
+    /// of the frozen structure's kind; `None` after build, load and
+    /// merge. Not an empty structure: 14 of them allocated on the build's
+    /// worker threads fragmented the heap enough that a second build in
+    /// one process peaked 17 MB (27 %) higher in about half the runs.
+    pub(crate) pending: Option<ClassImpl>,
     /// Sorted distinct graphs containing this structure — the gIndex
     /// posting list used by topoPrune and structure-violation pruning.
     pub(crate) graphs: Vec<GraphId>,
     /// Total stored entries, frozen *and* pending.
     pub(crate) entries: usize,
-    /// Unmerged entries inserted since the last freeze (LSM side set).
-    pub(crate) pending: PendingSet,
 }
 
 impl ClassIndex {
     /// A class with nothing pending — fresh builds and restored saves.
-    pub(crate) fn restored(imp: ClassImpl, graphs: Vec<GraphId>, entries: usize) -> Self {
-        ClassIndex { imp, graphs, entries, pending: PendingSet::default() }
+    pub(crate) fn restored(frozen: ClassImpl, graphs: Vec<GraphId>, entries: usize) -> Self {
+        ClassIndex { frozen, pending: None, graphs, entries }
+    }
+
+    /// The frozen structure, then the pending one: a range query runs
+    /// the one kernel over both.
+    fn structures(&self) -> impl Iterator<Item = &ClassImpl> {
+        std::iter::once(&self.frozen).chain(&self.pending)
+    }
+
+    /// Entries held in the pending structure.
+    fn pending_len(&self) -> usize {
+        self.pending.as_ref().map_or(0, ClassImpl::len)
     }
 }
 
@@ -246,8 +322,6 @@ pub struct FragmentIndex {
     pub(crate) distance: IndexDistance,
     pub(crate) classes: Vec<ClassIndex>,
     pub(crate) graph_count: usize,
-    /// Build options, kept for incremental insertion.
-    pub(crate) config: IndexConfig,
     pub(crate) merge_stats: MergeStats,
 }
 
@@ -291,7 +365,6 @@ impl FragmentIndex {
             distance,
             classes,
             graph_count: db.len(),
-            config: config.clone(),
             merge_stats: MergeStats::default(),
         };
         index.debug_validate("build");
@@ -324,142 +397,68 @@ impl FragmentIndex {
         &self.classes[feature.index()].graphs
     }
 
-    /// Incrementally indexes one more graph and merges it into the
-    /// frozen structures at once, returning its new id; the caller must
-    /// append the same graph to its database (the facade's
-    /// `PisSystem::insert_graph` keeps both in sync).
-    ///
-    /// Every class the graph touches is re-frozen: trie classes by one
-    /// streaming sorted merge ([`FlatTrie::insert_batch`] — a copy of
-    /// the class, O(stored + added)), R-tree classes by in-place inserts
-    /// and a re-flatten.
-    /// [`FragmentIndex::insert_graph_pending`] defers those merges until
-    /// a class has buffered [`IndexConfig::merge_threshold`] entries and
-    /// is the path for insert-heavy workloads.
-    pub fn insert_graph(&mut self, g: &LabeledGraph) -> GraphId {
-        let gid = self.append_pending(g, &mut GraphEntries::default());
-        self.compact();
-        gid
-    }
-
-    /// Incrementally indexes one more graph through the per-class
-    /// *pending buffers* — O(entries added) instead of one O(class)
-    /// arena merge per touched class. Range queries scan pending
-    /// entries with the same pricing kernels as the frozen structures,
-    /// so answers (f64 bits included) are identical to
-    /// [`FragmentIndex::insert_graph`]'s eager merge; once a class
-    /// accumulates [`IndexConfig::merge_threshold`] pending entries it
-    /// is merged and re-frozen automatically, and
-    /// [`FragmentIndex::compact`] forces every merge (required before
-    /// snapshotting). A batch of one through
-    /// [`FragmentIndex::insert_graphs_pending`].
+    /// Incrementally indexes one more graph, returning its new id; the
+    /// caller must append the same graph to its database (the facade's
+    /// `PisSystem::insert_graph` keeps both in sync). A batch of one
+    /// through [`FragmentIndex::insert_graphs_pending`].
     pub fn insert_graph_pending(&mut self, g: &LabeledGraph) -> GraphId {
         let gid = GraphId(self.graph_count as u32);
         self.insert_graphs_pending(std::slice::from_ref(g));
         gid
     }
 
-    /// Indexes a run of graphs (ids `graph_count()..` in order) through
-    /// the pending buffers and merges each class that reached
-    /// [`IndexConfig::merge_threshold`] **once, at the end of the run**
-    /// — recovering N logged inserts costs one merge per class where N
-    /// single inserts would re-freeze the big classes every few graphs.
-    /// Answers, and the snapshot after [`FragmentIndex::compact`], are
-    /// identical to inserting the graphs one at a time, and every class
-    /// still ends below the threshold.
+    /// Indexes a run of graphs (ids `graph_count()..` in order). The run
+    /// is read the way the build reads the database, one class at a
+    /// time, and each class's rows go into its *pending* structure — a
+    /// second, small instance of the class's own structure, so range
+    /// queries run the same kernel over it and answers (f64 bits
+    /// included) are those of a merged class. A class whose pending
+    /// structure reaches 64 entries then merges it into the frozen one
+    /// in one batch ([`FlatTrie::insert_batch`], a sorted copy of the
+    /// class, or [`RTree::insert_batch`]); [`FragmentIndex::compact`]
+    /// merges every class (required before snapshotting).
     ///
-    /// Memory stays bounded on a long run: a class whose pending run
-    /// outgrows its frozen structure is merged on the spot (such a
-    /// merge at least doubles the class, so the rewriting stays linear
-    /// in the entries added).
+    /// A class merges at most once per run, so recovering N logged
+    /// inserts costs one merge per class where N single inserts would
+    /// re-freeze the big classes every few graphs. Answers, and the
+    /// snapshot after [`FragmentIndex::compact`], are identical to
+    /// inserting the graphs one at a time, and every class ends below
+    /// the threshold either way.
     pub fn insert_graphs_pending(&mut self, graphs: &[LabeledGraph]) {
-        let threshold = self.config.merge_threshold;
-        // Threshold 0 switches automatic merging off.
-        let full = |pending: usize| threshold > 0 && pending >= threshold;
+        let first = self.graph_count;
+        self.graph_count += graphs.len();
         let mut scratch = GraphEntries::default();
-        for g in graphs {
-            self.append_pending(g, &mut scratch);
-            self.merge_where(|pending, frozen| full(pending) && pending > frozen);
+        for (ci, class) in self.classes.iter_mut().enumerate() {
+            let structure = &self.features.get(FeatureId(ci as u32)).structure;
+            let rows = collect_class_rows(graphs, first, structure, &self.distance, &mut scratch);
+            if rows.row_graphs.is_empty() {
+                continue;
+            }
+            class.entries += rows.row_graphs.len();
+            let entries = class_entries(rows, structure, &self.distance, &mut class.graphs);
+            class.pending.get_or_insert_with(|| class.frozen.empty_like()).insert(entries);
         }
-        self.merge_where(|pending, _| full(pending));
+        self.merge_where(|pending| pending >= MERGE_THRESHOLD);
         self.debug_validate("insert_graphs_pending");
     }
 
-    /// Appends one graph's entries to the pending buffer of every class
-    /// whose structure it contains; merging is the caller's decision.
-    fn append_pending(&mut self, g: &LabeledGraph, entries: &mut GraphEntries) -> GraphId {
-        let gid = GraphId(self.graph_count as u32);
-        self.graph_count += 1;
-        for class_idx in 0..self.classes.len() {
-            let feature = self.features.get(FeatureId(class_idx as u32));
-            let structure = &feature.structure;
-            let ecount = structure.edge_count();
-            let slots = structure.vertex_count() + ecount;
-            collect_graph_entries(structure, g, &self.distance, entries);
-            if entries.count == 0 {
-                continue;
-            }
-            let class = &mut self.classes[class_idx];
-            // `gid` exceeds every stored id, so appending keeps the
-            // posting list sorted.
-            class.graphs.push(gid);
-            class.entries += entries.count;
-            match &self.distance {
-                IndexDistance::Mutation(_) => {
-                    // Trie postings are class-local slots; the graph was
-                    // just appended, so its slot is the last one.
-                    let local = GraphId((class.graphs.len() - 1) as u32);
-                    let labels = rows(&entries.labels, slots, entries.count);
-                    class.pending.labels.extend(labels.map(|v| (v.to_vec(), local)));
-                }
-                IndexDistance::Linear(ld) => {
-                    // Stored R-tree points are scale-transformed so the
-                    // weighted L1 becomes a plain L1; pending points get
-                    // the same transform and the pending scan prices
-                    // with the same plain L1.
-                    let weights = rows(&entries.weights, slots, entries.count);
-                    class
-                        .pending
-                        .weights
-                        .extend(weights.map(|v| (scale_weights(ld, ecount, v), gid)));
-                }
-            }
-        }
-        gid
-    }
-
-    /// Merges every class whose `(pending, frozen)` entry counts satisfy
-    /// `due` (classes with nothing pending are never due).
-    fn merge_where(&mut self, due: impl Fn(usize, usize) -> bool) {
-        for ci in 0..self.classes.len() {
-            let class = &self.classes[ci];
-            let pending = class.pending.len();
-            if pending > 0 && due(pending, class.entries - pending) {
-                self.merge_class(ci);
+    /// Merges, in one batch, the pending structure of every class whose
+    /// pending entry count satisfies `due` into its frozen one.
+    fn merge_where(&mut self, due: impl Fn(usize) -> bool) {
+        for class in &mut self.classes {
+            if let Some(merged) = class.pending.take_if(|p| due(p.len())) {
+                class.frozen.insert(merged.entries());
+                self.merge_stats.merges += 1;
+                self.merge_stats.entries_rewritten += class.entries as u64;
             }
         }
     }
 
-    /// Merges class `ci`'s pending entries into its frozen structure
-    /// (one batch rebuild), leaving the pending buffer empty.
-    fn merge_class(&mut self, ci: usize) {
-        let class = &mut self.classes[ci];
-        let pending = std::mem::take(&mut class.pending);
-        match &mut class.imp {
-            ClassImpl::Trie(trie) => trie.insert_batch(pending.labels),
-            // Pending points were scale-transformed at insert time.
-            ClassImpl::RTree(rt) => rt.insert_batch(pending.weights),
-        }
-        self.merge_stats.merges += 1;
-        self.merge_stats.entries_rewritten += class.entries as u64;
-    }
-
-    /// Merges every class's pending buffer into its frozen structure.
-    /// Query answers are unchanged; compaction only restores the
-    /// frozen-arena fast paths (and is the required prelude to
-    /// snapshotting).
+    /// Merges every class's pending structure into its frozen one.
+    /// Query answers are unchanged; compaction is the required prelude
+    /// to snapshotting.
     pub fn compact(&mut self) {
-        self.merge_where(|_, _| true);
+        self.merge_where(|_| true);
         self.debug_validate("compact");
     }
 
@@ -471,14 +470,13 @@ impl FragmentIndex {
 
     /// Total unmerged pending entries across all classes.
     pub fn pending_entries(&self) -> usize {
-        self.classes.iter().map(|c| c.pending.len()).sum()
+        self.classes.iter().map(ClassIndex::pending_len).sum()
     }
 
-    /// Unmerged pending entries of one class — below
-    /// [`IndexConfig::merge_threshold`] after every insert while
-    /// automatic merging is on.
+    /// Unmerged pending entries of one class — below 64 after every
+    /// insert.
     pub fn class_pending_entries(&self, feature: FeatureId) -> usize {
-        self.classes[feature.index()].pending.len()
+        self.classes[feature.index()].pending_len()
     }
 
     /// Deep structural validation of the whole index: every invariant
@@ -489,12 +487,11 @@ impl FragmentIndex {
     /// offline `pis check` fsck runs it on loaded stores.
     ///
     /// Per class: the posting list is strictly ascending and bounded by
-    /// the database size, the structure matches the distance and
-    /// revalidates ([`FlatTrie::validate`] / [`RTree::validate`])
-    /// with the right shape, pending entries have the class's slot
-    /// count and in-range ids of the structure's id convention, the
-    /// entry count equals frozen + pending, and every posting-list
-    /// graph is referenced by at least one entry.
+    /// the database size; the frozen and the pending structure each pass
+    /// the same check ([`FlatTrie::validate`] / [`RTree::validate`], the
+    /// distance's kind, the class's depth or dimension, postings inside
+    /// the class); the entry count equals frozen + pending; and every
+    /// posting-list graph is referenced by at least one entry.
     pub fn validate(&self) -> Result<IndexCheckReport, String> {
         let mut report = IndexCheckReport { classes: self.classes.len(), ..Default::default() };
         if self.classes.len() != self.features.len() {
@@ -518,82 +515,21 @@ impl FragmentIndex {
                 )));
             }
             // Which posting-list graphs are backed by at least one
-            // entry (frozen or pending). Trie entries use class-local
-            // slots; R-tree entries store global graph ids.
+            // entry, frozen or pending.
             let mut seen = vec![false; class.graphs.len()];
-            let see_global = |g: GraphId, seen: &mut [bool]| -> Result<(), String> {
-                match class.graphs.binary_search(&g) {
-                    Ok(i) => {
-                        seen[i] = true;
-                        Ok(())
-                    }
-                    Err(_) => {
-                        Err(ctx(format!("entry names graph {g} absent from the posting list")))
-                    }
-                }
+            let mut check = |which: &str, imp: &ClassImpl| {
+                self.validate_structure(imp, slots, &class.graphs, &mut seen)
+                    .map_err(|m| ctx(format!("{which} {m}")))
             };
-            let frozen_len = match (&class.imp, &self.distance) {
-                (ClassImpl::Trie(trie), IndexDistance::Mutation(_)) => {
-                    if trie.depth() != slots {
-                        return Err(ctx(format!(
-                            "trie depth {} != {slots} class slots",
-                            trie.depth()
-                        )));
-                    }
-                    trie.validate().map_err(|m| ctx(format!("trie: {m}")))?;
-                    let mut bad = None;
-                    trie.for_each_entry(|_, slot| {
-                        if slot.index() >= seen.len() {
-                            bad = Some(slot);
-                        } else {
-                            seen[slot.index()] = true;
-                        }
-                    });
-                    if let Some(slot) = bad {
-                        return Err(ctx(format!(
-                            "trie posting slot {slot} exceeds the {}-graph class",
-                            seen.len()
-                        )));
-                    }
-                    class.pending.validate(slots, seen.len(), 0).map_err(&ctx)?;
-                    for (_, slot) in &class.pending.labels {
-                        seen[slot.index()] = true;
-                    }
-                    if !class.pending.weights.is_empty() {
-                        return Err(ctx("trie class buffers weight entries".to_string()));
-                    }
-                    report.trie_classes += 1;
-                    trie.len()
-                }
-                (ClassImpl::RTree(rt), IndexDistance::Linear(_)) => {
-                    if rt.dim() != slots {
-                        return Err(ctx(format!("r-tree dim {} != {slots} class slots", rt.dim())));
-                    }
-                    rt.validate().map_err(|m| ctx(format!("r-tree: {m}")))?;
-                    let mut gids = Vec::with_capacity(rt.len());
-                    rt.for_each_entry(|_, gid| gids.push(gid));
-                    for gid in gids {
-                        see_global(gid, &mut seen)?;
-                    }
-                    class.pending.validate(slots, 0, self.graph_count).map_err(&ctx)?;
-                    for &(_, gid) in &class.pending.weights {
-                        see_global(gid, &mut seen)?;
-                    }
-                    if !class.pending.labels.is_empty() {
-                        return Err(ctx("r-tree class buffers label entries".to_string()));
-                    }
-                    report.rtree_classes += 1;
-                    rt.len()
-                }
-                _ => {
-                    return Err(ctx("class backend does not match the index distance".to_string()))
-                }
+            let frozen_len = check("frozen", &class.frozen)?;
+            let pending_len = match &class.pending {
+                Some(pending) => check("pending", pending)?,
+                None => 0,
             };
-            if class.entries != frozen_len + class.pending.len() {
+            if class.entries != frozen_len + pending_len {
                 return Err(ctx(format!(
-                    "claims {} entries but holds {frozen_len} frozen + {} pending",
-                    class.entries,
-                    class.pending.len()
+                    "claims {} entries but holds {frozen_len} frozen + {pending_len} pending",
+                    class.entries
                 )));
             }
             if let Some(i) = seen.iter().position(|&s| !s) {
@@ -602,10 +538,66 @@ impl FragmentIndex {
                     class.graphs[i]
                 )));
             }
+            match class.frozen {
+                ClassImpl::Trie(_) => report.trie_classes += 1,
+                ClassImpl::RTree(_) => report.rtree_classes += 1,
+            }
             report.frozen_entries += frozen_len;
-            report.pending_entries += class.pending.len();
+            report.pending_entries += pending_len;
         }
         Ok(report)
+    }
+
+    /// One class structure, frozen or pending, checked against its class:
+    /// the kind the distance asks for, `slots` deep (trie) or wide
+    /// (R-tree), its own validator, and postings inside the class —
+    /// class-local slots into `graphs` for a trie, graph ids on `graphs`
+    /// for an R-tree — each marked in `seen`. Returns its entry count.
+    fn validate_structure(
+        &self,
+        imp: &ClassImpl,
+        slots: usize,
+        graphs: &[GraphId],
+        seen: &mut [bool],
+    ) -> Result<usize, String> {
+        match (imp, &self.distance) {
+            (ClassImpl::Trie(trie), IndexDistance::Mutation(_)) => {
+                if trie.depth() != slots {
+                    return Err(format!("trie depth {} != {slots} class slots", trie.depth()));
+                }
+                trie.validate().map_err(|m| format!("trie: {m}"))?;
+                let mut bad = None;
+                trie.for_each_entry(|_, slot| match seen.get_mut(slot.index()) {
+                    Some(s) => *s = true,
+                    None => bad = Some(slot),
+                });
+                match bad {
+                    Some(slot) => Err(format!(
+                        "trie posting slot {slot} exceeds the {}-graph class",
+                        graphs.len()
+                    )),
+                    None => Ok(trie.len()),
+                }
+            }
+            (ClassImpl::RTree(rt), IndexDistance::Linear(_)) => {
+                if rt.dim() != slots {
+                    return Err(format!("r-tree dim {} != {slots} class slots", rt.dim()));
+                }
+                rt.validate().map_err(|m| format!("r-tree: {m}"))?;
+                let mut bad = None;
+                rt.for_each_entry(|_, g| match graphs.binary_search(&g) {
+                    Ok(i) => seen[i] = true,
+                    Err(_) => bad = Some(g),
+                });
+                match bad {
+                    Some(g) => {
+                        Err(format!("r-tree entry names graph {g} absent from the posting list"))
+                    }
+                    None => Ok(rt.len()),
+                }
+            }
+            _ => Err("backend does not match the index distance".to_string()),
+        }
     }
 
     /// Debug-build hook: re-validates the whole index after a mutating
@@ -712,19 +704,20 @@ impl FragmentIndex {
     /// frozen *and* pending entries — or `∞` when no fragment of `G`
     /// lies within `sigma`. [`row_hits`] reads a row as a hit list.
     ///
-    /// On a trie class this runs [`FlatTrie::range_query`], each
-    /// level's alphabet priced once by
+    /// The one kernel runs over the frozen structure and then over the
+    /// pending one, into the same row, so pending answers are those of
+    /// a merged class to the f64 bit. On a trie class that is
+    /// [`FlatTrie::range_query`], each level's alphabet priced once by
     /// `MutationDistance::position_costs_into`, and emitted subtree
     /// ranges fold straight into the row (postings are class-local
-    /// slots). An R-tree class collects per-graph minima in a stamped
-    /// accumulator and reads it out in class order.
+    /// slots). An R-tree class collects per-graph minima of
+    /// [`RTree::range_query`] in a stamped accumulator and reads it out
+    /// in class order.
     ///
     /// Returns `false` — with `row` emptied — when the budget trips: a
     /// partial row is unusable (its minima may be wrong and its `∞`
-    /// cells mean nothing). Trie classes checkpoint per descent level;
-    /// R-tree classes consult one coarse checkpoint up front. Either
-    /// way one more checkpoint covers the scan of the class's pending
-    /// entries.
+    /// cells mean nothing). Each trie descent checkpoints per level;
+    /// an R-tree class consults one coarse checkpoint up front.
     ///
     /// # Panics
     /// Panics if the probe's vector kind does not match the index
@@ -740,58 +733,46 @@ impl FragmentIndex {
     ) -> bool {
         let class = &self.classes[feature.index()];
         let ecount = self.features.get(feature).edge_count();
-        let pending = &class.pending;
         row.clear();
         row.resize(class.graphs.len(), f64::INFINITY);
-        let completed = match (&class.imp, &self.distance) {
-            (ClassImpl::Trie(trie), IndexDistance::Mutation(md)) => {
+        let completed = match &self.distance {
+            IndexDistance::Mutation(md) => {
                 let q = probe.labels();
-                let completed = trie.range_query(
-                    q,
-                    sigma,
-                    |pos, query, stored, out| {
-                        md.position_costs_into(pos, ecount, query, stored, out);
-                    },
-                    |pos| md.position_is_zero(pos, ecount),
-                    &mut scratch.frontier,
-                    budget,
-                    |acc, slots| {
-                        for &s in slots {
-                            let b = &mut row[s.index()];
-                            if acc < *b {
-                                *b = acc;
-                            }
-                        }
-                    },
-                ) && (pending.is_empty()
-                    || budget.checkpoint(CheckpointSite::RangeDescent, pending.len() as u64));
-                if completed && !pending.is_empty() {
-                    // Pending entries fold into the same row, priced
-                    // position by position in the descent's order —
-                    // identical bits to post-merge.
-                    pending.scan_labels_positional(
+                // Both tries post class-local slots, so both descents
+                // fold into the same row.
+                class.structures().all(|imp| {
+                    let ClassImpl::Trie(trie) = imp else {
+                        unreachable!("the class structure always matches the index distance")
+                    };
+                    trie.range_query(
+                        q,
                         sigma,
-                        |pos, stored| md.position_cost(pos, ecount, q[pos], stored),
-                        |g, d| {
-                            let b = &mut row[g.index()];
-                            if d < *b {
-                                *b = d;
+                        |pos, query, stored, out| {
+                            md.position_costs_into(pos, ecount, query, stored, out);
+                        },
+                        |pos| md.position_is_zero(pos, ecount),
+                        &mut scratch.frontier,
+                        budget,
+                        |acc, slots| {
+                            for &s in slots {
+                                let b = &mut row[s.index()];
+                                if acc < *b {
+                                    *b = acc;
+                                }
                             }
                         },
-                    );
-                }
-                completed
+                    )
+                })
             }
-            (ClassImpl::RTree(rt), IndexDistance::Linear(ld)) => {
-                // The tree stores *scale-transformed* coordinates (see
+            IndexDistance::Linear(ld) => {
+                // The trees store *scale-transformed* coordinates (see
                 // `scale_weights`), turning the weighted L1 of the
                 // linear distance into a plain L1 — so the query vector
                 // gets the same transform and distances come out exact.
                 let scaled = scale_weights(ld, ecount, probe.weights());
                 scratch.begin(self.graph_count);
-                rtree_range_query(rt, class, &scaled, sigma, scratch, budget, row)
+                rtree_range_query(class, &scaled, sigma, scratch, budget, row)
             }
-            _ => unreachable!("the class structure always matches the index distance"),
         };
         if !completed {
             row.clear();
@@ -871,12 +852,12 @@ impl FragmentIndex {
     }
 }
 
-/// One probe against an R-tree class: `scaled` is the scale-transformed
-/// query point, `scratch` has a generation open over the database and
-/// `row` is the probe's ∞-filled minima row. `false` means the budget
-/// tripped and `row` holds nothing usable.
+/// One probe against an R-tree class, its frozen tree and then its
+/// pending one: `scaled` is the scale-transformed query point, `scratch`
+/// has a generation open over the database and `row` is the probe's
+/// ∞-filled minima row. `false` means the budget tripped and `row`
+/// holds nothing usable.
 fn rtree_range_query(
-    rt: &RTree,
     class: &ClassIndex,
     scaled: &[f64],
     sigma: f64,
@@ -900,16 +881,12 @@ fn rtree_range_query(
             best[i] = d;
         }
     };
-    rt.range_query(scaled, sigma, &mut visit);
-    let pending = &class.pending;
-    if !pending.is_empty() && !budget.checkpoint(CheckpointSite::RangeDescent, pending.len() as u64)
-    {
-        return false;
+    for imp in class.structures() {
+        let ClassImpl::RTree(rt) = imp else {
+            unreachable!("the class structure always matches the index distance")
+        };
+        rt.range_query(scaled, sigma, &mut visit);
     }
-    // Pending points were scale-transformed at insert time and are
-    // priced with the tree's own plain L1, so a pending entry and its
-    // post-merge self emit identical bits.
-    pending.scan_weights(sigma, |stored| crate::rtree::l1(scaled, stored), &mut visit);
     for (cell, g) in row.iter_mut().zip(&class.graphs) {
         if stamp[g.index()] == generation {
             *cell = best[g.index()];
@@ -1131,33 +1108,13 @@ fn freeze_class(
     let ecount = structure.edge_count();
     let slots = structure.vertex_count() + ecount;
     debug_assert!(row_graphs.is_sorted(), "class rows are in graph order");
-    let mut graphs: Vec<GraphId> = Vec::new();
-    for &g in &row_graphs {
-        if graphs.last() != Some(&g) {
-            graphs.push(g);
-        }
-    }
-
+    let mut graphs = Vec::new();
+    let postings = post_rows(&row_graphs, &mut graphs);
     let entries = row_graphs.len();
-    let imp = match distance {
-        IndexDistance::Mutation(_) => {
-            // Trie postings are *class-local* slots into the sorted
-            // `graphs` posting list, so range readouts sweep a compact
-            // per-class row (see `range_query_row`); slots
-            // ascend with the ids, so the arena's entry order is the
-            // same either way.
-            let mut slot = 0usize;
-            let postings = row_graphs
-                .iter()
-                .map(|&g| {
-                    slot += usize::from(graphs[slot] != g);
-                    GraphId(slot as u32)
-                })
-                .collect();
-            // One-shot freeze into the level-major arena — the build
-            // path never constructs pointer nodes at all.
-            ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings))
-        }
+    let frozen = match distance {
+        // One-shot freeze into the level-major arena — the build path
+        // never constructs pointer nodes at all.
+        IndexDistance::Mutation(_) => ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings)),
         IndexDistance::Linear(ld) => {
             let mut rt = RTree::new(slots);
             rt.insert_batch(
@@ -1168,7 +1125,50 @@ fn freeze_class(
             ClassImpl::RTree(rt)
         }
     };
-    ClassIndex::restored(imp, graphs, entries)
+    ClassIndex::restored(frozen, graphs, entries)
+}
+
+/// Puts a class's rows of graphs new to it (in graph order) into the
+/// form its structures store, as [`freeze_class`] does, appending the
+/// graphs to the class's posting list `graphs`.
+fn class_entries(
+    ClassRows { labels, weights, row_graphs }: ClassRows,
+    structure: &LabeledGraph,
+    distance: &IndexDistance,
+    graphs: &mut Vec<GraphId>,
+) -> ClassEntries {
+    let ecount = structure.edge_count();
+    let slots = structure.vertex_count() + ecount;
+    let entries = row_graphs.len();
+    let postings = post_rows(&row_graphs, graphs);
+    match distance {
+        IndexDistance::Mutation(_) => ClassEntries::Labels(
+            rows(&labels, slots, entries).map(<[Label]>::to_vec).zip(postings).collect(),
+        ),
+        IndexDistance::Linear(ld) => ClassEntries::Points(
+            rows(&weights, slots, entries)
+                .map(|v| scale_weights(ld, ecount, v))
+                .zip(row_graphs)
+                .collect(),
+        ),
+    }
+}
+
+/// Appends the distinct graphs of `row_graphs` (ascending, and past the
+/// last of `graphs`) to the posting list `graphs`, returning each row's
+/// class-local slot in it — the trie's postings, so range read-outs
+/// sweep a compact per-class row (see `range_query_row`). Slots ascend
+/// with the ids, so a trie's entry order is the same either way.
+fn post_rows(row_graphs: &[GraphId], graphs: &mut Vec<GraphId>) -> Vec<GraphId> {
+    row_graphs
+        .iter()
+        .map(|&g| {
+            if graphs.last() != Some(&g) {
+                graphs.push(g);
+            }
+            GraphId((graphs.len() - 1) as u32)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1455,7 +1455,7 @@ mod tests {
                         db,
                         features.clone(),
                         distance.clone(),
-                        &IndexConfig { threads, ..IndexConfig::default() },
+                        &IndexConfig { threads },
                     )
                 };
                 let serial = build(1);
@@ -1467,7 +1467,7 @@ mod tests {
                     for (f, (p, s)) in parallel.classes.iter().zip(&serial.classes).enumerate() {
                         assert_eq!(p.graphs, s.graphs, "{case} class {f}");
                         assert_eq!(p.entries, s.entries, "{case} class {f}");
-                        assert!(same_class(&p.imp, &s.imp), "{case} class {f}");
+                        assert!(same_class(&p.frozen, &s.frozen), "{case} class {f}");
                     }
                     assert_eq!(crate::encode_snapshot(&parallel, db).unwrap(), bytes, "{case}");
                 }
@@ -1481,8 +1481,9 @@ mod tests {
         // Build on a prefix, insert the rest.
         let mut incremental = build_md(&db[..2], 3);
         for g in &db[2..] {
-            incremental.insert_graph(g);
+            incremental.insert_graph_pending(g);
         }
+        incremental.compact();
         let bulk = build_md(&db, 3);
         assert_eq!(incremental.graph_count(), bulk.graph_count());
         assert_eq!(incremental.total_entries(), bulk.total_entries());
@@ -1523,8 +1524,9 @@ mod tests {
             &IndexConfig::default(),
         );
         for g in &db[1..] {
-            incremental.insert_graph(g);
+            incremental.insert_graph_pending(g);
         }
+        incremental.compact();
         let bulk =
             FragmentIndex::build(&db, features, IndexDistance::Linear(ld), &IndexConfig::default());
         let query = mk([1.0, 1.25, 2.0]);
@@ -1552,10 +1554,28 @@ mod tests {
             b.add_vertex(VertexAttr::labeled(Label(0)));
             b.build()
         };
-        let gid = index.insert_graph(&tiny);
+        let gid = index.insert_graph_pending(&tiny);
+        index.compact();
         assert_eq!(gid.index(), db.len());
         assert_eq!(index.total_entries(), before);
         assert_eq!(index.graph_count(), db.len() + 1);
+    }
+
+    fn build_ld(db: &[LabeledGraph], max_edges: usize) -> FragmentIndex {
+        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+        let features = exhaustive_features(&structures, max_edges);
+        FragmentIndex::build(
+            db,
+            features,
+            IndexDistance::Linear(LinearDistance::default()),
+            &IndexConfig::default(),
+        )
+    }
+
+    /// Class `ci`'s slot count: its structures' depth or dimension.
+    fn class_slots(index: &FragmentIndex, ci: usize) -> usize {
+        let structure = &index.features.get(FeatureId(ci as u32)).structure;
+        structure.vertex_count() + structure.edge_count()
     }
 
     /// A populated class for corruption below (the build itself already
@@ -1602,20 +1622,49 @@ mod tests {
         bad.classes[ci].graphs.push(GraphId(bad.graph_count as u32));
         assert!(bad.validate().unwrap_err().contains("past the"));
 
-        // A pending entry whose vector has the wrong arity.
+        // The pending structure passes the frozen structure's checks,
+        // with the class named: the class's depth ...
         let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
-        bad.classes[ci].pending.labels.push((vec![Label(1)], GraphId(0)));
-        assert!(bad.validate().unwrap_err().contains("slots"));
-
-        // A weight entry buffered into a label-backed class.
-        let mut bad = build_md(&db, 3);
-        let ci = full_class(&bad);
+        bad.classes[ci].pending =
+            Some(ClassImpl::Trie(FlatTrie::from_entries(1, vec![(vec![Label(1)], GraphId(0))])));
         bad.classes[ci].entries += 1;
-        let feature = bad.features.get(FeatureId(ci as u32));
-        let slots = feature.structure.vertex_count() + feature.structure.edge_count();
-        bad.classes[ci].pending.weights.push((vec![0.0; slots], GraphId(0)));
-        assert!(bad.validate().unwrap_err().contains("weight entry"));
+        let err = bad.validate().unwrap_err();
+        assert!(err.starts_with(&format!("class {ci}: pending trie depth 1 != ")), "{err}");
+
+        // ... its posting slots inside the class ...
+        let mut bad = build_md(&db, 3);
+        let ci = full_class(&bad);
+        let depth = class_slots(&bad, ci);
+        let past = GraphId(bad.classes[ci].graphs.len() as u32);
+        bad.classes[ci].pending = Some(ClassImpl::Trie(FlatTrie::from_entries(
+            depth,
+            vec![(vec![Label(1); depth], past)],
+        )));
+        bad.classes[ci].entries += 1;
+        let err = bad.validate().unwrap_err();
+        assert!(err.starts_with(&format!("class {ci}: pending trie posting slot ")), "{err}");
+
+        // ... the distance's kind of structure ...
+        let mut bad = build_md(&db, 3);
+        let ci = full_class(&bad);
+        bad.classes[ci].pending = Some(ClassImpl::RTree(RTree::new(class_slots(&bad, ci))));
+        let err = bad.validate().unwrap_err();
+        assert_eq!(err, format!("class {ci}: pending backend does not match the index distance"));
+
+        // ... and, on an R-tree class, graphs of its posting list.
+        let mut bad = build_ld(&db, 3);
+        let ci = full_class(&bad);
+        let absent = GraphId(bad.graph_count as u32);
+        let mut rt = RTree::new(class_slots(&bad, ci));
+        rt.insert_batch([(vec![0.0; rt.dim()], absent)]);
+        bad.classes[ci].pending = Some(ClassImpl::RTree(rt));
+        bad.classes[ci].entries += 1;
+        let err = bad.validate().unwrap_err();
+        assert_eq!(
+            err,
+            format!("class {ci}: pending r-tree entry names graph {absent} absent from the posting list")
+        );
     }
 
     #[test]

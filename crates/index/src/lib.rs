@@ -17,6 +17,11 @@
 //! per-position costs (the trie) or the L1 distance (the R-tree), to the
 //! f64 bit.
 //!
+//! A class holds two instances of its structure: the frozen one and a
+//! small *pending* one that inserted graphs land in until the class
+//! merges them. Range queries run the same kernel over both, so an
+//! unmerged class answers exactly as a merged one.
+//!
 //! The paper's third option, a "metric-based index \[6\]", is not
 //! carried: mutation score matrices need not satisfy the triangle
 //! inequality it prunes by (DESIGN.md §5, A2/A3).
@@ -37,7 +42,6 @@ pub mod codec;
 pub mod flat_trie;
 pub mod fragment;
 pub mod index;
-pub mod pending;
 pub mod persist;
 pub mod rtree;
 pub mod snapshot;

@@ -135,7 +135,8 @@ impl RTree {
     /// the grown pointer tree into the query arena (breadth-first;
     /// O(tree)) — so the arena a query descends always holds every
     /// point. The fragment index passes a whole class at build and load
-    /// time and a class's pending points at each merge.
+    /// time, and a run of new points to a class's pending tree or, at a
+    /// merge, to its frozen one.
     ///
     /// # Panics
     /// Panics if any point's length differs from `dim`.
@@ -302,10 +303,6 @@ impl RTree {
         }
         h
     }
-}
-
-pub(crate) fn l1(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
 /// The breadth-first flattening of a pointer tree into its query arena
@@ -510,6 +507,10 @@ mod tests {
         t.range_query(query, sigma, |g, d| out.push((g.0, d.to_bits())));
         out.sort_unstable();
         out
+    }
+
+    fn l1(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
     }
 
     /// The definition: every point within `sigma` of `query` in

@@ -38,7 +38,7 @@ use pis_mining::FeatureSet;
 
 use crate::codec::{atomic_write, crc32, idx, len64, u32_idx, u32_of, ByteReader, ByteWriter};
 use crate::flat_trie::{FlatTrie, TriePartsOwned};
-use crate::index::{ClassImpl, ClassIndex, FragmentIndex, IndexConfig, IndexDistance, MergeStats};
+use crate::index::{ClassImpl, ClassIndex, FragmentIndex, IndexDistance, MergeStats};
 use crate::persist::PersistError;
 use crate::rtree::RTree;
 
@@ -53,14 +53,18 @@ const KIND_FEATURES: u32 = 2;
 const KIND_DATABASE: u32 = 3;
 const KIND_CLASSES: u32 = 4;
 
-/// META's two retired slots, kept so persisted bytes do not move. The
+/// META's three retired slots, kept so persisted bytes do not move. The
 /// embedding cap is always "none": an index built under a cap had wrong
 /// range-query minima, so any other value is refused on read. The
 /// backend byte once chose among structures; `0`–`2` named pairings that
-/// still exist (the class tags say which), `3` the VP-tree.
+/// still exist (the class tags say which), `3` the VP-tree. The merge
+/// threshold was a knob; it is written as its old default and any value
+/// is accepted and ignored on read, since a threshold never changes an
+/// answer.
 const NO_EMBEDDING_CAP: u64 = u64::MAX;
 const BACKEND_BY_DISTANCE: u8 = 0;
 const BACKEND_VPTREE: u8 = 3;
+const RETIRED_MERGE_THRESHOLD: u64 = 64;
 
 /// Class tags. `1` and `3` were the VP-tree classes (label and weight
 /// items) and decode to [`PersistError::Corrupt`].
@@ -119,7 +123,7 @@ fn encode_meta(
     w.u64(len64(index.graph_count));
     w.u64(NO_EMBEDDING_CAP);
     w.u8(BACKEND_BY_DISTANCE);
-    w.u64(len64(index.config.merge_threshold));
+    w.u64(RETIRED_MERGE_THRESHOLD);
     match &index.distance {
         IndexDistance::Mutation(md) => {
             w.u8(0);
@@ -182,7 +186,7 @@ fn encode_classes(
 ) -> Result<(), PersistError> {
     w.u32(u32_of(index.classes.len(), "class count")?);
     for class in &index.classes {
-        w.u8(match &class.imp {
+        w.u8(match &class.frozen {
             ClassImpl::Trie(_) => CLASS_TRIE,
             ClassImpl::RTree(_) => CLASS_RTREE,
         });
@@ -191,7 +195,7 @@ fn encode_classes(
             w.u32(g.0);
         }
         w.u64(len64(class.entries));
-        match &class.imp {
+        match &class.frozen {
             ClassImpl::Trie(trie) => {
                 let p = trie.parts();
                 w.u32(u32_of(p.depth, "trie depth")?);
@@ -323,7 +327,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
         distance: meta.distance,
         classes,
         graph_count: meta.graph_count,
-        config: IndexConfig { threads: 0, merge_threshold: meta.merge_threshold },
         merge_stats: MergeStats::default(),
     };
     // Structural fsck on every load: the per-section CRCs catch bit
@@ -362,7 +365,6 @@ fn corrupt(offset: u64, message: &str) -> PersistError {
 
 struct Meta {
     graph_count: usize,
-    merge_threshold: usize,
     distance: IndexDistance,
 }
 
@@ -399,7 +401,7 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<Meta, PersistError> {
         }
         t => return Err(r.corrupt(&format!("unknown backend tag {t}"))),
     }
-    let merge_threshold = r.u64_usize("merge threshold")?;
+    r.u64("merge threshold")?;
     let distance = match r.u8("distance tag")? {
         0 => {
             let vertex = decode_matrix(r)?;
@@ -416,7 +418,7 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<Meta, PersistError> {
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes in META section"));
     }
-    Ok(Meta { graph_count, merge_threshold, distance })
+    Ok(Meta { graph_count, distance })
 }
 
 fn decode_matrix(r: &mut ByteReader<'_>) -> Result<ScoreMatrix, PersistError> {
@@ -667,6 +669,7 @@ fn decode_weight_items(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IndexConfig;
     use pis_distance::MutationDistance;
     use pis_graph::{EdgeAttr, GraphBuilder, VertexAttr};
     use pis_mining::exhaustive::exhaustive_features;
@@ -712,16 +715,16 @@ mod tests {
     }
 
     /// META's retired slots on hand-built section bytes: the embedding
-    /// cap must read "none" and the backend byte may name anything but
-    /// the VP-tree.
+    /// cap must read "none", the backend byte may name anything but the
+    /// VP-tree, and the merge threshold may hold anything.
     #[test]
     fn meta_retired_slots_accept_only_supported_values() {
-        let meta = |cap: u64, backend: u8| {
+        let meta = |cap: u64, backend: u8, threshold: u64| {
             let mut w = ByteWriter::new();
             w.u64(3); // graph count
             w.u64(cap);
             w.u8(backend);
-            w.u64(64); // merge threshold
+            w.u64(threshold);
             w.u8(1); // linear distance: vertex scale, edge scale
             w.f64_bits(0.0);
             w.f64_bits(1.0);
@@ -729,15 +732,22 @@ mod tests {
         };
         let decode = |bytes: Vec<u8>| decode_meta(&mut ByteReader::new(&bytes, 0));
         for backend in 0..=2 {
-            let m = decode(meta(u64::MAX, backend)).unwrap();
-            assert_eq!((m.graph_count, m.merge_threshold), (3, 64), "backend tag {backend}");
+            for threshold in [0, 1, 64, u64::MAX] {
+                let m = decode(meta(u64::MAX, backend, threshold)).unwrap();
+                assert_eq!(m.graph_count, 3, "backend tag {backend} threshold {threshold}");
+            }
         }
         for (cap, backend) in [(u64::MAX, 3), (u64::MAX, 4), (1000, 0), (0, 0)] {
             assert!(
-                matches!(decode(meta(cap, backend)), Err(PersistError::Corrupt { .. })),
+                matches!(decode(meta(cap, backend, 64)), Err(PersistError::Corrupt { .. })),
                 "cap {cap} backend tag {backend} must be refused"
             );
         }
+        // The writer fills the slot with the old default.
+        let (index, db) = sample(IndexDistance::Linear(LinearDistance::default()));
+        let mut w = ByteWriter::new();
+        encode_meta(&index, &db, &mut w).unwrap();
+        assert_eq!(w.into_bytes()[..25], meta(u64::MAX, 0, 64)[..25]);
     }
 
     #[test]
@@ -783,7 +793,7 @@ mod tests {
         let (index, db) = sample(IndexDistance::Mutation(MutationDistance::edge_hamming()));
         let (mut loaded, _) = decode_snapshot(&encode_snapshot(&index, &db).unwrap()).unwrap();
         let added = ring(&[2, 1, 1, 1]);
-        let gid = loaded.insert_graph(&added);
+        let gid = loaded.insert_graph_pending(&added);
         assert_eq!(gid.index(), db.len());
         let q = loaded
             .enumerate_query_fragments(&added)

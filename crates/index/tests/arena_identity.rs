@@ -131,15 +131,14 @@ fn ring(edge_labels: &[u32]) -> LabeledGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Whole-index form: a trie index grown by inserts — eager, or
-    /// pending under any merge threshold and then compacted — encodes
-    /// to the same snapshot bytes as a bulk build over the same graphs.
+    /// Whole-index form: a trie index grown by inserts — one at a time
+    /// or as one run, then compacted — encodes to the same snapshot
+    /// bytes as a bulk build over the same graphs.
     #[test]
     fn grown_index_snapshots_like_a_bulk_build(
         graphs in prop::collection::vec(prop::collection::vec(1u32..4, 4), 3..9),
         prefix in 1usize..3,
-        merge_threshold in 0usize..8,
-        eager in 0u8..2,
+        batched in 0u8..2,
     ) {
         let db: Vec<LabeledGraph> = graphs.iter().map(|ls| ring(ls)).collect();
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
@@ -150,14 +149,14 @@ proptest! {
                 // Vertex labels priced too, so no slot is erased and
                 // classes hold many distinct sequences.
                 IndexDistance::Mutation(MutationDistance::unit()),
-                &IndexConfig { merge_threshold, ..IndexConfig::default() },
+                &IndexConfig::default(),
             )
         };
         let mut grown = build(&db[..prefix]);
-        for g in &db[prefix..] {
-            if eager == 1 {
-                grown.insert_graph(g);
-            } else {
+        if batched == 1 {
+            grown.insert_graphs_pending(&db[prefix..]);
+        } else {
+            for g in &db[prefix..] {
                 grown.insert_graph_pending(g);
             }
         }

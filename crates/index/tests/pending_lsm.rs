@@ -1,4 +1,4 @@
-//! LSM pending-buffer equivalence: range queries over (frozen +
+//! Pending-structure equivalence: range queries over (frozen +
 //! pending) must be *bit-identical* (f64 payloads included) to queries
 //! over the merged index, for both class structures, and the automatic
 //! threshold merge must not change a single answer.
@@ -28,15 +28,21 @@ fn incoming() -> Vec<LabeledGraph> {
     vec![ring(&[2, 1, 2, 1]), ring(&[1, 1, 1, 1]), ring(&[3, 2, 1, 2]), ring(&[1, 2, 3, 1, 2])]
 }
 
-fn build(distance: &IndexDistance, merge_threshold: usize) -> FragmentIndex {
+fn build(distance: &IndexDistance) -> FragmentIndex {
     let db = base_db();
     let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
     FragmentIndex::build(
         &db,
         exhaustive_features(&structures, 3),
         distance.clone(),
-        &IndexConfig { merge_threshold, ..IndexConfig::default() },
+        &IndexConfig::default(),
     )
+}
+
+/// Rings enough to take every class past the merge threshold of 64
+/// pending entries, several times over.
+fn many_rings() -> Vec<LabeledGraph> {
+    (0..40u32).map(|i| ring(&[1 + i % 3, 1 + i / 3 % 3, 1 + i / 9 % 3, 1 + i % 2])).collect()
 }
 
 /// Every (feature, probe, sigma) answer set, canonically ordered with
@@ -67,15 +73,16 @@ fn backends() -> [(&'static str, IndexDistance); 2] {
 #[test]
 fn pending_queries_are_bit_identical_to_merged() {
     for (backend, distance) in backends() {
-        // merge_threshold 0 disables auto-merge: `lsm` keeps its
-        // pending buffers, `merged` is compacted by hand.
-        let mut lsm = build(&distance, 0);
-        let mut merged = build(&distance, 0);
+        // `incoming()` stays below the merge threshold: `lsm` keeps its
+        // pending structures, `merged` is compacted by hand.
+        let mut lsm = build(&distance);
+        let mut merged = build(&distance);
         for g in incoming() {
             lsm.insert_graph_pending(&g);
             merged.insert_graph_pending(&g);
         }
-        assert!(lsm.pending_entries() > 0, "{backend}: inserts must land in pending buffers");
+        let added = lsm.total_entries() - build(&distance).total_entries();
+        assert_eq!(lsm.pending_entries(), added, "{backend}: inserts must stay pending");
         merged.compact();
         assert_eq!(merged.pending_entries(), 0);
 
@@ -83,39 +90,29 @@ fn pending_queries_are_bit_identical_to_merged() {
         assert_eq!(
             all_answers(&lsm, &queries),
             all_answers(&merged, &queries),
-            "{backend}: pending scan must match the merged structures bit-for-bit"
+            "{backend}: pending structures must answer as the merged ones bit-for-bit"
         );
-    }
-}
-
-#[test]
-fn pending_matches_the_eager_insert_path() {
-    for (backend, distance) in backends() {
-        let mut lsm = build(&distance, 0);
-        let mut eager = build(&distance, 0);
-        for g in incoming() {
-            lsm.insert_graph_pending(&g);
-            eager.insert_graph(&g);
-        }
-        let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
-        assert_eq!(all_answers(&lsm, &queries), all_answers(&eager, &queries), "{backend}");
     }
 }
 
 #[test]
 fn threshold_merges_automatically_without_changing_answers() {
     for (backend, distance) in backends() {
-        let mut auto = build(&distance, 2);
-        let mut manual = build(&distance, 0);
-        for g in incoming() {
+        let mut auto = build(&distance);
+        let mut manual = build(&distance);
+        for g in many_rings() {
             auto.insert_graph_pending(&g);
-            manual.insert_graph_pending(&g);
         }
-        // Threshold 2 with several entries per class per insert: every
-        // touched class must have crossed it and merged.
-        assert_eq!(auto.pending_entries(), 0, "{backend}: threshold merge did not fire");
+        manual.insert_graphs_pending(&many_rings());
+        // Forty rings put hundreds of entries into every class: each
+        // must have crossed the threshold and merged, one insert at a
+        // time, and still holds less than it pending.
+        assert!(auto.merge_stats().merges > 0, "{backend}: threshold merge did not fire");
+        for f in auto.features().iter() {
+            assert!(auto.class_pending_entries(f.id) < 64, "{backend}");
+        }
         manual.compact();
-        let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
+        let queries: Vec<LabeledGraph> = base_db().into_iter().chain(many_rings()).collect();
         assert_eq!(all_answers(&auto, &queries), all_answers(&manual, &queries), "{backend}");
     }
 }
@@ -127,24 +124,23 @@ fn threshold_merges_automatically_without_changing_answers() {
 /// the end of the run instead of every few graphs.
 #[test]
 fn batch_insert_equals_one_at_a_time() {
-    let queries: Vec<LabeledGraph> = base_db().into_iter().chain(incoming()).collect();
     for (backend, distance) in backends() {
-        for merge_threshold in [0, 2, 7, 64] {
-            let mut single = build(&distance, merge_threshold);
-            let mut batch = build(&distance, merge_threshold);
-            for g in incoming() {
-                single.insert_graph_pending(&g);
+        for (run, incoming) in [("short", incoming()), ("long", many_rings())] {
+            let queries: Vec<LabeledGraph> =
+                base_db().into_iter().chain(incoming.clone()).collect();
+            let mut single = build(&distance);
+            let mut batch = build(&distance);
+            for g in &incoming {
+                single.insert_graph_pending(g);
             }
-            batch.insert_graphs_pending(&incoming());
-            let context = format!("{backend} threshold {merge_threshold}");
+            batch.insert_graphs_pending(&incoming);
+            let context = format!("{backend}, {run} run");
             assert_eq!(batch.graph_count(), single.graph_count(), "{context}");
             assert_eq!(batch.total_entries(), single.total_entries(), "{context}");
             assert_eq!(all_answers(&batch, &queries), all_answers(&single, &queries), "{context}");
-            if merge_threshold > 0 {
-                for index in [&single, &batch] {
-                    for f in index.features().iter() {
-                        assert!(index.class_pending_entries(f.id) < merge_threshold, "{context}");
-                    }
+            for index in [&single, &batch] {
+                for f in index.features().iter() {
+                    assert!(index.class_pending_entries(f.id) < 64, "{context}");
                 }
             }
             assert!(batch.merge_stats().merges <= single.merge_stats().merges, "{context}");
@@ -166,10 +162,10 @@ fn batch_insert_equals_one_at_a_time() {
 #[test]
 fn merge_stats_count_merges_and_rewritten_entries() {
     for (backend, distance) in backends() {
-        let mut index = build(&distance, 0);
+        let mut index = build(&distance);
         assert_eq!(index.merge_stats(), Default::default(), "{backend}");
         index.insert_graphs_pending(&incoming());
-        assert_eq!(index.merge_stats().merges, 0, "{backend}: threshold 0 never auto-merges");
+        assert_eq!(index.merge_stats().merges, 0, "{backend}: below the threshold");
         let touched =
             index.features().iter().filter(|f| index.class_pending_entries(f.id) > 0).count();
         // incoming() holds 4- and 5-rings, so every class is touched and
@@ -187,7 +183,7 @@ fn merge_stats_count_merges_and_rewritten_entries() {
 #[test]
 fn compact_leaves_no_stale_rtrees() {
     let distance = IndexDistance::Linear(LinearDistance::default());
-    let mut index = build(&distance, 0);
+    let mut index = build(&distance);
     for g in incoming() {
         index.insert_graph_pending(&g);
     }

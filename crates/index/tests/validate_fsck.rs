@@ -5,7 +5,7 @@
 //! the trie's arena columns, pointer surgery on the R-tree, field
 //! corruption on the index). This file pins the other half of the
 //! contract: an index reached through *any* public lifecycle — build,
-//! eager insert, LSM pending insert, threshold-triggered merges,
+//! inserts one at a time or as a run, threshold-triggered merges,
 //! compaction, snapshot round trip — validates cleanly, so a validation
 //! failure in the field always means corruption, never a false alarm.
 
@@ -54,30 +54,29 @@ proptest! {
     /// counters.
     #[test]
     fn label_lifecycle_always_validates(
-        extra in prop::collection::vec(prop::collection::vec(1u32..4, 4), 1..5),
-        merge_threshold in 0usize..6,
-        eager in 0u8..2,
+        extra in prop::collection::vec(prop::collection::vec(1u32..4, 4), 1..12),
+        batched in 0u8..2,
     ) {
-        let eager = eager == 1;
         let mut db = vec![ring(&[1, 1, 1, 1]), ring(&[1, 2, 1, 2]), ring(&[2, 2, 2, 2])];
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let mut index = FragmentIndex::build(
             &db,
             exhaustive_features(&structures, 3),
             IndexDistance::Mutation(MutationDistance::edge_hamming()),
-            &IndexConfig { merge_threshold, ..IndexConfig::default() },
+            &IndexConfig::default(),
         );
         assert_valid(&index, "after build")?;
-        for ls in &extra {
-            let g = ring(ls);
-            if eager {
-                index.insert_graph(&g);
-            } else {
-                index.insert_graph_pending(&g);
+        let incoming: Vec<LabeledGraph> = extra.iter().map(|ls| ring(ls)).collect();
+        if batched == 1 {
+            index.insert_graphs_pending(&incoming);
+            assert_valid(&index, "after a run of inserts")?;
+        } else {
+            for g in &incoming {
+                index.insert_graph_pending(g);
+                assert_valid(&index, "after insert")?;
             }
-            db.push(g);
-            assert_valid(&index, "after insert")?;
         }
+        db.extend(incoming);
         let report = index.validate().unwrap();
         prop_assert_eq!(report.classes, index.features().len());
         prop_assert_eq!(
@@ -99,8 +98,7 @@ proptest! {
     /// lifecycle.
     #[test]
     fn weight_lifecycle_always_validates(
-        extra in prop::collection::vec(prop::collection::vec(1u32..40, 4), 1..5),
-        merge_threshold in 0usize..6,
+        extra in prop::collection::vec(prop::collection::vec(1u32..40, 4), 1..12),
     ) {
         let db = vec![
             weighted_ring(&[1.0, 1.0, 1.0, 1.0]),
@@ -112,7 +110,7 @@ proptest! {
             &db,
             exhaustive_features(&structures, 3),
             IndexDistance::Linear(LinearDistance::edges_only()),
-            &IndexConfig { merge_threshold, ..IndexConfig::default() },
+            &IndexConfig::default(),
         );
         assert_valid(&index, "after build")?;
         for ws in &extra {

@@ -9,7 +9,7 @@
 //! - An insert interrupted before the fsync completes is cleanly
 //!   absent after reopen (the torn tail is truncated away), never
 //!   half-applied.
-//! - [`DurableSystem::compact`] merges the LSM pending buffers,
+//! - [`DurableSystem::compact`] merges the pending structures,
 //!   rotates a fresh snapshot into place atomically (temp + fsync +
 //!   rename) and only then truncates the WAL. A crash between the two
 //!   steps merely leaves stale records that replay idempotently.
@@ -84,8 +84,8 @@ pub struct StoreCheckReport {
 ///
 /// Checks, in order: the snapshot's magic/version/section CRCs and
 /// footer, the deep index invariants on the decoded structures (trie
-/// arena tiling, R-tree fanout/MBR containment, posting-list and
-/// pending-buffer consistency), WAL framing, that every committed WAL
+/// arena tiling, R-tree fanout/MBR containment, posting lists, for the
+/// frozen and the pending structure alike), WAL framing, that every committed WAL
 /// record replays cleanly on top of the snapshot, and the index
 /// invariants again on the replayed state. Any violation surfaces as a
 /// typed [`PersistError`] — never a panic.
@@ -169,7 +169,7 @@ pub const WAL_FILE: &str = "wal.log";
 
 impl DurableSystem {
     /// Initializes `dir` from an in-memory system: writes the first
-    /// snapshot (compacting pending buffers first) and an empty WAL.
+    /// snapshot (compacting pending structures first) and an empty WAL.
     pub fn create(dir: &Path, mut system: PisSystem) -> Result<DurableSystem, PersistError> {
         std::fs::create_dir_all(dir).map_err(PersistError::Io)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
@@ -183,7 +183,7 @@ impl DurableSystem {
 
     /// Opens a directory written by [`DurableSystem::create`]: loads and
     /// validates the snapshot, repairs a torn WAL tail, and replays
-    /// every committed WAL record into the LSM pending buffers.
+    /// every committed WAL record into the pending structures.
     pub fn open(dir: &Path, config: PisConfig) -> Result<DurableSystem, PersistError> {
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let (index, database) = load_snapshot(&snapshot_path)?;
@@ -208,7 +208,7 @@ impl DurableSystem {
         Ok(gid)
     }
 
-    /// Merges pending buffers into the frozen structures, rotates a
+    /// Merges pending structures into the frozen ones, rotates a
     /// fresh snapshot into place and truncates the WAL.
     pub fn compact(&mut self) -> Result<(), PersistError> {
         write_snapshot(&self.snapshot_path, &mut self.system.index, &self.system.database)?;
@@ -231,7 +231,7 @@ impl DurableSystem {
         self.system
     }
 
-    /// Entries awaiting a merge in the LSM pending buffers.
+    /// Entries awaiting a merge in the pending structures.
     pub fn pending_entries(&self) -> usize {
         self.system.index().pending_entries()
     }

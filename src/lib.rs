@@ -155,13 +155,6 @@ impl PisSystemBuilder {
         self
     }
 
-    /// Pending entries a class may accumulate before its LSM buffer is
-    /// merged into the frozen structure (0 disables auto-merge).
-    pub fn merge_threshold(mut self, threshold: usize) -> Self {
-        self.index_config.merge_threshold = threshold;
-        self
-    }
-
     /// Mines features, builds the fragment index and assembles the
     /// system.
     pub fn build(self, database: Vec<LabeledGraph>) -> PisSystem {
@@ -289,26 +282,18 @@ impl PisSystem {
     /// indexing new arrivals, which preserves correctness (features only
     /// ever *filter*); re-mine and rebuild periodically if the data
     /// distribution drifts.
+    ///
+    /// The graph's entries land in each class's pending structure, which
+    /// answers exactly as the merged class would and merges itself once
+    /// it is full ([`FragmentIndex::insert_graph_pending`]).
     pub fn insert_graph(&mut self, graph: LabeledGraph) -> GraphId {
-        let gid = self.index.insert_graph(&graph);
-        self.database.push(graph);
-        debug_assert_eq!(self.database.len(), self.index.graph_count());
-        gid
-    }
-
-    /// [`PisSystem::insert_graph`] through the index's LSM pending
-    /// buffers: O(entries added) per insert instead of a per-class
-    /// arena rebuild, with bit-identical query answers. Buffers merge
-    /// automatically at [`IndexConfig::merge_threshold`], or on
-    /// [`PisSystem::compact`].
-    pub fn insert_graph_pending(&mut self, graph: LabeledGraph) -> GraphId {
         let gid = self.index.insert_graph_pending(&graph);
         self.database.push(graph);
         debug_assert_eq!(self.database.len(), self.index.graph_count());
         gid
     }
 
-    /// Merges every LSM pending buffer into its frozen structure.
+    /// Merges every class's pending structure into its frozen one.
     pub fn compact(&mut self) {
         self.index.compact();
     }

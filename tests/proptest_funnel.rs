@@ -141,13 +141,14 @@ fn message(e: TestCaseError) -> String {
     }
 }
 
-/// A system over `db` whose graphs from `frozen` on sit in the index's
-/// pending buffers (never merged), so range queries fold them in.
+/// A system over `db` whose graphs from `frozen` on are inserted after
+/// the build, so range queries read them from the classes' pending
+/// structures (or, past the merge threshold, from the merged ones).
 fn with_pending(builder: PisSystemBuilder, db: &[LabeledGraph], frozen: usize) -> PisSystem {
     let frozen = frozen.min(db.len());
-    let mut system = builder.merge_threshold(0).build(db[..frozen].to_vec());
+    let mut system = builder.build(db[..frozen].to_vec());
     for g in &db[frozen..] {
-        system.insert_graph_pending(g.clone());
+        system.insert_graph(g.clone());
     }
     system
 }

@@ -483,13 +483,14 @@ proptest! {
             IndexDistance::Mutation(md.clone())
         };
         let bulk = build_index(&db, distance.clone());
-        // The same database with its tail left unmerged.
+        // The same database with its tail inserted after the build: it
+        // stays pending unless a class reaches the merge threshold.
         let frozen = frozen.min(db.len());
         let mut buffered = FragmentIndex::build(
             &db[..frozen],
             bulk.features().clone(),
             distance,
-            &IndexConfig { merge_threshold: 0, ..IndexConfig::default() },
+            &IndexConfig::default(),
         );
         buffered.insert_graphs_pending(&db[frozen..]);
         for index in [&bulk, &buffered] {
@@ -545,8 +546,9 @@ proptest! {
         let mut incremental =
             FragmentIndex::build(&db[..split], features.clone(), md.clone(), &IndexConfig::default());
         for g in &db[split..] {
-            incremental.insert_graph(g);
+            incremental.insert_graph_pending(g);
         }
+        incremental.compact();
         let bulk = FragmentIndex::build(&db, features, md, &IndexConfig::default());
         prop_assert_eq!(incremental.total_entries(), bulk.total_entries());
         for qf in bulk.enumerate_query_fragments(&query) {
