@@ -12,6 +12,8 @@
 //! Every experiment prints its table and writes `<out>/<exp>.txt`; the
 //! tables are the source data of EXPERIMENTS.md.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;

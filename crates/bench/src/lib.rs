@@ -8,6 +8,7 @@
 //! reduction ratios. The `figures` binary drives everything.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::time::{Duration, Instant};
 

@@ -28,6 +28,7 @@
 //! paper plots in Figures 8–12.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod baseline;
 pub mod config;

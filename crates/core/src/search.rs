@@ -59,7 +59,7 @@
 //! check, and the stage counters shrink monotonically.
 
 use pis_distance::SuperimposedDistance;
-use pis_graph::budget::{BudgetState, BudgetStats, CheckpointSite};
+use pis_graph::budget::{BudgetState, BudgetStats};
 use pis_graph::util::FxHashMap;
 use pis_graph::{GraphBitSet, GraphId, LabeledGraph, ScopedPool};
 use pis_index::{
@@ -121,43 +121,9 @@ pub struct SearchStats {
     pub partition: Vec<PartitionFragment>,
 }
 
-/// The funnel phase in which a query budget first reported exhaustion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TruncationPhase {
-    /// The index range-query descent.
-    RangeDescent,
-    /// The exact-MWIS partition solver.
-    Partition,
-    /// The exact structure check.
-    StructureCheck,
-    /// Candidate distance verification.
-    Verify,
-    /// The kNN radius-doubling driver.
-    Knn,
-}
-
-impl TruncationPhase {
-    fn from_site(site: CheckpointSite) -> TruncationPhase {
-        match site {
-            CheckpointSite::RangeDescent => TruncationPhase::RangeDescent,
-            CheckpointSite::Partition => TruncationPhase::Partition,
-            CheckpointSite::StructureCheck => TruncationPhase::StructureCheck,
-            CheckpointSite::Verify => TruncationPhase::Verify,
-            CheckpointSite::Knn => TruncationPhase::Knn,
-        }
-    }
-
-    /// Stable lowercase name (explain and CLI output).
-    pub fn name(self) -> &'static str {
-        match self {
-            TruncationPhase::RangeDescent => "range-descent",
-            TruncationPhase::Partition => "partition",
-            TruncationPhase::StructureCheck => "structure-check",
-            TruncationPhase::Verify => "verify",
-            TruncationPhase::Knn => "knn",
-        }
-    }
-}
+/// The funnel phase in which a query budget first reported exhaustion:
+/// the checkpoint site that tripped first.
+pub use pis_graph::budget::CheckpointSite as TruncationPhase;
 
 /// Whether a search ran to completion or was cut short by its
 /// budget ([`PisConfig::budget`]).
@@ -191,10 +157,7 @@ impl Completeness {
     pub(crate) fn of_state(budget: &BudgetState) -> Completeness {
         match budget.trip_site() {
             None => Completeness::Exact,
-            Some(site) => Completeness::Truncated {
-                phase: TruncationPhase::from_site(site),
-                stats: budget.stats(),
-            },
+            Some(phase) => Completeness::Truncated { phase, stats: budget.stats() },
         }
     }
 }

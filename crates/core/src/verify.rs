@@ -30,6 +30,18 @@
 //! verifying a candidate list amortizes its allocations the same way the
 //! funnel's `SearchScratch` does.
 
+// Search hot path: panic-free outside tests (DESIGN.md §6.11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::ops::ControlFlow;
 
 use pis_distance::SuperimposedDistance;
@@ -482,6 +494,10 @@ impl DeficitTable {
         if !self.enabled {
             return 0.0;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible: the deficit table is keyed by the query's own edge labels, built from the same query in the constructor"
+        )]
         let i = self
             .rows
             .binary_search_by_key(&label.0, |r| r.label)
@@ -530,6 +546,10 @@ impl ForwardFloors {
         self.rows_len = rows.len();
         self.edge_row.clear();
         for e in query.edges() {
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: the deficit table is keyed by the query's own edge labels, so the reverse lookup always finds a row"
+            )]
             let r = rows
                 .binary_search_by_key(&e.attr.label.0, |row| row.label)
                 .expect("rows cover every query edge label");
@@ -651,6 +671,10 @@ impl<D: SuperimposedDistance + ?Sized> MatchVisitor for BoundedLbVisitor<'_, D> 
             for &(q, qe) in self.query.neighbors(p) {
                 match self.map[q.index()] {
                     Some(tq) => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "infallible: the matcher only proposes pairs whose incident edges exist in both graphs, so the edge to a placed neighbor exists"
+                        )]
                         let te = match self.grid {
                             Some(grid) => grid.get(tq, t),
                             None => self.target.edge_between(tq, t),
@@ -681,7 +705,15 @@ impl<D: SuperimposedDistance + ?Sized> MatchVisitor for BoundedLbVisitor<'_, D> 
             self.fc = fc_new;
         } else {
             for &(q, qe) in self.plan.checks(depth) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "infallible: the check list is built over the prefix of placed vertices, so map[q] is always Some at read time"
+                )]
                 let tq = self.map[q.index()].expect("checks reference already-placed vertices");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "infallible: the matcher only proposes pairs whose incident edges exist in both graphs, so the edge to a placed neighbor exists"
+                )]
                 let te = match self.grid {
                     Some(grid) => grid.get(tq, t),
                     None => self.target.edge_between(tq, t),
@@ -716,6 +748,10 @@ impl<D: SuperimposedDistance + ?Sized> MatchVisitor for BoundedLbVisitor<'_, D> 
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "infallible: assign/unassign calls are strictly stack-paired by the backtracking matcher, so the cost stack is never empty on pop"
+        )]
         let delta = self.cost_stack.pop().expect("unassign pairs with assign");
         self.cost -= delta;
     }

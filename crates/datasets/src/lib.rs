@@ -20,6 +20,7 @@
 //!   distribution.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod chemistry;
 pub mod generator;

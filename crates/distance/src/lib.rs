@@ -20,6 +20,7 @@
 //! is the correctness oracle for the index and the optimized verifier.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod linear;
 pub mod matrix;

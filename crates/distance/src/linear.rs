@@ -7,6 +7,18 @@
 //! fragment index answers LD range queries as L1 ball queries over
 //! weight vectors (the paper's Example 3).
 
+// Search hot path: panic-free outside tests (DESIGN.md §6.11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use pis_graph::{EdgeAttr, LabeledGraph, VertexAttr};
 
 use crate::traits::{min_edge_costs_generic, min_vertex_costs_generic, SuperimposedDistance};
@@ -54,26 +66,6 @@ impl LinearDistance {
     /// Scale applied to edge-weight differences.
     pub fn edge_scale(&self) -> f64 {
         self.edge_scale
-    }
-
-    /// L1 distance between two weight vectors in the fragment index's
-    /// class-canonical layout (edge weights then vertex weights; edges
-    /// lead so the cost-bearing slots of edge-only distances come first
-    /// for the index backends).
-    pub fn weight_vector_cost(&self, edge_count: usize, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        // Segment-split: each loop is a plain sum of |a-b| the compiler
-        // can vectorize, with the scale factored out of the loop.
-        let cut = edge_count.min(a.len());
-        let mut edge_sum = 0.0;
-        for (&wa, &wb) in a[..cut].iter().zip(&b[..cut]) {
-            edge_sum += (wa - wb).abs();
-        }
-        let mut vertex_sum = 0.0;
-        for (&wa, &wb) in a[cut..].iter().zip(&b[cut..]) {
-            vertex_sum += (wa - wb).abs();
-        }
-        self.edge_scale * edge_sum + self.vertex_scale * vertex_sum
     }
 }
 
@@ -215,15 +207,6 @@ mod tests {
         let d = LinearDistance::edges_only();
         let e = &embeddings(&q, &g, IsoConfig::STRUCTURE)[0];
         assert!((d.superposition_cost(&q, &g, e) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weight_vector_cost_scales_segments() {
-        let d = LinearDistance::scaled(2.0, 1.0);
-        let a = [1.0, 1.0, 1.0];
-        let b = [2.0, 2.0, 2.0];
-        // 2 edges scaled by 1, 1 vertex scaled by 2.
-        assert_eq!(d.weight_vector_cost(2, &a, &b), 4.0);
     }
 
     #[test]

@@ -6,6 +6,18 @@
 //! entries; it need not satisfy the triangle inequality, and nothing in
 //! the index relies on it.
 
+// Search hot path: panic-free outside tests (DESIGN.md §6.11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::fmt;
 
 use pis_graph::Label;
@@ -102,6 +114,10 @@ impl ScoreMatrix {
                 return Err(ScoreMatrixError::NonZeroDiagonal(i));
             }
             for j in (i + 1)..size {
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "symmetry is bit-exact by contract: both entries are stored inputs, not computed values"
+                )]
                 if costs[i * size + j] != costs[j * size + i] {
                     return Err(ScoreMatrixError::Asymmetric(i, j));
                 }

@@ -6,6 +6,18 @@
 //! labels are ignored and each mismatched edge label costs 1 ("the
 //! number of edges whose labels are mismatched").
 
+// Search hot path: panic-free outside tests (DESIGN.md §6.11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use pis_graph::{EdgeAttr, Label, LabeledGraph, VertexAttr};
 
 use crate::matrix::ScoreMatrix;
@@ -43,34 +55,6 @@ impl MutationDistance {
     /// The edge score matrix.
     pub fn edge_scores(&self) -> &ScoreMatrix {
         &self.edge_scores
-    }
-
-    /// Cost of a vertex-label mutation.
-    #[inline]
-    pub fn vertex_label_cost(&self, a: Label, b: Label) -> f64 {
-        self.vertex_scores.cost(a, b)
-    }
-
-    /// Cost of an edge-label mutation.
-    #[inline]
-    pub fn edge_label_cost(&self, a: Label, b: Label) -> f64 {
-        self.edge_scores.cost(a, b)
-    }
-
-    /// Distance between two label vectors in the fragment index's
-    /// class-canonical layout: the first `edge_count` positions hold
-    /// edge labels, the rest vertex labels. (Edges lead so that
-    /// cost-bearing trie levels come first — under the paper's
-    /// edge-Hamming setting a vertex-first layout would fan out through
-    /// zero-cost levels before any pruning could happen.)
-    pub fn label_vector_cost(&self, edge_count: usize, a: &[Label], b: &[Label]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        // Segment-split so each loop scans one score matrix without a
-        // per-position branch (and all-zero segments cost nothing,
-        // including the scan).
-        let cut = edge_count.min(a.len());
-        self.edge_scores.segment_cost(&a[..cut], &b[..cut])
-            + self.vertex_scores.segment_cost(&a[cut..], &b[cut..])
     }
 
     /// Cost contributed by position `pos` of a class-canonical label
@@ -301,19 +285,6 @@ mod tests {
         for e in &embs {
             assert_eq!(d.superposition_cost(&q, &g, e), 3.0);
         }
-    }
-
-    #[test]
-    fn label_vector_cost_splits_segments() {
-        let d = MutationDistance::new(ScoreMatrix::zero(0), ScoreMatrix::unit(0));
-        // 2 edges then 2 vertices.
-        let a = [Label(3), Label(4), Label(1), Label(2)];
-        let b = [Label(3), Label(9), Label(9), Label(9)];
-        // One edge mismatch counts; vertex mismatches are free.
-        assert_eq!(d.label_vector_cost(2, &a, &b), 1.0);
-        // With unit vertex scores both vertex mismatches count too.
-        let d2 = MutationDistance::unit();
-        assert_eq!(d2.label_vector_cost(2, &a, &b), 3.0);
     }
 
     #[test]

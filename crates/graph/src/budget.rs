@@ -19,6 +19,18 @@
 //! re-deriving the decision. The first tripping site is recorded for
 //! diagnostics.
 
+// Search hot path: panic-free outside tests (DESIGN.md §6.11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,7 +51,8 @@ pub enum CheckpointSite {
 }
 
 impl CheckpointSite {
-    const ALL: [CheckpointSite; 5] = [
+    /// Every site, in declaration order.
+    pub const ALL: [CheckpointSite; 5] = [
         CheckpointSite::RangeDescent,
         CheckpointSite::Partition,
         CheckpointSite::StructureCheck,
@@ -180,6 +193,10 @@ impl BudgetState {
                     self.trip(site);
                     return false;
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "fault-injection tier: compiled only under the test-only `failpoints` feature; panicking is the point (exercises the pool's panic containment)"
+                )]
                 failpoints::Action::Panic => {
                     panic!("failpoint panic at {}", site.name());
                 }

@@ -59,7 +59,10 @@ pub fn connected_edge_subgraphs(g: &LabeledGraph, max_edges: usize, mut f: impl 
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "recursion over the enumeration state split into separate borrows"
+)]
 fn grow(
     edge_adj: &[Vec<EdgeId>],
     max_edges: usize,

@@ -13,6 +13,8 @@
 //! ```
 //!
 //! Vertices must be declared densely (`v k …` is the k-th declaration).
+//! Weights must be finite: `NaN`, `inf` and their spellings are parse
+//! errors, since every distance downstream assumes finite weights.
 
 use std::fmt::Write as _;
 
@@ -45,7 +47,7 @@ pub fn parse_database(text: &str) -> Result<Vec<LabeledGraph>, GraphError> {
                 let b = current.as_mut().ok_or_else(|| parse_err(line_no, "'v' before 't'"))?;
                 let idx: usize = next_num(&mut tokens, line_no, "vertex index")?;
                 let label: u32 = next_num(&mut tokens, line_no, "vertex label")?;
-                let weight: f64 = opt_num(&mut tokens, line_no, "vertex weight")?.unwrap_or(0.0);
+                let weight = opt_weight(&mut tokens, line_no, "vertex weight")?;
                 if idx != b.vertex_count() {
                     return Err(parse_err(
                         line_no,
@@ -62,7 +64,7 @@ pub fn parse_database(text: &str) -> Result<Vec<LabeledGraph>, GraphError> {
                 let u: u32 = next_num(&mut tokens, line_no, "edge source")?;
                 let v: u32 = next_num(&mut tokens, line_no, "edge target")?;
                 let label: u32 = next_num(&mut tokens, line_no, "edge label")?;
-                let weight: f64 = opt_num(&mut tokens, line_no, "edge weight")?.unwrap_or(0.0);
+                let weight = opt_weight(&mut tokens, line_no, "edge weight")?;
                 b.add_edge(VertexId(u), VertexId(v), EdgeAttr { label: Label(label), weight })
                     .map_err(|e| parse_err(line_no, &e.to_string()))?;
             }
@@ -173,6 +175,19 @@ fn opt_num<T: std::str::FromStr>(
     }
 }
 
+/// An optional weight, `0.0` when absent; `NaN` and `±∞` are refused.
+fn opt_weight(
+    tokens: &mut std::str::SplitWhitespace<'_>,
+    line: usize,
+    what: &str,
+) -> Result<f64, GraphError> {
+    let weight: f64 = opt_num(tokens, line, what)?.unwrap_or(0.0);
+    if !weight.is_finite() {
+        return Err(parse_err(line, &format!("non-finite {what}: '{weight}'")));
+    }
+    Ok(weight)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +250,18 @@ mod tests {
     fn error_on_trailing_tokens() {
         let err = parse_database("t 0\nv 0 0 0.5 junk\n").unwrap_err();
         assert!(err.to_string().contains("trailing"));
+    }
+
+    #[test]
+    fn error_on_non_finite_weight() {
+        for w in ["NaN", "nan", "inf", "-inf", "infinity", "-Infinity"] {
+            let err = parse_database(&format!("t 0\nv 0 0 {w}\n")).unwrap_err();
+            assert!(matches!(err, GraphError::Parse { line: 2, .. }), "v {w}: {err}");
+            assert!(err.to_string().contains("non-finite vertex weight"), "v {w}: {err}");
+            let err = parse_database(&format!("t 0\nv 0 0\nv 1 0\ne 0 1 0 {w}\n")).unwrap_err();
+            assert!(matches!(err, GraphError::Parse { line: 4, .. }), "e {w}: {err}");
+            assert!(err.to_string().contains("non-finite edge weight"), "e {w}: {err}");
+        }
     }
 
     #[test]

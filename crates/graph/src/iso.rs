@@ -25,6 +25,18 @@
 //! closes — what `pis-core`'s bound-propagating verifier folds its
 //! per-element cost floors along.
 
+// Search hot path: panic-free outside tests (DESIGN.md §6.11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::ops::ControlFlow;
 
 use crate::graph::LabeledGraph;
@@ -78,6 +90,10 @@ impl Embedding {
     ///
     /// # Panics
     /// Panics if the embedding is not valid for the given graphs.
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible: invoked only on complete embeddings produced by this matcher, whose extension step verified every pattern edge"
+    )]
     pub fn edge_image(&self, pattern: &LabeledGraph, target: &LabeledGraph, pe: EdgeId) -> EdgeId {
         let e = pattern.edge(pe);
         target
@@ -274,6 +290,10 @@ impl MatchPlan {
                     best_key = key;
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: the loop runs once per pattern vertex and places one per pass, so the scan always finds an unplaced vertex"
+            )]
             let v = best.expect("an unplaced vertex remains");
             self.placed[v.index()] = true;
             for &(w, _) in pattern.neighbors(v) {
@@ -630,7 +650,10 @@ impl SearchCtx<'_> {
     }
 
     #[inline]
-    #[allow(clippy::too_many_arguments)] // private hot path; the args are the search state
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private hot path; the args are the search state"
+    )]
     fn try_candidate(
         &self,
         depth: usize,
@@ -659,6 +682,10 @@ impl SearchCtx<'_> {
                     return ControlFlow::Continue(());
                 }
                 if self.config.respect_edge_labels {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "infallible: the adjacency bitset is built from the same edge list the lookup consults"
+                    )]
                     let te =
                         self.target.edge_between(tq, t).expect("adjacency bit implies an edge");
                     if self.pattern.edge(pe).attr.label != self.target.edge(te).attr.label {

@@ -28,6 +28,7 @@
 //! the fault-injection tier.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod algo;
 pub mod bitset;

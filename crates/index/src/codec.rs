@@ -9,9 +9,25 @@
 //! panic. Floats travel as raw bit patterns and are rejected when
 //! non-finite, mirroring the text format's `hex_f64` policy.
 
+// Decodes untrusted bytes: no panics and no bare `as` casts outside
+// tests (the checked cast helpers are below).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::as_conversions
+    )
+)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
+
+use pis_graph::LabeledGraph;
 
 use crate::persist::PersistError;
 
@@ -22,6 +38,10 @@ const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
+        #[expect(
+            clippy::as_conversions,
+            reason = "const-context CRC table build: try_from is not callable in const fn on the 1.82 floor, and i < 256 by the loop bound so the cast is exact"
+        )]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
@@ -45,8 +65,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // ── Checked cast helpers ─────────────────────────────────────────────
 //
-// The codecs (snapshot, WAL) are forbidden from using bare `as` casts
-// by srclint's `lossy-cast-in-codec` rule: on untrusted input
+// The codecs (snapshot, WAL) deny `clippy::as_conversions` at the top
+// of each module, so a bare `as` cast fails the lint: on untrusted input
 // a silent u64 → usize truncation (32-bit targets) or usize → u32 wrap
 // maps distinct offsets onto the same slice. Widening conversions go
 // through the infallible helpers below; narrowing conversions must use
@@ -85,6 +105,22 @@ pub(crate) fn u32_of(n: usize, what: &str) -> Result<u32, PersistError> {
         offset: 0,
         message: format!("{what} {n} does not fit in u32"),
     })
+}
+
+/// Refuses a graph with a `NaN` or infinite weight. The snapshot's
+/// DATABASE section and every WAL record carry graphs as text, which the
+/// parser rejects with such a weight, so the writers check first: a
+/// write that could never be read back fails before any byte of it.
+pub(crate) fn check_finite_weights(graph: &LabeledGraph) -> Result<(), PersistError> {
+    let finite = graph.vertex_ids().all(|v| graph.vertex(v).weight.is_finite())
+        && graph.edges().iter().all(|e| e.attr.weight.is_finite());
+    if finite {
+        return Ok(());
+    }
+    Err(PersistError::Io(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "graph has a non-finite weight, which the store cannot read back",
+    )))
 }
 
 /// Little-endian append-only byte sink (snapshot sections, WAL frames).
@@ -271,6 +307,10 @@ pub(crate) fn crash_point(site: &'static str, file: Option<(&mut File, &[u8])>) 
                 format!("failpoint: simulated crash at {site}"),
             ))
         }
+        #[expect(
+            clippy::panic,
+            reason = "fault-injection tier: compiled only under the test-only `failpoints` feature to simulate a process dying mid-write"
+        )]
         Some(failpoints::Action::Panic) => panic!("failpoint panic at {site}"),
         None => Ok(()),
     }

@@ -38,6 +38,18 @@
 //! bit-identical to summing the stored sequence's costs from the
 //! definition.
 
+// Search hot path: panic-free outside tests (DESIGN.md §6.11).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use pis_graph::budget::{BudgetState, CheckpointSite};
 use pis_graph::{GraphId, Label};
 
@@ -389,11 +401,6 @@ impl FlatTrie {
     /// Whether the trie stores nothing.
     pub fn is_empty(&self) -> bool {
         self.postings.is_empty()
-    }
-
-    /// Number of arena nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.labels.len()
     }
 
     /// Borrowed view of the raw arena columns, for the binary snapshot
@@ -753,7 +760,10 @@ impl FlatTrie {
     ///
     /// # Panics
     /// Panics if `probe.len()` differs from the trie depth.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "probe, radius, cost callbacks, scratch, budget and sink are the descent's inputs; a struct would only rename them"
+    )]
     pub fn range_query(
         &self,
         probe: &[Label],

@@ -144,6 +144,11 @@ pub fn label_vector(
 
 /// Appends the label vector of an embedding to `out` (the
 /// allocation-free form of [`label_vector`], used by arena fills).
+///
+/// Edge slots lead the layout so that cost-bearing trie levels come
+/// first: under the paper's edge-Hamming setting a vertex-first layout
+/// would fan out through zero-cost levels before any pruning could
+/// happen.
 pub fn label_vector_into(
     feature: &LabeledGraph,
     target: &LabeledGraph,

@@ -54,20 +54,6 @@ impl IndexDistance {
         matches!(self, IndexDistance::Mutation(_))
     }
 
-    /// Distance between two class-canonical vectors of the same class
-    /// (`edge_count` = number of edge slots, which lead the layout).
-    pub fn vector_cost(&self, edge_count: usize, a: &FragmentVector, b: &FragmentVector) -> f64 {
-        match (self, a, b) {
-            (IndexDistance::Mutation(md), FragmentVector::Labels(x), FragmentVector::Labels(y)) => {
-                md.label_vector_cost(edge_count, x, y)
-            }
-            (IndexDistance::Linear(ld), FragmentVector::Weights(x), FragmentVector::Weights(y)) => {
-                ld.weight_vector_cost(edge_count, x, y)
-            }
-            _ => panic!("fragment vector kind does not match the index distance"),
-        }
-    }
-
     /// Collapses slots that can never contribute cost (a zero score
     /// matrix or a zero scale) to a single canonical value. Distances
     /// are unchanged, but equivalent vectors become identical — under

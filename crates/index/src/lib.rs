@@ -37,6 +37,7 @@
 //! range query and still minimize over all superpositions (Eq. 3).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod codec;
 pub mod flat_trie;

@@ -28,6 +28,20 @@
 //! index *and* database); the write-ahead log ([`crate::wal`]) replays
 //! on top of it.
 
+// Decodes untrusted bytes: no panics and no bare `as` casts outside
+// tests (the checked cast helpers live in `codec.rs`).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::as_conversions
+    )
+)]
+
 use std::path::Path;
 
 use pis_distance::{LinearDistance, MutationDistance, ScoreMatrix};
@@ -36,7 +50,9 @@ use pis_graph::io::{parse_database, write_database};
 use pis_graph::{GraphId, Label, LabeledGraph};
 use pis_mining::FeatureSet;
 
-use crate::codec::{atomic_write, crc32, idx, len64, u32_idx, u32_of, ByteReader, ByteWriter};
+use crate::codec::{
+    atomic_write, check_finite_weights, crc32, idx, len64, u32_idx, u32_of, ByteReader, ByteWriter,
+};
 use crate::flat_trie::{FlatTrie, TriePartsOwned};
 use crate::index::{ClassImpl, ClassIndex, FragmentIndex, IndexDistance, MergeStats};
 use crate::persist::PersistError;
@@ -173,6 +189,7 @@ fn encode_database(
     db: &[LabeledGraph],
     w: &mut ByteWriter,
 ) -> Result<(), PersistError> {
+    db.iter().try_for_each(check_finite_weights)?;
     let text = write_database(db);
     w.u64(len64(text.len()));
     w.bytes(text.as_bytes());

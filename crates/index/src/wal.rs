@@ -18,6 +18,20 @@
 //! the frame past end-of-file is indistinguishable from a torn append
 //! and is treated as one.
 
+// Decodes untrusted bytes: no panics and no bare `as` casts outside
+// tests (the checked cast helpers live in `codec.rs`).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::as_conversions
+    )
+)]
+
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -25,7 +39,9 @@ use std::path::{Path, PathBuf};
 use pis_graph::io::{parse_database, write_database};
 use pis_graph::{GraphId, LabeledGraph};
 
-use crate::codec::{crash_point, crc32, len64, open_append, u32_of, ByteReader, ByteWriter};
+use crate::codec::{
+    check_finite_weights, crash_point, crc32, len64, open_append, u32_of, ByteReader, ByteWriter,
+};
 use crate::persist::PersistError;
 
 /// Log magic + version.
@@ -38,8 +54,10 @@ const FRAME_HEADER: usize = 8;
 /// Encodes one insert record frame: `[len][crc32][payload]` where the
 /// payload is the little-endian graph id followed by the graph in the
 /// text database format (whose float `Display` is shortest-round-trip,
-/// hence bit-exact on replay).
+/// hence bit-exact on replay). A graph with a non-finite weight is
+/// refused, since its record would not replay.
 pub fn encode_record(gid: GraphId, graph: &LabeledGraph) -> Result<Vec<u8>, PersistError> {
+    check_finite_weights(graph)?;
     let mut payload = ByteWriter::new();
     payload.u32(gid.0);
     payload.bytes(write_database(std::slice::from_ref(graph)).as_bytes());
@@ -217,6 +235,10 @@ impl Wal {
                     "failpoint: simulated crash at wal-fsync",
                 ))
             }
+            #[expect(
+                clippy::panic,
+                reason = "fault-injection tier: compiled only under the test-only `failpoints` feature to simulate a crash at the fsync boundary"
+            )]
             Some(failpoints::Action::Panic) => panic!("failpoint panic at wal-fsync"),
             None => Ok(()),
         }

@@ -20,6 +20,7 @@
 //! label-erased graphs; the miner itself is label-aware and reusable.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod exhaustive;
 pub mod feature;

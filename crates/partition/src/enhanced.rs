@@ -88,7 +88,7 @@ pub fn enhanced_greedy_mwis_with(
 /// most `k` elements (lexicographic order over `remaining`), keeping the
 /// first strictly-best by weight. `members` mirrors `current` as a bit
 /// mask; `weight` is the running sum of `current`.
-#[allow(clippy::too_many_arguments)] // recursion over split scratch fields
+#[expect(clippy::too_many_arguments, reason = "recursion over split scratch fields")]
 fn enumerate_k_sets(
     graph: &OverlapGraph,
     remaining: &[usize],

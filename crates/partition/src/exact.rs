@@ -97,7 +97,10 @@ pub fn exact_mwis_budgeted_with(
 /// every call removes at least one vertex, so nesting is bounded by the
 /// node count. Returns `false` when the budget tripped and the search
 /// unwound without exploring its remaining subtree.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "recursion over the branch-and-bound state split into separate borrows"
+)]
 fn branch(
     graph: &OverlapGraph,
     stack: &mut Vec<u64>,

@@ -31,6 +31,7 @@
 //! enumeration on small instances.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod enhanced;
 pub mod exact;

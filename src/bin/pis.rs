@@ -21,6 +21,8 @@
 //! `compact` merges and rotates it, `check` verifies it read-only.
 //! Every subcommand prints to stdout.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;

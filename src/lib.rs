@@ -44,6 +44,7 @@
 //! | [`datasets`] | §7 | synthetic chemical generator, SDF, queries |
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod durable;
 

@@ -267,6 +267,33 @@ fn errors_are_reported() {
         let stderr = run_err(pis().args(["search", &store, "--query", &queries, "--sigma", sigma]));
         assert!(stderr.contains("error: query 0: invalid sigma"), "{stderr}");
     }
+
+    // A non-finite weight is a parse error naming its line, not a panic
+    // in the index build.
+    let db = dir.join("weighted.lg");
+    run_ok(
+        pis().args(["generate", "--count", "12", "--seed", "3", "--weighted", "--out"]).arg(&db),
+    );
+    let text = std::fs::read_to_string(&db).expect("read the database");
+    for bad in ["inf", "NaN"] {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let graph_5 = lines.iter().position(|l| l == "t 5").expect("graph 5");
+        let edge =
+            graph_5 + lines[graph_5..].iter().position(|l| l.starts_with("e ")).expect("edge");
+        let fields: Vec<&str> = lines[edge].split_whitespace().take(4).collect();
+        lines[edge] = format!("{} {bad}", fields.join(" "));
+        let bad_db = dir.join(format!("{bad}.lg"));
+        std::fs::write(&bad_db, lines.join("\n")).expect("write the database");
+        let stderr = run_err(
+            pis()
+                .arg("build")
+                .arg(&bad_db)
+                .arg("--out")
+                .arg(dir.join("bad"))
+                .args(["--max-edges", "3"]),
+        );
+        assert!(stderr.contains(&format!("line {}", edge + 1)), "{bad}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

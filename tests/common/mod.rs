@@ -1,8 +1,8 @@
 //! Shared helpers and proptest strategies for the integration tests.
-//!
-// Each test binary compiles this module independently; helpers unused
-// by one binary are still used by others.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module independently; helpers unused by one binary are used by others"
+)]
 
 use pis::prelude::*;
 use proptest::prelude::*;

@@ -15,6 +15,7 @@ use std::sync::Mutex;
 use common::{distance_bits, ring, unique_probes};
 use pis::core::{PisSearcher, DEFAULT_PARALLEL_FRAGMENT_THRESHOLD};
 use pis::distance::oracle::sssd_brute;
+use pis::graph::budget::CheckpointSite;
 use pis::prelude::*;
 
 /// The failpoint registry is process-global: every test serializes
@@ -58,8 +59,10 @@ fn assert_sound(outcome: &SearchOutcome, exact: &[usize], context: &str) {
     }
 }
 
-/// A deadline elapsing at checkpoint N of each phase — for every N until
-/// the phase stops consulting — yields a truncated-but-sound outcome.
+/// A deadline elapsing at checkpoint N of each site — for every N until
+/// the site stops consulting — yields a truncated-but-sound outcome, and
+/// every site trips at least once, attributed to itself. The `match`
+/// is exhaustive, so a new site without a workload does not compile.
 #[test]
 fn deadline_at_every_checkpoint_of_every_phase_is_sound() {
     let _guard = SERIAL.lock().unwrap();
@@ -67,37 +70,46 @@ fn deadline_at_every_checkpoint_of_every_phase_is_sound() {
     let sigma = 2.0;
     let oracle = exact(&db(), &query, sigma);
     assert!(!oracle.is_empty(), "workload must have answers to protect");
-    for (site, algo) in [
-        ("range-descent", PartitionAlgo::Greedy),
-        ("partition", PartitionAlgo::Exact),
-        ("structure-check", PartitionAlgo::Greedy),
-        ("verify", PartitionAlgo::Greedy),
-    ] {
+    for site in CheckpointSite::ALL {
+        // The workload that reaches the site: a search with a partition
+        // solver, or kNN.
+        let (algo, knn) = match site {
+            CheckpointSite::RangeDescent
+            | CheckpointSite::StructureCheck
+            | CheckpointSite::Verify => (PartitionAlgo::Greedy, false),
+            CheckpointSite::Partition => (PartitionAlgo::Exact, false),
+            CheckpointSite::Knn => (PartitionAlgo::Greedy, true),
+        };
         let system = system(algo);
-        let mut tripped_at_least_once = false;
+        let mut trips = 0;
         for n in 1..40u64 {
+            let context = format!("{} trip at consult {n}", site.name());
             failpoints::disarm_all();
-            failpoints::arm(site, n);
-            let outcome = system.search(&query, sigma);
-            failpoints::disarm_all();
-            assert_sound(&outcome, &oracle, &format!("{site} trip at consult {n}"));
-            match &outcome.completeness {
-                Completeness::Truncated { phase, .. } => {
-                    tripped_at_least_once = true;
-                    // The first tripping site is one of the armed
-                    // phase's checkpoints (an earlier phase can only
-                    // trip if it shares the site name, which none do).
-                    assert_eq!(phase.name(), site, "trip must be attributed to its phase");
-                }
-                Completeness::Exact => {
+            failpoints::arm(site.name(), n);
+            let completeness = if knn {
+                let outcome = system.knn(&query, 3);
+                assert!(outcome.certified_radius <= outcome.radius, "{context}");
+                outcome.completeness
+            } else {
+                let outcome = system.search(&query, sigma);
+                assert_sound(&outcome, &oracle, &context);
+                if outcome.completeness.is_exact() {
                     // The site was consulted fewer than n times: the
                     // whole search ran to completion and must be exact.
                     let got: Vec<usize> = outcome.answers.iter().map(|g| g.index()).collect();
-                    assert_eq!(got, oracle, "untripped run must equal the oracle");
+                    assert_eq!(got, oracle, "{context}: untripped run must equal the oracle");
                 }
+                outcome.completeness
+            };
+            failpoints::disarm_all();
+            if let Completeness::Truncated { phase, .. } = completeness {
+                trips += 1;
+                // Only the armed site fails its consult, so it is the
+                // first (and only) site to trip.
+                assert_eq!(phase, site, "{context}: trip must be attributed to its site");
             }
         }
-        assert!(tripped_at_least_once, "site {site} was never consulted — dead checkpoint?");
+        assert!(trips > 0, "site {} never tripped — dead checkpoint?", site.name());
     }
 }
 

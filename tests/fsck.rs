@@ -132,3 +132,48 @@ fn mid_wal_corruption_and_gapped_records_are_typed_errors() {
         other => panic!("gapped WAL must be typed corruption, got {other:?}"),
     }
 }
+
+/// A 4-ring whose every edge carries `weight`.
+fn weighted_ring(weight: f64) -> LabeledGraph {
+    let mut b = GraphBuilder::new();
+    let vs = b.add_vertices(4, VertexAttr::labeled(Label(0)));
+    for i in 0..4 {
+        b.add_edge(vs[i], vs[(i + 1) % 4], EdgeAttr { label: Label(1), weight }).unwrap();
+    }
+    b.build()
+}
+
+#[test]
+fn non_finite_weights_are_refused_before_any_byte_is_written() {
+    let dir = TempDir::new("nonfinite");
+    let mut store = DurableSystem::create(&dir.0, base_system()).unwrap();
+    store.insert_graph(ring(&[1, 2, 1, 2])).unwrap();
+    let wal_len = store.wal_len();
+    for weight in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        match store.insert_graph(weighted_ring(weight)) {
+            Err(PersistError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{weight}: {e}");
+            }
+            other => panic!("a {weight} weight must be refused, got {other:?}"),
+        }
+        assert_eq!(store.wal_len(), wal_len, "nothing reaches the WAL");
+    }
+    assert_eq!(store.system().database().len(), 4);
+    drop(store);
+    let store = DurableSystem::open(&dir.0, PisConfig::default()).expect("store reopens");
+    assert_eq!(store.system().database().len(), 4, "the acknowledged insert replays");
+    drop(store);
+
+    // The snapshot writer refuses such a database the same way.
+    let other = TempDir::new("nonfinite-snapshot");
+    let system = PisSystem::builder()
+        .mutation_distance(MutationDistance::edge_hamming())
+        .exhaustive_features(2)
+        .build(vec![ring(&[1, 1, 1, 1]), weighted_ring(f64::NAN)]);
+    match DurableSystem::create(&other.0, system) {
+        Err(PersistError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        Err(e) => panic!("expected InvalidInput, got {e}"),
+        Ok(_) => panic!("a NaN weight must not reach a snapshot"),
+    }
+    assert!(!other.0.join(SNAPSHOT_FILE).exists(), "no snapshot written");
+}
