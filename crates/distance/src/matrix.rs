@@ -193,24 +193,6 @@ impl ScoreMatrix {
         self.zero
     }
 
-    /// Sum of `cost(a[k], b[k])` over a pair of equal-length label
-    /// slices — one segment of a class-canonical vector scored in a
-    /// single pass (no per-position segment branch, so the loop is a
-    /// straight row-gather the compiler can unroll).
-    pub fn segment_cost(&self, a: &[Label], b: &[Label]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        // An all-zero matrix (the paper's ignored-vertex-labels setting)
-        // contributes nothing; skip the scan entirely.
-        if self.zero {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for (&la, &lb) in a.iter().zip(b) {
-            total += self.cost(la, lb);
-        }
-        total
-    }
-
     /// The largest explicit entry (used for pruning bounds).
     pub fn max_cost(&self) -> f64 {
         self.costs.iter().copied().fold(self.default_mismatch, f64::max)
@@ -317,17 +299,6 @@ mod tests {
         let m = ScoreMatrix::unit(2);
         let mut out = vec![0.0; 1];
         m.costs_into(Label(0), &[Label(1), Label(2)], &mut out);
-    }
-
-    #[test]
-    fn segment_cost_sums_pairs() {
-        let m = ScoreMatrix::unit(0);
-        let a = [Label(1), Label(2), Label(3)];
-        let b = [Label(1), Label(9), Label(3)];
-        assert_eq!(m.segment_cost(&a, &b), 1.0);
-        // The all-zero matrix short-circuits.
-        assert_eq!(ScoreMatrix::zero(4).segment_cost(&a, &b), 0.0);
-        assert_eq!(m.segment_cost(&[], &[]), 0.0);
     }
 
     #[test]

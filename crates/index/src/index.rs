@@ -124,16 +124,9 @@ const MERGE_THRESHOLD: usize = 64;
 /// Reusable state of the range-query functions, so repeated queries
 /// neither hash nor allocate. One scratch serves any number of
 /// sequential queries against indexes of any size (it grows to the
-/// largest database seen).
+/// largest class seen).
 #[derive(Clone, Debug, Default)]
 pub struct RangeScratch {
-    /// R-tree classes' per-graph minimum, by global graph id and
-    /// generation-stamped: which generation last wrote each slot.
-    stamp: Vec<u64>,
-    /// Minimum distance seen this generation (valid iff stamp matches).
-    best: Vec<f64>,
-    /// Monotone query counter.
-    generation: u64,
     /// Frontier of the flat trie's descent.
     frontier: TrieFrontier,
     /// The minima row the list-returning functions read their hits
@@ -145,15 +138,6 @@ impl RangeScratch {
     /// An empty scratch; it sizes itself on first use.
     pub fn new() -> Self {
         RangeScratch::default()
-    }
-
-    /// Opens a new generation over a universe of `n` graphs.
-    fn begin(&mut self, n: usize) {
-        self.generation += 1;
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.best.resize(n, 0.0);
-        }
     }
 }
 
@@ -177,7 +161,7 @@ pub struct IndexCheckReport {
     pub classes: usize,
     /// Classes backed by a [`FlatTrie`] arena.
     pub trie_classes: usize,
-    /// Classes backed by an R-tree (pointer tree + frozen CSR arena).
+    /// Classes backed by an [`RTree`] packed from its points.
     pub rtree_classes: usize,
     /// Entries stored in frozen structures.
     pub frozen_entries: usize,
@@ -202,14 +186,15 @@ pub struct MergeStats {
 /// The range-searchable structure of one class, fixed by the index
 /// distance: a trie of label vectors under the mutation distance, an
 /// R-tree of weight vectors under the linear distance.
+#[derive(PartialEq)]
 pub(crate) enum ClassImpl {
     Trie(FlatTrie),
     RTree(RTree),
 }
 
 /// Entries on their way into a class structure, in the form it stores
-/// them: label rows under class-local posting slots for a trie,
-/// scale-transformed points under global graph ids for an R-tree.
+/// them, under class-local posting slots: label rows for a trie,
+/// scale-transformed points for an R-tree.
 enum ClassEntries {
     Labels(Vec<(Vec<Label>, GraphId)>),
     Points(Vec<(Vec<f64>, GraphId)>),
@@ -228,9 +213,14 @@ impl ClassImpl {
 
     /// Stored entries.
     fn len(&self) -> usize {
+        self.postings().len()
+    }
+
+    /// Every entry's posting slot.
+    fn postings(&self) -> &[GraphId] {
         match self {
-            ClassImpl::Trie(trie) => trie.len(),
-            ClassImpl::RTree(rt) => rt.len(),
+            ClassImpl::Trie(trie) => trie.parts().postings,
+            ClassImpl::RTree(rt) => rt.slots(),
         }
     }
 
@@ -254,16 +244,7 @@ impl ClassImpl {
     fn insert(&mut self, entries: ClassEntries) {
         match (self, entries) {
             (ClassImpl::Trie(trie), ClassEntries::Labels(entries)) => trie.insert_batch(entries),
-            (ClassImpl::RTree(rt), ClassEntries::Points(mut points)) => {
-                // An R-tree's shape depends on insertion order (a trie's
-                // does not): taking points by graph id, then coordinate
-                // bits, makes it independent of how they arrived.
-                points.sort_unstable_by(|(p, g), (q, h)| {
-                    let bits = |x: &f64| x.to_bits();
-                    g.cmp(h).then_with(|| p.iter().map(bits).cmp(q.iter().map(bits)))
-                });
-                rt.insert_batch(points);
-            }
+            (ClassImpl::RTree(rt), ClassEntries::Points(points)) => rt.insert_batch(points),
             _ => unreachable!("entries always come in their class structure's form"),
         }
     }
@@ -400,8 +381,9 @@ impl FragmentIndex {
     /// queries run the same kernel over it and answers (f64 bits
     /// included) are those of a merged class. A class whose pending
     /// structure reaches 64 entries then merges it into the frozen one
-    /// in one batch ([`FlatTrie::insert_batch`], a sorted copy of the
-    /// class, or [`RTree::insert_batch`]); [`FragmentIndex::compact`]
+    /// in one batch ([`FlatTrie::insert_batch`] or
+    /// [`RTree::insert_batch`], each a sorted merge into a copy of the
+    /// class); [`FragmentIndex::compact`]
     /// merges every class (required before snapshotting).
     ///
     /// A class merges at most once per run, so recovering N logged
@@ -475,9 +457,9 @@ impl FragmentIndex {
     /// Per class: the posting list is strictly ascending and bounded by
     /// the database size; the frozen and the pending structure each pass
     /// the same check ([`FlatTrie::validate`] / [`RTree::validate`], the
-    /// distance's kind, the class's depth or dimension, postings inside
-    /// the class); the entry count equals frozen + pending; and every
-    /// posting-list graph is referenced by at least one entry.
+    /// distance's kind, the class's depth or dimension, posting slots
+    /// inside the class); the entry count equals frozen + pending; and
+    /// every posting-list graph is referenced by at least one entry.
     pub fn validate(&self) -> Result<IndexCheckReport, String> {
         let mut report = IndexCheckReport { classes: self.classes.len(), ..Default::default() };
         if self.classes.len() != self.features.len() {
@@ -536,9 +518,9 @@ impl FragmentIndex {
 
     /// One class structure, frozen or pending, checked against its class:
     /// the kind the distance asks for, `slots` deep (trie) or wide
-    /// (R-tree), its own validator, and postings inside the class —
-    /// class-local slots into `graphs` for a trie, graph ids on `graphs`
-    /// for an R-tree — each marked in `seen`. Returns its entry count.
+    /// (R-tree), its own validator, and its posting slots inside the
+    /// `graphs.len()`-graph class, each marked in `seen`. Returns its
+    /// entry count.
     fn validate_structure(
         &self,
         imp: &ClassImpl,
@@ -546,44 +528,35 @@ impl FragmentIndex {
         graphs: &[GraphId],
         seen: &mut [bool],
     ) -> Result<usize, String> {
-        match (imp, &self.distance) {
+        let kind = match (imp, &self.distance) {
             (ClassImpl::Trie(trie), IndexDistance::Mutation(_)) => {
                 if trie.depth() != slots {
                     return Err(format!("trie depth {} != {slots} class slots", trie.depth()));
                 }
                 trie.validate().map_err(|m| format!("trie: {m}"))?;
-                let mut bad = None;
-                trie.for_each_entry(|_, slot| match seen.get_mut(slot.index()) {
-                    Some(s) => *s = true,
-                    None => bad = Some(slot),
-                });
-                match bad {
-                    Some(slot) => Err(format!(
-                        "trie posting slot {slot} exceeds the {}-graph class",
-                        graphs.len()
-                    )),
-                    None => Ok(trie.len()),
-                }
+                "trie"
             }
             (ClassImpl::RTree(rt), IndexDistance::Linear(_)) => {
                 if rt.dim() != slots {
                     return Err(format!("r-tree dim {} != {slots} class slots", rt.dim()));
                 }
                 rt.validate().map_err(|m| format!("r-tree: {m}"))?;
-                let mut bad = None;
-                rt.for_each_entry(|_, g| match graphs.binary_search(&g) {
-                    Ok(i) => seen[i] = true,
-                    Err(_) => bad = Some(g),
-                });
-                match bad {
-                    Some(g) => {
-                        Err(format!("r-tree entry names graph {g} absent from the posting list"))
-                    }
-                    None => Ok(rt.len()),
+                "r-tree"
+            }
+            _ => return Err("backend does not match the index distance".to_string()),
+        };
+        for &slot in imp.postings() {
+            match seen.get_mut(slot.index()) {
+                Some(s) => *s = true,
+                None => {
+                    return Err(format!(
+                        "{kind} posting slot {slot} exceeds the {}-graph class",
+                        graphs.len()
+                    ))
                 }
             }
-            _ => Err("backend does not match the index distance".to_string()),
         }
+        Ok(imp.len())
     }
 
     /// Debug-build hook: re-validates the whole index after a mutating
@@ -695,10 +668,9 @@ impl FragmentIndex {
     /// a merged class to the f64 bit. On a trie class that is
     /// [`FlatTrie::range_query`], each level's alphabet priced once by
     /// `MutationDistance::position_costs_into`, and emitted subtree
-    /// ranges fold straight into the row (postings are class-local
-    /// slots). An R-tree class collects per-graph minima of
-    /// [`RTree::range_query`] in a stamped accumulator and reads it out
-    /// in class order.
+    /// ranges fold straight into the row. An R-tree class folds each
+    /// point [`RTree::range_query`] visits into the row the same way:
+    /// both structures post class-local slots.
     ///
     /// Returns `false` — with `row` emptied — when the budget trips: a
     /// partial row is unusable (its minima may be wrong and its `∞`
@@ -755,9 +727,9 @@ impl FragmentIndex {
                 // `scale_weights`), turning the weighted L1 of the
                 // linear distance into a plain L1 — so the query vector
                 // gets the same transform and distances come out exact.
-                let scaled = scale_weights(ld, ecount, probe.weights());
-                scratch.begin(self.graph_count);
-                rtree_range_query(class, &scaled, sigma, scratch, budget, row)
+                let mut scaled = probe.weights().to_vec();
+                scale_weights(ld, ecount, scaled.len(), &mut scaled);
+                rtree_range_query(class, &scaled, sigma, budget, row)
             }
         };
         if !completed {
@@ -839,57 +811,43 @@ impl FragmentIndex {
 }
 
 /// One probe against an R-tree class, its frozen tree and then its
-/// pending one: `scaled` is the scale-transformed query point, `scratch`
-/// has a generation open over the database and `row` is the probe's
-/// ∞-filled minima row. `false` means the budget tripped and `row`
-/// holds nothing usable.
+/// pending one: `scaled` is the scale-transformed query point and `row`
+/// the probe's ∞-filled minima row. Both trees post class-local slots,
+/// so each visited point folds straight into its cell. One coarse
+/// checkpoint up front; `false` means the budget tripped and `row` holds
+/// nothing usable.
 fn rtree_range_query(
     class: &ClassIndex,
     scaled: &[f64],
     sigma: f64,
-    scratch: &mut RangeScratch,
     budget: &BudgetState,
     row: &mut [f64],
 ) -> bool {
     if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
         return false;
     }
-    // R-tree entries carry global graph ids: minima accumulate per
-    // graph of the database and are read out in class order below.
-    let RangeScratch { stamp, best, generation, .. } = scratch;
-    let generation = *generation;
-    let mut visit = |g: GraphId, d: f64| {
-        let i = g.index();
-        if stamp[i] != generation {
-            stamp[i] = generation;
-            best[i] = d;
-        } else if d < best[i] {
-            best[i] = d;
-        }
-    };
     for imp in class.structures() {
         let ClassImpl::RTree(rt) = imp else {
             unreachable!("the class structure always matches the index distance")
         };
-        rt.range_query(scaled, sigma, &mut visit);
-    }
-    for (cell, g) in row.iter_mut().zip(&class.graphs) {
-        if stamp[g.index()] == generation {
-            *cell = best[g.index()];
-        }
+        rt.range_query(scaled, sigma, |slot, d| {
+            let b = &mut row[slot.index()];
+            if d < *b {
+                *b = d;
+            }
+        });
     }
     true
 }
 
-/// Applies the linear distance's per-segment scales to a raw weight
-/// vector (edge slots first), so `|a' − b'|₁ = LD(a, b)` for
-/// transformed vectors `a'`, `b'`. Lets the R-tree answer scaled
-/// queries with plain L1 geometry.
-fn scale_weights(ld: &LinearDistance, edge_count: usize, v: &[f64]) -> Vec<f64> {
-    v.iter()
-        .enumerate()
-        .map(|(i, &w)| if i < edge_count { w * ld.edge_scale() } else { w * ld.vertex_scale() })
-        .collect()
+/// Applies the linear distance's per-segment scales in place to
+/// row-major weight vectors of `width` slots (edge slots first), so
+/// `|a' − b'|₁ = LD(a, b)` for transformed vectors `a'`, `b'`. Lets the
+/// R-tree answer scaled queries with plain L1 geometry.
+fn scale_weights(ld: &LinearDistance, edge_count: usize, width: usize, rows: &mut [f64]) {
+    for (i, w) in rows.iter_mut().enumerate() {
+        *w *= if i % width < edge_count { ld.edge_scale() } else { ld.vertex_scale() };
+    }
 }
 
 /// All deduplicated, normalized vectors of one graph for one feature
@@ -1087,7 +1045,7 @@ fn collect_class_rows(
 /// Freezes one class's rows (all of the database, in graph order) into
 /// the range-search structure of the index distance.
 fn freeze_class(
-    ClassRows { labels, weights, row_graphs }: ClassRows,
+    ClassRows { labels, mut weights, row_graphs }: ClassRows,
     structure: &LabeledGraph,
     distance: &IndexDistance,
 ) -> ClassIndex {
@@ -1098,17 +1056,10 @@ fn freeze_class(
     let postings = post_rows(&row_graphs, &mut graphs);
     let entries = row_graphs.len();
     let frozen = match distance {
-        // One-shot freeze into the level-major arena — the build path
-        // never constructs pointer nodes at all.
         IndexDistance::Mutation(_) => ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings)),
         IndexDistance::Linear(ld) => {
-            let mut rt = RTree::new(slots);
-            rt.insert_batch(
-                rows(&weights, slots, entries)
-                    .zip(&row_graphs)
-                    .map(|(v, &gid)| (scale_weights(ld, ecount, v), gid)),
-            );
-            ClassImpl::RTree(rt)
+            scale_weights(ld, ecount, slots, &mut weights);
+            ClassImpl::RTree(RTree::from_rows(slots, weights, postings))
         }
     };
     ClassIndex::restored(frozen, graphs, entries)
@@ -1118,7 +1069,7 @@ fn freeze_class(
 /// form its structures store, as [`freeze_class`] does, appending the
 /// graphs to the class's posting list `graphs`.
 fn class_entries(
-    ClassRows { labels, weights, row_graphs }: ClassRows,
+    ClassRows { labels, mut weights, row_graphs }: ClassRows,
     structure: &LabeledGraph,
     distance: &IndexDistance,
     graphs: &mut Vec<GraphId>,
@@ -1131,20 +1082,21 @@ fn class_entries(
         IndexDistance::Mutation(_) => ClassEntries::Labels(
             rows(&labels, slots, entries).map(<[Label]>::to_vec).zip(postings).collect(),
         ),
-        IndexDistance::Linear(ld) => ClassEntries::Points(
-            rows(&weights, slots, entries)
-                .map(|v| scale_weights(ld, ecount, v))
-                .zip(row_graphs)
-                .collect(),
-        ),
+        IndexDistance::Linear(ld) => {
+            scale_weights(ld, ecount, slots, &mut weights);
+            ClassEntries::Points(
+                rows(&weights, slots, entries).map(<[f64]>::to_vec).zip(postings).collect(),
+            )
+        }
     }
 }
 
 /// Appends the distinct graphs of `row_graphs` (ascending, and past the
 /// last of `graphs`) to the posting list `graphs`, returning each row's
-/// class-local slot in it — the trie's postings, so range read-outs
-/// sweep a compact per-class row (see `range_query_row`). Slots ascend
-/// with the ids, so a trie's entry order is the same either way.
+/// class-local slot in it — the postings of both structures, so range
+/// queries fold into a compact per-class row (see `range_query_row`).
+/// Slots ascend with the ids, so a trie's entry order is the same
+/// either way.
 fn post_rows(row_graphs: &[GraphId], graphs: &mut Vec<GraphId>) -> Vec<GraphId> {
     row_graphs
         .iter()
@@ -1160,6 +1112,7 @@ fn post_rows(row_graphs: &[GraphId], graphs: &mut Vec<GraphId>) -> Vec<GraphId> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pis_datasets::{MoleculeConfig, MoleculeGenerator};
     use pis_distance::oracle::min_superimposed_distance_brute;
     use pis_distance::SuperimposedDistance;
     use pis_graph::graph::{cycle_graph, path_graph};
@@ -1420,16 +1373,6 @@ mod tests {
         let db: Vec<LabeledGraph> = (0..40).map(graph).collect();
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 4);
-        // Only the flat trie compares as a value; the R-tree is compared
-        // through its full `Debug` rendering.
-        fn same_debug(a: &impl std::fmt::Debug, b: &impl std::fmt::Debug) -> bool {
-            format!("{a:?}") == format!("{b:?}")
-        }
-        let same_class = |a: &ClassImpl, b: &ClassImpl| match (a, b) {
-            (ClassImpl::Trie(a), ClassImpl::Trie(b)) => a == b,
-            (ClassImpl::RTree(a), ClassImpl::RTree(b)) => same_debug(a, b),
-            _ => false,
-        };
         let md = IndexDistance::Mutation(MutationDistance::unit());
         let ld = IndexDistance::Linear(LinearDistance::default());
         for (name, distance) in [("trie", &md), ("r-tree", &ld)] {
@@ -1453,7 +1396,7 @@ mod tests {
                     for (f, (p, s)) in parallel.classes.iter().zip(&serial.classes).enumerate() {
                         assert_eq!(p.graphs, s.graphs, "{case} class {f}");
                         assert_eq!(p.entries, s.entries, "{case} class {f}");
-                        assert!(same_class(&p.frozen, &s.frozen), "{case} class {f}");
+                        assert!(p.frozen == s.frozen, "{case} class {f}");
                     }
                     assert_eq!(crate::encode_snapshot(&parallel, db).unwrap(), bytes, "{case}");
                 }
@@ -1490,41 +1433,37 @@ mod tests {
 
     #[test]
     fn incremental_insert_equals_bulk_build_rtree() {
-        let mk = |ws: [f64; 3]| {
-            let mut b = GraphBuilder::new();
-            let vs = b.add_vertices(3, VertexAttr::labeled(Label(0)));
-            for (i, w) in ws.into_iter().enumerate() {
-                b.add_edge(vs[i], vs[(i + 1) % 3], EdgeAttr { label: Label(0), weight: w })
-                    .unwrap();
-            }
-            b.build()
-        };
-        let db = vec![mk([1.0, 1.0, 1.0]), mk([1.0, 1.5, 2.0]), mk([4.0, 4.0, 4.0])];
+        // Weighted molecules: every class holds hundreds of distinct
+        // weight vectors, so the tree spans several levels and the
+        // inserts cross the merge threshold.
+        let db = MoleculeGenerator::new(MoleculeConfig { weighted: true, ..Default::default() })
+            .database(60, 11);
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 3);
-        let ld = LinearDistance::edges_only();
-        let mut incremental = FragmentIndex::build(
-            &db[..1],
-            features.clone(),
-            IndexDistance::Linear(ld),
-            &IndexConfig::default(),
-        );
-        for g in &db[1..] {
+        let ld = IndexDistance::Linear(LinearDistance::edges_only());
+        let mut incremental =
+            FragmentIndex::build(&db[..20], features.clone(), ld.clone(), &IndexConfig::default());
+        for g in &db[20..] {
             incremental.insert_graph_pending(g);
         }
+        assert!(incremental.merge_stats().merges > 0, "some class crossed the threshold");
         incremental.compact();
-        let bulk =
-            FragmentIndex::build(&db, features, IndexDistance::Linear(ld), &IndexConfig::default());
-        let query = mk([1.0, 1.25, 2.0]);
-        for qf in bulk.enumerate_query_fragments(&query) {
+        let bulk = FragmentIndex::build(&db, features, ld, &IndexConfig::default());
+        // Pack order depends only on the entries, so the compacted
+        // store is the bulk build, byte for byte.
+        assert!(
+            crate::encode_snapshot(&incremental, &db).unwrap()
+                == crate::encode_snapshot(&bulk, &db).unwrap(),
+            "compacted incremental store differs from the bulk build"
+        );
+        let query = &db[3];
+        for qf in bulk.enumerate_query_fragments(query) {
             for sigma in [0.0, 0.5, 2.0] {
-                let a = incremental.range_query(qf.feature, &qf.vector, sigma);
-                let b = bulk.range_query(qf.feature, &qf.vector, sigma);
-                assert_eq!(a.len(), b.len(), "sigma {sigma}");
-                for ((g1, d1), (g2, d2)) in a.iter().zip(&b) {
-                    assert_eq!(g1, g2);
-                    assert!((d1 - d2).abs() < 1e-9);
-                }
+                assert_eq!(
+                    incremental.range_query(qf.feature, &qf.vector, sigma),
+                    bulk.range_query(qf.feature, &qf.vector, sigma),
+                    "sigma {sigma}"
+                );
             }
         }
     }
@@ -1638,18 +1577,21 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert_eq!(err, format!("class {ci}: pending backend does not match the index distance"));
 
-        // ... and, on an R-tree class, graphs of its posting list.
+        // ... and, on an R-tree class, the same posting-slot check.
         let mut bad = build_ld(&db, 3);
         let ci = full_class(&bad);
-        let absent = GraphId(bad.graph_count as u32);
+        let past = GraphId(bad.classes[ci].graphs.len() as u32);
         let mut rt = RTree::new(class_slots(&bad, ci));
-        rt.insert_batch([(vec![0.0; rt.dim()], absent)]);
+        rt.insert_batch([(vec![0.0; rt.dim()], past)]);
         bad.classes[ci].pending = Some(ClassImpl::RTree(rt));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
         assert_eq!(
             err,
-            format!("class {ci}: pending r-tree entry names graph {absent} absent from the posting list")
+            format!(
+                "class {ci}: pending r-tree posting slot {past} exceeds the {}-graph class",
+                past.0
+            )
         );
     }
 

@@ -18,11 +18,11 @@
 //!
 //! Every structural count is bounds-checked against the bytes actually
 //! present, every float is rejected when non-finite, trie arenas are
-//! revalidated by `FlatTrie::from_parts`, and R-tree classes are
-//! rebuilt from their stored points the way the build freezes them —
-//! so a loaded snapshot answers queries bit-identically and corrupt
-//! input of any shape surfaces as [`PersistError::Corrupt`], never a
-//! panic.
+//! revalidated by `FlatTrie::from_parts`, and R-tree classes are packed
+//! from their stored points the way the build packs them — so a loaded
+//! snapshot answers queries bit-identically, re-encodes to the same
+//! bytes, and corrupt input of any shape surfaces as
+//! [`PersistError::Corrupt`], never a panic.
 //!
 //! The database graphs ride in the snapshot (one atomic rename covers
 //! index *and* database); the write-ahead log ([`crate::wal`]) replays
@@ -241,15 +241,15 @@ fn encode_classes(
                 }
             }
             ClassImpl::RTree(rt) => {
+                // Points in pack order, each under the graph id its
+                // posting slot names.
                 w.u32(u32_of(rt.len(), "weight entry count")?);
-                let mut flat: Vec<(Vec<f64>, GraphId)> = Vec::with_capacity(rt.len());
-                rt.for_each_entry(|p, gid| flat.push((p.to_vec(), gid)));
-                for (p, gid) in flat {
-                    for x in p {
+                rt.for_each_entry(|p, slot| {
+                    for &x in p {
                         w.f64_bits(x);
                     }
-                    w.u32(gid.0);
-                }
+                    w.u32(class.graphs[slot.index()].0);
+                });
             }
         }
     }
@@ -586,12 +586,7 @@ fn decode_classes(
         let entries = r.u64_usize("entry count")?;
         let imp = match tag {
             CLASS_TRIE => decode_trie(r, slots, graphs.len())?,
-            CLASS_RTREE => {
-                // Stored points are already scale-transformed.
-                let mut rt = RTree::new(slots);
-                rt.insert_batch(decode_weight_items(r, slots, meta.graph_count)?);
-                ClassImpl::RTree(rt)
-            }
+            CLASS_RTREE => decode_rtree(r, slots, &graphs)?,
             1 | 3 => return Err(r.corrupt("VP-tree class: unsupported, rebuild the store")),
             t => return Err(r.corrupt(&format!("unknown class backend tag {t}"))),
         };
@@ -662,25 +657,30 @@ fn decode_trie(
     Ok(ClassImpl::Trie(trie))
 }
 
-fn decode_weight_items(
+/// Reads an R-tree's points (already scale-transformed), maps each
+/// one's graph id to its class-local slot on the posting list `graphs`
+/// and packs them. Stores written before the tree was packed hold their
+/// points in traversal order; packing sorts, so they load as the same
+/// tree.
+fn decode_rtree(
     r: &mut ByteReader<'_>,
-    slots: usize,
-    graph_count: usize,
-) -> Result<Vec<(Vec<f64>, GraphId)>, PersistError> {
-    let count = bounded_count(r, "weight entry count", slots * 8 + 4)?;
-    let mut items = Vec::with_capacity(count);
+    dim: usize,
+    graphs: &[GraphId],
+) -> Result<ClassImpl, PersistError> {
+    let count = bounded_count(r, "weight entry count", dim * 8 + 4)?;
+    let mut rows = Vec::with_capacity(count * dim);
+    let mut slots = Vec::with_capacity(count);
     for _ in 0..count {
-        let mut v = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            v.push(r.f64_finite("weight slot")?);
+        for _ in 0..dim {
+            rows.push(r.f64_finite("weight slot")?);
         }
         let gid = GraphId(r.u32("entry graph id")?);
-        if gid.index() >= graph_count {
-            return Err(r.corrupt("entry graph id out of range"));
-        }
-        items.push((v, gid));
+        let slot = graphs.binary_search(&gid).map_err(|_| {
+            r.corrupt(&format!("entry graph id {gid} is not on the class's posting list"))
+        })?;
+        slots.push(GraphId(u32_idx(slot)));
     }
-    Ok(items)
+    Ok(ClassImpl::RTree(RTree::from_rows(dim, rows, slots)))
 }
 
 #[cfg(test)]
@@ -725,8 +725,6 @@ mod tests {
             let (loaded, db2) = decode_snapshot(&bytes).unwrap();
             // A snapshot is a total serialization of index state and
             // database: re-encoding what was decoded must reproduce it.
-            // (This R-tree fits one leaf; a larger one re-encodes as a
-            // permutation of its points — `tests/proptest_index.rs`.)
             assert_eq!(encode_snapshot(&loaded, &db2).unwrap(), bytes, "{distance:?}");
         }
     }
@@ -765,6 +763,109 @@ mod tests {
         let mut w = ByteWriter::new();
         encode_meta(&index, &db, &mut w).unwrap();
         assert_eq!(w.into_bytes()[..25], meta(u64::MAX, 0, 64)[..25]);
+    }
+
+    /// CLASSES section bytes for `index`, as the encoder lays them out
+    /// but with each R-tree's points written in reverse pack order — the
+    /// shape of a store written before trees were packed — and the graph
+    /// id of point `stray.1` of class `stray.0`, if any, replaced by
+    /// `stray.2`.
+    fn classes_reversed(index: &FragmentIndex, stray: Option<(usize, usize, u32)>) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u32(u32_idx(index.classes.len()));
+        for (ci, class) in index.classes.iter().enumerate() {
+            let ClassImpl::RTree(rt) = &class.frozen else { panic!("a linear index") };
+            w.u8(CLASS_RTREE);
+            w.u32(u32_idx(class.graphs.len()));
+            for g in &class.graphs {
+                w.u32(g.0);
+            }
+            w.u64(len64(class.entries));
+            w.u32(u32_idx(rt.len()));
+            let mut points = Vec::new();
+            rt.for_each_entry(|p, slot| points.push((p.to_vec(), class.graphs[slot.index()].0)));
+            points.reverse();
+            for (i, (p, g)) in points.into_iter().enumerate() {
+                for x in p {
+                    w.f64_bits(x);
+                }
+                w.u32(match stray {
+                    Some((c, k, id)) if (c, k) == (ci, i) => id,
+                    _ => g,
+                });
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Decodes hand-built CLASSES bytes into an index over `index`'s
+    /// features and distance.
+    fn decode_classes_of(
+        index: &FragmentIndex,
+        bytes: &[u8],
+    ) -> Result<FragmentIndex, PersistError> {
+        let meta = Meta { graph_count: index.graph_count, distance: index.distance.clone() };
+        let slots: Vec<usize> = index
+            .features
+            .iter()
+            .map(|f| f.structure.vertex_count() + f.structure.edge_count())
+            .collect();
+        let classes = decode_classes(&mut ByteReader::new(bytes, 0), &meta, &slots)?;
+        Ok(FragmentIndex {
+            features: index.features.clone(),
+            distance: meta.distance,
+            classes,
+            graph_count: meta.graph_count,
+            merge_stats: MergeStats::default(),
+        })
+    }
+
+    /// Stores whose R-tree points are out of pack order — every store
+    /// written before trees were packed — load as the tree the build
+    /// packs: same values, same answers, canonical bytes on re-encode.
+    /// A point naming a graph off its class's posting list is corrupt.
+    #[test]
+    fn rtree_points_in_any_order_load_as_the_packed_tree() {
+        let (index, db) = sample(IndexDistance::Linear(LinearDistance::default()));
+        let canonical = encode_snapshot(&index, &db).unwrap();
+        let mut w = ByteWriter::new();
+        encode_classes(&index, &db, &mut w).unwrap();
+        let reversed = classes_reversed(&index, None);
+        assert!(reversed != w.into_bytes(), "some class holds points out of pack order");
+
+        let loaded = decode_classes_of(&index, &reversed).unwrap();
+        loaded.validate().unwrap();
+        for (a, b) in loaded.classes.iter().zip(&index.classes) {
+            assert!(a.frozen == b.frozen && a.graphs == b.graphs && a.entries == b.entries);
+        }
+        for qf in index.enumerate_query_fragments(&ring(&[1, 2, 2, 1])) {
+            for sigma in [0.0, 1.0, 3.0] {
+                let bits = |hits: Vec<(GraphId, f64)>| -> Vec<(GraphId, u64)> {
+                    hits.into_iter().map(|(g, d)| (g, d.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(loaded.range_query(qf.feature, &qf.vector, sigma)),
+                    bits(index.range_query(qf.feature, &qf.vector, sigma))
+                );
+            }
+        }
+        assert!(encode_snapshot(&loaded, &db).unwrap() == canonical, "re-encodes canonically");
+
+        // Graph 1 is off the posting list of a class only graph 0 holds
+        // (or, failing that, a graph past the database is off every list).
+        let (ci, absent) = index
+            .classes
+            .iter()
+            .position(|c| c.graphs == [GraphId(0)])
+            .map_or((0, u32_idx(db.len())), |ci| (ci, 1));
+        let err = decode_classes_of(&index, &classes_reversed(&index, Some((ci, 0, absent))));
+        let want = format!("entry graph id {} is not on the class's posting list", GraphId(absent));
+        match err {
+            Err(PersistError::Corrupt { message, .. }) => {
+                assert!(message.contains(&want), "{message}");
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

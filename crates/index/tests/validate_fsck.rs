@@ -2,7 +2,7 @@
 //! ([`pis_index::FragmentIndex::validate`]).
 //!
 //! The reject side lives next to each structure (bit-flip corpora over
-//! the trie's arena columns, pointer surgery on the R-tree, field
+//! the trie's arena columns, column surgery on the packed R-tree, field
 //! corruption on the index). This file pins the other half of the
 //! contract: an index reached through *any* public lifecycle — build,
 //! inserts one at a time or as a run, threshold-triggered merges,
@@ -93,8 +93,8 @@ proptest! {
         assert_valid(&restored, "after snapshot round trip")?;
     }
 
-    /// Linear distance over weight vectors: the R-tree (with its
-    /// re-flatten arena comparison) validates through the same
+    /// Linear distance over weight vectors: the R-tree (with its pack
+    /// order and re-derived bounds) validates through the same
     /// lifecycle.
     #[test]
     fn weight_lifecycle_always_validates(

@@ -277,9 +277,9 @@ proptest! {
     }
 
     /// A snapshot round-trips arbitrary indexes exactly, under both
-    /// distances: re-encoding what was decoded reproduces
-    /// the bytes (the R-tree: the size), and the decoded index answers
-    /// range queries with the same graphs and the same f64 bits.
+    /// distances: re-encoding what was decoded reproduces the bytes, and
+    /// the decoded index answers range queries with the same graphs and
+    /// the same f64 bits.
     #[test]
     fn persist_round_trip(
         db in graph_database(5, 5, 3),
@@ -303,15 +303,7 @@ proptest! {
             let (loaded, loaded_db) = decode_snapshot(&bytes).expect("round trip");
             let again = encode_snapshot(&loaded, &loaded_db).expect("snapshot re-encodes");
             // (Not `prop_assert_eq`: a failure would print both files.)
-            if rtree {
-                // An R-tree is stored as its points in traversal order
-                // and rebuilt by inserting them in that order; traversal
-                // order depends on insertion history, so the rebuilt
-                // tree re-encodes as a permutation of the same points.
-                prop_assert!(again.len() == bytes.len(), "RTree snapshot changed size");
-            } else {
-                prop_assert!(again == bytes, "trie snapshot is not a fixed point");
-            }
+            prop_assert!(again == bytes, "r-tree {}: snapshot is not a fixed point", rtree);
             prop_assert_eq!(loaded.graph_count(), index.graph_count());
             prop_assert_eq!(loaded.total_entries(), index.total_entries());
             for qf in index.enumerate_query_fragments(&query) {
@@ -504,9 +496,9 @@ proptest! {
         }
     }
 
-    /// The R-tree arena visits exactly the points within `sigma` of the
+    /// The packed R-tree visits exactly the points within `sigma` of the
     /// query, each with its coordinate-order L1 distance to the f64 bit,
-    /// across splits of up to 120 points.
+    /// across trees of up to 120 points (one to three levels).
     #[test]
     fn rtree_arena_matches_pointer_reference(
         points in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 1..120),
@@ -532,7 +524,8 @@ proptest! {
     }
 
     /// Incremental insertion matches bulk construction on arbitrary
-    /// splits.
+    /// splits, under both distances: compacted, the index encodes to the
+    /// bulk build's bytes and answers every probe to the f64 bit.
     #[test]
     fn incremental_matches_bulk(
         db in graph_database(6, 5, 3),
@@ -542,22 +535,40 @@ proptest! {
         let split = split.min(db.len());
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 3);
-        let md = IndexDistance::Mutation(MutationDistance::edge_hamming());
-        let mut incremental =
-            FragmentIndex::build(&db[..split], features.clone(), md.clone(), &IndexConfig::default());
-        for g in &db[split..] {
-            incremental.insert_graph_pending(g);
-        }
-        incremental.compact();
-        let bulk = FragmentIndex::build(&db, features, md, &IndexConfig::default());
-        prop_assert_eq!(incremental.total_entries(), bulk.total_entries());
-        for qf in bulk.enumerate_query_fragments(&query) {
-            for sigma in [0.0, 1.0, 3.0] {
-                prop_assert_eq!(
-                    incremental.range_query(qf.feature, &qf.vector, sigma),
-                    bulk.range_query(qf.feature, &qf.vector, sigma),
-                    "sigma {}", sigma
-                );
+        let weighted: Vec<LabeledGraph> = db.iter().map(reweight).collect();
+        let bits = |hits: Vec<(GraphId, f64)>| -> Vec<(GraphId, u64)> {
+            hits.into_iter().map(|(g, d)| (g, d.to_bits())).collect()
+        };
+        for (db, query, distance) in [
+            (&db, query.clone(), IndexDistance::Mutation(MutationDistance::edge_hamming())),
+            (&weighted, reweight(&query), IndexDistance::Linear(LinearDistance::edges_only())),
+        ] {
+            let mut incremental = FragmentIndex::build(
+                &db[..split],
+                features.clone(),
+                distance.clone(),
+                &IndexConfig::default(),
+            );
+            for g in &db[split..] {
+                incremental.insert_graph_pending(g);
+            }
+            incremental.compact();
+            let bulk = FragmentIndex::build(db, features.clone(), distance, &IndexConfig::default());
+            prop_assert_eq!(incremental.total_entries(), bulk.total_entries());
+            // (Not `prop_assert_eq`: a failure would print both files.)
+            prop_assert!(
+                encode_snapshot(&incremental, db).expect("snapshot encodes")
+                    == encode_snapshot(&bulk, db).expect("snapshot encodes"),
+                "compacted incremental index differs from the bulk build"
+            );
+            for qf in bulk.enumerate_query_fragments(&query) {
+                for sigma in [0.0, 1.0, 3.0] {
+                    prop_assert_eq!(
+                        bits(incremental.range_query(qf.feature, &qf.vector, sigma)),
+                        bits(bulk.range_query(qf.feature, &qf.vector, sigma)),
+                        "sigma {}", sigma
+                    );
+                }
             }
         }
     }
