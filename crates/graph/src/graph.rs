@@ -268,30 +268,6 @@ impl LabeledGraph {
         (builder.build(), new_to_old)
     }
 
-    /// The induced subgraph on `vertex_ids` (all original edges between
-    /// chosen vertices are kept). Returns the subgraph and the mapping
-    /// `subgraph vertex -> original vertex`.
-    pub fn induced_subgraph(&self, vertex_ids: &[VertexId]) -> (LabeledGraph, Vec<VertexId>) {
-        let mut old_to_new: Vec<Option<VertexId>> = vec![None; self.vertices.len()];
-        let mut builder = GraphBuilder::new();
-        let mut new_to_old = Vec::with_capacity(vertex_ids.len());
-        for &v in vertex_ids {
-            if old_to_new[v.index()].is_none() {
-                let nv = builder.add_vertex(self.vertex(v));
-                old_to_new[v.index()] = Some(nv);
-                new_to_old.push(v);
-            }
-        }
-        for edge in &self.edges {
-            if let (Some(u), Some(v)) =
-                (old_to_new[edge.source.index()], old_to_new[edge.target.index()])
-            {
-                builder.add_edge(u, v, edge.attr).expect("subgraph of a simple graph is simple");
-            }
-        }
-        (builder.build(), new_to_old)
-    }
-
     /// Sum of all vertex and edge weights; handy for quick sanity checks
     /// of weighted datasets.
     pub fn total_weight(&self) -> f64 {
@@ -549,16 +525,6 @@ mod tests {
         let g = path_graph(3, Label(0), Label(0));
         let (sub, _) = g.edge_subgraph(&[EdgeId(0), EdgeId(0)]);
         assert_eq!(sub.edge_count(), 1);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = cycle_graph(4, Label(0), Label(0));
-        let (sub, map) = g.induced_subgraph(&[VertexId(0), VertexId(1), VertexId(2)]);
-        assert_eq!(sub.vertex_count(), 3);
-        // Cycle 0-1-2-3-0 restricted to {0,1,2} has edges 0-1 and 1-2.
-        assert_eq!(sub.edge_count(), 2);
-        assert_eq!(map, vec![VertexId(0), VertexId(1), VertexId(2)]);
     }
 
     #[test]

@@ -100,14 +100,6 @@ impl Embedding {
             .edge_between(self.vertex_image(e.source), self.vertex_image(e.target))
             .expect("embedding must map every pattern edge onto a target edge")
     }
-
-    /// The set of target vertices covered, sorted ascending; used to
-    /// deduplicate query fragments that differ only by automorphism.
-    pub fn sorted_image(&self) -> Vec<VertexId> {
-        let mut image = self.map.clone();
-        image.sort_unstable();
-        image
-    }
 }
 
 /// Hook invoked by the matcher on every assignment; lets callers prune
@@ -914,8 +906,13 @@ mod tests {
     fn sorted_image_dedups_automorphic_embeddings() {
         let p = path_graph(3, l(0), l(0));
         let c = cycle_graph(6, l(0), l(0));
+        let sorted_image = |emb: &Embedding| {
+            let mut image = emb.vertex_map().to_vec();
+            image.sort_unstable();
+            image
+        };
         let mut images: Vec<Vec<VertexId>> =
-            embeddings(&p, &c, IsoConfig::STRUCTURE).iter().map(Embedding::sorted_image).collect();
+            embeddings(&p, &c, IsoConfig::STRUCTURE).iter().map(sorted_image).collect();
         images.sort();
         images.dedup();
         assert_eq!(images.len(), 6); // 6 distinct 3-vertex windows on C6

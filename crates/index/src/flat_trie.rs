@@ -604,60 +604,55 @@ impl FlatTrie {
         Ok(())
     }
 
-    /// Merges more `(sequence, graph)` entries into the arena with one
-    /// streaming sorted merge — O(stored + added), no comparison sort
-    /// over stored entries and no allocation per entry. Only the
-    /// additions are sorted and deduplicated; each is then located in
-    /// the stored entry order by a trie descent (`entry_rank`),
-    /// and one walk of the arena (already sorted, already distinct)
-    /// copies stored rows into a fresh row matrix with the additions
-    /// spliced in at their ranks. The arena rebuilt from that matrix is
-    /// column-for-column the one [`FlatTrie::from_entries`] builds from
-    /// the union. Additions already stored are dropped, and a batch
-    /// that adds nothing leaves the arena untouched.
+    /// Merges `other`'s entries into the arena with one streaming sorted
+    /// merge — O(stored + added), no comparison sort and no allocation
+    /// per entry. `other`'s entries arrive sorted and distinct from its
+    /// own walk; each is located in the stored entry order by a trie
+    /// descent (`entry_rank`), and one walk of the arena (already
+    /// sorted, already distinct) copies stored rows into a fresh row
+    /// matrix with the additions spliced in at their ranks, never
+    /// comparing a stored entry with an addition. The arena rebuilt from
+    /// that matrix is column-for-column the one [`FlatTrie::from_entries`]
+    /// builds from the union. Entries already stored are dropped, and a
+    /// merge that adds nothing leaves the arena untouched.
     ///
     /// # Panics
-    /// Panics if any sequence length differs from the trie depth.
-    pub fn insert_batch(&mut self, mut additions: Vec<(Vec<Label>, GraphId)>) {
+    /// Panics if the two depths differ.
+    pub fn merge(&mut self, other: &FlatTrie) {
         let depth = self.depth;
-        for (seq, _) in &additions {
-            assert_eq!(seq.len(), depth, "sequence length must equal trie depth");
-        }
-        additions.sort_unstable();
-        additions.dedup();
-        // Rank of each new entry among the stored ones; sorted additions
-        // make the ranks non-decreasing.
-        let mut ranks: Vec<u32> = Vec::with_capacity(additions.len());
-        additions.retain(|(seq, g)| match self.entry_rank(seq, *g) {
-            Ok(_) => false,
-            Err(rank) => {
-                ranks.push(rank);
-                true
+        assert_eq!(other.depth, depth, "merged tries must share a depth");
+        // Each entry new to the arena, row-major, and its rank among the
+        // stored ones — non-decreasing, as `other` walks in entry order.
+        let mut added: Vec<Label> = Vec::with_capacity(other.len() * depth);
+        let mut ranked: Vec<(u32, GraphId)> = Vec::with_capacity(other.len());
+        other.for_each_entry(|seq, g| {
+            if let Err(rank) = self.entry_rank(seq, g) {
+                added.extend_from_slice(seq);
+                ranked.push((rank, g));
             }
         });
-        if additions.is_empty() {
+        if ranked.is_empty() {
             return;
         }
-        let total = self.len() + additions.len();
+        let total = self.len() + ranked.len();
         assert!(total <= u32::MAX as usize, "trie arena exceeds u32 addressing");
         let mut rows: Vec<Label> = Vec::with_capacity(total * depth);
         let mut postings: Vec<GraphId> = Vec::with_capacity(total);
         let mut next = 0;
         let mut rank = 0u32;
         self.for_each_entry(|seq, g| {
-            while next < ranks.len() && ranks[next] == rank {
-                rows.extend_from_slice(&additions[next].0);
-                postings.push(additions[next].1);
+            while ranked.get(next).is_some_and(|&(r, _)| r == rank) {
+                rows.extend_from_slice(&added[next * depth..(next + 1) * depth]);
+                postings.push(ranked[next].1);
                 next += 1;
             }
             rows.extend_from_slice(seq);
             postings.push(g);
             rank += 1;
         });
-        for (seq, g) in &additions[next..] {
-            rows.extend_from_slice(seq);
-            postings.push(*g);
-        }
+        // The rest rank past every stored entry.
+        rows.extend_from_slice(&added[next * depth..]);
+        postings.extend(ranked[next..].iter().map(|&(_, g)| g));
         *self = FlatTrie::from_sorted_rows(depth, |i| &rows[i * depth..(i + 1) * depth], postings);
     }
 
@@ -982,42 +977,76 @@ mod tests {
         assert_eq!(collect(&t, &l(&[1, 1]), 0.0), vec![(7, 0.0), (8, 0.0)]);
     }
 
-    #[test]
-    fn matches_pointer_trie_on_random_data() {
-        // The definition over random entries, including duplicate
-        // `(sequence, graph)` pairs, several sigmas, and a
-        // position-dependent cost whose zero-cost suffix exercises the
-        // subtree short-circuit.
-        let mut entries = Vec::new();
-        let mut x = 1u64;
-        for g in 0..80u32 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let seq = l(&[
-                (x >> 8) as u32 % 4,
-                (x >> 16) as u32 % 3,
-                (x >> 24) as u32 % 3,
-                (x >> 32) as u32 % 2,
-            ]);
-            entries.push((seq, GraphId(g % 20)));
-        }
-        let flat = FlatTrie::from_entries(4, entries.clone());
+    /// `count` pseudo-random depth-4 entries from `seed`, position `p`
+    /// drawn from `0..sizes[p]`, entry `i` on graph `i % graphs`.
+    fn random_entries(
+        seed: u64,
+        count: u32,
+        sizes: [u32; 4],
+        graphs: u32,
+    ) -> Vec<(Vec<Label>, GraphId)> {
+        let mut x = seed;
+        (0..count)
+            .map(|g| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let seq: Vec<u32> =
+                    (0..4).map(|p| (x >> (8 * (p + 1))) as u32 % sizes[p]).collect();
+                (l(&seq), GraphId(g % graphs))
+            })
+            .collect()
+    }
+
+    /// The definition over `entries` (duplicate `(sequence, graph)` pairs
+    /// included) at several sigmas, after checking deduplication.
+    fn assert_random_matches_brute(
+        entries: Vec<(Vec<Label>, GraphId)>,
+        probes: &[Vec<Label>],
+        cost: fn(usize, Label, Label) -> f64,
+    ) {
+        let t = FlatTrie::from_entries(4, entries.clone());
         let mut distinct = entries.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        assert_eq!(flat.len(), distinct.len());
-        // Hamming on the first two positions, free afterwards — the
-        // descent must stop at level 2 and emit subtree ranges.
-        let cost = |pos: usize, a: Label, b: Label| {
-            if a == b || pos >= 2 {
+        assert_eq!(t.len(), distinct.len());
+        for sigma in [0.0, 1.0, 2.0, 4.0] {
+            assert_matches_brute(&entries, &t, probes, sigma, cost, |_| false);
+        }
+    }
+
+    #[test]
+    fn matches_pointer_trie_on_random_data() {
+        // A position-dependent cost — Hamming on the first two positions,
+        // free afterwards — so the descent stops at level 2 and emits
+        // subtree ranges.
+        fn prefix_hamming(pos: usize, a: Label, b: Label) -> f64 {
+            if pos >= 2 {
                 0.0
             } else {
-                1.0
+                hamming(pos, a, b)
             }
-        };
-        let probes = [l(&[0, 0, 0, 0]), l(&[1, 2, 1, 1]), l(&[3, 2, 2, 0])];
-        for sigma in [0.0, 1.0, 2.0, 4.0] {
-            assert_matches_brute(&entries, &flat, &probes, sigma, cost, |_| false);
         }
+        assert_random_matches_brute(
+            random_entries(1, 80, [4, 3, 3, 2], 20),
+            &[l(&[0, 0, 0, 0]), l(&[1, 2, 1, 1]), l(&[3, 2, 2, 0])],
+            prefix_hamming,
+        );
+    }
+
+    #[test]
+    fn batch_matches_scalar_on_random_data() {
+        // Plain Hamming with a repeated probe, which the shared scratch
+        // must answer identically.
+        assert_random_matches_brute(
+            random_entries(7, 120, [5, 4, 3, 3], 30),
+            &[
+                l(&[0, 0, 0, 0]),
+                l(&[1, 2, 1, 1]),
+                l(&[0, 0, 0, 0]),
+                l(&[4, 3, 2, 2]),
+                l(&[2, 1, 0, 1]),
+            ],
+            hamming,
+        );
     }
 
     #[test]
@@ -1032,7 +1061,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_iteration_matches_pointer_trie() {
+    fn entries_iterate_in_sorted_order_once_each() {
         // Entries come back sorted by sequence, then graph, once each.
         let mut entries = vec![
             (l(&[2, 1]), GraphId(5)),
@@ -1050,11 +1079,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_equals_bulk_build() {
+    fn merge_equals_bulk_build() {
         let first = vec![(l(&[1, 2]), GraphId(0)), (l(&[2, 2]), GraphId(1))];
         let second = vec![(l(&[1, 2]), GraphId(2)), (l(&[0, 1]), GraphId(2))];
         let mut incremental = FlatTrie::from_entries(2, first.clone());
-        incremental.insert_batch(second.clone());
+        incremental.merge(&FlatTrie::from_entries(2, second.clone()));
         let bulk = FlatTrie::from_entries(2, first.into_iter().chain(second).collect());
         let mut a = Vec::new();
         incremental.for_each_entry(|s, g| a.push((s.to_vec(), g)));
@@ -1078,36 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_on_random_data() {
-        let mut entries = Vec::new();
-        let mut x = 7u64;
-        for g in 0..120u32 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let seq = l(&[
-                (x >> 8) as u32 % 5,
-                (x >> 16) as u32 % 4,
-                (x >> 24) as u32 % 3,
-                (x >> 32) as u32 % 3,
-            ]);
-            entries.push((seq, GraphId(g % 30)));
-        }
-        let t = FlatTrie::from_entries(4, entries.clone());
-        // Duplicate probes included: through a shared scratch they must
-        // be answered identically.
-        let probes = vec![
-            l(&[0, 0, 0, 0]),
-            l(&[1, 2, 1, 1]),
-            l(&[0, 0, 0, 0]),
-            l(&[4, 3, 2, 2]),
-            l(&[2, 1, 0, 1]),
-        ];
-        for sigma in [0.0, 1.0, 2.0, 4.0] {
-            assert_matches_brute(&entries, &t, &probes, sigma, hamming, |_| false);
-        }
-    }
-
-    #[test]
-    fn batch_zero_suffix_boundaries_match_scalar() {
+    fn zero_suffix_boundaries_match_brute() {
         // Position-dependent costs: free from level `cut` on, so the
         // descent stops at the zero-suffix boundary (or, at cut 0,
         // emits the whole store without descending).
@@ -1138,7 +1138,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_on_empty_singleton_and_depth_zero_tries() {
+    fn probes_of_empty_singleton_and_depth_zero_tries_match_brute() {
         let empty = FlatTrie::from_entries(2, Vec::new());
         let mut scratch = TrieFrontier::new();
         for probe in [l(&[0, 0]), l(&[1, 1])] {
@@ -1182,7 +1182,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "probe length")]
-    fn batch_length_mismatch_rejected() {
+    fn probe_length_mismatch_rejected() {
         let t = FlatTrie::from_entries(2, vec![(l(&[1, 1]), GraphId(0))]);
         let _ = run_probe(&t, &l(&[2]), 1.0, hamming, |_| false, &mut TrieFrontier::new());
     }

@@ -73,7 +73,7 @@ impl IndexDistance {
     }
 
     /// Slice form of [`IndexDistance::normalize`] for label vectors
-    /// (arena-backed fragments normalize in place).
+    /// (stored rows and arena-backed fragments normalize in place).
     ///
     /// # Panics
     /// Panics on a linear-distance index.
@@ -82,10 +82,10 @@ impl IndexDistance {
             panic!("fragment vector kind does not match the index distance")
         };
         let cut = edge_count.min(v.len());
-        if md.edge_scores().max_cost() == 0.0 {
+        if md.edge_scores().is_zero() {
             v[..cut].fill(Label::ERASED);
         }
-        if md.vertex_scores().max_cost() == 0.0 {
+        if md.vertex_scores().is_zero() {
             v[cut..].fill(Label::ERASED);
         }
     }
@@ -192,25 +192,7 @@ pub(crate) enum ClassImpl {
     RTree(RTree),
 }
 
-/// Entries on their way into a class structure, in the form it stores
-/// them, under class-local posting slots: label rows for a trie,
-/// scale-transformed points for an R-tree.
-enum ClassEntries {
-    Labels(Vec<(Vec<Label>, GraphId)>),
-    Points(Vec<(Vec<f64>, GraphId)>),
-}
-
 impl ClassImpl {
-    /// An empty structure of the same kind and shape.
-    fn empty_like(&self) -> ClassImpl {
-        match self {
-            ClassImpl::Trie(trie) => {
-                ClassImpl::Trie(FlatTrie::from_entries(trie.depth(), Vec::new()))
-            }
-            ClassImpl::RTree(rt) => ClassImpl::RTree(RTree::new(rt.dim())),
-        }
-    }
-
     /// Stored entries.
     fn len(&self) -> usize {
         self.postings().len()
@@ -224,28 +206,13 @@ impl ClassImpl {
         }
     }
 
-    /// Every stored entry.
-    fn entries(&self) -> ClassEntries {
-        match self {
-            ClassImpl::Trie(trie) => {
-                let mut out = Vec::with_capacity(trie.len());
-                trie.for_each_entry(|seq, slot| out.push((seq.to_vec(), slot)));
-                ClassEntries::Labels(out)
-            }
-            ClassImpl::RTree(rt) => {
-                let mut out = Vec::with_capacity(rt.len());
-                rt.for_each_entry(|p, gid| out.push((p.to_vec(), gid)));
-                ClassEntries::Points(out)
-            }
-        }
-    }
-
-    /// Adds `entries` in one batch.
-    fn insert(&mut self, entries: ClassEntries) {
-        match (self, entries) {
-            (ClassImpl::Trie(trie), ClassEntries::Labels(entries)) => trie.insert_batch(entries),
-            (ClassImpl::RTree(rt), ClassEntries::Points(points)) => rt.insert_batch(points),
-            _ => unreachable!("entries always come in their class structure's form"),
+    /// Folds `other`'s entries into this structure, which becomes the
+    /// one built from both sets of entries.
+    fn merge(&mut self, other: &ClassImpl) {
+        match (self, other) {
+            (ClassImpl::Trie(trie), ClassImpl::Trie(other)) => trie.merge(other),
+            (ClassImpl::RTree(rt), ClassImpl::RTree(other)) => rt.merge(other),
+            _ => unreachable!("a class's structures are of one kind"),
         }
     }
 }
@@ -325,7 +292,11 @@ impl FragmentIndex {
         // loop over the whole database writes, so the frozen structures
         // do not depend on the worker count.
         let classes: Vec<ClassIndex> = pool.map(&structures, 2, |class, s| {
-            freeze_class(ClassRows::concat(&blocks, class), s, &distance)
+            let mut graphs = Vec::new();
+            let frozen =
+                class_structure(ClassRows::concat(&blocks, class), s, &distance, &mut graphs);
+            let entries = frozen.len();
+            ClassIndex::restored(frozen, graphs, entries)
         });
         let index = FragmentIndex {
             features,
@@ -375,16 +346,16 @@ impl FragmentIndex {
     }
 
     /// Indexes a run of graphs (ids `graph_count()..` in order). The run
-    /// is read the way the build reads the database, one class at a
-    /// time, and each class's rows go into its *pending* structure — a
-    /// second, small instance of the class's own structure, so range
-    /// queries run the same kernel over it and answers (f64 bits
-    /// included) are those of a merged class. A class whose pending
-    /// structure reaches 64 entries then merges it into the frozen one
-    /// in one batch ([`FlatTrie::insert_batch`] or
-    /// [`RTree::insert_batch`], each a sorted merge into a copy of the
-    /// class); [`FragmentIndex::compact`]
-    /// merges every class (required before snapshotting).
+    /// is read and built the way the build reads and builds the
+    /// database, one class at a time, and each class's new structure
+    /// becomes, or is merged into, its *pending* structure — a second,
+    /// small instance of the class's own structure, so range queries run
+    /// the same kernel over it and answers (f64 bits included) are those
+    /// of a merged class. A class whose pending structure reaches 64
+    /// entries then merges it into the frozen one ([`FlatTrie::merge`]
+    /// or `RTree::merge`, each one linear pass over the class);
+    /// [`FragmentIndex::compact`] merges every class (required before
+    /// snapshotting).
     ///
     /// A class merges at most once per run, so recovering N logged
     /// inserts costs one merge per class where N single inserts would
@@ -402,20 +373,23 @@ impl FragmentIndex {
             if rows.row_graphs.is_empty() {
                 continue;
             }
-            class.entries += rows.row_graphs.len();
-            let entries = class_entries(rows, structure, &self.distance, &mut class.graphs);
-            class.pending.get_or_insert_with(|| class.frozen.empty_like()).insert(entries);
+            let batch = class_structure(rows, structure, &self.distance, &mut class.graphs);
+            class.entries += batch.len();
+            match &mut class.pending {
+                Some(pending) => pending.merge(&batch),
+                None => class.pending = Some(batch),
+            }
         }
         self.merge_where(|pending| pending >= MERGE_THRESHOLD);
         self.debug_validate("insert_graphs_pending");
     }
 
-    /// Merges, in one batch, the pending structure of every class whose
-    /// pending entry count satisfies `due` into its frozen one.
+    /// Merges the pending structure of every class whose pending entry
+    /// count satisfies `due` into its frozen one.
     fn merge_where(&mut self, due: impl Fn(usize) -> bool) {
         for class in &mut self.classes {
-            if let Some(merged) = class.pending.take_if(|p| due(p.len())) {
-                class.frozen.insert(merged.entries());
+            if let Some(pending) = class.pending.take_if(|p| due(p.len())) {
+                class.frozen.merge(&pending);
                 self.merge_stats.merges += 1;
                 self.merge_stats.entries_rewritten += class.entries as u64;
             }
@@ -869,11 +843,6 @@ struct GraphEntries {
     table: Vec<u32>,
 }
 
-/// The `count` rows of `width` slots held row-major in `flat`.
-fn rows<T>(flat: &[T], width: usize, count: usize) -> impl Iterator<Item = &[T]> {
-    (0..count).map(move |i| &flat[i * width..(i + 1) * width])
-}
-
 /// Decides whether the last row of `rows` (row number `count`, after
 /// `count` distinct rows of `width` slots) is new, and records it in
 /// `table` if so. Rows are hashed and compared through `bits`, so
@@ -939,32 +908,19 @@ fn collect_graph_entries(
     if g.vertex_count() < structure.vertex_count() || g.edge_count() < structure.edge_count() {
         return;
     }
-    // Zero-cost segments collapse to a canonical value (see
-    // `IndexDistance::normalize`), merging equivalent entries up front.
-    let (erase_edge_slots, erase_vertex_slots) = match distance {
-        IndexDistance::Mutation(md) => {
-            (md.edge_scores().max_cost() == 0.0, md.vertex_scores().max_cost() == 0.0)
-        }
-        IndexDistance::Linear(ld) => (ld.edge_scale() == 0.0, ld.vertex_scale() == 0.0),
-    };
-    let ecount_slots = structure.edge_count();
-    let slots = structure.vertex_count() + ecount_slots;
+    let ecount = structure.edge_count();
+    let slots = structure.vertex_count() + ecount;
     out.table.clear();
     let matcher = SubgraphMatcher::new(structure, g, IsoConfig::STRUCTURE);
     matcher.for_each(|emb| {
-        // Read the vector in place after the rows kept so far; a
-        // repeat is cut off again.
+        // Read the vector in place after the rows kept so far and
+        // normalize it, so equivalent entries merge up front; a repeat is
+        // cut off again.
         match distance {
             IndexDistance::Mutation(_) => {
                 let start = out.labels.len();
                 label_vector_into(structure, g, emb, &mut out.labels);
-                let v = &mut out.labels[start..];
-                if erase_edge_slots {
-                    v[..ecount_slots].fill(Label::ERASED);
-                }
-                if erase_vertex_slots {
-                    v[ecount_slots..].fill(Label::ERASED);
-                }
+                distance.normalize_labels(ecount, &mut out.labels[start..]);
                 if is_new_row(&mut out.table, &out.labels, slots, out.count, |l| u64::from(l.0)) {
                     out.count += 1;
                 } else {
@@ -974,13 +930,7 @@ fn collect_graph_entries(
             IndexDistance::Linear(_) => {
                 let start = out.weights.len();
                 weight_vector_into(structure, g, emb, &mut out.weights);
-                let v = &mut out.weights[start..];
-                if erase_edge_slots {
-                    v[..ecount_slots].fill(0.0);
-                }
-                if erase_vertex_slots {
-                    v[ecount_slots..].fill(0.0);
-                }
+                distance.normalize_weights(ecount, &mut out.weights[start..]);
                 if is_new_row(&mut out.table, &out.weights, slots, out.count, f64::to_bits) {
                     out.count += 1;
                 } else {
@@ -1042,51 +992,25 @@ fn collect_class_rows(
     rows
 }
 
-/// Freezes one class's rows (all of the database, in graph order) into
-/// the range-search structure of the index distance.
-fn freeze_class(
-    ClassRows { labels, mut weights, row_graphs }: ClassRows,
-    structure: &LabeledGraph,
-    distance: &IndexDistance,
-) -> ClassIndex {
-    let ecount = structure.edge_count();
-    let slots = structure.vertex_count() + ecount;
-    debug_assert!(row_graphs.is_sorted(), "class rows are in graph order");
-    let mut graphs = Vec::new();
-    let postings = post_rows(&row_graphs, &mut graphs);
-    let entries = row_graphs.len();
-    let frozen = match distance {
-        IndexDistance::Mutation(_) => ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings)),
-        IndexDistance::Linear(ld) => {
-            scale_weights(ld, ecount, slots, &mut weights);
-            ClassImpl::RTree(RTree::from_rows(slots, weights, postings))
-        }
-    };
-    ClassIndex::restored(frozen, graphs, entries)
-}
-
-/// Puts a class's rows of graphs new to it (in graph order) into the
-/// form its structures store, as [`freeze_class`] does, appending the
-/// graphs to the class's posting list `graphs`.
-fn class_entries(
+/// Builds one class's rows of graphs new to it (in graph order: the
+/// whole database at build, an inserted run after it) into the
+/// range-search structure of the index distance, appending the graphs
+/// to the class's posting list `graphs`.
+fn class_structure(
     ClassRows { labels, mut weights, row_graphs }: ClassRows,
     structure: &LabeledGraph,
     distance: &IndexDistance,
     graphs: &mut Vec<GraphId>,
-) -> ClassEntries {
+) -> ClassImpl {
     let ecount = structure.edge_count();
     let slots = structure.vertex_count() + ecount;
-    let entries = row_graphs.len();
+    debug_assert!(row_graphs.is_sorted(), "class rows are in graph order");
     let postings = post_rows(&row_graphs, graphs);
     match distance {
-        IndexDistance::Mutation(_) => ClassEntries::Labels(
-            rows(&labels, slots, entries).map(<[Label]>::to_vec).zip(postings).collect(),
-        ),
+        IndexDistance::Mutation(_) => ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings)),
         IndexDistance::Linear(ld) => {
             scale_weights(ld, ecount, slots, &mut weights);
-            ClassEntries::Points(
-                rows(&weights, slots, entries).map(<[f64]>::to_vec).zip(postings).collect(),
-            )
+            ClassImpl::RTree(RTree::from_rows(slots, weights, postings))
         }
     }
 }
@@ -1114,7 +1038,7 @@ mod tests {
     use super::*;
     use pis_datasets::{MoleculeConfig, MoleculeGenerator};
     use pis_distance::oracle::min_superimposed_distance_brute;
-    use pis_distance::SuperimposedDistance;
+    use pis_distance::{ScoreMatrix, SuperimposedDistance};
     use pis_graph::graph::{cycle_graph, path_graph};
     use pis_graph::{EdgeAttr, GraphBuilder, VertexAttr};
     use pis_mining::exhaustive::exhaustive_features;
@@ -1573,7 +1497,8 @@ mod tests {
         // ... the distance's kind of structure ...
         let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
-        bad.classes[ci].pending = Some(ClassImpl::RTree(RTree::new(class_slots(&bad, ci))));
+        let dim = class_slots(&bad, ci);
+        bad.classes[ci].pending = Some(ClassImpl::RTree(RTree::from_rows(dim, vec![], vec![])));
         let err = bad.validate().unwrap_err();
         assert_eq!(err, format!("class {ci}: pending backend does not match the index distance"));
 
@@ -1581,8 +1506,8 @@ mod tests {
         let mut bad = build_ld(&db, 3);
         let ci = full_class(&bad);
         let past = GraphId(bad.classes[ci].graphs.len() as u32);
-        let mut rt = RTree::new(class_slots(&bad, ci));
-        rt.insert_batch([(vec![0.0; rt.dim()], past)]);
+        let dim = class_slots(&bad, ci);
+        let rt = RTree::from_rows(dim, vec![0.0; dim], vec![past]);
         bad.classes[ci].pending = Some(ClassImpl::RTree(rt));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
@@ -1602,5 +1527,38 @@ mod tests {
         // Swap the distance out from under trie-backed classes.
         bad.distance = IndexDistance::Linear(LinearDistance::edges_only());
         assert!(bad.validate().unwrap_err().contains("backend"));
+    }
+
+    #[test]
+    fn sized_zero_matrix_normalizes_like_edge_hamming() {
+        // A zero vertex matrix erases vertex slots whatever its size:
+        // over molecules with varied atom labels, a 64-label zero/unit
+        // pair stores the entries `edge_hamming` (size-0 matrices) does
+        // and answers every probe alike, where pricing vertices too
+        // (`unit`) keeps more entries.
+        let db = MoleculeGenerator::default().database(12, 5);
+        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+        let features = exhaustive_features(&structures, 3);
+        let build = |md| {
+            FragmentIndex::build(
+                &db,
+                features.clone(),
+                IndexDistance::Mutation(md),
+                &IndexConfig::default(),
+            )
+        };
+        let sized = build(MutationDistance::new(ScoreMatrix::zero(64), ScoreMatrix::unit(64)));
+        let hamming = build(MutationDistance::edge_hamming());
+        assert_eq!(sized.total_entries(), hamming.total_entries());
+        assert!(build(MutationDistance::unit()).total_entries() > hamming.total_entries());
+        for qf in hamming.enumerate_query_fragments(&db[0]) {
+            for sigma in [0.0, 1.0, 2.0] {
+                assert_eq!(
+                    sized.range_query(qf.feature, &qf.vector, sigma),
+                    hamming.range_query(qf.feature, &qf.vector, sigma),
+                    "sigma {sigma}"
+                );
+            }
+        }
     }
 }

@@ -15,8 +15,8 @@
 //! `8j..8j+8`, and node `j` of a level bounds nodes `8j..8j+8` of the
 //! level below — so only each level's SoA `bounds_min`/`bounds_max`
 //! blocks are stored. Pack order is a function of the stored entries
-//! alone: a class built at once, grown by insert batches or loaded from
-//! a snapshot is the same tree, value for value.
+//! alone: a class built at once, grown by merges or loaded from a
+//! snapshot is the same tree, value for value.
 //!
 //! [`RTree::range_query`] descends it, scanning each node's child
 //! rectangles and each leaf's points contiguously through the batched
@@ -52,19 +52,14 @@ pub struct RTree {
 }
 
 impl RTree {
-    /// An empty tree over `dim`-dimensional points.
-    pub fn new(dim: usize) -> Self {
-        RTree { dim, points: Vec::new(), slots: Vec::new(), levels: Vec::new() }
-    }
-
     /// Packs a tree from `slots.len()` points given row-major in `rows`,
     /// in any order (duplicates are kept; the fragment index dedups
-    /// upstream).
+    /// upstream). No points make the empty tree.
     ///
     /// # Panics
     /// Panics if `rows` does not hold `slots.len()` points of `dim`
     /// coordinates.
-    pub(crate) fn from_rows(dim: usize, rows: Vec<f64>, slots: Vec<GraphId>) -> Self {
+    pub fn from_rows(dim: usize, rows: Vec<f64>, slots: Vec<GraphId>) -> Self {
         assert_eq!(rows.len(), slots.len() * dim, "point dimensionality must equal tree dim");
         let row = |i: usize| (&rows[i * dim..(i + 1) * dim], slots[i]);
         let mut order: Vec<usize> = (0..slots.len()).collect();
@@ -108,41 +103,31 @@ impl RTree {
         (&self.points[i * self.dim..(i + 1) * self.dim], self.slots[i])
     }
 
-    /// Adds points under their posting slots: the batch is sorted into
-    /// pack order alone, merged linearly into the stored block — which
-    /// is never re-sorted — and the bounds are re-derived. The result is
-    /// the tree packed from the union, however the entries arrived.
+    /// Merges `other`'s points into the tree: both blocks are in pack
+    /// order, so one linear merge of the two — neither is re-sorted —
+    /// and re-deriving the bounds give the tree packed from the union,
+    /// however the points arrived.
     ///
     /// # Panics
-    /// Panics if any point's length differs from `dim`.
-    pub fn insert_batch<P: AsRef<[f64]>>(
-        &mut self,
-        points: impl IntoIterator<Item = (P, GraphId)>,
-    ) {
-        let (mut rows, mut slots) = (Vec::new(), Vec::new());
-        for (point, slot) in points {
-            let point = point.as_ref();
-            assert_eq!(point.len(), self.dim, "point dimensionality must equal tree dim");
-            rows.extend_from_slice(point);
-            slots.push(slot);
-        }
-        let batch = RTree::from_rows(self.dim, rows, slots);
-        if batch.is_empty() {
+    /// Panics if the two dimensions differ.
+    pub(crate) fn merge(&mut self, other: &RTree) {
+        assert_eq!(other.dim, self.dim, "point dimensionality must equal tree dim");
+        if other.is_empty() {
             return;
         }
-        let total = self.len() + batch.len();
+        let total = self.len() + other.len();
         let mut points = Vec::with_capacity(total * self.dim);
         let mut slots = Vec::with_capacity(total);
         let (mut i, mut j) = (0, 0);
-        while i < self.len() || j < batch.len() {
-            let stored_first = j == batch.len()
-                || (i < self.len() && pack_cmp(self.entry(i), batch.entry(j)).is_le());
+        while i < self.len() || j < other.len() {
+            let stored_first = j == other.len()
+                || (i < self.len() && pack_cmp(self.entry(i), other.entry(j)).is_le());
             let (point, slot) = if stored_first {
                 i += 1;
                 self.entry(i - 1)
             } else {
                 j += 1;
-                batch.entry(j - 1)
+                other.entry(j - 1)
             };
             points.extend_from_slice(point);
             slots.push(slot);
@@ -152,7 +137,7 @@ impl RTree {
 
     /// Checks every structural invariant, returning the first violation
     /// as a description, never a panic. A tree produced by any sequence
-    /// of packs and insert batches always passes; the checks exist for
+    /// of packs and merges always passes; the checks exist for
     /// debug re-validation after mutation and the offline `pis check`
     /// fsck.
     ///
@@ -237,8 +222,8 @@ impl RTree {
         }
     }
 
-    /// Visits every stored `(point, slot)` pair in pack order
-    /// (persistence and merges).
+    /// Visits every stored `(point, slot)` pair in pack order (the
+    /// snapshot writer).
     pub fn for_each_entry(&self, mut visit: impl FnMut(&[f64], GraphId)) {
         for i in 0..self.len() {
             let (point, slot) = self.entry(i);
@@ -327,9 +312,11 @@ mod tests {
 
     /// A tree holding `points[g]` under slot `g`.
     fn tree(dim: usize, points: &[Vec<f64>]) -> RTree {
-        let mut t = RTree::new(dim);
-        t.insert_batch(points.iter().enumerate().map(|(g, p)| (p, GraphId(g as u32))));
-        t
+        RTree::from_rows(dim, points.concat(), (0..points.len() as u32).map(GraphId).collect())
+    }
+
+    fn empty(dim: usize) -> RTree {
+        RTree::from_rows(dim, Vec::new(), Vec::new())
     }
 
     fn collect(t: &RTree, q: &[f64], sigma: f64) -> Vec<(u32, f64)> {
@@ -381,11 +368,10 @@ mod tests {
 
     #[test]
     fn agrees_with_linear_scan_after_splits() {
-        // Enough points for several levels.
+        // Enough points for three levels.
         let points = random_points(500, 3);
         let t = tree(3, &points);
-        assert_eq!(t.levels.len(), 3);
-        assert_eq!(t.len(), 500);
+        assert_eq!((t.len(), t.levels.len()), (500, 3));
         for sigma in [0.5, 2.0, 7.5] {
             let query = [5.0, 5.0, 5.0];
             assert_eq!(hits(&t, &query, sigma), brute(&points, &query, sigma), "sigma={sigma}");
@@ -394,49 +380,48 @@ mod tests {
 
     #[test]
     fn frozen_arena_matches_pointer_reference() {
-        // The tree's hits are the brute L1 scan over the inserted points,
-        // f64 bits included — at and around whole leaves and levels,
-        // across several sigmas.
-        for n in [1u32, 7, 8, 9, 60, 64, 65, 500] {
+        // The tree's hits are the brute L1 scan over its points, f64 bits
+        // included — at and around whole leaves and levels, up to three
+        // levels, across several sigmas.
+        for (n, levels) in [(1u32, 1), (7, 1), (8, 1), (9, 2), (60, 2), (64, 2), (65, 3), (500, 3)]
+        {
             let points = random_points(n, 3);
             let t = tree(3, &points);
+            assert_eq!((t.len(), t.levels.len()), (n as usize, levels), "n={n}");
             for sigma in [0.0, 0.5, 2.0, 7.5, 100.0] {
                 let query = [5.0, 5.0, 5.0];
-                assert_eq!(hits(&t, &query, sigma), brute(&points, &query, sigma), "n={n}");
+                let want = brute(&points, &query, sigma);
+                assert_eq!(hits(&t, &query, sigma), want, "n={n} sigma={sigma}");
             }
         }
     }
 
     #[test]
-    fn insert_invalidates_the_arena_and_queries_stay_correct() {
-        // A batch re-packs the tree: the next query sees the new points.
+    fn merge_repacks_and_queries_see_new_points() {
+        // A merge re-packs the tree: the next query sees the new points.
         let mut points = random_points(50, 2);
         let mut t = tree(2, &points);
         assert_eq!(hits(&t, &[1.0, 1.0], 0.5), brute(&points, &[1.0, 1.0], 0.5));
         points.extend([vec![1.0, 1.0], vec![9.5, 0.5]]);
-        t.insert_batch([(&points[50], GraphId(50)), (&points[51], GraphId(51))]);
+        t.merge(&RTree::from_rows(2, points[50..].concat(), vec![GraphId(50), GraphId(51)]));
         assert_eq!(hits(&t, &[1.0, 1.0], 0.5), brute(&points, &[1.0, 1.0], 0.5));
         assert_eq!(hits(&t, &[5.0, 5.0], 4.0), brute(&points, &[5.0, 5.0], 4.0));
         t.validate().unwrap();
     }
 
     #[test]
-    fn insert_batches_pack_as_one_build() {
-        // However the entries arrive — at once, in batches, in any order
-        // — the tree is the one packed from all of them.
+    fn merged_batches_pack_as_one_build() {
+        // However the entries arrive — at once, in merged batches, in any
+        // order — the tree is the one packed from all of them.
         let points = random_points(300, 3);
-        let whole = RTree::from_rows(
-            3,
-            points.concat(),
-            (0..points.len()).map(|g| GraphId(g as u32 % 40)).collect(),
-        );
+        let slot = |g: usize| GraphId(g as u32 % 40);
+        let whole = RTree::from_rows(3, points.concat(), (0..points.len()).map(slot).collect());
         for batch in [1, 7, 64, 299] {
-            let mut t = RTree::new(3);
+            let mut t = empty(3);
             for (k, chunk) in points.chunks(batch).enumerate().rev() {
                 let first = k * batch;
-                t.insert_batch(
-                    chunk.iter().enumerate().map(|(i, p)| (p, GraphId((first + i) as u32 % 40))),
-                );
+                let slots = (first..first + chunk.len()).map(slot).collect();
+                t.merge(&RTree::from_rows(3, chunk.concat(), slots));
             }
             assert_eq!(t, whole, "batches of {batch}");
         }
@@ -465,7 +450,7 @@ mod tests {
 
     #[test]
     fn frozen_empty_and_zero_dim_trees() {
-        let t = RTree::new(4);
+        let t = empty(4);
         let mut any = false;
         t.range_query(&[0.0; 4], 100.0, |_, _| any = true);
         assert!(!any);
@@ -505,7 +490,7 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let t = RTree::new(4);
+        let t = empty(4);
         assert!(t.is_empty());
         assert!(collect(&t, &[0.0; 4], 100.0).is_empty());
         assert!(t.levels.is_empty());
@@ -517,7 +502,7 @@ mod tests {
         for n in [0u32, 1, 7, 8, 9, 60, 500] {
             let mut t = tree(3, &random_points(n, 3));
             t.validate().unwrap_or_else(|m| panic!("tree of {n}: {m}"));
-            t.insert_batch([([1.0, 2.0, 3.0], GraphId(n))]);
+            t.merge(&RTree::from_rows(3, vec![1.0, 2.0, 3.0], vec![GraphId(n)]));
             t.validate().unwrap_or_else(|m| panic!("grown tree of {n}: {m}"));
         }
     }

@@ -1,9 +1,10 @@
 //! Arena identity: a [`FlatTrie`] is a function of the entries it
-//! stores, not of how they arrived. The streaming sorted merge behind
-//! [`FlatTrie::insert_batch`] must produce, column for column, the arena
-//! a bulk [`FlatTrie::from_entries`] builds from the union — which is
-//! what keeps snapshot bytes and every query answer independent of the
-//! insert history.
+//! stores, not of how they arrived. [`FlatTrie::merge`], the streaming
+//! sorted merge behind pending inserts and threshold merges, must
+//! produce, column for column, the arena a bulk
+//! [`FlatTrie::from_entries`] builds from the union, duplicates
+//! included — which is what keeps snapshot bytes and every query answer
+//! independent of the insert history.
 
 use pis_distance::MutationDistance;
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
@@ -26,13 +27,14 @@ fn dump(trie: &FlatTrie) -> Vec<Entry> {
     out
 }
 
-/// `stored` merged with `batches` one after another equals the bulk
-/// build of everything, and every intermediate arena validates.
+/// `stored` merged with a trie of each of `batches`, one after another,
+/// equals the bulk build of everything, and every intermediate arena
+/// validates.
 fn assert_merge_is_bulk(depth: usize, stored: &[Entry], batches: &[&[Entry]]) {
     let mut merged = FlatTrie::from_entries(depth, stored.to_vec());
     let mut union = stored.to_vec();
     for batch in batches {
-        merged.insert_batch(batch.to_vec());
+        merged.merge(&FlatTrie::from_entries(depth, batch.to_vec()));
         union.extend_from_slice(batch);
         merged.validate().unwrap_or_else(|m| panic!("merged arena invalid: {m}"));
         let bulk = FlatTrie::from_entries(depth, union.clone());
@@ -54,7 +56,7 @@ proptest! {
     /// the first and after the last stored entry. Depths 0 and 1
     /// included; the additions land in two batches.
     #[test]
-    fn insert_batch_equals_bulk_build_of_the_union(
+    fn merge_equals_bulk_build_of_the_union(
         depth in 0usize..4,
         stored in prop::collection::vec((prop::collection::vec(1u32..4, 3), 1u32..5), 0..40),
         added in prop::collection::vec((prop::collection::vec(0u32..5, 3), 0u32..6), 0..24),

@@ -7,6 +7,7 @@ mod common;
 use common::ring;
 use pis::datasets::{query::sample_query, sample_query_set, MoleculeConfig, MoleculeGenerator};
 use pis::distance::oracle::sssd_brute;
+use pis::index::{encode_snapshot, FragmentIndex, IndexConfig};
 use pis::prelude::*;
 
 fn answers_as_usize(outcome: &SearchOutcome) -> Vec<usize> {
@@ -195,6 +196,68 @@ fn save_load_round_trip_preserves_answers() {
     let a = system.knn(q, 3);
     let b = loaded.knn(q, 3);
     assert_eq!(a.neighbors, b.neighbors);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery of a weighted store: the WAL tail, which crosses the merge
+/// threshold, is replayed into R-tree classes as one batch, so each
+/// class merges at most once and every class ends below 64 pending
+/// entries. The recovered store answers as a live system that never
+/// went down and as the naive scan, and compacts to the snapshot bytes
+/// of a bulk build over the same graphs.
+#[test]
+fn weighted_wal_replay_merges_each_rtree_class_at_most_once() {
+    let generator =
+        MoleculeGenerator::new(MoleculeConfig { weighted: true, ..MoleculeConfig::default() });
+    let db = generator.database(40, 19);
+    let (base, tail) = db.split_at(30);
+    let build = |graphs: &[LabeledGraph]| {
+        PisSystem::builder()
+            .linear_distance(LinearDistance::edges_only())
+            .exhaustive_features(3)
+            .build(graphs.to_vec())
+    };
+    let dir = std::env::temp_dir().join(format!("pis-weighted-replay-{}", std::process::id()));
+    let mut store = DurableSystem::create(&dir, build(base)).unwrap();
+    let mut live = build(base);
+    for g in tail {
+        store.insert_graph(g.clone()).unwrap();
+        live.insert_graph(g.clone());
+    }
+    drop(store);
+
+    let mut store = DurableSystem::open(&dir, PisConfig::default()).unwrap();
+    assert_eq!(store.report().wal_records_replayed, tail.len());
+    let index = store.system().index();
+    let merges = index.merge_stats().merges as usize;
+    assert!(merges >= 1, "the tail crosses the merge threshold");
+    assert!(merges <= index.features().len(), "{merges} merges replaying {} records", tail.len());
+    for f in index.features().iter() {
+        // The index's merge threshold.
+        assert!(index.class_pending_entries(f.id) < 64);
+    }
+    for (qi, q) in sample_query_set(&db, 4, 4, 23).iter().enumerate() {
+        for sigma in [0.0, 0.5, 2.0] {
+            let got = store.system().search(q, sigma).answers;
+            assert_eq!(got, live.search(q, sigma).answers, "live, query {qi} sigma {sigma}");
+            assert_eq!(got, live.naive_scan(q, sigma).answers, "naive, query {qi} sigma {sigma}");
+        }
+    }
+
+    // The bulk build over the base's features (mining the whole
+    // database could find others).
+    store.compact().unwrap();
+    let bulk = FragmentIndex::build(
+        &db,
+        live.index().features().clone(),
+        IndexDistance::Linear(LinearDistance::edges_only()),
+        &IndexConfig::default(),
+    );
+    let snapshot = std::fs::read(dir.join(pis::durable::SNAPSHOT_FILE)).unwrap();
+    assert!(
+        snapshot == encode_snapshot(&bulk, &db).unwrap(),
+        "the compacted store differs from the bulk build"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -500,15 +500,18 @@ proptest! {
     /// query, each with its coordinate-order L1 distance to the f64 bit,
     /// across trees of up to 120 points (one to three levels).
     #[test]
-    fn rtree_arena_matches_pointer_reference(
+    fn rtree_range_query_matches_linear_scan(
         points in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 1..120),
         qx in 0.0f64..10.0,
         qy in 0.0f64..10.0,
         sigma in 0.0f64..12.0,
     ) {
         let points: Vec<[f64; 3]> = points.iter().map(|&(x, y, z)| [x, y, z]).collect();
-        let mut t = pis::index::rtree::RTree::new(3);
-        t.insert_batch(points.iter().enumerate().map(|(g, p)| (p, GraphId(g as u32))));
+        let t = pis::index::rtree::RTree::from_rows(
+            3,
+            points.concat(),
+            (0..points.len() as u32).map(GraphId).collect(),
+        );
         let q = [qx, qy, 5.0];
         let mut arena = Vec::new();
         t.range_query(&q, sigma, |g, d| arena.push((g.0, d.to_bits())));
