@@ -10,7 +10,6 @@
 //!   Figures 8–10) are then verified like PIS candidates.
 
 use pis_distance::SuperimposedDistance;
-use pis_graph::iso::{is_subgraph, IsoConfig};
 use pis_graph::util::FxHashSet;
 use pis_graph::{GraphId, LabeledGraph};
 use pis_index::FragmentIndex;
@@ -76,14 +75,15 @@ pub fn topo_prune(
             break;
         }
     }
-    // Exact structure check (the filter is a superset).
-    let candidates: Vec<GraphId> = filtered
-        .into_iter()
-        .filter(|g| is_subgraph(query, &database[g.index()], IsoConfig::STRUCTURE))
-        .collect();
-    let distance = distance_dyn(index.distance());
+    // Exact structure check (the filter is a superset), through the
+    // same scratch the verifier then reuses: one plan for the query.
     let mut verify = VerifyScratch::new();
     verify.begin_query(query);
+    let candidates: Vec<GraphId> = filtered
+        .into_iter()
+        .filter(|g| verify.contains_structure(query, &database[g.index()]))
+        .collect();
+    let distance = distance_dyn(index.distance());
     let answers: Vec<GraphId> = candidates
         .iter()
         .copied()
@@ -117,6 +117,7 @@ mod tests {
     use crate::search::{PisSearcher, SearchScratch};
     use pis_distance::oracle::sssd_brute;
     use pis_distance::MutationDistance;
+    use pis_graph::iso::{is_subgraph, IsoConfig};
     use pis_graph::{EdgeAttr, GraphBuilder, Label, VertexAttr};
     use pis_index::{FragmentIndex, IndexConfig, IndexDistance};
     use pis_mining::exhaustive::exhaustive_features;

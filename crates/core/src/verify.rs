@@ -235,34 +235,11 @@ impl VerifyScratch {
         {
             return Ok(false);
         }
-        // Degree-sequence domination: every embedding maps a query
-        // vertex of degree `d` onto a target vertex of degree ≥ `d`
-        // (neighbors stay injective), so the target must offer at least
-        // as many vertices of degree ≥ `d` as the query demands, for
-        // every `d`. One histogram pass refutes such candidates without
-        // touching the DFS. The top bucket saturates, which only pools
-        // demands that must be compared jointly anyway.
-        const DEG_BUCKETS: usize = 16;
-        let mut qh = [0u32; DEG_BUCKETS];
-        let mut th = [0u32; DEG_BUCKETS];
-        for v in query.vertex_ids() {
-            qh[query.degree(v).min(DEG_BUCKETS - 1)] += 1;
-        }
-        for v in target.vertex_ids() {
-            th[target.degree(v).min(DEG_BUCKETS - 1)] += 1;
-        }
-        let (mut cum_q, mut cum_t) = (0u32, 0u32);
-        for d in (1..DEG_BUCKETS).rev() {
-            cum_q += qh[d];
-            cum_t += th[d];
-            if cum_q > cum_t {
-                return Ok(false);
-            }
-        }
+        // The matcher refutes degree-dominated targets itself, from the
+        // plan's degree demand and the rows' degree masks.
         let VerifyScratch { plan, adj, bufs, .. } = self;
-        let adj_ref = adj.rebuild(target).then_some(&*adj);
-        let matcher =
-            SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan, adj_ref);
+        adj.rebuild(target);
+        let matcher = SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan, adj);
         let mut found = false;
         struct Exists<'a> {
             found: &'a mut bool,
@@ -373,10 +350,9 @@ impl VerifyScratch {
             stats.prechecked += 1;
             return Ok(None);
         }
-        let adj_ref = adj.rebuild(target).then_some(&*adj);
+        adj.rebuild(target);
         let grid_ref = grid.rebuild(target).then_some(&*grid);
-        let matcher =
-            SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan, adj_ref);
+        let matcher = SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan, adj);
         map.clear();
         map.resize(query.vertex_count(), None);
         cost_stack.clear();
@@ -909,7 +885,8 @@ mod tests {
         // The work the bound leaves is pinned as counts, so a loosened
         // floor fails here even when every distance stays right.
         // Cost-only pruning (`cost > bound`, no floors, no precheck)
-        // expanded 34 770 nodes on this workload.
+        // expanded 34 770 nodes on this workload; the same floors over
+        // a matcher without the degree-mask lookahead, 24 033.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let gen = pis_datasets::MoleculeGenerator::default();
@@ -936,9 +913,94 @@ mod tests {
         let stats = scratch.take_stats();
         assert_eq!(
             (stats.calls, stats.prechecked, stats.nodes_expanded),
-            (392, 18, 24_033),
+            (392, 18, 23_530),
             "verifier work drifted: {stats:?}"
         );
+    }
+
+    #[test]
+    fn agrees_with_the_oracle_past_one_row_word() {
+        // Targets of more than 64 vertices (two- and four-word adjacency
+        // rows): the corpus's own large graphs plus forced
+        // macro-molecules of 150–220 vertices. Queries are cut from them
+        // and from ordinary molecules, so both answers occur.
+        use pis_datasets::{MoleculeConfig, MoleculeGenerator};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let db = MoleculeGenerator::default().database(400, 11);
+        let macros =
+            MoleculeGenerator::new(MoleculeConfig { macro_probability: 1.0, ..Default::default() })
+                .database(3, 5);
+        let targets: Vec<&LabeledGraph> =
+            db.iter().chain(&macros).filter(|g| g.vertex_count() > 64).collect();
+        assert!(targets.iter().any(|g| g.vertex_count() <= 128), "no two-word target");
+        assert!(targets.iter().any(|g| g.vertex_count() > 128), "no four-word target");
+        let mut rng = StdRng::seed_from_u64(3);
+        let md = MutationDistance::edge_hamming();
+        let mut scratch = VerifyScratch::new();
+        let (mut contained, mut refuted) = (0, 0);
+        let sources = targets.iter().map(|&g| (g, 5)).chain(db.iter().take(8).map(|g| (g, 7)));
+        let mut queries: Vec<LabeledGraph> = sources
+            .filter_map(|(g, edges)| pis_datasets::query::sample_query(g, edges, &mut rng))
+            .collect();
+        // Rings of every size and high-degree stars, most of which a
+        // molecule lacks.
+        queries.extend((3..=8).map(|k| cycle_with_edge_labels(&vec![1; k])));
+        queries.extend((4..=5).map(|k| pis_graph::graph::star_graph(k, Label(0), Label(1))));
+        for q in &queries {
+            scratch.begin_query(q);
+            for &target in &targets {
+                let brute = min_superimposed_distance_brute(q, target, &md);
+                assert_eq!(scratch.contains_structure(q, target), brute.is_some());
+                for sigma in [0.0, 2.0] {
+                    assert_eq!(
+                        scratch.distance_within(q, target, &md, sigma).map(f64::to_bits),
+                        brute.filter(|&d| d <= sigma).map(f64::to_bits),
+                        "sigma={sigma}"
+                    );
+                }
+                if brute.is_some() {
+                    contained += 1;
+                } else {
+                    refuted += 1;
+                }
+            }
+        }
+        assert!(contained > 0 && refuted > 0, "{contained} contained, {refuted} refuted");
+    }
+
+    #[test]
+    fn targets_past_the_matrix_cap_use_neighbour_scans() {
+        // A 5 000-vertex chain (no adjacency matrix above 4 096 vertices)
+        // carrying one hexagon near its far end, closed by a chord of
+        // label 2 among chain edges of label 1.
+        let n = 5_000;
+        let mut b = GraphBuilder::new();
+        let vs = b.add_vertices(n, VertexAttr::labeled(Label(0)));
+        for i in 1..n {
+            b.add_edge(vs[i - 1], vs[i], EdgeAttr::labeled(Label(1))).unwrap();
+        }
+        b.add_edge(vs[n - 10], vs[n - 5], EdgeAttr::labeled(Label(2))).unwrap();
+        let target = b.build();
+        let md = MutationDistance::edge_hamming();
+        let hexagon = cycle_with_edge_labels(&[1; 6]);
+        let pentagon = cycle_with_edge_labels(&[1; 5]);
+        let mut scratch = VerifyScratch::new();
+        scratch.begin_query(&hexagon);
+        assert!(scratch.contains_structure(&hexagon, &target));
+        // The chord is the one mismatched edge of every superposition.
+        assert_eq!(scratch.distance_within(&hexagon, &target, &md, 2.0), Some(1.0));
+        assert_eq!(scratch.distance_within(&hexagon, &target, &md, 0.5), None);
+        assert_eq!(min_superimposed_distance_brute(&hexagon, &target, &md), Some(1.0));
+        // 6 rotations × 2 reflections of the one hexagon.
+        assert_eq!(
+            pis_graph::SubgraphMatcher::new(&hexagon, &target, IsoConfig::STRUCTURE).count(None),
+            12
+        );
+        scratch.begin_query(&pentagon);
+        assert!(!scratch.contains_structure(&pentagon, &target));
+        assert_eq!(scratch.distance_within(&pentagon, &target, &md, 5.0), None);
+        assert_eq!(min_superimposed_distance_brute(&pentagon, &target, &md), None);
     }
 
     #[test]

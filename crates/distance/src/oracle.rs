@@ -8,14 +8,154 @@
 //! This is the reference implementation ("the naive solution" of
 //! Section 2): exact but exponential. `pis-core::verify` implements the
 //! branch-and-bound equivalent used in production; its tests compare
-//! against this oracle.
+//! against this oracle. The embeddings come from [`embeddings_brute`], a
+//! definition-level enumerator that shares no code with the production
+//! matcher (`pis_graph::iso`), so a matcher that loses an embedding
+//! cannot hide behind the oracle.
 
 use std::ops::ControlFlow;
 
-use pis_graph::iso::{IsoConfig, SubgraphMatcher};
-use pis_graph::LabeledGraph;
+use pis_graph::iso::IsoConfig;
+use pis_graph::{LabeledGraph, VertexId};
 
 use crate::traits::SuperimposedDistance;
+
+/// Every embedding of `pattern` into `target` under `config`, each as a
+/// vertex map indexed by pattern vertex, in no particular order.
+///
+/// By definition: an embedding is an injective vertex map that sends
+/// every pattern edge onto a target edge (with equal labels where
+/// `config` asks for them). Pattern vertices are placed in breadth-first
+/// order; a vertex's images are the neighbors of its BFS parent's image,
+/// or every target vertex for a component's root, and a partial map is
+/// kept only while it is injective and every pattern edge to an
+/// already-placed vertex exists. There is no degree test, lookahead,
+/// matching plan or bitset.
+pub fn embeddings_brute(
+    pattern: &LabeledGraph,
+    target: &LabeledGraph,
+    config: IsoConfig,
+) -> Vec<Vec<VertexId>> {
+    let mut out = Vec::new();
+    for_each_embedding(pattern, target, config, &mut |map| {
+        out.push(map.to_vec());
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// Calls `f` on every embedding [`embeddings_brute`] enumerates; `f`
+/// stops the enumeration by returning `Break`.
+fn for_each_embedding(
+    pattern: &LabeledGraph,
+    target: &LabeledGraph,
+    config: IsoConfig,
+    f: &mut dyn FnMut(&[VertexId]) -> ControlFlow<()>,
+) {
+    // Breadth-first placement order, one component after another: each
+    // vertex with its BFS parent (`None` for a component's root).
+    let n = pattern.vertex_count();
+    let mut order: Vec<(VertexId, Option<VertexId>)> = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    for root in pattern.vertex_ids() {
+        if seen[root.index()] {
+            continue;
+        }
+        seen[root.index()] = true;
+        let mut head = order.len();
+        order.push((root, None));
+        while head < order.len() {
+            let v = order[head].0;
+            head += 1;
+            for &(u, _) in pattern.neighbors(v) {
+                if !seen[u.index()] {
+                    seen[u.index()] = true;
+                    order.push((u, Some(v)));
+                }
+            }
+        }
+    }
+    let mut search = Placement {
+        pattern,
+        target,
+        config,
+        order,
+        map: vec![None; n],
+        used: vec![false; target.vertex_count()],
+        full: Vec::with_capacity(n),
+    };
+    let _ = search.place(0, f);
+}
+
+/// The state of [`for_each_embedding`]'s backtracking.
+struct Placement<'a> {
+    pattern: &'a LabeledGraph,
+    target: &'a LabeledGraph,
+    config: IsoConfig,
+    order: Vec<(VertexId, Option<VertexId>)>,
+    map: Vec<Option<VertexId>>,
+    used: Vec<bool>,
+    full: Vec<VertexId>,
+}
+
+impl Placement<'_> {
+    fn place(
+        &mut self,
+        i: usize,
+        f: &mut dyn FnMut(&[VertexId]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let Some(&(v, parent)) = self.order.get(i) else {
+            self.full.clear();
+            self.full.extend(self.map.iter().map(|m| m.expect("every pattern vertex is placed")));
+            return f(&self.full);
+        };
+        match parent {
+            Some(u) => {
+                let image = self.map[u.index()].expect("a BFS parent is placed first");
+                for &(t, _) in self.target.neighbors(image) {
+                    self.try_image(i, v, t, f)?;
+                }
+            }
+            None => {
+                for t in self.target.vertex_ids() {
+                    self.try_image(i, v, t, f)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn try_image(
+        &mut self,
+        i: usize,
+        v: VertexId,
+        t: VertexId,
+        f: &mut dyn FnMut(&[VertexId]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let (pattern, target, config) = (self.pattern, self.target, self.config);
+        if self.used[t.index()]
+            || (config.respect_vertex_labels && pattern.vertex(v).label != target.vertex(t).label)
+        {
+            return ControlFlow::Continue(());
+        }
+        let edges_kept = pattern.neighbors(v).iter().all(|&(u, pe)| match self.map[u.index()] {
+            None => true,
+            Some(tu) => target.edge_between(tu, t).is_some_and(|te| {
+                !config.respect_edge_labels
+                    || pattern.edge(pe).attr.label == target.edge(te).attr.label
+            }),
+        });
+        if !edges_kept {
+            return ControlFlow::Continue(());
+        }
+        self.map[v.index()] = Some(t);
+        self.used[t.index()] = true;
+        let flow = self.place(i + 1, f);
+        self.used[t.index()] = false;
+        self.map[v.index()] = None;
+        flow
+    }
+}
 
 /// Exact minimum superimposed distance by full enumeration.
 ///
@@ -26,10 +166,20 @@ pub fn min_superimposed_distance_brute(
     target: &LabeledGraph,
     distance: &dyn SuperimposedDistance,
 ) -> Option<f64> {
-    let matcher = SubgraphMatcher::new(pattern, target, IsoConfig::STRUCTURE);
     let mut best: Option<f64> = None;
-    matcher.for_each(|embedding| {
-        let cost = distance.superposition_cost(pattern, target, embedding);
+    for_each_embedding(pattern, target, IsoConfig::STRUCTURE, &mut |map| {
+        // Definition 1: the superposition's vertex costs, then its edge
+        // costs, each in id order.
+        let mut cost = 0.0;
+        for v in pattern.vertex_ids() {
+            cost += distance.vertex_cost(pattern.vertex(v), target.vertex(map[v.index()]));
+        }
+        for e in pattern.edges() {
+            let te = target
+                .edge_between(map[e.source.index()], map[e.target.index()])
+                .expect("an embedding maps every pattern edge onto a target edge");
+            cost += distance.edge_cost(e.attr, target.edge(te).attr);
+        }
         if best.is_none_or(|b| cost < b) {
             best = Some(cost);
         }

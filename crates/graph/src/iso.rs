@@ -1,4 +1,4 @@
-//! VF2-style subgraph isomorphism with full embedding enumeration.
+//! Word-parallel subgraph isomorphism with full embedding enumeration.
 //!
 //! The paper's subgraph isomorphism `Q ⊆ G` considers only the structure
 //! of the graphs (Section 2); labels are compared separately through the
@@ -15,15 +15,41 @@
 //! assignment, which is how `pis-core` implements the branch-and-bound
 //! minimum-superimposed-distance verifier without duplicating the search.
 //!
+//! **The kernel.** A backtracking DFS over a fixed matching order
+//! ([`MatchPlan`]) whose every depth works on bit rows of the target
+//! ([`AdjBits`]: one adjacency row per vertex plus degree-class masks).
+//! The candidate set of depth `d`, matching pattern vertex `p`, is one
+//! AND chain: `deg_ge[deg p] & !used & ⋂ row(image(q))` over the
+//! already-matched neighbours `q` in [`MatchPlan::checks`]. A candidate
+//! `t` then passes a word-level lookahead before the visitor sees it:
+//! `t` must keep at least as many free neighbours as `p` has neighbours
+//! matched later, and that count must hold inside every degree class —
+//! each later neighbour `r` keeps a free neighbour of `t` inside
+//! `deg_ge[deg r]`, the `k` of highest degree keep `k` of them, and so
+//! on (popcounts of `row(t) & !used & deg_ge[c]`). A target's degree
+//! masks also refute it outright when it has fewer vertices of degree
+//! ≥ `c` than the pattern, for some `c`. The DFS is generic over the
+//! row width, so a target of at most 64 vertices runs on single-word
+//! operations; targets above 4 096 vertices (no quadratic matrix) keep a
+//! neighbour-scan DFS that probes each candidate.
+//!
+//! **Order contract.** Candidates are visited in a fixed order: at a
+//! depth with an anchor (an already-matched neighbour), in the order of
+//! the anchor image's neighbour list; at a component's first depth, in
+//! ascending vertex id. Every filter above rejects only candidates whose
+//! subtree holds no complete embedding, so complete embeddings arrive in
+//! the same sequence whichever filters run, and a visitor that stops at
+//! the first one (or keeps a running minimum) sees the same result.
+//!
 //! Repeated searches amortize their setup: the matching order lives in a
 //! reusable flat [`MatchPlan`] arena (target-independent under
 //! [`IsoConfig::STRUCTURE`], so one plan serves a query against every
-//! candidate), the target adjacency bitset ([`AdjBits`]) rebuilds in
-//! place, and [`SubgraphMatcher::search_with_buffers`] threads
-//! caller-owned [`SearchBuffers`] through the DFS instead of allocating
-//! per call. [`MatchPlan::checks`] names the edges each plan depth
-//! closes — what `pis-core`'s bound-propagating verifier folds its
-//! per-element cost floors along.
+//! candidate), the target's bit rows ([`AdjBits`]) rebuild in place, and
+//! [`SubgraphMatcher::search_with_buffers`] threads caller-owned
+//! [`SearchBuffers`] through the DFS instead of allocating per call.
+//! [`MatchPlan::checks`] names the edges each plan depth closes — what
+//! `pis-core`'s bound-propagating verifier folds its per-element cost
+//! floors along.
 
 // Search hot path: panic-free outside tests (DESIGN.md §6.11).
 #![cfg_attr(
@@ -37,6 +63,7 @@
     )
 )]
 
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 
 use crate::graph::LabeledGraph;
@@ -163,6 +190,17 @@ pub struct MatchPlan {
     /// edge, concatenated depth-major; every one must map to a target
     /// edge.
     checks: Vec<(VertexId, EdgeId)>,
+    /// CSR offsets into `later`: depth `d` owns
+    /// `later[later_start[d]..later_start[d + 1]]`.
+    later_start: Vec<u32>,
+    /// The pattern neighbors each depth's vertex has among the vertices
+    /// matched at deeper depths, highest pattern degree first,
+    /// concatenated depth-major — what the DFS's lookahead reserves
+    /// room for.
+    later: Vec<VertexId>,
+    /// `degree_demand[c]`: pattern vertices of degree ≥ `c` (the top
+    /// class saturating, as in [`AdjBits`]'s degree masks).
+    degree_demand: [u32; DEGREE_CLASSES],
     /// Scratch: per-vertex placement flag (reused across rebuilds).
     placed: Vec<bool>,
     /// Scratch: how many placed neighbors each unplaced vertex has.
@@ -202,6 +240,12 @@ impl MatchPlan {
     #[inline]
     pub fn checks(&self, depth: usize) -> &[(VertexId, EdgeId)] {
         &self.checks[self.check_start[depth] as usize..self.check_start[depth + 1] as usize]
+    }
+
+    /// The pattern neighbors of `vertex(depth)` matched at deeper depths.
+    #[inline]
+    fn later(&self, depth: usize) -> &[VertexId] {
+        &self.later[self.later_start[depth] as usize..self.later_start[depth + 1] as usize]
     }
 
     #[inline]
@@ -294,9 +338,9 @@ impl MatchPlan {
             self.vertices.push(v);
         }
         debug_assert_eq!(self.vertices.len(), n);
-        // Derive anchors and checks strictly by plan position. The
-        // anchor is the earliest-placed checked neighbor (its image
-        // bounds the candidate set).
+        // Derive anchors, checks and later neighbors strictly by plan
+        // position. The anchor is the earliest-placed checked neighbor
+        // (its image's neighbor list orders the candidates).
         self.position.clear();
         self.position.resize(n, usize::MAX);
         for (i, &v) in self.vertices.iter().enumerate() {
@@ -306,6 +350,9 @@ impl MatchPlan {
         self.check_start.clear();
         self.checks.clear();
         self.check_start.push(0);
+        self.later_start.clear();
+        self.later.clear();
+        self.later_start.push(0);
         for (i, &v) in self.vertices.iter().enumerate() {
             let mut anchor = VertexId(u32::MAX);
             let mut anchor_pos = usize::MAX;
@@ -317,27 +364,76 @@ impl MatchPlan {
                         anchor_pos = pos;
                         anchor = q;
                     }
+                } else {
+                    self.later.push(q);
                 }
             }
+            let start = self.later_start[i] as usize;
+            self.later[start..].sort_by_key(|&r| std::cmp::Reverse(pattern.degree(r)));
             self.anchors.push(anchor);
             self.check_start.push(self.checks.len() as u32);
+            self.later_start.push(self.later.len() as u32);
+        }
+        self.degree_demand = [0; DEGREE_CLASSES];
+        for v in pattern.vertex_ids() {
+            for count in &mut self.degree_demand[..=degree_class(pattern.degree(v))] {
+                *count += 1;
+            }
         }
     }
 }
 
-/// Targets above this size skip the adjacency-matrix bitset (quadratic
-/// memory); `edge_between` scans take over. Molecular graphs sit around
-/// 25 vertices, so in practice the matrix is always on.
+/// Targets above this size skip the adjacency matrix (quadratic
+/// memory); the neighbour-scan DFS and `edge_between` take over.
+/// Molecular graphs sit around 25 vertices, so in practice the matrix is
+/// always on.
 const ADJ_BITS_MAX_VERTICES: usize = 4096;
 
-/// Dense target adjacency: one bitset row per vertex, so the matcher's
-/// edge-existence checks are a shift and a mask instead of an
-/// adjacency-list scan. Rebuilding in place keeps the bit storage
+/// Degree classes of [`AdjBits`]'s degree masks: class `c` holds the
+/// vertices of degree ≥ `c`, and the top class saturates (it holds every
+/// vertex of degree ≥ 15). Molecules stay far below it; a pattern vertex
+/// of higher degree adds an exact per-candidate degree test.
+const DEGREE_CLASSES: usize = 16;
+
+/// Words per [`AdjBits`] row at the cap.
+const MAX_ROW_WORDS: usize = ADJ_BITS_MAX_VERTICES / 64;
+
+/// Words per [`AdjBits`] row for a target of `n` vertices: within the
+/// cap, the smallest width the word DFS is instantiated at (1, 2, 4 or
+/// the cap's 64 words) that holds `n` bits; above it, `⌈n / 64⌉` (the
+/// degree masks and the neighbour-scan DFS's used set).
+fn row_width(n: usize) -> usize {
+    match n.div_ceil(64) {
+        0 | 1 => 1,
+        2 => 2,
+        3 | 4 => 4,
+        _ if n <= ADJ_BITS_MAX_VERTICES => MAX_ROW_WORDS,
+        words => words,
+    }
+}
+
+/// The degree-mask class that bounds degree `d` from below.
+#[inline]
+fn degree_class(d: usize) -> usize {
+    d.min(DEGREE_CLASSES - 1)
+}
+
+/// Dense target bit rows: one adjacency row per vertex, so an
+/// edge-existence check is a shift and a mask and a candidate set is an
+/// AND of rows, plus one mask per degree class (`deg_ge[c]`: the
+/// vertices of degree ≥ `c`). Rebuilding in place keeps the storage
 /// allocated across targets.
 #[derive(Clone, Debug, Default)]
 pub struct AdjBits {
-    words_per_row: usize,
-    bits: Vec<u64>,
+    /// Vertices of the target the rows were built for.
+    vertices: usize,
+    /// Words per row and per mask: [`row_width`] of the vertex count.
+    words: usize,
+    /// Row-major adjacency matrix, `vertices × words`; empty above
+    /// `ADJ_BITS_MAX_VERTICES`.
+    rows: Vec<u64>,
+    /// Degree-class masks, `DEGREE_CLASSES × words`.
+    deg_ge: Vec<u64>,
 }
 
 impl AdjBits {
@@ -346,35 +442,68 @@ impl AdjBits {
         AdjBits::default()
     }
 
-    /// Rebuilds the adjacency matrix for `g`, reusing the bit storage.
-    /// Returns `false` (leaving the matrix unusable) when `g` is too
-    /// large for quadratic memory; callers then fall back to
-    /// `edge_between` scans.
+    /// Rebuilds the degree masks and the adjacency matrix for `g`,
+    /// reusing the storage. The masks are linear in `g`'s size and
+    /// always built; the matrix is skipped (and `false` returned) when
+    /// `g` is too large for quadratic memory, and the matcher then falls
+    /// back to neighbour scans.
     pub fn rebuild(&mut self, g: &LabeledGraph) -> bool {
         let n = g.vertex_count();
-        if n > ADJ_BITS_MAX_VERTICES {
-            return false;
+        self.vertices = n;
+        self.words = row_width(n);
+        let words = self.words;
+        let matrix = n <= ADJ_BITS_MAX_VERTICES;
+        self.rows.clear();
+        if matrix {
+            self.rows.resize(n * words, 0);
         }
-        self.words_per_row = n.div_ceil(64);
-        self.bits.clear();
-        self.bits.resize(n * self.words_per_row, 0);
-        for e in g.edges() {
-            let (u, v) = (e.source.index(), e.target.index());
-            self.bits[u * self.words_per_row + v / 64] |= 1 << (v % 64);
-            self.bits[v * self.words_per_row + u / 64] |= 1 << (u % 64);
+        // One pass over the neighbor lists: each vertex's row, and its
+        // bit in the mask of its exact degree class; a suffix OR then
+        // turns "degree = c" into "degree ≥ c".
+        self.deg_ge.clear();
+        self.deg_ge.resize(DEGREE_CLASSES * words, 0);
+        for v in g.vertex_ids() {
+            let neighbors = g.neighbors(v);
+            let word = v.index() / 64;
+            self.deg_ge[degree_class(neighbors.len()) * words + word] |= 1 << (v.index() % 64);
+            if matrix {
+                let row = &mut self.rows[v.index() * words..(v.index() + 1) * words];
+                for &(u, _) in neighbors {
+                    row[u.index() / 64] |= 1 << (u.index() % 64);
+                }
+            }
         }
-        true
+        for i in (0..(DEGREE_CLASSES - 1) * words).rev() {
+            self.deg_ge[i] |= self.deg_ge[i + words];
+        }
+        matrix
     }
 
-    fn build(g: &LabeledGraph) -> Option<AdjBits> {
+    fn build(g: &LabeledGraph) -> AdjBits {
         let mut adj = AdjBits::new();
-        adj.rebuild(g).then_some(adj)
+        adj.rebuild(g);
+        adj
     }
 
-    /// Whether `u` and `v` are adjacent.
+    /// Whether the adjacency matrix was built (the target is within
+    /// `ADJ_BITS_MAX_VERTICES`).
     #[inline]
-    pub fn contains(&self, u: VertexId, v: VertexId) -> bool {
-        (self.bits[u.index() * self.words_per_row + v.index() / 64] >> (v.index() % 64)) & 1 == 1
+    fn has_matrix(&self) -> bool {
+        self.vertices <= ADJ_BITS_MAX_VERTICES
+    }
+
+    /// Degree-sequence domination: every embedding maps a pattern vertex
+    /// of degree `d` onto a target vertex of degree ≥ `d` (neighbors stay
+    /// injective), so the target must offer at least as many vertices of
+    /// degree ≥ `c` as the pattern demands, in every class `c`. Pooling
+    /// the top class only merges demands that must hold jointly anyway.
+    fn covers(&self, demand: &[u32; DEGREE_CLASSES]) -> bool {
+        demand.iter().enumerate().all(|(c, &need)| {
+            need == 0 || {
+                let mask = &self.deg_ge[c * self.words..(c + 1) * self.words];
+                need <= mask.iter().map(|w| w.count_ones()).sum::<u32>()
+            }
+        })
     }
 }
 
@@ -427,14 +556,15 @@ impl EdgeGrid {
 }
 
 /// Reusable DFS state of one search: the partial map, the used-vertex
-/// flags and the embedding handed to the visitor. One buffer set serves
+/// bitset and the embedding handed to the visitor. One buffer set serves
 /// any number of sequential [`SubgraphMatcher::search_with_buffers`]
 /// calls of any size (buffers re-size per call), making the steady-state
 /// search allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct SearchBuffers {
     map: Vec<VertexId>,
-    used: Vec<bool>,
+    /// Target vertices already mapped, one bit each.
+    used: Vec<u64>,
     embedding: Embedding,
 }
 
@@ -443,22 +573,20 @@ impl SearchBuffers {
     pub fn new() -> Self {
         SearchBuffers::default()
     }
+
+    #[inline]
+    fn is_used(&self, t: VertexId) -> bool {
+        (self.used[t.index() / 64] >> (t.index() % 64)) & 1 == 1
+    }
+
+    /// Flips `t`'s used bit (set on assign, cleared on backtrack).
+    #[inline]
+    fn toggle_used(&mut self, t: VertexId) {
+        self.used[t.index() / 64] ^= 1 << (t.index() % 64);
+    }
 }
 
-/// The plan a matcher runs: built for this pair, or borrowed from a
-/// caller amortizing one plan across many targets.
-enum PlanSource<'a> {
-    Owned(MatchPlan),
-    Borrowed(&'a MatchPlan),
-}
-
-/// The adjacency matrix a matcher consults (`None` = target too large).
-enum AdjSource<'a> {
-    Owned(Option<AdjBits>),
-    Borrowed(Option<&'a AdjBits>),
-}
-
-/// VF2-style matcher for one `(pattern, target)` pair.
+/// Word-parallel subgraph matcher for one `(pattern, target)` pair.
 ///
 /// The matcher precomputes a connected matching order over the pattern
 /// once and can then run several searches. The order is guided by the
@@ -470,17 +598,21 @@ pub struct SubgraphMatcher<'a> {
     pattern: &'a LabeledGraph,
     target: &'a LabeledGraph,
     config: IsoConfig,
-    plan: PlanSource<'a>,
-    adj: AdjSource<'a>,
+    /// The plan the matcher runs: built for this pair, or borrowed from
+    /// a caller amortizing one plan across many targets.
+    plan: Cow<'a, MatchPlan>,
+    /// The target's bit rows: built for this target, or borrowed.
+    adj: Cow<'a, AdjBits>,
 }
 
 /// The borrow-resolved search state threaded through the DFS.
+#[derive(Clone, Copy)]
 struct SearchCtx<'s> {
     pattern: &'s LabeledGraph,
     target: &'s LabeledGraph,
     config: IsoConfig,
     plan: &'s MatchPlan,
-    adj: Option<&'s AdjBits>,
+    adj: &'s AdjBits,
 }
 
 impl<'a> SubgraphMatcher<'a> {
@@ -489,37 +621,36 @@ impl<'a> SubgraphMatcher<'a> {
     pub fn new(pattern: &'a LabeledGraph, target: &'a LabeledGraph, config: IsoConfig) -> Self {
         let mut plan = MatchPlan::new();
         plan.rebuild(pattern, target, config);
-        let adj = AdjBits::build(target);
         SubgraphMatcher {
             pattern,
             target,
             config,
-            plan: PlanSource::Owned(plan),
-            adj: AdjSource::Owned(adj),
+            plan: Cow::Owned(plan),
+            adj: Cow::Owned(AdjBits::build(target)),
         }
     }
 
     /// A matcher over caller-owned parts: a plan already rebuilt for
     /// `(pattern, target, config)` (or for `pattern` alone under
     /// [`IsoConfig::STRUCTURE`], where the order is target-independent)
-    /// and an optional adjacency matrix already rebuilt for `target`.
-    /// Runs the exact same DFS as [`SubgraphMatcher::new`] without
-    /// paying the setup — the amortization behind `pis-core`'s
-    /// `VerifyScratch`.
+    /// and bit rows already rebuilt for `target`. Runs the exact same
+    /// DFS as [`SubgraphMatcher::new`] without paying the setup — the
+    /// amortization behind `pis-core`'s `VerifyScratch`.
     pub fn with_parts(
         pattern: &'a LabeledGraph,
         target: &'a LabeledGraph,
         config: IsoConfig,
         plan: &'a MatchPlan,
-        adj: Option<&'a AdjBits>,
+        adj: &'a AdjBits,
     ) -> Self {
         debug_assert_eq!(plan.len(), pattern.vertex_count(), "plan built for another pattern");
+        debug_assert_eq!(adj.vertices, target.vertex_count(), "bit rows built for another target");
         SubgraphMatcher {
             pattern,
             target,
             config,
-            plan: PlanSource::Borrowed(plan),
-            adj: AdjSource::Borrowed(adj),
+            plan: Cow::Borrowed(plan),
+            adj: Cow::Borrowed(adj),
         }
     }
 
@@ -528,36 +659,48 @@ impl<'a> SubgraphMatcher<'a> {
             pattern: self.pattern,
             target: self.target,
             config: self.config,
-            plan: match &self.plan {
-                PlanSource::Owned(p) => p,
-                PlanSource::Borrowed(p) => p,
-            },
-            adj: match &self.adj {
-                AdjSource::Owned(a) => a.as_ref(),
-                AdjSource::Borrowed(a) => *a,
-            },
+            plan: &self.plan,
+            adj: &self.adj,
         }
     }
 
     /// Runs the search, driving `visitor`.
-    pub fn search(&self, visitor: &mut dyn MatchVisitor) {
+    pub fn search<V: MatchVisitor + ?Sized>(&self, visitor: &mut V) {
         self.search_with_buffers(&mut SearchBuffers::new(), visitor);
     }
 
     /// [`SubgraphMatcher::search`] with caller-owned DFS buffers, so
-    /// repeated searches allocate nothing.
-    pub fn search_with_buffers(&self, bufs: &mut SearchBuffers, visitor: &mut dyn MatchVisitor) {
+    /// repeated searches allocate nothing. Generic over the visitor so
+    /// concrete visitors get a monomorphized DFS; `&mut dyn MatchVisitor`
+    /// works too.
+    pub fn search_with_buffers<V: MatchVisitor + ?Sized>(
+        &self,
+        bufs: &mut SearchBuffers,
+        visitor: &mut V,
+    ) {
+        let ctx = self.ctx();
         let n = self.pattern.vertex_count();
-        if n > self.target.vertex_count() || self.pattern.edge_count() > self.target.edge_count() {
+        if n > self.target.vertex_count()
+            || self.pattern.edge_count() > self.target.edge_count()
+            || !ctx.adj.covers(&ctx.plan.degree_demand)
+        {
             return;
         }
+        let words = ctx.adj.words;
         bufs.map.clear();
         bufs.map.resize(n, VertexId(u32::MAX));
         bufs.used.clear();
-        bufs.used.resize(self.target.vertex_count(), false);
-        let ctx = self.ctx();
-        let SearchBuffers { map, used, embedding } = bufs;
-        let _ = ctx.recurse(0, map, used, embedding, visitor);
+        bufs.used.resize(words, 0);
+        if !ctx.adj.has_matrix() {
+            let _ = ctx.scan_recurse(0, bufs, visitor);
+            return;
+        }
+        let _ = match words {
+            1 => WordDfs::<1> { ctx }.recurse(0, bufs, visitor),
+            2 => WordDfs::<2> { ctx }.recurse(0, bufs, visitor),
+            4 => WordDfs::<4> { ctx }.recurse(0, bufs, visitor),
+            _ => WordDfs::<MAX_ROW_WORDS> { ctx }.recurse(0, bufs, visitor),
+        };
     }
 
     /// Calls `f` for every embedding; stop early by returning `Break`.
@@ -607,34 +750,84 @@ impl<'a> SubgraphMatcher<'a> {
 }
 
 impl SearchCtx<'_> {
-    fn recurse(
+    /// The label constraints of `config` for `p → t`, given the images
+    /// of the depth's checked neighbors (their edges to `t` exist).
+    #[inline(always)]
+    fn labels_match(&self, depth: usize, p: VertexId, t: VertexId, map: &[VertexId]) -> bool {
+        (!self.config.respect_vertex_labels
+            || self.pattern.vertex(p).label == self.target.vertex(t).label)
+            && (!self.config.respect_edge_labels || self.edge_labels_match(depth, t, map))
+    }
+
+    fn edge_labels_match(&self, depth: usize, t: VertexId, map: &[VertexId]) -> bool {
+        self.plan.checks(depth).iter().all(|&(q, pe)| {
+            self.target.edge_between(map[q.index()], t).is_some_and(|te| {
+                self.pattern.edge(pe).attr.label == self.target.edge(te).attr.label
+            })
+        })
+    }
+
+    /// Offers `p → t` to the visitor and, if it accepts, runs the next
+    /// depth (`next`) with `t` mapped and used, then undoes both.
+    #[inline(always)]
+    fn descend<V: MatchVisitor + ?Sized>(
+        &self,
+        p: VertexId,
+        t: VertexId,
+        bufs: &mut SearchBuffers,
+        visitor: &mut V,
+        next: impl FnOnce(&mut SearchBuffers, &mut V) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if !visitor.assign(p, t) {
+            return ControlFlow::Continue(());
+        }
+        bufs.map[p.index()] = t;
+        bufs.toggle_used(t);
+        let flow = next(bufs, visitor);
+        bufs.toggle_used(t);
+        bufs.map[p.index()] = VertexId(u32::MAX);
+        visitor.unassign(p, t);
+        flow
+    }
+
+    /// A complete embedding: hand it to the visitor. One reusable buffer
+    /// for every complete embedding: `clone_from` keeps its allocation
+    /// alive across hits.
+    #[inline]
+    fn complete<V: MatchVisitor + ?Sized>(
+        bufs: &mut SearchBuffers,
+        visitor: &mut V,
+    ) -> ControlFlow<()> {
+        bufs.embedding.map.clone_from(&bufs.map);
+        visitor.complete(&bufs.embedding)
+    }
+
+    /// The neighbour-scan DFS for targets without an adjacency matrix:
+    /// each candidate is probed against the used set, its degree, the
+    /// labels and every check edge (`edge_between`), and its free
+    /// neighbours are counted by scanning its neighbour list.
+    fn scan_recurse<V: MatchVisitor + ?Sized>(
         &self,
         depth: usize,
-        map: &mut Vec<VertexId>,
-        used: &mut [bool],
-        embedding: &mut Embedding,
-        visitor: &mut dyn MatchVisitor,
+        bufs: &mut SearchBuffers,
+        visitor: &mut V,
     ) -> ControlFlow<()> {
         if depth == self.plan.len() {
-            // One reusable buffer for every complete embedding the
-            // visitor sees: `clone_from` keeps its allocation alive
-            // across hits.
-            embedding.map.clone_from(map);
-            return visitor.complete(embedding);
+            return Self::complete(bufs, visitor);
         }
         let p = self.plan.vertex(depth);
         match self.plan.anchor(depth) {
             Some(q) => {
                 // Candidates: neighbors of the image of the anchor. The
-                // slice borrows the target, disjoint from `map`/`used`.
-                let image = map[q.index()];
+                // slice borrows the target, disjoint from the buffers.
+                let image = bufs.map[q.index()];
                 for &(t, _) in self.target.neighbors(image) {
-                    self.try_candidate(depth, p, t, map, used, embedding, visitor)?;
+                    self.scan_candidate(depth, p, t, bufs, visitor)?;
                 }
             }
             None => {
                 for t in 0..self.target.vertex_count() as u32 {
-                    self.try_candidate(depth, p, VertexId(t), map, used, embedding, visitor)?;
+                    self.scan_candidate(depth, p, VertexId(t), bufs, visitor)?;
                 }
             }
         }
@@ -642,90 +835,160 @@ impl SearchCtx<'_> {
     }
 
     #[inline]
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "private hot path; the args are the search state"
-    )]
-    fn try_candidate(
+    fn scan_candidate<V: MatchVisitor + ?Sized>(
         &self,
         depth: usize,
         p: VertexId,
         t: VertexId,
-        map: &mut Vec<VertexId>,
-        used: &mut [bool],
-        embedding: &mut Embedding,
-        visitor: &mut dyn MatchVisitor,
+        bufs: &mut SearchBuffers,
+        visitor: &mut V,
     ) -> ControlFlow<()> {
-        if used[t.index()] {
+        if bufs.is_used(t) || self.target.degree(t) < self.pattern.degree(p) {
             return ControlFlow::Continue(());
         }
-        if self.target.degree(t) < self.pattern.degree(p) {
+        let adjacent = self
+            .plan
+            .checks(depth)
+            .iter()
+            .all(|&(q, _)| self.target.has_edge(bufs.map[q.index()], t));
+        if !adjacent || !self.labels_match(depth, p, t, &bufs.map) {
             return ControlFlow::Continue(());
         }
-        if self.config.respect_vertex_labels
-            && self.pattern.vertex(p).label != self.target.vertex(t).label
+        // One-level lookahead: `p` still has `later(depth)` neighbors to
+        // place, and injectivity forces each onto a distinct unused
+        // neighbor of `t`.
+        let need = self.plan.later(depth).len();
+        if need > 0
+            && self
+                .target
+                .neighbors(t)
+                .iter()
+                .filter(|&&(u, _)| !bufs.is_used(u))
+                .take(need)
+                .count()
+                < need
         {
             return ControlFlow::Continue(());
         }
-        for &(q, pe) in self.plan.checks(depth) {
-            let tq = map[q.index()];
-            if let Some(adj) = self.adj {
-                if !adj.contains(tq, t) {
-                    return ControlFlow::Continue(());
-                }
-                if self.config.respect_edge_labels {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "infallible: the adjacency bitset is built from the same edge list the lookup consults"
-                    )]
-                    let te =
-                        self.target.edge_between(tq, t).expect("adjacency bit implies an edge");
-                    if self.pattern.edge(pe).attr.label != self.target.edge(te).attr.label {
-                        return ControlFlow::Continue(());
+        self.descend(p, t, bufs, visitor, |bufs, visitor| {
+            self.scan_recurse(depth + 1, bufs, visitor)
+        })
+    }
+}
+
+/// The word-parallel DFS over rows of `N` words (see the module docs).
+/// One generic body serves every row width `row_width` hands out, so a
+/// target of at most 64 vertices runs it on single words. Rows, masks and
+/// the used set are read in place and the AND chains fold word by word,
+/// so a depth's stack frame holds one `N`-word set, its candidates.
+struct WordDfs<'s, const N: usize> {
+    ctx: SearchCtx<'s>,
+}
+
+impl<const N: usize> WordDfs<'_, N> {
+    /// The adjacency row of `v` (rows are `N` words apart).
+    #[inline(always)]
+    fn row(&self, v: VertexId) -> &[u64] {
+        &self.ctx.adj.rows[v.index() * N..v.index() * N + N]
+    }
+
+    /// The vertices of degree ≥ `d` (`d` above the top class reads the
+    /// top class, a superset).
+    #[inline(always)]
+    fn degree_at_least(&self, d: usize) -> &[u64] {
+        let c = degree_class(d);
+        &self.ctx.adj.deg_ge[c * N..c * N + N]
+    }
+
+    /// Depth `depth` of the DFS; `bufs.used` holds the images of the
+    /// shallower depths.
+    fn recurse<V: MatchVisitor + ?Sized>(
+        &self,
+        depth: usize,
+        bufs: &mut SearchBuffers,
+        visitor: &mut V,
+    ) -> ControlFlow<()> {
+        let SearchCtx { pattern, target, plan, .. } = self.ctx;
+        if depth == plan.len() {
+            return SearchCtx::complete(bufs, visitor);
+        }
+        let p = plan.vertex(depth);
+        // The depth's candidate set, held by value in `N` words (one
+        // register at `N = 1`): degree class, minus the used vertices,
+        // intersected with every checked neighbor's row.
+        let deg = self.degree_at_least(pattern.degree(p));
+        let used = &bufs.used[..N];
+        let mut cand = [0u64; N];
+        for ((word, &d), &u) in cand.iter_mut().zip(deg).zip(used) {
+            *word = d & !u;
+        }
+        for &(q, _) in plan.checks(depth) {
+            let row = self.row(bufs.map[q.index()]);
+            for (word, &bits) in cand.iter_mut().zip(row) {
+                *word &= bits;
+            }
+        }
+        if cand.iter().all(|&word| word == 0) {
+            return ControlFlow::Continue(());
+        }
+        match plan.anchor(depth) {
+            Some(q) => {
+                // The anchor's row is in the AND chain, so every member
+                // is a neighbor of its image; walking that neighbor list
+                // keeps the candidate order of the neighbour-scan DFS.
+                for &(t, _) in target.neighbors(bufs.map[q.index()]) {
+                    if (cand[t.index() / 64] >> (t.index() % 64)) & 1 == 1 {
+                        self.try_candidate(depth, p, t, bufs, visitor)?;
                     }
                 }
-            } else {
-                let Some(te) = self.target.edge_between(tq, t) else {
-                    return ControlFlow::Continue(());
-                };
-                if self.config.respect_edge_labels
-                    && self.pattern.edge(pe).attr.label != self.target.edge(te).attr.label
-                {
-                    return ControlFlow::Continue(());
+            }
+            None => {
+                for (i, &word) in cand.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        let t = VertexId((i * 64) as u32 + word.trailing_zeros());
+                        word &= word - 1;
+                        self.try_candidate(depth, p, t, bufs, visitor)?;
+                    }
                 }
             }
         }
-        // One-level lookahead: `p` still has `deg(p) - placed` neighbors
-        // waiting to be placed (the plan fixes which neighbors are
-        // already mapped at each depth), and injectivity forces each
-        // onto a distinct unused neighbor of `t`. Skip `t` outright when
-        // it cannot supply that many — the subtree holds no complete
-        // embedding, so every visitor sees the same results.
-        let need = self.pattern.degree(p) - self.plan.checks(depth).len();
-        if need > 0 {
-            let mut have = 0;
-            for &(u, _) in self.target.neighbors(t) {
-                if !used[u.index()] {
-                    have += 1;
-                    if have == need {
-                        break;
-                    }
-                }
-            }
-            if have < need {
+        ControlFlow::Continue(())
+    }
+
+    #[inline]
+    fn try_candidate<V: MatchVisitor + ?Sized>(
+        &self,
+        depth: usize,
+        p: VertexId,
+        t: VertexId,
+        bufs: &mut SearchBuffers,
+        visitor: &mut V,
+    ) -> ControlFlow<()> {
+        let SearchCtx { pattern, target, plan, .. } = self.ctx;
+        let degree = pattern.degree(p);
+        if (degree >= DEGREE_CLASSES && target.degree(t) < degree)
+            || !self.ctx.labels_match(depth, p, t, &bufs.map)
+        {
+            return ControlFlow::Continue(());
+        }
+        // Lookahead with forward check, over degree thresholds: the `j + 1`
+        // later neighbors of `p` of degree ≥ deg(later[j]) (`later` runs
+        // highest degree first) need as many distinct free neighbors of
+        // `t` inside that degree class. The last threshold is the plain
+        // free-neighbor count; each single threshold asks `r` for one
+        // free neighbor that can host it.
+        let row = self.row(t);
+        let used = &bufs.used[..N];
+        for (j, &r) in plan.later(depth).iter().enumerate() {
+            let deg = self.degree_at_least(pattern.degree(r));
+            let free: u32 = (0..N).map(|i| (row[i] & !used[i] & deg[i]).count_ones()).sum();
+            if free as usize <= j {
                 return ControlFlow::Continue(());
             }
         }
-        if !visitor.assign(p, t) {
-            return ControlFlow::Continue(());
-        }
-        map[p.index()] = t;
-        used[t.index()] = true;
-        let flow = self.recurse(depth + 1, map, used, embedding, visitor);
-        used[t.index()] = false;
-        map[p.index()] = VertexId(u32::MAX);
-        visitor.unassign(p, t);
-        flow
+        self.ctx
+            .descend(p, t, bufs, visitor, |bufs, visitor| self.recurse(depth + 1, bufs, visitor))
     }
 }
 
@@ -937,8 +1200,7 @@ mod tests {
         ] {
             let built = adj.rebuild(&t);
             assert!(built);
-            let borrowed =
-                SubgraphMatcher::with_parts(&p, &t, IsoConfig::STRUCTURE, &plan, Some(&adj));
+            let borrowed = SubgraphMatcher::with_parts(&p, &t, IsoConfig::STRUCTURE, &plan, &adj);
             let mut got = Vec::new();
             let mut collect = CollectVisitor {
                 on_complete: |e: &Embedding| {

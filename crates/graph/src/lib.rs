@@ -5,7 +5,7 @@
 //!
 //! * [`LabeledGraph`] — an undirected, simple, labeled and optionally
 //!   weighted graph, the unit stored in a graph database.
-//! * [`iso`] — a VF2-style subgraph-isomorphism matcher with full
+//! * [`iso`] — a word-parallel subgraph-isomorphism matcher with full
 //!   embedding enumeration (the paper's `⊆` and the superposition
 //!   enumerator behind `d(Q, G)`).
 //! * [`canonical`] — minimum-DFS-code canonical forms (gSpan [Yan & Han,

@@ -35,7 +35,7 @@
 //!
 //! | Crate | Paper section | Contents |
 //! |-------|---------------|----------|
-//! | [`graph`] | §2 | labeled graphs, VF2, DFS codes, enumeration |
+//! | [`graph`] | §2 | labeled graphs, subgraph matching, DFS codes, enumeration |
 //! | [`distance`] | §2 | mutation & linear distances, brute oracle |
 //! | [`mining`] | §4 | gSpan, gIndex, GraphGrep path features |
 //! | [`index`] | §4 | fragment index: a trie or an R-tree per class |

@@ -4,10 +4,13 @@
 mod common;
 
 use common::connected_graph;
+use pis::distance::oracle::embeddings_brute;
 use pis::graph::canonical::{min_dfs_code, naive_canonical};
 use pis::graph::iso::{embeddings, IsoConfig};
 use pis::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Applies a vertex permutation to a graph.
 fn permute(g: &LabeledGraph, perm: &[usize]) -> LabeledGraph {
@@ -144,7 +147,7 @@ proptest! {
         prop_assert_eq!(parsed, db);
     }
 
-    /// The VF2 matcher agrees with a brute-force permutation oracle on
+    /// The matcher agrees with a brute-force permutation oracle on
     /// tiny instances: `pattern ⊆ target` iff some injective vertex map
     /// preserves all pattern edges.
     #[test]
@@ -215,4 +218,86 @@ proptest! {
         });
         prop_assert!(!seen.is_empty());
     }
+}
+
+/// A random connected graph on `n` vertices: a random spanning tree plus
+/// `extra` chords (ring closures), two vertex and two edge labels.
+fn sparse_graph(rng: &mut StdRng, n: usize, extra: usize) -> LabeledGraph {
+    let mut b = GraphBuilder::new();
+    let vs: Vec<VertexId> =
+        (0..n).map(|_| b.add_vertex(VertexAttr::labeled(Label(rng.random_range(0..2))))).collect();
+    for i in 1..n {
+        let parent = rng.random_range(0..i);
+        b.add_edge(vs[parent], vs[i], EdgeAttr::labeled(Label(rng.random_range(0..2))))
+            .expect("tree edges are fresh");
+    }
+    for _ in 0..extra {
+        let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+        if u != v {
+            // A chord that repeats an edge is rejected; skip it.
+            let _ = b.add_edge(vs[u], vs[v], EdgeAttr::labeled(Label(rng.random_range(0..2))));
+        }
+    }
+    b.build()
+}
+
+/// A connected `k`-vertex piece of `g` grown from a random vertex (every
+/// edge of `g` among the chosen vertices, labels kept), so the pattern
+/// embeds at least once under either config.
+fn connected_piece(rng: &mut StdRng, g: &LabeledGraph, k: usize) -> LabeledGraph {
+    let mut chosen = vec![VertexId(rng.random_range(0..g.vertex_count() as u32))];
+    while chosen.len() < k {
+        let from = chosen[rng.random_range(0..chosen.len())];
+        let (next, _) = g.neighbors(from)[rng.random_range(0..g.degree(from))];
+        if !chosen.contains(&next) {
+            chosen.push(next);
+        }
+    }
+    let mut b = GraphBuilder::new();
+    let vs: Vec<VertexId> = chosen.iter().map(|&v| b.add_vertex(g.vertex(v))).collect();
+    for (i, &u) in chosen.iter().enumerate() {
+        for (j, &v) in chosen.iter().enumerate().skip(i + 1) {
+            if let Some(e) = g.edge_between(u, v) {
+                b.add_edge(vs[i], vs[j], g.edge(e).attr).expect("distinct endpoints");
+            }
+        }
+    }
+    b.build()
+}
+
+/// The matcher enumerates exactly the definition-level oracle's
+/// embeddings, as a multiset, at every row width: sparse targets of
+/// 40–200 vertices (one, two and four words per adjacency row),
+/// connected patterns of 3–6 vertices (half cut from the target, half
+/// drawn at random), under both label configs.
+#[test]
+fn matcher_enumerates_the_oracle_embeddings_at_every_row_width() {
+    const CASES: usize = 48;
+    let mut rng = StdRng::seed_from_u64(0x1507);
+    let mut widths = [0usize; 3];
+    let mut with_embeddings = 0;
+    for case in 0..CASES {
+        let n: usize = rng.random_range(40..=200);
+        widths[((n - 1) / 64).min(2)] += 1;
+        let target = sparse_graph(&mut rng, n, n / 10);
+        let k = rng.random_range(3..=6);
+        let pattern = if case % 2 == 0 {
+            connected_piece(&mut rng, &target, k)
+        } else {
+            sparse_graph(&mut rng, k, 1)
+        };
+        for config in [IsoConfig::STRUCTURE, IsoConfig::LABELED] {
+            let mut got: Vec<Vec<VertexId>> = embeddings(&pattern, &target, config)
+                .iter()
+                .map(|e| e.vertex_map().to_vec())
+                .collect();
+            let mut want = embeddings_brute(&pattern, &target, config);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "case {case}: {k}-vertex pattern into {n} vertices, {config:?}");
+            with_embeddings += usize::from(!want.is_empty());
+        }
+    }
+    assert!(widths.iter().all(|&w| w > 0), "every row width exercised: {widths:?}");
+    assert!(with_embeddings >= CASES, "too few cases with embeddings: {with_embeddings}");
 }
