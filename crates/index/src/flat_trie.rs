@@ -20,7 +20,11 @@
 //!   alphabet and a per-node `label_idx` into it;
 //! * leaf posting lists are concatenated into one `postings` array in
 //!   entry order — which makes **every** node's subtree postings a
-//!   contiguous range (`sub_start`/`sub_len`), not just a leaf's.
+//!   contiguous range (`sub_start`/`sub_len`), not just a leaf's;
+//! * every *dense* leaf — one that holds at least as many postings as
+//!   the 64-slot words its slot span covers — also keeps its postings
+//!   as a bit set, in one derived `bitmap` block that is never
+//!   persisted (see [`FlatTrie::fold_into_row`]).
 //!
 //! [`FlatTrie::range_query`] — the one descent, answering one probe —
 //! replaces recursion with an iterative level-by-level frontier: every
@@ -29,14 +33,13 @@
 //! surviving children are appended to the next frontier, and the
 //! descent **stops early at the first level from which every remaining
 //! level prices to zero** (under the paper's edge-Hamming distance the
-//! normalized vertex suffix always does), emitting whole subtree
-//! posting ranges instead of walking cost-free levels. All frontier
-//! state lives in a caller-owned [`TrieFrontier`], so steady-state
-//! descents allocate nothing. A path's cost is the f64 sum of its
-//! per-position costs taken in position order (skipped levels
-//! contribute exactly `+0.0`), so each reported distance is
-//! bit-identical to summing the stored sequence's costs from the
-//! definition.
+//! normalized vertex suffix always does), emitting whole subtrees
+//! instead of walking cost-free levels. All frontier state lives in a
+//! caller-owned [`TrieFrontier`], so steady-state descents allocate
+//! nothing. A path's cost is the f64 sum of its per-position costs
+//! taken in position order (skipped levels contribute exactly `+0.0`),
+//! so each reported distance is bit-identical to summing the stored
+//! sequence's costs from the definition.
 
 // Search hot path: panic-free outside tests (DESIGN.md §6.11).
 #![cfg_attr(
@@ -49,6 +52,9 @@
         clippy::unimplemented
     )
 )]
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use pis_graph::budget::{BudgetState, CheckpointSite};
 use pis_graph::{GraphId, Label};
@@ -140,6 +146,15 @@ pub struct FlatTrie {
     /// with this exact layout.
     alphabet_start: Vec<u32>,
     alphabet: Vec<Label>,
+    /// Derived from `postings`, never persisted: leaf `k`'s postings as
+    /// a bit set are `bitmap[bitmap_start[k]..bitmap_start[k + 1]]`,
+    /// word `i` holding slots `64 * (w + i)..` where `w` is the word of
+    /// the leaf's first posting. An empty range marks a sparse leaf,
+    /// whose postings fold one by one. Leaves are the last level's nodes
+    /// (the virtual root for a depth-0 trie), so the table has one more
+    /// cell than there are leaves.
+    bitmap_start: Vec<u32>,
+    bitmap: Vec<u64>,
 }
 
 /// Borrowed raw arena columns (snapshot serialization).
@@ -271,7 +286,10 @@ impl FlatTrie {
                 postings,
                 alphabet_start: Vec::new(),
                 alphabet: Vec::new(),
-            };
+                bitmap_start: Vec::new(),
+                bitmap: Vec::new(),
+            }
+            .with_bitmaps();
         }
         // `(row, level)` of every row that opens nodes. A row repeating
         // its predecessor's sequence for another graph opens none: it is
@@ -385,6 +403,61 @@ impl FlatTrie {
             postings,
             alphabet_start,
             alphabet,
+            bitmap_start: Vec::new(),
+            bitmap: Vec::new(),
+        }
+        .with_bitmaps()
+    }
+
+    /// Derives the dense leaves' bitmaps from the posting column (the
+    /// one derived column: built here, never persisted). A leaf is dense
+    /// when it holds at least as many postings as its bitmap would hold
+    /// words — the break-even of one word operation against one posting
+    /// operation in [`FlatTrie::fold_into_row`] — so the block never
+    /// exceeds one `u64` per posting.
+    fn with_bitmaps(mut self) -> Self {
+        let leaves = self.leaf_count();
+        let mut bitmap_start = Vec::with_capacity(leaves + 1);
+        let mut bitmap = Vec::new();
+        bitmap_start.push(0);
+        for leaf in 0..leaves {
+            let postings = self.leaf_postings(leaf);
+            if let (Some(words), Some(first)) = (dense_words(postings), postings.first()) {
+                let (at, base) = (bitmap.len(), first.index() / 64);
+                bitmap.resize(at + words, 0u64);
+                let block = &mut bitmap[at..];
+                for &g in postings {
+                    block[g.index() / 64 - base] |= 1 << (g.0 % 64);
+                }
+            }
+            // At most one word per posting, so it fits the postings'
+            // own u32 addressing.
+            bitmap_start.push(bitmap.len() as u32);
+        }
+        self.bitmap_start = bitmap_start;
+        self.bitmap = bitmap;
+        self
+    }
+
+    /// Leaves: the last level's nodes, or the virtual root of a depth-0
+    /// trie.
+    fn leaf_count(&self) -> usize {
+        match self.depth {
+            0 => 1,
+            d => (self.level_start[d] - self.level_start[d - 1]) as usize,
+        }
+    }
+
+    /// Leaf `leaf`'s bitmap words (none for a sparse leaf).
+    fn leaf_bitmap(&self, leaf: usize) -> &[u64] {
+        &self.bitmap[self.bitmap_start[leaf] as usize..self.bitmap_start[leaf + 1] as usize]
+    }
+
+    /// Leaf `leaf`'s posting list (ascending class-local slots).
+    fn leaf_postings(&self, leaf: usize) -> &[GraphId] {
+        match self.depth {
+            0 => &self.postings,
+            d => self.subtree_postings(self.level_start[d - 1] as usize + leaf),
         }
     }
 
@@ -424,8 +497,10 @@ impl FlatTrie {
 
     /// Rebuilds an arena from raw columns read out of an untrusted
     /// binary snapshot, revalidating every structural invariant the
-    /// query paths index by (see [`FlatTrie::validate`]). Anything out
-    /// of range comes back as a description, never a later panic.
+    /// query paths index by (see [`FlatTrie::validate`]) and then
+    /// deriving the dense leaves' bitmaps, which no file carries.
+    /// Anything out of range comes back as a description, never a later
+    /// panic.
     ///
     /// Posting graph ids are *not* range-checked here — the caller
     /// knows the class size and validates them before handing over the
@@ -456,9 +531,12 @@ impl FlatTrie {
             postings,
             alphabet_start,
             alphabet,
+            bitmap_start: Vec::new(),
+            bitmap: Vec::new(),
         };
         trie.validate()?;
-        Ok(trie)
+        // Only a validated layout has leaves to derive bitmaps for.
+        Ok(trie.with_bitmaps())
     }
 
     /// Checks every structural invariant the descent paths index by and
@@ -475,7 +553,8 @@ impl FlatTrie {
     /// ascending, and every node covers at least one posting — so any
     /// single structural-column corruption is caught, not just
     /// out-of-range values. Posting graph ids themselves are content,
-    /// not structure; the owning class range-checks them.
+    /// not structure — the owning class range-checks them — but within
+    /// a leaf they must ascend strictly, as sorted distinct entries do.
     pub fn validate(&self) -> Result<(), String> {
         let FlatTrie {
             depth,
@@ -489,6 +568,9 @@ impl FlatTrie {
             postings,
             alphabet_start,
             alphabet,
+            // Derived from the validated columns, never read from a file.
+            bitmap_start: _,
+            bitmap: _,
         } = self;
         let depth = *depth;
         let nodes = labels.len();
@@ -507,7 +589,7 @@ impl FlatTrie {
             if nodes != 0 || !level_start.is_empty() || !alphabet_start.is_empty() {
                 return Err("depth-0 trie must have empty node arrays".to_string());
             }
-            return Ok(());
+            return self.validate_leaf_order();
         }
         if level_start.len() != depth + 1 || alphabet_start.len() != depth + 1 {
             return Err("level table length must be depth + 1".to_string());
@@ -600,6 +682,18 @@ impl FlatTrie {
         }
         if at != postings.len() as u64 {
             return Err("root level does not cover the posting array".to_string());
+        }
+        self.validate_leaf_order()
+    }
+
+    /// Entries are sorted and distinct, so every leaf's postings ascend
+    /// strictly; the merge's ranked splice and the derived bitmaps rely
+    /// on it. Runs on a layout whose ranges are already checked.
+    fn validate_leaf_order(&self) -> Result<(), String> {
+        for leaf in 0..self.leaf_count() {
+            if self.leaf_postings(leaf).windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("leaf {leaf} postings are not strictly ascending"));
+            }
         }
         Ok(())
     }
@@ -728,7 +822,10 @@ impl FlatTrie {
 
     /// Answers one probe — a query sequence of trie depth — leaving
     /// every stored entry whose position-order cost sum is within
-    /// `sigma` to `emit(cost, postings)`, one call per resolved subtree.
+    /// `sigma` to `emit(cost, node)`, one call per resolved subtree:
+    /// `node` is the subtree's root, or [`FlatTrie::ROOT`] when the
+    /// whole store qualifies. [`FlatTrie::fold_into_row`] folds a node's
+    /// postings into a minima row.
     ///
     /// Each level's alphabet is priced once, up front, into one cost
     /// row: `level_costs(level, query_label, alphabet, row)` (e.g.
@@ -741,12 +838,13 @@ impl FlatTrie {
     /// The descent walks the arena level by level with the wide-lane
     /// expansion and stops at the probe's zero-suffix boundary — the
     /// first level from which every remaining level prices to zero —
-    /// reporting each surviving node's whole subtree posting range at
-    /// its accumulated cost. The flattened `(graph, cost)` multiset is
-    /// exactly the stored entries whose position-order cost sum is
-    /// within `sigma`, with that sum as the cost (f64 bits). A graph
-    /// stored under several qualifying sequences is reported once per
-    /// sequence; the caller keeps the minimum.
+    /// reporting each surviving node at its accumulated cost, in
+    /// ascending node order. The `(graph, cost)` multiset of the
+    /// emitted subtrees' postings is exactly the stored entries whose
+    /// position-order cost sum is within `sigma`, with that sum as the
+    /// cost (f64 bits). A graph stored under several qualifying
+    /// sequences is reported once per sequence; the caller keeps the
+    /// minimum.
     ///
     /// The descent consults one [`CheckpointSite::RangeDescent`]
     /// checkpoint before level 0 and one per cost-bearing level after
@@ -767,7 +865,7 @@ impl FlatTrie {
         mut level_zero: impl FnMut(usize) -> bool,
         scratch: &mut TrieFrontier,
         budget: &BudgetState,
-        mut emit: impl FnMut(f64, &[GraphId]),
+        mut emit: impl FnMut(f64, u32),
     ) -> bool {
         let depth = self.depth;
         assert_eq!(probe.len(), depth, "probe length must equal trie depth");
@@ -777,7 +875,7 @@ impl FlatTrie {
         if depth == 0 {
             // The virtual root is a leaf: the probe matches the whole
             // store at cost zero.
-            emit(0.0, &self.postings);
+            emit(0.0, Self::ROOT);
             return true;
         }
         let TrieFrontier { costs, nodes, accs, next_nodes, next_accs } = scratch;
@@ -801,7 +899,7 @@ impl FlatTrie {
         if zero_from == 0 {
             // Costs are non-negative, so sigma >= 0 admits all.
             if sigma >= 0.0 {
-                emit(0.0, &self.postings);
+                emit(0.0, Self::ROOT);
             }
             return true;
         }
@@ -843,9 +941,80 @@ impl FlatTrie {
             }
         }
         for (&node, &acc) in nodes.iter().zip(accs.iter()) {
-            emit(acc, self.subtree_postings(node as usize));
+            emit(acc, node);
         }
         true
+    }
+
+    /// The node [`FlatTrie::range_query`] emits when the whole store
+    /// qualifies (and the only node of a depth-0 trie).
+    pub const ROOT: u32 = u32::MAX;
+
+    /// The order a probe's emissions fold in: ascending cost *value*,
+    /// so `-0.0` ties `+0.0` (adding `+0.0` maps `-0.0` to `+0.0`, and
+    /// `total_cmp` keeps the order total, NaN included). Sorted
+    /// *stably* by it, equal costs keep their emission order, so the
+    /// first write of every cell by [`FlatTrie::fold_into_row`] is the
+    /// cell an in-order `if cost < cell { cell = cost }` update leaves —
+    /// the earliest emission of its least cost, sign of zero included.
+    pub fn fold_order(a: f64, b: f64) -> Ordering {
+        (a + 0.0).total_cmp(&(b + 0.0))
+    }
+
+    /// Folds the postings under `node` — a node [`FlatTrie::range_query`]
+    /// emitted, or [`FlatTrie::ROOT`] — into the minima row `row` at
+    /// `cost`: every slot not yet marked in the bit set `covered` is
+    /// marked and its cell set to `cost`; marked slots are left alone.
+    /// Folding a probe's emissions in [`FlatTrie::fold_order`] writes
+    /// each hit cell exactly once, with its minimum.
+    ///
+    /// The node's leaves are a contiguous run of the last level. A dense
+    /// leaf folds one word at a time (`bits & !covered`), any other leaf
+    /// one test-and-set per posting. `row` holds a cell and `covered` a
+    /// bit for every slot the trie posts.
+    pub fn fold_into_row(&self, node: u32, cost: f64, covered: &mut [u64], row: &mut [f64]) {
+        for leaf in self.leaf_range(node) {
+            let (words, postings) = (self.leaf_bitmap(leaf), self.leaf_postings(leaf));
+            match postings.first() {
+                Some(first) if !words.is_empty() => {
+                    let base = first.index() / 64;
+                    for (w, (&bits, seen)) in words.iter().zip(&mut covered[base..]).enumerate() {
+                        let mut fresh = bits & !*seen;
+                        *seen |= fresh;
+                        while fresh != 0 {
+                            row[64 * (base + w) + fresh.trailing_zeros() as usize] = cost;
+                            fresh &= fresh - 1;
+                        }
+                    }
+                }
+                _ => {
+                    for &g in postings {
+                        let (seen, bit) = (&mut covered[g.index() / 64], 1u64 << (g.0 % 64));
+                        if *seen & bit == 0 {
+                            *seen |= bit;
+                            row[g.index()] = cost;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The leaves under `node` ([`FlatTrie::ROOT`]: all of them), as
+    /// indices into the last level: a subtree's leaves are contiguous,
+    /// from its leftmost descendant to its rightmost.
+    fn leaf_range(&self, node: u32) -> Range<usize> {
+        if node == Self::ROOT {
+            return 0..self.leaf_count();
+        }
+        let (mut lo, mut hi) = (node as usize, node as usize);
+        // Internal nodes have children, leaves none.
+        while self.child_len[lo] != 0 {
+            hi = (self.child_start[hi] + self.child_len[hi] - 1) as usize;
+            lo = self.child_start[lo] as usize;
+        }
+        let first = self.level_start[self.depth - 1] as usize;
+        lo - first..hi + 1 - first
     }
 
     /// The contiguous postings range covered by `node`'s whole subtree.
@@ -853,6 +1022,43 @@ impl FlatTrie {
     fn subtree_postings(&self, node: usize) -> &[GraphId] {
         let s = self.sub_start[node] as usize;
         &self.postings[s..s + self.sub_len[node] as usize]
+    }
+}
+
+/// How many words a leaf's bitmap holds when the leaf is dense — its
+/// postings (strictly ascending, see [`FlatTrie::validate`]) at least
+/// as many as the words from its first posting's to its last's — and
+/// `None` for a sparse or empty leaf.
+fn dense_words(postings: &[GraphId]) -> Option<usize> {
+    let words = postings.last()?.index() / 64 - postings.first()?.index() / 64 + 1;
+    (postings.len() >= words).then_some(words)
+}
+
+#[cfg(test)]
+impl FlatTrie {
+    /// The fold's test-only view of the derived bitmaps: dense and
+    /// sparse leaves, after checking that every dense leaf's words hold
+    /// exactly its postings and that the block holds no more words than
+    /// the trie holds postings.
+    pub(crate) fn leaf_kinds(&self) -> (usize, usize) {
+        assert!(self.bitmap.len() <= self.postings.len(), "bitmap words exceed postings");
+        assert_eq!(self.bitmap_start.len(), self.leaf_count() + 1);
+        let mut dense = 0;
+        for leaf in 0..self.leaf_count() {
+            let (words, postings) = (self.leaf_bitmap(leaf), self.leaf_postings(leaf));
+            assert_eq!(words.len(), dense_words(postings).unwrap_or(0), "leaf {leaf}");
+            if let Some(first) = postings.first().filter(|_| !words.is_empty()) {
+                let base = first.index() / 64;
+                let held: Vec<usize> = (0..64 * words.len())
+                    .filter(|b| words[b / 64] >> (b % 64) & 1 == 1)
+                    .map(|b| 64 * base + b)
+                    .collect();
+                let want: Vec<usize> = postings.iter().map(|g| g.index()).collect();
+                assert_eq!(held, want, "leaf {leaf} bitmap");
+                dense += 1;
+            }
+        }
+        (dense, self.leaf_count() - dense)
     }
 }
 
@@ -873,8 +1079,17 @@ mod tests {
         }
     }
 
+    /// The postings under a node the descent emitted.
+    fn emitted_postings(t: &FlatTrie, node: u32) -> &[GraphId] {
+        if node == FlatTrie::ROOT {
+            &t.postings
+        } else {
+            t.subtree_postings(node as usize)
+        }
+    }
+
     /// Runs one probe under the per-position `cost` through `scratch`
-    /// and returns its visits — emitted ranges flattened to
+    /// and returns its visits — emitted nodes' postings flattened to
     /// `(graph, cost bits)` — sorted. `level_zero` is the kernel's
     /// zero-level detector.
     fn run_probe(
@@ -897,7 +1112,10 @@ mod tests {
             level_zero,
             scratch,
             BudgetState::unlimited(),
-            |acc, graphs| visits.extend(graphs.iter().map(|g| (g.0, acc.to_bits()))),
+            |acc, node| {
+                let graphs = emitted_postings(trie, node);
+                visits.extend(graphs.iter().map(|g| (g.0, acc.to_bits())));
+            },
         );
         assert!(completed, "the unlimited budget never interrupts a descent");
         visits.sort_unstable();
@@ -1277,6 +1495,155 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `count` depth-3 entries over `graphs` graphs: a few sequences
+    /// shared by many graphs (dense leaves) beside many sequences of a
+    /// few graphs each, spread over the slot range (sparse leaves).
+    fn mixed_entries(seed: u64, count: u32, graphs: u32) -> Vec<(Vec<Label>, GraphId)> {
+        let mut x = seed;
+        (0..count)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let g = (x >> 33) as u32 % graphs;
+                let seq = if i % 2 == 0 {
+                    vec![(x >> 8) as u32 % 2, 0, (x >> 12) as u32 % 2]
+                } else {
+                    vec![2 + (x >> 8) as u32 % 4, (x >> 16) as u32 % 5, (x >> 24) as u32 % 5]
+                };
+                (l(&seq), GraphId(g))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitmap_words_never_exceed_postings() {
+        let mut kinds = (0, 0);
+        let mut tally = |t: &FlatTrie| {
+            let (dense, sparse) = t.leaf_kinds();
+            kinds = (kinds.0 + dense, kinds.1 + sparse);
+        };
+        for (seed, graphs) in [(1u64, 300u32), (2, 1000), (3, 64), (4, 5)] {
+            let entries = mixed_entries(seed, 1200, graphs);
+            let (first, rest) = entries.split_at(700);
+            let built = FlatTrie::from_entries(3, entries.clone());
+            tally(&built);
+            let mut merged = FlatTrie::from_entries(3, first.to_vec());
+            tally(&merged);
+            merged.merge(&FlatTrie::from_entries(3, rest.to_vec()));
+            tally(&merged);
+            assert_eq!(merged, built, "merge derives the bulk build's bitmaps");
+            let decoded = FlatTrie::from_parts(owned_parts(&built)).unwrap();
+            tally(&decoded);
+        }
+        for depth in [0usize, 1] {
+            let entries: Vec<_> =
+                (0..200u32).map(|g| (l(&vec![g % 3; depth]), GraphId(g * 7 % 500))).collect();
+            tally(&FlatTrie::from_entries(depth, entries));
+        }
+        tally(&FlatTrie::from_entries(2, Vec::new()));
+        assert!(kinds.0 > 0 && kinds.1 > 0, "both fold paths are built: {kinds:?}");
+    }
+
+    #[test]
+    fn unordered_leaf_postings_are_rejected() {
+        // Leaf [1, 1] holds graphs 2, 5, 9; the depth-0 trie 4, 6.
+        let t = FlatTrie::from_entries(2, [2, 5, 9].map(|g| (l(&[1, 1]), GraphId(g))).to_vec());
+        let d0 = FlatTrie::from_entries(0, [4, 6].map(|g| (Vec::new(), GraphId(g))).to_vec());
+        for (trie, postings) in [(&t, vec![2, 9, 5]), (&t, vec![2, 5, 5]), (&d0, vec![6, 4])] {
+            let mut p = owned_parts(trie);
+            p.postings = postings.into_iter().map(GraphId).collect();
+            let err = FlatTrie::from_parts(p).unwrap_err();
+            assert!(err.contains("not strictly ascending"), "{err}");
+        }
+    }
+
+    #[test]
+    fn from_parts_of_parts_is_the_trie() {
+        for depth in [0usize, 1, 3] {
+            let entries: Vec<_> = mixed_entries(9, 400, 700)
+                .into_iter()
+                .map(|(seq, g)| (seq[..depth].to_vec(), g))
+                .collect();
+            let t = FlatTrie::from_entries(depth, entries);
+            // `PartialEq` compares every column, the derived ones too.
+            assert_eq!(FlatTrie::from_parts(owned_parts(&t)).unwrap(), t, "depth {depth}");
+        }
+    }
+
+    /// Folds `emissions` the way a range query does — sorted stably by
+    /// [`FlatTrie::fold_order`], then written once per cell — into a
+    /// row of `slots` cells, as f64 bits.
+    fn fold_sorted(t: &FlatTrie, emissions: &[(f64, u32)], slots: usize) -> Vec<u64> {
+        let mut sorted = emissions.to_vec();
+        sorted.sort_by(|a, b| FlatTrie::fold_order(a.0, b.0));
+        let mut row = vec![f64::INFINITY; slots];
+        let mut covered = vec![0u64; slots.div_ceil(64)];
+        for &(cost, node) in &sorted {
+            t.fold_into_row(node, cost, &mut covered, &mut row);
+        }
+        row.iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// The definition the fold must reproduce: every emitted posting in
+    /// emission order, kept where it is below the cell.
+    fn fold_in_order(t: &FlatTrie, emissions: &[(f64, u32)], slots: usize) -> Vec<u64> {
+        let mut row = vec![f64::INFINITY; slots];
+        for &(cost, node) in emissions {
+            for g in emitted_postings(t, node) {
+                if cost < row[g.index()] {
+                    row[g.index()] = cost;
+                }
+            }
+        }
+        row.iter().map(|d| d.to_bits()).collect()
+    }
+
+    #[test]
+    fn signed_zero_ties_keep_the_first_emission() {
+        // Leaf 1 is dense (slots 0..=3 in one word), leaf 2 sparse (two
+        // postings four words apart); both hold slots 1 and 200.
+        let entries: Vec<_> = [0u32, 1, 2, 3, 200]
+            .iter()
+            .map(|&g| (l(&[1]), GraphId(g)))
+            .chain([1u32, 200].iter().map(|&g| (l(&[2]), GraphId(g))))
+            .collect();
+        let t = FlatTrie::from_entries(1, entries);
+        assert_eq!(t.leaf_kinds(), (1, 1));
+        let (pos, neg) = (0.0f64, -0.0f64);
+        for emissions in [
+            vec![(pos, 0), (neg, 1)],
+            vec![(neg, 0), (pos, 1)],
+            vec![(neg, 1), (pos, 0)],
+            vec![(pos, 1), (neg, FlatTrie::ROOT)],
+            vec![(1.0, 0), (neg, 1), (pos, FlatTrie::ROOT), (neg, 0)],
+        ] {
+            let got = fold_sorted(&t, &emissions, 201);
+            assert_eq!(got, fold_in_order(&t, &emissions, 201), "{emissions:?}");
+            // The first emission reaching slot 1 at cost zero wins it.
+            assert_eq!(got[1], emissions.iter().find(|e| e.0 == 0.0).unwrap().0.to_bits());
+        }
+    }
+
+    #[test]
+    fn fold_of_any_emissions_equals_the_in_order_minimum() {
+        // Emissions of nodes on every level and of the whole store, at
+        // costs with ties of both signs of zero.
+        let t = FlatTrie::from_entries(3, mixed_entries(5, 900, 400));
+        let nodes = t.labels.len() as u64;
+        let costs = [0.0, -0.0, 0.5, 1.0, 0.5, 2.0];
+        let mut x = 11u64;
+        for _ in 0..200 {
+            let emissions: Vec<(f64, u32)> = (0..1 + x % 9)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let node = (x >> 20) % (nodes + 1);
+                    let node = if node == nodes { FlatTrie::ROOT } else { node as u32 };
+                    (costs[(x >> 40) as usize % costs.len()], node)
+                })
+                .collect();
+            assert_eq!(fold_sorted(&t, &emissions, 400), fold_in_order(&t, &emissions, 400));
         }
     }
 }

@@ -129,6 +129,12 @@ const MERGE_THRESHOLD: usize = 64;
 pub struct RangeScratch {
     /// Frontier of the flat trie's descent.
     frontier: TrieFrontier,
+    /// One trie probe's emissions, `(cost, trie, node)` with trie 0 the
+    /// frozen one and 1 the pending one, in emission order until the
+    /// fold sorts them.
+    emitted: Vec<(f64, usize, u32)>,
+    /// The class slots the fold has written, one bit each.
+    covered: Vec<u64>,
     /// The minima row the list-returning functions read their hits
     /// out of.
     row: Vec<f64>,
@@ -188,7 +194,9 @@ pub struct MergeStats {
 /// R-tree of weight vectors under the linear distance.
 #[derive(PartialEq)]
 pub(crate) enum ClassImpl {
-    Trie(FlatTrie),
+    /// Boxed: a trie's twelve column handles outweigh an R-tree's by
+    /// more than clippy's `large_enum_variant` allows.
+    Trie(Box<FlatTrie>),
     RTree(RTree),
 }
 
@@ -203,6 +211,16 @@ impl ClassImpl {
         match self {
             ClassImpl::Trie(trie) => trie.parts().postings,
             ClassImpl::RTree(rt) => rt.slots(),
+        }
+    }
+
+    /// The trie of a mutation-distance class.
+    fn as_trie(&self) -> &FlatTrie {
+        match self {
+            ClassImpl::Trie(trie) => trie,
+            ClassImpl::RTree(_) => {
+                unreachable!("the class structure always matches the index distance")
+            }
         }
     }
 
@@ -641,10 +659,13 @@ impl FragmentIndex {
     /// pending one, into the same row, so pending answers are those of
     /// a merged class to the f64 bit. On a trie class that is
     /// [`FlatTrie::range_query`], each level's alphabet priced once by
-    /// `MutationDistance::position_costs_into`, and emitted subtree
-    /// ranges fold straight into the row. An R-tree class folds each
-    /// point [`RTree::range_query`] visits into the row the same way:
-    /// both structures post class-local slots.
+    /// `MutationDistance::position_costs_into`; the subtrees both tries
+    /// emit are sorted stably by [`FlatTrie::fold_order`] and folded
+    /// cheapest first by [`FlatTrie::fold_into_row`], so every hit cell
+    /// is written once, with the value (and sign of zero) an in-order
+    /// minimum over the emissions would leave. An R-tree class folds
+    /// each point [`RTree::range_query`] visits into the row with a
+    /// minimum update: both structures post class-local slots.
     ///
     /// Returns `false` — with `row` emptied — when the budget trips: a
     /// partial row is unusable (its minima may be wrong and its `∞`
@@ -670,31 +691,35 @@ impl FragmentIndex {
         let completed = match &self.distance {
             IndexDistance::Mutation(md) => {
                 let q = probe.labels();
-                // Both tries post class-local slots, so both descents
-                // fold into the same row.
-                class.structures().all(|imp| {
-                    let ClassImpl::Trie(trie) = imp else {
-                        unreachable!("the class structure always matches the index distance")
-                    };
-                    trie.range_query(
-                        q,
-                        sigma,
-                        |pos, query, stored, out| {
-                            md.position_costs_into(pos, ecount, query, stored, out);
-                        },
-                        |pos| md.position_is_zero(pos, ecount),
-                        &mut scratch.frontier,
-                        budget,
-                        |acc, slots| {
-                            for &s in slots {
-                                let b = &mut row[s.index()];
-                                if acc < *b {
-                                    *b = acc;
-                                }
-                            }
-                        },
-                    )
-                })
+                let RangeScratch { frontier, emitted, covered, .. } = scratch;
+                emitted.clear();
+                let completed =
+                    class.structures().map(ClassImpl::as_trie).enumerate().all(|(t, trie)| {
+                        trie.range_query(
+                            q,
+                            sigma,
+                            |pos, query, stored, out| {
+                                md.position_costs_into(pos, ecount, query, stored, out);
+                            },
+                            |pos| md.position_is_zero(pos, ecount),
+                            frontier,
+                            budget,
+                            |acc, node| emitted.push((acc, t, node)),
+                        )
+                    });
+                if completed {
+                    // Both tries post class-local slots, so both fold
+                    // into the same row, cheapest subtree first.
+                    emitted.sort_by(|a, b| FlatTrie::fold_order(a.0, b.0));
+                    covered.clear();
+                    covered.resize(row.len().div_ceil(64), 0);
+                    for &(acc, t, node) in emitted.iter() {
+                        if let Some(trie) = class.structures().nth(t) {
+                            trie.as_trie().fold_into_row(node, acc, covered, row);
+                        }
+                    }
+                }
+                completed
             }
             IndexDistance::Linear(ld) => {
                 // The trees store *scale-transformed* coordinates (see
@@ -1007,7 +1032,9 @@ fn class_structure(
     debug_assert!(row_graphs.is_sorted(), "class rows are in graph order");
     let postings = post_rows(&row_graphs, graphs);
     match distance {
-        IndexDistance::Mutation(_) => ClassImpl::Trie(FlatTrie::from_rows(slots, labels, postings)),
+        IndexDistance::Mutation(_) => {
+            ClassImpl::Trie(Box::new(FlatTrie::from_rows(slots, labels, postings)))
+        }
         IndexDistance::Linear(ld) => {
             scale_weights(ld, ecount, slots, &mut weights);
             ClassImpl::RTree(RTree::from_rows(slots, weights, postings))
@@ -1274,6 +1301,28 @@ mod tests {
         assert_eq!(counts, vec![6, 6]);
     }
 
+    /// Molecule classes of a few hundred graphs fold through both paths
+    /// of `FlatTrie::fold_into_row`: under edge-Hamming (edge labels
+    /// only) and under the unit distance (vertex labels too), their
+    /// tries hold dense leaves and sparse ones. The row properties of
+    /// `tests/proptest_index.rs` run over such classes.
+    #[test]
+    fn molecule_classes_hold_dense_and_sparse_leaves() {
+        let db = MoleculeGenerator::new(MoleculeConfig::default()).database(300, 7);
+        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+        let features = exhaustive_features(&structures, 3);
+        for md in [MutationDistance::edge_hamming(), MutationDistance::unit()] {
+            let distance = IndexDistance::Mutation(md);
+            let index =
+                FragmentIndex::build(&db, features.clone(), distance, &IndexConfig::default());
+            let (dense, sparse) = index.classes.iter().fold((0, 0), |(d, s), class| {
+                let (dd, ss) = class.frozen.as_trie().leaf_kinds();
+                (d + dd, s + ss)
+            });
+            assert!(dense > 0 && sparse > 0, "{dense} dense, {sparse} sparse leaves");
+        }
+    }
+
     #[test]
     fn parallel_and_serial_builds_agree() {
         // Small rings and paths whose labels and weights vary with `i`,
@@ -1475,8 +1524,10 @@ mod tests {
         // with the class named: the class's depth ...
         let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
-        bad.classes[ci].pending =
-            Some(ClassImpl::Trie(FlatTrie::from_entries(1, vec![(vec![Label(1)], GraphId(0))])));
+        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(FlatTrie::from_entries(
+            1,
+            vec![(vec![Label(1)], GraphId(0))],
+        ))));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
         assert!(err.starts_with(&format!("class {ci}: pending trie depth 1 != ")), "{err}");
@@ -1486,10 +1537,10 @@ mod tests {
         let ci = full_class(&bad);
         let depth = class_slots(&bad, ci);
         let past = GraphId(bad.classes[ci].graphs.len() as u32);
-        bad.classes[ci].pending = Some(ClassImpl::Trie(FlatTrie::from_entries(
+        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(FlatTrie::from_entries(
             depth,
             vec![(vec![Label(1); depth], past)],
-        )));
+        ))));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
         assert!(err.starts_with(&format!("class {ci}: pending trie posting slot ")), "{err}");

@@ -654,7 +654,7 @@ fn decode_trie(
         alphabet,
     })
     .map_err(|m| r.corrupt(&m))?;
-    Ok(ClassImpl::Trie(trie))
+    Ok(ClassImpl::Trie(Box::new(trie)))
 }
 
 /// Reads an R-tree's points (already scale-transformed), maps each

@@ -19,10 +19,12 @@
 //! checksummed binary snapshot (index *and* database) plus a
 //! write-ahead log. `search` and `knn` open it (replaying the log),
 //! `compact` merges and rotates it, `check` verifies it read-only.
-//! Every subcommand prints to stdout.
+//! Every subcommand prints to stdout; a reader that closes the pipe
+//! early ends the run quietly, with status 0.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -38,13 +40,43 @@ use pis::prelude::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut stdout = std::io::stdout().lock();
+    match run(&args, &mut stdout).and_then(|()| stdout.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        // A reader that stops early (`pis search … | head -1`) closes
+        // the pipe once it has what it wanted: nothing went wrong.
+        Err(Failure::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(message)) => {
             eprintln!("error: {message}");
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a subcommand stopped early.
+enum Failure {
+    /// Bad input or a failed operation, told to the user with the usage.
+    Message(String),
+    /// Writing to stdout failed. Every other I/O error is turned into a
+    /// message where it happens, so a bare `?` on an `io::Error` means
+    /// stdout.
+    Output(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Output(e)
     }
 }
 
@@ -78,26 +110,26 @@ fn parse_budget(flags: &Flags<'_>) -> Result<QueryBudget, String> {
     Ok(budget)
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], stdout: &mut impl Write) -> Result<(), Failure> {
     let mut it = args.iter();
-    let command = it.next().ok_or("missing subcommand")?;
+    let command = it.next().ok_or_else(|| "missing subcommand".to_string())?;
     let rest: Vec<&String> = it.collect();
     match command.as_str() {
-        "generate" => cmd_generate(&rest),
-        "import" => cmd_import(&rest),
-        "stats" => cmd_stats(&rest),
-        "sample" => cmd_sample(&rest),
-        "build" => cmd_build(&rest),
-        "search" => cmd_search(&rest),
-        "knn" => cmd_knn(&rest),
-        "compact" => cmd_compact(&rest),
-        "check" => cmd_check(&rest),
-        "dot" => cmd_dot(&rest),
+        "generate" => cmd_generate(&rest, stdout),
+        "import" => cmd_import(&rest, stdout),
+        "stats" => cmd_stats(&rest, stdout),
+        "sample" => cmd_sample(&rest, stdout),
+        "build" => cmd_build(&rest, stdout),
+        "search" => cmd_search(&rest, stdout),
+        "knn" => cmd_knn(&rest, stdout),
+        "compact" => cmd_compact(&rest, stdout),
+        "check" => cmd_check(&rest, stdout),
+        "dot" => cmd_dot(&rest, stdout),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            writeln!(stdout, "{USAGE}")?;
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'")),
+        other => Err(format!("unknown subcommand '{other}'").into()),
     }
 }
 
@@ -171,22 +203,27 @@ fn load_db(path: &str) -> Result<Vec<LabeledGraph>, String> {
 /// Opens the durable store at `dir` with the query budget from the
 /// shared flags, and says so in one line when recovery had work to do
 /// (WAL records replayed, a torn tail cut).
-fn open_store(dir: &Path, budget: QueryBudget) -> Result<DurableSystem, String> {
+fn open_store(
+    dir: &Path,
+    budget: QueryBudget,
+    stdout: &mut impl Write,
+) -> Result<DurableSystem, Failure> {
     let config = PisConfig { budget, ..PisConfig::default() };
     let store = DurableSystem::open(dir, config)
         .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
     let report = store.report();
     if !report.clean() {
-        println!(
+        writeln!(
+            stdout,
             "recovery: {} WAL records replayed, {} already in the snapshot, \
              {} torn tail bytes truncated",
             report.wal_records_replayed, report.wal_records_skipped, report.torn_tail_bytes
-        );
+        )?;
     }
     Ok(store)
 }
 
-fn cmd_generate(args: &[&String]) -> Result<(), String> {
+fn cmd_generate(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &["count", "seed", "out"], &["weighted"])?;
     let count: usize = flags.num("count", 1000)?;
     let seed: u64 = flags.num("seed", 42)?;
@@ -194,35 +231,36 @@ fn cmd_generate(args: &[&String]) -> Result<(), String> {
     let config = MoleculeConfig { weighted: flags.has("weighted"), ..MoleculeConfig::default() };
     let db = MoleculeGenerator::new(config).database(count, seed);
     std::fs::write(&out, write_database(&db)).map_err(|e| e.to_string())?;
-    println!("wrote {} molecules to {}", db.len(), out.display());
+    writeln!(stdout, "wrote {} molecules to {}", db.len(), out.display())?;
     Ok(())
 }
 
-fn cmd_import(args: &[&String]) -> Result<(), String> {
+fn cmd_import(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &["out"], &[])?;
     let input = flags.positional(0, "input .sdf file")?;
     let out = PathBuf::from(flags.required("out")?);
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
     let load = parse_sdf(&text, &AtomVocabulary::default(), &BondVocabulary::default());
     std::fs::write(&out, write_database(&load.molecules)).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "imported {} molecules ({} records skipped) into {}",
         load.molecules.len(),
         load.skipped,
         out.display()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_stats(args: &[&String]) -> Result<(), String> {
+fn cmd_stats(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &[], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let stats = DatasetStats::compute(&db);
-    print!("{}", stats.render(&AtomVocabulary::default(), &BondVocabulary::default()));
+    write!(stdout, "{}", stats.render(&AtomVocabulary::default(), &BondVocabulary::default()))?;
     Ok(())
 }
 
-fn cmd_sample(args: &[&String]) -> Result<(), String> {
+fn cmd_sample(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &["edges", "count", "seed", "out"], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let edges: usize = flags.num("edges", 16)?;
@@ -231,11 +269,11 @@ fn cmd_sample(args: &[&String]) -> Result<(), String> {
     let out = PathBuf::from(flags.required("out")?);
     let queries = sample_query_set(&db, edges, count, seed);
     std::fs::write(&out, write_database(&queries)).map_err(|e| e.to_string())?;
-    println!("sampled {count} Q{edges} queries into {}", out.display());
+    writeln!(stdout, "sampled {count} Q{edges} queries into {}", out.display())?;
     Ok(())
 }
 
-fn cmd_build(args: &[&String]) -> Result<(), String> {
+fn cmd_build(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &["out", "max-edges", "features", "min-support"], &[])?;
     let db_path = flags.positional(0, "database file")?;
     let db = load_db(db_path)?;
@@ -259,7 +297,7 @@ fn cmd_build(args: &[&String]) -> Result<(), String> {
             }
             "paths" => (path_features(&structures, max_edges), None),
             "exhaustive" => (exhaustive_features(&structures, max_edges), None),
-            other => return Err(format!("unknown feature source '{other}'")),
+            other => return Err(format!("unknown feature source '{other}'").into()),
         }
     };
     let mined_in = start.elapsed();
@@ -287,15 +325,16 @@ fn cmd_build(args: &[&String]) -> Result<(), String> {
     let mining_work = mine_stats.map_or(String::new(), |s| {
         format!(" ({} embedding rows, peak {} live)", s.rows_copied, s.peak_live_rows)
     });
-    println!(
+    writeln!(
+        stdout,
         "indexed {graphs} graphs: mined {feature_count} features in {mined_in:?}{mining_work}; \
          built {entries} entries in {built_in:?}; saved {bytes} bytes to {} in {saved_in:?}",
         out.display()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_search(args: &[&String]) -> Result<(), String> {
+fn cmd_search(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(
         args,
         &["query", "sigma", "baseline", "time-limit-ms", "node-limit"],
@@ -305,7 +344,7 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
     let queries = load_db(flags.required("query")?)?;
     let sigma: f64 = flags.num("sigma", 2.0)?;
     let explain = flags.has("explain");
-    let store = open_store(&dir, parse_budget(&flags)?)?;
+    let store = open_store(&dir, parse_budget(&flags)?, stdout)?;
     let system = store.system();
     // One searcher and one scratch serve every query of the run.
     let searcher = system.searcher();
@@ -318,15 +357,16 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
                     .search(q, sigma, &mut scratch)
                     .map_err(|e| format!("query {qi}: {e}"))?;
                 if explain {
-                    print!("{}", pis::core::explain(&o, system.index(), sigma));
+                    write!(stdout, "{}", pis::core::explain(&o, system.index(), sigma))?;
                 }
                 if let Completeness::Truncated { phase, .. } = &o.completeness {
-                    println!(
+                    writeln!(
+                        stdout,
                         "query {qi}: budget exhausted in {} — answers below are verified, \
                          {} candidates left undecided",
                         phase.name(),
                         o.possible.len()
-                    );
+                    )?;
                 }
                 (o.answers, o.answer_distances, o.candidates.len())
             }
@@ -340,93 +380,103 @@ fn cmd_search(args: &[&String]) -> Result<(), String> {
                 let o = system.naive_scan(q, sigma);
                 (o.answers, Vec::new(), o.candidates.len())
             }
-            Some(other) => return Err(format!("unknown baseline '{other}'")),
+            Some(other) => return Err(format!("unknown baseline '{other}'").into()),
         };
-        println!(
+        writeln!(
+            stdout,
             "query {qi} ({}V/{}E): {} answers from {} candidates in {:?}",
             q.vertex_count(),
             q.edge_count(),
             answers.len(),
             candidates,
             start.elapsed()
-        );
+        )?;
         for (i, g) in answers.iter().enumerate() {
             match distances.get(i) {
-                Some(d) => println!("  {g} (distance {d})"),
-                None => println!("  {g}"),
+                Some(d) => writeln!(stdout, "  {g} (distance {d})")?,
+                None => writeln!(stdout, "  {g}")?,
             }
         }
     }
     Ok(())
 }
 
-fn cmd_knn(args: &[&String]) -> Result<(), String> {
+fn cmd_knn(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &["query", "k", "time-limit-ms", "node-limit"], &[])?;
     let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let queries = load_db(flags.required("query")?)?;
     let k: usize = flags.num("k", 5)?;
-    let store = open_store(&dir, parse_budget(&flags)?)?;
+    let store = open_store(&dir, parse_budget(&flags)?, stdout)?;
     // One searcher and one scratch serve every query of the run.
     let searcher = store.system().searcher();
     let mut scratch = SearchScratch::new();
     for (qi, q) in queries.iter().enumerate() {
         let start = Instant::now();
         let knn = searcher.knn(q, k, &mut scratch).map_err(|e| format!("query {qi}: {e}"))?;
-        println!(
+        writeln!(
+            stdout,
             "query {qi}: {} neighbors (radius {}) in {:?}",
             knn.neighbors.len(),
             knn.radius,
             start.elapsed()
-        );
+        )?;
         if let Completeness::Truncated { .. } = &knn.completeness {
-            println!(
+            writeln!(
+                stdout,
                 "query {qi}: budget exhausted — neighbors are best-so-far, \
                  certified up to radius {}",
                 knn.certified_radius
-            );
+            )?;
         }
         for n in &knn.neighbors {
-            println!("  {} distance {}", n.graph, n.distance);
+            writeln!(stdout, "  {} distance {}", n.graph, n.distance)?;
         }
     }
     Ok(())
 }
 
-fn cmd_compact(args: &[&String]) -> Result<(), String> {
+fn cmd_compact(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &[], &[])?;
     let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let start = Instant::now();
-    let mut store = open_store(&dir, QueryBudget::unlimited())?;
+    let mut store = open_store(&dir, QueryBudget::unlimited(), stdout)?;
     if store.report().clean() {
-        println!("recovery: clean (snapshot covers every acknowledged insert)");
+        writeln!(stdout, "recovery: clean (snapshot covers every acknowledged insert)")?;
     }
     let pending = store.pending_entries();
     store.compact().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "compacted {}: {pending} pending entries merged, {} graphs durable, \
          WAL truncated to {} bytes in {:?}",
         dir.display(),
         store.system().database().len(),
         store.wal_len(),
         start.elapsed()
-    );
+    )?;
     let merges = store.system().index().merge_stats();
-    println!(
+    writeln!(
+        stdout,
         "merge work (recovery + compaction): {} class merges, {} entries rewritten",
         merges.merges, merges.entries_rewritten
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_check(args: &[&String]) -> Result<(), String> {
+fn cmd_check(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &[], &[])?;
     let dir = PathBuf::from(flags.positional(0, "durable directory")?);
     let start = Instant::now();
     let report =
         pis::check_store(&dir).map_err(|e| format!("store {} is corrupt: {e}", dir.display()))?;
-    println!("checking {}", dir.display());
-    println!("  snapshot: {} bytes, all section and footer checksums valid", report.snapshot_bytes);
-    println!(
+    writeln!(stdout, "checking {}", dir.display())?;
+    writeln!(
+        stdout,
+        "  snapshot: {} bytes, all section and footer checksums valid",
+        report.snapshot_bytes
+    )?;
+    writeln!(
+        stdout,
         "  index:    {} classes ({} trie, {} r-tree), \
          {} frozen + {} pending entries, all invariants hold",
         report.index.classes,
@@ -434,8 +484,9 @@ fn cmd_check(args: &[&String]) -> Result<(), String> {
         report.index.rtree_classes,
         report.index.frozen_entries,
         report.index.pending_entries
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  wal:      {} bytes, {} records ({} replayable, {} already in the snapshot), \
          {} torn tail bytes",
         report.wal_bytes,
@@ -443,21 +494,22 @@ fn cmd_check(args: &[&String]) -> Result<(), String> {
         report.wal_replayed,
         report.wal_skipped,
         report.torn_tail_bytes
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  replay:   {} graphs after WAL replay ({} class merges, {} entries rewritten), \
          invariants re-verified",
         report.graphs, report.merges.merges, report.merges.entries_rewritten
-    );
-    println!("ok: store is consistent ({:?})", start.elapsed());
+    )?;
+    writeln!(stdout, "ok: store is consistent ({:?})", start.elapsed())?;
     Ok(())
 }
 
-fn cmd_dot(args: &[&String]) -> Result<(), String> {
+fn cmd_dot(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse(args, &["graph"], &[])?;
     let db = load_db(flags.positional(0, "database file")?)?;
     let idx: usize = flags.num("graph", 0)?;
     let g = db.get(idx).ok_or_else(|| format!("graph {idx} out of range (db has {})", db.len()))?;
-    print!("{}", to_dot(g, &format!("g{idx}")));
+    write!(stdout, "{}", to_dot(g, &format!("g{idx}")))?;
     Ok(())
 }

@@ -303,3 +303,35 @@ fn help_prints_usage() {
     assert!(out.contains("usage:"));
     assert!(out.contains("pis build"));
 }
+
+/// A reader that closes the pipe early (`pis search … | head -1`) ends
+/// the run quietly: status 0 and no panic, with stdout's read end closed
+/// before `pis` writes a byte. A socket stands in for the pipe; writing
+/// to either once its reader is gone fails the same way (`EPIPE`).
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::os::fd::OwnedFd;
+    use std::os::unix::net::UnixStream;
+    use std::process::Stdio;
+
+    let dir = tmp_dir("closed-stdout");
+    let [db, store, _] = generate_build_sample(&dir, "40", "7", false);
+    for args in [
+        vec!["search", &store, "--query", &db, "--sigma", "1"],
+        vec!["knn", &store, "--query", &db, "-k", "3"],
+        vec!["help"],
+    ] {
+        let (reader, writer) = UnixStream::pair().expect("socket pair");
+        drop(reader);
+        let out = pis()
+            .args(&args)
+            .stdout(Stdio::from(OwnedFd::from(writer)))
+            .output()
+            .expect("binary must run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -185,11 +185,62 @@ fn assert_range_queries_equal_brute_force(
     Ok(())
 }
 
-/// What a mutation-distance class answers for `probe`, from the
-/// definition: per graph, the least position-order sum of
-/// `position_cost` from the probe to the normalized label vector of any
-/// embedding of the class structure, kept when within `sigma`; sorted by
-/// graph id.
+/// Class `feature`'s entries from the definition: each graph's
+/// distinct normalized label vectors over all embeddings of the class
+/// structure, as `(graph, vector)` in graph order.
+fn class_entries(
+    index: &FragmentIndex,
+    db: &[LabeledGraph],
+    feature: pis::mining::FeatureId,
+) -> Vec<(GraphId, Vec<Label>)> {
+    let feature = index.features().get(feature);
+    let ecount = feature.edge_count();
+    let mut entries = Vec::new();
+    for (gid, g) in db.iter().enumerate() {
+        let mut vectors = Vec::new();
+        let matcher = pis::graph::iso::SubgraphMatcher::new(
+            &feature.structure,
+            g,
+            pis::graph::iso::IsoConfig::STRUCTURE,
+        );
+        matcher.for_each(|emb| {
+            let mut v = pis::index::fragment::label_vector(&feature.structure, g, emb);
+            index.distance().normalize_labels(ecount, &mut v);
+            vectors.push(v);
+            std::ops::ControlFlow::Continue(())
+        });
+        vectors.sort_unstable();
+        vectors.dedup();
+        entries.extend(vectors.into_iter().map(|v| (GraphId(gid as u32), v)));
+    }
+    entries
+}
+
+/// What a mutation-distance class with `entries` ([`class_entries`])
+/// answers for `probe`, from the definition: per graph, the least
+/// position-order sum of `position_cost` from the probe to any of its
+/// vectors, kept when within `sigma`; sorted by graph id.
+fn entries_hits(
+    entries: &[(GraphId, Vec<Label>)],
+    md: &MutationDistance,
+    ecount: usize,
+    probe: &[Label],
+    sigma: f64,
+) -> Vec<(GraphId, f64)> {
+    let mut hits: Vec<(GraphId, f64)> = Vec::new();
+    for (g, v) in entries {
+        let d = (0..probe.len())
+            .fold(0.0, |acc, pos| acc + md.position_cost(pos, ecount, probe[pos], v[pos]));
+        match hits.last_mut() {
+            Some((last, best)) if last == g => *best = best.min(d),
+            _ => hits.push((*g, d)),
+        }
+    }
+    hits.retain(|&(_, d)| d <= sigma);
+    hits
+}
+
+/// [`entries_hits`] of class `feature`, its entries read off `db`.
 fn reference_hits(
     index: &FragmentIndex,
     db: &[LabeledGraph],
@@ -198,29 +249,8 @@ fn reference_hits(
     probe: &[Label],
     sigma: f64,
 ) -> Vec<(GraphId, f64)> {
-    let feature = index.features().get(feature);
-    let ecount = feature.edge_count();
-    let mut hits = Vec::new();
-    for (gid, g) in db.iter().enumerate() {
-        let matcher = pis::graph::iso::SubgraphMatcher::new(
-            &feature.structure,
-            g,
-            pis::graph::iso::IsoConfig::STRUCTURE,
-        );
-        let mut best = f64::INFINITY;
-        matcher.for_each(|emb| {
-            let mut v = pis::index::fragment::label_vector(&feature.structure, g, emb);
-            index.distance().normalize_labels(ecount, &mut v);
-            let d = (0..probe.len())
-                .fold(0.0, |acc, pos| acc + md.position_cost(pos, ecount, probe[pos], v[pos]));
-            best = best.min(d);
-            std::ops::ControlFlow::Continue(())
-        });
-        if best <= sigma {
-            hits.push((GraphId(gid as u32), best));
-        }
-    }
-    hits
+    let ecount = index.features().get(feature).edge_count();
+    entries_hits(&class_entries(index, db, feature), md, ecount, probe, sigma)
 }
 
 /// Copies a graph with weights derived from its labels, so the linear
@@ -574,5 +604,55 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    // Each case builds an index over hundreds of molecules.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Rows over molecule classes of 100–600 graphs equal the definition
+    /// to the f64 bit. The arbitrary databases above hold 1–6 graphs, in
+    /// which every trie leaf is dense; here leaves fall on both sides of
+    /// the bitmap rule, so the range query folds word by word and
+    /// posting by posting (the `pis-index` unit tests check both kinds
+    /// occur). The last graphs — molecules, then two small fragments of
+    /// them — are inserted one by one after the build, so pending tries
+    /// fold beside frozen ones, and the fractional score matrix gives
+    /// many distinct cost levels to order the fold by.
+    #[test]
+    fn molecule_rows_equal_the_definition(
+        n in 100usize..=600,
+        seed in 0u64..1_000,
+        pending in 2usize..12,
+        sigma in prop::sample::select(vec![0.0, 0.9, 1.0, 1.7, 2.0, 3.5]),
+        fractional in prop::sample::select(vec![false, true]),
+    ) {
+        let mut db = MoleculeGenerator::new(MoleculeConfig::default()).database(n, seed);
+        let query = pis::datasets::sample_query_set(&db, 8, 1, seed).remove(0);
+        // Small graphs last: a molecule can take every class past the
+        // merge threshold under the fractional distance, these cannot.
+        db.extend(pis::datasets::sample_query_set(&db, 3, 2, seed));
+        let n = db.len();
+        let md = if fractional { fractional_distance() } else { MutationDistance::edge_hamming() };
+        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+        let mut index = FragmentIndex::build(
+            &db[..n - pending],
+            exhaustive_features(&structures, 3),
+            IndexDistance::Mutation(md.clone()),
+            &IndexConfig::default(),
+        );
+        for g in &db[n - pending..] {
+            index.insert_graph_pending(g);
+        }
+        prop_assert!(index.pending_entries() > 0);
+        let entries: Vec<_> =
+            index.features().iter().map(|f| class_entries(&index, &db, f.id)).collect();
+        let reference = |qf: &pis::index::QueryFragment| {
+            let ecount = index.features().get(qf.feature).edge_count();
+            let probe = qf.vector.labels();
+            entries_hits(&entries[qf.feature.index()], &md, ecount, probe, sigma)
+        };
+        assert_rows_read_out_as_lists(&index, reference, &query, sigma, 1.0)?;
     }
 }
