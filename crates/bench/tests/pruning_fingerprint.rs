@@ -27,7 +27,7 @@
 use pis_bench::pipeline_workload::{MAX_FRAGMENT_EDGES, QUERY_EDGES, SIGMAS};
 use pis_bench::{ExperimentScale, TestBed};
 use pis_core::{PisConfig, PisSearcher, SearchScratch};
-use pis_index::{FragmentIndex, IndexConfig};
+use pis_index::{FragmentBuffer, FragmentIndex, IndexConfig, RangeScratch};
 
 /// Per σ ∈ {1, 2, 4}: candidates of a prune-only search (no structure
 /// check, no verification), verified answers, and range-query hits
@@ -80,14 +80,16 @@ fn smoke_fingerprint_is_pinned() {
                 .iter()
                 .map(|q| full.search(q, sigma, &mut scratch).unwrap().answers.len())
                 .sum();
-            let mut range_hits = 0;
+            let (mut range_hits, mut hits) = (0, Vec::new());
+            let (mut frags, mut range) = (FragmentBuffer::new(), RangeScratch::new());
             for q in &queries {
+                index.enumerate_query_fragments_into(q, &mut frags);
                 let mut probes = Vec::new();
-                for fragment in index.enumerate_query_fragments(q) {
-                    let probe = (fragment.feature, fragment.vector);
-                    if !probes.contains(&probe) {
-                        range_hits += index.range_query(probe.0, &probe.1, sigma).len();
-                        probes.push(probe);
+                for (f, probe) in (0..frags.len()).map(|i| (frags.feature(i), frags.vector(i))) {
+                    if !probes.contains(&(f, probe)) {
+                        index.range_query_normalized_into(f, probe, sigma, &mut range, &mut hits);
+                        range_hits += hits.len();
+                        probes.push((f, probe));
                     }
                 }
             }

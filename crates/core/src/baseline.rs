@@ -12,7 +12,8 @@
 use pis_distance::SuperimposedDistance;
 use pis_graph::util::FxHashSet;
 use pis_graph::{GraphId, LabeledGraph};
-use pis_index::FragmentIndex;
+use pis_index::{FragmentBuffer, FragmentIndex};
+use pis_mining::FeatureId;
 
 use crate::search::distance_dyn;
 use crate::verify::VerifyScratch;
@@ -61,15 +62,15 @@ pub fn topo_prune(
     sigma: f64,
 ) -> BaselineOutcome {
     assert_eq!(database.len(), index.graph_count(), "database does not match the index");
-    // Features present in the query.
-    let mut features: FxHashSet<u32> = FxHashSet::default();
-    for fragment in index.enumerate_query_fragments(query) {
-        features.insert(fragment.feature.0);
-    }
+    // Features present in the query, as the search enumerates them.
+    let mut fragments = FragmentBuffer::new();
+    index.enumerate_query_fragments_into(query, &mut fragments);
+    let features: FxHashSet<FeatureId> =
+        (0..fragments.len()).map(|i| fragments.feature(i)).collect();
     // Posting-list intersection.
     let mut filtered: Vec<GraphId> = (0..database.len() as u32).map(GraphId).collect();
-    for f in &features {
-        let posting = index.class_graphs(pis_mining::FeatureId(*f));
+    for &f in &features {
+        let posting = index.class_graphs(f);
         filtered = intersect_sorted(&filtered, posting);
         if filtered.is_empty() {
             break;

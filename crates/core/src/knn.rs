@@ -31,10 +31,10 @@
 //!
 //! The schedule has no knobs: the first radius is 1.0, and the
 //! widening stops at the largest distance the index distance can give
-//! the query (its maximum per-element costs times the query's size —
-//! see [`PisSearcher::knn`]). It is reached, like the range search,
-//! through one entry that validates its input and reads its budget from
-//! the searcher's [`PisConfig`](crate::PisConfig).
+//! the query against the database (see [`PisSearcher::knn`]). It is
+//! reached, like the range search, through one entry that validates
+//! its input and reads its budget from the searcher's
+//! [`PisConfig`](crate::PisConfig).
 
 use pis_graph::budget::{BudgetState, CheckpointSite};
 use pis_graph::util::FxHashMap;
@@ -96,8 +96,10 @@ impl PisSearcher<'_> {
     /// answers fit in the radius or the radius covers the largest
     /// distance the query can have: for a mutation distance, the most
     /// expensive edge mutation times the query's edges plus the most
-    /// expensive vertex mutation times its vertices (at least 1.0); a
-    /// linear distance is unbounded, so its cap is only a guard.
+    /// expensive vertex mutation times its vertices; for a linear
+    /// distance, each query weight's magnitude plus the largest
+    /// magnitude of its kind in the database, scaled and summed (at
+    /// least 1.0 either way).
     ///
     /// The query's weights must be finite, or the call returns a
     /// [`QueryError`] before any work runs. The search runs under a
@@ -115,7 +117,7 @@ impl PisSearcher<'_> {
     ) -> Result<KnnOutcome, QueryError> {
         validate_query(query)?;
         let budget = BudgetState::new(&self.config().budget);
-        let max_radius = max_radius(self.index().distance(), query);
+        let max_radius = max_radius(self.index().distance(), query, self.database());
         let mut outcome = KnnOutcome {
             neighbors: Vec::new(),
             radius: INITIAL_RADIUS,
@@ -134,7 +136,7 @@ impl PisSearcher<'_> {
         let prune = PisSearcher::new(self.index(), self.database(), config);
 
         // Exact distances resolved in earlier rounds — the seed each
-        // widened round starts from. `min_superimposed_distance` returns
+        // widened round starts from. `distance_within_budgeted` returns
         // the true minimum whenever it returns at all, so a resolved
         // distance is valid at every larger radius. The flag marks
         // entries already counted toward `reused_verifications`, keeping
@@ -242,14 +244,33 @@ impl PisSearcher<'_> {
 }
 
 /// The widest radius [`PisSearcher::knn`] explores for `query`: the
-/// largest distance the index distance can give it.
-fn max_radius(distance: &IndexDistance, query: &LabeledGraph) -> f64 {
+/// largest distance the index distance can give it against a graph of
+/// `database`.
+///
+/// A superposition maps each query element to one database element of
+/// its kind, and `|a − b| ≤ |a| + |b|`. So under a linear distance no
+/// superposition costs more than `edge_scale · Σ_e (|w_e| + W_E) +
+/// vertex_scale · Σ_v (|w_v| + W_V)` over the query, `W_E` and `W_V`
+/// the largest edge and vertex weight magnitudes in the database. The
+/// verifier and the range queries sum the same terms in other orders,
+/// each within a relative `n · 2⁻⁵²` of the exact sum, so the cap keeps
+/// a relative `10⁻⁹` of headroom above it.
+fn max_radius(distance: &IndexDistance, query: &LabeledGraph, database: &[LabeledGraph]) -> f64 {
     let max_radius = match distance {
         IndexDistance::Mutation(md) => {
             md.edge_scores().max_cost() * query.edge_count() as f64
                 + md.vertex_scores().max_cost() * query.vertex_count() as f64
         }
-        IndexDistance::Linear(_) => f64::MAX / 4.0,
+        IndexDistance::Linear(ld) => {
+            let (edge_max, vertex_max) = database.iter().fold((0.0f64, 0.0f64), |(e, v), g| {
+                let e = g.edges().iter().fold(e, |m, edge| m.max(edge.attr.weight.abs()));
+                (e, g.vertex_ids().fold(v, |m, x| m.max(g.vertex(x).weight.abs())))
+            });
+            let edges: f64 = query.edges().iter().map(|e| e.attr.weight.abs() + edge_max).sum();
+            let vertices: f64 =
+                query.vertex_ids().map(|v| query.vertex(v).weight.abs() + vertex_max).sum();
+            (ld.edge_scale() * edges + ld.vertex_scale() * vertices) * (1.0 + 1e-9)
+        }
     };
     max_radius.max(INITIAL_RADIUS)
 }
@@ -259,7 +280,7 @@ mod tests {
     use super::*;
     use crate::config::PisConfig;
     use pis_distance::oracle::min_superimposed_distance_brute;
-    use pis_distance::MutationDistance;
+    use pis_distance::{LinearDistance, MutationDistance};
     use pis_graph::{EdgeAttr, GraphBuilder, Label, VertexAttr};
     use pis_index::{FragmentIndex, IndexConfig, IndexDistance};
     use pis_mining::exhaustive::exhaustive_features;
@@ -479,13 +500,55 @@ mod tests {
     fn max_radius_follows_the_distance_and_the_query() {
         let six_edges = ring(&[1, 1, 1, 1, 1, 1]);
         let hamming = IndexDistance::Mutation(MutationDistance::edge_hamming());
-        assert_eq!(max_radius(&hamming, &six_edges), 6.0);
+        assert_eq!(max_radius(&hamming, &six_edges, &[]), 6.0);
         // Vertex mutations count too under the unit distance.
         let unit = IndexDistance::Mutation(MutationDistance::unit());
-        assert_eq!(max_radius(&unit, &six_edges), 12.0);
+        assert_eq!(max_radius(&unit, &six_edges, &[]), 12.0);
         // A lone vertex still gets one round at the initial radius.
         let mut b = GraphBuilder::new();
         b.add_vertices(1, VertexAttr::labeled(Label(0)));
-        assert_eq!(max_radius(&hamming, &b.build()), INITIAL_RADIUS);
+        assert_eq!(max_radius(&hamming, &b.build(), &[]), INITIAL_RADIUS);
+    }
+
+    /// A linear-distance kNN with `k` above the number of structural
+    /// matches widens to a cap read off the data, not to `f64::MAX`:
+    /// it doubles from 1.0 to the cap in `⌈log₂ cap⌉ + 1` rounds at most
+    /// and returns every structural match with its oracle distance, and
+    /// the cap covers the oracle distance of every matching pair.
+    #[test]
+    fn linear_knn_widens_to_a_cap_read_off_the_data() {
+        let config = pis_datasets::MoleculeConfig { weighted: true, ..Default::default() };
+        let db = pis_datasets::MoleculeGenerator::new(config).database(24, 3);
+        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+        let ld = LinearDistance::edges_only();
+        let index = FragmentIndex::build(
+            &db,
+            exhaustive_features(&structures, 2),
+            IndexDistance::Linear(ld),
+            &IndexConfig::default(),
+        );
+        let searcher = PisSearcher::new(&index, &db, PisConfig::default());
+        let heaviest =
+            db.iter().flat_map(LabeledGraph::edges).fold(0.0, |m, e| e.attr.weight.max(m));
+        for query in pis_datasets::sample_query_set(&db, 3, 2, 11) {
+            let cap = max_radius(index.distance(), &query, &db);
+            // Edge weights are positive: the cap is the query's weight
+            // plus the heaviest database edge per query edge.
+            let bound: f64 = query.edges().iter().map(|e| e.attr.weight + heaviest).sum();
+            assert!(cap >= bound && cap <= bound * (1.0 + 1e-6), "cap {cap} vs {bound}");
+            let mut expected: Vec<(GraphId, f64)> = (0..db.len())
+                .filter_map(|i| {
+                    let d = min_superimposed_distance_brute(&query, &db[i], &ld)?;
+                    assert!(d <= cap, "graph {i} at {d} lies beyond the cap {cap}");
+                    Some((GraphId(i as u32), d))
+                })
+                .collect();
+            expected.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let knn = knn(&searcher, &query, db.len() + 1);
+            let rounds = knn.rounds;
+            assert!(rounds as f64 <= cap.log2().ceil() + 1.0, "{rounds} rounds to the cap {cap}");
+            let got: Vec<_> = knn.neighbors.iter().map(|n| (n.graph, n.distance)).collect();
+            assert_eq!(got, expected);
+        }
     }
 }

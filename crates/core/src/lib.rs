@@ -51,4 +51,4 @@ pub use pis_graph::budget::{BudgetStats, QueryBudget};
 pub use search::{
     Completeness, PisSearcher, SearchOutcome, SearchScratch, SearchStats, TruncationPhase,
 };
-pub use verify::{min_superimposed_distance, VerifyScratch, VerifyStats};
+pub use verify::{VerifyScratch, VerifyStats};

@@ -57,26 +57,6 @@ use pis_graph::{EdgeId, Embedding, Label, LabeledGraph, VertexId};
 /// per-assign overhead.
 const DFS_CHECK_INTERVAL: u32 = 1024;
 
-/// Exact minimum superimposed distance, bounded by `sigma`.
-///
-/// Returns `Some(d(Q, G))` iff some superposition costs at most
-/// `sigma`; returns `None` both when `Q ⊄ G` and when every
-/// superposition exceeds the budget (the SSSD predicate of
-/// Definition 2 in either case).
-///
-/// One-shot convenience over [`VerifyScratch`]; callers verifying many
-/// candidates should hold a scratch and amortize the setup.
-pub fn min_superimposed_distance(
-    query: &LabeledGraph,
-    target: &LabeledGraph,
-    distance: &dyn SuperimposedDistance,
-    sigma: f64,
-) -> Option<f64> {
-    let mut scratch = VerifyScratch::new();
-    scratch.begin_query(query);
-    scratch.distance_within(query, target, distance, sigma)
-}
-
 /// Work counters of the verification phase, accumulated until drained
 /// with [`VerifyScratch::take_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -157,9 +137,11 @@ impl VerifyScratch {
         self.stats.absorb(stats);
     }
 
-    /// Exact bounded minimum superimposed distance of the query passed
-    /// to the latest [`VerifyScratch::begin_query`] against `target` —
-    /// same contract as [`min_superimposed_distance`].
+    /// Exact minimum superimposed distance of the query passed to the
+    /// latest [`VerifyScratch::begin_query`] against `target`, bounded
+    /// by `bound`: `Some(d(Q, G))` iff some superposition costs at most
+    /// `bound`, `None` both when `Q ⊄ G` and when every superposition
+    /// costs more (the SSSD predicate of Definition 2 in either case).
     /// Generic over the distance so callers holding the concrete type
     /// (the funnel matches on `IndexDistance` before verifying) get a
     /// monomorphized search loop with the per-element cost calls
@@ -772,10 +754,12 @@ mod tests {
             cycle_with_edge_labels(&[1, 1, 2, 1, 1, 2]),
             cycle_with_edge_labels(&[2, 2, 2, 2, 2, 2]),
         ];
+        let mut scratch = VerifyScratch::new();
+        scratch.begin_query(&q);
         for g in &cases {
             let brute = min_superimposed_distance_brute(&q, g, &md).unwrap();
             for sigma in [0.0, 1.0, 2.0, 6.0] {
-                let bounded = min_superimposed_distance(&q, g, &md, sigma);
+                let bounded = scratch.distance_within(&q, g, &md, sigma);
                 if brute <= sigma {
                     assert_eq!(bounded, Some(brute), "sigma {sigma}");
                 } else {
@@ -790,7 +774,9 @@ mod tests {
         let md = MutationDistance::edge_hamming();
         let q = cycle_graph(5, Label(0), Label(0));
         let g = path_graph(8, Label(0), Label(0));
-        assert_eq!(min_superimposed_distance(&q, &g, &md, 100.0), None);
+        let mut scratch = VerifyScratch::new();
+        scratch.begin_query(&q);
+        assert_eq!(scratch.distance_within(&q, &g, &md, 100.0), None);
     }
 
     #[test]
@@ -805,8 +791,10 @@ mod tests {
         };
         let q = mk(1.0);
         let g = mk(1.75);
-        assert_eq!(min_superimposed_distance(&q, &g, &ld, 1.0), Some(0.75));
-        assert_eq!(min_superimposed_distance(&q, &g, &ld, 0.5), None);
+        let mut scratch = VerifyScratch::new();
+        scratch.begin_query(&q);
+        assert_eq!(scratch.distance_within(&q, &g, &ld, 1.0), Some(0.75));
+        assert_eq!(scratch.distance_within(&q, &g, &ld, 0.5), None);
     }
 
     #[test]
@@ -818,15 +806,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let md = MutationDistance::edge_hamming();
         let mut checked = 0;
+        let mut scratch = VerifyScratch::new();
         for g in &db {
             if g.edge_count() < 6 {
                 continue;
             }
             let Some(q) = pis_datasets::query::sample_query(g, 5, &mut rng) else { continue };
+            scratch.begin_query(&q);
             for target in db.iter().take(6) {
                 let brute = min_superimposed_distance_brute(&q, target, &md);
                 for sigma in [0.0, 1.0, 3.0] {
-                    let fast = min_superimposed_distance(&q, target, &md, sigma);
+                    let fast = scratch.distance_within(&q, target, &md, sigma);
                     match brute {
                         Some(b) if b <= sigma => {
                             assert_eq!(fast, Some(b), "sigma={sigma}");
@@ -846,8 +836,10 @@ mod tests {
         let q = cycle_with_edge_labels(&[1, 2, 1, 2]);
         let same = cycle_with_edge_labels(&[2, 1, 2, 1]); // rotation
         let diff = cycle_with_edge_labels(&[1, 1, 2, 2]);
-        assert_eq!(min_superimposed_distance(&q, &same, &md, 0.0), Some(0.0));
-        assert_eq!(min_superimposed_distance(&q, &diff, &md, 0.0), None);
+        let mut scratch = VerifyScratch::new();
+        scratch.begin_query(&q);
+        assert_eq!(scratch.distance_within(&q, &same, &md, 0.0), Some(0.0));
+        assert_eq!(scratch.distance_within(&q, &diff, &md, 0.0), None);
     }
 
     #[test]

@@ -212,22 +212,6 @@ impl TrieFrontier {
 }
 
 impl FlatTrie {
-    /// Builds the arena from `(sequence, graph)` entries (any order;
-    /// duplicate pairs are stored once).
-    ///
-    /// # Panics
-    /// Panics if any sequence length differs from `depth`.
-    pub fn from_entries(depth: usize, entries: Vec<(Vec<Label>, GraphId)>) -> Self {
-        let mut labels = Vec::with_capacity(entries.len() * depth);
-        let mut graphs = Vec::with_capacity(entries.len());
-        for (seq, g) in &entries {
-            assert_eq!(seq.len(), depth, "sequence length must equal trie depth");
-            labels.extend_from_slice(seq);
-            graphs.push(*g);
-        }
-        FlatTrie::from_rows(depth, labels, graphs)
-    }
-
     /// Builds the arena from a row-major entry matrix: row `i` is the
     /// sequence `labels[i * depth..(i + 1) * depth]` stored for
     /// `graphs[i]` (any order; duplicate rows are dropped). Rows that
@@ -237,7 +221,7 @@ impl FlatTrie {
     ///
     /// # Panics
     /// Panics if `labels.len() != depth * graphs.len()`.
-    pub(crate) fn from_rows(depth: usize, labels: Vec<Label>, graphs: Vec<GraphId>) -> Self {
+    pub fn from_rows(depth: usize, labels: Vec<Label>, graphs: Vec<GraphId>) -> Self {
         assert_eq!(labels.len(), depth * graphs.len(), "sequence length must equal trie depth");
         let n = graphs.len();
         assert!(n <= u32::MAX as usize, "trie arena exceeds u32 addressing");
@@ -706,7 +690,7 @@ impl FlatTrie {
     /// sorted, already distinct) copies stored rows into a fresh row
     /// matrix with the additions spliced in at their ranks, never
     /// comparing a stored entry with an addition. The arena rebuilt from
-    /// that matrix is column-for-column the one [`FlatTrie::from_entries`]
+    /// that matrix is column-for-column the one [`FlatTrie::from_rows`]
     /// builds from the union. Entries already stored are dropped, and a
     /// merge that adds nothing leaves the arena untouched.
     ///
@@ -1070,6 +1054,13 @@ mod tests {
         xs.iter().map(|&x| Label(x)).collect()
     }
 
+    /// The trie of `(sequence, graph)` entries, laid out as the row
+    /// matrix [`FlatTrie::from_rows`] takes.
+    fn trie_of(depth: usize, entries: Vec<(Vec<Label>, GraphId)>) -> FlatTrie {
+        let (rows, graphs): (Vec<Vec<Label>>, Vec<GraphId>) = entries.into_iter().unzip();
+        FlatTrie::from_rows(depth, rows.concat(), graphs)
+    }
+
     /// Unit Hamming cost regardless of position.
     fn hamming(_pos: usize, a: Label, b: Label) -> f64 {
         if a == b {
@@ -1178,7 +1169,7 @@ mod tests {
             (l(&[1, 2, 4]), GraphId(1)),
             (l(&[9, 9, 9]), GraphId(2)),
         ];
-        let t = FlatTrie::from_entries(3, entries);
+        let t = trie_of(3, entries);
         assert_eq!(t.len(), 3);
         assert_eq!(collect(&t, &l(&[1, 2, 3]), 0.0), vec![(0, 0.0)]);
         assert_eq!(collect(&t, &l(&[1, 2, 3]), 1.0), vec![(0, 0.0), (1, 1.0)]);
@@ -1187,7 +1178,7 @@ mod tests {
 
     #[test]
     fn duplicate_pairs_deduplicated() {
-        let t = FlatTrie::from_entries(
+        let t = trie_of(
             2,
             vec![(l(&[1, 1]), GraphId(7)), (l(&[1, 1]), GraphId(7)), (l(&[1, 1]), GraphId(8))],
         );
@@ -1221,7 +1212,7 @@ mod tests {
         probes: &[Vec<Label>],
         cost: fn(usize, Label, Label) -> f64,
     ) {
-        let t = FlatTrie::from_entries(4, entries.clone());
+        let t = trie_of(4, entries.clone());
         let mut distinct = entries.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -1271,7 +1262,7 @@ mod tests {
     fn all_zero_costs_emit_everything_at_zero() {
         let entries =
             vec![(l(&[1, 2]), GraphId(0)), (l(&[3, 4]), GraphId(1)), (l(&[3, 4]), GraphId(2))];
-        let t = FlatTrie::from_entries(2, entries);
+        let t = trie_of(2, entries);
         let zero = 0.0f64.to_bits();
         let visits =
             run_probe(&t, &l(&[9, 9]), 0.0, |_, _, _| 0.0, |_| false, &mut TrieFrontier::new());
@@ -1288,7 +1279,7 @@ mod tests {
             (l(&[1, 1]), GraphId(1)),
             (l(&[1, 2]), GraphId(3)),
         ];
-        let flat = FlatTrie::from_entries(2, entries.clone());
+        let flat = trie_of(2, entries.clone());
         let mut visited = Vec::new();
         flat.for_each_entry(|s, g| visited.push((s.to_vec(), g)));
         entries.sort_unstable();
@@ -1300,9 +1291,9 @@ mod tests {
     fn merge_equals_bulk_build() {
         let first = vec![(l(&[1, 2]), GraphId(0)), (l(&[2, 2]), GraphId(1))];
         let second = vec![(l(&[1, 2]), GraphId(2)), (l(&[0, 1]), GraphId(2))];
-        let mut incremental = FlatTrie::from_entries(2, first.clone());
-        incremental.merge(&FlatTrie::from_entries(2, second.clone()));
-        let bulk = FlatTrie::from_entries(2, first.into_iter().chain(second).collect());
+        let mut incremental = trie_of(2, first.clone());
+        incremental.merge(&trie_of(2, second.clone()));
+        let bulk = trie_of(2, first.into_iter().chain(second).collect());
         let mut a = Vec::new();
         incremental.for_each_entry(|s, g| a.push((s.to_vec(), g)));
         let mut b = Vec::new();
@@ -1313,10 +1304,10 @@ mod tests {
 
     #[test]
     fn empty_and_depth_zero_tries() {
-        let empty = FlatTrie::from_entries(2, Vec::new());
+        let empty = trie_of(2, Vec::new());
         assert!(empty.is_empty());
         assert!(collect(&empty, &l(&[0, 0]), 10.0).is_empty());
-        let zero = FlatTrie::from_entries(0, vec![(Vec::new(), GraphId(4))]);
+        let zero = trie_of(0, vec![(Vec::new(), GraphId(4))]);
         assert_eq!(zero.len(), 1);
         assert_eq!(collect(&zero, &[], 0.0), vec![(4, 0.0)]);
         let mut seen = Vec::new();
@@ -1336,7 +1327,7 @@ mod tests {
             (l(&[2, 2, 3, 4]), GraphId(3)),
             (l(&[2, 2, 4, 4]), GraphId(4)),
         ];
-        let t = FlatTrie::from_entries(4, entries.clone());
+        let t = trie_of(4, entries.clone());
         let probes = [l(&[1, 2, 3, 4]), l(&[2, 2, 9, 9]), l(&[9, 9, 9, 9])];
         for cut in 0..=4usize {
             let cost = |pos: usize, a: Label, b: Label| {
@@ -1357,18 +1348,18 @@ mod tests {
 
     #[test]
     fn probes_of_empty_singleton_and_depth_zero_tries_match_brute() {
-        let empty = FlatTrie::from_entries(2, Vec::new());
+        let empty = trie_of(2, Vec::new());
         let mut scratch = TrieFrontier::new();
         for probe in [l(&[0, 0]), l(&[1, 1])] {
             let visits = run_probe(&empty, &probe, 5.0, hamming, |_| false, &mut scratch);
             assert!(visits.is_empty(), "empty trie emitted a range");
         }
         let entries = vec![(l(&[3, 7]), GraphId(9))];
-        let singleton = FlatTrie::from_entries(2, entries.clone());
+        let singleton = trie_of(2, entries.clone());
         let probes = [l(&[3, 7]), l(&[3, 8]), l(&[0, 0])];
         assert_matches_brute(&entries, &singleton, &probes, 1.0, hamming, |_| false);
         let entries = vec![(Vec::new(), GraphId(4)), (Vec::new(), GraphId(5))];
-        let zero = FlatTrie::from_entries(0, entries.clone());
+        let zero = trie_of(0, entries.clone());
         let probes = [Vec::new(), Vec::new(), Vec::new()];
         assert_matches_brute(&entries, &zero, &probes, 0.0, hamming, |_| false);
     }
@@ -1381,7 +1372,7 @@ mod tests {
         // selective sigmas.
         for n in [1usize, 3, 7, 8, 9, 15, 16, 17, 31] {
             let entries: Vec<_> = (0..n as u32).map(|i| (l(&[5, i]), GraphId(i))).collect();
-            let t = FlatTrie::from_entries(2, entries.clone());
+            let t = trie_of(2, entries.clone());
             // sigma large: all children survive the level-1 expansion.
             let all = collect(&t, &l(&[5, 0]), n as f64 + 1.0);
             assert_eq!(all.len(), n, "n={n}");
@@ -1401,14 +1392,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "probe length")]
     fn probe_length_mismatch_rejected() {
-        let t = FlatTrie::from_entries(2, vec![(l(&[1, 1]), GraphId(0))]);
+        let t = trie_of(2, vec![(l(&[1, 1]), GraphId(0))]);
         let _ = run_probe(&t, &l(&[2]), 1.0, hamming, |_| false, &mut TrieFrontier::new());
     }
 
     #[test]
     #[should_panic(expected = "sequence length")]
     fn wrong_length_rejected() {
-        let _ = FlatTrie::from_entries(3, vec![(l(&[1]), GraphId(0))]);
+        let _ = trie_of(3, vec![(l(&[1]), GraphId(0))]);
     }
 
     /// Clones a frozen trie's columns for mutation.
@@ -1440,7 +1431,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let t = FlatTrie::from_entries(depth, entries);
+            let t = trie_of(depth, entries);
             t.validate().unwrap_or_else(|m| panic!("depth {depth}: {m}"));
         }
     }
@@ -1453,7 +1444,7 @@ mod tests {
         let entries: Vec<(Vec<Label>, GraphId)> = (0..40u32)
             .map(|g| (l(&[(g * 7) % 3, (g * 5) % 4, (g * 3) % 3, g % 2]), GraphId(g % 15)))
             .collect();
-        let t = FlatTrie::from_entries(4, entries);
+        let t = trie_of(4, entries);
         t.validate().unwrap();
         type U32Column = fn(&mut TriePartsOwned) -> &mut Vec<u32>;
         type LabelColumn = fn(&mut TriePartsOwned) -> &mut Vec<Label>;
@@ -1527,11 +1518,11 @@ mod tests {
         for (seed, graphs) in [(1u64, 300u32), (2, 1000), (3, 64), (4, 5)] {
             let entries = mixed_entries(seed, 1200, graphs);
             let (first, rest) = entries.split_at(700);
-            let built = FlatTrie::from_entries(3, entries.clone());
+            let built = trie_of(3, entries.clone());
             tally(&built);
-            let mut merged = FlatTrie::from_entries(3, first.to_vec());
+            let mut merged = trie_of(3, first.to_vec());
             tally(&merged);
-            merged.merge(&FlatTrie::from_entries(3, rest.to_vec()));
+            merged.merge(&trie_of(3, rest.to_vec()));
             tally(&merged);
             assert_eq!(merged, built, "merge derives the bulk build's bitmaps");
             let decoded = FlatTrie::from_parts(owned_parts(&built)).unwrap();
@@ -1540,17 +1531,17 @@ mod tests {
         for depth in [0usize, 1] {
             let entries: Vec<_> =
                 (0..200u32).map(|g| (l(&vec![g % 3; depth]), GraphId(g * 7 % 500))).collect();
-            tally(&FlatTrie::from_entries(depth, entries));
+            tally(&trie_of(depth, entries));
         }
-        tally(&FlatTrie::from_entries(2, Vec::new()));
+        tally(&trie_of(2, Vec::new()));
         assert!(kinds.0 > 0 && kinds.1 > 0, "both fold paths are built: {kinds:?}");
     }
 
     #[test]
     fn unordered_leaf_postings_are_rejected() {
         // Leaf [1, 1] holds graphs 2, 5, 9; the depth-0 trie 4, 6.
-        let t = FlatTrie::from_entries(2, [2, 5, 9].map(|g| (l(&[1, 1]), GraphId(g))).to_vec());
-        let d0 = FlatTrie::from_entries(0, [4, 6].map(|g| (Vec::new(), GraphId(g))).to_vec());
+        let t = trie_of(2, [2, 5, 9].map(|g| (l(&[1, 1]), GraphId(g))).to_vec());
+        let d0 = trie_of(0, [4, 6].map(|g| (Vec::new(), GraphId(g))).to_vec());
         for (trie, postings) in [(&t, vec![2, 9, 5]), (&t, vec![2, 5, 5]), (&d0, vec![6, 4])] {
             let mut p = owned_parts(trie);
             p.postings = postings.into_iter().map(GraphId).collect();
@@ -1566,7 +1557,7 @@ mod tests {
                 .into_iter()
                 .map(|(seq, g)| (seq[..depth].to_vec(), g))
                 .collect();
-            let t = FlatTrie::from_entries(depth, entries);
+            let t = trie_of(depth, entries);
             // `PartialEq` compares every column, the derived ones too.
             assert_eq!(FlatTrie::from_parts(owned_parts(&t)).unwrap(), t, "depth {depth}");
         }
@@ -1609,7 +1600,7 @@ mod tests {
             .map(|&g| (l(&[1]), GraphId(g)))
             .chain([1u32, 200].iter().map(|&g| (l(&[2]), GraphId(g))))
             .collect();
-        let t = FlatTrie::from_entries(1, entries);
+        let t = trie_of(1, entries);
         assert_eq!(t.leaf_kinds(), (1, 1));
         let (pos, neg) = (0.0f64, -0.0f64);
         for emissions in [
@@ -1630,7 +1621,7 @@ mod tests {
     fn fold_of_any_emissions_equals_the_in_order_minimum() {
         // Emissions of nodes on every level and of the whole store, at
         // costs with ties of both signs of zero.
-        let t = FlatTrie::from_entries(3, mixed_entries(5, 900, 400));
+        let t = trie_of(3, mixed_entries(5, 900, 400));
         let nodes = t.labels.len() as u64;
         let costs = [0.0, -0.0, 0.5, 1.0, 0.5, 2.0];
         let mut x = 11u64;

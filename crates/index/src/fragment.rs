@@ -12,20 +12,14 @@
 //! Edges lead in the layout because the paper's evaluation distance is
 //! edge-only: putting the cost-bearing slots first lets the trie prune
 //! before reaching the zero-cost vertex suffix.
+//!
+//! Readouts append to caller-owned buffers (a build's row matrix, a
+//! query's [`FragmentBuffer`]); a probe travels as a borrowed
+//! [`FragmentVectorRef`], so no fragment owns a `Vec`.
 
 use pis_graph::util::FxHashSet;
 use pis_graph::{Embedding, Label, LabeledGraph, VertexId};
 use pis_mining::FeatureId;
-
-/// A fragment's class-canonical vector: categorical labels under the
-/// mutation distance, numeric weights under the linear distance.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FragmentVector {
-    /// Edge labels then vertex labels.
-    Labels(Vec<Label>),
-    /// Edge weights then vertex weights.
-    Weights(Vec<f64>),
-}
 
 /// A borrowed fragment vector — the slice view the query funnel passes
 /// around so arena-backed fragments ([`FragmentBuffer`]) never
@@ -73,77 +67,12 @@ impl<'a> FragmentVectorRef<'a> {
             FragmentVectorRef::Labels(_) => panic!("expected a weight vector, found labels"),
         }
     }
-
-    /// Copies the slice into an owned [`FragmentVector`].
-    pub fn to_owned_vector(&self) -> FragmentVector {
-        match self {
-            FragmentVectorRef::Labels(v) => FragmentVector::Labels(v.to_vec()),
-            FragmentVectorRef::Weights(v) => FragmentVector::Weights(v.to_vec()),
-        }
-    }
 }
 
-impl FragmentVector {
-    /// The vector length (vertex slots + edge slots).
-    pub fn len(&self) -> usize {
-        match self {
-            FragmentVector::Labels(v) => v.len(),
-            FragmentVector::Weights(v) => v.len(),
-        }
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The label slots.
-    ///
-    /// # Panics
-    /// Panics if this is a weight vector.
-    pub fn labels(&self) -> &[Label] {
-        match self {
-            FragmentVector::Labels(v) => v,
-            FragmentVector::Weights(_) => panic!("expected a label vector, found weights"),
-        }
-    }
-
-    /// The weight slots.
-    ///
-    /// # Panics
-    /// Panics if this is a label vector.
-    pub fn weights(&self) -> &[f64] {
-        match self {
-            FragmentVector::Weights(v) => v,
-            FragmentVector::Labels(_) => panic!("expected a weight vector, found labels"),
-        }
-    }
-
-    /// Borrows the vector as a [`FragmentVectorRef`].
-    pub fn as_view(&self) -> FragmentVectorRef<'_> {
-        match self {
-            FragmentVector::Labels(v) => FragmentVectorRef::Labels(v),
-            FragmentVector::Weights(v) => FragmentVectorRef::Weights(v),
-        }
-    }
-}
-
-/// Reads the label vector of an embedding: target labels of the
-/// feature's edges (in code order) followed by target labels of its
-/// vertices (in the representative's identity order, which is
+/// Appends the label vector of an embedding to `out`: target labels
+/// of the feature's edges (in code order) followed by target labels of
+/// its vertices (in the representative's identity order, which is
 /// canonical).
-pub fn label_vector(
-    feature: &LabeledGraph,
-    target: &LabeledGraph,
-    embedding: &Embedding,
-) -> Vec<Label> {
-    let mut v = Vec::with_capacity(feature.vertex_count() + feature.edge_count());
-    label_vector_into(feature, target, embedding, &mut v);
-    v
-}
-
-/// Appends the label vector of an embedding to `out` (the
-/// allocation-free form of [`label_vector`], used by arena fills).
 ///
 /// Edge slots lead the layout so that cost-bearing trie levels come
 /// first: under the paper's edge-Hamming setting a vertex-first layout
@@ -164,20 +93,8 @@ pub fn label_vector_into(
     }
 }
 
-/// Reads the weight vector of an embedding (same layout as
-/// [`label_vector`]).
-pub fn weight_vector(
-    feature: &LabeledGraph,
-    target: &LabeledGraph,
-    embedding: &Embedding,
-) -> Vec<f64> {
-    let mut v = Vec::with_capacity(feature.vertex_count() + feature.edge_count());
-    weight_vector_into(feature, target, embedding, &mut v);
-    v
-}
-
-/// Appends the weight vector of an embedding to `out` (the
-/// allocation-free form of [`weight_vector`]).
+/// Appends the weight vector of an embedding to `out` (same layout as
+/// [`label_vector_into`]).
 pub fn weight_vector_into(
     feature: &LabeledGraph,
     target: &LabeledGraph,
@@ -193,30 +110,12 @@ pub fn weight_vector_into(
     }
 }
 
-/// An indexed fragment of a *query* graph: what Algorithm 2 enumerates
-/// on lines 3–4.
-#[derive(Clone, Debug)]
-pub struct QueryFragment {
-    /// The feature (equivalence class) this fragment belongs to.
-    pub feature: FeatureId,
-    /// Sorted query vertices covered by the fragment; drives the
-    /// overlapping-relation graph.
-    pub vertices: Vec<VertexId>,
-    /// The fragment's vector (one automorphism representative; the index
-    /// stores all database-side variants, so any representative yields
-    /// the same range-query minima).
-    pub vector: FragmentVector,
-}
-
-impl QueryFragment {
-    /// Number of query vertices covered.
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-}
-
-/// Arena-backed storage for one query's enumerated fragments — the
-/// allocation-free counterpart of `Vec<QueryFragment>`.
+/// Arena-backed storage for one query's enumerated fragments — what
+/// Algorithm 2 enumerates on lines 3–4. Fragment `i` has a feature
+/// (its equivalence class), the sorted query vertices it covers (they
+/// drive the overlapping-relation graph) and a normalized vector: one
+/// automorphism representative, which is enough because the index
+/// stores every database-side variant.
 ///
 /// All fragments share four flat arrays (features, vertex images,
 /// vector slots, offsets); the dedup set recycles its key allocations
@@ -295,15 +194,6 @@ impl FragmentBuffer {
             FragmentVectorRef::Weights(&self.weights[s..e])
         }
     }
-
-    /// Materializes fragment `i` as an owned [`QueryFragment`].
-    pub fn to_query_fragment(&self, i: usize) -> QueryFragment {
-        QueryFragment {
-            feature: self.feature(i),
-            vertices: self.vertices(i).to_vec(),
-            vector: self.vector(i).to_owned_vector(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -326,6 +216,12 @@ mod tests {
         b.build()
     }
 
+    fn labels_of(feature: &LabeledGraph, target: &LabeledGraph, e: &Embedding) -> Vec<Label> {
+        let mut v = Vec::new();
+        label_vector_into(feature, target, e, &mut v);
+        v
+    }
+
     #[test]
     fn vectors_follow_canonical_layout() {
         let feature = path_graph(3, Label::ERASED, Label::ERASED);
@@ -334,11 +230,12 @@ mod tests {
         // Identity and reversal.
         assert_eq!(embs.len(), 2);
         let vectors: Vec<Vec<Label>> =
-            embs.iter().map(|e| label_vector(&feature, &target, e)).collect();
+            embs.iter().map(|e| labels_of(&feature, &target, e)).collect();
         assert!(vectors.contains(&vec![Label(7), Label(8), Label(1), Label(2), Label(3)]));
         assert!(vectors.contains(&vec![Label(8), Label(7), Label(3), Label(2), Label(1)]));
 
-        let wv = weight_vector(&feature, &target, &embs[0]);
+        let mut wv = Vec::new();
+        weight_vector_into(&feature, &target, &embs[0], &mut wv);
         assert_eq!(wv.len(), 5);
         assert!(wv[0] >= 10.0 && wv[1] >= 10.0, "edge slots come first");
     }
@@ -351,7 +248,7 @@ mod tests {
         let target = labeled_path(&[4, 9], &[1]);
         let vectors: Vec<Vec<Label>> = embeddings(&feature, &target, IsoConfig::STRUCTURE)
             .iter()
-            .map(|e| label_vector(&feature, &target, e))
+            .map(|e| labels_of(&feature, &target, e))
             .collect();
         assert_eq!(vectors.len(), 2);
         assert_ne!(vectors[0], vectors[1]);
@@ -364,18 +261,18 @@ mod tests {
 
     #[test]
     fn vector_accessors() {
-        let lv = FragmentVector::Labels(vec![Label(1)]);
+        let lv = FragmentVectorRef::Labels(&[Label(1)]);
         assert_eq!(lv.len(), 1);
         assert!(!lv.is_empty());
         assert_eq!(lv.labels(), &[Label(1)]);
-        let wv = FragmentVector::Weights(vec![1.0, 2.0]);
+        let wv = FragmentVectorRef::Weights(&[1.0, 2.0]);
         assert_eq!(wv.weights(), &[1.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "expected a label vector")]
     fn weights_are_not_labels() {
-        let wv = FragmentVector::Weights(vec![1.0]);
+        let wv = FragmentVectorRef::Weights(&[1.0]);
         let _ = wv.labels();
     }
 }

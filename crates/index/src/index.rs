@@ -19,8 +19,8 @@
 //! ([`FragmentIndex::range_query_row`] — the one kernel run over the
 //! frozen structure and then the pending one, into one row). The search
 //! funnel reads rows directly; the `(graph, distance)` hit lists of
-//! [`FragmentIndex::range_query`] and its `_into` variants are
-//! [`row_hits`] collected — a view of the same rows.
+//! [`FragmentIndex::range_query_normalized_into`] are [`row_hits`]
+//! collected — a view of the same rows.
 
 use std::hash::Hasher;
 use std::ops::ControlFlow;
@@ -33,10 +33,7 @@ use pis_graph::{GraphId, Label, LabeledGraph, ScopedPool};
 use pis_mining::{FeatureId, FeatureSet};
 
 use crate::flat_trie::{FlatTrie, TrieFrontier};
-use crate::fragment::{
-    label_vector_into, weight_vector_into, FragmentBuffer, FragmentVector, FragmentVectorRef,
-    QueryFragment,
-};
+use crate::fragment::{label_vector_into, weight_vector_into, FragmentBuffer, FragmentVectorRef};
 use crate::rtree::RTree;
 
 /// The superimposed distance an index is built for.
@@ -54,26 +51,14 @@ impl IndexDistance {
         matches!(self, IndexDistance::Mutation(_))
     }
 
-    /// Collapses slots that can never contribute cost (a zero score
-    /// matrix or a zero scale) to a single canonical value. Distances
-    /// are unchanged, but equivalent vectors become identical — under
-    /// the paper's edge-only distance this shrinks per-class entry
-    /// counts by an order of magnitude and is applied to both stored and
-    /// query vectors.
-    pub fn normalize(&self, edge_count: usize, vector: &mut FragmentVector) {
-        match (self, vector) {
-            (IndexDistance::Mutation(_), FragmentVector::Labels(v)) => {
-                self.normalize_labels(edge_count, v);
-            }
-            (IndexDistance::Linear(_), FragmentVector::Weights(v)) => {
-                self.normalize_weights(edge_count, v);
-            }
-            _ => panic!("fragment vector kind does not match the index distance"),
-        }
-    }
-
-    /// Slice form of [`IndexDistance::normalize`] for label vectors
-    /// (stored rows and arena-backed fragments normalize in place).
+    /// Collapses label slots that can never contribute cost (a zero
+    /// score matrix) to one canonical label. Distances are unchanged,
+    /// but equivalent vectors become identical — under the paper's
+    /// edge-only distance this shrinks per-class entry counts by an
+    /// order of magnitude. Stored rows and enumerated query fragments
+    /// are both normalized in place by it (or by
+    /// [`IndexDistance::normalize_weights`]), so a probe is compared
+    /// with rows of its own form.
     ///
     /// # Panics
     /// Panics on a linear-distance index.
@@ -90,7 +75,8 @@ impl IndexDistance {
         }
     }
 
-    /// Slice form of [`IndexDistance::normalize`] for weight vectors.
+    /// [`IndexDistance::normalize_labels`] for weight vectors: a zero
+    /// scale collapses its slots to `0.0`.
     ///
     /// # Panics
     /// Panics on a mutation-distance index.
@@ -563,45 +549,18 @@ impl FragmentIndex {
         }
     }
 
-    /// Answers the range query of Eq. (3): for every graph `G` holding a
-    /// fragment `g'` of class `feature` with `d(g, g') ≤ σ`, returns
-    /// `(G, d(g, G))` where the distance is minimized over all such
-    /// fragments. Sorted by graph id.
-    pub fn range_query(
-        &self,
-        feature: FeatureId,
-        vector: &FragmentVector,
-        sigma: f64,
-    ) -> Vec<(GraphId, f64)> {
-        // Stored vectors are normalized; normalize the probe so
-        // externally-built vectors compare correctly.
-        let ecount = self.features.get(feature).edge_count();
-        let mut normalized = vector.clone();
-        self.distance.normalize(ecount, &mut normalized);
-        let mut scratch = RangeScratch::default();
-        let mut out = Vec::new();
-        self.range_query_normalized_into(
-            feature,
-            normalized.as_view(),
-            sigma,
-            &mut scratch,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`FragmentIndex::range_query`] without the per-call allocations:
-    /// the probe is a borrowed [`FragmentVectorRef`] (arena-backed
-    /// fragments never materialize vectors), the minima row is kept in
-    /// `scratch` and hits are appended to `out` (cleared first), sorted
-    /// by graph id — the [`row_hits`] of the row
-    /// [`FragmentIndex::range_query_row`] leaves.
+    /// Answers the range query of Eq. (3) as a hit list: for every
+    /// graph `G` holding a fragment `g'` of class `feature` with
+    /// `d(g, g') ≤ σ`, `(G, d(g, G))` with the distance minimized over
+    /// all such fragments. The probe is a borrowed
+    /// [`FragmentVectorRef`], the minima row is kept in `scratch` and
+    /// hits are written to `out` (cleared first), sorted by graph id —
+    /// the [`row_hits`] of the row [`FragmentIndex::range_query_row`]
+    /// leaves.
     ///
-    /// The probe `vector` must already be normalized for this index —
-    /// true of every vector produced by
-    /// [`FragmentIndex::enumerate_query_fragments`]. Normalization is
-    /// idempotent, so a pre-normalized probe through [`Self::range_query`]
-    /// and this method return identical hits.
+    /// The probe `vector` must already be normalized for this index, as
+    /// every vector [`FragmentIndex::enumerate_query_fragments_into`]
+    /// yields is.
     pub fn range_query_normalized_into(
         &self,
         feature: FeatureId,
@@ -739,20 +698,11 @@ impl FragmentIndex {
 
     /// Enumerates the indexed fragments of a query graph (Algorithm 2,
     /// lines 3–4), deduplicated by `(feature, vertex image, edge image)`
-    /// so automorphic re-readings issue one range query each.
+    /// so automorphic re-readings issue one range query each. Each
+    /// fragment's vector is normalized for this index as it is read.
     ///
-    /// Materializes owned [`QueryFragment`]s through a throwaway arena;
-    /// hot callers hold a [`FragmentBuffer`] and use
-    /// [`FragmentIndex::enumerate_query_fragments_into`] instead.
-    pub fn enumerate_query_fragments(&self, query: &LabeledGraph) -> Vec<QueryFragment> {
-        let mut buf = FragmentBuffer::new();
-        self.enumerate_query_fragments_into(query, &mut buf);
-        (0..buf.len()).map(|i| buf.to_query_fragment(i)).collect()
-    }
-
-    /// [`FragmentIndex::enumerate_query_fragments`] without the per-call
-    /// allocations: fragments land in the caller's arena-backed
-    /// [`FragmentBuffer`] (cleared first). The dedup key is assembled in
+    /// Fragments land in the caller's arena-backed [`FragmentBuffer`]
+    /// (cleared first). The dedup key is assembled in
     /// one reusable buffer (`[feature, sorted vertices…, sorted
     /// edges…]`) and checked with a borrowed `contains` first, and key
     /// allocations are recycled across queries — so the steady state of
@@ -1089,6 +1039,49 @@ mod tests {
         ]
     }
 
+    /// The query's fragments, enumerated as the search enumerates them.
+    fn fragments(index: &FragmentIndex, query: &LabeledGraph) -> FragmentBuffer {
+        let mut frags = FragmentBuffer::new();
+        index.enumerate_query_fragments_into(query, &mut frags);
+        frags
+    }
+
+    /// Fragment `i`'s hits through the search's range query, its probe
+    /// as the enumeration left it.
+    fn range_hits(
+        index: &FragmentIndex,
+        frags: &FragmentBuffer,
+        i: usize,
+        sigma: f64,
+    ) -> Vec<(GraphId, f64)> {
+        let (mut hits, mut scratch) = (Vec::new(), RangeScratch::new());
+        let (feature, probe) = (frags.feature(i), frags.vector(i));
+        index.range_query_normalized_into(feature, probe, sigma, &mut scratch, &mut hits);
+        hits
+    }
+
+    /// Fragment `i` as a standalone graph — its vector in the feature's
+    /// canonical layout, edge slots then vertex slots — labeled under
+    /// the mutation distance and weighted under the linear one: what
+    /// the oracle measures a range query from.
+    fn fragment_graph(index: &FragmentIndex, frags: &FragmentBuffer, i: usize) -> LabeledGraph {
+        let feature = &index.features().get(frags.feature(i)).structure;
+        let slot = |k: usize| match frags.vector(i) {
+            FragmentVectorRef::Labels(v) => (v[k], 0.0),
+            FragmentVectorRef::Weights(v) => (Label(0), v[k]),
+        };
+        let mut b = GraphBuilder::new();
+        for k in 0..feature.vertex_count() {
+            let (label, weight) = slot(feature.edge_count() + k);
+            b.add_vertex(VertexAttr { label, weight });
+        }
+        for (j, e) in feature.edges().iter().enumerate() {
+            let (label, weight) = slot(j);
+            b.add_edge(e.source, e.target, EdgeAttr { label, weight }).unwrap();
+        }
+        b.build()
+    }
+
     fn build_md(db: &[LabeledGraph], max_edges: usize) -> FragmentIndex {
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, max_edges);
@@ -1123,23 +1116,11 @@ mod tests {
         let index = build_md(&db, 4);
         let md = MutationDistance::edge_hamming();
         let query = cycle_with_edge_labels(&[1, 1, 1, 2, 1, 1]);
-        for qf in index.enumerate_query_fragments(&query) {
-            let feature = index.features().get(qf.feature);
-            // Reconstruct the query fragment as a labeled graph to feed
-            // the oracle: its vector layout is exactly the feature's
-            // canonical layout.
-            let mut b = GraphBuilder::new();
-            let labels = qf.vector.labels();
-            let ecount = feature.edge_count();
-            for (i, _) in feature.structure.vertex_ids().enumerate() {
-                b.add_vertex(VertexAttr::labeled(labels[ecount + i]));
-            }
-            for (j, e) in feature.structure.edges().iter().enumerate() {
-                b.add_edge(e.source, e.target, EdgeAttr::labeled(labels[j])).unwrap();
-            }
-            let fragment_graph = b.build();
+        let frags = fragments(&index, &query);
+        for i in 0..frags.len() {
+            let fragment_graph = fragment_graph(&index, &frags, i);
             for sigma in [0.0, 1.0, 2.0, 6.0] {
-                let hits = index.range_query(qf.feature, &qf.vector, sigma);
+                let hits = range_hits(&index, &frags, i, sigma);
                 for (gid, d) in &hits {
                     let brute =
                         min_superimposed_distance_brute(&fragment_graph, &db[gid.index()], &md)
@@ -1181,22 +1162,10 @@ mod tests {
         let index =
             FragmentIndex::build(&db, features, IndexDistance::Linear(ld), &IndexConfig::default());
         let query = mk([1.0, 2.0]);
-        for qf in index.enumerate_query_fragments(&query) {
-            let f = index.features().get(qf.feature);
-            // Query fragment as graph (erased labels, weights from vec).
-            let mut b = GraphBuilder::new();
-            let ws = qf.vector.weights();
-            let ecount = f.edge_count();
-            for (i, _) in f.structure.vertex_ids().enumerate() {
-                b.add_vertex(VertexAttr { label: Label(0), weight: ws[ecount + i] });
-            }
-            for (j, e) in f.structure.edges().iter().enumerate() {
-                b.add_edge(e.source, e.target, EdgeAttr { label: Label(0), weight: ws[j] })
-                    .unwrap();
-            }
-            let frag = b.build();
-            let hits = index.range_query(qf.feature, &qf.vector, 0.5);
-            for (gid, d) in hits {
+        let frags = fragments(&index, &query);
+        for i in 0..frags.len() {
+            let frag = fragment_graph(&index, &frags, i);
+            for (gid, d) in range_hits(&index, &frags, i, 0.5) {
                 let brute = min_superimposed_distance_brute(&frag, &db[gid.index()], &ld).unwrap();
                 assert!((d - brute).abs() < 1e-9, "index {d} vs brute {brute}");
                 let _ = ld.vertex_cost(VertexAttr::default(), VertexAttr::default());
@@ -1209,37 +1178,32 @@ mod tests {
         let db = small_db();
         let index = build_md(&db, 4);
         let query = cycle_with_edge_labels(&[1, 1, 1, 2, 1, 1]);
-        let frags = index.enumerate_query_fragments(&query);
+        let frags = fragments(&index, &query);
         // Group the fragments per feature (the enumeration order is
         // feature-major already) and answer each group both ways.
         let mut scratch = RangeScratch::new();
+        let groups = frags.features.chunk_by(|a, b| a == b);
+        assert!(groups.clone().count() > 1, "test should cover several classes");
         let mut i = 0;
-        let mut grouped = 0;
-        while i < frags.len() {
-            let feature = frags[i].feature;
-            let mut j = i + 1;
-            while j < frags.len() && frags[j].feature == feature {
-                j += 1;
-            }
+        for group in groups {
+            let (feature, n) = (group[0], group.len());
             for sigma in [0.0, 1.0, 2.0, 6.0] {
-                let mut outs: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); j - i];
+                let mut outs: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); n];
                 index.range_query_batch_normalized_into(
                     feature,
-                    j - i,
-                    |k| frags[i + k].vector.as_view(),
+                    n,
+                    |k| frags.vector(i + k),
                     sigma,
                     &mut scratch,
                     &mut outs,
                 );
                 for (k, out) in outs.iter().enumerate() {
-                    let expected = index.range_query(feature, &frags[i + k].vector, sigma);
+                    let expected = range_hits(&index, &frags, i + k, sigma);
                     assert_eq!(out, &expected, "sigma {sigma} probe {k}");
                 }
             }
-            grouped += 1;
-            i = j;
+            i += n;
         }
-        assert!(grouped > 1, "test should cover several classes");
     }
 
     #[test]
@@ -1260,28 +1224,25 @@ mod tests {
         let index =
             FragmentIndex::build(&db, features, IndexDistance::Linear(ld), &IndexConfig::default());
         let query = mk([1.0, 1.25, 2.0]);
-        let frags = index.enumerate_query_fragments(&query);
+        let frags = fragments(&index, &query);
         let mut scratch = RangeScratch::new();
         let mut i = 0;
-        while i < frags.len() {
-            let feature = frags[i].feature;
-            let mut j = i + 1;
-            while j < frags.len() && frags[j].feature == feature {
-                j += 1;
-            }
-            let mut outs: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); j - i];
+        for group in frags.features.chunk_by(|a, b| a == b) {
+            let (feature, n) = (group[0], group.len());
+            let mut outs: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); n];
+            let probe = |k| frags.vector(i + k);
             index.range_query_batch_normalized_into(
                 feature,
-                j - i,
-                |k| frags[i + k].vector.as_view(),
+                n,
+                probe,
                 0.5,
                 &mut scratch,
                 &mut outs,
             );
             for (k, out) in outs.iter().enumerate() {
-                assert_eq!(out, &index.range_query(feature, &frags[i + k].vector, 0.5));
+                assert_eq!(out, &range_hits(&index, &frags, i + k, 0.5));
             }
-            i = j;
+            i += n;
         }
     }
 
@@ -1290,11 +1251,11 @@ mod tests {
         let db = vec![cycle_graph(6, Label(0), Label(1))];
         let index = build_md(&db, 2);
         let query = cycle_graph(6, Label(0), Label(1));
-        let frags = index.enumerate_query_fragments(&query);
+        let frags = fragments(&index, &query);
         // 1-edge fragments: 6 sites; 2-edge path fragments: 6 sites.
         let mut by_feature: pis_graph::util::FxHashMap<u32, usize> = Default::default();
-        for f in &frags {
-            *by_feature.entry(f.feature.0).or_insert(0) += 1;
+        for i in 0..frags.len() {
+            *by_feature.entry(frags.feature(i).0).or_insert(0) += 1;
         }
         let mut counts: Vec<usize> = by_feature.values().copied().collect();
         counts.sort_unstable();
@@ -1392,12 +1353,12 @@ mod tests {
         for f in bulk.features().iter() {
             assert_eq!(incremental.class_graphs(f.id), bulk.class_graphs(f.id));
         }
-        let query = cycle_with_edge_labels(&[1, 1, 2, 1, 1, 1]);
-        for qf in bulk.enumerate_query_fragments(&query) {
+        let frags = fragments(&bulk, &cycle_with_edge_labels(&[1, 1, 2, 1, 1, 1]));
+        for i in 0..frags.len() {
             for sigma in [0.0, 1.0, 3.0] {
                 assert_eq!(
-                    incremental.range_query(qf.feature, &qf.vector, sigma),
-                    bulk.range_query(qf.feature, &qf.vector, sigma),
+                    range_hits(&incremental, &frags, i, sigma),
+                    range_hits(&bulk, &frags, i, sigma),
                     "sigma {sigma}"
                 );
             }
@@ -1429,12 +1390,12 @@ mod tests {
                 == crate::encode_snapshot(&bulk, &db).unwrap(),
             "compacted incremental store differs from the bulk build"
         );
-        let query = &db[3];
-        for qf in bulk.enumerate_query_fragments(query) {
+        let frags = fragments(&bulk, &db[3]);
+        for i in 0..frags.len() {
             for sigma in [0.0, 0.5, 2.0] {
                 assert_eq!(
-                    incremental.range_query(qf.feature, &qf.vector, sigma),
-                    bulk.range_query(qf.feature, &qf.vector, sigma),
+                    range_hits(&incremental, &frags, i, sigma),
+                    range_hits(&bulk, &frags, i, sigma),
                     "sigma {sigma}"
                 );
             }
@@ -1524,10 +1485,8 @@ mod tests {
         // with the class named: the class's depth ...
         let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
-        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(FlatTrie::from_entries(
-            1,
-            vec![(vec![Label(1)], GraphId(0))],
-        ))));
+        let trie = FlatTrie::from_rows(1, vec![Label(1)], vec![GraphId(0)]);
+        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(trie)));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
         assert!(err.starts_with(&format!("class {ci}: pending trie depth 1 != ")), "{err}");
@@ -1537,10 +1496,8 @@ mod tests {
         let ci = full_class(&bad);
         let depth = class_slots(&bad, ci);
         let past = GraphId(bad.classes[ci].graphs.len() as u32);
-        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(FlatTrie::from_entries(
-            depth,
-            vec![(vec![Label(1); depth], past)],
-        ))));
+        let trie = FlatTrie::from_rows(depth, vec![Label(1); depth], vec![past]);
+        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(trie)));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
         assert!(err.starts_with(&format!("class {ci}: pending trie posting slot ")), "{err}");
@@ -1584,9 +1541,9 @@ mod tests {
     fn sized_zero_matrix_normalizes_like_edge_hamming() {
         // A zero vertex matrix erases vertex slots whatever its size:
         // over molecules with varied atom labels, a 64-label zero/unit
-        // pair stores the entries `edge_hamming` (size-0 matrices) does
-        // and answers every probe alike, where pricing vertices too
-        // (`unit`) keeps more entries.
+        // pair stores the entries `edge_hamming` (size-0 matrices) does,
+        // enumerates the same probes and answers every probe alike,
+        // where pricing vertices too (`unit`) keeps more entries.
         let db = MoleculeGenerator::default().database(12, 5);
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 3);
@@ -1600,15 +1557,57 @@ mod tests {
         };
         let sized = build(MutationDistance::new(ScoreMatrix::zero(64), ScoreMatrix::unit(64)));
         let hamming = build(MutationDistance::edge_hamming());
+        let unit = build(MutationDistance::unit());
         assert_eq!(sized.total_entries(), hamming.total_entries());
-        assert!(build(MutationDistance::unit()).total_entries() > hamming.total_entries());
-        for qf in hamming.enumerate_query_fragments(&db[0]) {
+        assert!(unit.total_entries() > hamming.total_entries());
+        let frags = fragments(&hamming, &db[0]);
+        let sized_frags = fragments(&sized, &db[0]);
+        assert_eq!(frags.len(), sized_frags.len());
+        for i in 0..frags.len() {
+            assert_eq!(frags.vector(i), sized_frags.vector(i), "probe {i}");
             for sigma in [0.0, 1.0, 2.0] {
                 assert_eq!(
-                    sized.range_query(qf.feature, &qf.vector, sigma),
-                    hamming.range_query(qf.feature, &qf.vector, sigma),
+                    range_hits(&sized, &frags, i, sigma),
+                    range_hits(&hamming, &frags, i, sigma),
                     "sigma {sigma}"
                 );
+            }
+        }
+
+        // Every enumerated probe is already in normal form — the range
+        // query compares it with the stored rows as given — so
+        // normalizing it again changes no bit, under each distance.
+        let weighted =
+            MoleculeGenerator::new(MoleculeConfig { weighted: true, ..Default::default() })
+                .database(12, 5);
+        let structures: Vec<LabeledGraph> =
+            weighted.iter().map(LabeledGraph::erase_labels).collect();
+        let linear = FragmentIndex::build(
+            &weighted,
+            exhaustive_features(&structures, 3),
+            IndexDistance::Linear(LinearDistance::edges_only()),
+            &IndexConfig::default(),
+        );
+        for (index, query) in
+            [(&hamming, &db[0]), (&unit, &db[0]), (&sized, &db[0]), (&linear, &weighted[0])]
+        {
+            let frags = fragments(index, query);
+            assert!(!frags.is_empty());
+            for i in 0..frags.len() {
+                let ecount = index.features().get(frags.feature(i)).edge_count();
+                match frags.vector(i) {
+                    FragmentVectorRef::Labels(v) => {
+                        let mut again = v.to_vec();
+                        index.distance().normalize_labels(ecount, &mut again);
+                        assert_eq!(again, v, "probe {i}");
+                    }
+                    FragmentVectorRef::Weights(v) => {
+                        let mut again = v.to_vec();
+                        index.distance().normalize_weights(ecount, &mut again);
+                        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&again), bits(v), "probe {i}");
+                    }
+                }
             }
         }
     }

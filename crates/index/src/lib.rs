@@ -22,6 +22,11 @@
 //! merges them. Range queries run the same kernel over both, so an
 //! unmerged class answers exactly as a merged one.
 //!
+//! The query side has one form, the one the search runs: fragments
+//! land normalized in a caller's [`FragmentBuffer`], and a range query
+//! takes a borrowed [`FragmentVectorRef`] probe as given, through a
+//! caller's [`RangeScratch`], into a minima row or its hit list.
+//!
 //! The paper's third option, a "metric-based index \[6\]", is not
 //! carried: mutation score matrices need not satisfy the triangle
 //! inequality it prunes by (DESIGN.md §5, A2/A3).
@@ -49,7 +54,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use flat_trie::{FlatTrie, TrieFrontier};
-pub use fragment::{FragmentBuffer, FragmentVector, FragmentVectorRef, QueryFragment};
+pub use fragment::{FragmentBuffer, FragmentVectorRef};
 pub use index::{
     row_hits, FragmentIndex, IndexCheckReport, IndexConfig, IndexDistance, MergeStats, RangeScratch,
 };

@@ -838,15 +838,18 @@ mod tests {
         for (a, b) in loaded.classes.iter().zip(&index.classes) {
             assert!(a.frozen == b.frozen && a.graphs == b.graphs && a.entries == b.entries);
         }
-        for qf in index.enumerate_query_fragments(&ring(&[1, 2, 2, 1])) {
+        let mut frags = crate::FragmentBuffer::new();
+        index.enumerate_query_fragments_into(&ring(&[1, 2, 2, 1]), &mut frags);
+        let mut scratch = crate::RangeScratch::new();
+        for i in 0..frags.len() {
             for sigma in [0.0, 1.0, 3.0] {
-                let bits = |hits: Vec<(GraphId, f64)>| -> Vec<(GraphId, u64)> {
+                let mut bits = |index: &FragmentIndex| -> Vec<(GraphId, u64)> {
+                    let mut hits = Vec::new();
+                    let (f, probe) = (frags.feature(i), frags.vector(i));
+                    index.range_query_normalized_into(f, probe, sigma, &mut scratch, &mut hits);
                     hits.into_iter().map(|(g, d)| (g, d.to_bits())).collect()
                 };
-                assert_eq!(
-                    bits(loaded.range_query(qf.feature, &qf.vector, sigma)),
-                    bits(index.range_query(qf.feature, &qf.vector, sigma))
-                );
+                assert_eq!(bits(&loaded), bits(&index));
             }
         }
         assert!(encode_snapshot(&loaded, &db).unwrap() == canonical, "re-encodes canonically");
@@ -913,12 +916,12 @@ mod tests {
         let added = ring(&[2, 1, 1, 1]);
         let gid = loaded.insert_graph_pending(&added);
         assert_eq!(gid.index(), db.len());
-        let q = loaded
-            .enumerate_query_fragments(&added)
-            .into_iter()
-            .next()
-            .expect("query has fragments");
-        let hits = loaded.range_query(q.feature, &q.vector, 0.0);
+        let (mut frags, mut hits) = (crate::FragmentBuffer::new(), Vec::new());
+        loaded.enumerate_query_fragments_into(&added, &mut frags);
+        assert!(!frags.is_empty(), "query has fragments");
+        let (f, probe, mut scratch) =
+            (frags.feature(0), frags.vector(0), crate::RangeScratch::new());
+        loaded.range_query_normalized_into(f, probe, 0.0, &mut scratch, &mut hits);
         assert!(hits.iter().any(|(g, _)| *g == gid), "inserted graph must be findable");
     }
 

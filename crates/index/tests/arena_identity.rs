@@ -2,7 +2,7 @@
 //! stores, not of how they arrived. [`FlatTrie::merge`], the streaming
 //! sorted merge behind pending inserts and threshold merges, must
 //! produce, column for column, the arena a bulk
-//! [`FlatTrie::from_entries`] builds from the union, duplicates
+//! [`FlatTrie::from_rows`] builds from the union, duplicates
 //! included — which is what keeps snapshot bytes and every query answer
 //! independent of the insert history.
 
@@ -21,6 +21,13 @@ fn entries(raw: &[(Vec<u32>, u32)], depth: usize) -> Vec<Entry> {
         .collect()
 }
 
+/// The trie of `entries`, laid out as the row matrix
+/// [`FlatTrie::from_rows`] takes.
+fn trie_of(depth: usize, entries: Vec<Entry>) -> FlatTrie {
+    let (rows, graphs): (Vec<Vec<Label>>, Vec<GraphId>) = entries.into_iter().unzip();
+    FlatTrie::from_rows(depth, rows.concat(), graphs)
+}
+
 fn dump(trie: &FlatTrie) -> Vec<Entry> {
     let mut out = Vec::new();
     trie.for_each_entry(|seq, g| out.push((seq.to_vec(), g)));
@@ -31,13 +38,13 @@ fn dump(trie: &FlatTrie) -> Vec<Entry> {
 /// equals the bulk build of everything, and every intermediate arena
 /// validates.
 fn assert_merge_is_bulk(depth: usize, stored: &[Entry], batches: &[&[Entry]]) {
-    let mut merged = FlatTrie::from_entries(depth, stored.to_vec());
+    let mut merged = trie_of(depth, stored.to_vec());
     let mut union = stored.to_vec();
     for batch in batches {
-        merged.merge(&FlatTrie::from_entries(depth, batch.to_vec()));
+        merged.merge(&trie_of(depth, batch.to_vec()));
         union.extend_from_slice(batch);
         merged.validate().unwrap_or_else(|m| panic!("merged arena invalid: {m}"));
-        let bulk = FlatTrie::from_entries(depth, union.clone());
+        let bulk = trie_of(depth, union.clone());
         // `FlatTrie: PartialEq` compares every arena column.
         assert_eq!(merged, bulk, "depth {depth} stored {stored:?} batches {batches:?}");
     }
@@ -79,7 +86,7 @@ proptest! {
         let mut walked = all.clone();
         walked.sort();
         walked.dedup();
-        prop_assert_eq!(FlatTrie::from_entries(3, walked), FlatTrie::from_entries(3, all));
+        prop_assert_eq!(trie_of(3, walked), trie_of(3, all));
     }
 }
 

@@ -5,7 +5,9 @@
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
-use pis_index::{encode_snapshot, FragmentIndex, IndexConfig, IndexDistance};
+use pis_index::{
+    encode_snapshot, FragmentBuffer, FragmentIndex, IndexConfig, IndexDistance, RangeScratch,
+};
 use pis_mining::exhaustive::exhaustive_features;
 
 fn ring(edge_labels: &[u32]) -> LabeledGraph {
@@ -48,13 +50,16 @@ fn many_rings() -> Vec<LabeledGraph> {
 /// Every (feature, probe, sigma) answer set, canonically ordered with
 /// distances as raw bits so equality means bit-equality.
 fn all_answers(index: &FragmentIndex, queries: &[LabeledGraph]) -> Vec<(u32, GraphId, u64)> {
-    let mut out = Vec::new();
+    let (mut frags, mut scratch) = (FragmentBuffer::new(), RangeScratch::new());
+    let (mut out, mut hits) = (Vec::new(), Vec::new());
     for (qi, q) in queries.iter().enumerate() {
-        for frag in index.enumerate_query_fragments(q) {
+        index.enumerate_query_fragments_into(q, &mut frags);
+        for i in 0..frags.len() {
             for sigma in [0.0, 0.75, 1.5, 3.0, 1e9] {
-                let mut hits = index.range_query(frag.feature, &frag.vector, sigma);
+                let (feature, probe) = (frags.feature(i), frags.vector(i));
+                index.range_query_normalized_into(feature, probe, sigma, &mut scratch, &mut hits);
                 hits.sort_by_key(|&(g, d)| (g.0, d.to_bits()));
-                out.extend(hits.into_iter().map(|(g, d)| (qi as u32, g, d.to_bits())));
+                out.extend(hits.iter().map(|&(g, d)| (qi as u32, g, d.to_bits())));
             }
         }
     }

@@ -13,7 +13,8 @@ use pis_distance::MutationDistance;
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
 use pis_index::codec::crc32;
 use pis_index::{
-    decode_snapshot, encode_snapshot, wal, FragmentIndex, IndexConfig, IndexDistance, PersistError,
+    decode_snapshot, encode_snapshot, wal, FragmentBuffer, FragmentIndex, IndexConfig,
+    IndexDistance, PersistError, RangeScratch,
 };
 use pis_mining::exhaustive::exhaustive_features;
 use proptest::prelude::*;
@@ -225,13 +226,16 @@ proptest! {
 
 /// All (feature, probe, σ) answers, distances as raw bits.
 fn fingerprint(index: &FragmentIndex, queries: &[LabeledGraph]) -> Vec<(u32, GraphId, u64)> {
-    let mut out = Vec::new();
+    let (mut frags, mut scratch) = (FragmentBuffer::new(), RangeScratch::new());
+    let (mut out, mut hits) = (Vec::new(), Vec::new());
     for (qi, q) in queries.iter().enumerate() {
-        for frag in index.enumerate_query_fragments(q) {
+        index.enumerate_query_fragments_into(q, &mut frags);
+        for i in 0..frags.len() {
             for sigma in [0.0, 1.0, 2.5, 1e9] {
-                let mut hits = index.range_query(frag.feature, &frag.vector, sigma);
+                let (feature, probe) = (frags.feature(i), frags.vector(i));
+                index.range_query_normalized_into(feature, probe, sigma, &mut scratch, &mut hits);
                 hits.sort_by_key(|&(g, d)| (g.0, d.to_bits()));
-                out.extend(hits.into_iter().map(|(g, d)| (qi as u32, g, d.to_bits())));
+                out.extend(hits.iter().map(|&(g, d)| (qi as u32, g, d.to_bits())));
             }
         }
     }

@@ -16,19 +16,9 @@
 use crate::overlap::OverlapGraph;
 use crate::scratch::{mask_clear, mask_or, mask_set, masks_intersect, PartitionScratch, BITS};
 
-/// Runs EnhancedGreedy(k); returns selected node indices in selection
+/// Runs EnhancedGreedy(k) in caller-owned working memory: `selection`
+/// is cleared and filled with the selected node indices in selection
 /// order.
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn enhanced_greedy_mwis(graph: &OverlapGraph, k: usize) -> Vec<usize> {
-    let mut selection = Vec::new();
-    enhanced_greedy_mwis_with(graph, k, &mut PartitionScratch::new(), &mut selection);
-    selection
-}
-
-/// [`enhanced_greedy_mwis`] with caller-owned working memory:
-/// `selection` is cleared and filled in selection order.
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -123,8 +113,8 @@ fn enumerate_k_sets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::greedy_mwis;
     use crate::selection_weight;
+    use crate::solve::{enhanced, greedy};
 
     #[test]
     fn k1_equals_greedy() {
@@ -132,8 +122,8 @@ mod tests {
             vec![4.0, 2.0, 1.0, 10.0, 6.0, 7.0, 3.0],
             (0..6).map(|i| (i, i + 1)).collect(),
         );
-        let a = enhanced_greedy_mwis(&g, 1);
-        let mut b = greedy_mwis(&g);
+        let a = enhanced(&g, 1);
+        let mut b = greedy(&g);
         let mut a2 = a.clone();
         a2.sort_unstable();
         b.sort_unstable();
@@ -145,8 +135,8 @@ mod tests {
         // Hub 2.0 vs three leaves 1.5: greedy takes the hub; k=2 takes
         // two leaves in round one (3.0 > 2.0), then the third.
         let g = OverlapGraph::from_parts(vec![2.0, 1.5, 1.5, 1.5], vec![(0, 1), (0, 2), (0, 3)]);
-        let greedy = greedy_mwis(&g);
-        let enhanced = enhanced_greedy_mwis(&g, 2);
+        let greedy = greedy(&g);
+        let enhanced = enhanced(&g, 2);
         assert!(selection_weight(&g, &enhanced) > selection_weight(&g, &greedy));
         assert_eq!(selection_weight(&g, &enhanced), 4.5);
     }
@@ -154,7 +144,7 @@ mod tests {
     #[test]
     fn k_larger_than_graph_is_exact_on_small_instances() {
         let g = OverlapGraph::from_parts(vec![1.0, 2.0, 3.0, 2.5], vec![(0, 1), (1, 2), (2, 3)]);
-        let sel = enhanced_greedy_mwis(&g, 4);
+        let sel = enhanced(&g, 4);
         let mut sorted = sel.clone();
         sorted.sort_unstable();
         // Optimal: {2, 0} (weight 4) vs {1, 3} (4.5) -> {1, 3}.
@@ -168,7 +158,7 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
         );
         for k in 1..=3 {
-            let sel = enhanced_greedy_mwis(&g, k);
+            let sel = enhanced(&g, k);
             assert!(g.is_independent(&sel), "k={k}");
         }
     }
@@ -178,7 +168,7 @@ mod tests {
         // A 150-node path needs 3-word masks; k=2 must still emit an
         // independent set that covers every other node.
         let g = OverlapGraph::from_parts(vec![1.0; 150], (0..149).map(|i| (i, i + 1)).collect());
-        let sel = enhanced_greedy_mwis(&g, 2);
+        let sel = enhanced(&g, 2);
         assert!(g.is_independent(&sel));
         assert_eq!(sel.len(), 75);
     }
@@ -187,12 +177,12 @@ mod tests {
     #[should_panic(expected = "k >= 1")]
     fn k_zero_rejected() {
         let g = OverlapGraph::from_parts(vec![1.0], vec![]);
-        let _ = enhanced_greedy_mwis(&g, 0);
+        let _ = enhanced(&g, 0);
     }
 
     #[test]
     fn empty_graph() {
         let g = OverlapGraph::from_parts(vec![], vec![]);
-        assert!(enhanced_greedy_mwis(&g, 2).is_empty());
+        assert!(enhanced(&g, 2).is_empty());
     }
 }

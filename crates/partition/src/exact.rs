@@ -20,36 +20,14 @@ use pis_graph::budget::{BudgetState, CheckpointSite};
 use crate::overlap::OverlapGraph;
 use crate::scratch::{mask_and_count, mask_clear, PartitionScratch, BITS};
 
-/// Upper bound on the instance size accepted by [`exact_mwis`].
+/// Upper bound on the instance size accepted by [`exact_mwis_budgeted_with`].
 pub const EXACT_MWIS_MAX_NODES: usize = 128;
 
-/// Computes an exact MWIS; returns selected node indices (sorted).
-///
-/// # Panics
-/// Panics if the graph has more than [`EXACT_MWIS_MAX_NODES`] nodes.
-pub fn exact_mwis(graph: &OverlapGraph) -> Vec<usize> {
-    let mut selection = Vec::new();
-    exact_mwis_with(graph, &mut PartitionScratch::new(), &mut selection);
-    selection
-}
-
-/// [`exact_mwis`] with caller-owned working memory: `selection` is
-/// cleared and filled with the optimal node indices (sorted).
-///
-/// # Panics
-/// Panics if the graph has more than [`EXACT_MWIS_MAX_NODES`] nodes.
-pub fn exact_mwis_with(
-    graph: &OverlapGraph,
-    scratch: &mut PartitionScratch,
-    selection: &mut Vec<usize>,
-) {
-    let completed = exact_mwis_budgeted_with(graph, scratch, selection, BudgetState::unlimited());
-    debug_assert!(completed, "the unlimited budget never interrupts the exact solver");
-}
-
-/// [`exact_mwis_with`] under a query budget: charges one
-/// [`CheckpointSite::Partition`] unit per branch-and-bound node and
-/// returns whether the search ran to optimality. On `false` the
+/// Computes an exact MWIS in caller-owned working memory under a query
+/// budget: `selection` is cleared and filled with the optimal node
+/// indices (sorted). Charges one [`CheckpointSite::Partition`] unit per
+/// branch-and-bound node and returns whether the search ran to
+/// optimality ([`BudgetState::unlimited`] always does). On `false` the
 /// selection holds the incumbent found so far — callers degrade to a
 /// greedy solve instead of trusting it.
 ///
@@ -197,8 +175,8 @@ fn branch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::greedy_mwis;
-    use crate::{optimality_ratio, selection_weight};
+    use crate::selection_weight;
+    use crate::solve::{exact, greedy};
 
     #[test]
     fn path_instance() {
@@ -206,7 +184,7 @@ mod tests {
             vec![4.0, 2.0, 1.0, 10.0, 6.0, 7.0, 3.0],
             (0..6).map(|i| (i, i + 1)).collect(),
         );
-        let opt = exact_mwis(&g);
+        let opt = exact(&g);
         assert!(g.is_independent(&opt));
         assert_eq!(selection_weight(&g, &opt), 21.0); // {w1, w4, w6}
     }
@@ -214,7 +192,7 @@ mod tests {
     #[test]
     fn star_instance_prefers_leaves() {
         let g = OverlapGraph::from_parts(vec![2.0, 1.5, 1.5, 1.5], vec![(0, 1), (0, 2), (0, 3)]);
-        let opt = exact_mwis(&g);
+        let opt = exact(&g);
         assert_eq!(opt, vec![1, 2, 3]);
     }
 
@@ -243,9 +221,9 @@ mod tests {
                 }
             }
             let g = OverlapGraph::from_parts(weights, edges);
-            let greedy = greedy_mwis(&g);
-            let opt = exact_mwis(&g);
-            let ratio = optimality_ratio(&g, &greedy, &opt);
+            let greedy = greedy(&g);
+            let opt = exact(&g);
+            let ratio = selection_weight(&g, &greedy) / selection_weight(&g, &opt);
             assert!((0.0..=1.0 + 1e-12).contains(&ratio), "ratio {ratio}");
             assert!(g.is_independent(&opt));
         }
@@ -254,9 +232,9 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let g = OverlapGraph::from_parts(vec![], vec![]);
-        assert!(exact_mwis(&g).is_empty());
+        assert!(exact(&g).is_empty());
         let g = OverlapGraph::from_parts(vec![5.0], vec![]);
-        assert_eq!(exact_mwis(&g), vec![0]);
+        assert_eq!(exact(&g), vec![0]);
     }
 
     #[test]
@@ -276,7 +254,7 @@ mod tests {
             }
         }
         let g = OverlapGraph::from_parts(weights, edges);
-        let opt = exact_mwis(&g);
+        let opt = exact(&g);
         assert!(g.is_independent(&opt));
         assert_eq!(opt, vec![69, 70, 71]);
     }
@@ -285,7 +263,7 @@ mod tests {
     #[should_panic(expected = "capped")]
     fn oversized_instance_rejected() {
         let g = OverlapGraph::from_parts(vec![1.0; 129], vec![]);
-        let _ = exact_mwis(&g);
+        let _ = exact(&g);
     }
 
     #[test]
@@ -306,13 +284,13 @@ mod tests {
         // The same scratch re-solves to optimality once unconstrained.
         let mut sel2 = Vec::new();
         assert!(exact_mwis_budgeted_with(&g, &mut scratch, &mut sel2, BudgetState::unlimited()));
-        assert_eq!(sel2, exact_mwis(&g));
+        assert_eq!(sel2, exact(&g));
     }
 
     #[test]
     fn zero_weight_nodes_do_not_hurt() {
         let g = OverlapGraph::from_parts(vec![0.0, 3.0, 0.0], vec![(0, 1), (1, 2)]);
-        let opt = exact_mwis(&g);
+        let opt = exact(&g);
         assert_eq!(selection_weight(&g, &opt), 3.0);
     }
 }

@@ -14,16 +14,9 @@
 use crate::overlap::OverlapGraph;
 use crate::scratch::{mask_or, mask_set, PartitionScratch, BITS};
 
-/// Runs Algorithm 1; returns the selected node indices in selection
+/// Runs Algorithm 1 in caller-owned working memory: `selection` is
+/// cleared and filled with the selected node indices in selection
 /// order.
-pub fn greedy_mwis(graph: &OverlapGraph) -> Vec<usize> {
-    let mut selection = Vec::new();
-    greedy_mwis_with(graph, &mut PartitionScratch::new(), &mut selection);
-    selection
-}
-
-/// [`greedy_mwis`] with caller-owned working memory: `selection` is
-/// cleared and filled in selection order.
 pub fn greedy_mwis_with(
     graph: &OverlapGraph,
     scratch: &mut PartitionScratch,
@@ -59,6 +52,7 @@ pub fn greedy_mwis_with(
 mod tests {
     use super::*;
     use crate::selection_weight;
+    use crate::solve::greedy;
 
     #[test]
     fn greedy_on_a_weighted_path() {
@@ -69,7 +63,7 @@ mod tests {
         let weights = vec![4.0, 2.0, 1.0, 10.0, 6.0, 7.0, 3.0]; // w1..w7
         let edges: Vec<(usize, usize)> = (0..6).map(|i| (i, i + 1)).collect();
         let g = OverlapGraph::from_parts(weights, edges);
-        let sel = greedy_mwis(&g);
+        let sel = greedy(&g);
         assert_eq!(sel, vec![3, 5, 0]);
         assert!(g.is_independent(&sel));
         assert_eq!(selection_weight(&g, &sel), 21.0);
@@ -79,7 +73,7 @@ mod tests {
     fn greedy_is_maximal() {
         // No remaining node can be added to the result.
         let g = OverlapGraph::from_parts(vec![5.0, 1.0, 1.0, 1.0], vec![(0, 1), (0, 2), (0, 3)]);
-        let sel = greedy_mwis(&g);
+        let sel = greedy(&g);
         assert_eq!(sel, vec![0]);
     }
 
@@ -88,7 +82,7 @@ mod tests {
         // Star: hub weight 2, three leaves weight 1.5 each. Greedy takes
         // the hub (2.0); optimal takes the leaves (4.5).
         let g = OverlapGraph::from_parts(vec![2.0, 1.5, 1.5, 1.5], vec![(0, 1), (0, 2), (0, 3)]);
-        let sel = greedy_mwis(&g);
+        let sel = greedy(&g);
         assert_eq!(sel, vec![0]);
         // c = 3 here; ratio 2/4.5 ≈ 0.44 ≥ 1/3, within Theorem 2's bound.
         let (ratio, bound) = (2.0 / 4.5, 1.0 / 3.0);
@@ -98,20 +92,20 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = OverlapGraph::from_parts(vec![], vec![]);
-        assert!(greedy_mwis(&g).is_empty());
+        assert!(greedy(&g).is_empty());
     }
 
     #[test]
     fn deterministic_tie_break() {
         let g = OverlapGraph::from_parts(vec![1.0, 1.0, 1.0], vec![(0, 1)]);
         // Ties resolve to the smallest index: 0, then 2.
-        assert_eq!(greedy_mwis(&g), vec![0, 2]);
+        assert_eq!(greedy(&g), vec![0, 2]);
     }
 
     #[test]
     fn isolated_nodes_all_selected() {
         let g = OverlapGraph::from_parts(vec![1.0, 2.0, 3.0], vec![]);
-        let mut sel = greedy_mwis(&g);
+        let mut sel = greedy(&g);
         sel.sort_unstable();
         assert_eq!(sel, vec![0, 1, 2]);
     }

@@ -31,25 +31,11 @@ pub struct OverlapGraph {
 }
 
 impl OverlapGraph {
-    /// Builds `Q̃` from `(weight, query-vertex set)` pairs; the vertex
-    /// sets need not be sorted.
-    pub fn new(fragments: &[(f64, Vec<VertexId>)]) -> Self {
-        OverlapGraph::from_sets(fragments.iter().map(|(w, vs)| (*w, vs.as_slice())))
-    }
-
-    /// Borrowed-slice form of [`OverlapGraph::new`] — arena-backed
-    /// fragment stores hand in their vertex slices without cloning per
-    /// fragment. Allocates a fresh scratch; callers in a loop should
-    /// hold a [`PartitionScratch`] and use
-    /// [`OverlapGraph::rebuild_from_sets`].
-    pub fn from_sets<'a>(fragments: impl IntoIterator<Item = (f64, &'a [VertexId])>) -> Self {
-        let mut graph = OverlapGraph::default();
-        graph.rebuild_from_sets(&mut PartitionScratch::new(), fragments);
-        graph
-    }
-
-    /// Rebuilds this graph in place from `(weight, vertex set)` pairs,
-    /// reusing both the graph's own storage and the scratch buffers.
+    /// Rebuilds this graph in place from `(weight, query-vertex set)`
+    /// pairs — arena-backed fragment stores hand in borrowed vertex
+    /// slices, which need not be sorted — reusing both the graph's own
+    /// storage and the scratch buffers. A fresh graph is
+    /// `OverlapGraph::default()` rebuilt once.
     ///
     /// Edges are generated from vertex→fragment incidence: the
     /// `(vertex, fragment)` pairs are sorted so each query vertex's
@@ -195,6 +181,7 @@ impl OverlapGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve::overlap;
 
     fn v(ids: &[u32]) -> Vec<VertexId> {
         ids.iter().map(|&i| VertexId(i)).collect()
@@ -206,7 +193,7 @@ mod tests {
 
     #[test]
     fn overlap_edges_from_shared_vertices() {
-        let g = OverlapGraph::new(&[(1.0, v(&[0, 1, 2])), (2.0, v(&[2, 3])), (3.0, v(&[4, 5]))]);
+        let g = overlap(&[(1.0, v(&[0, 1, 2])), (2.0, v(&[2, 3])), (3.0, v(&[4, 5]))]);
         assert_eq!(g.len(), 3);
         assert_eq!(adj(&g, 0), vec![1]);
         assert_eq!(adj(&g, 1), vec![0]);
@@ -217,7 +204,7 @@ mod tests {
 
     #[test]
     fn unsorted_and_duplicated_vertex_sets_handled() {
-        let g = OverlapGraph::new(&[(1.0, v(&[3, 1, 3])), (1.0, v(&[2, 1]))]);
+        let g = overlap(&[(1.0, v(&[3, 1, 3])), (1.0, v(&[2, 1]))]);
         assert_eq!(adj(&g, 0), vec![1]);
         assert!(g.is_adjacent(1, 0));
     }
@@ -226,7 +213,7 @@ mod tests {
     fn large_vertex_ids_take_no_fallback() {
         // Ids far beyond 128 — the old u128 fast path's cutoff — build
         // through the same incidence grouping as small ids.
-        let g = OverlapGraph::new(&[
+        let g = overlap(&[
             (1.0, v(&[4_000_000_000, 7])),
             (1.0, v(&[4_000_000_000])),
             (1.0, v(&[7, 130])),
@@ -240,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_sets_are_isolated() {
-        let g = OverlapGraph::new(&[(1.0, v(&[])), (2.0, v(&[1])), (3.0, v(&[1]))]);
+        let g = overlap(&[(1.0, v(&[])), (2.0, v(&[1])), (3.0, v(&[1]))]);
         assert!(adj(&g, 0).is_empty());
         assert_eq!(adj(&g, 1), vec![2]);
         assert!(g.is_independent(&[0, 1]));
@@ -251,7 +238,7 @@ mod tests {
         // 140 fragments all sharing vertex 0: a clique needing 3-word
         // rows. Every pair is adjacent; degrees are n-1.
         let frags: Vec<(f64, Vec<VertexId>)> = (0..140).map(|_| (1.0, v(&[0]))).collect();
-        let g = OverlapGraph::new(&frags);
+        let g = overlap(&frags);
         assert_eq!(g.words_per_row(), 3);
         assert_eq!(g.degree(0), 139);
         assert_eq!(g.degree(139), 139);

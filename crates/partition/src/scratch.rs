@@ -2,8 +2,8 @@
 //! solvers.
 //!
 //! One [`PartitionScratch`] serves any number of sequential partition
-//! selections: `OverlapGraph::rebuild_from_sets` and every `*_mwis_with`
-//! solver draw their working memory from it, so in steady state the
+//! selections: `OverlapGraph::rebuild_from_sets` and every MWIS solver
+//! draw their working memory from it, so in steady state the
 //! whole partition stage performs no heap allocation. Scratches are
 //! independent — one per thread for concurrent searches.
 

@@ -11,12 +11,29 @@
 //! empty sets, multi-word (>64- and >128-node) instances and zero-weight
 //! nodes.
 
+use pis_graph::budget::BudgetState;
 use pis_graph::VertexId;
 use pis_partition::{
-    enhanced_greedy_mwis, exact_mwis, greedy_mwis, selection_weight, OverlapGraph,
-    EXACT_MWIS_MAX_NODES,
+    enhanced_greedy_mwis_with, exact_mwis_budgeted_with, greedy_mwis_with, selection_weight,
+    OverlapGraph, PartitionScratch, EXACT_MWIS_MAX_NODES,
 };
 use proptest::prelude::*;
+
+/// `Q̃` from `(weight, vertex set)` pairs, built as the search builds it.
+fn overlap(fragments: &[(f64, Vec<VertexId>)]) -> OverlapGraph {
+    let mut graph = OverlapGraph::default();
+    let sets = fragments.iter().map(|(w, vs)| (*w, vs.as_slice()));
+    graph.rebuild_from_sets(&mut PartitionScratch::new(), sets);
+    graph
+}
+
+/// The exact solver under the unlimited budget, which always finishes.
+fn exact(graph: &OverlapGraph) -> Vec<usize> {
+    let (mut scratch, mut selection) = (PartitionScratch::new(), Vec::new());
+    let unlimited = BudgetState::unlimited();
+    assert!(exact_mwis_budgeted_with(graph, &mut scratch, &mut selection, unlimited));
+    selection
+}
 
 /// `selection` names distinct nodes below `n`, no two of them adjacent.
 fn independent(n: usize, adjacent: &impl Fn(usize, usize) -> bool, selection: &[usize]) -> bool {
@@ -87,27 +104,30 @@ fn instance(
     (OverlapGraph::from_parts(weights.to_vec(), edges), move |u: usize, v: usize| matrix[u * n + v])
 }
 
-/// Greedy, EnhancedGreedy(1) and EnhancedGreedy(2) on one instance:
-/// independent, Greedy by Algorithm 1's rule, EnhancedGreedy(1) equal
-/// to it, and EnhancedGreedy(2) maximal too.
+/// Greedy, EnhancedGreedy(1) and EnhancedGreedy(2) on one instance,
+/// through one scratch: independent, Greedy by Algorithm 1's rule,
+/// EnhancedGreedy(1) equal to it, and EnhancedGreedy(2) maximal too.
+/// Returns the Greedy and EnhancedGreedy(2) selections.
 fn assert_greedy_solvers(
     graph: &OverlapGraph,
     weights: &[f64],
     adjacent: &impl Fn(usize, usize) -> bool,
-) -> Result<(), TestCaseError> {
+) -> Result<[Vec<usize>; 2], TestCaseError> {
     let n = weights.len();
-    let greedy = greedy_mwis(graph);
+    let (mut scratch, [mut greedy, mut k1, mut k2]) = (PartitionScratch::new(), Default::default());
+    greedy_mwis_with(graph, &mut scratch, &mut greedy);
+    enhanced_greedy_mwis_with(graph, 1, &mut scratch, &mut k1);
+    enhanced_greedy_mwis_with(graph, 2, &mut scratch, &mut k2);
     prop_assert!(independent(n, adjacent, &greedy), "greedy {:?}", greedy);
     assert_greedy_rule(weights, adjacent, &greedy)?;
-    prop_assert_eq!(enhanced_greedy_mwis(graph, 1), greedy);
-    let k2 = enhanced_greedy_mwis(graph, 2);
+    prop_assert_eq!(&k1, &greedy);
     prop_assert!(independent(n, adjacent, &k2), "enhanced(2) {:?}", k2);
     prop_assert!(
         (0..n).all(|u| k2.iter().any(|&p| p == u || adjacent(p, u))),
         "enhanced(2) stopped early: {:?}",
         k2
     );
-    Ok(())
+    Ok([greedy, k2])
 }
 
 proptest! {
@@ -133,7 +153,7 @@ proptest! {
         all.extend(wide_sets);
         let frags: Vec<(f64, Vec<VertexId>)> =
             all.iter().map(|vs| (1.0, vs.iter().map(|&v| VertexId(v)).collect())).collect();
-        let mask = OverlapGraph::new(&frags);
+        let mask = overlap(&frags);
         prop_assert_eq!(mask.len(), all.len());
         for u in 0..all.len() {
             let expected: Vec<usize> = (0..all.len())
@@ -170,13 +190,14 @@ proptest! {
         raw_edges in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..60),
     ) {
         let (graph, adjacent) = instance(&weights, &raw_edges);
-        let opt = exact_mwis(&graph);
+        let opt = exact(&graph);
         prop_assert!(independent(weights.len(), &adjacent, &opt), "exact {:?}", opt);
         prop_assert!(opt.windows(2).all(|w| w[0] < w[1]), "exact selection is sorted");
         let weight = selection_weight(&graph, &opt);
         prop_assert_eq!(weight, brute_mwis_weight(&weights, &adjacent));
-        prop_assert!(weight >= selection_weight(&graph, &greedy_mwis(&graph)));
-        prop_assert!(weight >= selection_weight(&graph, &enhanced_greedy_mwis(&graph, 2)));
+        let [greedy, k2] = assert_greedy_solvers(&graph, &weights, &adjacent)?;
+        prop_assert!(weight >= selection_weight(&graph, &greedy));
+        prop_assert!(weight >= selection_weight(&graph, &k2));
     }
 
     /// Exact on multi-word (>64-node) instances: a clique plus isolated
@@ -196,7 +217,7 @@ proptest! {
             (0..clique).flat_map(|u| (u + 1..clique).map(move |v| (u, v))).collect();
         let graph = OverlapGraph::from_parts(weights, edges);
         let expected: Vec<usize> = std::iter::once(heavy % clique).chain(clique..n).collect();
-        prop_assert_eq!(exact_mwis(&graph), expected);
+        prop_assert_eq!(exact(&graph), expected);
     }
 }
 
@@ -210,7 +231,7 @@ fn end_to_end_sets_to_selection_agreement() {
     let frags: Vec<(f64, Vec<VertexId>)> = (0..140u32)
         .map(|i| (weights[i as usize], vec![VertexId(i), VertexId(i + 1), VertexId(i + 2)]))
         .collect();
-    let graph = OverlapGraph::new(&frags);
+    let graph = overlap(&frags);
     let adjacent = |u: usize, v: usize| u != v && u.abs_diff(v) <= 2;
     for u in 0..140 {
         let expected: Vec<usize> = (0..140).filter(|&v| adjacent(u, v)).collect();

@@ -33,9 +33,6 @@ use pis::datasets::sdf::parse_sdf;
 use pis::datasets::{sample_query_set, AtomVocabulary, BondVocabulary, DatasetStats};
 use pis::graph::io::{parse_database, to_dot, write_database};
 use pis::index::{FragmentIndex, IndexConfig, IndexDistance};
-use pis::mining::{
-    exhaustive::exhaustive_features, paths::path_features, select_features_with_stats,
-};
 use pis::prelude::*;
 
 fn main() -> ExitCode {
@@ -280,26 +277,18 @@ fn cmd_build(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let out = PathBuf::from(flags.required("out")?);
     let max_edges: usize = flags.num("max-edges", 5)?;
     let min_support: f64 = flags.num("min-support", 0.02)?;
-    // The label-erased copy of the database lives for feature selection
-    // only: it is gone before the index build's own peak.
-    let start = Instant::now();
-    let (features, mine_stats) = {
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
-        match flags.value("features").unwrap_or("gindex") {
-            "gindex" => {
-                let config = GindexConfig {
-                    max_edges,
-                    min_support_fraction: min_support,
-                    ..GindexConfig::default()
-                };
-                let (features, stats) = select_features_with_stats(&structures, &config);
-                (features, Some(stats))
-            }
-            "paths" => (path_features(&structures, max_edges), None),
-            "exhaustive" => (exhaustive_features(&structures, max_edges), None),
-            other => return Err(format!("unknown feature source '{other}'").into()),
-        }
+    let source = match flags.value("features").unwrap_or("gindex") {
+        "gindex" => FeatureSource::GIndex(GindexConfig {
+            max_edges,
+            min_support_fraction: min_support,
+            ..GindexConfig::default()
+        }),
+        "paths" => FeatureSource::Paths(max_edges),
+        "exhaustive" => FeatureSource::Exhaustive(max_edges),
+        other => return Err(format!("unknown feature source '{other}'").into()),
     };
+    let start = Instant::now();
+    let (features, mine_stats) = source.select(&db);
     let mined_in = start.elapsed();
     let weighted = db.iter().any(|g| g.total_weight() != 0.0);
     let distance = if weighted {

@@ -61,7 +61,7 @@ use pis_core::{BaselineOutcome, KnnOutcome, PisConfig, PisSearcher, SearchOutcom
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{GraphId, LabeledGraph};
 use pis_index::{FragmentIndex, IndexConfig, IndexDistance};
-use pis_mining::{FeatureSet, GindexConfig};
+use pis_mining::{FeatureSet, GindexConfig, MineStats};
 
 /// Everything needed for typical use.
 pub mod prelude {
@@ -95,6 +95,29 @@ pub enum FeatureSource {
 impl Default for FeatureSource {
     fn default() -> Self {
         FeatureSource::GIndex(GindexConfig::default())
+    }
+}
+
+impl FeatureSource {
+    /// Selects the features of `database`, with the miner's work
+    /// counters when the source mines them (gIndex's gSpan run). The
+    /// label-erased copy of the database lives for the selection only:
+    /// it is gone before an index build's own peak.
+    pub fn select(&self, database: &[LabeledGraph]) -> (FeatureSet, Option<MineStats>) {
+        let structures: Vec<LabeledGraph> =
+            database.iter().map(LabeledGraph::erase_labels).collect();
+        match self {
+            FeatureSource::GIndex(cfg) => {
+                let (features, stats) = pis_mining::select_features_with_stats(&structures, cfg);
+                (features, Some(stats))
+            }
+            FeatureSource::Paths(len) => {
+                (pis_mining::paths::path_features(&structures, *len), None)
+            }
+            FeatureSource::Exhaustive(max) => {
+                (pis_mining::exhaustive::exhaustive_features(&structures, *max), None)
+            }
+        }
     }
 }
 
@@ -162,19 +185,7 @@ impl PisSystemBuilder {
         let distance = self
             .distance
             .unwrap_or_else(|| IndexDistance::Mutation(MutationDistance::edge_hamming()));
-        // The label-erased copy of the database lives for feature
-        // selection only: it is gone before the index build's own peak.
-        let features: FeatureSet = {
-            let structures: Vec<LabeledGraph> =
-                database.iter().map(LabeledGraph::erase_labels).collect();
-            match &self.features {
-                FeatureSource::GIndex(cfg) => pis_mining::select_features(&structures, cfg),
-                FeatureSource::Paths(len) => pis_mining::paths::path_features(&structures, *len),
-                FeatureSource::Exhaustive(max) => {
-                    pis_mining::exhaustive::exhaustive_features(&structures, *max)
-                }
-            }
-        };
+        let (features, _) = self.features.select(&database);
         let index = FragmentIndex::build(&database, features, distance, &self.index_config);
         PisSystem { database, index, config: self.search_config }
     }

@@ -182,6 +182,31 @@ fn baselines_use_the_stores_distance_on_weighted_data() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `build` selects features by gIndex, by paths or exhaustively, and
+/// each store answers a search as the naive scan does.
+#[test]
+fn every_feature_source_answers_like_the_naive_scan() {
+    let dir = tmp_dir("sources");
+    let [db, _, queries] = generate_build_sample(&dir, "30", "9", false);
+    for source in ["gindex", "paths", "exhaustive"] {
+        let store = format!("{db}.{source}");
+        let out = run_ok(
+            pis()
+                .args(["build", &db, "--out", &store, "--max-edges", "3"])
+                .args(["--features", source]),
+        );
+        assert!(out.contains("indexed 30 graphs"), "{source}: {out}");
+        let search = |extra: &[&str]| {
+            let args = ["search", &store, "--query", &queries, "--sigma", "2"];
+            answer_ids(&run_ok(pis().args(args).args(extra)))
+        };
+        let answers = search(&[]);
+        assert_eq!(answers.len(), 2, "{source}");
+        assert_eq!(answers, search(&["--baseline", "naive"]), "{source}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Outside input never panics `search` or `knn`: a directory that is not
 /// a store, and a store whose snapshot has one flipped byte, are typed
 /// errors. (A database and an index that disagree — the pair `knn` used

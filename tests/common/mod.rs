@@ -71,14 +71,24 @@ pub fn ring(edge_labels: &[u32]) -> LabeledGraph {
 /// issues against `index` — the count a search compares with its
 /// fan-out break-even (`DEFAULT_PARALLEL_FRAGMENT_THRESHOLD`).
 pub fn unique_probes(index: &pis::index::FragmentIndex, query: &LabeledGraph) -> usize {
+    let frags = query_fragments(index, query);
     let mut seen = Vec::new();
-    for fragment in index.enumerate_query_fragments(query) {
-        let probe = (fragment.feature, fragment.vector);
+    for probe in (0..frags.len()).map(|i| (frags.feature(i), frags.vector(i))) {
         if !seen.contains(&probe) {
             seen.push(probe);
         }
     }
     seen.len()
+}
+
+/// The fragments of `query` that `index` enumerates for a search.
+pub fn query_fragments(
+    index: &pis::index::FragmentIndex,
+    query: &LabeledGraph,
+) -> pis::index::FragmentBuffer {
+    let mut frags = pis::index::FragmentBuffer::new();
+    index.enumerate_query_fragments_into(query, &mut frags);
+    frags
 }
 
 /// An outcome's answer distances as raw bits, for bit-exact comparison.
@@ -93,18 +103,20 @@ pub fn sigma() -> impl Strategy<Value = f64> {
     (0u32..10, 0.0f64..4.0).prop_map(|(k, x)| if k < 5 { f64::from(k) } else { x })
 }
 
-/// Rebuilds a query fragment as a standalone graph (the fragment's
-/// vector in the feature's canonical layout: edge slots, then vertex
-/// slots), labeled under the mutation distance and weighted under the
-/// linear distance — what the definition measures a range query from.
+/// Rebuilds fragment `i` of `frags` as a standalone graph (the
+/// fragment's vector in the feature's canonical layout: edge slots, then
+/// vertex slots), labeled under the mutation distance and weighted under
+/// the linear distance — what the definition measures a range query
+/// from.
 pub fn fragment_as_graph(
     index: &pis::index::FragmentIndex,
-    qf: &pis::index::QueryFragment,
+    frags: &pis::index::FragmentBuffer,
+    i: usize,
 ) -> LabeledGraph {
-    let feature = index.features().get(qf.feature);
-    let slot = |i: usize| match &qf.vector {
-        pis::index::FragmentVector::Labels(v) => (v[i], 0.0),
-        pis::index::FragmentVector::Weights(v) => (Label(0), v[i]),
+    let feature = index.features().get(frags.feature(i));
+    let slot = |k: usize| match frags.vector(i) {
+        pis::index::FragmentVectorRef::Labels(v) => (v[k], 0.0),
+        pis::index::FragmentVectorRef::Weights(v) => (Label(0), v[k]),
     };
     let ecount = feature.edge_count();
     let mut b = GraphBuilder::new();

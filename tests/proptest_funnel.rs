@@ -28,8 +28,8 @@
 mod common;
 
 use common::{
-    connected_graph, distance_bits, fragment_as_graph, graph_database, shrink_case, sigma,
-    unique_probes,
+    connected_graph, distance_bits, fragment_as_graph, graph_database, query_fragments,
+    shrink_case, sigma, unique_probes,
 };
 use pis::core::{
     naive_scan, PartitionAlgo, PisConfig, SearchOutcome, SearchScratch,
@@ -78,16 +78,17 @@ fn funnel_oracles(
     for (g, _) in &brute {
         prop_assert!(o.candidates.binary_search(g).is_ok(), "answer {} is no candidate", g);
     }
-    for qf in index.enumerate_query_fragments(query) {
-        let fragment = fragment_as_graph(index, &qf);
+    let frags = query_fragments(index, query);
+    for i in 0..frags.len() {
+        let fragment = fragment_as_graph(index, &frags, i);
         for &g in &o.candidates {
             let d = min_superimposed_distance_brute(&fragment, &db[g.index()], distance);
             prop_assert!(
                 d.is_some_and(|d| d <= sigma),
                 "candidate {} fails the range check of feature {} probe {:?}: {:?}",
                 g,
-                qf.feature,
-                qf.vector,
+                frags.feature(i),
+                frags.vector(i),
                 d
             );
         }

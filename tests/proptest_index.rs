@@ -7,18 +7,38 @@
 
 mod common;
 
-use common::{connected_graph, fragment_as_graph, graph_database, sigma};
+use common::{connected_graph, fragment_as_graph, graph_database, query_fragments, sigma};
 use pis::core::selectivity::{read_out_row, selectivity};
 use pis::distance::oracle::min_superimposed_distance_brute;
 use pis::graph::budget::BudgetState;
 use pis::graph::GraphBitSet;
 use pis::index::{
-    decode_snapshot, encode_snapshot, row_hits, FragmentIndex, FragmentVector, IndexConfig,
-    IndexDistance,
+    decode_snapshot, encode_snapshot, row_hits, FragmentBuffer, FragmentIndex, FragmentVectorRef,
+    IndexConfig, IndexDistance, RangeScratch,
 };
 use pis::mining::exhaustive::exhaustive_features;
+use pis::mining::FeatureId;
 use pis::prelude::*;
 use proptest::prelude::*;
+
+/// Fragment `i`'s hits through the search's range query, its probe
+/// passed on exactly as the enumeration left it.
+fn range_hits(
+    index: &FragmentIndex,
+    frags: &FragmentBuffer,
+    i: usize,
+    sigma: f64,
+) -> Vec<(GraphId, f64)> {
+    let mut hits = Vec::new();
+    let (feature, probe) = (frags.feature(i), frags.vector(i));
+    index.range_query_normalized_into(feature, probe, sigma, &mut RangeScratch::new(), &mut hits);
+    hits
+}
+
+/// A hit list as `(graph, distance bits)`, for bit-exact comparison.
+fn bits(hits: &[(GraphId, f64)]) -> Vec<(u32, u64)> {
+    hits.iter().map(|&(g, d)| (g.0, d.to_bits())).collect()
+}
 
 /// The index over every structure of up to three edges in `db`.
 fn build_index(db: &[LabeledGraph], distance: IndexDistance) -> FragmentIndex {
@@ -59,7 +79,7 @@ fn fractional_distance() -> MutationDistance {
 fn linear_reference_hits(
     index: &FragmentIndex,
     db: &[LabeledGraph],
-    feature: pis::mining::FeatureId,
+    feature: FeatureId,
     probe: &[f64],
     sigma: f64,
 ) -> Vec<(GraphId, f64)> {
@@ -73,8 +93,10 @@ fn linear_reference_hits(
             pis::graph::iso::IsoConfig::STRUCTURE,
         );
         let mut best = f64::INFINITY;
+        let mut v = Vec::new();
         matcher.for_each(|emb| {
-            let mut v = pis::index::fragment::weight_vector(&feature.structure, g, emb);
+            v.clear();
+            pis::index::fragment::weight_vector_into(&feature.structure, g, emb, &mut v);
             index.distance().normalize_weights(ecount, &mut v);
             let d: f64 = probe.iter().zip(&v).map(|(x, y)| (x - y).abs()).sum();
             best = best.min(d);
@@ -91,30 +113,27 @@ fn linear_reference_hits(
 /// through one scratch: the probe's minima row read back as a list
 /// ([`row_hits`]) equals the
 /// reference hits to the f64 bit, and so does the list-returning
-/// `range_query`; the funnel's fused read-out of the row returns
+/// `range_query_normalized_into`; the funnel's fused read-out of the row returns
 /// `selectivity` of that list to the bit and leaves exactly the list's
 /// graphs in the mask.
 fn assert_rows_read_out_as_lists(
     index: &FragmentIndex,
-    reference: impl Fn(&pis::index::QueryFragment) -> Vec<(GraphId, f64)>,
+    reference: impl Fn(FeatureId, FragmentVectorRef<'_>) -> Vec<(GraphId, f64)>,
     query: &LabeledGraph,
     sigma: f64,
     lambda: f64,
 ) -> Result<(), TestCaseError> {
-    let bits = |hits: &[(GraphId, f64)]| -> Vec<(u32, u64)> {
-        hits.iter().map(|&(g, d)| (g.0, d.to_bits())).collect()
-    };
     let n = index.graph_count();
-    let frags = index.enumerate_query_fragments(query);
-    let mut scratch = pis::index::RangeScratch::new();
-    let mut row = Vec::new();
+    let frags = query_fragments(index, query);
+    let mut scratch = RangeScratch::new();
+    let (mut row, mut listed) = (Vec::new(), Vec::new());
     let mut mask = GraphBitSet::default();
-    for (k, frag) in frags.iter().enumerate() {
-        let feature = frag.feature;
+    for k in 0..frags.len() {
+        let (feature, probe) = (frags.feature(k), frags.vector(k));
         let at = format!("feature {feature} probe {k} sigma {sigma} lambda {lambda}");
         let completed = index.range_query_row(
             feature,
-            frag.vector.as_view(),
+            probe,
             sigma,
             &mut scratch,
             BudgetState::unlimited(),
@@ -124,13 +143,9 @@ fn assert_rows_read_out_as_lists(
         let graphs = index.class_graphs(feature);
         prop_assert_eq!(row.len(), graphs.len());
         let list: Vec<(GraphId, f64)> = row_hits(graphs, &row).collect();
-        prop_assert_eq!(bits(&list), bits(&reference(frag)), "row as a list, {}", at);
-        prop_assert_eq!(
-            bits(&index.range_query(feature, &frag.vector, sigma)),
-            bits(&list),
-            "range_query, {}",
-            at
-        );
+        prop_assert_eq!(bits(&list), bits(&reference(feature, probe)), "row as a list, {}", at);
+        index.range_query_normalized_into(feature, probe, sigma, &mut scratch, &mut listed);
+        prop_assert_eq!(bits(&listed), bits(&list), "range_query_normalized_into, {}", at);
         let fused = read_out_row(graphs, &row, n, sigma, lambda, &mut mask);
         prop_assert_eq!(
             fused.to_bits(),
@@ -149,7 +164,7 @@ fn assert_rows_read_out_as_lists(
     Ok(())
 }
 
-/// Eq. (3) against the oracle: `range_query` returns exactly the graphs
+/// Eq. (3) against the oracle: the range query returns exactly the graphs
 /// whose brute-force minimum superposition distance from the fragment is
 /// within `sigma` (complete), each with that distance (sound, 1e-9).
 fn assert_range_queries_equal_brute_force(
@@ -159,9 +174,10 @@ fn assert_range_queries_equal_brute_force(
     distance: &dyn SuperimposedDistance,
     sigma: f64,
 ) -> Result<(), TestCaseError> {
-    for qf in index.enumerate_query_fragments(query) {
-        let frag = fragment_as_graph(index, &qf);
-        let hits = index.range_query(qf.feature, &qf.vector, sigma);
+    let frags = query_fragments(index, query);
+    for i in 0..frags.len() {
+        let frag = fragment_as_graph(index, &frags, i);
+        let hits = range_hits(index, &frags, i, sigma);
         for (gid, d) in &hits {
             let brute = min_superimposed_distance_brute(&frag, &db[gid.index()], distance)
                 .expect("hits contain the structure");
@@ -191,7 +207,7 @@ fn assert_range_queries_equal_brute_force(
 fn class_entries(
     index: &FragmentIndex,
     db: &[LabeledGraph],
-    feature: pis::mining::FeatureId,
+    feature: FeatureId,
 ) -> Vec<(GraphId, Vec<Label>)> {
     let feature = index.features().get(feature);
     let ecount = feature.edge_count();
@@ -204,7 +220,8 @@ fn class_entries(
             pis::graph::iso::IsoConfig::STRUCTURE,
         );
         matcher.for_each(|emb| {
-            let mut v = pis::index::fragment::label_vector(&feature.structure, g, emb);
+            let mut v = Vec::new();
+            pis::index::fragment::label_vector_into(&feature.structure, g, emb, &mut v);
             index.distance().normalize_labels(ecount, &mut v);
             vectors.push(v);
             std::ops::ControlFlow::Continue(())
@@ -245,7 +262,7 @@ fn reference_hits(
     index: &FragmentIndex,
     db: &[LabeledGraph],
     md: &MutationDistance,
-    feature: pis::mining::FeatureId,
+    feature: FeatureId,
     probe: &[Label],
     sigma: f64,
 ) -> Vec<(GraphId, f64)> {
@@ -319,9 +336,6 @@ proptest! {
         let query = reweight(&query);
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 3);
-        let bits = |hits: Vec<(GraphId, f64)>| -> Vec<(GraphId, u64)> {
-            hits.into_iter().map(|(g, d)| (g, d.to_bits())).collect()
-        };
         for distance in [
             IndexDistance::Mutation(MutationDistance::edge_hamming()),
             IndexDistance::Linear(LinearDistance::edges_only()),
@@ -336,11 +350,12 @@ proptest! {
             prop_assert!(again == bytes, "r-tree {}: snapshot is not a fixed point", rtree);
             prop_assert_eq!(loaded.graph_count(), index.graph_count());
             prop_assert_eq!(loaded.total_entries(), index.total_entries());
-            for qf in index.enumerate_query_fragments(&query) {
+            let frags = query_fragments(&index, &query);
+            for i in 0..frags.len() {
                 for sigma in [0.0, 1.0, 2.5] {
                     prop_assert_eq!(
-                        bits(index.range_query(qf.feature, &qf.vector, sigma)),
-                        bits(loaded.range_query(qf.feature, &qf.vector, sigma)),
+                        bits(&range_hits(&index, &frags, i, sigma)),
+                        bits(&range_hits(&loaded, &frags, i, sigma)),
                         "r-tree {} sigma {}", rtree, sigma
                     );
                 }
@@ -363,9 +378,11 @@ proptest! {
     ) {
         let md = if unit { MutationDistance::unit() } else { MutationDistance::edge_hamming() };
         let index = build_index(&db, IndexDistance::Mutation(md.clone()));
-        for qf in index.enumerate_query_fragments(&query) {
-            let expected = reference_hits(&index, &db, &md, qf.feature, qf.vector.labels(), sigma);
-            let hits = index.range_query(qf.feature, &qf.vector, sigma);
+        let frags = query_fragments(&index, &query);
+        for i in 0..frags.len() {
+            let probe = frags.vector(i).labels();
+            let expected = reference_hits(&index, &db, &md, frags.feature(i), probe, sigma);
+            let hits = range_hits(&index, &frags, i, sigma);
             // Byte-identical: exact f64 equality, not tolerance.
             prop_assert_eq!(hits, expected, "sigma {}", sigma);
         }
@@ -386,15 +403,12 @@ proptest! {
     ) {
         let md = if unit { MutationDistance::unit() } else { MutationDistance::edge_hamming() };
         let index = build_index(&db, IndexDistance::Mutation(md.clone()));
-        let frags = index.enumerate_query_fragments(&query);
-        let mut scratch = pis::index::RangeScratch::new();
+        let frags = query_fragments(&index, &query);
+        let mut scratch = RangeScratch::new();
+        let features: Vec<FeatureId> = (0..frags.len()).map(|i| frags.feature(i)).collect();
         let mut i = 0;
-        while i < frags.len() {
-            let feature = frags[i].feature;
-            let mut j = i + 1;
-            while j < frags.len() && frags[j].feature == feature {
-                j += 1;
-            }
+        for run in features.chunk_by(|a, b| a == b) {
+            let (feature, j) = (run[0], i + run.len());
             // Repeat the group's first probes so the batch answers
             // duplicates through the same scratch.
             let mut probe_of: Vec<usize> = (i..j).collect();
@@ -403,16 +417,13 @@ proptest! {
             index.range_query_batch_normalized_into(
                 feature,
                 probe_of.len(),
-                |k| frags[probe_of[k]].vector.as_view(),
+                |k| frags.vector(probe_of[k]),
                 sigma,
                 &mut scratch,
                 &mut outs,
             );
-            let bits = |hits: &[(GraphId, f64)]| -> Vec<(u32, u64)> {
-                hits.iter().map(|&(g, d)| (g.0, d.to_bits())).collect()
-            };
             for (k, out) in outs.iter().enumerate() {
-                let probe = frags[probe_of[k]].vector.as_view();
+                let probe = frags.vector(probe_of[k]);
                 let want = bits(&reference_hits(&index, &db, &md, feature, probe.labels(), sigma));
                 prop_assert_eq!(
                     bits(out), want.clone(), "feature {} probe {} sigma {}", feature, k, sigma
@@ -438,38 +449,26 @@ proptest! {
         let db: Vec<LabeledGraph> = db.iter().map(reweight).collect();
         let query = reweight(&query);
         let index = build_index(&db, IndexDistance::Linear(LinearDistance::edges_only()));
-        let frags = index.enumerate_query_fragments(&query);
-        let mut scratch = pis::index::RangeScratch::new();
+        let frags = query_fragments(&index, &query);
+        let mut scratch = RangeScratch::new();
+        let features: Vec<FeatureId> = (0..frags.len()).map(|i| frags.feature(i)).collect();
         let mut i = 0;
-        while i < frags.len() {
-            let feature = frags[i].feature;
-            let mut j = i + 1;
-            while j < frags.len() && frags[j].feature == feature {
-                j += 1;
-            }
+        for run in features.chunk_by(|a, b| a == b) {
+            let (feature, j) = (run[0], i + run.len());
             let mut outs: Vec<Vec<(GraphId, f64)>> = vec![Vec::new(); j - i];
             index.range_query_batch_normalized_into(
                 feature,
                 j - i,
-                |k| frags[i + k].vector.as_view(),
+                |k| frags.vector(i + k),
                 sigma,
                 &mut scratch,
                 &mut outs,
             );
             for (k, out) in outs.iter().enumerate() {
                 let mut expected = Vec::new();
-                index.range_query_normalized_into(
-                    feature,
-                    frags[i + k].vector.as_view(),
-                    sigma,
-                    &mut scratch,
-                    &mut expected,
-                );
-                let got: Vec<(u32, u64)> =
-                    out.iter().map(|&(g, d)| (g.0, d.to_bits())).collect();
-                let want: Vec<(u32, u64)> =
-                    expected.iter().map(|&(g, d)| (g.0, d.to_bits())).collect();
-                prop_assert_eq!(got, want);
+                let probe = frags.vector(i + k);
+                index.range_query_normalized_into(feature, probe, sigma, &mut scratch, &mut expected);
+                prop_assert_eq!(bits(out), bits(&expected));
             }
             i = j;
         }
@@ -516,10 +515,10 @@ proptest! {
         );
         buffered.insert_graphs_pending(&db[frozen..]);
         for index in [&bulk, &buffered] {
-            let reference = |qf: &pis::index::QueryFragment| match &qf.vector {
-                FragmentVector::Labels(v) => reference_hits(index, &db, &md, qf.feature, v, sigma),
-                FragmentVector::Weights(v) => {
-                    linear_reference_hits(index, &db, qf.feature, v, sigma)
+            let reference = |feature: FeatureId, probe: FragmentVectorRef<'_>| match probe {
+                FragmentVectorRef::Labels(v) => reference_hits(index, &db, &md, feature, v, sigma),
+                FragmentVectorRef::Weights(v) => {
+                    linear_reference_hits(index, &db, feature, v, sigma)
                 }
             };
             assert_rows_read_out_as_lists(index, reference, &query, sigma, lambda)?;
@@ -569,9 +568,6 @@ proptest! {
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 3);
         let weighted: Vec<LabeledGraph> = db.iter().map(reweight).collect();
-        let bits = |hits: Vec<(GraphId, f64)>| -> Vec<(GraphId, u64)> {
-            hits.into_iter().map(|(g, d)| (g, d.to_bits())).collect()
-        };
         for (db, query, distance) in [
             (&db, query.clone(), IndexDistance::Mutation(MutationDistance::edge_hamming())),
             (&weighted, reweight(&query), IndexDistance::Linear(LinearDistance::edges_only())),
@@ -594,11 +590,12 @@ proptest! {
                     == encode_snapshot(&bulk, db).expect("snapshot encodes"),
                 "compacted incremental index differs from the bulk build"
             );
-            for qf in bulk.enumerate_query_fragments(&query) {
+            let frags = query_fragments(&bulk, &query);
+            for i in 0..frags.len() {
                 for sigma in [0.0, 1.0, 3.0] {
                     prop_assert_eq!(
-                        bits(incremental.range_query(qf.feature, &qf.vector, sigma)),
-                        bits(bulk.range_query(qf.feature, &qf.vector, sigma)),
+                        bits(&range_hits(&incremental, &frags, i, sigma)),
+                        bits(&range_hits(&bulk, &frags, i, sigma)),
                         "sigma {}", sigma
                     );
                 }
@@ -648,10 +645,9 @@ proptest! {
         prop_assert!(index.pending_entries() > 0);
         let entries: Vec<_> =
             index.features().iter().map(|f| class_entries(&index, &db, f.id)).collect();
-        let reference = |qf: &pis::index::QueryFragment| {
-            let ecount = index.features().get(qf.feature).edge_count();
-            let probe = qf.vector.labels();
-            entries_hits(&entries[qf.feature.index()], &md, ecount, probe, sigma)
+        let reference = |feature: FeatureId, probe: FragmentVectorRef<'_>| {
+            let ecount = index.features().get(feature).edge_count();
+            entries_hits(&entries[feature.index()], &md, ecount, probe.labels(), sigma)
         };
         assert_rows_read_out_as_lists(&index, reference, &query, sigma, 1.0)?;
     }

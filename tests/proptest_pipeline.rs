@@ -6,7 +6,7 @@
 mod common;
 
 use common::{connected_graph, graph_database};
-use pis::core::{min_superimposed_distance, PartitionAlgo, PisConfig};
+use pis::core::{PartitionAlgo, PisConfig, VerifyScratch};
 use pis::distance::oracle::{min_superimposed_distance_brute, sssd_brute};
 use pis::prelude::*;
 use proptest::prelude::*;
@@ -93,7 +93,9 @@ proptest! {
     ) {
         let md = MutationDistance::edge_hamming();
         let brute = min_superimposed_distance_brute(&query, &target, &md);
-        let fast = min_superimposed_distance(&query, &target, &md, sigma);
+        let mut scratch = VerifyScratch::new();
+        scratch.begin_query(&query);
+        let fast = scratch.distance_within(&query, &target, &md, sigma);
         match brute {
             Some(d) if d <= sigma => prop_assert_eq!(fast, Some(d)),
             _ => prop_assert_eq!(fast, None),
