@@ -11,11 +11,12 @@
 
 use pis_distance::SuperimposedDistance;
 use pis_graph::util::FxHashSet;
-use pis_graph::{GraphId, LabeledGraph};
+use pis_graph::{GraphId, LabeledGraph, ScopedPool};
 use pis_index::{FragmentBuffer, FragmentIndex};
 use pis_mining::FeatureId;
 
-use crate::search::distance_dyn;
+use crate::config::DEFAULT_PARALLEL_VERIFY_THRESHOLD;
+use crate::search::{distance_dyn, query_verifier};
 use crate::verify::VerifyScratch;
 
 /// Result of a baseline run.
@@ -31,7 +32,7 @@ pub struct BaselineOutcome {
 }
 
 /// Verifies every graph in the database — the reference answer and the
-/// cost ceiling.
+/// cost ceiling. Answers come back in id order.
 pub fn naive_scan(
     database: &[LabeledGraph],
     query: &LabeledGraph,
@@ -39,22 +40,19 @@ pub fn naive_scan(
     sigma: f64,
 ) -> BaselineOutcome {
     let candidates: Vec<GraphId> = (0..database.len() as u32).map(GraphId).collect();
-    // One verifier scratch across the whole scan: the query's match plan
-    // is built once and every candidate reuses the DFS buffers.
-    let mut verify = VerifyScratch::new();
-    verify.begin_query(query);
-    let answers = candidates
-        .iter()
-        .copied()
-        .filter(|g| verify.distance_within(query, &database[g.index()], distance, sigma).is_some())
-        .collect();
+    let within = check_each(database, query, &candidates, |verify, target| {
+        verify.distance_within(query, target, distance, sigma).is_some()
+    });
+    let answers =
+        candidates.iter().zip(within).filter_map(|(&g, keep)| keep.then_some(g)).collect();
     BaselineOutcome { verification_calls: candidates.len(), candidates, answers }
 }
 
 /// Structure-only pruning: gIndex posting-list filter, then a subgraph
 /// isomorphism check, then distance verification. Candidate counts do
 /// not depend on `sigma` — exactly why Figures 8–10 show one flat
-/// topoPrune curve against several PIS curves.
+/// topoPrune curve against several PIS curves. Candidates and answers
+/// come back in id order.
 pub fn topo_prune(
     index: &FragmentIndex,
     database: &[LabeledGraph],
@@ -76,21 +74,44 @@ pub fn topo_prune(
             break;
         }
     }
-    // Exact structure check (the filter is a superset), through the
-    // same scratch the verifier then reuses: one plan for the query.
-    let mut verify = VerifyScratch::new();
-    verify.begin_query(query);
-    let candidates: Vec<GraphId> = filtered
-        .into_iter()
-        .filter(|g| verify.contains_structure(query, &database[g.index()]))
-        .collect();
+    // Exact structure check (the filter is a superset), then the
+    // distance, per graph through the same scratch: one plan for the
+    // query.
     let distance = distance_dyn(index.distance());
-    let answers: Vec<GraphId> = candidates
-        .iter()
-        .copied()
-        .filter(|g| verify.distance_within(query, &database[g.index()], distance, sigma).is_some())
-        .collect();
+    let checked = check_each(database, query, &filtered, |verify, target| {
+        let contains = verify.contains_structure(query, target);
+        (contains, contains && verify.distance_within(query, target, distance, sigma).is_some())
+    });
+    let (mut candidates, mut answers) = (Vec::new(), Vec::new());
+    for (&g, (contains, within)) in filtered.iter().zip(checked) {
+        if contains {
+            candidates.push(g);
+        }
+        if within {
+            answers.push(g);
+        }
+    }
     BaselineOutcome { verification_calls: candidates.len(), candidates, answers }
+}
+
+/// Runs `check` on the database graph of each of `graphs` in one pool
+/// call, as the search verifies its candidates: on the calling thread
+/// below the same break-even, else shared out across the cores, each
+/// thread through one [`VerifyScratch`] holding the query's match plan.
+/// Results stay in `graphs` order.
+fn check_each<R: Send>(
+    database: &[LabeledGraph],
+    query: &LabeledGraph,
+    graphs: &[GraphId],
+    check: impl Fn(&mut VerifyScratch, &LabeledGraph) -> R + Sync,
+) -> Vec<R> {
+    ScopedPool::default().map_with(
+        graphs,
+        DEFAULT_PARALLEL_VERIFY_THRESHOLD,
+        &mut query_verifier(query),
+        || query_verifier(query),
+        |verify, _, g| check(verify, &database[g.index()]),
+    )
 }
 
 /// Intersection of two sorted `GraphId` lists.

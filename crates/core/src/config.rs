@@ -71,6 +71,15 @@ pub struct PisConfig {
 /// over the same query forced serial. Those latencies are why the pool
 /// now works on the calling thread and hands out blocks
 /// (`pis_graph::pool`).
+///
+/// Measured again once the range phase folded hits into bit sets
+/// (2 cores, untraced benchmark runs, 5 alternating pairs per workload,
+/// seeds 7–11, medians): against the same build with this phase forced
+/// serial, the fan-out returned `ops_per_s` 1.07× on `tight_10k`
+/// (105.9 vs 99.3), 1.07× on `loose_2k` (84.7 vs 79.2) and 1.16× on
+/// `small_q24` (479 vs 414), and `query_p50_ms` 1.06×, 1.19× and 1.16×,
+/// winning every pair on all three. The fan-out stays; whether 48 is its
+/// break-even is still unmeasured.
 pub const DEFAULT_PARALLEL_FRAGMENT_THRESHOLD: usize = 48;
 
 /// Threshold of the structure check and candidate verification:

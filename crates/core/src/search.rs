@@ -3,17 +3,19 @@
 //! For a query `Q` and threshold `σ`:
 //!
 //! 1. enumerate the indexed fragments of `Q` (lines 3–4);
-//! 2. per fragment, one index range query yields `T = {G : d(g, G) ≤ σ}`
-//!    with exact minima, as a row of per-class-graph minima; one pass
-//!    over the row, where it was computed, gives both `CQ ← CQ ∩ T`
-//!    (structure and distance violators go, lines 6–17) and the
-//!    fragment's selectivity `w(g)` (line 18);
+//! 2. per fragment, one index range query yields
+//!    `T = {G : d(g, G) ≤ σ}` as a bit set, folded where it was
+//!    computed, together with the fragment's selectivity `w(g)`
+//!    (line 18); the sets are ANDed into `CQ` (structure and distance
+//!    violators go, lines 6–17);
 //! 3. fragments with `w(g) ≤ ε` are dropped (line 5 — evaluated here
 //!    because `w` is only known after the range queries; see `DESIGN.md` §2.4);
 //! 4. the overlapping-relation graph is built and a maximum-selectivity
 //!    partition selected by MWIS (lines 19–20);
 //! 5. every remaining graph whose partition lower bound
-//!    `Σ_{g ∈ P} d(g, G)` exceeds `σ` is pruned (lines 21–23);
+//!    `Σ_{g ∈ P} d(g, G)` exceeds `σ` is pruned (lines 21–23) — the
+//!    partition members are the only fragments whose per-graph
+//!    distances the search computes;
 //! 6. optionally, survivors are verified with the branch-and-bound
 //!    matcher (step 3 of the PIS framework).
 //!
@@ -21,30 +23,32 @@
 //!
 //! The funnel is engineered around three ideas:
 //!
-//! * **dense state** — a range query's hits stay the minima rows the
-//!   index wrote (`∞` = no hit) and are never copied into lists; the
+//! * **dense state** — a range query's hits stay the bits the index
+//!   folded them into, class-local, and are never copied into lists;
+//!   the weight comes from the fold's per-cost hit counts. The
 //!   candidate set is a [`GraphBitSet`] (one bit per database graph;
 //!   intersections are word-parallel `AND`s) that starts as the whole
-//!   database, and the partition lower bound accumulates in a
-//!   generation-stamped per-graph array, so step 5 sweeps the chosen
-//!   fragments' rows instead of binary-searching per candidate;
+//!   database. Only the ≈ 3 partition members get a minima row, one
+//!   after another in one reused buffer, and the partition lower bound
+//!   accumulates in a generation-stamped per-graph array, so step 5
+//!   sweeps those rows instead of binary-searching per candidate;
 //! * **reuse** — all of that state lives in a [`SearchScratch`] that
 //!   callers of [`PisSearcher::search`] and [`PisSearcher::knn`] (whose
 //!   radius doubling re-runs the funnel) thread through repeated
 //!   searches. In steady state the descent, the candidate bookkeeping,
 //!   fragment enumeration (the scratch-owned arena-backed
-//!   `FragmentBuffer`), the partition stage — where `Q̃` rebuilds in
-//!   place through a `PartitionScratch` and the mask-native MWIS
-//!   solvers fill a reused selection buffer (`DESIGN.md` §6.6) — and
-//!   the verifier allocate nothing; what does allocate, per search, is
-//!   what the per-item phases hand back: each unique probe's row, each
+//!   `FragmentBuffer`), the partition members' row, the partition
+//!   stage — where `Q̃` rebuilds in place through a `PartitionScratch`
+//!   and the mask-native MWIS solvers fill a reused selection buffer
+//!   (`DESIGN.md` §6.6) — and the verifier allocate nothing; what does
+//!   allocate, per search, is what the per-item phases hand back: each
 //!   sibling group's weights and `CQ` set, and one result per checked
 //!   or verified candidate;
 //! * **deduplication** — automorphic query fragments produce identical
 //!   `(feature, vector)` probes; each unique probe runs one range query
 //!   (memoized in the scratch). Probes of one feature form a sibling
 //!   group, the range phase's unit of work, which descends its probes
-//!   one after another and reads out the rows it computed.
+//!   one after another and ANDs their hit sets.
 //!
 //! The three per-item phases — range queries per sibling group, the
 //! structure check and verification per candidate — each make one
@@ -75,7 +79,7 @@ use crate::config::{
     DEFAULT_PARALLEL_VERIFY_THRESHOLD,
 };
 use crate::error::{validate_query, validate_sigma, QueryError};
-use crate::selectivity::read_out_row;
+use crate::selectivity::selectivity_of;
 use crate::verify::VerifyScratch;
 
 /// One fragment chosen into the partition (for explain output).
@@ -187,12 +191,12 @@ pub struct SearchOutcome {
 ///
 /// One scratch serves any number of sequential searches (it re-sizes to
 /// the database on every call); after warm-up its buffers — fragment
-/// enumeration's arena-backed [`FragmentBuffer`] included — are reused,
-/// and a search allocates only what its per-item phases hand back (one
-/// row per unique probe, one weight list and `CQ` set per sibling
-/// group, one result per checked or verified candidate) and the returned
-/// [`SearchOutcome`]. Scratches are independent — one per thread for
-/// concurrent searches.
+/// enumeration's arena-backed [`FragmentBuffer`] and the one minima row
+/// included — are reused, and a search allocates only what its
+/// per-item phases hand back (one weight list and `CQ` set per sibling
+/// group, one result per checked or verified candidate) and the
+/// returned [`SearchOutcome`]. Scratches are independent — one per
+/// thread for concurrent searches.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     /// Arena-backed store for the query's enumerated fragments.
@@ -200,17 +204,14 @@ pub struct SearchScratch {
     /// Range-query descent state (the calling thread's, across the
     /// whole search).
     range: RangeScratch,
-    /// Minima rows of this search's range queries, one per slot
-    /// (`pis_index::FragmentIndex::range_query_row`; empty on an
-    /// incomplete slot) — the only form hits take in the funnel.
-    /// Whichever thread answers a slot's group allocates its row and
-    /// hands it back by move; the last search's rows are dropped before
-    /// this one's are allocated.
-    rows: Vec<Vec<f64>>,
+    /// The calling thread's sibling-group hit set: its probes' hit sets
+    /// ANDed, class-local.
+    group_hits: Vec<u64>,
+    /// One partition member's minima row, re-filled per member — the
+    /// only per-graph distances the funnel computes.
+    row: Vec<f64>,
     /// The live candidate set `CQ`.
     candidates: GraphBitSet,
-    /// One probe's hit set `T`, re-filled per row read-out.
-    mask: GraphBitSet,
     /// Partition lower-bound accumulator, stamped by `generation`.
     bound: Vec<f64>,
     /// How many partition fragments contained each graph, same stamp.
@@ -229,10 +230,9 @@ pub struct SearchScratch {
     /// Fragment index that first produced each slot.
     unique_fragment: Vec<usize>,
     /// Whether each slot's range query ran to completion under the
-    /// query budget. An incomplete slot has no row and must not prune
-    /// (its true hit set is unknown): it is never read out — so it
-    /// neither shrinks `candidates` nor gets a weight — and is excluded
-    /// from the fragment pool.
+    /// query budget. An incomplete slot must not prune (its true hit
+    /// set is unknown): it neither shrinks `candidates` nor gets a
+    /// weight, and is excluded from the fragment pool.
     slot_complete: Vec<bool>,
     /// The final candidate list of the last search, ascending.
     cand_buf: Vec<GraphId>,
@@ -507,10 +507,12 @@ impl<'a> PisSearcher<'a> {
         stats.partition_size = scratch.selection.len();
         stats.partition_weight = selection_weight(&scratch.overlap, &scratch.selection);
 
-        // Lines 21–23: partition lower-bound pruning. Each partition
-        // fragment's row streams, in partition order, into a dense
-        // stamped accumulator; a candidate survives iff every partition
-        // fragment contained it and the summed bound stays within sigma.
+        // Lines 21–23: partition lower-bound pruning. Only the partition
+        // members need per-graph distances: each re-runs its range query
+        // into the one reused row, which streams, in partition order,
+        // into a dense stamped accumulator; a candidate survives iff
+        // every counted member contained it and the summed bound stays
+        // within sigma.
         let partition: Vec<usize> = scratch.selection.iter().map(|&i| scratch.pool[i]).collect();
         stats.partition = partition
             .iter()
@@ -522,10 +524,18 @@ impl<'a> PisSearcher<'a> {
             .collect();
         scratch.generation += 1;
         let generation = scratch.generation;
+        let mut members = 0u32;
         for &fi in &partition {
-            let graphs = self.index.class_graphs(fragments.feature(fi));
-            let row = &scratch.rows[scratch.slot_of[fi]];
-            for (g, d) in row_hits(graphs, row) {
+            let (feature, probe) = (fragments.feature(fi), fragments.vector(fi));
+            let row = &mut scratch.row;
+            if !self.index.range_query_row(feature, probe, sigma, &mut scratch.range, budget, row) {
+                // A member the budget cuts short leaves the bound: any
+                // subset of a vertex-disjoint partition is still one
+                // (Eq. 2), so the members counted still bound soundly.
+                continue;
+            }
+            members += 1;
+            for (g, d) in row_hits(self.index.class_graphs(feature), row) {
                 if !scratch.candidates.contains(g) {
                     continue;
                 }
@@ -540,7 +550,6 @@ impl<'a> PisSearcher<'a> {
                 }
             }
         }
-        let members = partition.len() as u32;
         for g in scratch.candidates.iter() {
             let i = g.index();
             let keep = members == 0
@@ -595,17 +604,17 @@ impl<'a> PisSearcher<'a> {
         stats
     }
 
-    /// Runs the range queries of one search and reads their rows out:
-    /// unique probe slots are grouped into *sibling groups* —
-    /// consecutive slots of the same feature (the enumeration is
-    /// feature-major, so equal features are always adjacent) — and each
-    /// group answers its probes one after another through
-    /// [`FragmentIndex::range_query_row`]. Each completed group's rows
-    /// are read once, by the thread that computed them
-    /// ([`read_out_row`]): per probe the selectivity and the hit set,
-    /// ANDed into a `CQ` set of the group's own. The groups go through
-    /// one pool call, which shares large probe sets out across the
-    /// cores; their rows come back by move and their sets meet in `CQ`
+    /// Runs the range queries of one search: unique probe slots are
+    /// grouped into *sibling groups* — consecutive slots of the same
+    /// feature (the enumeration is feature-major, so equal features are
+    /// always adjacent) — and each group answers its probes one after
+    /// another through [`FragmentIndex::range_query_hits`], which leaves
+    /// each probe's hit set `T` as class-local bits and returns its
+    /// tally, from which the selectivity follows ([`selectivity_of`]).
+    /// No per-graph distance is computed: the group ANDs its probes'
+    /// bits class-locally and scatters the result into a `CQ` set of
+    /// its own once. The groups go through one pool call, which shares
+    /// large probe sets out across the cores; their sets meet in `CQ`
     /// in group order.
     fn run_range_queries(
         &self,
@@ -615,11 +624,11 @@ impl<'a> PisSearcher<'a> {
         budget: &BudgetState,
     ) {
         let n = self.database.len();
+        let cutoff = self.config.lambda * sigma;
         let SearchScratch {
             range,
-            rows,
+            group_hits,
             candidates,
-            mask,
             weights,
             unique_fragment,
             slot_complete,
@@ -634,48 +643,44 @@ impl<'a> PisSearcher<'a> {
         } else {
             usize::MAX
         };
-        // Last search's rows go before this one's are allocated.
-        rows.clear();
         // The calling thread works in the scratch's descent state and
-        // mask, moved out for the call and back after it.
-        let mut state = (std::mem::take(range), std::mem::take(mask));
-        // Answers the group of slots `s..e` and, if the budget let every
-        // descent finish, reads each probe's row out. A trip on any
-        // probe invalidates the whole group — it then contributes
-        // nothing.
+        // group set, moved out for the call and back after it.
+        let mut state = (std::mem::take(range), std::mem::take(group_hits));
+        // Answers the group of slots `s..e`: its weights and `CQ` set, or
+        // nothing if the budget cut any of its descents short — a trip
+        // on one probe invalidates the whole group.
         let answered = ScopedPool::default().map_with(
             &groups,
             min_parallel,
             &mut state,
-            || (RangeScratch::new(), GraphBitSet::default()),
-            |(range, mask), _, &(s, e)| {
+            || (RangeScratch::new(), Vec::new()),
+            |(range, group_hits), _, &(s, e)| {
                 let feature = fragments.feature(unique_fragment[s]);
-                let mut group_rows = vec![Vec::new(); e - s];
-                let mut group_weights = vec![0.0; e - s];
-                let mut cq = GraphBitSet::new(n);
-                cq.fill();
-                let complete =
-                    group_rows.iter_mut().zip(&unique_fragment[s..e]).all(|(row, &fi)| {
-                        let probe = fragments.vector(fi);
-                        self.index.range_query_row(feature, probe, sigma, range, budget, row)
-                    });
-                if complete {
-                    let graphs = self.index.class_graphs(feature);
-                    for (row, w) in group_rows.iter().zip(&mut group_weights) {
-                        *w = read_out_row(graphs, row, n, sigma, self.config.lambda, mask);
-                        cq.intersect_with(mask);
+                let mut group_weights = Vec::with_capacity(e - s);
+                for (k, &fi) in unique_fragment[s..e].iter().enumerate() {
+                    let probe = fragments.vector(fi);
+                    let tally = self
+                        .index
+                        .range_query_hits(feature, probe, sigma, cutoff, range, budget)?;
+                    group_weights.push(selectivity_of(&tally, n));
+                    if k == 0 {
+                        group_hits.clear();
+                        group_hits.extend_from_slice(range.hits());
+                    } else {
+                        group_hits.iter_mut().zip(range.hits()).for_each(|(a, &b)| *a &= b);
                     }
                 }
-                (group_rows, group_weights, cq, complete)
+                let cq = scatter(self.index.class_graphs(feature), group_hits, n);
+                Some((group_weights, cq))
             },
         );
-        (*range, *mask) = state;
-        for (&(s, e), (group_rows, group_weights, cq, complete)) in groups.iter().zip(answered) {
-            weights[s..e].copy_from_slice(&group_weights);
-            candidates.intersect_with(&cq);
-            slot_complete[s..e].fill(complete);
-            // Groups cover the slots in order, so the rows land by slot.
-            rows.extend(group_rows);
+        (*range, *group_hits) = state;
+        for (&(s, e), group) in groups.iter().zip(answered) {
+            if let Some((group_weights, cq)) = group {
+                weights[s..e].copy_from_slice(&group_weights);
+                candidates.intersect_with(&cq);
+                slot_complete[s..e].fill(true);
+            }
         }
     }
 
@@ -759,7 +764,7 @@ impl<'a> PisSearcher<'a> {
 
 /// A verifier scratch with `query`'s match plan built — a pool
 /// helper's state in the structure check and verification.
-fn query_verifier(query: &LabeledGraph) -> VerifyScratch {
+pub(crate) fn query_verifier(query: &LabeledGraph) -> VerifyScratch {
     let mut verify = VerifyScratch::new();
     verify.begin_query(query);
     verify
@@ -781,6 +786,20 @@ fn sibling_groups(fragments: &FragmentBuffer, unique_fragment: &[usize]) -> Vec<
         s = e;
     }
     groups
+}
+
+/// The graphs a class-local bit set holds — bit `k` for `graphs[k]`,
+/// as [`RangeScratch::hits`] lays them out — as a set over the `n`
+/// database graphs.
+fn scatter(graphs: &[GraphId], bits: &[u64], n: usize) -> GraphBitSet {
+    let mut set = GraphBitSet::new(n);
+    for (w, mut word) in bits.iter().copied().enumerate() {
+        while word != 0 {
+            set.insert(graphs[64 * w + word.trailing_zeros() as usize]);
+            word &= word - 1;
+        }
+    }
+    set
 }
 
 /// EnhancedGreedy order used when the exact solver's node cap forces a

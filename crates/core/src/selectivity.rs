@@ -10,11 +10,25 @@
 //! At `λ = 1` this is exactly line 18 of Algorithm 2. Figure 11 sweeps
 //! `λ` and finds performance insensitive above 1 and degraded below —
 //! the figures binary reproduces that as Figure 11 (`DESIGN.md` §5).
+//!
+//! **Evaluation order.** The matched sum `Σ min(d, λσ)` is taken as
+//! each distinct capped distance times its multiplicity, the products
+//! added in ascending distance order ([`HitTally`]); then the missing
+//! graphs' term is added and the total divided by `n`. The search never
+//! holds a probe's distances as a list: its range queries fold their
+//! hits into bits and learn, per emitted cost, how many hits are new
+//! (`FragmentIndex::range_query_hits`), which is exactly that
+//! run-length form. [`selectivity`] over a hit list sorts its
+//! distances into the same runs, so the weight of a list and the
+//! funnel's weight of the same hits are equal to the f64 bit, whatever
+//! order the list is in. With integer-valued distances (edge-Hamming,
+//! every count the benchmark and `pruning_fingerprint` pin) every
+//! product and partial sum is exact and the value is the plain sum.
 
-use pis_graph::{GraphBitSet, GraphId};
-use pis_index::row_hits;
+use pis_graph::GraphId;
+use pis_index::HitTally;
 
-/// Computes `w(g)` from a fragment's range-query hits.
+/// Computes `w(g)` from a fragment's range-query hits, in any order.
 ///
 /// * `hits` — `(graph, d(g, G))` pairs with `d ≤ σ` (range-query
 ///   output);
@@ -22,53 +36,21 @@ use pis_index::row_hits;
 /// * `sigma` — the query threshold `σ`;
 /// * `lambda` — the cutoff multiplier.
 pub fn selectivity(hits: &[(GraphId, f64)], database_size: usize, sigma: f64, lambda: f64) -> f64 {
-    selectivity_of(hits.iter().map(|&(_, d)| d), database_size, sigma, lambda)
+    let mut distances: Vec<f64> = hits.iter().map(|&(_, d)| d).collect();
+    selectivity_of(&HitTally::of_costs(lambda * sigma, &mut distances), database_size)
 }
 
-/// The funnel's one pass over a completed probe's minima row
-/// (`pis_index::FragmentIndex::range_query_row`; `graphs` is the
-/// row's class): returns `w(g)` and leaves the hit set `T` in `mask`
-/// (re-sized to the database first), Algorithm 2's lines 17 and 18 read
-/// off the same cells. The weight is [`selectivity`] of the row's
-/// [`row_hits`] — the same additions in the same order, because it is
-/// the same sum.
-pub fn read_out_row(
-    graphs: &[GraphId],
-    row: &[f64],
-    database_size: usize,
-    sigma: f64,
-    lambda: f64,
-    mask: &mut GraphBitSet,
-) -> f64 {
-    mask.reset(database_size);
-    let marked = row_hits(graphs, row).map(|(g, d)| {
-        mask.insert(g);
-        d
-    });
-    selectivity_of(marked, database_size, sigma, lambda)
-}
-
-/// Definition 5 over the hit distances, summed in the order given.
-fn selectivity_of(
-    distances: impl Iterator<Item = f64>,
-    database_size: usize,
-    sigma: f64,
-    lambda: f64,
-) -> f64 {
-    let cutoff = lambda * sigma;
-    let mut hits = 0usize;
-    let matched: f64 = distances
-        .map(|d| {
-            hits += 1;
-            d.min(cutoff)
-        })
-        .sum();
+/// Definition 5 over a probe's tallied hits, capped at the tally's
+/// cutoff `λσ`: the funnel's weight of a range query
+/// (`FragmentIndex::range_query_hits`), and [`selectivity`]'s.
+pub fn selectivity_of(tally: &HitTally, database_size: usize) -> f64 {
+    let hits = tally.hits();
     assert!(database_size >= hits, "more hits than database graphs");
     if database_size == 0 {
         return 0.0;
     }
-    let missing = (database_size - hits) as f64 * cutoff;
-    (matched + missing) / database_size as f64
+    let missing = (database_size - hits) as f64 * tally.cutoff();
+    (tally.matched() + missing) / database_size as f64
 }
 
 #[cfg(test)]
@@ -123,20 +105,6 @@ mod tests {
     #[test]
     fn empty_database() {
         assert_eq!(selectivity(&[], 0, 2.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn row_read_out_is_selectivity_of_the_rows_hits() {
-        // Five graphs, a class of four of them, two cells without a hit.
-        let graphs = [GraphId(0), GraphId(2), GraphId(3), GraphId(4)];
-        let row = [0.25, f64::INFINITY, 0.1, 0.7];
-        let mut mask = GraphBitSet::new(0);
-        let w = read_out_row(&graphs, &row, 5, 0.75, 1.0, &mut mask);
-        let list: Vec<(GraphId, f64)> = row_hits(&graphs, &row).collect();
-        assert_eq!(list, vec![(GraphId(0), 0.25), (GraphId(3), 0.1), (GraphId(4), 0.7)]);
-        assert_eq!(w.to_bits(), selectivity(&list, 5, 0.75, 1.0).to_bits());
-        assert_eq!(mask.universe(), 5);
-        assert_eq!(mask.iter().collect::<Vec<_>>(), vec![GraphId(0), GraphId(3), GraphId(4)]);
     }
 
     #[test]

@@ -60,10 +60,16 @@ pub struct ScopedPool {
 }
 
 impl ScopedPool {
-    /// A pool with `workers` threads; `0` means one per available core.
+    /// A pool with `workers` threads; `0` means one per available core,
+    /// as the process found them on first asking: reading the count
+    /// walks the affinity mask and the cgroup quota files, ≈ 22 µs a
+    /// call, and the search builds three pools per query.
     pub fn new(workers: usize) -> Self {
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+            *CORES.get_or_init(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+            })
         } else {
             workers
         };

@@ -24,7 +24,7 @@
 //! * every *dense* leaf — one that holds at least as many postings as
 //!   the 64-slot words its slot span covers — also keeps its postings
 //!   as a bit set, in one derived `bitmap` block that is never
-//!   persisted (see [`FlatTrie::fold_into_row`]).
+//!   persisted (see [`FlatTrie::fold`]).
 //!
 //! [`FlatTrie::range_query`] — the one descent, answering one probe —
 //! replaces recursion with an iterative level-by-level frontier: every
@@ -397,7 +397,7 @@ impl FlatTrie {
     /// one derived column: built here, never persisted). A leaf is dense
     /// when it holds at least as many postings as its bitmap would hold
     /// words — the break-even of one word operation against one posting
-    /// operation in [`FlatTrie::fold_into_row`] — so the block never
+    /// operation in [`FlatTrie::fold`] — so the block never
     /// exceeds one `u64` per posting.
     fn with_bitmaps(mut self) -> Self {
         let leaves = self.leaf_count();
@@ -808,8 +808,8 @@ impl FlatTrie {
     /// every stored entry whose position-order cost sum is within
     /// `sigma` to `emit(cost, node)`, one call per resolved subtree:
     /// `node` is the subtree's root, or [`FlatTrie::ROOT`] when the
-    /// whole store qualifies. [`FlatTrie::fold_into_row`] folds a node's
-    /// postings into a minima row.
+    /// whole store qualifies. [`FlatTrie::fold`] folds a node's
+    /// postings into a hit set (and, through its sink, a minima row).
     ///
     /// Each level's alphabet is priced once, up front, into one cost
     /// row: `level_costs(level, query_label, alphabet, row)` (e.g.
@@ -938,45 +938,47 @@ impl FlatTrie {
     /// so `-0.0` ties `+0.0` (adding `+0.0` maps `-0.0` to `+0.0`, and
     /// `total_cmp` keeps the order total, NaN included). Sorted
     /// *stably* by it, equal costs keep their emission order, so the
-    /// first write of every cell by [`FlatTrie::fold_into_row`] is the
-    /// cell an in-order `if cost < cell { cell = cost }` update leaves —
-    /// the earliest emission of its least cost, sign of zero included.
+    /// first write of every cell by a [`FlatTrie::fold`] into a row is
+    /// the cell an in-order `if cost < cell { cell = cost }` update
+    /// leaves — the earliest emission of its least cost, sign of zero
+    /// included. It is also the order a `crate::HitTally` adds costs
+    /// in, so a probe's fresh-hit counts feed it directly.
     pub fn fold_order(a: f64, b: f64) -> Ordering {
         (a + 0.0).total_cmp(&(b + 0.0))
     }
 
     /// Folds the postings under `node` — a node [`FlatTrie::range_query`]
-    /// emitted, or [`FlatTrie::ROOT`] — into the minima row `row` at
-    /// `cost`: every slot not yet marked in the bit set `covered` is
-    /// marked and its cell set to `cost`; marked slots are left alone.
-    /// Folding a probe's emissions in [`FlatTrie::fold_order`] writes
-    /// each hit cell exactly once, with its minimum.
+    /// emitted, or [`FlatTrie::ROOT`] — into the bit set `covered` of
+    /// the slots already folded, handing every word's newly covered
+    /// slots to `fresh(word, bits)`: slot `64 * word + b` for each set
+    /// bit `b`. A sink that counts the bits counts the probe's new hits;
+    /// one that writes a cell per bit fills a minima row — folding a
+    /// probe's emissions in [`FlatTrie::fold_order`] then writes each
+    /// hit cell exactly once, with its minimum.
     ///
     /// The node's leaves are a contiguous run of the last level. A dense
-    /// leaf folds one word at a time (`bits & !covered`), any other leaf
-    /// one test-and-set per posting. `row` holds a cell and `covered` a
-    /// bit for every slot the trie posts.
-    pub fn fold_into_row(&self, node: u32, cost: f64, covered: &mut [u64], row: &mut [f64]) {
+    /// leaf folds one word at a time (`bits & !covered`, one sink call
+    /// per word), any other leaf one test-and-set per posting (one sink
+    /// call per new slot). `covered` holds a bit for every slot the trie
+    /// posts.
+    pub fn fold(&self, node: u32, covered: &mut [u64], mut fresh: impl FnMut(usize, u64)) {
         for leaf in self.leaf_range(node) {
             let (words, postings) = (self.leaf_bitmap(leaf), self.leaf_postings(leaf));
             match postings.first() {
                 Some(first) if !words.is_empty() => {
                     let base = first.index() / 64;
                     for (w, (&bits, seen)) in words.iter().zip(&mut covered[base..]).enumerate() {
-                        let mut fresh = bits & !*seen;
-                        *seen |= fresh;
-                        while fresh != 0 {
-                            row[64 * (base + w) + fresh.trailing_zeros() as usize] = cost;
-                            fresh &= fresh - 1;
-                        }
+                        let new = bits & !*seen;
+                        *seen |= new;
+                        fresh(base + w, new);
                     }
                 }
                 _ => {
                     for &g in postings {
-                        let (seen, bit) = (&mut covered[g.index() / 64], 1u64 << (g.0 % 64));
-                        if *seen & bit == 0 {
-                            *seen |= bit;
-                            row[g.index()] = cost;
+                        let (w, bit) = (g.index() / 64, 1u64 << (g.0 % 64));
+                        if covered[w] & bit == 0 {
+                            covered[w] |= bit;
+                            fresh(w, bit);
                         }
                     }
                 }
@@ -1049,6 +1051,7 @@ impl FlatTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HitTally;
 
     fn l(xs: &[u32]) -> Vec<Label> {
         xs.iter().map(|&x| Label(x)).collect()
@@ -1565,15 +1568,33 @@ mod tests {
 
     /// Folds `emissions` the way a range query does — sorted stably by
     /// [`FlatTrie::fold_order`], then written once per cell — into a
-    /// row of `slots` cells, as f64 bits.
+    /// row of `slots` cells, as f64 bits. Folds them a second time with
+    /// a counting sink, as a hit query does, and checks that it covers
+    /// the row's hit slots and that its per-emission counts tally like
+    /// the row's hit cells.
     fn fold_sorted(t: &FlatTrie, emissions: &[(f64, u32)], slots: usize) -> Vec<u64> {
         let mut sorted = emissions.to_vec();
         sorted.sort_by(|a, b| FlatTrie::fold_order(a.0, b.0));
         let mut row = vec![f64::INFINITY; slots];
         let mut covered = vec![0u64; slots.div_ceil(64)];
+        let mut counted = covered.clone();
+        let mut tally = HitTally::new(1.0);
         for &(cost, node) in &sorted {
-            t.fold_into_row(node, cost, &mut covered, &mut row);
+            t.fold(node, &mut covered, |w, mut bits| {
+                while bits != 0 {
+                    row[64 * w + bits.trailing_zeros() as usize] = cost;
+                    bits &= bits - 1;
+                }
+            });
+            let mut fresh = 0;
+            t.fold(node, &mut counted, |_, bits| fresh += bits.count_ones() as usize);
+            tally.add(cost, fresh);
         }
+        let mut cells: Vec<f64> = row.iter().copied().filter(|d| d.is_finite()).collect();
+        let mut hit_slots = (0..slots).filter(|&s| row[s].is_finite());
+        assert!(hit_slots.all(|s| counted[s / 64] >> (s % 64) & 1 == 1));
+        assert_eq!(counted.iter().map(|w| w.count_ones() as usize).sum::<usize>(), cells.len());
+        assert_eq!(tally, HitTally::of_costs(1.0, &mut cells), "{emissions:?}");
         row.iter().map(|d| d.to_bits()).collect()
     }
 

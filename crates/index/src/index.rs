@@ -13,14 +13,17 @@
 //! pending entries and merges them into the frozen one
 //! ([`FragmentIndex::insert_graphs_pending`]).
 //!
-//! The product of a range query is a **minima row**: one `f64` per
+//! A range query runs one kernel over the frozen structure and then the
+//! pending one and has two products. Its **hit set** is one bit per
 //! graph of the probe's class, in [`FragmentIndex::class_graphs`] order,
-//! holding `d(g, G)` where it is within `σ` and `∞` where it is not
-//! ([`FragmentIndex::range_query_row`] — the one kernel run over the
-//! frozen structure and then the pending one, into one row). The search
-//! funnel reads rows directly; the `(graph, distance)` hit lists of
+//! with the hit count and Definition 5's matched term as a [`HitTally`]
+//! ([`FragmentIndex::range_query_hits`] — what the search funnel asks of
+//! most probes). Its **minima row** is one `f64` per class graph holding
+//! `d(g, G)` where it is within `σ` and `∞` where it is not
+//! ([`FragmentIndex::range_query_row`] — what the funnel asks of its
+//! partition members). The `(graph, distance)` hit lists of
 //! [`FragmentIndex::range_query_normalized_into`] are [`row_hits`]
-//! collected — a view of the same rows.
+//! collected — a view of the rows.
 
 use std::hash::Hasher;
 use std::ops::ControlFlow;
@@ -35,6 +38,7 @@ use pis_mining::{FeatureId, FeatureSet};
 use crate::flat_trie::{FlatTrie, TrieFrontier};
 use crate::fragment::{label_vector_into, weight_vector_into, FragmentBuffer, FragmentVectorRef};
 use crate::rtree::RTree;
+use crate::tally::HitTally;
 
 /// The superimposed distance an index is built for.
 #[derive(Clone, Debug)]
@@ -117,19 +121,30 @@ pub struct RangeScratch {
     frontier: TrieFrontier,
     /// One trie probe's emissions, `(cost, trie, node)` with trie 0 the
     /// frozen one and 1 the pending one, in emission order until the
-    /// fold sorts them.
+    /// descent has finished and sorts them for the fold.
     emitted: Vec<(f64, usize, u32)>,
-    /// The class slots the fold has written, one bit each.
+    /// The class slots the fold has covered, one bit each: after
+    /// [`FragmentIndex::range_query_hits`], the probe's hit set.
     covered: Vec<u64>,
     /// The minima row the list-returning functions read their hits
-    /// out of.
+    /// out of, and an R-tree class's hit query folds into.
     row: Vec<f64>,
+    /// An R-tree class's hit distances, sorted for its tally.
+    costs: Vec<f64>,
 }
 
 impl RangeScratch {
     /// An empty scratch; it sizes itself on first use.
     pub fn new() -> Self {
         RangeScratch::default()
+    }
+
+    /// The hit set `T` of the last completed
+    /// [`FragmentIndex::range_query_hits`], class-local: bit `k` (word
+    /// `k / 64`, bit `k % 64`) stands for `class_graphs(feature)[k]`,
+    /// and the words cover the class and no more.
+    pub fn hits(&self) -> &[u64] {
+        &self.covered
     }
 }
 
@@ -607,10 +622,10 @@ impl FragmentIndex {
         }
     }
 
-    /// The range query itself: answers one normalized probe of class
-    /// `feature` under `budget`, leaving its minima row in `row`
-    /// (overwritten). Cell `row[k]` is the probe's `d(g, G)` for
-    /// `G = class_graphs(feature)[k]` — minimized over the class's
+    /// The range query with per-graph distances: answers one normalized
+    /// probe of class `feature` under `budget`, leaving its minima row
+    /// in `row` (overwritten). Cell `row[k]` is the probe's `d(g, G)`
+    /// for `G = class_graphs(feature)[k]` — minimized over the class's
     /// frozen *and* pending entries — or `∞` when no fragment of `G`
     /// lies within `sigma`. [`row_hits`] reads a row as a hit list.
     ///
@@ -620,11 +635,12 @@ impl FragmentIndex {
     /// [`FlatTrie::range_query`], each level's alphabet priced once by
     /// `MutationDistance::position_costs_into`; the subtrees both tries
     /// emit are sorted stably by [`FlatTrie::fold_order`] and folded
-    /// cheapest first by [`FlatTrie::fold_into_row`], so every hit cell
-    /// is written once, with the value (and sign of zero) an in-order
-    /// minimum over the emissions would leave. An R-tree class folds
-    /// each point [`RTree::range_query`] visits into the row with a
-    /// minimum update: both structures post class-local slots.
+    /// cheapest first by [`FlatTrie::fold`], whose sink writes one cell
+    /// per newly covered slot, so every hit cell is written once, with
+    /// the value (and sign of zero) an in-order minimum over the
+    /// emissions would leave. An R-tree class folds each point
+    /// [`RTree::range_query`] visits into the row with a minimum update:
+    /// both structures post class-local slots.
     ///
     /// Returns `false` — with `row` emptied — when the budget trips: a
     /// partial row is unusable (its minima may be wrong and its `∞`
@@ -644,54 +660,139 @@ impl FragmentIndex {
         row: &mut Vec<f64>,
     ) -> bool {
         let class = &self.classes[feature.index()];
-        let ecount = self.features.get(feature).edge_count();
         row.clear();
         row.resize(class.graphs.len(), f64::INFINITY);
         let completed = match &self.distance {
-            IndexDistance::Mutation(md) => {
-                let q = probe.labels();
-                let RangeScratch { frontier, emitted, covered, .. } = scratch;
-                emitted.clear();
-                let completed =
-                    class.structures().map(ClassImpl::as_trie).enumerate().all(|(t, trie)| {
-                        trie.range_query(
-                            q,
-                            sigma,
-                            |pos, query, stored, out| {
-                                md.position_costs_into(pos, ecount, query, stored, out);
-                            },
-                            |pos| md.position_is_zero(pos, ecount),
-                            frontier,
-                            budget,
-                            |acc, node| emitted.push((acc, t, node)),
-                        )
-                    });
+            IndexDistance::Mutation(_) => {
+                let completed = self.descend_trie_class(feature, probe, sigma, scratch, budget);
                 if completed {
-                    // Both tries post class-local slots, so both fold
-                    // into the same row, cheapest subtree first.
-                    emitted.sort_by(|a, b| FlatTrie::fold_order(a.0, b.0));
-                    covered.clear();
-                    covered.resize(row.len().div_ceil(64), 0);
-                    for &(acc, t, node) in emitted.iter() {
-                        if let Some(trie) = class.structures().nth(t) {
-                            trie.as_trie().fold_into_row(node, acc, covered, row);
-                        }
+                    for (acc, trie, node) in emissions(class, &scratch.emitted) {
+                        trie.fold(node, &mut scratch.covered, |w, mut bits| {
+                            while bits != 0 {
+                                row[64 * w + bits.trailing_zeros() as usize] = acc;
+                                bits &= bits - 1;
+                            }
+                        });
                     }
                 }
                 completed
             }
             IndexDistance::Linear(ld) => {
-                // The trees store *scale-transformed* coordinates (see
-                // `scale_weights`), turning the weighted L1 of the
-                // linear distance into a plain L1 — so the query vector
-                // gets the same transform and distances come out exact.
-                let mut scaled = probe.weights().to_vec();
-                scale_weights(ld, ecount, scaled.len(), &mut scaled);
+                let scaled = scaled_probe(ld, self.features.get(feature).edge_count(), probe);
                 rtree_range_query(class, &scaled, sigma, budget, row)
             }
         };
         if !completed {
             row.clear();
+        }
+        completed
+    }
+
+    /// The range query as a hit set: answers one normalized probe of
+    /// class `feature` under `budget` and leaves its hits `T` as bits in
+    /// [`RangeScratch::hits`] — bit `k` for
+    /// `G = class_graphs(feature)[k]` — without a per-graph distance.
+    /// Returns what Definition 5 needs of the distances: the hit count
+    /// and the matched term `Σ min(d(g, G), cutoff)` as a [`HitTally`];
+    /// `None` when the budget trips (the bits then mean nothing).
+    ///
+    /// The hits and distances are [`FragmentIndex::range_query_row`]'s:
+    /// a trie class runs the same descents and folds the same emissions
+    /// in the same order through [`FlatTrie::fold`], with a sink that
+    /// only counts each emission's newly covered slots — a dense leaf
+    /// costs one `bits & !covered` and one popcount per word, and no
+    /// distance is written anywhere. Emissions fold in ascending cost,
+    /// so the counts feed the tally as the runs it sums. An R-tree class
+    /// fills its row and tallies the row's hit cells in the same order
+    /// ([`HitTally::of_costs`]): the two agree with a tally of the row's
+    /// [`row_hits`] to the f64 bit.
+    ///
+    /// # Panics
+    /// Panics if the probe's vector kind does not match the index
+    /// distance.
+    pub fn range_query_hits(
+        &self,
+        feature: FeatureId,
+        probe: FragmentVectorRef<'_>,
+        sigma: f64,
+        cutoff: f64,
+        scratch: &mut RangeScratch,
+        budget: &BudgetState,
+    ) -> Option<HitTally> {
+        let class = &self.classes[feature.index()];
+        let tally = match &self.distance {
+            IndexDistance::Mutation(_) => {
+                if !self.descend_trie_class(feature, probe, sigma, scratch, budget) {
+                    return None;
+                }
+                let mut tally = HitTally::new(cutoff);
+                for (acc, trie, node) in emissions(class, &scratch.emitted) {
+                    let mut fresh = 0;
+                    trie.fold(node, &mut scratch.covered, |_, bits| {
+                        fresh += bits.count_ones() as usize;
+                    });
+                    tally.add(acc, fresh);
+                }
+                tally
+            }
+            IndexDistance::Linear(ld) => {
+                let scaled = scaled_probe(ld, self.features.get(feature).edge_count(), probe);
+                let RangeScratch { covered, row, costs, .. } = scratch;
+                row.clear();
+                row.resize(class.graphs.len(), f64::INFINITY);
+                if !rtree_range_query(class, &scaled, sigma, budget, row) {
+                    return None;
+                }
+                covered.clear();
+                covered.resize(row.len().div_ceil(64), 0);
+                costs.clear();
+                for (k, &d) in row.iter().enumerate().filter(|(_, d)| d.is_finite()) {
+                    covered[k / 64] |= 1 << (k % 64);
+                    costs.push(d);
+                }
+                HitTally::of_costs(cutoff, costs)
+            }
+        };
+        Some(tally)
+    }
+
+    /// Runs one probe's descents over a trie class's frozen and then its
+    /// pending trie, leaving every emission in `scratch.emitted`, sorted
+    /// stably by [`FlatTrie::fold_order`], and `scratch.covered` cleared
+    /// to one bit per class slot — ready for [`FlatTrie::fold`]. Both
+    /// tries post class-local slots, so both fold into the same slots.
+    /// `false` when the budget tripped.
+    fn descend_trie_class(
+        &self,
+        feature: FeatureId,
+        probe: FragmentVectorRef<'_>,
+        sigma: f64,
+        scratch: &mut RangeScratch,
+        budget: &BudgetState,
+    ) -> bool {
+        let IndexDistance::Mutation(md) = &self.distance else {
+            unreachable!("trie classes belong to mutation-distance indexes")
+        };
+        let class = &self.classes[feature.index()];
+        let ecount = self.features.get(feature).edge_count();
+        let q = probe.labels();
+        let RangeScratch { frontier, emitted, covered, .. } = scratch;
+        emitted.clear();
+        let completed = class.structures().map(ClassImpl::as_trie).enumerate().all(|(t, trie)| {
+            trie.range_query(
+                q,
+                sigma,
+                |pos, query, stored, out| md.position_costs_into(pos, ecount, query, stored, out),
+                |pos| md.position_is_zero(pos, ecount),
+                frontier,
+                budget,
+                |acc, node| emitted.push((acc, t, node)),
+            )
+        });
+        if completed {
+            emitted.sort_by(|a, b| FlatTrie::fold_order(a.0, b.0));
+            covered.clear();
+            covered.resize(class.graphs.len().div_ceil(64), 0);
         }
         completed
     }
@@ -787,6 +888,27 @@ fn rtree_range_query(
         });
     }
     true
+}
+
+/// A trie class's sorted emissions as `(cost, trie, node)`, each with
+/// the trie it came from (0 the frozen one, 1 the pending one).
+fn emissions<'a>(
+    class: &'a ClassIndex,
+    emitted: &'a [(f64, usize, u32)],
+) -> impl Iterator<Item = (f64, &'a FlatTrie, u32)> + 'a {
+    emitted.iter().filter_map(move |&(acc, t, node)| {
+        class.structures().nth(t).map(|trie| (acc, trie.as_trie(), node))
+    })
+}
+
+/// The scale-transformed query point of a weight probe. The trees store
+/// *scale-transformed* coordinates (see `scale_weights`), turning the
+/// weighted L1 of the linear distance into a plain L1 — so the query
+/// vector gets the same transform and distances come out exact.
+fn scaled_probe(ld: &LinearDistance, edge_count: usize, probe: FragmentVectorRef<'_>) -> Vec<f64> {
+    let mut scaled = probe.weights().to_vec();
+    scale_weights(ld, edge_count, scaled.len(), &mut scaled);
+    scaled
 }
 
 /// Applies the linear distance's per-segment scales in place to
@@ -1015,7 +1137,7 @@ mod tests {
     use super::*;
     use pis_datasets::{MoleculeConfig, MoleculeGenerator};
     use pis_distance::oracle::min_superimposed_distance_brute;
-    use pis_distance::{ScoreMatrix, SuperimposedDistance};
+    use pis_distance::ScoreMatrix;
     use pis_graph::graph::{cycle_graph, path_graph};
     use pis_graph::{EdgeAttr, GraphBuilder, VertexAttr};
     use pis_mining::exhaustive::exhaustive_features;
@@ -1168,7 +1290,6 @@ mod tests {
             for (gid, d) in range_hits(&index, &frags, i, 0.5) {
                 let brute = min_superimposed_distance_brute(&frag, &db[gid.index()], &ld).unwrap();
                 assert!((d - brute).abs() < 1e-9, "index {d} vs brute {brute}");
-                let _ = ld.vertex_cost(VertexAttr::default(), VertexAttr::default());
             }
         }
     }

@@ -25,7 +25,8 @@
 //! The query side has one form, the one the search runs: fragments
 //! land normalized in a caller's [`FragmentBuffer`], and a range query
 //! takes a borrowed [`FragmentVectorRef`] probe as given, through a
-//! caller's [`RangeScratch`], into a minima row or its hit list.
+//! caller's [`RangeScratch`], into a hit set with its tally, a minima
+//! row, or the row's hit list.
 //!
 //! The paper's third option, a "metric-based index \[6\]", is not
 //! carried: mutation score matrices need not satisfy the triangle
@@ -51,6 +52,7 @@ pub mod index;
 pub mod persist;
 pub mod rtree;
 pub mod snapshot;
+pub mod tally;
 pub mod wal;
 
 pub use flat_trie::{FlatTrie, TrieFrontier};
@@ -60,4 +62,5 @@ pub use index::{
 };
 pub use persist::PersistError;
 pub use snapshot::{decode_snapshot, encode_snapshot, load_snapshot, write_snapshot};
+pub use tally::HitTally;
 pub use wal::{Wal, WalReplay};

@@ -168,3 +168,49 @@ proptest! {
         }
     }
 }
+
+/// A trip while the partition members' rows are built — after every
+/// range query of the funnel completed — drops the cut-short members
+/// from the bound and stays sound: `answers` ⊆ exact ⊆
+/// `answers` ∪ `possible`. Node limits are swept upward until the search
+/// runs to completion; a limit tripped there is recognized by a
+/// range-descent trip that left the intersection and the fragment pool
+/// exactly as the unbudgeted search has them.
+#[test]
+fn trip_while_partition_rows_are_built_is_sound() {
+    let md = MutationDistance::edge_hamming();
+    let db = pis::datasets::MoleculeGenerator::default().database(30, 41);
+    let system =
+        PisSystem::builder().mutation_distance(md.clone()).exhaustive_features(3).build(db);
+    let queries = pis::datasets::query::sample_query_set(system.database(), 8, 4, 5);
+    let mut member_trips = 0;
+    for (qi, query) in queries.iter().enumerate() {
+        let sigma = 2.0;
+        let exact = sssd_brute(system.database(), query, &md, sigma);
+        let full = system.search(query, sigma);
+        assert!(full.stats.partition_size > 0, "query {qi} must have a partition");
+        for limit in 1u64.. {
+            let budget = QueryBudget { node_limit: Some(limit), ..QueryBudget::default() };
+            let outcome =
+                system.search_with(query, sigma, PisConfig { budget, ..system.config().clone() });
+            let Completeness::Truncated { phase, .. } = outcome.completeness else {
+                break;
+            };
+            let at = format!("query {qi}, node limit {limit}");
+            for a in &outcome.answers {
+                assert!(exact.contains(&a.index()), "{at}: fabricated answer {a}");
+            }
+            for e in &exact {
+                let kept = outcome.answers.iter().chain(&outcome.possible).any(|g| g.index() == *e);
+                assert!(kept, "{at}: true answer {e} dropped");
+            }
+            let ranges_done = outcome.stats.candidates_after_intersection
+                == full.stats.candidates_after_intersection
+                && outcome.stats.fragments_in_pool == full.stats.fragments_in_pool;
+            if phase == TruncationPhase::RangeDescent && ranges_done {
+                member_trips += 1;
+            }
+        }
+    }
+    assert!(member_trips > 0, "no node limit tripped while the partition rows were built");
+}

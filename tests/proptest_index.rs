@@ -1,17 +1,16 @@
 //! Property tests of the fragment index on arbitrary databases: range
 //! queries must equal brute-force minimum superposition distances under
 //! both distances, trie and R-tree hits must equal a definition brute
-//! over the class's entries bit for bit, the funnel's one-pass read-out
-//! of a minima row must equal the hit list it replaces, and snapshots
-//! must round-trip exactly.
+//! over the class's entries bit for bit, the funnel's bitmap fold of a
+//! probe must hold the row's hits and weigh them as the hit list does,
+//! whatever the list's order, and snapshots must round-trip exactly.
 
 mod common;
 
 use common::{connected_graph, fragment_as_graph, graph_database, query_fragments, sigma};
-use pis::core::selectivity::{read_out_row, selectivity};
+use pis::core::selectivity::{selectivity, selectivity_of};
 use pis::distance::oracle::min_superimposed_distance_brute;
 use pis::graph::budget::BudgetState;
-use pis::graph::GraphBitSet;
 use pis::index::{
     decode_snapshot, encode_snapshot, row_hits, FragmentBuffer, FragmentIndex, FragmentVectorRef,
     IndexConfig, IndexDistance, RangeScratch,
@@ -113,9 +112,9 @@ fn linear_reference_hits(
 /// through one scratch: the probe's minima row read back as a list
 /// ([`row_hits`]) equals the
 /// reference hits to the f64 bit, and so does the list-returning
-/// `range_query_normalized_into`; the funnel's fused read-out of the row returns
-/// `selectivity` of that list to the bit and leaves exactly the list's
-/// graphs in the mask.
+/// `range_query_normalized_into`; the funnel's bitmap fold of the same
+/// probe (`range_query_hits`) leaves exactly the list's graphs as hit
+/// bits, and its weight is `selectivity` of that list to the bit.
 fn assert_rows_read_out_as_lists(
     index: &FragmentIndex,
     reference: impl Fn(FeatureId, FragmentVectorRef<'_>) -> Vec<(GraphId, f64)>,
@@ -127,7 +126,6 @@ fn assert_rows_read_out_as_lists(
     let frags = query_fragments(index, query);
     let mut scratch = RangeScratch::new();
     let (mut row, mut listed) = (Vec::new(), Vec::new());
-    let mut mask = GraphBitSet::default();
     for k in 0..frags.len() {
         let (feature, probe) = (frags.feature(k), frags.vector(k));
         let at = format!("feature {feature} probe {k} sigma {sigma} lambda {lambda}");
@@ -146,18 +144,26 @@ fn assert_rows_read_out_as_lists(
         prop_assert_eq!(bits(&list), bits(&reference(feature, probe)), "row as a list, {}", at);
         index.range_query_normalized_into(feature, probe, sigma, &mut scratch, &mut listed);
         prop_assert_eq!(bits(&listed), bits(&list), "range_query_normalized_into, {}", at);
-        let fused = read_out_row(graphs, &row, n, sigma, lambda, &mut mask);
+        let cutoff = lambda * sigma;
+        let tally = index
+            .range_query_hits(feature, probe, sigma, cutoff, &mut scratch, BudgetState::unlimited())
+            .expect("the unlimited budget never interrupts a range query");
         prop_assert_eq!(
-            fused.to_bits(),
+            selectivity_of(&tally, n).to_bits(),
             selectivity(&list, n, sigma, lambda).to_bits(),
-            "fused weight, {}",
+            "fold weight, {}",
             at
         );
-        prop_assert_eq!(mask.universe(), n);
+        let hit_bits = scratch.hits();
+        prop_assert_eq!(hit_bits.len(), graphs.len().div_ceil(64));
+        let marked: Vec<GraphId> = (0..graphs.len())
+            .filter(|&s| hit_bits[s / 64] >> (s % 64) & 1 == 1)
+            .map(|s| graphs[s])
+            .collect();
         prop_assert_eq!(
-            mask.iter().collect::<Vec<_>>(),
+            marked,
             list.iter().map(|&(g, _)| g).collect::<Vec<_>>(),
-            "mask, {}",
+            "hit bits, {}",
             at
         );
     }
@@ -474,14 +480,15 @@ proptest! {
         }
     }
 
-    /// Read-out ≡ list. The funnel never builds a hit list: it reads each
-    /// probe's minima row once, for the selectivity and the hit set
-    /// together. Under both distance families — edge-Hamming, a
-    /// fractional score matrix (whose sums are order-sensitive) and the
-    /// linear distance — on a bulk-built index and on one that holds the
-    /// last graphs in its pending buffers, every probe's row is held to
-    /// the definition brute (label or L1) over the whole database, and
-    /// its fused read-out to `selectivity` of that list.
+    /// Fold ≡ list. The funnel never builds a hit list nor, outside the
+    /// partition, a row: each probe's emissions fold into hit bits and a
+    /// tally, for the hit set and the selectivity together. Under both
+    /// distance families — edge-Hamming, a fractional score matrix
+    /// (whose sums are order-sensitive) and the linear distance — on a
+    /// bulk-built index and on one that holds the last graphs in its
+    /// pending buffers, every probe's row is held to the definition
+    /// brute (label or L1) over the whole database, its hit bits to the
+    /// row's graphs and its weight to `selectivity` of the row's list.
     #[test]
     fn row_read_out_equals_hit_list(
         db in graph_database(6, 5, 3),
@@ -522,6 +529,52 @@ proptest! {
                 }
             };
             assert_rows_read_out_as_lists(index, reference, &query, sigma, lambda)?;
+        }
+    }
+
+    /// Definition 5 does not depend on the order of the hits: a hit list
+    /// and any permutation of it weigh the same to the f64 bit, under
+    /// edge-Hamming, the fractional score matrix (where a left-to-right
+    /// sum rounds differently per order) and the linear distance.
+    #[test]
+    fn selectivity_ignores_hit_order(
+        db in graph_database(6, 5, 3),
+        query in connected_graph(4, 2, 3),
+        sigma in sigma(),
+        lambda in prop::sample::select(vec![0.5, 1.0, 2.0]),
+        which in 0u8..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (db, query, distance) = match which {
+            0 => (db, query, IndexDistance::Mutation(MutationDistance::edge_hamming())),
+            1 => (db, query, IndexDistance::Mutation(fractional_distance())),
+            _ => (
+                db.iter().map(reweight).collect(),
+                reweight(&query),
+                IndexDistance::Linear(LinearDistance::edges_only()),
+            ),
+        };
+        let index = build_index(&db, distance);
+        let frags = query_fragments(&index, &query);
+        let mut x = seed;
+        for k in 0..frags.len() {
+            let list = range_hits(&index, &frags, k, sigma);
+            let mut shuffled = list.clone();
+            // Fisher–Yates under a seeded LCG.
+            for i in (1..shuffled.len()).rev() {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                shuffled.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            let n = index.graph_count();
+            prop_assert_eq!(
+                selectivity(&shuffled, n, sigma, lambda).to_bits(),
+                selectivity(&list, n, sigma, lambda).to_bits(),
+                "probe {} of {} hits, sigma {} lambda {}",
+                k,
+                list.len(),
+                sigma,
+                lambda
+            );
         }
     }
 
