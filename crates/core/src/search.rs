@@ -240,7 +240,7 @@ pub struct SearchScratch {
     /// `cand_buf` (0 when the partition is empty). `knn` orders its
     /// verifications cheapest-first by these.
     cand_lb: Vec<f64>,
-    /// Verifier state: match plan, adjacency bitset, DFS buffers and
+    /// Verifier state: match plan, edge-id grid, DFS buffers and
     /// remaining-cost tables, amortized across every candidate of every
     /// search through this scratch.
     verify: VerifyScratch,
@@ -568,10 +568,10 @@ impl<'a> PisSearcher<'a> {
         // structure-containing graphs). The lower bounds stay in
         // lockstep with the surviving candidates. The query's match plan
         // is target-independent, so each check reuses the verify
-        // scratch's plan, adjacency bitset and DFS buffers instead of
-        // rebuilding them per candidate; large batches spread across the
-        // pool like verification does (most checks are refutations,
-        // which pay for a full DFS).
+        // scratch's plan and DFS buffers, and each candidate brings its
+        // own bit rows, so nothing is rebuilt per candidate; large
+        // batches spread across the pool like verification does (most
+        // checks are refutations, which pay for a full DFS).
         if self.config.structure_check {
             scratch.verify.begin_query(query);
             let keep = ScopedPool::default().map_with(

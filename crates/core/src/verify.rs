@@ -25,10 +25,11 @@
 //! (`tests/plan_lower_bound.rs`) and on random ones
 //! (`tests/proptest_verify.rs`).
 //!
-//! All per-candidate setup (match plan, adjacency bitset, DFS buffers,
+//! All per-candidate setup (match plan, edge-id grid, DFS buffers,
 //! floor/suffix tables) lives in a reusable [`VerifyScratch`], so
 //! verifying a candidate list amortizes its allocations the same way the
-//! funnel's `SearchScratch` does.
+//! funnel's `SearchScratch` does. The target's bit rows need no set-up
+//! at all: each graph keeps its own ([`LabeledGraph::bits`]).
 
 // Search hot path: panic-free outside tests (DESIGN.md §6.11).
 #![cfg_attr(
@@ -47,7 +48,7 @@ use std::ops::ControlFlow;
 use pis_distance::SuperimposedDistance;
 use pis_graph::budget::{BudgetState, CheckpointSite, Interrupted};
 use pis_graph::iso::{
-    AdjBits, EdgeGrid, IsoConfig, MatchPlan, MatchVisitor, SearchBuffers, SubgraphMatcher,
+    EdgeGrid, IsoConfig, MatchPlan, MatchVisitor, SearchBuffers, SubgraphMatcher,
 };
 use pis_graph::{EdgeId, Embedding, Label, LabeledGraph, VertexId};
 
@@ -87,14 +88,13 @@ impl VerifyStats {
 
 /// Reusable state for verifying one query against many candidates: the
 /// match plan (target-independent under structure-only matching, built
-/// once per query), the target adjacency bitset, the DFS buffers, and
+/// once per query), the target's edge-id grid, the DFS buffers, and
 /// the floor/suffix tables of the remaining-cost bound. Dropping none of
 /// them between candidates makes steady-state verification
-/// allocation-free.
+/// allocation-free. The matcher reads each target's own bit rows.
 #[derive(Debug, Default)]
 pub struct VerifyScratch {
     plan: MatchPlan,
-    adj: AdjBits,
     bufs: SearchBuffers,
     map: Vec<Option<VertexId>>,
     cost_stack: Vec<f64>,
@@ -186,10 +186,11 @@ impl VerifyScratch {
     /// Structure-only containment (`Q ⊆ G` up to labels) of the query
     /// passed to the latest [`VerifyScratch::begin_query`] — the exact
     /// test `pis_graph::iso::is_subgraph` runs under
-    /// [`IsoConfig::STRUCTURE`], minus its per-candidate plan and
-    /// adjacency-bitset setup. The structure-check stage of the funnel
-    /// runs hundreds of these per query, most of them refutations, so
-    /// the amortization matters as much here as in the verifier proper.
+    /// [`IsoConfig::STRUCTURE`], minus its per-candidate plan setup (the
+    /// target brings its bit rows). The structure-check stage of the
+    /// funnel runs hundreds of these per query, most of them
+    /// refutations, so the amortization matters as much here as in the
+    /// verifier proper.
     pub fn contains_structure(&mut self, query: &LabeledGraph, target: &LabeledGraph) -> bool {
         let result = self.contains_structure_budgeted(query, target, BudgetState::unlimited());
         debug_assert!(result.is_ok(), "the unlimited budget never interrupts structure checks");
@@ -219,9 +220,8 @@ impl VerifyScratch {
         }
         // The matcher refutes degree-dominated targets itself, from the
         // plan's degree demand and the rows' degree masks.
-        let VerifyScratch { plan, adj, bufs, .. } = self;
-        adj.rebuild(target);
-        let matcher = SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan, adj);
+        let VerifyScratch { plan, bufs, .. } = self;
+        let matcher = SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan);
         let mut found = false;
         struct Exists<'a> {
             found: &'a mut bool,
@@ -289,7 +289,6 @@ impl VerifyScratch {
         }
         let VerifyScratch {
             plan,
-            adj,
             bufs,
             map,
             cost_stack,
@@ -332,9 +331,8 @@ impl VerifyScratch {
             stats.prechecked += 1;
             return Ok(None);
         }
-        adj.rebuild(target);
         let grid_ref = grid.rebuild(target).then_some(&*grid);
-        let matcher = SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan, adj);
+        let matcher = SubgraphMatcher::with_parts(query, target, IsoConfig::STRUCTURE, plan);
         map.clear();
         map.resize(query.vertex_count(), None);
         cost_stack.clear();

@@ -166,19 +166,22 @@ impl SuperimposedDistance for MutationDistance {
     /// monomorphism; under edge-Hamming it equals the structure-free
     /// minimum number of mismatched edges.
     fn pair_lower_bound(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> f64 {
-        let edges = label_deficit_bound(
-            &self.edge_scores,
-            pattern.edges().iter().map(|e| e.attr.label),
-            target.edges().iter().map(|e| e.attr.label),
-        );
+        fn edge_labels(g: &LabeledGraph) -> impl ExactSizeIterator<Item = Label> + Clone + '_ {
+            g.edges().iter().map(|e| e.attr.label)
+        }
+        fn vertex_labels(g: &LabeledGraph) -> impl ExactSizeIterator<Item = Label> + Clone + '_ {
+            g.vertex_ids().map(|v| g.vertex(v).label)
+        }
+        let edges =
+            label_deficit_bound(&self.edge_scores, edge_labels(pattern), edge_labels(target));
         if edges.is_infinite() {
             return edges;
         }
         edges
             + label_deficit_bound(
                 &self.vertex_scores,
-                pattern.vertex_ids().map(|v| pattern.vertex(v).label),
-                target.vertex_ids().map(|v| target.vertex(v).label),
+                vertex_labels(pattern),
+                vertex_labels(target),
             )
     }
 
@@ -206,45 +209,40 @@ impl SuperimposedDistance for MutationDistance {
 /// `Σ_l max(0, count_q(l) − count_t(l)) · min_{l'≠l ∈ target} cost(l, l')`
 /// over one label segment, or `∞` when the query has more elements than
 /// the target can injectively host at all.
+///
+/// Allocation-free: the sizes settle the `∞` and all-zero cases before
+/// any label is read, then each distinct query label is taken in
+/// ascending order (the smallest one above the last) and counted on both
+/// sides. That is `O(distinct query labels × (|Q| + |T|))` — a handful
+/// of passes over a few dozen labels for a molecule — and sums the terms
+/// in the order a sorted scan would.
 fn label_deficit_bound(
     scores: &ScoreMatrix,
-    q_labels: impl Iterator<Item = Label>,
-    t_labels: impl Iterator<Item = Label>,
+    q_labels: impl ExactSizeIterator<Item = Label> + Clone,
+    t_labels: impl ExactSizeIterator<Item = Label> + Clone,
 ) -> f64 {
-    let mut q: Vec<u32> = q_labels.map(|l| l.0).collect();
-    let mut t: Vec<u32> = t_labels.map(|l| l.0).collect();
-    if q.len() > t.len() {
+    if q_labels.len() > t_labels.len() {
         return f64::INFINITY;
     }
-    if scores.is_zero() || q.is_empty() {
+    if scores.is_zero() || q_labels.len() == 0 {
         return 0.0;
     }
-    q.sort_unstable();
-    t.sort_unstable();
-    let mut t_distinct = t.clone();
-    t_distinct.dedup();
     let mut bound = 0.0;
-    let mut i = 0;
-    while i < q.len() {
-        let l = q[i];
-        let mut run = 1;
-        while i + run < q.len() && q[i + run] == l {
-            run += 1;
-        }
-        let same = t.partition_point(|&x| x <= l) - t.partition_point(|&x| x < l);
+    let mut last: Option<Label> = None;
+    while let Some(l) = q_labels.clone().filter(|&x| last.is_none_or(|last| x > last)).min() {
+        last = Some(l);
+        let run = q_labels.clone().filter(|&x| x == l).count();
+        let same = t_labels.clone().filter(|&x| x == l).count();
         if run > same {
-            let mut cheapest = f64::INFINITY;
-            for &lt in &t_distinct {
-                if lt != l {
-                    cheapest = cheapest.min(scores.cost(Label(l), Label(lt)));
-                }
-            }
+            let cheapest = t_labels
+                .clone()
+                .filter(|&lt| lt != l)
+                .fold(f64::INFINITY, |cheapest, lt| cheapest.min(scores.cost(l, lt)));
             bound += (run - same) as f64 * cheapest;
             if bound.is_infinite() {
                 return f64::INFINITY;
             }
         }
-        i += run;
     }
     bound
 }
@@ -362,6 +360,54 @@ mod tests {
         // And the bound is tight from below: the true distance is 3.
         // A matching multiset gives bound 0 even when structure differs.
         assert_eq!(d.pair_lower_bound(&q, &ring(&[1, 1, 1, 2, 2, 2])), 0.0);
+    }
+
+    #[test]
+    fn label_deficit_bound_sums_like_a_sorted_scan() {
+        // Fractional costs make the summation order visible in the f64
+        // bits: the bound must equal a sort-and-scan of the two label
+        // multisets term for term.
+        fn sorted_scan(scores: &ScoreMatrix, q: &[u32], t: &[u32]) -> f64 {
+            let (mut q, mut t) = (q.to_vec(), t.to_vec());
+            q.sort_unstable();
+            t.sort_unstable();
+            let mut bound = 0.0;
+            let mut i = 0;
+            while i < q.len() {
+                let run = q[i..].iter().take_while(|&&x| x == q[i]).count();
+                let same = t.iter().filter(|&&x| x == q[i]).count();
+                if run > same {
+                    let cheapest = t
+                        .iter()
+                        .filter(|&&x| x != q[i])
+                        .map(|&x| scores.cost(Label(q[i]), Label(x)))
+                        .fold(f64::INFINITY, f64::min);
+                    bound += (run - same) as f64 * cheapest;
+                }
+                i += run;
+            }
+            bound
+        }
+        let scores = ScoreMatrix::from_fn(7, 0.3, |a, b| {
+            if a == b {
+                0.0
+            } else {
+                0.1 * f64::from(a.0 * b.0 + a.0 + b.0 + 1) / 3.0
+            }
+        })
+        .unwrap();
+        let cases: [(&[u32], &[u32]); 5] = [
+            (&[6, 1, 4, 1, 5, 9, 2, 6], &[5, 3, 5, 8, 9, 7, 9, 3, 2]),
+            (&[3, 3, 3, 0], &[0, 1, 2, 4, 5, 6]),
+            (&[2, 0, 5, 0, 2, 5, 1], &[1, 1, 1, 1, 1, 1, 1, 1]),
+            (&[4], &[4, 4]),
+            (&[9, 8, 7], &[7, 8, 9, 10]),
+        ];
+        for (q, t) in cases {
+            let labels = |xs: &'static [u32]| xs.iter().map(|&x| Label(x));
+            let got = label_deficit_bound(&scores, labels(q), labels(t));
+            assert_eq!(got.to_bits(), sorted_scan(&scores, q, t).to_bits(), "{q:?} vs {t:?}");
+        }
     }
 
     #[test]

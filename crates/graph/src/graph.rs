@@ -7,8 +7,11 @@
 //! labels are all [`Label::ERASED`] and whose weights are all zero is a
 //! *bare structure* (the paper's "skeleton" / "topology").
 
+use std::fmt;
+
 use crate::error::GraphError;
 use crate::ids::{EdgeId, Label, VertexId};
+use crate::iso::AdjBits;
 
 /// Attributes carried by a vertex.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -88,12 +91,46 @@ impl Edge {
 ///
 /// Construct with [`GraphBuilder`]; the built graph is immutable, which
 /// lets the index and matcher borrow it freely.
-#[derive(Clone, PartialEq, Debug, Default)]
+///
+/// The adjacency is one compressed block: vertex `v`'s `(neighbor,
+/// edge)` pairs are `adjacency[offsets[v]..offsets[v + 1]]`, in edge
+/// insertion order. The matcher's bit rows ([`AdjBits`]) are derived
+/// from it when the graph is built and kept with it, so a graph checked
+/// as a target many times pays for them once.
+#[derive(Clone)]
 pub struct LabeledGraph {
-    vertices: Vec<VertexAttr>,
-    edges: Vec<Edge>,
-    /// `adj[v]` lists `(neighbor, edge)` pairs, in insertion order.
-    adj: Vec<Vec<(VertexId, EdgeId)>>,
+    vertices: Box<[VertexAttr]>,
+    edges: Box<[Edge]>,
+    /// `vertex_count() + 1` offsets into `adjacency`.
+    offsets: Box<[u32]>,
+    /// Every vertex's incidences, concatenated by vertex.
+    adjacency: Box<[(VertexId, EdgeId)]>,
+    /// The matcher's bit rows.
+    bits: AdjBits,
+}
+
+impl Default for LabeledGraph {
+    /// The empty graph, as [`GraphBuilder`] builds it.
+    fn default() -> Self {
+        GraphBuilder::new().build()
+    }
+}
+
+/// Two graphs are equal when their vertices and edges are: the adjacency
+/// block and the bit rows are functions of those.
+impl PartialEq for LabeledGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.vertices == other.vertices && self.edges == other.edges
+    }
+}
+
+impl fmt::Debug for LabeledGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LabeledGraph")
+            .field("vertices", &self.vertices)
+            .field("edges", &self.edges)
+            .finish_non_exhaustive()
+    }
 }
 
 impl LabeledGraph {
@@ -117,7 +154,7 @@ impl LabeledGraph {
     }
 
     /// Iterator over all vertex ids.
-    pub fn vertex_ids(&self) -> impl ExactSizeIterator<Item = VertexId> + '_ {
+    pub fn vertex_ids(&self) -> impl ExactSizeIterator<Item = VertexId> + Clone + '_ {
         (0..self.vertices.len() as u32).map(VertexId)
     }
 
@@ -144,16 +181,17 @@ impl LabeledGraph {
         &self.edges
     }
 
-    /// `(neighbor, edge)` pairs incident to `v`.
+    /// `(neighbor, edge)` pairs incident to `v`, in edge insertion
+    /// order.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        &self.adj[v.index()]
+        &self.adjacency[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
+        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
     }
 
     /// The edge connecting `u` and `v`, if any.
@@ -161,7 +199,14 @@ impl LabeledGraph {
         // Scan the smaller adjacency list; molecular degrees are tiny so
         // a linear scan beats any auxiliary map.
         let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.adj[a.index()].iter().find(|(n, _)| *n == b).map(|(_, e)| *e)
+        self.neighbors(a).iter().find(|(n, _)| *n == b).map(|(_, e)| *e)
+    }
+
+    /// The matcher's bit rows of this graph, derived from its adjacency
+    /// when it was built.
+    #[inline]
+    pub fn bits(&self) -> &AdjBits {
+        &self.bits
     }
 
     /// Whether `u` and `v` are adjacent.
@@ -222,10 +267,10 @@ impl LabeledGraph {
     /// structural-equivalence-class hashing (Section 4).
     pub fn erase_labels(&self) -> LabeledGraph {
         let mut g = self.clone();
-        for v in &mut g.vertices {
+        for v in g.vertices.iter_mut() {
             *v = VertexAttr::default();
         }
-        for e in &mut g.edges {
+        for e in g.edges.iter_mut() {
             e.attr = EdgeAttr::default();
         }
         g
@@ -291,8 +336,20 @@ impl LabeledGraph {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
-    graph: LabeledGraph,
+    vertices: Vec<VertexAttr>,
+    edges: Vec<Edge>,
+    /// Degree of each vertex so far.
+    degree: Vec<u32>,
+    /// Each vertex's incidences as a linked list, newest first: `head[v]`
+    /// is a slot (`2e` for edge `e` at its source, `2e + 1` at its
+    /// target) and `next[slot]` the vertex's previous slot; `NO_SLOT`
+    /// ends a list. Only duplicate-edge checks read it.
+    head: Vec<u32>,
+    next: Vec<u32>,
 }
+
+/// End of a [`GraphBuilder`] incidence list.
+const NO_SLOT: u32 = u32::MAX;
 
 impl GraphBuilder {
     /// An empty builder.
@@ -303,19 +360,20 @@ impl GraphBuilder {
     /// A builder with pre-reserved capacity.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         GraphBuilder {
-            graph: LabeledGraph {
-                vertices: Vec::with_capacity(vertices),
-                edges: Vec::with_capacity(edges),
-                adj: Vec::with_capacity(vertices),
-            },
+            vertices: Vec::with_capacity(vertices),
+            edges: Vec::with_capacity(edges),
+            degree: Vec::with_capacity(vertices),
+            head: Vec::with_capacity(vertices),
+            next: Vec::with_capacity(2 * edges),
         }
     }
 
     /// Adds a vertex and returns its id.
     pub fn add_vertex(&mut self, attr: VertexAttr) -> VertexId {
-        let id = VertexId(self.graph.vertices.len() as u32);
-        self.graph.vertices.push(attr);
-        self.graph.adj.push(Vec::new());
+        let id = VertexId(self.vertices.len() as u32);
+        self.vertices.push(attr);
+        self.degree.push(0);
+        self.head.push(NO_SLOT);
         id
     }
 
@@ -332,7 +390,7 @@ impl GraphBuilder {
         v: VertexId,
         attr: EdgeAttr,
     ) -> Result<EdgeId, GraphError> {
-        let n = self.graph.vertices.len();
+        let n = self.vertices.len();
         for w in [u, v] {
             if w.index() >= n {
                 return Err(GraphError::InvalidVertex { vertex: w, vertex_count: n });
@@ -341,34 +399,76 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
-        if self.graph.edge_between(u, v).is_some() {
+        if self.adjacent(u, v) {
             return Err(GraphError::DuplicateEdge(u, v));
         }
-        let id = EdgeId(self.graph.edges.len() as u32);
-        self.graph.edges.push(Edge { source: u, target: v, attr });
-        self.graph.adj[u.index()].push((v, id));
-        self.graph.adj[v.index()].push((u, id));
+        let id = EdgeId(self.edges.len() as u32);
+        self.edges.push(Edge { source: u, target: v, attr });
+        for (slot, w) in [(2 * id.0, u), (2 * id.0 + 1, v)] {
+            self.next.push(self.head[w.index()]);
+            self.head[w.index()] = slot;
+            self.degree[w.index()] += 1;
+        }
         Ok(id)
+    }
+
+    /// Whether an edge joins `u` and `v`, by a walk of the shorter
+    /// incidence list.
+    fn adjacent(&self, u: VertexId, v: VertexId) -> bool {
+        let (a, b) = if self.degree[u.index()] <= self.degree[v.index()] { (u, v) } else { (v, u) };
+        let mut slot = self.head[a.index()];
+        while slot != NO_SLOT {
+            let edge = &self.edges[(slot / 2) as usize];
+            if (if slot % 2 == 0 { edge.target } else { edge.source }) == b {
+                return true;
+            }
+            slot = self.next[slot as usize];
+        }
+        false
     }
 
     /// Number of vertices added so far.
     pub fn vertex_count(&self) -> usize {
-        self.graph.vertex_count()
+        self.vertices.len()
     }
 
     /// Edges added so far.
     pub fn edges(&self) -> &[Edge] {
-        self.graph.edges()
+        &self.edges
     }
 
     /// Number of edges added so far.
     pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
+        self.edges.len()
     }
 
-    /// Finalizes the graph.
+    /// Finalizes the graph: lays the incidences out as one block, each
+    /// vertex's in edge insertion order, and derives the matcher's bit
+    /// rows from it.
     pub fn build(self) -> LabeledGraph {
-        self.graph
+        let GraphBuilder { vertices, edges, degree: mut cursor, .. } = self;
+        let mut offsets = Vec::with_capacity(vertices.len() + 1);
+        offsets.push(0);
+        let mut end = 0;
+        for d in &mut cursor {
+            // The degree becomes the vertex's write cursor.
+            (*d, end) = (end, end + *d);
+            offsets.push(end);
+        }
+        let mut adjacency = vec![(VertexId(0), EdgeId(0)); 2 * edges.len()];
+        for (i, e) in edges.iter().enumerate() {
+            for (w, other) in [(e.source, e.target), (e.target, e.source)] {
+                adjacency[cursor[w.index()] as usize] = (other, EdgeId(i as u32));
+                cursor[w.index()] += 1;
+            }
+        }
+        LabeledGraph {
+            bits: AdjBits::from_csr(&offsets, &adjacency),
+            vertices: vertices.into_boxed_slice(),
+            edges: edges.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+            adjacency: adjacency.into_boxed_slice(),
+        }
     }
 }
 

@@ -44,7 +44,8 @@
 //! Repeated searches amortize their setup: the matching order lives in a
 //! reusable flat [`MatchPlan`] arena (target-independent under
 //! [`IsoConfig::STRUCTURE`], so one plan serves a query against every
-//! candidate), the target's bit rows ([`AdjBits`]) rebuild in place, and
+//! candidate), each target's bit rows ([`AdjBits`]) are built with the
+//! graph and kept in it ([`LabeledGraph::bits`]), and
 //! [`SubgraphMatcher::search_with_buffers`] threads caller-owned
 //! [`SearchBuffers`] through the DFS instead of allocating per call.
 //! [`MatchPlan::checks`] names the edges each plan depth closes — what
@@ -421,68 +422,58 @@ fn degree_class(d: usize) -> usize {
 /// Dense target bit rows: one adjacency row per vertex, so an
 /// edge-existence check is a shift and a mask and a candidate set is an
 /// AND of rows, plus one mask per degree class (`deg_ge[c]`: the
-/// vertices of degree ≥ `c`). Rebuilding in place keeps the storage
-/// allocated across targets.
-#[derive(Clone, Debug, Default)]
+/// vertices of degree ≥ `c`). Every graph derives its own when it is
+/// built, from its adjacency, and keeps them ([`LabeledGraph::bits`]);
+/// only the classes up to the graph's highest degree are stored, since
+/// every mask above it is empty.
+#[derive(Clone, Debug, PartialEq)]
 pub struct AdjBits {
-    /// Vertices of the target the rows were built for.
+    /// Vertices of the graph the rows were built for.
     vertices: usize,
     /// Words per row and per mask: [`row_width`] of the vertex count.
     words: usize,
-    /// Row-major adjacency matrix, `vertices × words`; empty above
-    /// `ADJ_BITS_MAX_VERTICES`.
-    rows: Vec<u64>,
-    /// Degree-class masks, `DEGREE_CLASSES × words`.
-    deg_ge: Vec<u64>,
+    /// Degree classes stored: one past the class of the highest degree
+    /// (none for the empty graph).
+    classes: usize,
+    /// The degree-class masks, `classes × words`, then the row-major
+    /// adjacency matrix, `vertices × words` (absent above
+    /// `ADJ_BITS_MAX_VERTICES`).
+    bits: Box<[u64]>,
 }
 
-impl AdjBits {
-    /// Empty storage; populate with [`AdjBits::rebuild`].
-    pub fn new() -> Self {
-        AdjBits::default()
-    }
+/// The all-zero mask a degree class above a graph's highest degree reads.
+static EMPTY_MASK: [u64; MAX_ROW_WORDS] = [0; MAX_ROW_WORDS];
 
-    /// Rebuilds the degree masks and the adjacency matrix for `g`,
-    /// reusing the storage. The masks are linear in `g`'s size and
-    /// always built; the matrix is skipped (and `false` returned) when
-    /// `g` is too large for quadratic memory, and the matcher then falls
-    /// back to neighbour scans.
-    pub fn rebuild(&mut self, g: &LabeledGraph) -> bool {
-        let n = g.vertex_count();
-        self.vertices = n;
-        self.words = row_width(n);
-        let words = self.words;
-        let matrix = n <= ADJ_BITS_MAX_VERTICES;
-        self.rows.clear();
-        if matrix {
-            self.rows.resize(n * words, 0);
-        }
+impl AdjBits {
+    /// The degree masks of a graph given as its CSR adjacency block
+    /// (`offsets` holds one entry per vertex plus one) and, unless it
+    /// is too large for quadratic memory,
+    /// its adjacency matrix (the matcher then falls back to neighbour
+    /// scans).
+    pub(crate) fn from_csr(offsets: &[u32], adjacency: &[(VertexId, EdgeId)]) -> AdjBits {
+        let n = offsets.len() - 1;
+        let words = row_width(n);
+        let neighbors = |v: usize| &adjacency[offsets[v] as usize..offsets[v + 1] as usize];
+        let classes = (0..n).map(|v| degree_class(neighbors(v).len()) + 1).max().unwrap_or(0);
+        let rows = if n <= ADJ_BITS_MAX_VERTICES { n * words } else { 0 };
+        let mut bits = vec![0u64; classes * words + rows];
         // One pass over the neighbor lists: each vertex's row, and its
         // bit in the mask of its exact degree class; a suffix OR then
         // turns "degree = c" into "degree ≥ c".
-        self.deg_ge.clear();
-        self.deg_ge.resize(DEGREE_CLASSES * words, 0);
-        for v in g.vertex_ids() {
-            let neighbors = g.neighbors(v);
-            let word = v.index() / 64;
-            self.deg_ge[degree_class(neighbors.len()) * words + word] |= 1 << (v.index() % 64);
-            if matrix {
-                let row = &mut self.rows[v.index() * words..(v.index() + 1) * words];
+        let (deg_ge, matrix) = bits.split_at_mut(classes * words);
+        for v in 0..n {
+            let neighbors = neighbors(v);
+            deg_ge[degree_class(neighbors.len()) * words + v / 64] |= 1 << (v % 64);
+            if let Some(row) = matrix.get_mut(v * words..(v + 1) * words) {
                 for &(u, _) in neighbors {
                     row[u.index() / 64] |= 1 << (u.index() % 64);
                 }
             }
         }
-        for i in (0..(DEGREE_CLASSES - 1) * words).rev() {
-            self.deg_ge[i] |= self.deg_ge[i + words];
+        for i in (0..classes.saturating_sub(1) * words).rev() {
+            deg_ge[i] |= deg_ge[i + words];
         }
-        matrix
-    }
-
-    fn build(g: &LabeledGraph) -> AdjBits {
-        let mut adj = AdjBits::new();
-        adj.rebuild(g);
-        adj
+        AdjBits { vertices: n, words, classes, bits: bits.into_boxed_slice() }
     }
 
     /// Whether the adjacency matrix was built (the target is within
@@ -492,6 +483,19 @@ impl AdjBits {
         self.vertices <= ADJ_BITS_MAX_VERTICES
     }
 
+    /// The mask of degree class `c`, or `None` above the stored classes
+    /// (an empty mask).
+    #[inline]
+    fn class_mask(&self, c: usize) -> Option<&[u64]> {
+        (c < self.classes).then(|| &self.bits[c * self.words..(c + 1) * self.words])
+    }
+
+    /// The adjacency matrix, `vertices × words`.
+    #[inline]
+    fn rows(&self) -> &[u64] {
+        &self.bits[self.classes * self.words..]
+    }
+
     /// Degree-sequence domination: every embedding maps a pattern vertex
     /// of degree `d` onto a target vertex of degree ≥ `d` (neighbors stay
     /// injective), so the target must offer at least as many vertices of
@@ -499,10 +503,10 @@ impl AdjBits {
     /// the top class only merges demands that must hold jointly anyway.
     fn covers(&self, demand: &[u32; DEGREE_CLASSES]) -> bool {
         demand.iter().enumerate().all(|(c, &need)| {
-            need == 0 || {
-                let mask = &self.deg_ge[c * self.words..(c + 1) * self.words];
-                need <= mask.iter().map(|w| w.count_ones()).sum::<u32>()
-            }
+            need == 0
+                || self
+                    .class_mask(c)
+                    .is_some_and(|mask| need <= mask.iter().map(|w| w.count_ones()).sum::<u32>())
         })
     }
 }
@@ -601,8 +605,6 @@ pub struct SubgraphMatcher<'a> {
     /// The plan the matcher runs: built for this pair, or borrowed from
     /// a caller amortizing one plan across many targets.
     plan: Cow<'a, MatchPlan>,
-    /// The target's bit rows: built for this target, or borrowed.
-    adj: Cow<'a, AdjBits>,
 }
 
 /// The borrow-resolved search state threaded through the DFS.
@@ -616,42 +618,28 @@ struct SearchCtx<'s> {
 }
 
 impl<'a> SubgraphMatcher<'a> {
-    /// Builds a matcher; cost is near-linear in the two graph sizes
-    /// (plus one adjacency-bitset row per target vertex).
+    /// Builds a matcher; cost is near-linear in the pattern size. The
+    /// target's bit rows are its own ([`LabeledGraph::bits`]).
     pub fn new(pattern: &'a LabeledGraph, target: &'a LabeledGraph, config: IsoConfig) -> Self {
         let mut plan = MatchPlan::new();
         plan.rebuild(pattern, target, config);
-        SubgraphMatcher {
-            pattern,
-            target,
-            config,
-            plan: Cow::Owned(plan),
-            adj: Cow::Owned(AdjBits::build(target)),
-        }
+        SubgraphMatcher { pattern, target, config, plan: Cow::Owned(plan) }
     }
 
-    /// A matcher over caller-owned parts: a plan already rebuilt for
+    /// A matcher over a caller-owned plan, already rebuilt for
     /// `(pattern, target, config)` (or for `pattern` alone under
-    /// [`IsoConfig::STRUCTURE`], where the order is target-independent)
-    /// and bit rows already rebuilt for `target`. Runs the exact same
-    /// DFS as [`SubgraphMatcher::new`] without paying the setup — the
-    /// amortization behind `pis-core`'s `VerifyScratch`.
+    /// [`IsoConfig::STRUCTURE`], where the order is target-independent).
+    /// Runs the exact same DFS as [`SubgraphMatcher::new`] without
+    /// paying the setup — the amortization behind `pis-core`'s
+    /// `VerifyScratch`.
     pub fn with_parts(
         pattern: &'a LabeledGraph,
         target: &'a LabeledGraph,
         config: IsoConfig,
         plan: &'a MatchPlan,
-        adj: &'a AdjBits,
     ) -> Self {
         debug_assert_eq!(plan.len(), pattern.vertex_count(), "plan built for another pattern");
-        debug_assert_eq!(adj.vertices, target.vertex_count(), "bit rows built for another target");
-        SubgraphMatcher {
-            pattern,
-            target,
-            config,
-            plan: Cow::Borrowed(plan),
-            adj: Cow::Borrowed(adj),
-        }
+        SubgraphMatcher { pattern, target, config, plan: Cow::Borrowed(plan) }
     }
 
     fn ctx(&self) -> SearchCtx<'_> {
@@ -660,7 +648,7 @@ impl<'a> SubgraphMatcher<'a> {
             target: self.target,
             config: self.config,
             plan: &self.plan,
-            adj: &self.adj,
+            adj: self.target.bits(),
         }
     }
 
@@ -696,10 +684,10 @@ impl<'a> SubgraphMatcher<'a> {
             return;
         }
         let _ = match words {
-            1 => WordDfs::<1> { ctx }.recurse(0, bufs, visitor),
-            2 => WordDfs::<2> { ctx }.recurse(0, bufs, visitor),
-            4 => WordDfs::<4> { ctx }.recurse(0, bufs, visitor),
-            _ => WordDfs::<MAX_ROW_WORDS> { ctx }.recurse(0, bufs, visitor),
+            1 => WordDfs::<1>::new(ctx).recurse(0, bufs, visitor),
+            2 => WordDfs::<2>::new(ctx).recurse(0, bufs, visitor),
+            4 => WordDfs::<4>::new(ctx).recurse(0, bufs, visitor),
+            _ => WordDfs::<MAX_ROW_WORDS>::new(ctx).recurse(0, bufs, visitor),
         };
     }
 
@@ -883,21 +871,26 @@ impl SearchCtx<'_> {
 /// so a depth's stack frame holds one `N`-word set, its candidates.
 struct WordDfs<'s, const N: usize> {
     ctx: SearchCtx<'s>,
+    /// The target's adjacency matrix.
+    rows: &'s [u64],
 }
 
-impl<const N: usize> WordDfs<'_, N> {
+impl<'s, const N: usize> WordDfs<'s, N> {
+    fn new(ctx: SearchCtx<'s>) -> Self {
+        WordDfs { ctx, rows: ctx.adj.rows() }
+    }
+
     /// The adjacency row of `v` (rows are `N` words apart).
     #[inline(always)]
     fn row(&self, v: VertexId) -> &[u64] {
-        &self.ctx.adj.rows[v.index() * N..v.index() * N + N]
+        &self.rows[v.index() * N..v.index() * N + N]
     }
 
     /// The vertices of degree ≥ `d` (`d` above the top class reads the
-    /// top class, a superset).
+    /// top class, a superset; above the target's highest degree, none).
     #[inline(always)]
     fn degree_at_least(&self, d: usize) -> &[u64] {
-        let c = degree_class(d);
-        &self.ctx.adj.deg_ge[c * N..c * N + N]
+        self.ctx.adj.class_mask(degree_class(d)).unwrap_or(&EMPTY_MASK[..N])
     }
 
     /// Depth `depth` of the DFS; `bufs.used` holds the images of the
@@ -1183,14 +1176,13 @@ mod tests {
 
     #[test]
     fn borrowed_parts_run_the_same_search() {
-        // A structure plan built from the pattern alone, plus a rebuilt
-        // adjacency matrix, must enumerate the exact same embeddings in
-        // the exact same order as the owning constructor — across
-        // several targets sharing one plan and one bitset allocation.
+        // A structure plan built from the pattern alone must enumerate
+        // the exact same embeddings in the exact same order as the
+        // owning constructor — across several targets sharing one plan
+        // and one buffer set.
         let p = path_graph(3, l(0), l(0));
         let mut plan = MatchPlan::new();
         plan.rebuild_for_pattern(&p);
-        let mut adj = AdjBits::new();
         let mut bufs = SearchBuffers::new();
         for t in [
             cycle_graph(6, l(0), l(0)),
@@ -1198,9 +1190,7 @@ mod tests {
             star_graph(4, l(0), l(0)),
             path_graph(2, l(0), l(0)), // pattern larger than target
         ] {
-            let built = adj.rebuild(&t);
-            assert!(built);
-            let borrowed = SubgraphMatcher::with_parts(&p, &t, IsoConfig::STRUCTURE, &plan, &adj);
+            let borrowed = SubgraphMatcher::with_parts(&p, &t, IsoConfig::STRUCTURE, &plan);
             let mut got = Vec::new();
             let mut collect = CollectVisitor {
                 on_complete: |e: &Embedding| {
@@ -1210,6 +1200,47 @@ mod tests {
             };
             borrowed.search_with_buffers(&mut bufs, &mut collect);
             assert_eq!(got, embeddings(&p, &t, IsoConfig::STRUCTURE));
+        }
+    }
+
+    #[test]
+    fn bits_follow_the_adjacency() {
+        // Rows hold exactly the edges, class masks exactly the vertices
+        // of at least that degree, and classes above the highest degree
+        // are not stored.
+        let mut spoked = GraphBuilder::new();
+        let vs = spoked.add_vertices(70, VertexAttr::labeled(l(0)));
+        for &v in &vs[1..20] {
+            spoked.add_edge(vs[0], v, EdgeAttr::labeled(l(0))).unwrap();
+        }
+        for w in vs[20..].windows(2) {
+            spoked.add_edge(w[0], w[1], EdgeAttr::labeled(l(0))).unwrap();
+        }
+        let graphs = [
+            LabeledGraph::default(),
+            path_graph(1, l(0), l(0)),
+            cycle_graph(7, l(0), l(0)),
+            star_graph(5, l(0), l(0)),
+            spoked.build(),
+        ];
+        for g in &graphs {
+            let bits = g.bits();
+            let max_degree = g.vertex_ids().map(|v| g.degree(v)).max();
+            assert_eq!(bits.classes, max_degree.map_or(0, |d| degree_class(d) + 1));
+            assert_eq!(bits.words, row_width(g.vertex_count()));
+            let bit = |set: &[u64], v: VertexId| (set[v.index() / 64] >> (v.index() % 64)) & 1 == 1;
+            for c in 0..DEGREE_CLASSES {
+                for v in g.vertex_ids() {
+                    let member = bits.class_mask(c).is_some_and(|mask| bit(mask, v));
+                    assert_eq!(member, degree_class(g.degree(v)) >= c, "class {c}, vertex {v:?}");
+                }
+            }
+            for u in g.vertex_ids() {
+                let row = &bits.rows()[u.index() * bits.words..(u.index() + 1) * bits.words];
+                for v in g.vertex_ids() {
+                    assert_eq!(bit(row, v), g.has_edge(u, v));
+                }
+            }
         }
     }
 

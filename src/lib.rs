@@ -57,6 +57,8 @@ pub use pis_index as index;
 pub use pis_mining as mining;
 pub use pis_partition as partition;
 
+use std::cell::RefCell;
+
 use pis_core::{BaselineOutcome, KnnOutcome, PisConfig, PisSearcher, SearchOutcome, SearchScratch};
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{GraphId, LabeledGraph};
@@ -191,6 +193,21 @@ impl PisSystemBuilder {
     }
 }
 
+thread_local! {
+    /// The funnel scratch [`PisSystem`]'s query entries run through: one
+    /// per calling thread, kept warm across queries (DESIGN.md §6.2).
+    static THREAD_SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
+}
+
+/// Runs `f` on the calling thread's [`SearchScratch`], or on a fresh one
+/// if that is already in use further up the stack.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut SearchScratch::new()),
+    })
+}
+
 /// An assembled PIS deployment: the database, its fragment index and a
 /// search configuration.
 pub struct PisSystem {
@@ -254,9 +271,10 @@ impl PisSystem {
         sigma: f64,
         config: PisConfig,
     ) -> SearchOutcome {
-        PisSearcher::new(&self.index, &self.database, config)
-            .search(query, sigma, &mut SearchScratch::new())
-            .unwrap_or_else(|e| panic!("{e}"))
+        with_thread_scratch(|scratch| {
+            PisSearcher::new(&self.index, &self.database, config).search(query, sigma, scratch)
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Finds the `k` structurally matching graphs nearest to `query`
@@ -267,7 +285,8 @@ impl PisSystem {
     /// the query carries a non-finite weight; [`PisSystem::searcher`]
     /// returns the error instead.
     pub fn knn(&self, query: &LabeledGraph, k: usize) -> KnnOutcome {
-        self.searcher().knn(query, k, &mut SearchScratch::new()).unwrap_or_else(|e| panic!("{e}"))
+        with_thread_scratch(|scratch| self.searcher().knn(query, k, scratch))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The structure-only baseline (Section 2).
@@ -401,6 +420,27 @@ mod tests {
             .knn(&q, 2, &mut scratch)
             .expect("valid query");
         assert!(truncated.certified_radius <= knn.radius);
+    }
+
+    #[test]
+    fn facade_queries_reuse_or_replace_the_thread_scratch() {
+        // Back-to-back queries share the thread's scratch; a query made
+        // while it is held (re-entrantly) runs on a fresh one. Either
+        // way the answers are a fresh scratch's.
+        let db = tiny_db();
+        let system = PisSystem::builder().exhaustive_features(3).build(db.clone());
+        let fresh = |q: &LabeledGraph| {
+            system.searcher().search(q, 1.0, &mut SearchScratch::new()).expect("valid query")
+        };
+        for q in &db {
+            assert_eq!(system.search(q, 1.0).answers, fresh(q).answers);
+            let nested = with_thread_scratch(|_held| system.search(q, 1.0));
+            assert_eq!(nested.answers, fresh(q).answers);
+            assert_eq!(
+                system.knn(q, 2).neighbors,
+                with_thread_scratch(|_| system.knn(q, 2)).neighbors
+            );
+        }
     }
 
     #[test]
