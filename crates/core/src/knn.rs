@@ -252,9 +252,9 @@ impl PisSearcher<'_> {
 /// superposition costs more than `edge_scale · Σ_e (|w_e| + W_E) +
 /// vertex_scale · Σ_v (|w_v| + W_V)` over the query, `W_E` and `W_V`
 /// the largest edge and vertex weight magnitudes in the database. The
-/// verifier and the range queries sum the same terms in other orders,
-/// each within a relative `n · 2⁻⁵²` of the exact sum, so the cap keeps
-/// a relative `10⁻⁹` of headroom above it.
+/// verifier sums the same terms in another order, within a relative
+/// `n · 2⁻⁵²` of the exact sum, so the cap keeps a relative `10⁻⁹` of
+/// headroom above it.
 fn max_radius(distance: &IndexDistance, query: &LabeledGraph, database: &[LabeledGraph]) -> f64 {
     let max_radius = match distance {
         IndexDistance::Mutation(md) => {

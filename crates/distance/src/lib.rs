@@ -28,7 +28,7 @@ pub mod mutation;
 pub mod oracle;
 pub mod traits;
 
-pub use linear::{l1_costs_into, mbr_l1_costs_into, LinearDistance};
+pub use linear::LinearDistance;
 pub use matrix::ScoreMatrix;
 pub use mutation::MutationDistance;
 pub use traits::SuperimposedDistance;

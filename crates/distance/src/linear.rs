@@ -3,9 +3,9 @@
 //! `LD = Σ_v |w(v) − w'(f(v))| + Σ_e |w(e) − w'(f(e))|` over a
 //! superposition `f` — an L1 distance over superimposed numeric weights,
 //! appropriate when labels are geometric quantities (bond lengths,
-//! charges, coordinates projected to scalars). The R-tree backend of the
-//! fragment index answers LD range queries as L1 ball queries over
-//! weight vectors (the paper's Example 3).
+//! charges, coordinates projected to scalars) — the paper's Example 3.
+//! The fragment index keeps no weights for it: a linear-distance class
+//! is its posting list, and the verifier measures LD.
 
 // Search hot path: panic-free outside tests (DESIGN.md §6.11).
 #![cfg_attr(
@@ -66,65 +66,6 @@ impl LinearDistance {
     /// Scale applied to edge-weight differences.
     pub fn edge_scale(&self) -> f64 {
         self.edge_scale
-    }
-}
-
-/// Plain L1 distances from `query` to a contiguous row-major block of
-/// `out.len()` points (`points.len() == out.len() * query.len()`), each
-/// point summed in slot order — byte-identical to a per-point
-/// `Σ |a − b|` loop.
-///
-/// This is the leaf kernel of the flattened R-tree: its stored
-/// coordinates are scale-transformed so the linear distance *is* a
-/// plain L1, and a frozen leaf's points sit in one dense block the
-/// compiler can stream instead of chasing per-point `Vec`s.
-///
-/// # Panics
-/// Panics if `points.len() != out.len() * query.len()`.
-pub fn l1_costs_into(query: &[f64], points: &[f64], out: &mut [f64]) {
-    assert_eq!(
-        points.len(),
-        out.len() * query.len(),
-        "point block must hold out.len() points of query dimensionality"
-    );
-    if query.is_empty() {
-        out.fill(0.0);
-        return;
-    }
-    for (o, p) in out.iter_mut().zip(points.chunks_exact(query.len())) {
-        let mut d = 0.0;
-        for (&x, &y) in p.iter().zip(query) {
-            d += (x - y).abs();
-        }
-        *o = d;
-    }
-}
-
-/// L1 distances from `query` to a block of `out.len()` axis-aligned
-/// boxes stored SoA row-major (`mins`/`maxs` each hold
-/// `out.len() * query.len()` coordinates). Each output is the exact
-/// lower bound on the L1 distance to any point inside its box (0 when
-/// `query` is inside) — the inner-node pruning kernel of the flattened
-/// R-tree, scanning bounding data contiguously.
-///
-/// # Panics
-/// Panics if `mins.len()` or `maxs.len()` differ from
-/// `out.len() * query.len()`.
-pub fn mbr_l1_costs_into(query: &[f64], mins: &[f64], maxs: &[f64], out: &mut [f64]) {
-    let dim = query.len();
-    assert_eq!(mins.len(), out.len() * dim, "min block must hold out.len() boxes");
-    assert_eq!(maxs.len(), out.len() * dim, "max block must hold out.len() boxes");
-    for (i, o) in out.iter_mut().enumerate() {
-        let (lo, hi) = (&mins[i * dim..(i + 1) * dim], &maxs[i * dim..(i + 1) * dim]);
-        let mut d = 0.0;
-        for ((&x, &lo), &hi) in query.iter().zip(lo).zip(hi) {
-            if x < lo {
-                d += lo - x;
-            } else if x > hi {
-                d += x - hi;
-            }
-        }
-        *o = d;
     }
 }
 
@@ -213,46 +154,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_scales_rejected() {
         let _ = LinearDistance::scaled(-1.0, 0.0);
-    }
-
-    #[test]
-    fn l1_block_matches_per_point_scan() {
-        let query = [1.0, 2.0, 3.0];
-        let points = [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, -1.0, 4.0, 3.5];
-        let mut out = [f64::NAN; 3];
-        l1_costs_into(&query, &points, &mut out);
-        assert_eq!(out, [0.0, 6.0, 4.5]);
-        // Zero-dimensional points are all at distance 0.
-        let mut empty_dim = [f64::NAN; 2];
-        l1_costs_into(&[], &[], &mut empty_dim);
-        assert_eq!(empty_dim, [0.0, 0.0]);
-        l1_costs_into(&query, &[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "point block")]
-    fn l1_block_rejects_length_mismatch() {
-        let mut out = [0.0; 2];
-        l1_costs_into(&[1.0, 2.0], &[1.0, 2.0, 3.0], &mut out);
-    }
-
-    #[test]
-    fn mbr_block_lower_bounds() {
-        // Two boxes in 2-D: [1,2]x[1,3] and [5,6]x[5,6].
-        let mins = [1.0, 1.0, 5.0, 5.0];
-        let maxs = [2.0, 3.0, 6.0, 6.0];
-        let mut out = [f64::NAN; 2];
-        mbr_l1_costs_into(&[1.5, 2.0], &mins, &maxs, &mut out);
-        assert_eq!(out, [0.0, 6.5]); // inside first; (5-1.5)+(5-2) to second
-        mbr_l1_costs_into(&[0.0, 4.0], &mins, &maxs, &mut out);
-        assert_eq!(out, [2.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "min block")]
-    fn mbr_block_rejects_length_mismatch() {
-        let mut out = [0.0; 1];
-        mbr_l1_costs_into(&[1.0], &[1.0, 2.0], &[1.0], &mut out);
     }
 
     #[test]

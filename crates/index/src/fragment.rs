@@ -2,12 +2,14 @@
 //!
 //! A fragment is an occurrence of a feature structure inside a graph —
 //! formally an embedding `φ: f → G`. Its *vector* is the sequence of
-//! labels (or weights) of the image, read in the feature's canonical
-//! order: edge slots first (code order), then vertex slots (DFS
-//! discovery order). Two fragments of the same class therefore always
-//! get comparable, equal-length vectors, and the per-slot distance sums
-//! to the superposition distance — the key identity behind answering
-//! Eq. (3) with an index-only range query.
+//! labels of the image, read in the feature's canonical order: edge
+//! slots first (code order), then vertex slots (DFS discovery order).
+//! Two fragments of the same class therefore always get comparable,
+//! equal-length vectors, and the per-slot distance sums to the
+//! superposition distance — the key identity behind answering Eq. (3)
+//! with an index-only range query. Under the linear distance a class is
+//! 0 wide and every vector is empty: the index keeps no weights
+//! (`crate::index`).
 //!
 //! Edges lead in the layout because the paper's evaluation distance is
 //! edge-only: putting the cost-bearing slots first lets the trie prune
@@ -26,9 +28,13 @@ use pis_mining::FeatureId;
 /// materialize per-fragment `Vec`s.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FragmentVectorRef<'a> {
-    /// Edge labels then vertex labels.
+    /// Edge labels then vertex labels — every vector the index reads,
+    /// empty under the linear distance.
     Labels(&'a [Label]),
-    /// Edge weights then vertex weights.
+    /// Edge weights then vertex weights. No longer produced: the index
+    /// keeps no weight vectors. Kept for callers that still match on
+    /// it, until the probe type loses its variants (ROADMAP direction
+    /// 2(b)).
     Weights(&'a [f64]),
 }
 
@@ -93,23 +99,6 @@ pub fn label_vector_into(
     }
 }
 
-/// Appends the weight vector of an embedding to `out` (same layout as
-/// [`label_vector_into`]).
-pub fn weight_vector_into(
-    feature: &LabeledGraph,
-    target: &LabeledGraph,
-    embedding: &Embedding,
-    out: &mut Vec<f64>,
-) {
-    for e in feature.edge_ids() {
-        let te = embedding.edge_image(feature, target, e);
-        out.push(target.edge(te).attr.weight);
-    }
-    for p in feature.vertex_ids() {
-        out.push(target.vertex(embedding.vertex_image(p)).weight);
-    }
-}
-
 /// Arena-backed storage for one query's enumerated fragments — what
 /// Algorithm 2 enumerates on lines 3–4. Fragment `i` has a feature
 /// (its equivalence class), the sorted query vertices it covers (they
@@ -118,7 +107,7 @@ pub fn weight_vector_into(
 /// stores every database-side variant.
 ///
 /// All fragments share four flat arrays (features, vertex images,
-/// vector slots, offsets); the dedup set recycles its key allocations
+/// label slots, offsets); the dedup set recycles its key allocations
 /// through an internal pool. Held inside the searcher's scratch and
 /// reused across queries, `FragmentIndex::enumerate_query_fragments_into`
 /// performs no steady-state heap allocation.
@@ -130,12 +119,10 @@ pub struct FragmentBuffer {
     /// `verts[vert_start[i]..vert_start[i + 1]]` (sorted ascending).
     pub(crate) vert_start: Vec<u32>,
     pub(crate) verts: Vec<VertexId>,
-    /// Vector slots, concatenated into `labels` (mutation distance) or
-    /// `weights` (linear distance) depending on `label_kind`.
+    /// Vector slots, concatenated; fragment `i` owns
+    /// `labels[vec_start[i]..vec_start[i + 1]]`.
     pub(crate) vec_start: Vec<u32>,
     pub(crate) labels: Vec<Label>,
-    pub(crate) weights: Vec<f64>,
-    pub(crate) label_kind: bool,
     /// Dedup keys of this query's fragments.
     pub(crate) seen: FxHashSet<Vec<u32>>,
     /// Recycled key allocations (refilled from `seen` on reset).
@@ -152,7 +139,7 @@ impl FragmentBuffer {
 
     /// Resets for a new query, keeping every allocation (dedup keys are
     /// drained into the recycling pool).
-    pub(crate) fn reset(&mut self, label_kind: bool) {
+    pub(crate) fn reset(&mut self) {
         self.features.clear();
         self.vert_start.clear();
         self.vert_start.push(0);
@@ -160,8 +147,6 @@ impl FragmentBuffer {
         self.vec_start.clear();
         self.vec_start.push(0);
         self.labels.clear();
-        self.weights.clear();
-        self.label_kind = label_kind;
         self.key_pool.extend(self.seen.drain());
     }
 
@@ -188,11 +173,7 @@ impl FragmentBuffer {
     /// The (normalized) vector of fragment `i`, borrowed from the arena.
     pub fn vector(&self, i: usize) -> FragmentVectorRef<'_> {
         let (s, e) = (self.vec_start[i] as usize, self.vec_start[i + 1] as usize);
-        if self.label_kind {
-            FragmentVectorRef::Labels(&self.labels[s..e])
-        } else {
-            FragmentVectorRef::Weights(&self.weights[s..e])
-        }
+        FragmentVectorRef::Labels(&self.labels[s..e])
     }
 }
 
@@ -233,11 +214,6 @@ mod tests {
             embs.iter().map(|e| labels_of(&feature, &target, e)).collect();
         assert!(vectors.contains(&vec![Label(7), Label(8), Label(1), Label(2), Label(3)]));
         assert!(vectors.contains(&vec![Label(8), Label(7), Label(3), Label(2), Label(1)]));
-
-        let mut wv = Vec::new();
-        weight_vector_into(&feature, &target, &embs[0], &mut wv);
-        assert_eq!(wv.len(), 5);
-        assert!(wv[0] >= 10.0 && wv[1] >= 10.0, "edge slots come first");
     }
 
     #[test]

@@ -1,19 +1,33 @@
 //! The fragment-based index (Section 4, Figure 5).
 //!
 //! `FragmentIndex` = hash table over structural equivalence classes +
-//! one range-searchable structure per class + structural posting lists.
-//! Build enumerates, for every `(feature, graph)` pair, *all* embeddings
-//! of the feature into the graph, deduplicates their vectors, and
-//! inserts them into the class backend. Range queries then answer
-//! Eq. (3) — `d(g, G) = min_{g' ⊑ G, g' ≅ g} d(g, g')` — without
-//! touching any database graph.
+//! one [`FlatTrie`] per class + structural posting lists. A class's
+//! trie is as deep as the class is *wide*: `v + e` label slots under
+//! the mutation distance, none under the linear distance.
 //!
-//! Inserted graphs land in a second, small instance of the class's own
-//! structure — the *pending* structure — until the class holds 64
-//! pending entries and merges them into the frozen one
+//! Under the mutation distance, build enumerates, for every
+//! `(feature, graph)` pair, *all* embeddings of the feature into the
+//! graph, deduplicates their label vectors, and stores them in the
+//! class's trie. Range queries then answer Eq. (3) —
+//! `d(g, G) = min_{g' ⊑ G, g' ≅ g} d(g, g')` — without touching any
+//! database graph.
+//!
+//! Under the linear distance a class is its posting list: a depth-0
+//! trie holding one entry per graph that contains the structure, read
+//! off the graph's first embedding. A probe's hit set is the whole
+//! posting list and its minima row is `0` on every graph of the class —
+//! a lower bound on `d(g, G)`, which is all the funnel's intersection
+//! and Eq. 2 need, so verification keeps the answers exact. The paper's
+//! R-tree over weight vectors pruned almost nothing beyond the posting
+//! lists on the molecule corpus and made the search 18–156× slower than
+//! `topo_prune` (DESIGN.md §6.14).
+//!
+//! Inserted graphs land in a second, small trie of the class's depth —
+//! the *pending* trie — until the class holds 64 pending entries and
+//! merges them into the frozen one
 //! ([`FragmentIndex::insert_graphs_pending`]).
 //!
-//! A range query runs one kernel over the frozen structure and then the
+//! A range query runs one kernel over the frozen trie and then the
 //! pending one and has two products. Its **hit set** is one bit per
 //! graph of the probe's class, in [`FragmentIndex::class_graphs`] order,
 //! with the hit count and Definition 5's matched term as a [`HitTally`]
@@ -29,15 +43,14 @@ use std::hash::Hasher;
 use std::ops::ControlFlow;
 
 use pis_distance::{LinearDistance, MutationDistance};
-use pis_graph::budget::{BudgetState, CheckpointSite};
+use pis_graph::budget::BudgetState;
 use pis_graph::iso::{IsoConfig, SubgraphMatcher};
 use pis_graph::util::FxHasher;
-use pis_graph::{GraphId, Label, LabeledGraph, ScopedPool};
+use pis_graph::{Embedding, GraphId, Label, LabeledGraph, ScopedPool};
 use pis_mining::{FeatureId, FeatureSet};
 
 use crate::flat_trie::{FlatTrie, TrieFrontier};
-use crate::fragment::{label_vector_into, weight_vector_into, FragmentBuffer, FragmentVectorRef};
-use crate::rtree::RTree;
+use crate::fragment::{label_vector_into, FragmentBuffer, FragmentVectorRef};
 use crate::tally::HitTally;
 
 /// The superimposed distance an index is built for.
@@ -45,7 +58,8 @@ use crate::tally::HitTally;
 pub enum IndexDistance {
     /// Categorical mutation distance (label vectors).
     Mutation(MutationDistance),
-    /// Linear mutation distance (weight vectors).
+    /// Linear mutation distance: each class is its posting list, and
+    /// the verifier measures the weights.
     Linear(LinearDistance),
 }
 
@@ -60,16 +74,11 @@ impl IndexDistance {
     /// but equivalent vectors become identical — under the paper's
     /// edge-only distance this shrinks per-class entry counts by an
     /// order of magnitude. Stored rows and enumerated query fragments
-    /// are both normalized in place by it (or by
-    /// [`IndexDistance::normalize_weights`]), so a probe is compared
-    /// with rows of its own form.
-    ///
-    /// # Panics
-    /// Panics on a linear-distance index.
+    /// are both normalized in place by it, so a probe is compared with
+    /// rows of its own form. A linear-distance vector is empty (its
+    /// class is 0 wide) and stays as it is.
     pub fn normalize_labels(&self, edge_count: usize, v: &mut [Label]) {
-        let IndexDistance::Mutation(md) = self else {
-            panic!("fragment vector kind does not match the index distance")
-        };
+        let IndexDistance::Mutation(md) = self else { return };
         let cut = edge_count.min(v.len());
         if md.edge_scores().is_zero() {
             v[..cut].fill(Label::ERASED);
@@ -79,21 +88,31 @@ impl IndexDistance {
         }
     }
 
-    /// [`IndexDistance::normalize_labels`] for weight vectors: a zero
-    /// scale collapses its slots to `0.0`.
-    ///
-    /// # Panics
-    /// Panics on a mutation-distance index.
-    pub fn normalize_weights(&self, edge_count: usize, v: &mut [f64]) {
-        let IndexDistance::Linear(ld) = self else {
-            panic!("fragment vector kind does not match the index distance")
-        };
-        let cut = edge_count.min(v.len());
-        if ld.edge_scale() == 0.0 {
-            v[..cut].fill(0.0);
+    /// The width of the class of `structure`: the label slots of its
+    /// vectors and the depth of its trie. `v + e` under the mutation
+    /// distance; 0 under the linear distance, whose classes are their
+    /// posting lists.
+    pub(crate) fn class_width(&self, structure: &LabeledGraph) -> usize {
+        match self {
+            IndexDistance::Mutation(_) => structure.vertex_count() + structure.edge_count(),
+            IndexDistance::Linear(_) => 0,
         }
-        if ld.vertex_scale() == 0.0 {
-            v[cut..].fill(0.0);
+    }
+
+    /// Appends the normalized vector of one embedding of `structure`
+    /// into `g` to `out`: its [`IndexDistance::class_width`] label slots
+    /// (none under the linear distance).
+    fn read_vector(
+        &self,
+        structure: &LabeledGraph,
+        g: &LabeledGraph,
+        emb: &Embedding,
+        out: &mut Vec<Label>,
+    ) {
+        if self.is_mutation() {
+            let start = out.len();
+            label_vector_into(structure, g, emb, out);
+            self.normalize_labels(structure.edge_count(), &mut out[start..]);
         }
     }
 }
@@ -127,10 +146,8 @@ pub struct RangeScratch {
     /// [`FragmentIndex::range_query_hits`], the probe's hit set.
     covered: Vec<u64>,
     /// The minima row the list-returning functions read their hits
-    /// out of, and an R-tree class's hit query folds into.
+    /// out of.
     row: Vec<f64>,
-    /// An R-tree class's hit distances, sorted for its tally.
-    costs: Vec<f64>,
 }
 
 impl RangeScratch {
@@ -166,10 +183,6 @@ pub fn row_hits<'a>(
 pub struct IndexCheckReport {
     /// Equivalence classes checked (= features).
     pub classes: usize,
-    /// Classes backed by a [`FlatTrie`] arena.
-    pub trie_classes: usize,
-    /// Classes backed by an [`RTree`] packed from its points.
-    pub rtree_classes: usize,
     /// Entries stored in frozen structures.
     pub frozen_entries: usize,
     /// Entries held in pending structures, not yet merged into the
@@ -190,60 +203,16 @@ pub struct MergeStats {
     pub entries_rewritten: u64,
 }
 
-/// The range-searchable structure of one class, fixed by the index
-/// distance: a trie of label vectors under the mutation distance, an
-/// R-tree of weight vectors under the linear distance.
-#[derive(PartialEq)]
-pub(crate) enum ClassImpl {
-    /// Boxed: a trie's twelve column handles outweigh an R-tree's by
-    /// more than clippy's `large_enum_variant` allows.
-    Trie(Box<FlatTrie>),
-    RTree(RTree),
-}
-
-impl ClassImpl {
-    /// Stored entries.
-    fn len(&self) -> usize {
-        self.postings().len()
-    }
-
-    /// Every entry's posting slot.
-    fn postings(&self) -> &[GraphId] {
-        match self {
-            ClassImpl::Trie(trie) => trie.parts().postings,
-            ClassImpl::RTree(rt) => rt.slots(),
-        }
-    }
-
-    /// The trie of a mutation-distance class.
-    fn as_trie(&self) -> &FlatTrie {
-        match self {
-            ClassImpl::Trie(trie) => trie,
-            ClassImpl::RTree(_) => {
-                unreachable!("the class structure always matches the index distance")
-            }
-        }
-    }
-
-    /// Folds `other`'s entries into this structure, which becomes the
-    /// one built from both sets of entries.
-    fn merge(&mut self, other: &ClassImpl) {
-        match (self, other) {
-            (ClassImpl::Trie(trie), ClassImpl::Trie(other)) => trie.merge(other),
-            (ClassImpl::RTree(rt), ClassImpl::RTree(other)) => rt.merge(other),
-            _ => unreachable!("a class's structures are of one kind"),
-        }
-    }
-}
-
+/// One equivalence class: its trie, [`IndexDistance::class_width`]
+/// deep, and its posting list.
 pub(crate) struct ClassIndex {
-    pub(crate) frozen: ClassImpl,
-    /// The entries inserted since the last merge, in a second instance
-    /// of the frozen structure's kind; `None` after build, load and
-    /// merge. Not an empty structure: 14 of them allocated on the build's
-    /// worker threads fragmented the heap enough that a second build in
-    /// one process peaked 17 MB (27 %) higher in about half the runs.
-    pub(crate) pending: Option<ClassImpl>,
+    pub(crate) frozen: FlatTrie,
+    /// The entries inserted since the last merge, in a second, small
+    /// trie of the same depth; `None` after build, load and merge. Not
+    /// an empty trie: 14 of them allocated on the build's worker threads
+    /// fragmented the heap enough that a second build in one process
+    /// peaked 17 MB (27 %) higher in about half the runs.
+    pub(crate) pending: Option<FlatTrie>,
     /// Sorted distinct graphs containing this structure — the gIndex
     /// posting list used by topoPrune and structure-violation pruning.
     pub(crate) graphs: Vec<GraphId>,
@@ -253,19 +222,19 @@ pub(crate) struct ClassIndex {
 
 impl ClassIndex {
     /// A class with nothing pending — fresh builds and restored saves.
-    pub(crate) fn restored(frozen: ClassImpl, graphs: Vec<GraphId>, entries: usize) -> Self {
+    pub(crate) fn restored(frozen: FlatTrie, graphs: Vec<GraphId>, entries: usize) -> Self {
         ClassIndex { frozen, pending: None, graphs, entries }
     }
 
-    /// The frozen structure, then the pending one: a range query runs
-    /// the one kernel over both.
-    fn structures(&self) -> impl Iterator<Item = &ClassImpl> {
+    /// The frozen trie, then the pending one: a range query runs the
+    /// one kernel over both.
+    fn tries(&self) -> impl Iterator<Item = &FlatTrie> {
         std::iter::once(&self.frozen).chain(&self.pending)
     }
 
-    /// Entries held in the pending structure.
+    /// Entries held in the pending trie.
     fn pending_len(&self) -> usize {
-        self.pending.as_ref().map_or(0, ClassImpl::len)
+        self.pending.as_ref().map_or(0, FlatTrie::len)
     }
 }
 
@@ -312,8 +281,7 @@ impl FragmentIndex {
         // do not depend on the worker count.
         let classes: Vec<ClassIndex> = pool.map(&structures, 2, |class, s| {
             let mut graphs = Vec::new();
-            let frozen =
-                class_structure(ClassRows::concat(&blocks, class), s, &distance, &mut graphs);
+            let frozen = class_trie(ClassRows::concat(&blocks, class), s, &distance, &mut graphs);
             let entries = frozen.len();
             ClassIndex::restored(frozen, graphs, entries)
         });
@@ -366,15 +334,14 @@ impl FragmentIndex {
 
     /// Indexes a run of graphs (ids `graph_count()..` in order). The run
     /// is read and built the way the build reads and builds the
-    /// database, one class at a time, and each class's new structure
-    /// becomes, or is merged into, its *pending* structure — a second,
-    /// small instance of the class's own structure, so range queries run
-    /// the same kernel over it and answers (f64 bits included) are those
-    /// of a merged class. A class whose pending structure reaches 64
-    /// entries then merges it into the frozen one ([`FlatTrie::merge`]
-    /// or `RTree::merge`, each one linear pass over the class);
-    /// [`FragmentIndex::compact`] merges every class (required before
-    /// snapshotting).
+    /// database, one class at a time, and each class's new trie becomes,
+    /// or is merged into, its *pending* trie — a second, small trie of
+    /// the class's depth, so range queries run the same kernel over it
+    /// and answers (f64 bits included) are those of a merged class. A
+    /// class whose pending trie reaches 64 entries then merges it into
+    /// the frozen one ([`FlatTrie::merge`], one linear pass over the
+    /// class); [`FragmentIndex::compact`] merges every class (required
+    /// before snapshotting).
     ///
     /// A class merges at most once per run, so recovering N logged
     /// inserts costs one merge per class where N single inserts would
@@ -392,7 +359,7 @@ impl FragmentIndex {
             if rows.row_graphs.is_empty() {
                 continue;
             }
-            let batch = class_structure(rows, structure, &self.distance, &mut class.graphs);
+            let batch = class_trie(rows, structure, &self.distance, &mut class.graphs);
             class.entries += batch.len();
             match &mut class.pending {
                 Some(pending) => pending.merge(&batch),
@@ -448,11 +415,11 @@ impl FragmentIndex {
     /// offline `pis check` fsck runs it on loaded stores.
     ///
     /// Per class: the posting list is strictly ascending and bounded by
-    /// the database size; the frozen and the pending structure each pass
-    /// the same check ([`FlatTrie::validate`] / [`RTree::validate`], the
-    /// distance's kind, the class's depth or dimension, posting slots
-    /// inside the class); the entry count equals frozen + pending; and
-    /// every posting-list graph is referenced by at least one entry.
+    /// the database size; the frozen and the pending trie each pass the
+    /// same check ([`FlatTrie::validate`], the class's width as depth,
+    /// posting slots inside the class); the entry count equals frozen +
+    /// pending; and every posting-list graph is referenced by at least
+    /// one entry.
     pub fn validate(&self) -> Result<IndexCheckReport, String> {
         let mut report = IndexCheckReport { classes: self.classes.len(), ..Default::default() };
         if self.classes.len() != self.features.len() {
@@ -463,8 +430,8 @@ impl FragmentIndex {
             ));
         }
         for (ci, class) in self.classes.iter().enumerate() {
-            let feature = self.features.get(FeatureId(ci as u32));
-            let slots = feature.structure.vertex_count() + feature.structure.edge_count();
+            let width =
+                self.distance.class_width(&self.features.get(FeatureId(ci as u32)).structure);
             let ctx = |m: String| format!("class {ci}: {m}");
             if class.graphs.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(ctx("posting list not strictly ascending".to_string()));
@@ -478,9 +445,8 @@ impl FragmentIndex {
             // Which posting-list graphs are backed by at least one
             // entry, frozen or pending.
             let mut seen = vec![false; class.graphs.len()];
-            let mut check = |which: &str, imp: &ClassImpl| {
-                self.validate_structure(imp, slots, &class.graphs, &mut seen)
-                    .map_err(|m| ctx(format!("{which} {m}")))
+            let mut check = |which: &str, trie: &FlatTrie| {
+                validate_trie(trie, width, &mut seen).map_err(|m| ctx(format!("{which} {m}")))
             };
             let frozen_len = check("frozen", &class.frozen)?;
             let pending_len = match &class.pending {
@@ -499,57 +465,10 @@ impl FragmentIndex {
                     class.graphs[i]
                 )));
             }
-            match class.frozen {
-                ClassImpl::Trie(_) => report.trie_classes += 1,
-                ClassImpl::RTree(_) => report.rtree_classes += 1,
-            }
             report.frozen_entries += frozen_len;
             report.pending_entries += pending_len;
         }
         Ok(report)
-    }
-
-    /// One class structure, frozen or pending, checked against its class:
-    /// the kind the distance asks for, `slots` deep (trie) or wide
-    /// (R-tree), its own validator, and its posting slots inside the
-    /// `graphs.len()`-graph class, each marked in `seen`. Returns its
-    /// entry count.
-    fn validate_structure(
-        &self,
-        imp: &ClassImpl,
-        slots: usize,
-        graphs: &[GraphId],
-        seen: &mut [bool],
-    ) -> Result<usize, String> {
-        let kind = match (imp, &self.distance) {
-            (ClassImpl::Trie(trie), IndexDistance::Mutation(_)) => {
-                if trie.depth() != slots {
-                    return Err(format!("trie depth {} != {slots} class slots", trie.depth()));
-                }
-                trie.validate().map_err(|m| format!("trie: {m}"))?;
-                "trie"
-            }
-            (ClassImpl::RTree(rt), IndexDistance::Linear(_)) => {
-                if rt.dim() != slots {
-                    return Err(format!("r-tree dim {} != {slots} class slots", rt.dim()));
-                }
-                rt.validate().map_err(|m| format!("r-tree: {m}"))?;
-                "r-tree"
-            }
-            _ => return Err("backend does not match the index distance".to_string()),
-        };
-        for &slot in imp.postings() {
-            match seen.get_mut(slot.index()) {
-                Some(s) => *s = true,
-                None => {
-                    return Err(format!(
-                        "{kind} posting slot {slot} exceeds the {}-graph class",
-                        graphs.len()
-                    ))
-                }
-            }
-        }
-        Ok(imp.len())
     }
 
     /// Debug-build hook: re-validates the whole index after a mutating
@@ -567,7 +486,8 @@ impl FragmentIndex {
     /// Answers the range query of Eq. (3) as a hit list: for every
     /// graph `G` holding a fragment `g'` of class `feature` with
     /// `d(g, g') ≤ σ`, `(G, d(g, G))` with the distance minimized over
-    /// all such fragments. The probe is a borrowed
+    /// all such fragments — under the linear distance, every graph of
+    /// the class at `0.0`. The probe is a borrowed
     /// [`FragmentVectorRef`], the minima row is kept in `scratch` and
     /// hits are written to `out` (cleared first), sorted by graph id —
     /// the [`row_hits`] of the row [`FragmentIndex::range_query_row`]
@@ -605,8 +525,8 @@ impl FragmentIndex {
     /// one probe after another.
     ///
     /// # Panics
-    /// Panics if `outs.len() != nprobes` or a probe's vector kind does
-    /// not match the index distance.
+    /// Panics if `outs.len() != nprobes` or a probe is not a label
+    /// vector of the class's width.
     pub fn range_query_batch_normalized_into<'q>(
         &self,
         feature: FeatureId,
@@ -628,28 +548,27 @@ impl FragmentIndex {
     /// for `G = class_graphs(feature)[k]` — minimized over the class's
     /// frozen *and* pending entries — or `∞` when no fragment of `G`
     /// lies within `sigma`. [`row_hits`] reads a row as a hit list.
+    /// Under the linear distance the row is `0.0` on every graph of the
+    /// class: a lower bound on `d(g, G)`, not the distance.
     ///
-    /// The one kernel runs over the frozen structure and then over the
-    /// pending one, into the same row, so pending answers are those of
-    /// a merged class to the f64 bit. On a trie class that is
-    /// [`FlatTrie::range_query`], each level's alphabet priced once by
-    /// `MutationDistance::position_costs_into`; the subtrees both tries
-    /// emit are sorted stably by [`FlatTrie::fold_order`] and folded
-    /// cheapest first by [`FlatTrie::fold`], whose sink writes one cell
-    /// per newly covered slot, so every hit cell is written once, with
-    /// the value (and sign of zero) an in-order minimum over the
-    /// emissions would leave. An R-tree class folds each point
-    /// [`RTree::range_query`] visits into the row with a minimum update:
-    /// both structures post class-local slots.
+    /// The one kernel, [`FlatTrie::range_query`], runs over the frozen
+    /// trie and then over the pending one, into the same row, so pending
+    /// answers are those of a merged class to the f64 bit. Each level's
+    /// alphabet is priced once by `MutationDistance::position_costs_into`
+    /// (a linear class's depth-0 trie has no level to price and emits
+    /// its root at cost 0); the subtrees both tries emit are sorted
+    /// stably by [`FlatTrie::fold_order`] and folded cheapest first by
+    /// [`FlatTrie::fold`], whose sink writes one cell per newly covered
+    /// slot, so every hit cell is written once, with the value (and sign
+    /// of zero) an in-order minimum over the emissions would leave.
     ///
     /// Returns `false` — with `row` emptied — when the budget trips: a
     /// partial row is unusable (its minima may be wrong and its `∞`
-    /// cells mean nothing). Each trie descent checkpoints per level;
-    /// an R-tree class consults one coarse checkpoint up front.
+    /// cells mean nothing). Each descent checkpoints per cost-bearing
+    /// level.
     ///
     /// # Panics
-    /// Panics if the probe's vector kind does not match the index
-    /// distance.
+    /// Panics if the probe is not a label vector of the class's width.
     pub fn range_query_row(
         &self,
         feature: FeatureId,
@@ -661,31 +580,19 @@ impl FragmentIndex {
     ) -> bool {
         let class = &self.classes[feature.index()];
         row.clear();
-        row.resize(class.graphs.len(), f64::INFINITY);
-        let completed = match &self.distance {
-            IndexDistance::Mutation(_) => {
-                let completed = self.descend_trie_class(feature, probe, sigma, scratch, budget);
-                if completed {
-                    for (acc, trie, node) in emissions(class, &scratch.emitted) {
-                        trie.fold(node, &mut scratch.covered, |w, mut bits| {
-                            while bits != 0 {
-                                row[64 * w + bits.trailing_zeros() as usize] = acc;
-                                bits &= bits - 1;
-                            }
-                        });
-                    }
-                }
-                completed
-            }
-            IndexDistance::Linear(ld) => {
-                let scaled = scaled_probe(ld, self.features.get(feature).edge_count(), probe);
-                rtree_range_query(class, &scaled, sigma, budget, row)
-            }
-        };
-        if !completed {
-            row.clear();
+        if !self.descend_class(feature, probe, sigma, scratch, budget) {
+            return false;
         }
-        completed
+        row.resize(class.graphs.len(), f64::INFINITY);
+        for (acc, trie, node) in emissions(class, &scratch.emitted) {
+            trie.fold(node, &mut scratch.covered, |w, mut bits| {
+                while bits != 0 {
+                    row[64 * w + bits.trailing_zeros() as usize] = acc;
+                    bits &= bits - 1;
+                }
+            });
+        }
+        true
     }
 
     /// The range query as a hit set: answers one normalized probe of
@@ -697,19 +604,16 @@ impl FragmentIndex {
     /// `None` when the budget trips (the bits then mean nothing).
     ///
     /// The hits and distances are [`FragmentIndex::range_query_row`]'s:
-    /// a trie class runs the same descents and folds the same emissions
-    /// in the same order through [`FlatTrie::fold`], with a sink that
-    /// only counts each emission's newly covered slots — a dense leaf
-    /// costs one `bits & !covered` and one popcount per word, and no
-    /// distance is written anywhere. Emissions fold in ascending cost,
-    /// so the counts feed the tally as the runs it sums. An R-tree class
-    /// fills its row and tallies the row's hit cells in the same order
-    /// ([`HitTally::of_costs`]): the two agree with a tally of the row's
-    /// [`row_hits`] to the f64 bit.
+    /// the same descents fold the same emissions in the same order
+    /// through [`FlatTrie::fold`], with a sink that only counts each
+    /// emission's newly covered slots — a dense leaf costs one
+    /// `bits & !covered` and one popcount per word, and no distance is
+    /// written anywhere. Emissions fold in ascending cost, so the counts
+    /// feed the tally as the runs it sums, and the two agree with a
+    /// tally of the row's [`row_hits`] to the f64 bit.
     ///
     /// # Panics
-    /// Panics if the probe's vector kind does not match the index
-    /// distance.
+    /// Panics if the probe is not a label vector of the class's width.
     pub fn range_query_hits(
         &self,
         feature: FeatureId,
@@ -719,50 +623,27 @@ impl FragmentIndex {
         scratch: &mut RangeScratch,
         budget: &BudgetState,
     ) -> Option<HitTally> {
-        let class = &self.classes[feature.index()];
-        let tally = match &self.distance {
-            IndexDistance::Mutation(_) => {
-                if !self.descend_trie_class(feature, probe, sigma, scratch, budget) {
-                    return None;
-                }
-                let mut tally = HitTally::new(cutoff);
-                for (acc, trie, node) in emissions(class, &scratch.emitted) {
-                    let mut fresh = 0;
-                    trie.fold(node, &mut scratch.covered, |_, bits| {
-                        fresh += bits.count_ones() as usize;
-                    });
-                    tally.add(acc, fresh);
-                }
-                tally
-            }
-            IndexDistance::Linear(ld) => {
-                let scaled = scaled_probe(ld, self.features.get(feature).edge_count(), probe);
-                let RangeScratch { covered, row, costs, .. } = scratch;
-                row.clear();
-                row.resize(class.graphs.len(), f64::INFINITY);
-                if !rtree_range_query(class, &scaled, sigma, budget, row) {
-                    return None;
-                }
-                covered.clear();
-                covered.resize(row.len().div_ceil(64), 0);
-                costs.clear();
-                for (k, &d) in row.iter().enumerate().filter(|(_, d)| d.is_finite()) {
-                    covered[k / 64] |= 1 << (k % 64);
-                    costs.push(d);
-                }
-                HitTally::of_costs(cutoff, costs)
-            }
-        };
+        if !self.descend_class(feature, probe, sigma, scratch, budget) {
+            return None;
+        }
+        let mut tally = HitTally::new(cutoff);
+        for (acc, trie, node) in emissions(&self.classes[feature.index()], &scratch.emitted) {
+            let mut fresh = 0;
+            trie.fold(node, &mut scratch.covered, |_, bits| {
+                fresh += bits.count_ones() as usize;
+            });
+            tally.add(acc, fresh);
+        }
         Some(tally)
     }
 
-    /// Runs one probe's descents over a trie class's frozen and then its
+    /// Runs one probe's descents over a class's frozen and then its
     /// pending trie, leaving every emission in `scratch.emitted`, sorted
     /// stably by [`FlatTrie::fold_order`], and `scratch.covered` cleared
     /// to one bit per class slot — ready for [`FlatTrie::fold`]. Both
     /// tries post class-local slots, so both fold into the same slots.
     /// `false` when the budget tripped.
-    fn descend_trie_class(
+    fn descend_class(
         &self,
         feature: FeatureId,
         probe: FragmentVectorRef<'_>,
@@ -770,20 +651,27 @@ impl FragmentIndex {
         scratch: &mut RangeScratch,
         budget: &BudgetState,
     ) -> bool {
-        let IndexDistance::Mutation(md) = &self.distance else {
-            unreachable!("trie classes belong to mutation-distance indexes")
+        // A linear class's trie is 0 deep: the descent emits its root at
+        // cost 0 and prices no level.
+        let md = match &self.distance {
+            IndexDistance::Mutation(md) => Some(md),
+            IndexDistance::Linear(_) => None,
         };
         let class = &self.classes[feature.index()];
         let ecount = self.features.get(feature).edge_count();
         let q = probe.labels();
         let RangeScratch { frontier, emitted, covered, .. } = scratch;
         emitted.clear();
-        let completed = class.structures().map(ClassImpl::as_trie).enumerate().all(|(t, trie)| {
+        let completed = class.tries().enumerate().all(|(t, trie)| {
             trie.range_query(
                 q,
                 sigma,
-                |pos, query, stored, out| md.position_costs_into(pos, ecount, query, stored, out),
-                |pos| md.position_is_zero(pos, ecount),
+                |pos, query, stored, out| {
+                    if let Some(md) = md {
+                        md.position_costs_into(pos, ecount, query, stored, out);
+                    }
+                },
+                |pos| md.is_none_or(|md| md.position_is_zero(pos, ecount)),
                 frontier,
                 budget,
                 |acc, node| emitted.push((acc, t, node)),
@@ -800,7 +688,8 @@ impl FragmentIndex {
     /// Enumerates the indexed fragments of a query graph (Algorithm 2,
     /// lines 3–4), deduplicated by `(feature, vertex image, edge image)`
     /// so automorphic re-readings issue one range query each. Each
-    /// fragment's vector is normalized for this index as it is read.
+    /// fragment's vector is normalized for this index as it is read
+    /// (and empty under the linear distance, whose classes are 0 wide).
     ///
     /// Fragments land in the caller's arena-backed [`FragmentBuffer`]
     /// (cleared first). The dedup key is assembled in
@@ -809,9 +698,8 @@ impl FragmentIndex {
     /// allocations are recycled across queries — so the steady state of
     /// a reused buffer allocates nothing.
     pub fn enumerate_query_fragments_into(&self, query: &LabeledGraph, buf: &mut FragmentBuffer) {
-        buf.reset(self.distance.is_mutation());
+        buf.reset();
         for feature in self.features.iter() {
-            let ecount = feature.structure.edge_count();
             let matcher = SubgraphMatcher::new(&feature.structure, query, IsoConfig::STRUCTURE);
             matcher.for_each(|emb| {
                 buf.key_buf.clear();
@@ -839,20 +727,8 @@ impl FragmentIndex {
                             .map(|&v| pis_graph::VertexId(v)),
                     );
                     buf.vert_start.push(buf.verts.len() as u32);
-                    let start =
-                        *buf.vec_start.last().expect("reset seeds the offset table") as usize;
-                    match &self.distance {
-                        IndexDistance::Mutation(_) => {
-                            label_vector_into(&feature.structure, query, emb, &mut buf.labels);
-                            self.distance.normalize_labels(ecount, &mut buf.labels[start..]);
-                            buf.vec_start.push(buf.labels.len() as u32);
-                        }
-                        IndexDistance::Linear(_) => {
-                            weight_vector_into(&feature.structure, query, emb, &mut buf.weights);
-                            self.distance.normalize_weights(ecount, &mut buf.weights[start..]);
-                            buf.vec_start.push(buf.weights.len() as u32);
-                        }
-                    }
+                    self.distance.read_vector(&feature.structure, query, emb, &mut buf.labels);
+                    buf.vec_start.push(buf.labels.len() as u32);
                 }
                 ControlFlow::Continue(())
             });
@@ -860,77 +736,45 @@ impl FragmentIndex {
     }
 }
 
-/// One probe against an R-tree class, its frozen tree and then its
-/// pending one: `scaled` is the scale-transformed query point and `row`
-/// the probe's ∞-filled minima row. Both trees post class-local slots,
-/// so each visited point folds straight into its cell. One coarse
-/// checkpoint up front; `false` means the budget tripped and `row` holds
-/// nothing usable.
-fn rtree_range_query(
-    class: &ClassIndex,
-    scaled: &[f64],
-    sigma: f64,
-    budget: &BudgetState,
-    row: &mut [f64],
-) -> bool {
-    if !budget.checkpoint(CheckpointSite::RangeDescent, 1) {
-        return false;
-    }
-    for imp in class.structures() {
-        let ClassImpl::RTree(rt) = imp else {
-            unreachable!("the class structure always matches the index distance")
-        };
-        rt.range_query(scaled, sigma, |slot, d| {
-            let b = &mut row[slot.index()];
-            if d < *b {
-                *b = d;
-            }
-        });
-    }
-    true
-}
-
-/// A trie class's sorted emissions as `(cost, trie, node)`, each with
-/// the trie it came from (0 the frozen one, 1 the pending one).
+/// A class's sorted emissions as `(cost, trie, node)`, each with the
+/// trie it came from (0 the frozen one, 1 the pending one).
 fn emissions<'a>(
     class: &'a ClassIndex,
     emitted: &'a [(f64, usize, u32)],
 ) -> impl Iterator<Item = (f64, &'a FlatTrie, u32)> + 'a {
-    emitted.iter().filter_map(move |&(acc, t, node)| {
-        class.structures().nth(t).map(|trie| (acc, trie.as_trie(), node))
-    })
+    emitted
+        .iter()
+        .filter_map(move |&(acc, t, node)| class.tries().nth(t).map(|trie| (acc, trie, node)))
 }
 
-/// The scale-transformed query point of a weight probe. The trees store
-/// *scale-transformed* coordinates (see `scale_weights`), turning the
-/// weighted L1 of the linear distance into a plain L1 — so the query
-/// vector gets the same transform and distances come out exact.
-fn scaled_probe(ld: &LinearDistance, edge_count: usize, probe: FragmentVectorRef<'_>) -> Vec<f64> {
-    let mut scaled = probe.weights().to_vec();
-    scale_weights(ld, edge_count, scaled.len(), &mut scaled);
-    scaled
-}
-
-/// Applies the linear distance's per-segment scales in place to
-/// row-major weight vectors of `width` slots (edge slots first), so
-/// `|a' − b'|₁ = LD(a, b)` for transformed vectors `a'`, `b'`. Lets the
-/// R-tree answer scaled queries with plain L1 geometry.
-fn scale_weights(ld: &LinearDistance, edge_count: usize, width: usize, rows: &mut [f64]) {
-    for (i, w) in rows.iter_mut().enumerate() {
-        *w *= if i % width < edge_count { ld.edge_scale() } else { ld.vertex_scale() };
+/// One class trie, frozen or pending, checked against its class: the
+/// class's width as its depth, its own validator, and its posting slots
+/// inside the `seen.len()`-graph class, each marked in `seen`. Returns
+/// its entry count.
+fn validate_trie(trie: &FlatTrie, width: usize, seen: &mut [bool]) -> Result<usize, String> {
+    if trie.depth() != width {
+        return Err(format!("trie depth {} != class width {width}", trie.depth()));
     }
+    trie.validate().map_err(|m| format!("trie: {m}"))?;
+    let class = seen.len();
+    for &slot in trie.parts().postings {
+        match seen.get_mut(slot.index()) {
+            Some(s) => *s = true,
+            None => {
+                return Err(format!("trie posting slot {slot} exceeds the {class}-graph class"))
+            }
+        }
+    }
+    Ok(trie.len())
 }
 
-/// All deduplicated, normalized vectors of one graph for one feature
-/// structure, row-major (label or weight rows depending on the
-/// distance). A reusable scratch: one value serves every graph of a
-/// build or insert, so no entry owns an allocation.
+/// All deduplicated, normalized label vectors of one graph for one
+/// feature structure, row-major. A reusable scratch: one value serves
+/// every graph of a build or insert, so no entry owns an allocation.
 #[derive(Default)]
 struct GraphEntries {
-    /// `count` rows of the class's slot count (mutation distance).
+    /// `count` rows of the class's width.
     labels: Vec<Label>,
-    /// `count` rows of the class's slot count (linear distance).
-    weights: Vec<f64>,
     /// Distinct vectors held; zero exactly when the graph does not
     /// contain the structure.
     count: usize,
@@ -942,20 +786,13 @@ struct GraphEntries {
 
 /// Decides whether the last row of `rows` (row number `count`, after
 /// `count` distinct rows of `width` slots) is new, and records it in
-/// `table` if so. Rows are hashed and compared through `bits`, so
-/// weight rows are equal exactly when their bit patterns are. Stands in
-/// for a hash set of owned vectors: the keys stay in the matrix.
-fn is_new_row<T: Copy>(
-    table: &mut Vec<u32>,
-    rows: &[T],
-    width: usize,
-    count: usize,
-    bits: impl Fn(T) -> u64,
-) -> bool {
+/// `table` if so. Stands in for a hash set of owned vectors: the keys
+/// stay in the matrix.
+fn is_new_row(table: &mut Vec<u32>, rows: &[Label], width: usize, count: usize) -> bool {
     let row = |r: usize| &rows[r * width..(r + 1) * width];
     let slot_of = |r: usize, len: usize| {
         let mut hasher = FxHasher::default();
-        row(r).iter().for_each(|&x| hasher.write_u64(bits(x)));
+        row(r).iter().for_each(|x| hasher.write_u64(u64::from(x.0)));
         // A multiplicative hash mixes upwards: index by its high bits.
         (hasher.finish() >> 20) as usize & (len - 1)
     };
@@ -980,8 +817,7 @@ fn is_new_row<T: Copy>(
                 return true;
             }
             r => {
-                let stored = row(r as usize - 1);
-                if stored.iter().zip(row(count)).all(|(&a, &b)| bits(a) == bits(b)) {
+                if row(r as usize - 1) == row(count) {
                     return false;
                 }
             }
@@ -992,7 +828,9 @@ fn is_new_row<T: Copy>(
 
 /// Enumerates a graph's fragments of one feature and reads their
 /// (normalized, deduplicated) vectors into `out` — the unit of work
-/// shared by bulk build and incremental insertion.
+/// shared by bulk build and incremental insertion. A 0-wide class keeps
+/// one empty row per containing graph, so the first embedding settles
+/// it and the enumeration stops there.
 fn collect_graph_entries(
     structure: &LabeledGraph,
     g: &LabeledGraph,
@@ -1000,54 +838,39 @@ fn collect_graph_entries(
     out: &mut GraphEntries,
 ) {
     out.labels.clear();
-    out.weights.clear();
     out.count = 0;
     if g.vertex_count() < structure.vertex_count() || g.edge_count() < structure.edge_count() {
         return;
     }
-    let ecount = structure.edge_count();
-    let slots = structure.vertex_count() + ecount;
+    let width = distance.class_width(structure);
     out.table.clear();
     let matcher = SubgraphMatcher::new(structure, g, IsoConfig::STRUCTURE);
     matcher.for_each(|emb| {
+        if width == 0 {
+            out.count = 1;
+            return ControlFlow::Break(());
+        }
         // Read the vector in place after the rows kept so far and
         // normalize it, so equivalent entries merge up front; a repeat is
         // cut off again.
-        match distance {
-            IndexDistance::Mutation(_) => {
-                let start = out.labels.len();
-                label_vector_into(structure, g, emb, &mut out.labels);
-                distance.normalize_labels(ecount, &mut out.labels[start..]);
-                if is_new_row(&mut out.table, &out.labels, slots, out.count, |l| u64::from(l.0)) {
-                    out.count += 1;
-                } else {
-                    out.labels.truncate(start);
-                }
-            }
-            IndexDistance::Linear(_) => {
-                let start = out.weights.len();
-                weight_vector_into(structure, g, emb, &mut out.weights);
-                distance.normalize_weights(ecount, &mut out.weights[start..]);
-                if is_new_row(&mut out.table, &out.weights, slots, out.count, f64::to_bits) {
-                    out.count += 1;
-                } else {
-                    out.weights.truncate(start);
-                }
-            }
+        let start = out.labels.len();
+        distance.read_vector(structure, g, emb, &mut out.labels);
+        if is_new_row(&mut out.table, &out.labels, width, out.count) {
+            out.count += 1;
+        } else {
+            out.labels.truncate(start);
         }
         ControlFlow::Continue(())
     });
 }
 
 /// The rows of one class in database order, before they are frozen
-/// into the class's range-search structure: row-major label or weight
-/// vectors (depending on the distance) and, beside each row, the graph
-/// it was read from. Covers a contiguous range of graphs, or — joined
-/// in range order — the whole database.
+/// into the class's trie: row-major label vectors and, beside each row,
+/// the graph it was read from. Covers a contiguous range of graphs, or
+/// — joined in range order — the whole database.
 #[derive(Default)]
 struct ClassRows {
     labels: Vec<Label>,
-    weights: Vec<f64>,
     row_graphs: Vec<GraphId>,
 }
 
@@ -1057,12 +880,10 @@ impl ClassRows {
         let parts = || blocks.iter().map(|block| &block[class]);
         let mut all = ClassRows {
             labels: Vec::with_capacity(parts().map(|p| p.labels.len()).sum()),
-            weights: Vec::with_capacity(parts().map(|p| p.weights.len()).sum()),
             row_graphs: Vec::with_capacity(parts().map(|p| p.row_graphs.len()).sum()),
         };
         for part in parts() {
             all.labels.extend_from_slice(&part.labels);
-            all.weights.extend_from_slice(&part.weights);
             all.row_graphs.extend_from_slice(&part.row_graphs);
         }
         all
@@ -1083,43 +904,31 @@ fn collect_class_rows(
     for (i, g) in graphs.iter().enumerate() {
         collect_graph_entries(structure, g, distance, entries);
         rows.labels.extend_from_slice(&entries.labels);
-        rows.weights.extend_from_slice(&entries.weights);
         rows.row_graphs.extend(std::iter::repeat_n(GraphId((first + i) as u32), entries.count));
     }
     rows
 }
 
 /// Builds one class's rows of graphs new to it (in graph order: the
-/// whole database at build, an inserted run after it) into the
-/// range-search structure of the index distance, appending the graphs
-/// to the class's posting list `graphs`.
-fn class_structure(
-    ClassRows { labels, mut weights, row_graphs }: ClassRows,
+/// whole database at build, an inserted run after it) into a trie of
+/// the class's width, appending the graphs to the class's posting list
+/// `graphs`.
+fn class_trie(
+    ClassRows { labels, row_graphs }: ClassRows,
     structure: &LabeledGraph,
     distance: &IndexDistance,
     graphs: &mut Vec<GraphId>,
-) -> ClassImpl {
-    let ecount = structure.edge_count();
-    let slots = structure.vertex_count() + ecount;
+) -> FlatTrie {
     debug_assert!(row_graphs.is_sorted(), "class rows are in graph order");
     let postings = post_rows(&row_graphs, graphs);
-    match distance {
-        IndexDistance::Mutation(_) => {
-            ClassImpl::Trie(Box::new(FlatTrie::from_rows(slots, labels, postings)))
-        }
-        IndexDistance::Linear(ld) => {
-            scale_weights(ld, ecount, slots, &mut weights);
-            ClassImpl::RTree(RTree::from_rows(slots, weights, postings))
-        }
-    }
+    FlatTrie::from_rows(distance.class_width(structure), labels, postings)
 }
 
 /// Appends the distinct graphs of `row_graphs` (ascending, and past the
 /// last of `graphs`) to the posting list `graphs`, returning each row's
-/// class-local slot in it — the postings of both structures, so range
-/// queries fold into a compact per-class row (see `range_query_row`).
-/// Slots ascend with the ids, so a trie's entry order is the same
-/// either way.
+/// class-local slot in it — the trie's postings, so range queries fold
+/// into a compact per-class row (see `range_query_row`). Slots ascend
+/// with the ids, so a trie's entry order is the same either way.
 fn post_rows(row_graphs: &[GraphId], graphs: &mut Vec<GraphId>) -> Vec<GraphId> {
     row_graphs
         .iter()
@@ -1182,24 +991,18 @@ mod tests {
         hits
     }
 
-    /// Fragment `i` as a standalone graph — its vector in the feature's
-    /// canonical layout, edge slots then vertex slots — labeled under
-    /// the mutation distance and weighted under the linear one: what
-    /// the oracle measures a range query from.
+    /// Fragment `i` of a mutation-distance index as a standalone graph
+    /// — its label vector in the feature's canonical layout, edge slots
+    /// then vertex slots: what the oracle measures a range query from.
     fn fragment_graph(index: &FragmentIndex, frags: &FragmentBuffer, i: usize) -> LabeledGraph {
         let feature = &index.features().get(frags.feature(i)).structure;
-        let slot = |k: usize| match frags.vector(i) {
-            FragmentVectorRef::Labels(v) => (v[k], 0.0),
-            FragmentVectorRef::Weights(v) => (Label(0), v[k]),
-        };
+        let v = frags.vector(i).labels();
         let mut b = GraphBuilder::new();
         for k in 0..feature.vertex_count() {
-            let (label, weight) = slot(feature.edge_count() + k);
-            b.add_vertex(VertexAttr { label, weight });
+            b.add_vertex(VertexAttr::labeled(v[feature.edge_count() + k]));
         }
         for (j, e) in feature.edges().iter().enumerate() {
-            let (label, weight) = slot(j);
-            b.add_edge(e.source, e.target, EdgeAttr { label, weight }).unwrap();
+            b.add_edge(e.source, e.target, EdgeAttr::labeled(v[j])).unwrap();
         }
         b.build()
     }
@@ -1268,8 +1071,12 @@ mod tests {
         }
     }
 
+    /// Under the linear distance a class is its posting list, frozen
+    /// or pending: every probe's minima row is `0.0` on exactly
+    /// `class_graphs(feature)` and its hit set is that whole list, at
+    /// any σ, with a tally of `0.0` per hit.
     #[test]
-    fn linear_rtree_distances_match_oracle() {
+    fn linear_rows_are_zero_on_the_posting_list() {
         let mk = |ws: [f64; 2]| {
             let mut b = GraphBuilder::new();
             let vs = b.add_vertices(3, VertexAttr::labeled(Label(0)));
@@ -1277,19 +1084,59 @@ mod tests {
             b.add_edge(vs[1], vs[2], EdgeAttr { label: Label(0), weight: ws[1] }).unwrap();
             b.build()
         };
-        let db = vec![mk([1.0, 2.0]), mk([1.1, 2.2]), mk([9.0, 9.0])];
+        let db =
+            vec![mk([1.0, 2.0]), mk([1.1, 2.2]), mk([9.0, 9.0]), path_graph(2, Label(0), Label(0))];
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 2);
-        let ld = LinearDistance::edges_only();
-        let index =
-            FragmentIndex::build(&db, features, IndexDistance::Linear(ld), &IndexConfig::default());
-        let query = mk([1.0, 2.0]);
-        let frags = fragments(&index, &query);
-        for i in 0..frags.len() {
-            let frag = fragment_graph(&index, &frags, i);
-            for (gid, d) in range_hits(&index, &frags, i, 0.5) {
-                let brute = min_superimposed_distance_brute(&frag, &db[gid.index()], &ld).unwrap();
-                assert!((d - brute).abs() < 1e-9, "index {d} vs brute {brute}");
+        let ld = IndexDistance::Linear(LinearDistance::edges_only());
+        let bulk = FragmentIndex::build(&db, features.clone(), ld.clone(), &IndexConfig::default());
+        let mut pending = FragmentIndex::build(&db[..1], features, ld, &IndexConfig::default());
+        pending.insert_graphs_pending(&db[1..]);
+        assert!(pending.pending_entries() > 0, "the inserted graphs stay pending");
+        let frags = fragments(&bulk, &mk([1.0, 2.0]));
+        assert!(frags.len() > 2, "the query holds both classes, one of them twice");
+        let mut scratch = RangeScratch::new();
+        let mut row = Vec::new();
+        for index in [&bulk, &pending] {
+            for f in index.features().iter() {
+                // One empty row per graph holding the structure.
+                let graphs = index.class_graphs(f.id);
+                let holding: Vec<GraphId> = (0..db.len())
+                    .filter(|&g| {
+                        pis_graph::iso::is_subgraph(&f.structure, &db[g], IsoConfig::STRUCTURE)
+                    })
+                    .map(|g| GraphId(g as u32))
+                    .collect();
+                assert_eq!(graphs, holding.as_slice());
+                assert_eq!(index.classes[f.id.index()].entries, graphs.len());
+            }
+            for i in 0..frags.len() {
+                let (feature, probe) = (frags.feature(i), frags.vector(i));
+                assert!(probe.is_empty(), "a linear class is 0 wide");
+                let graphs = index.class_graphs(feature);
+                assert!(!graphs.is_empty());
+                for sigma in [0.0, 0.5, 4.0] {
+                    let budget = BudgetState::unlimited();
+                    assert!(index.range_query_row(
+                        feature,
+                        probe,
+                        sigma,
+                        &mut scratch,
+                        budget,
+                        &mut row
+                    ));
+                    assert!(row.len() == graphs.len() && row.iter().all(|d| d.to_bits() == 0));
+                    let tally = index
+                        .range_query_hits(feature, probe, sigma, sigma, &mut scratch, budget)
+                        .unwrap();
+                    assert_eq!((tally.hits(), tally.matched().to_bits()), (graphs.len(), 0));
+                    let hit_bits: Vec<bool> = (0..64 * scratch.hits().len())
+                        .map(|k| scratch.hits()[k / 64] >> (k % 64) & 1 == 1)
+                        .collect();
+                    assert!(hit_bits.iter().enumerate().all(|(k, &hit)| hit == (k < graphs.len())));
+                    let listed: Vec<(GraphId, f64)> = graphs.iter().map(|&g| (g, 0.0)).collect();
+                    assert_eq!(range_hits(index, &frags, i, sigma), listed);
+                }
             }
         }
     }
@@ -1398,7 +1245,7 @@ mod tests {
             let index =
                 FragmentIndex::build(&db, features.clone(), distance, &IndexConfig::default());
             let (dense, sparse) = index.classes.iter().fold((0, 0), |(d, s), class| {
-                let (dd, ss) = class.frozen.as_trie().leaf_kinds();
+                let (dd, ss) = class.frozen.leaf_kinds();
                 (d + dd, s + ss)
             });
             assert!(dense > 0 && sparse > 0, "{dense} dense, {sparse} sparse leaves");
@@ -1430,7 +1277,7 @@ mod tests {
         let features = exhaustive_features(&structures, 4);
         let md = IndexDistance::Mutation(MutationDistance::unit());
         let ld = IndexDistance::Linear(LinearDistance::default());
-        for (name, distance) in [("trie", &md), ("r-tree", &ld)] {
+        for (name, distance) in [("mutation", &md), ("linear", &ld)] {
             // Fewer graphs than workers, and no graphs at all, included.
             for size in [0, 1, 5, 40] {
                 let db = &db[..size];
@@ -1487,12 +1334,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_insert_equals_bulk_build_rtree() {
-        // Weighted molecules: every class holds hundreds of distinct
-        // weight vectors, so the tree spans several levels and the
-        // inserts cross the merge threshold.
+    fn incremental_insert_equals_bulk_build_linear() {
+        // Weighted molecules: a linear class holds one entry per graph,
+        // so 80 inserted graphs take the common classes past the merge
+        // threshold and leave the rare ones pending.
         let db = MoleculeGenerator::new(MoleculeConfig { weighted: true, ..Default::default() })
-            .database(60, 11);
+            .database(100, 11);
         let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = exhaustive_features(&structures, 3);
         let ld = IndexDistance::Linear(LinearDistance::edges_only());
@@ -1502,16 +1349,9 @@ mod tests {
             incremental.insert_graph_pending(g);
         }
         assert!(incremental.merge_stats().merges > 0, "some class crossed the threshold");
-        incremental.compact();
+        assert!(incremental.pending_entries() > 0, "some class stayed pending");
+        let frags = fragments(&incremental, &db[3]);
         let bulk = FragmentIndex::build(&db, features, ld, &IndexConfig::default());
-        // Pack order depends only on the entries, so the compacted
-        // store is the bulk build, byte for byte.
-        assert!(
-            crate::encode_snapshot(&incremental, &db).unwrap()
-                == crate::encode_snapshot(&bulk, &db).unwrap(),
-            "compacted incremental store differs from the bulk build"
-        );
-        let frags = fragments(&bulk, &db[3]);
         for i in 0..frags.len() {
             for sigma in [0.0, 0.5, 2.0] {
                 assert_eq!(
@@ -1521,6 +1361,14 @@ mod tests {
                 );
             }
         }
+        // The trie layout depends only on the entries, so the compacted
+        // store is the bulk build, byte for byte.
+        incremental.compact();
+        assert!(
+            crate::encode_snapshot(&incremental, &db).unwrap()
+                == crate::encode_snapshot(&bulk, &db).unwrap(),
+            "compacted incremental store differs from the bulk build"
+        );
     }
 
     #[test]
@@ -1552,10 +1400,9 @@ mod tests {
         )
     }
 
-    /// Class `ci`'s slot count: its structures' depth or dimension.
-    fn class_slots(index: &FragmentIndex, ci: usize) -> usize {
-        let structure = &index.features.get(FeatureId(ci as u32)).structure;
-        structure.vertex_count() + structure.edge_count()
+    /// Class `ci`'s width: its tries' depth.
+    fn class_width(index: &FragmentIndex, ci: usize) -> usize {
+        index.distance.class_width(&index.features.get(FeatureId(ci as u32)).structure)
     }
 
     /// A populated class for corruption below (the build itself already
@@ -1572,8 +1419,6 @@ mod tests {
         let index = build_md(&db, 3);
         let report = index.validate().unwrap();
         assert_eq!(report.classes, index.features().len());
-        assert_eq!(report.trie_classes, report.classes);
-        assert_eq!(report.rtree_classes, 0);
         assert_eq!(report.frozen_entries, index.total_entries());
         assert_eq!(report.pending_entries, 0);
     }
@@ -1602,60 +1447,43 @@ mod tests {
         bad.classes[ci].graphs.push(GraphId(bad.graph_count as u32));
         assert!(bad.validate().unwrap_err().contains("past the"));
 
-        // The pending structure passes the frozen structure's checks,
-        // with the class named: the class's depth ...
+        // The pending trie passes the frozen trie's checks, with the
+        // class named: the class's width as depth ...
         let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
-        let trie = FlatTrie::from_rows(1, vec![Label(1)], vec![GraphId(0)]);
-        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(trie)));
+        bad.classes[ci].pending = Some(FlatTrie::from_rows(1, vec![Label(1)], vec![GraphId(0)]));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
         assert!(err.starts_with(&format!("class {ci}: pending trie depth 1 != ")), "{err}");
 
-        // ... its posting slots inside the class ...
-        let mut bad = build_md(&db, 3);
-        let ci = full_class(&bad);
-        let depth = class_slots(&bad, ci);
-        let past = GraphId(bad.classes[ci].graphs.len() as u32);
-        let trie = FlatTrie::from_rows(depth, vec![Label(1); depth], vec![past]);
-        bad.classes[ci].pending = Some(ClassImpl::Trie(Box::new(trie)));
-        bad.classes[ci].entries += 1;
-        let err = bad.validate().unwrap_err();
-        assert!(err.starts_with(&format!("class {ci}: pending trie posting slot ")), "{err}");
-
-        // ... the distance's kind of structure ...
-        let mut bad = build_md(&db, 3);
-        let ci = full_class(&bad);
-        let dim = class_slots(&bad, ci);
-        bad.classes[ci].pending = Some(ClassImpl::RTree(RTree::from_rows(dim, vec![], vec![])));
-        let err = bad.validate().unwrap_err();
-        assert_eq!(err, format!("class {ci}: pending backend does not match the index distance"));
-
-        // ... and, on an R-tree class, the same posting-slot check.
-        let mut bad = build_ld(&db, 3);
-        let ci = full_class(&bad);
-        let past = GraphId(bad.classes[ci].graphs.len() as u32);
-        let dim = class_slots(&bad, ci);
-        let rt = RTree::from_rows(dim, vec![0.0; dim], vec![past]);
-        bad.classes[ci].pending = Some(ClassImpl::RTree(rt));
-        bad.classes[ci].entries += 1;
-        let err = bad.validate().unwrap_err();
-        assert_eq!(
-            err,
-            format!(
-                "class {ci}: pending r-tree posting slot {past} exceeds the {}-graph class",
-                past.0
-            )
-        );
+        // ... and its posting slots inside the class, on a mutation
+        // class and on a 0-wide linear one alike.
+        for mut bad in [build_md(&db, 3), build_ld(&db, 3)] {
+            let ci = full_class(&bad);
+            let width = class_width(&bad, ci);
+            let past = GraphId(bad.classes[ci].graphs.len() as u32);
+            bad.classes[ci].pending =
+                Some(FlatTrie::from_rows(width, vec![Label(1); width], vec![past]));
+            bad.classes[ci].entries += 1;
+            let err = bad.validate().unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "class {ci}: pending trie posting slot {past} exceeds the {}-graph class",
+                    past.0
+                )
+            );
+        }
     }
 
     #[test]
     fn validate_rejects_mismatched_backend() {
         let db = small_db();
         let mut bad = build_md(&db, 3);
-        // Swap the distance out from under trie-backed classes.
+        // Swap the distance out from under mutation-distance classes:
+        // their tries are deeper than a 0-wide linear class.
         bad.distance = IndexDistance::Linear(LinearDistance::edges_only());
-        assert!(bad.validate().unwrap_err().contains("backend"));
+        assert!(bad.validate().unwrap_err().contains("!= class width 0"));
     }
 
     #[test]
@@ -1716,19 +1544,10 @@ mod tests {
             assert!(!frags.is_empty());
             for i in 0..frags.len() {
                 let ecount = index.features().get(frags.feature(i)).edge_count();
-                match frags.vector(i) {
-                    FragmentVectorRef::Labels(v) => {
-                        let mut again = v.to_vec();
-                        index.distance().normalize_labels(ecount, &mut again);
-                        assert_eq!(again, v, "probe {i}");
-                    }
-                    FragmentVectorRef::Weights(v) => {
-                        let mut again = v.to_vec();
-                        index.distance().normalize_weights(ecount, &mut again);
-                        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&again), bits(v), "probe {i}");
-                    }
-                }
+                let v = frags.vector(i).labels();
+                let mut again = v.to_vec();
+                index.distance().normalize_labels(ecount, &mut again);
+                assert_eq!(again, v, "probe {i}");
             }
         }
     }

@@ -2,25 +2,29 @@
 //!
 //! Database graphs are decomposed into fragments — embeddings of the
 //! selected feature structures — and every fragment's *label vector*
-//! (categorical labels or numeric weights read in the feature's
-//! canonical order) is stored in a per-equivalence-class index that
-//! answers range queries `d(g, g') ≤ σ` — one structure per distance:
-//!
-//! * [`flat_trie::FlatTrie`] — categorical labels under the mutation
-//!   distance: a cache-resident level-major arena descended level by
-//!   level, one probe at a time, with each level's labels priced once;
-//! * [`rtree::RTree`] — numeric weights under the linear distance (L1
-//!   ball queries, the paper's Example 3).
-//!
-//! Tests hold both to the definition, not to a second structure: a
+//! (categorical labels read in the feature's canonical order) is stored
+//! in a per-equivalence-class [`flat_trie::FlatTrie`] that answers range
+//! queries `d(g, g') ≤ σ`: a cache-resident level-major arena descended
+//! level by level, one probe at a time, with each level's labels priced
+//! once. Tests hold it to the definition, not to a second structure: a
 //! class's hits equal a scan of every stored entry that sums the
-//! per-position costs (the trie) or the L1 distance (the R-tree), to the
-//! f64 bit.
+//! per-position costs, to the f64 bit.
 //!
-//! A class holds two instances of its structure: the frozen one and a
-//! small *pending* one that inserted graphs land in until the class
-//! merges them. Range queries run the same kernel over both, so an
-//! unmerged class answers exactly as a merged one.
+//! One trie kernel serves both distances. A class's trie is as deep as
+//! the class is wide: `v + e` slots under the mutation distance, none
+//! under the linear distance (the paper's Example 3), whose class is its
+//! posting list — a depth-0 trie with one entry per containing graph. A
+//! linear probe therefore hits the whole list at distance 0, a lower
+//! bound the funnel prunes soundly with; verification measures the
+//! weights. The paper's R-tree over weight vectors is not carried: on
+//! the molecule corpus it pruned almost nothing beyond the posting lists
+//! and the structure check and made the search 18–156× slower than
+//! `topo_prune` (DESIGN.md §6.14).
+//!
+//! A class holds two tries: the frozen one and a small *pending* one
+//! that inserted graphs land in until the class merges them. Range
+//! queries run the same kernel over both, so an unmerged class answers
+//! exactly as a merged one.
 //!
 //! The query side has one form, the one the search runs: fragments
 //! land normalized in a caller's [`FragmentBuffer`], and a range query
@@ -50,7 +54,6 @@ pub mod flat_trie;
 pub mod fragment;
 pub mod index;
 pub mod persist;
-pub mod rtree;
 pub mod snapshot;
 pub mod tally;
 pub mod wal;

@@ -1,9 +1,10 @@
 //! Versioned binary snapshots of a [`FragmentIndex`] + its database —
 //! the one persisted form of an index.
 //!
-//! A snapshot stores the frozen FlatTrie arena columns verbatim, so
-//! loading validates and bulk-copies them back with no re-sort and no
-//! per-entry parsing.
+//! A snapshot stores each class's frozen FlatTrie arena columns
+//! verbatim — a linear-distance class as a depth-0 trie over its
+//! posting list — so loading validates and bulk-copies them back with
+//! no re-sort and no per-entry parsing.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -17,12 +18,11 @@
 //! ```
 //!
 //! Every structural count is bounds-checked against the bytes actually
-//! present, every float is rejected when non-finite, trie arenas are
-//! revalidated by `FlatTrie::from_parts`, and R-tree classes are packed
-//! from their stored points the way the build packs them — so a loaded
-//! snapshot answers queries bit-identically, re-encodes to the same
-//! bytes, and corrupt input of any shape surfaces as
-//! [`PersistError::Corrupt`], never a panic.
+//! present, every float is rejected when non-finite, and trie arenas
+//! are revalidated by `FlatTrie::from_parts` — so a loaded snapshot
+//! answers queries bit-identically, re-encodes to the same bytes, and
+//! corrupt input of any shape surfaces as [`PersistError::Corrupt`],
+//! never a panic.
 //!
 //! The database graphs ride in the snapshot (one atomic rename covers
 //! index *and* database); the write-ahead log ([`crate::wal`]) replays
@@ -54,9 +54,8 @@ use crate::codec::{
     atomic_write, check_finite_weights, crc32, idx, len64, u32_idx, u32_of, ByteReader, ByteWriter,
 };
 use crate::flat_trie::{FlatTrie, TriePartsOwned};
-use crate::index::{ClassImpl, ClassIndex, FragmentIndex, IndexDistance, MergeStats};
+use crate::index::{ClassIndex, FragmentIndex, IndexDistance, MergeStats};
 use crate::persist::PersistError;
-use crate::rtree::RTree;
 
 const MAGIC: &[u8; 8] = b"PISSNAP1";
 const VERSION: u32 = 1;
@@ -72,8 +71,9 @@ const KIND_CLASSES: u32 = 4;
 /// META's three retired slots, kept so persisted bytes do not move. The
 /// embedding cap is always "none": an index built under a cap had wrong
 /// range-query minima, so any other value is refused on read. The
-/// backend byte once chose among structures; `0`–`2` named pairings that
-/// still exist (the class tags say which), `3` the VP-tree. The merge
+/// backend byte once chose among structures; `0`–`2` are accepted (the
+/// class tags say which structure each class holds, and refuse the ones
+/// that are gone), `3`, the VP-tree, is refused. The merge
 /// threshold was a knob; it is written as its old default and any value
 /// is accepted and ignored on read, since a threshold never changes an
 /// answer.
@@ -82,8 +82,9 @@ const BACKEND_BY_DISTANCE: u8 = 0;
 const BACKEND_VPTREE: u8 = 3;
 const RETIRED_MERGE_THRESHOLD: u64 = 64;
 
-/// Class tags. `1` and `3` were the VP-tree classes (label and weight
-/// items) and decode to [`PersistError::Corrupt`].
+/// Class tags: every class is a trie. `1` and `3` were the VP-tree
+/// classes (label and weight items), `2` the R-tree of a linear class;
+/// all three decode to [`PersistError::Corrupt`].
 const CLASS_TRIE: u8 = 0;
 const CLASS_RTREE: u8 = 2;
 
@@ -203,54 +204,36 @@ fn encode_classes(
 ) -> Result<(), PersistError> {
     w.u32(u32_of(index.classes.len(), "class count")?);
     for class in &index.classes {
-        w.u8(match &class.frozen {
-            ClassImpl::Trie(_) => CLASS_TRIE,
-            ClassImpl::RTree(_) => CLASS_RTREE,
-        });
+        w.u8(CLASS_TRIE);
         w.u32(u32_of(class.graphs.len(), "posting length")?);
         for g in &class.graphs {
             w.u32(g.0);
         }
         w.u64(len64(class.entries));
-        match &class.frozen {
-            ClassImpl::Trie(trie) => {
-                let p = trie.parts();
-                w.u32(u32_of(p.depth, "trie depth")?);
-                w.u32(u32_of(p.labels.len(), "trie node count")?);
-                w.u32(u32_of(p.postings.len(), "trie posting count")?);
-                w.u32(u32_of(p.alphabet.len(), "trie alphabet count")?);
-                for &x in p.level_start {
-                    w.u32(x);
-                }
-                for &l in p.labels {
-                    w.u32(l.0);
-                }
-                for arr in [p.label_idx, p.child_start, p.child_len, p.sub_start, p.sub_len] {
-                    for &x in arr {
-                        w.u32(x);
-                    }
-                }
-                for &g in p.postings {
-                    w.u32(g.0);
-                }
-                for &x in p.alphabet_start {
-                    w.u32(x);
-                }
-                for &l in p.alphabet {
-                    w.u32(l.0);
-                }
+        let p = class.frozen.parts();
+        w.u32(u32_of(p.depth, "trie depth")?);
+        w.u32(u32_of(p.labels.len(), "trie node count")?);
+        w.u32(u32_of(p.postings.len(), "trie posting count")?);
+        w.u32(u32_of(p.alphabet.len(), "trie alphabet count")?);
+        for &x in p.level_start {
+            w.u32(x);
+        }
+        for &l in p.labels {
+            w.u32(l.0);
+        }
+        for arr in [p.label_idx, p.child_start, p.child_len, p.sub_start, p.sub_len] {
+            for &x in arr {
+                w.u32(x);
             }
-            ClassImpl::RTree(rt) => {
-                // Points in pack order, each under the graph id its
-                // posting slot names.
-                w.u32(u32_of(rt.len(), "weight entry count")?);
-                rt.for_each_entry(|p, slot| {
-                    for &x in p {
-                        w.f64_bits(x);
-                    }
-                    w.u32(class.graphs[slot.index()].0);
-                });
-            }
+        }
+        for &g in p.postings {
+            w.u32(g.0);
+        }
+        for &x in p.alphabet_start {
+            w.u32(x);
+        }
+        for &l in p.alphabet {
+            w.u32(l.0);
         }
     }
     Ok(())
@@ -326,7 +309,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
     let section = |k: u32| ByteReader::new(payloads[idx(k) - 1], offsets[idx(k) - 1]);
 
     let meta = decode_meta(&mut section(KIND_META))?;
-    let (features, class_slots) = decode_features(&mut section(KIND_FEATURES))?;
+    let features = decode_features(&mut section(KIND_FEATURES))?;
     let database = decode_database(&mut section(KIND_DATABASE))?;
     if database.len() != meta.graph_count {
         return Err(corrupt(
@@ -338,7 +321,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
             ),
         ));
     }
-    let classes = decode_classes(&mut section(KIND_CLASSES), &meta, &class_slots)?;
+    let widths: Vec<usize> =
+        features.iter().map(|f| meta.distance.class_width(&f.structure)).collect();
+    let classes = decode_classes(&mut section(KIND_CLASSES), &meta, &widths)?;
     let index = FragmentIndex {
         features,
         distance: meta.distance,
@@ -455,12 +440,9 @@ fn decode_matrix(r: &mut ByteReader<'_>) -> Result<ScoreMatrix, PersistError> {
         .map_err(|e| r.corrupt(&e.to_string()))
 }
 
-/// Decodes the features and, beside them in class (= feature) order,
-/// each class's slot count.
-fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<usize>), PersistError> {
+fn decode_features(r: &mut ByteReader<'_>) -> Result<FeatureSet, PersistError> {
     let count = bounded_count(r, "feature count", 16)?;
     let mut features = FeatureSet::new();
-    let mut class_slots = Vec::with_capacity(count);
     for _ in 0..count {
         let support = r.u64_usize("feature support")?;
         let seq_len = bounded_count(r, "feature sequence length", 4)?;
@@ -470,7 +452,6 @@ fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<usize>), P
         }
         // Full structural validation, canonicality included.
         let code = sequence_to_code(&seq).map_err(|m| r.corrupt(m))?;
-        class_slots.push(code.vertex_count() + code.edge_count());
         let (_, fresh) = features.insert(code, support);
         if !fresh {
             return Err(r.corrupt("duplicate feature"));
@@ -479,7 +460,7 @@ fn decode_features(r: &mut ByteReader<'_>) -> Result<(FeatureSet, Vec<usize>), P
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes in FEATURES section"));
     }
-    Ok((features, class_slots))
+    Ok(features)
 }
 
 /// Rebuilds a DFS code from its `to_sequence` serialization.
@@ -558,17 +539,19 @@ fn decode_database(r: &mut ByteReader<'_>) -> Result<Vec<LabeledGraph>, PersistE
     Ok(db)
 }
 
+/// Decodes the classes, one per feature; `widths[c]` is class `c`'s
+/// width under the index distance, the depth its trie must have.
 fn decode_classes(
     r: &mut ByteReader<'_>,
     meta: &Meta,
-    class_slots: &[usize],
+    widths: &[usize],
 ) -> Result<Vec<ClassIndex>, PersistError> {
     let count = bounded_count(r, "class count", 1)?;
-    if count != class_slots.len() {
-        return Err(r.corrupt(&format!("{count} classes for {} features", class_slots.len())));
+    if count != widths.len() {
+        return Err(r.corrupt(&format!("{count} classes for {} features", widths.len())));
     }
     let mut classes = Vec::with_capacity(count);
-    for &slots in class_slots {
+    for &width in widths {
         let tag = r.u8("class backend tag")?;
         let posting_len = bounded_count(r, "posting length", 4)?;
         let mut graphs = Vec::with_capacity(posting_len);
@@ -584,13 +567,13 @@ fn decode_classes(
             return Err(r.corrupt("posting graph id out of range"));
         }
         let entries = r.u64_usize("entry count")?;
-        let imp = match tag {
-            CLASS_TRIE => decode_trie(r, slots, graphs.len())?,
-            CLASS_RTREE => decode_rtree(r, slots, &graphs)?,
+        let trie = match tag {
+            CLASS_TRIE => decode_trie(r, width, graphs.len())?,
+            CLASS_RTREE => return Err(r.corrupt("R-tree class: unsupported, rebuild the store")),
             1 | 3 => return Err(r.corrupt("VP-tree class: unsupported, rebuild the store")),
             t => return Err(r.corrupt(&format!("unknown class backend tag {t}"))),
         };
-        classes.push(ClassIndex::restored(imp, graphs, entries));
+        classes.push(ClassIndex::restored(trie, graphs, entries));
     }
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes in CLASSES section"));
@@ -604,14 +587,14 @@ fn decode_classes(
 /// here, where the class size is known.
 fn decode_trie(
     r: &mut ByteReader<'_>,
-    slots: usize,
+    width: usize,
     class_size: usize,
-) -> Result<ClassImpl, PersistError> {
+) -> Result<FlatTrie, PersistError> {
     let depth = r.u32_usize("trie depth")?;
-    // Queries index probe vectors of `slots` labels by trie level, so a
+    // Queries index probe vectors of `width` labels by trie level, so a
     // depth mismatch would read out of bounds at query time.
-    if depth != slots {
-        return Err(r.corrupt(&format!("trie depth {depth} != {slots} class slots")));
+    if depth != width {
+        return Err(r.corrupt(&format!("trie depth {depth} != class width {width}")));
     }
     let nodes = bounded_count(r, "trie node count", 4)?;
     let postings_len = bounded_count(r, "trie posting count", 4)?;
@@ -640,7 +623,7 @@ fn decode_trie(
     let alphabet_start = read_u32s(table_len, "trie alphabet table", r)?;
     let alphabet: Vec<Label> =
         read_u32s(alphabet_len, "trie alphabet", r)?.into_iter().map(Label).collect();
-    let trie = FlatTrie::from_parts(TriePartsOwned {
+    FlatTrie::from_parts(TriePartsOwned {
         depth,
         level_start,
         labels,
@@ -653,34 +636,7 @@ fn decode_trie(
         alphabet_start,
         alphabet,
     })
-    .map_err(|m| r.corrupt(&m))?;
-    Ok(ClassImpl::Trie(Box::new(trie)))
-}
-
-/// Reads an R-tree's points (already scale-transformed), maps each
-/// one's graph id to its class-local slot on the posting list `graphs`
-/// and packs them. Stores written before the tree was packed hold their
-/// points in traversal order; packing sorts, so they load as the same
-/// tree.
-fn decode_rtree(
-    r: &mut ByteReader<'_>,
-    dim: usize,
-    graphs: &[GraphId],
-) -> Result<ClassImpl, PersistError> {
-    let count = bounded_count(r, "weight entry count", dim * 8 + 4)?;
-    let mut rows = Vec::with_capacity(count * dim);
-    let mut slots = Vec::with_capacity(count);
-    for _ in 0..count {
-        for _ in 0..dim {
-            rows.push(r.f64_finite("weight slot")?);
-        }
-        let gid = GraphId(r.u32("entry graph id")?);
-        let slot = graphs.binary_search(&gid).map_err(|_| {
-            r.corrupt(&format!("entry graph id {gid} is not on the class's posting list"))
-        })?;
-        slots.push(GraphId(u32_idx(slot)));
-    }
-    Ok(ClassImpl::RTree(RTree::from_rows(dim, rows, slots)))
+    .map_err(|m| r.corrupt(&m))
 }
 
 #[cfg(test)]
@@ -765,107 +721,45 @@ mod tests {
         assert_eq!(w.into_bytes()[..25], meta(u64::MAX, 0, 64)[..25]);
     }
 
-    /// CLASSES section bytes for `index`, as the encoder lays them out
-    /// but with each R-tree's points written in reverse pack order — the
-    /// shape of a store written before trees were packed — and the graph
-    /// id of point `stray.1` of class `stray.0`, if any, replaced by
-    /// `stray.2`.
-    fn classes_reversed(index: &FragmentIndex, stray: Option<(usize, usize, u32)>) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u32(u32_idx(index.classes.len()));
-        for (ci, class) in index.classes.iter().enumerate() {
-            let ClassImpl::RTree(rt) = &class.frozen else { panic!("a linear index") };
-            w.u8(CLASS_RTREE);
-            w.u32(u32_idx(class.graphs.len()));
-            for g in &class.graphs {
-                w.u32(g.0);
-            }
-            w.u64(len64(class.entries));
-            w.u32(u32_idx(rt.len()));
-            let mut points = Vec::new();
-            rt.for_each_entry(|p, slot| points.push((p.to_vec(), class.graphs[slot.index()].0)));
-            points.reverse();
-            for (i, (p, g)) in points.into_iter().enumerate() {
-                for x in p {
-                    w.f64_bits(x);
-                }
-                w.u32(match stray {
-                    Some((c, k, id)) if (c, k) == (ci, i) => id,
-                    _ => g,
-                });
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes hand-built CLASSES bytes into an index over `index`'s
-    /// features and distance.
-    fn decode_classes_of(
-        index: &FragmentIndex,
-        bytes: &[u8],
-    ) -> Result<FragmentIndex, PersistError> {
-        let meta = Meta { graph_count: index.graph_count, distance: index.distance.clone() };
-        let slots: Vec<usize> = index
-            .features
-            .iter()
-            .map(|f| f.structure.vertex_count() + f.structure.edge_count())
-            .collect();
-        let classes = decode_classes(&mut ByteReader::new(bytes, 0), &meta, &slots)?;
-        Ok(FragmentIndex {
-            features: index.features.clone(),
-            distance: meta.distance,
-            classes,
-            graph_count: meta.graph_count,
-            merge_stats: MergeStats::default(),
-        })
-    }
-
-    /// Stores whose R-tree points are out of pack order — every store
-    /// written before trees were packed — load as the tree the build
-    /// packs: same values, same answers, canonical bytes on re-encode.
-    /// A point naming a graph off its class's posting list is corrupt.
+    /// A linear-distance store holds every class as a depth-0 trie over
+    /// its posting list, one entry per graph, and round-trips to the
+    /// byte. A class tagged `2` — the R-tree classes of stores written
+    /// before linear classes became posting lists — is refused with a
+    /// typed error naming the remedy, through the whole decoder (section
+    /// and footer checksums patched to match).
     #[test]
-    fn rtree_points_in_any_order_load_as_the_packed_tree() {
+    fn linear_classes_are_posting_lists_and_rtree_tags_are_refused() {
         let (index, db) = sample(IndexDistance::Linear(LinearDistance::default()));
-        let canonical = encode_snapshot(&index, &db).unwrap();
-        let mut w = ByteWriter::new();
-        encode_classes(&index, &db, &mut w).unwrap();
-        let reversed = classes_reversed(&index, None);
-        assert!(reversed != w.into_bytes(), "some class holds points out of pack order");
-
-        let loaded = decode_classes_of(&index, &reversed).unwrap();
-        loaded.validate().unwrap();
-        for (a, b) in loaded.classes.iter().zip(&index.classes) {
-            assert!(a.frozen == b.frozen && a.graphs == b.graphs && a.entries == b.entries);
+        for class in &index.classes {
+            assert_eq!(class.frozen.depth(), 0);
+            assert_eq!(class.entries, class.graphs.len());
         }
-        let mut frags = crate::FragmentBuffer::new();
-        index.enumerate_query_fragments_into(&ring(&[1, 2, 2, 1]), &mut frags);
-        let mut scratch = crate::RangeScratch::new();
-        for i in 0..frags.len() {
-            for sigma in [0.0, 1.0, 3.0] {
-                let mut bits = |index: &FragmentIndex| -> Vec<(GraphId, u64)> {
-                    let mut hits = Vec::new();
-                    let (f, probe) = (frags.feature(i), frags.vector(i));
-                    index.range_query_normalized_into(f, probe, sigma, &mut scratch, &mut hits);
-                    hits.into_iter().map(|(g, d)| (g, d.to_bits())).collect()
-                };
-                assert_eq!(bits(&loaded), bits(&index));
-            }
-        }
-        assert!(encode_snapshot(&loaded, &db).unwrap() == canonical, "re-encodes canonically");
+        let bytes = encode_snapshot(&index, &db).unwrap();
+        let (loaded, db2) = decode_snapshot(&bytes).unwrap();
+        assert!(encode_snapshot(&loaded, &db2).unwrap() == bytes, "round trip is byte-identical");
 
-        // Graph 1 is off the posting list of a class only graph 0 holds
-        // (or, failing that, a graph past the database is off every list).
-        let (ci, absent) = index
-            .classes
-            .iter()
-            .position(|c| c.graphs == [GraphId(0)])
-            .map_or((0, u32_idx(db.len())), |ci| (ci, 1));
-        let err = decode_classes_of(&index, &classes_reversed(&index, Some((ci, 0, absent))));
-        let want = format!("entry graph id {} is not on the class's posting list", GraphId(absent));
-        match err {
+        let mut bad = bytes.clone();
+        let entry = MAGIC.len() + 8 + (idx(KIND_CLASSES) - 1) * TABLE_ENTRY;
+        let read_u64 = |at: usize| {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(&bytes[at..at + 8]);
+            usize::try_from(u64::from_le_bytes(le)).unwrap()
+        };
+        let (offset, len) = (read_u64(entry + 4), read_u64(entry + 12));
+        // After the u32 class count: the first class's tag.
+        assert_eq!(bad[offset + 4], CLASS_TRIE);
+        bad[offset + 4] = CLASS_RTREE;
+        let crc = crc32(&bad[offset..offset + len]);
+        bad[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+        let footer_at = bad.len() - 4;
+        let footer = crc32(&bad[..footer_at]);
+        bad[footer_at..].copy_from_slice(&footer.to_le_bytes());
+        match decode_snapshot(&bad) {
             Err(PersistError::Corrupt { message, .. }) => {
-                assert!(message.contains(&want), "{message}");
+                assert!(
+                    message.contains("R-tree class: unsupported, rebuild the store"),
+                    "{message}"
+                );
             }
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }

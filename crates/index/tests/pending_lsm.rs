@@ -1,7 +1,7 @@
-//! Pending-structure equivalence: range queries over (frozen +
-//! pending) must be *bit-identical* (f64 payloads included) to queries
-//! over the merged index, for both class structures, and the automatic
-//! threshold merge must not change a single answer.
+//! Pending-trie equivalence: range queries over (frozen + pending)
+//! must be *bit-identical* (f64 payloads included) to queries over the
+//! merged index, under both distances, and the automatic threshold
+//! merge must not change a single answer.
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{EdgeAttr, GraphBuilder, GraphId, Label, LabeledGraph, VertexAttr};
@@ -42,9 +42,11 @@ fn build(distance: &IndexDistance) -> FragmentIndex {
 }
 
 /// Rings enough to take every class past the merge threshold of 64
-/// pending entries, several times over.
+/// pending entries: several times over under the mutation distance, and
+/// once under the linear distance, whose classes hold one entry per
+/// graph.
 fn many_rings() -> Vec<LabeledGraph> {
-    (0..40u32).map(|i| ring(&[1 + i % 3, 1 + i / 3 % 3, 1 + i / 9 % 3, 1 + i % 2])).collect()
+    (0..80u32).map(|i| ring(&[1 + i % 3, 1 + i / 3 % 3, 1 + i / 9 % 3, 1 + i % 2])).collect()
 }
 
 /// Every (feature, probe, sigma) answer set, canonically ordered with
@@ -66,12 +68,13 @@ fn all_answers(index: &FragmentIndex, queries: &[LabeledGraph]) -> Vec<(u32, Gra
     out
 }
 
-/// Both class structures, named for assertion messages: a trie under
-/// the mutation distance, an R-tree under the linear distance.
+/// Both distances, named for assertion messages: label tries under
+/// the mutation distance, posting-list (depth-0) tries under the linear
+/// distance.
 fn backends() -> [(&'static str, IndexDistance); 2] {
     [
-        ("trie", IndexDistance::Mutation(MutationDistance::edge_hamming())),
-        ("r-tree", IndexDistance::Linear(LinearDistance::default())),
+        ("mutation", IndexDistance::Mutation(MutationDistance::edge_hamming())),
+        ("linear", IndexDistance::Linear(LinearDistance::default())),
     ]
 }
 
@@ -109,7 +112,7 @@ fn threshold_merges_automatically_without_changing_answers() {
             auto.insert_graph_pending(&g);
         }
         manual.insert_graphs_pending(&many_rings());
-        // Forty rings put hundreds of entries into every class: each
+        // Eighty rings put at least 80 entries into every class: each
         // must have crossed the threshold and merged, one insert at a
         // time, and still holds less than it pending.
         assert!(auto.merge_stats().merges > 0, "{backend}: threshold merge did not fire");
@@ -183,19 +186,4 @@ fn merge_stats_count_merges_and_rewritten_entries() {
         index.compact();
         assert_eq!(index.merge_stats(), stats, "{backend}: an idle compaction merges nothing");
     }
-}
-
-#[test]
-fn compact_leaves_no_stale_rtrees() {
-    let distance = IndexDistance::Linear(LinearDistance::default());
-    let mut index = build(&distance);
-    for g in incoming() {
-        index.insert_graph_pending(&g);
-    }
-    // Pending inserts leave the trees alone, and a merge re-flattens
-    // the tree it grows: `validate` compares each arena with its tree.
-    assert!(index.validate().unwrap().rtree_classes > 0);
-    index.compact();
-    index.validate().unwrap();
-    assert_eq!(index.pending_entries(), 0);
 }

@@ -2,8 +2,7 @@
 //! ([`pis_index::FragmentIndex::validate`]).
 //!
 //! The reject side lives next to each structure (bit-flip corpora over
-//! the trie's arena columns, column surgery on the packed R-tree, field
-//! corruption on the index). This file pins the other half of the
+//! the trie's arena columns, field corruption on the index). This file pins the other half of the
 //! contract: an index reached through *any* public lifecycle — build,
 //! inserts one at a time or as a run, threshold-triggered merges,
 //! compaction, snapshot round trip — validates cleanly, so a validation
@@ -93,9 +92,8 @@ proptest! {
         assert_valid(&restored, "after snapshot round trip")?;
     }
 
-    /// Linear distance over weight vectors: the R-tree (with its pack
-    /// order and re-derived bounds) validates through the same
-    /// lifecycle.
+    /// Linear distance over weighted graphs: the posting-list classes
+    /// (depth-0 tries) validate through the same lifecycle.
     #[test]
     fn weight_lifecycle_always_validates(
         extra in prop::collection::vec(prop::collection::vec(1u32..40, 4), 1..12),

@@ -1,9 +1,13 @@
 //! Linear-distance search over weighted graphs — the paper's Example 3.
 //!
 //! When labels are numeric (bond lengths, charges), the superimposed
-//! distance is the linear mutation distance `LD = Σ |w − w'|` and each
-//! equivalence class is indexed by an R-tree over weight vectors; a
-//! range query `LD ≤ σ` becomes an L1 ball query.
+//! distance is the linear mutation distance `LD = Σ |w − w'|`. Each
+//! equivalence class is its posting list — the graphs that contain its
+//! structure — so the search's candidates are `topo_prune`'s: posting
+//! lists intersected, then the structure check. Verification measures
+//! `LD` and keeps the answers exact. (The paper's R-tree over weight
+//! vectors pruned almost nothing beyond that on molecules and cost far
+//! more than it saved; DESIGN.md §6.14.)
 //!
 //! Run with: `cargo run --release --example weighted_geometry`
 
@@ -23,7 +27,7 @@ fn main() {
         .exhaustive_features(3)
         .build(db.clone());
     println!(
-        "R-tree index: {} classes / {} weight vectors",
+        "posting-list index: {} classes / {} (class, graph) entries",
         system.index().features().len(),
         system.index().total_entries()
     );
@@ -48,11 +52,16 @@ fn main() {
         }
     }
 
-    // Cross-check the indexed answers against the full scan.
+    // Cross-check the indexed answers against the full scan, and the
+    // indexed candidates against topoPrune's.
     for q in &queries {
         let indexed = system.search(q, 0.25);
         let scanned = system.naive_scan(q, 0.25);
         assert_eq!(indexed.answers, scanned.answers, "the index must not change the answers");
+        let topo = system.topo_prune(q, 0.25);
+        assert_eq!(indexed.candidates, topo.candidates, "a linear class is its posting list");
     }
-    println!("indexed search and naive scan agree — weighted search OK");
+    println!(
+        "indexed search equals the naive scan, candidates equal topoPrune's — weighted search OK"
+    );
 }

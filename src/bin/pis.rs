@@ -466,13 +466,8 @@ fn cmd_check(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     )?;
     writeln!(
         stdout,
-        "  index:    {} classes ({} trie, {} r-tree), \
-         {} frozen + {} pending entries, all invariants hold",
-        report.index.classes,
-        report.index.trie_classes,
-        report.index.rtree_classes,
-        report.index.frozen_entries,
-        report.index.pending_entries
+        "  index:    {} classes, {} frozen + {} pending entries, all invariants hold",
+        report.index.classes, report.index.frozen_entries, report.index.pending_entries
     )?;
     writeln!(
         stdout,

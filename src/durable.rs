@@ -84,8 +84,8 @@ pub struct StoreCheckReport {
 ///
 /// Checks, in order: the snapshot's magic/version/section CRCs and
 /// footer, the deep index invariants on the decoded structures (trie
-/// arena tiling, R-tree pack order and bounds, posting lists, for the
-/// frozen and the pending structure alike), WAL framing, that every committed WAL
+/// arena tiling, trie depth against the class width, posting lists, for
+/// the frozen and the pending trie alike), WAL framing, that every committed WAL
 /// record replays cleanly on top of the snapshot, and the index
 /// invariants again on the replayed state. Any violation surfaces as a
 /// typed [`PersistError`] — never a panic.

@@ -38,7 +38,7 @@
 //! | [`graph`] | §2 | labeled graphs, subgraph matching, DFS codes, enumeration |
 //! | [`distance`] | §2 | mutation & linear distances, brute oracle |
 //! | [`mining`] | §4 | gSpan, gIndex, GraphGrep path features |
-//! | [`index`] | §4 | fragment index: a trie or an R-tree per class |
+//! | [`index`] | §4 | fragment index: a label trie per class (a posting list under LD) |
 //! | [`partition`] | §5 | overlapping-relation graph, MWIS solvers |
 //! | [`core`] | §3–6 | Algorithm 2, verification, baselines |
 //! | [`datasets`] | §7 | synthetic chemical generator, SDF, queries |

@@ -103,30 +103,24 @@ pub fn sigma() -> impl Strategy<Value = f64> {
     (0u32..10, 0.0f64..4.0).prop_map(|(k, x)| if k < 5 { f64::from(k) } else { x })
 }
 
-/// Rebuilds fragment `i` of `frags` as a standalone graph (the
-/// fragment's vector in the feature's canonical layout: edge slots, then
-/// vertex slots), labeled under the mutation distance and weighted under
-/// the linear distance — what the definition measures a range query
-/// from.
+/// Rebuilds fragment `i` of a mutation-distance index's `frags` as a
+/// standalone labeled graph (the fragment's label vector in the
+/// feature's canonical layout: edge slots, then vertex slots) — what the
+/// definition measures a range query from.
 pub fn fragment_as_graph(
     index: &pis::index::FragmentIndex,
     frags: &pis::index::FragmentBuffer,
     i: usize,
 ) -> LabeledGraph {
     let feature = index.features().get(frags.feature(i));
-    let slot = |k: usize| match frags.vector(i) {
-        pis::index::FragmentVectorRef::Labels(v) => (v[k], 0.0),
-        pis::index::FragmentVectorRef::Weights(v) => (Label(0), v[k]),
-    };
+    let v = frags.vector(i).labels();
     let ecount = feature.edge_count();
     let mut b = GraphBuilder::new();
     for (i, _) in feature.structure.vertex_ids().enumerate() {
-        let (label, weight) = slot(ecount + i);
-        b.add_vertex(VertexAttr { label, weight });
+        b.add_vertex(VertexAttr::labeled(v[ecount + i]));
     }
     for (j, e) in feature.structure.edges().iter().enumerate() {
-        let (label, weight) = slot(j);
-        b.add_edge(e.source, e.target, EdgeAttr { label, weight }).expect("feature is simple");
+        b.add_edge(e.source, e.target, EdgeAttr::labeled(v[j])).expect("feature is simple");
     }
     b.build()
 }

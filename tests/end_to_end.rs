@@ -200,16 +200,18 @@ fn save_load_round_trip_preserves_answers() {
 }
 
 /// Recovery of a weighted store: the WAL tail, which crosses the merge
-/// threshold, is replayed into R-tree classes as one batch, so each
+/// threshold, is replayed into the linear classes as one batch, so each
 /// class merges at most once and every class ends below 64 pending
-/// entries. The recovered store answers as a live system that never
-/// went down and as the naive scan, and compacts to the snapshot bytes
-/// of a bulk build over the same graphs.
+/// entries. A linear class holds one entry per graph, so the tail is 70
+/// graphs long to take the common classes past the threshold. The
+/// recovered store answers as a live system that never went down and as
+/// the naive scan, and compacts to the snapshot bytes of a bulk build
+/// over the same graphs.
 #[test]
-fn weighted_wal_replay_merges_each_rtree_class_at_most_once() {
+fn weighted_wal_replay_merges_each_class_at_most_once() {
     let generator =
         MoleculeGenerator::new(MoleculeConfig { weighted: true, ..MoleculeConfig::default() });
-    let db = generator.database(40, 19);
+    let db = generator.database(100, 19);
     let (base, tail) = db.split_at(30);
     let build = |graphs: &[LabeledGraph]| {
         PisSystem::builder()

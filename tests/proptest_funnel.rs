@@ -7,8 +7,10 @@
 //!   minimum superimposed distances within σ
 //!   (`min_superimposed_distance_brute`, Definition 1);
 //! * every such graph is a candidate, every candidate passes each query
-//!   fragment's brute range check, and with the structure check on,
-//!   every candidate contains the query's structure;
+//!   fragment's brute range check (under the linear distance, whose
+//!   classes are posting lists: contains each fragment's structure),
+//!   and with the structure check on, every candidate contains the
+//!   query's structure;
 //! * the `SearchStats` funnel only shrinks, and every candidate reaches
 //!   the verifier;
 //! * a reused scratch — the same search repeated, and a scratch carried
@@ -35,7 +37,7 @@ use pis::core::{
     naive_scan, PartitionAlgo, PisConfig, SearchOutcome, SearchScratch,
     DEFAULT_PARALLEL_FRAGMENT_THRESHOLD, DEFAULT_PARALLEL_VERIFY_THRESHOLD,
 };
-use pis::datasets::{sample_query_set, MoleculeGenerator};
+use pis::datasets::{sample_query_set, MoleculeConfig, MoleculeGenerator};
 use pis::distance::oracle::min_superimposed_distance_brute;
 use pis::graph::iso::{is_subgraph, IsoConfig};
 use pis::graph::ScopedPool;
@@ -80,9 +82,17 @@ fn funnel_oracles(
     }
     let frags = query_fragments(index, query);
     for i in 0..frags.len() {
-        let fragment = fragment_as_graph(index, &frags, i);
+        // A linear class is its posting list: its probe's range check
+        // is containment of the structure, at distance 0.
+        let structure = &index.features().get(frags.feature(i)).structure;
+        let fragment = index.distance().is_mutation().then(|| fragment_as_graph(index, &frags, i));
         for &g in &o.candidates {
-            let d = min_superimposed_distance_brute(&fragment, &db[g.index()], distance);
+            let d = match &fragment {
+                Some(fragment) => {
+                    min_superimposed_distance_brute(fragment, &db[g.index()], distance)
+                }
+                None => is_subgraph(structure, &db[g.index()], IsoConfig::STRUCTURE).then_some(0.0),
+            };
             prop_assert!(
                 d.is_some_and(|d| d <= sigma),
                 "candidate {} fails the range check of feature {} probe {:?}: {:?}",
@@ -174,6 +184,21 @@ fn weighted_from_labels(g: &LabeledGraph) -> LabeledGraph {
     b.build()
 }
 
+/// Copies a graph with its weights rounded to multiples of 1/64.
+fn dyadic(g: &LabeledGraph) -> LabeledGraph {
+    let round = |w: f64| (w * 64.0).round() / 64.0;
+    let mut b = GraphBuilder::new();
+    for v in g.vertex_ids() {
+        let attr = g.vertex(v);
+        b.add_vertex(VertexAttr { label: attr.label, weight: round(attr.weight) });
+    }
+    for e in g.edges() {
+        let attr = EdgeAttr { label: e.attr.label, weight: round(e.attr.weight) };
+        b.add_edge(e.source, e.target, attr).expect("copying a simple graph");
+    }
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -220,9 +245,8 @@ proptest! {
         check_funnel(build, &mut SearchScratch::new(), &db, &query, sigma)?;
     }
 
-    /// Linear distance over the R-tree backend: weight vectors exercise
-    /// the `f64`-keyed memo, the scaled-geometry range queries and the
-    /// pending L1 scan.
+    /// Linear distance: posting-list classes, frozen and pending, under
+    /// every partition algorithm; the verifier measures the weights.
     #[test]
     fn funnel_equals_reference_linear(
         db in graph_database(6, 5, 3),
@@ -343,6 +367,52 @@ proptest! {
                 .build(db.to_vec())
         };
         check_funnel(build, &mut SearchScratch::new(), &db, &query, sigma)?;
+    }
+}
+
+proptest! {
+    // Each case builds four weighted-molecule systems and holds every
+    // search to `topo_prune`, `naive_scan` and the oracle.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Under the linear distance a class is its posting list, so the
+    /// search's final candidates are `topo_prune`'s — posting-list
+    /// intersection, then the structure check — at every σ, and
+    /// verification keeps the answers exact: they are `naive_scan`'s,
+    /// each at the oracle's distance to the f64 bit. Weighted molecules,
+    /// some graphs pending, edge-only and with vertex weights priced
+    /// (`LinearDistance::scaled`). Weights and scales are rounded to
+    /// multiples of 1/64, so every cost sum is exact in any order and
+    /// the bitwise comparison means what it says.
+    #[test]
+    fn linear_search_is_topo_prune_then_exact_verification(
+        seed in 0u64..1_000,
+        pending in 0usize..30,
+        edges in 3usize..7,
+    ) {
+        let weighted = MoleculeConfig { weighted: true, ..MoleculeConfig::default() };
+        let db: Vec<LabeledGraph> =
+            MoleculeGenerator::new(weighted).database(40, seed).iter().map(dyadic).collect();
+        let queries = sample_query_set(&db, edges, 3, seed ^ 7);
+        for ld in [LinearDistance::edges_only(), LinearDistance::scaled(0.0625, 1.0)] {
+            let builder = PisSystem::builder().linear_distance(ld).exhaustive_features(3);
+            let system = with_pending(builder, &db, db.len() - pending);
+            for (qi, query) in queries.iter().enumerate() {
+                for sigma in [0.0, 0.1, 0.5, 1.0, 2.0] {
+                    let at = format!("{ld:?} query {qi} sigma {sigma}");
+                    let o = system.search(query, sigma);
+                    let topo = system.topo_prune(query, sigma);
+                    prop_assert_eq!(&o.candidates, &topo.candidates, "candidates, {}", at);
+                    let naive = system.naive_scan(query, sigma);
+                    prop_assert_eq!(&o.answers, &naive.answers, "answers, {}", at);
+                    for (&g, &d) in o.answers.iter().zip(&o.answer_distances) {
+                        let brute = min_superimposed_distance_brute(query, &db[g.index()], &ld)
+                            .expect("an answer contains the query");
+                        prop_assert_eq!(d.to_bits(), brute.to_bits(), "{} {}", g, at);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -1,9 +1,11 @@
 //! Property tests of the fragment index on arbitrary databases: range
 //! queries must equal brute-force minimum superposition distances under
-//! both distances, trie and R-tree hits must equal a definition brute
-//! over the class's entries bit for bit, the funnel's bitmap fold of a
-//! probe must hold the row's hits and weigh them as the hit list does,
-//! whatever the list's order, and snapshots must round-trip exactly.
+//! the mutation distance, trie hits must equal a definition brute over
+//! the class's entries bit for bit, a linear-distance probe must hit
+//! exactly the graphs containing its structure at distance 0, the
+//! funnel's bitmap fold of a probe must hold the row's hits and weigh
+//! them as the hit list does, whatever the list's order, and snapshots
+//! must round-trip exactly under both distances.
 
 mod common;
 
@@ -70,42 +72,21 @@ fn fractional_distance() -> MutationDistance {
     MutationDistance::new(scores(0.1), scores(0.3))
 }
 
-/// What a linear-distance class answers for `probe`, from the
-/// definition: per graph, the least L1 distance (slot order) from the
-/// probe to the weight vector of any embedding of the class structure,
-/// kept when within `sigma`; sorted by graph id. Assumes unit scales on
-/// the scored slots (`LinearDistance::edges_only`).
+/// What a linear-distance class answers for any probe, from the
+/// definition: every graph that contains the class structure, at
+/// distance 0 (the class is its posting list); sorted by graph id.
 fn linear_reference_hits(
     index: &FragmentIndex,
     db: &[LabeledGraph],
     feature: FeatureId,
-    probe: &[f64],
-    sigma: f64,
 ) -> Vec<(GraphId, f64)> {
-    let feature = index.features().get(feature);
-    let ecount = feature.edge_count();
-    let mut hits = Vec::new();
-    for (gid, g) in db.iter().enumerate() {
-        let matcher = pis::graph::iso::SubgraphMatcher::new(
-            &feature.structure,
-            g,
-            pis::graph::iso::IsoConfig::STRUCTURE,
-        );
-        let mut best = f64::INFINITY;
-        let mut v = Vec::new();
-        matcher.for_each(|emb| {
-            v.clear();
-            pis::index::fragment::weight_vector_into(&feature.structure, g, emb, &mut v);
-            index.distance().normalize_weights(ecount, &mut v);
-            let d: f64 = probe.iter().zip(&v).map(|(x, y)| (x - y).abs()).sum();
-            best = best.min(d);
-            std::ops::ControlFlow::Continue(())
-        });
-        if best <= sigma {
-            hits.push((GraphId(gid as u32), best));
-        }
-    }
-    hits
+    let structure = &index.features().get(feature).structure;
+    (0..db.len())
+        .filter(|&g| {
+            pis::graph::iso::is_subgraph(structure, &db[g], pis::graph::iso::IsoConfig::STRUCTURE)
+        })
+        .map(|g| (GraphId(g as u32), 0.0))
+        .collect()
 }
 
 /// Holds every probe of `query` to `reference`, one row at a time
@@ -315,20 +296,6 @@ proptest! {
         assert_range_queries_equal_brute_force(&index, &db, &query, &md, sigma)?;
     }
 
-    /// Eq. (3) under the linear distance: the R-tree's hits, held to the
-    /// same oracle.
-    #[test]
-    fn linear_range_query_equals_brute_force(
-        db in graph_database(5, 5, 3),
-        query in connected_graph(4, 1, 3),
-        sigma in 0.0f64..2.0,
-    ) {
-        let db: Vec<LabeledGraph> = db.iter().map(reweight).collect();
-        let ld = LinearDistance::edges_only();
-        let index = build_index(&db, IndexDistance::Linear(ld));
-        assert_range_queries_equal_brute_force(&index, &db, &reweight(&query), &ld, sigma)?;
-    }
-
     /// A snapshot round-trips arbitrary indexes exactly, under both
     /// distances: re-encoding what was decoded reproduces the bytes, and
     /// the decoded index answers range queries with the same graphs and
@@ -346,14 +313,14 @@ proptest! {
             IndexDistance::Mutation(MutationDistance::edge_hamming()),
             IndexDistance::Linear(LinearDistance::edges_only()),
         ] {
-            let rtree = !distance.is_mutation();
+            let linear = !distance.is_mutation();
             let index =
                 FragmentIndex::build(&db, features.clone(), distance, &IndexConfig::default());
             let bytes = encode_snapshot(&index, &db).expect("snapshot encodes");
             let (loaded, loaded_db) = decode_snapshot(&bytes).expect("round trip");
             let again = encode_snapshot(&loaded, &loaded_db).expect("snapshot re-encodes");
             // (Not `prop_assert_eq`: a failure would print both files.)
-            prop_assert!(again == bytes, "r-tree {}: snapshot is not a fixed point", rtree);
+            prop_assert!(again == bytes, "linear {}: snapshot is not a fixed point", linear);
             prop_assert_eq!(loaded.graph_count(), index.graph_count());
             prop_assert_eq!(loaded.total_entries(), index.total_entries());
             let frags = query_fragments(&index, &query);
@@ -362,7 +329,7 @@ proptest! {
                     prop_assert_eq!(
                         bits(&range_hits(&index, &frags, i, sigma)),
                         bits(&range_hits(&loaded, &frags, i, sigma)),
-                        "r-tree {} sigma {}", rtree, sigma
+                        "linear {} sigma {}", linear, sigma
                     );
                 }
             }
@@ -444,8 +411,8 @@ proptest! {
         }
     }
 
-    /// The batch entry point of a linear-distance (R-tree) index
-    /// answers each probe bit-for-bit as it answers it alone.
+    /// The batch entry point of a linear-distance index answers each
+    /// probe bit-for-bit as it answers it alone.
     #[test]
     fn batched_linear_range_queries_equal_per_probe(
         db in graph_database(5, 5, 3),
@@ -487,8 +454,9 @@ proptest! {
     /// (whose sums are order-sensitive) and the linear distance — on a
     /// bulk-built index and on one that holds the last graphs in its
     /// pending buffers, every probe's row is held to the definition
-    /// brute (label or L1) over the whole database, its hit bits to the
-    /// row's graphs and its weight to `selectivity` of the row's list.
+    /// over the whole database (the label brute; structural containment
+    /// at 0 for a linear class), its hit bits to the row's graphs and its
+    /// weight to `selectivity` of the row's list.
     #[test]
     fn row_read_out_equals_hit_list(
         db in graph_database(6, 5, 3),
@@ -522,10 +490,11 @@ proptest! {
         );
         buffered.insert_graphs_pending(&db[frozen..]);
         for index in [&bulk, &buffered] {
-            let reference = |feature: FeatureId, probe: FragmentVectorRef<'_>| match probe {
-                FragmentVectorRef::Labels(v) => reference_hits(index, &db, &md, feature, v, sigma),
-                FragmentVectorRef::Weights(v) => {
-                    linear_reference_hits(index, &db, feature, v, sigma)
+            let reference = |feature: FeatureId, probe: FragmentVectorRef<'_>| {
+                if linear {
+                    linear_reference_hits(index, &db, feature)
+                } else {
+                    reference_hits(index, &db, &md, feature, probe.labels(), sigma)
                 }
             };
             assert_rows_read_out_as_lists(index, reference, &query, sigma, lambda)?;
@@ -576,36 +545,6 @@ proptest! {
                 lambda
             );
         }
-    }
-
-    /// The packed R-tree visits exactly the points within `sigma` of the
-    /// query, each with its coordinate-order L1 distance to the f64 bit,
-    /// across trees of up to 120 points (one to three levels).
-    #[test]
-    fn rtree_range_query_matches_linear_scan(
-        points in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 1..120),
-        qx in 0.0f64..10.0,
-        qy in 0.0f64..10.0,
-        sigma in 0.0f64..12.0,
-    ) {
-        let points: Vec<[f64; 3]> = points.iter().map(|&(x, y, z)| [x, y, z]).collect();
-        let t = pis::index::rtree::RTree::from_rows(
-            3,
-            points.concat(),
-            (0..points.len() as u32).map(GraphId).collect(),
-        );
-        let q = [qx, qy, 5.0];
-        let mut arena = Vec::new();
-        t.range_query(&q, sigma, |g, d| arena.push((g.0, d.to_bits())));
-        arena.sort_unstable();
-        let brute: Vec<(u32, u64)> = points
-            .iter()
-            .enumerate()
-            .map(|(g, p)| (g as u32, q.iter().zip(p).map(|(a, b)| (a - b).abs()).sum::<f64>()))
-            .filter(|&(_, d)| d <= sigma)
-            .map(|(g, d)| (g, d.to_bits()))
-            .collect();
-        prop_assert_eq!(arena, brute);
     }
 
     /// Incremental insertion matches bulk construction on arbitrary
