@@ -44,7 +44,10 @@
 //!   allocate, per search, is what the per-item phases hand back: each
 //!   sibling group's weights and `CQ` set, and one result per checked
 //!   or verified candidate;
-//! * **deduplication** — automorphic query fragments produce identical
+//! * **deduplication** — the enumeration yields one fragment per
+//!   occurrence of a feature, its probe the least of the occurrence's
+//!   readings, so occurrences whose readings are the same set (equal
+//!   labels up to an automorphism of the feature) produce identical
 //!   `(feature, vector)` probes; each unique probe runs one range query
 //!   (memoized in the scratch). Probes of one feature form a sibling
 //!   group, the range phase's unit of work, which descends its probes
@@ -450,12 +453,18 @@ impl<'a> PisSearcher<'a> {
         // Line 5: drop fragments with selectivity <= epsilon. Fragments
         // whose range query was cut short carry no trustworthy hits or
         // weight — partitioning on them would prune unsoundly, so they
-        // never enter the pool.
+        // never enter the pool. Under the linear distance none does:
+        // every linear minima row is 0 on its whole class, so Eq. 2
+        // bounds nothing beyond `CQ ∩ T`, and the partition stage below
+        // runs on an empty pool — an empty `Q̃`, no MWIS work and no
+        // members' rows.
         scratch.pool.clear();
-        scratch.pool.extend((0..fragments.len()).filter(|&fi| {
-            let slot = scratch.slot_of[fi];
-            scratch.slot_complete[slot] && scratch.weights[slot] > self.config.epsilon
-        }));
+        if self.index.distance().is_mutation() {
+            scratch.pool.extend((0..fragments.len()).filter(|&fi| {
+                let slot = scratch.slot_of[fi];
+                scratch.slot_complete[slot] && scratch.weights[slot] > self.config.epsilon
+            }));
+        }
         stats.fragments_in_pool = scratch.pool.len();
 
         // Lines 19–20: overlapping-relation graph + MWIS partition. The

@@ -40,6 +40,11 @@
 //! subtree holds no complete embedding, so complete embeddings arrive in
 //! the same sequence whichever filters run, and a visitor that stops at
 //! the first one (or keeps a running minimum) sees the same result.
+//! `pis-index`'s entries and query fragments do not depend on the order:
+//! it reads every occurrence's readings as a set and issues the least
+//! one. What does follow the order is the sequence of its fragments
+//! (the order the partition stage breaks weight ties in) and the
+//! verifier's expanded-node count.
 //!
 //! Repeated searches amortize their setup: the matching order lives in a
 //! reusable flat [`MatchPlan`] arena (target-independent under

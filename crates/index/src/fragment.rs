@@ -19,9 +19,10 @@
 //! query's [`FragmentBuffer`]); a probe travels as a borrowed
 //! [`FragmentVectorRef`], so no fragment owns a `Vec`.
 
-use pis_graph::util::FxHashSet;
 use pis_graph::{Embedding, Label, LabeledGraph, VertexId};
 use pis_mining::FeatureId;
+
+use crate::symmetry::AdmitScratch;
 
 /// A borrowed fragment vector — the slice view the query funnel passes
 /// around so arena-backed fragments ([`FragmentBuffer`]) never
@@ -100,17 +101,18 @@ pub fn label_vector_into(
 }
 
 /// Arena-backed storage for one query's enumerated fragments — what
-/// Algorithm 2 enumerates on lines 3–4. Fragment `i` has a feature
-/// (its equivalence class), the sorted query vertices it covers (they
-/// drive the overlapping-relation graph) and a normalized vector: one
-/// automorphism representative, which is enough because the index
-/// stores every database-side variant.
+/// Algorithm 2 enumerates on lines 3–4, one per occurrence of a feature
+/// in the query. Fragment `i` has a feature (its equivalence class),
+/// the sorted query vertices it covers (they drive the
+/// overlapping-relation graph) and a normalized vector: the least of
+/// its occurrence's readings, which is enough because the index stores
+/// every database-side reading.
 ///
 /// All fragments share four flat arrays (features, vertex images,
-/// label slots, offsets); the dedup set recycles its key allocations
-/// through an internal pool. Held inside the searcher's scratch and
-/// reused across queries, `FragmentIndex::enumerate_query_fragments_into`
-/// performs no steady-state heap allocation.
+/// label slots, offsets), beside the matcher's reusable state. Held
+/// inside the searcher's scratch and reused across queries,
+/// `FragmentIndex::enumerate_query_fragments_into` performs no
+/// steady-state heap allocation.
 #[derive(Debug, Default)]
 pub struct FragmentBuffer {
     /// Feature of fragment `i`.
@@ -123,12 +125,8 @@ pub struct FragmentBuffer {
     /// `labels[vec_start[i]..vec_start[i + 1]]`.
     pub(crate) vec_start: Vec<u32>,
     pub(crate) labels: Vec<Label>,
-    /// Dedup keys of this query's fragments.
-    pub(crate) seen: FxHashSet<Vec<u32>>,
-    /// Recycled key allocations (refilled from `seen` on reset).
-    pub(crate) key_pool: Vec<Vec<u32>>,
-    /// Reusable key-assembly buffer.
-    pub(crate) key_buf: Vec<u32>,
+    /// The matcher's DFS state, reused by every feature's enumeration.
+    pub(crate) admit: AdmitScratch,
 }
 
 impl FragmentBuffer {
@@ -137,8 +135,7 @@ impl FragmentBuffer {
         FragmentBuffer::default()
     }
 
-    /// Resets for a new query, keeping every allocation (dedup keys are
-    /// drained into the recycling pool).
+    /// Resets for a new query, keeping every allocation.
     pub(crate) fn reset(&mut self) {
         self.features.clear();
         self.vert_start.clear();
@@ -147,7 +144,6 @@ impl FragmentBuffer {
         self.vec_start.clear();
         self.vec_start.push(0);
         self.labels.clear();
-        self.key_pool.extend(self.seen.drain());
     }
 
     /// Number of fragments stored.

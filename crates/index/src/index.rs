@@ -5,16 +5,21 @@
 //! trie is as deep as the class is *wide*: `v + e` label slots under
 //! the mutation distance, none under the linear distance.
 //!
-//! Under the mutation distance, build enumerates, for every
-//! `(feature, graph)` pair, *all* embeddings of the feature into the
-//! graph, deduplicates their label vectors, and stores them in the
-//! class's trie. Range queries then answer Eq. (3) —
+//! Under the mutation distance, build stores, for every
+//! `(feature, graph)` pair, the label vectors of *all* embeddings of the
+//! feature into the graph, deduplicated, in the class's trie. The
+//! matcher visits one embedding per occurrence, the one the feature's
+//! symmetry-breaking conditions admit (`crate::symmetry`); the other
+//! embeddings of the occurrence are its automorphic re-readings, so
+//! their vectors are the admitted one's with the slots permuted. Range
+//! queries then answer Eq. (3) —
 //! `d(g, G) = min_{g' ⊑ G, g' ≅ g} d(g, g')` — without touching any
-//! database graph.
+//! database graph. Neither the rows nor the query fragments depend on
+//! the order in which the matcher visits embeddings.
 //!
 //! Under the linear distance a class is its posting list: a depth-0
 //! trie holding one entry per graph that contains the structure, read
-//! off the graph's first embedding. A probe's hit set is the whole
+//! off the graph's first admitted embedding. A probe's hit set is the whole
 //! posting list and its minima row is `0` on every graph of the class —
 //! a lower bound on `d(g, G)`, which is all the funnel's intersection
 //! and Eq. 2 need, so verification keeps the answers exact. The paper's
@@ -44,13 +49,13 @@ use std::ops::ControlFlow;
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::budget::BudgetState;
-use pis_graph::iso::{IsoConfig, SubgraphMatcher};
 use pis_graph::util::FxHasher;
 use pis_graph::{Embedding, GraphId, Label, LabeledGraph, ScopedPool};
 use pis_mining::{FeatureId, FeatureSet};
 
 use crate::flat_trie::{FlatTrie, TrieFrontier};
 use crate::fragment::{label_vector_into, FragmentBuffer, FragmentVectorRef};
+use crate::symmetry::{AdmitScratch, Symmetry};
 use crate::tally::HitTally;
 
 /// The superimposed distance an index is built for.
@@ -243,6 +248,9 @@ pub struct FragmentIndex {
     pub(crate) features: FeatureSet,
     pub(crate) distance: IndexDistance,
     pub(crate) classes: Vec<ClassIndex>,
+    /// Each feature's [`Symmetry`], in feature order: derived from the
+    /// structures whenever the index is built or decoded, never stored.
+    pub(crate) symmetry: Vec<Symmetry>,
     pub(crate) graph_count: usize,
     pub(crate) merge_stats: MergeStats,
 }
@@ -261,6 +269,7 @@ impl FragmentIndex {
         // not (the largest structures hold most of the embeddings).
         let pool = ScopedPool::new(config.threads);
         let structures: Vec<&LabeledGraph> = features.iter().map(|f| &f.structure).collect();
+        let symmetry = symmetries(&features);
         let per_range = db.len().div_ceil(pool.workers()).max(1);
         let ranges: Vec<&[LabeledGraph]> = db.chunks(per_range).collect();
         let blocks: Vec<Vec<ClassRows>> = pool.map_with(
@@ -272,7 +281,8 @@ impl FragmentIndex {
                 let first = r * per_range;
                 structures
                     .iter()
-                    .map(|s| collect_class_rows(graphs, first, s, &distance, entries))
+                    .zip(&symmetry)
+                    .map(|(s, sym)| collect_class_rows(graphs, first, s, sym, &distance, entries))
                     .collect()
             },
         );
@@ -289,6 +299,7 @@ impl FragmentIndex {
             features,
             distance,
             classes,
+            symmetry,
             graph_count: db.len(),
             merge_stats: MergeStats::default(),
         };
@@ -355,7 +366,15 @@ impl FragmentIndex {
         let mut scratch = GraphEntries::default();
         for (ci, class) in self.classes.iter_mut().enumerate() {
             let structure = &self.features.get(FeatureId(ci as u32)).structure;
-            let rows = collect_class_rows(graphs, first, structure, &self.distance, &mut scratch);
+            let symmetry = &self.symmetry[ci];
+            let rows = collect_class_rows(
+                graphs,
+                first,
+                structure,
+                symmetry,
+                &self.distance,
+                &mut scratch,
+            );
             if rows.row_graphs.is_empty() {
                 continue;
             }
@@ -686,50 +705,34 @@ impl FragmentIndex {
     }
 
     /// Enumerates the indexed fragments of a query graph (Algorithm 2,
-    /// lines 3–4), deduplicated by `(feature, vertex image, edge image)`
-    /// so automorphic re-readings issue one range query each. Each
-    /// fragment's vector is normalized for this index as it is read
-    /// (and empty under the linear distance, whose classes are 0 wide).
+    /// lines 3–4): one per occurrence of a feature in the query, read
+    /// off the one embedding of the occurrence that the feature's
+    /// symmetry-breaking conditions admit (`crate::symmetry`), in the
+    /// matcher's DFS order, feature by feature. Each fragment's vector
+    /// is normalized for this index and is the least of its
+    /// occurrence's readings — a function of the occurrence alone, so
+    /// fragments whose readings are the same set carry equal probes and
+    /// share one range query (empty under the linear distance, whose
+    /// classes are 0 wide).
     ///
     /// Fragments land in the caller's arena-backed [`FragmentBuffer`]
-    /// (cleared first). The dedup key is assembled in
-    /// one reusable buffer (`[feature, sorted vertices…, sorted
-    /// edges…]`) and checked with a borrowed `contains` first, and key
-    /// allocations are recycled across queries — so the steady state of
-    /// a reused buffer allocates nothing.
+    /// (cleared first), and every feature's matcher runs on the plan its
+    /// symmetry keeps and on the buffer's DFS state, so the steady state
+    /// of a reused buffer allocates nothing.
     pub fn enumerate_query_fragments_into(&self, query: &LabeledGraph, buf: &mut FragmentBuffer) {
         buf.reset();
-        for feature in self.features.iter() {
-            let matcher = SubgraphMatcher::new(&feature.structure, query, IsoConfig::STRUCTURE);
-            matcher.for_each(|emb| {
-                buf.key_buf.clear();
-                buf.key_buf.push(feature.id.0);
-                let vertex_slots = buf.key_buf.len();
-                buf.key_buf.extend(emb.vertex_map().iter().map(|v| v.0));
-                buf.key_buf[vertex_slots..].sort_unstable();
-                let edge_slots = buf.key_buf.len();
-                buf.key_buf.extend(
-                    feature
-                        .structure
-                        .edge_ids()
-                        .map(|e| emb.edge_image(&feature.structure, query, e).0),
-                );
-                buf.key_buf[edge_slots..].sort_unstable();
-                if !buf.seen.contains(buf.key_buf.as_slice()) {
-                    let mut key = buf.key_pool.pop().unwrap_or_default();
-                    key.clear();
-                    key.extend_from_slice(&buf.key_buf);
-                    buf.seen.insert(key);
-                    buf.features.push(feature.id);
-                    buf.verts.extend(
-                        buf.key_buf[vertex_slots..edge_slots]
-                            .iter()
-                            .map(|&v| pis_graph::VertexId(v)),
-                    );
-                    buf.vert_start.push(buf.verts.len() as u32);
-                    self.distance.read_vector(&feature.structure, query, emb, &mut buf.labels);
-                    buf.vec_start.push(buf.labels.len() as u32);
-                }
+        let FragmentBuffer { features, vert_start, verts, vec_start, labels, admit } = buf;
+        for (feature, symmetry) in self.features.iter().zip(&self.symmetry) {
+            symmetry.for_each_admitted(&feature.structure, query, admit, |emb| {
+                features.push(feature.id);
+                let start = verts.len();
+                verts.extend_from_slice(emb.vertex_map());
+                verts[start..].sort_unstable();
+                vert_start.push(verts.len() as u32);
+                let start = labels.len();
+                self.distance.read_vector(&feature.structure, query, emb, labels);
+                symmetry.least_reading(labels, start);
+                vec_start.push(labels.len() as u32);
                 ControlFlow::Continue(())
             });
         }
@@ -773,6 +776,8 @@ fn validate_trie(trie: &FlatTrie, width: usize, seen: &mut [bool]) -> Result<usi
 /// every graph of a build or insert, so no entry owns an allocation.
 #[derive(Default)]
 struct GraphEntries {
+    /// The matcher's state for the admitted embeddings.
+    admit: AdmitScratch,
     /// `count` rows of the class's width.
     labels: Vec<Label>,
     /// Distinct vectors held; zero exactly when the graph does not
@@ -826,13 +831,21 @@ fn is_new_row(table: &mut Vec<u32>, rows: &[Label], width: usize, count: usize) 
     }
 }
 
-/// Enumerates a graph's fragments of one feature and reads their
-/// (normalized, deduplicated) vectors into `out` — the unit of work
-/// shared by bulk build and incremental insertion. A 0-wide class keeps
-/// one empty row per containing graph, so the first embedding settles
-/// it and the enumeration stops there.
+/// Reads every normalized vector of one feature's occurrences in a
+/// graph into `out`, each once — the unit of work shared by bulk build
+/// and incremental insertion. The matcher visits one embedding per
+/// occurrence ([`Symmetry::for_each_admitted`]); its vector is read and
+/// the occurrence's other readings follow by the symmetry's slot
+/// permutations, so the rows are those of every embedding read and
+/// deduplicated. A reading already held brings nothing new: the rows
+/// held are closed under the permutations, so its whole orbit is
+/// there. A permutation that leaves the reading as it is adds nothing
+/// either, and is dropped before it is hashed. A 0-wide class keeps one
+/// empty row per containing graph, so the first embedding settles it
+/// and the enumeration stops there.
 fn collect_graph_entries(
     structure: &LabeledGraph,
+    symmetry: &Symmetry,
     g: &LabeledGraph,
     distance: &IndexDistance,
     out: &mut GraphEntries,
@@ -844,21 +857,34 @@ fn collect_graph_entries(
     }
     let width = distance.class_width(structure);
     out.table.clear();
-    let matcher = SubgraphMatcher::new(structure, g, IsoConfig::STRUCTURE);
-    matcher.for_each(|emb| {
+    let GraphEntries { admit, labels, count, table } = out;
+    symmetry.for_each_admitted(structure, g, admit, |emb| {
         if width == 0 {
-            out.count = 1;
+            *count = 1;
             return ControlFlow::Break(());
         }
         // Read the vector in place after the rows kept so far and
         // normalize it, so equivalent entries merge up front; a repeat is
         // cut off again.
-        let start = out.labels.len();
-        distance.read_vector(structure, g, emb, &mut out.labels);
-        if is_new_row(&mut out.table, &out.labels, width, out.count) {
-            out.count += 1;
-        } else {
-            out.labels.truncate(start);
+        let read = labels.len();
+        distance.read_vector(structure, g, emb, labels);
+        if !is_new_row(table, labels, width, *count) {
+            labels.truncate(read);
+            return ControlFlow::Continue(());
+        }
+        *count += 1;
+        for perm in symmetry.permutations() {
+            let start = labels.len();
+            for &s in perm {
+                labels.push(labels[read + s as usize]);
+            }
+            if labels[start..] != labels[read..read + width]
+                && is_new_row(table, labels, width, *count)
+            {
+                *count += 1;
+            } else {
+                labels.truncate(start);
+            }
         }
         ControlFlow::Continue(())
     });
@@ -897,16 +923,22 @@ fn collect_class_rows(
     graphs: &[LabeledGraph],
     first: usize,
     structure: &LabeledGraph,
+    symmetry: &Symmetry,
     distance: &IndexDistance,
     entries: &mut GraphEntries,
 ) -> ClassRows {
     let mut rows = ClassRows::default();
     for (i, g) in graphs.iter().enumerate() {
-        collect_graph_entries(structure, g, distance, entries);
+        collect_graph_entries(structure, symmetry, g, distance, entries);
         rows.labels.extend_from_slice(&entries.labels);
         rows.row_graphs.extend(std::iter::repeat_n(GraphId((first + i) as u32), entries.count));
     }
     rows
+}
+
+/// Each feature's [`Symmetry`], in feature order.
+pub(crate) fn symmetries(features: &FeatureSet) -> Vec<Symmetry> {
+    features.iter().map(|f| Symmetry::of(&f.structure)).collect()
 }
 
 /// Builds one class's rows of graphs new to it (in graph order: the
@@ -945,9 +977,11 @@ fn post_rows(row_graphs: &[GraphId], graphs: &mut Vec<GraphId>) -> Vec<GraphId> 
 mod tests {
     use super::*;
     use pis_datasets::{MoleculeConfig, MoleculeGenerator};
-    use pis_distance::oracle::min_superimposed_distance_brute;
+    use pis_distance::oracle::{embeddings_brute, min_superimposed_distance_brute};
     use pis_distance::ScoreMatrix;
     use pis_graph::graph::{cycle_graph, path_graph};
+    use pis_graph::iso::IsoConfig;
+    use pis_graph::util::FxHashMap;
     use pis_graph::{EdgeAttr, GraphBuilder, VertexAttr};
     use pis_mining::exhaustive::exhaustive_features;
 
@@ -1211,6 +1245,170 @@ mod tests {
                 assert_eq!(out, &range_hits(&index, &frags, i + k, 0.5));
             }
             i += n;
+        }
+    }
+
+    /// An occurrence of a structure in a target, as `(sorted vertex
+    /// images, sorted edge images)`, and one embedding's normalized
+    /// reading of it.
+    type Reading = ((Vec<u32>, Vec<u32>), Vec<Label>);
+
+    /// Every embedding of `structure` into `g` from the definition
+    /// (`embeddings_brute`, which shares no code with the matcher), each
+    /// read off the target by hand — edge labels in edge order, then
+    /// vertex labels — and normalized for `distance`.
+    fn brute_readings(
+        structure: &LabeledGraph,
+        g: &LabeledGraph,
+        distance: &IndexDistance,
+    ) -> Vec<Reading> {
+        embeddings_brute(structure, g, IsoConfig::STRUCTURE)
+            .into_iter()
+            .map(|map| {
+                let edge = |e: &pis_graph::Edge| {
+                    g.edge_between(map[e.source.index()], map[e.target.index()]).unwrap()
+                };
+                let mut vertices: Vec<u32> = map.iter().map(|v| v.0).collect();
+                let mut edges: Vec<u32> = structure.edges().iter().map(|e| edge(e).0).collect();
+                vertices.sort_unstable();
+                edges.sort_unstable();
+                let mut v = Vec::new();
+                if distance.is_mutation() {
+                    v.extend(structure.edges().iter().map(|e| g.edge(edge(e)).attr.label));
+                    v.extend(map.iter().map(|&t| g.vertex(t).label));
+                    distance.normalize_labels(structure.edge_count(), &mut v);
+                }
+                ((vertices, edges), v)
+            })
+            .collect()
+    }
+
+    /// Seeded molecules plus graphs whose every structure is highly
+    /// symmetric (rings, a clique, a star), labels varied.
+    fn symmetric_db(seed: u64, n: usize) -> Vec<LabeledGraph> {
+        let mut db = MoleculeGenerator::new(MoleculeConfig::default()).database(n, seed);
+        db.push(cycle_with_edge_labels(&[1, 2, 1, 2, 1, 2]));
+        db.push(cycle_with_edge_labels(&[0, 0, 0, 0, 0]));
+        db.push(pis_graph::graph::complete_graph(5, Label(1), Label(2)));
+        db.push(pis_graph::graph::star_graph(5, Label(0), Label(3)));
+        db
+    }
+
+    /// The index's entries equal the definition: per class, frozen and
+    /// pending, every `(graph, vector)` of a brute-force reading of
+    /// every embedding (read, normalize, dedup, sort) — under a distance
+    /// that erases vertex slots, one that keeps them, and the linear
+    /// distance's 0-wide classes.
+    #[test]
+    fn entries_equal_a_brute_reading_of_every_embedding() {
+        for seed in [3, 17, 29] {
+            let db = symmetric_db(seed, 30);
+            let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+            let features = exhaustive_features(&structures, 4);
+            for distance in [
+                IndexDistance::Mutation(MutationDistance::edge_hamming()),
+                IndexDistance::Mutation(MutationDistance::unit()),
+                IndexDistance::Linear(LinearDistance::edges_only()),
+            ] {
+                // The last graphs are inserted one run at a time, so some
+                // of their entries stay pending.
+                let mut index = FragmentIndex::build(
+                    &db[..db.len() - 8],
+                    features.clone(),
+                    distance.clone(),
+                    &IndexConfig::default(),
+                );
+                index.insert_graphs_pending(&db[db.len() - 8..db.len() - 4]);
+                for g in &db[db.len() - 4..] {
+                    index.insert_graph_pending(g);
+                }
+                assert!(index.pending_entries() > 0, "seed {seed}: some entries stay pending");
+                for f in index.features().iter() {
+                    let class = &index.classes[f.id.index()];
+                    let mut stored: Vec<(GraphId, Vec<Label>)> = Vec::new();
+                    for trie in class.tries() {
+                        trie.for_each_entry(|seq, slot| {
+                            stored.push((class.graphs[slot.index()], seq.to_vec()));
+                        });
+                    }
+                    stored.sort_unstable();
+                    let mut brute: Vec<(GraphId, Vec<Label>)> = db
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(gi, g)| {
+                            brute_readings(&f.structure, g, &distance)
+                                .into_iter()
+                                .map(move |(_, v)| (GraphId(gi as u32), v))
+                        })
+                        .collect();
+                    brute.sort_unstable();
+                    brute.dedup();
+                    assert_eq!(stored, brute, "seed {seed} {distance:?} feature {}", f.id);
+                }
+            }
+        }
+    }
+
+    /// The query's fragments equal the definition: as
+    /// `(feature, vertex set, edge set)`, one per occurrence of a
+    /// brute-force enumeration, in feature order, each vector the least
+    /// of its occurrence's readings. The fragments' edge sets are those
+    /// of the embeddings the symmetry admits, visited again in the
+    /// enumeration's order.
+    #[test]
+    fn fragments_are_occurrences_with_their_least_readings() {
+        for seed in [5, 11] {
+            let db = symmetric_db(seed, 12);
+            let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
+            let features = exhaustive_features(&structures, 4);
+            let mut queries = pis_datasets::sample_query_set(&db, 7, 3, seed);
+            queries.extend(db[db.len() - 4..].iter().cloned());
+            for distance in [
+                IndexDistance::Mutation(MutationDistance::edge_hamming()),
+                IndexDistance::Mutation(MutationDistance::unit()),
+                IndexDistance::Linear(LinearDistance::edges_only()),
+            ] {
+                let index =
+                    FragmentIndex::build(&db, features.clone(), distance, &IndexConfig::default());
+                for query in &queries {
+                    let frags = fragments(&index, query);
+                    let mut i = 0;
+                    for (f, symmetry) in index.features().iter().zip(&index.symmetry) {
+                        let mut least: FxHashMap<(Vec<u32>, Vec<u32>), Vec<Label>> =
+                            FxHashMap::default();
+                        for (key, v) in brute_readings(&f.structure, query, index.distance()) {
+                            let entry = least.entry(key).or_insert_with(|| v.clone());
+                            if v < *entry {
+                                *entry = v;
+                            }
+                        }
+                        let mut admitted = Vec::new();
+                        let mut scratch = AdmitScratch::default();
+                        symmetry.for_each_admitted(&f.structure, query, &mut scratch, |emb| {
+                            let mut edges: Vec<u32> = f
+                                .structure
+                                .edge_ids()
+                                .map(|e| emb.edge_image(&f.structure, query, e).0)
+                                .collect();
+                            edges.sort_unstable();
+                            admitted.push(edges);
+                            ControlFlow::Continue(())
+                        });
+                        assert_eq!(admitted.len(), least.len(), "one per occurrence");
+                        for edges in admitted {
+                            assert_eq!(frags.feature(i), f.id);
+                            let vertices: Vec<u32> =
+                                frags.vertices(i).iter().map(|v| v.0).collect();
+                            let v = least
+                                .remove(&(vertices, edges))
+                                .expect("an occurrence, and only once");
+                            assert_eq!(frags.vector(i).labels(), v.as_slice(), "fragment {i}");
+                            i += 1;
+                        }
+                    }
+                    assert_eq!(i, frags.len(), "no fragment beyond the occurrences");
+                }
+            }
         }
     }
 

@@ -41,10 +41,16 @@
 //! together and also owns the structural posting lists used by
 //! topoPrune.
 //!
-//! Soundness note: *every* embedding of a feature into a database graph
-//! is read out and inserted (deduplicated), including automorphic
-//! re-readings. This is what lets a query-side fragment issue a single
-//! range query and still minimize over all superpositions (Eq. 3).
+//! Soundness note: *every* reading of every occurrence of a feature in a
+//! database graph is stored (deduplicated), automorphic re-readings
+//! included. The matcher visits one embedding per occurrence — the one
+//! its feature's symmetry-breaking conditions admit — and the other
+//! readings are that embedding's vector with its slots permuted by each
+//! automorphism, so the rows are exactly those of every embedding. This
+//! is what lets a query-side fragment issue a single range query, with
+//! any one of its readings, and still minimize over all superpositions
+//! (Eq. 3); the query side issues the least reading, so fragments whose
+//! readings are the same set share one probe.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
@@ -55,6 +61,7 @@ pub mod fragment;
 pub mod index;
 pub mod persist;
 pub mod snapshot;
+mod symmetry;
 pub mod tally;
 pub mod wal;
 

@@ -325,6 +325,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
         features.iter().map(|f| meta.distance.class_width(&f.structure)).collect();
     let classes = decode_classes(&mut section(KIND_CLASSES), &meta, &widths)?;
     let index = FragmentIndex {
+        symmetry: crate::index::symmetries(&features),
         features,
         distance: meta.distance,
         classes,

@@ -378,6 +378,8 @@ proptest! {
     /// Under the linear distance a class is its posting list, so the
     /// search's final candidates are `topo_prune`'s — posting-list
     /// intersection, then the structure check — at every σ, and
+    /// no fragment enters the partition pool (every linear row is 0, so
+    /// Eq. 2 bounds nothing beyond the intersection), and
     /// verification keeps the answers exact: they are `naive_scan`'s,
     /// each at the oracle's distance to the f64 bit. Weighted molecules,
     /// some graphs pending, edge-only and with vertex weights priced
@@ -401,6 +403,10 @@ proptest! {
                 for sigma in [0.0, 0.1, 0.5, 1.0, 2.0] {
                     let at = format!("{ld:?} query {qi} sigma {sigma}");
                     let o = system.search(query, sigma);
+                    // Linear rows are 0 on their whole class, so no
+                    // fragment enters the pool and no partition is chosen.
+                    prop_assert_eq!(o.stats.fragments_in_pool, 0, "pool, {}", at);
+                    prop_assert_eq!(o.stats.partition_size, 0, "partition, {}", at);
                     let topo = system.topo_prune(query, sigma);
                     prop_assert_eq!(&o.candidates, &topo.candidates, "candidates, {}", at);
                     let naive = system.naive_scan(query, sigma);
