@@ -35,15 +35,17 @@
 //! * **reuse** — all of that state lives in a [`SearchScratch`] that
 //!   callers of [`PisSearcher::search`] and [`PisSearcher::knn`] (whose
 //!   radius doubling re-runs the funnel) thread through repeated
-//!   searches. In steady state the descent, the candidate bookkeeping,
-//!   fragment enumeration (the scratch-owned arena-backed
-//!   `FragmentBuffer`), the partition members' row, the partition
-//!   stage — where `Q̃` rebuilds in place through a `PartitionScratch`
-//!   and the mask-native MWIS solvers fill a reused selection buffer
-//!   (`DESIGN.md` §6.6) — and the verifier allocate nothing; what does
-//!   allocate, per search, is what the per-item phases hand back: each
-//!   sibling group's weights and `CQ` set, and one result per checked
-//!   or verified candidate;
+//!   searches. In steady state the descent, the candidate set and
+//!   bound arrays, fragment enumeration (the scratch-owned
+//!   arena-backed `FragmentBuffer`), the partition members' row, `Q̃` —
+//!   rebuilt in place through a `PartitionScratch` — and the
+//!   mask-native MWIS solvers, which fill a reused selection buffer
+//!   (`DESIGN.md` §6.6), and the verifier allocate nothing. What does
+//!   allocate, per search: one key per unique probe (the probe memo
+//!   owns a copy of each), the list of sibling groups, each group's
+//!   weights and `CQ` set, the partition's member list and its
+//!   `stats.partition` record, a copy of the final candidate list, and
+//!   one result per checked or verified candidate;
 //! * **deduplication** — the enumeration yields one fragment per
 //!   occurrence of a feature, its probe the least of the occurrence's
 //!   readings, so occurrences whose readings are the same set (equal
@@ -195,11 +197,13 @@ pub struct SearchOutcome {
 /// One scratch serves any number of sequential searches (it re-sizes to
 /// the database on every call); after warm-up its buffers — fragment
 /// enumeration's arena-backed [`FragmentBuffer`] and the one minima row
-/// included — are reused, and a search allocates only what its
-/// per-item phases hand back (one weight list and `CQ` set per sibling
-/// group, one result per checked or verified candidate) and the
-/// returned [`SearchOutcome`]. Scratches are independent — one per
-/// thread for concurrent searches.
+/// included — are reused. A search still allocates one key per unique
+/// probe (the memo owns a copy of each), the list of sibling groups,
+/// one weight list and `CQ` set per group, the partition's member list
+/// and its `stats.partition` record, a copy of the final candidate
+/// list, one result per checked or verified candidate, and the returned
+/// [`SearchOutcome`]. Scratches are independent — one per thread for
+/// concurrent searches.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     /// Arena-backed store for the query's enumerated fragments.

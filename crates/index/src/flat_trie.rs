@@ -9,8 +9,7 @@
 //! across the heap and re-evaluate the per-position cost for every child
 //! even though a level's children repeat a handful of labels.
 //!
-//! [`FlatTrie`] lays the trie out in contiguous, level-major arrays,
-//! built straight from sorted entry rows:
+//! [`FlatTrie`] lays the trie out in contiguous, level-major arrays:
 //!
 //! * all nodes of one level are adjacent (`level_start` delimits
 //!   levels), and a node's children are a contiguous run in the next
@@ -23,8 +22,15 @@
 //!   contiguous range (`sub_start`/`sub_len`), not just a leaf's;
 //! * every *dense* leaf — one that holds at least as many postings as
 //!   the 64-slot words its slot span covers — also keeps its postings
-//!   as a bit set, in one derived `bitmap` block that is never
-//!   persisted (see [`FlatTrie::fold`]).
+//!   as a bit set, in one derived `bitmap` block (see
+//!   [`FlatTrie::fold`]).
+//!
+//! The arena is a function of the class's content — its distinct
+//! sequences in sorted order, each with its ascending postings — and
+//! one builder, `TrieBuilder`, lays every arena out from that stream:
+//! a bulk build from rows, a merge, and a snapshot load, which stores a
+//! class as the stream (`FlatTrie::for_each_sequence` walks it back
+//! out). No column is persisted, so this module alone knows the layout.
 //!
 //! [`FlatTrie::range_query`] — the one descent, answering one probe —
 //! replaces recursion with an iterative level-by-level frontier: every
@@ -157,36 +163,6 @@ pub struct FlatTrie {
     bitmap: Vec<u64>,
 }
 
-/// Borrowed raw arena columns (snapshot serialization).
-pub(crate) struct TrieParts<'a> {
-    pub depth: usize,
-    pub level_start: &'a [u32],
-    pub labels: &'a [Label],
-    pub label_idx: &'a [u32],
-    pub child_start: &'a [u32],
-    pub child_len: &'a [u32],
-    pub sub_start: &'a [u32],
-    pub sub_len: &'a [u32],
-    pub postings: &'a [GraphId],
-    pub alphabet_start: &'a [u32],
-    pub alphabet: &'a [Label],
-}
-
-/// Owned raw arena columns for [`FlatTrie::from_parts`].
-pub(crate) struct TriePartsOwned {
-    pub depth: usize,
-    pub level_start: Vec<u32>,
-    pub labels: Vec<Label>,
-    pub label_idx: Vec<u32>,
-    pub child_start: Vec<u32>,
-    pub child_len: Vec<u32>,
-    pub sub_start: Vec<u32>,
-    pub sub_len: Vec<u32>,
-    pub postings: Vec<GraphId>,
-    pub alphabet_start: Vec<u32>,
-    pub alphabet: Vec<Label>,
-}
-
 /// Reusable state for [`FlatTrie::range_query`]: the probe's per-level
 /// cost rows and the frontier with its next-level double buffer. One
 /// scratch serves any number of sequential queries against tries of
@@ -211,122 +187,109 @@ impl TrieFrontier {
     }
 }
 
-impl FlatTrie {
-    /// Builds the arena from a row-major entry matrix: row `i` is the
-    /// sequence `labels[i * depth..(i + 1) * depth]` stored for
-    /// `graphs[i]` (any order; duplicate rows are dropped). Rows that
-    /// arrive sorted and distinct — a builder walk, a saved index —
-    /// are built in place; anything else is sorted through a row
-    /// permutation first, so no entry ever owns an allocation.
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != depth * graphs.len()`.
-    pub fn from_rows(depth: usize, labels: Vec<Label>, graphs: Vec<GraphId>) -> Self {
-        assert_eq!(labels.len(), depth * graphs.len(), "sequence length must equal trie depth");
-        let n = graphs.len();
-        assert!(n <= u32::MAX as usize, "trie arena exceeds u32 addressing");
-        let row = |i: usize| &labels[i * depth..(i + 1) * depth];
-        let key = |i: usize| (row(i), graphs[i]);
-        if (1..n).all(|i| key(i - 1) < key(i)) {
-            return FlatTrie::from_sorted_rows(depth, row, graphs);
+/// The one arena builder: every [`FlatTrie`] — built from rows, merged,
+/// or decoded from a snapshot — is made by feeding it its class's
+/// distinct sequences in sorted order:
+///
+/// * [`TrieBuilder::open`] starts the next sequence, given as the level
+///   at which it leaves its predecessor's path (0 for the first) and its
+///   labels from that level down — one label per node it opens;
+/// * [`TrieBuilder::post`] adds the sequence's postings, strictly
+///   ascending.
+///
+/// [`TrieBuilder::entry`] takes whole `(sequence, graph)` entries in
+/// sorted order instead and finds the level itself, and
+/// [`FlatTrie::for_each_sequence`] walks an arena back out as the same
+/// stream — the form a snapshot stores a class in, so the layout is
+/// known to this module alone. The builder trusts its input: the first
+/// sequence splits at level 0 and every later one below the depth, with
+/// a label at its split greater than its predecessor's, and every
+/// sequence gets a posting. The snapshot decoder checks exactly that
+/// before it feeds anything.
+pub(crate) struct TrieBuilder {
+    depth: usize,
+    /// The sequence last opened.
+    path: Vec<Label>,
+    /// Per level, in node order: each node's label, first posting and
+    /// child count — the level-major columns before they are joined.
+    levels: Vec<Vec<(Label, u32, u32)>>,
+    postings: Vec<GraphId>,
+}
+
+impl TrieBuilder {
+    /// An empty builder of a `depth`-deep trie, with room for `postings`.
+    pub(crate) fn new(depth: usize, postings: usize) -> Self {
+        TrieBuilder {
+            depth,
+            path: vec![Label(0); depth],
+            levels: vec![Vec::new(); depth],
+            postings: Vec::with_capacity(postings),
         }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| key(a as usize).cmp(&key(b as usize)));
-        order.dedup_by(|a, b| key(*a as usize) == key(*b as usize));
-        // The builder reads the rows through the permutation; only the
-        // posting column is gathered.
-        let postings = order.iter().map(|&i| graphs[i as usize]).collect();
-        FlatTrie::from_sorted_rows(depth, |i| row(order[i] as usize), postings)
     }
 
-    /// The one arena builder: `row(i)` is the `i`-th of
-    /// `postings.len()` sequences, sorted by `(sequence, graph)` and
-    /// free of duplicates, so `postings` already is the posting column.
-    ///
-    /// Sorted rows make every node a run of adjacent rows. One pass
-    /// finds the level at which each row leaves its predecessor's path
-    /// — the row opens one node on every level from there down — which
-    /// sizes every level exactly; a second pass over those splits writes
-    /// each node's label, first row and child count straight into the
-    /// level-major columns.
-    fn from_sorted_rows<'a>(
-        depth: usize,
-        row: impl Fn(usize) -> &'a [Label],
-        postings: Vec<GraphId>,
-    ) -> Self {
+    /// Starts the next sequence: its predecessor's labels above level
+    /// `split`, then `tail`, which opens one node on every level from
+    /// `split` down (none in a depth-0 trie).
+    pub(crate) fn open(&mut self, split: usize, tail: &[Label]) {
+        debug_assert_eq!(split + tail.len(), self.depth, "a sequence spans the depth");
+        let first = self.postings.len() as u32;
+        for (l, &label) in (split..).zip(tail) {
+            self.path[l] = label;
+            self.levels[l].push((label, first, 0));
+            // The open node one level up is the parent (the first
+            // sequence opens every level, so there always is one).
+            if let Some(parent) = l.checked_sub(1).and_then(|up| self.levels[up].last_mut()) {
+                parent.2 += 1;
+            }
+        }
+    }
+
+    /// Adds a posting of the sequence last opened.
+    pub(crate) fn post(&mut self, g: GraphId) {
+        self.postings.push(g);
+    }
+
+    /// Adds the entry `(seq, g)`, the next in sorted order: a posting of
+    /// the sequence last opened when `seq` is that sequence, else the
+    /// first posting of a new one, split where it leaves the last.
+    pub(crate) fn entry(&mut self, seq: &[Label], g: GraphId) {
+        if self.postings.is_empty() {
+            self.open(0, seq);
+        } else if seq != self.path {
+            let split = self.path.iter().zip(seq).take_while(|(a, b)| a == b).count();
+            self.open(split, &seq[split..]);
+        }
+        self.post(g);
+    }
+
+    /// Lays the sequences out as the arena. Sorted sequences make every
+    /// node a run of adjacent postings that ends where the next node of
+    /// its level begins, and each level's child runs follow one another.
+    pub(crate) fn finish(self) -> FlatTrie {
+        let TrieBuilder { depth, levels, postings, .. } = self;
         let n = postings.len();
-        if depth == 0 {
-            // The virtual root is the only (leaf) node; its postings are
-            // the whole array.
-            return FlatTrie {
-                depth,
-                level_start: Vec::new(),
-                labels: Vec::new(),
-                label_idx: Vec::new(),
-                child_start: Vec::new(),
-                child_len: Vec::new(),
-                sub_start: Vec::new(),
-                sub_len: Vec::new(),
-                postings,
-                alphabet_start: Vec::new(),
-                alphabet: Vec::new(),
-                bitmap_start: Vec::new(),
-                bitmap: Vec::new(),
-            }
-            .with_bitmaps();
-        }
-        // `(row, level)` of every row that opens nodes. A row repeating
-        // its predecessor's sequence for another graph opens none: it is
-        // one more posting under the same leaf.
-        let mut splits: Vec<(u32, u32)> = Vec::new();
-        // `level_start[l + 1]` first counts the rows that split at level
-        // `l`; the running sum turns that into nodes on levels `0..=l`
-        // and then into the level table.
-        let mut level_start = vec![0u32; depth + 1];
-        for i in 0..n {
-            let at = if i == 0 {
-                0
-            } else {
-                let (prev, this) = (row(i - 1), row(i));
-                if prev == this {
-                    continue;
-                }
-                prev.iter().zip(this).take_while(|(a, b)| a == b).count()
-            };
-            splits.push((i as u32, at as u32));
-            level_start[at + 1] += 1;
-        }
-        let mut opened = 0u32;
+        let nodes: usize = levels.iter().map(Vec::len).sum();
+        assert!(n.max(nodes) <= u32::MAX as usize, "trie arena exceeds u32 addressing");
+        // Level `l`'s nodes are `level_start[l]..level_start[l + 1]`. A
+        // depth-0 trie has no level: its virtual root is the one leaf,
+        // and its postings are the whole array.
+        let mut level_start = Vec::new();
         let mut total = 0u32;
-        for l in 0..depth {
-            opened += level_start[l + 1];
-            total += opened;
-            level_start[l + 1] = total;
+        for level in &levels {
+            level_start.push(total);
+            total += level.len() as u32;
         }
-        let nodes = total as usize;
-        let mut labels = vec![Label(0); nodes];
+        if depth > 0 {
+            level_start.push(total);
+        }
+        let labels: Vec<Label> = levels.iter().flatten().map(|node| node.0).collect();
+        let sub_start: Vec<u32> = levels.iter().flatten().map(|node| node.1).collect();
+        let child_len: Vec<u32> = levels.iter().flatten().map(|node| node.2).collect();
+        drop(levels);
         let mut child_start = vec![0u32; nodes];
-        let mut child_len = vec![0u32; nodes];
-        let mut sub_start = vec![0u32; nodes];
         let mut sub_len = vec![0u32; nodes];
-        // Next free node of each level.
-        let mut cursor: Vec<u32> = level_start[..depth].to_vec();
-        for &(i, at) in &splits {
-            let seq = row(i as usize);
-            for l in at as usize..depth {
-                let node = cursor[l] as usize;
-                cursor[l] += 1;
-                labels[node] = seq[l];
-                sub_start[node] = i;
-                if l > 0 {
-                    // The open node one level up is the parent (row 0
-                    // opens every level, so there always is one).
-                    child_len[cursor[l - 1] as usize - 1] += 1;
-                }
-            }
-        }
         let mut label_idx = vec![0u32; nodes];
-        let mut alphabet_start = Vec::with_capacity(depth + 1);
+        let mut alphabet_start = Vec::new();
         let mut alphabet: Vec<Label> = Vec::new();
         // Distinct labels of the level, sorted, each with its rank of
         // first appearance.
@@ -334,8 +297,6 @@ impl FlatTrie {
         let mut slot_of: Vec<u32> = Vec::new();
         for l in 0..depth {
             let (s, e) = (level_start[l] as usize, level_start[l + 1] as usize);
-            // A level's nodes tile the rows in order: each ends where
-            // the next begins, and child runs follow one another.
             let mut next_child = level_start[l + 1];
             for node in s..e {
                 let end = if node + 1 < e { sub_start[node + 1] } else { n as u32 };
@@ -374,7 +335,9 @@ impl FlatTrie {
                 *idx = slot_of[*idx as usize];
             }
         }
-        alphabet_start.push(alphabet.len() as u32);
+        if depth > 0 {
+            alphabet_start.push(alphabet.len() as u32);
+        }
         FlatTrie {
             depth,
             level_start,
@@ -391,6 +354,35 @@ impl FlatTrie {
             bitmap: Vec::new(),
         }
         .with_bitmaps()
+    }
+}
+
+impl FlatTrie {
+    /// Builds the arena from a row-major entry matrix: row `i` is the
+    /// sequence `labels[i * depth..(i + 1) * depth]` stored for
+    /// `graphs[i]` (any order; duplicate rows are dropped). Rows that
+    /// arrive sorted and distinct feed the `TrieBuilder` as they
+    /// stand; anything else is sorted through a row permutation first,
+    /// so no entry ever owns an allocation.
+    ///
+    /// # Panics
+    /// Panics if `labels.len() != depth * graphs.len()`.
+    pub fn from_rows(depth: usize, labels: Vec<Label>, graphs: Vec<GraphId>) -> Self {
+        assert_eq!(labels.len(), depth * graphs.len(), "sequence length must equal trie depth");
+        let n = graphs.len();
+        assert!(n <= u32::MAX as usize, "trie arena exceeds u32 addressing");
+        let row = |i: usize| &labels[i * depth..(i + 1) * depth];
+        let key = |i: usize| (row(i), graphs[i]);
+        let mut trie = TrieBuilder::new(depth, n);
+        if (1..n).all(|i| key(i - 1) < key(i)) {
+            (0..n).for_each(|i| trie.entry(row(i), graphs[i]));
+        } else {
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_unstable_by(|&a, &b| key(a as usize).cmp(&key(b as usize)));
+            order.dedup_by(|a, b| key(*a as usize) == key(*b as usize));
+            order.iter().for_each(|&i| trie.entry(row(i as usize), graphs[i as usize]));
+        }
+        trie.finish()
     }
 
     /// Derives the dense leaves' bitmaps from the posting column (the
@@ -460,226 +452,10 @@ impl FlatTrie {
         self.postings.is_empty()
     }
 
-    /// Borrowed view of the raw arena columns, for the binary snapshot
-    /// writer. The snapshot loader feeds the same columns back through
-    /// [`FlatTrie::from_parts`].
-    pub(crate) fn parts(&self) -> TrieParts<'_> {
-        TrieParts {
-            depth: self.depth,
-            level_start: &self.level_start,
-            labels: &self.labels,
-            label_idx: &self.label_idx,
-            child_start: &self.child_start,
-            child_len: &self.child_len,
-            sub_start: &self.sub_start,
-            sub_len: &self.sub_len,
-            postings: &self.postings,
-            alphabet_start: &self.alphabet_start,
-            alphabet: &self.alphabet,
-        }
-    }
-
-    /// Rebuilds an arena from raw columns read out of an untrusted
-    /// binary snapshot, revalidating every structural invariant the
-    /// query paths index by (see [`FlatTrie::validate`]) and then
-    /// deriving the dense leaves' bitmaps, which no file carries.
-    /// Anything out of range comes back as a description, never a later
-    /// panic.
-    ///
-    /// Posting graph ids are *not* range-checked here — the caller
-    /// knows the class size and validates them before handing over the
-    /// columns.
-    pub(crate) fn from_parts(p: TriePartsOwned) -> Result<FlatTrie, String> {
-        let TriePartsOwned {
-            depth,
-            level_start,
-            labels,
-            label_idx,
-            child_start,
-            child_len,
-            sub_start,
-            sub_len,
-            postings,
-            alphabet_start,
-            alphabet,
-        } = p;
-        let trie = FlatTrie {
-            depth,
-            level_start,
-            labels,
-            label_idx,
-            child_start,
-            child_len,
-            sub_start,
-            sub_len,
-            postings,
-            alphabet_start,
-            alphabet,
-            bitmap_start: Vec::new(),
-            bitmap: Vec::new(),
-        };
-        trie.validate()?;
-        // Only a validated layout has leaves to derive bitmaps for.
-        Ok(trie.with_bitmaps())
-    }
-
-    /// Checks every structural invariant the descent paths index by and
-    /// returns the first violation as a description, never a panic. A
-    /// trie produced by any construction path always passes; the checks
-    /// exist for untrusted snapshot columns (`FlatTrie::from_parts`
-    /// runs them on every load), debug re-validation after mutation,
-    /// and the offline `pis check` fsck.
-    ///
-    /// Beyond range checks, the tiling invariants pin the whole layout:
-    /// level-0 subtree ranges tile the posting array, every internal
-    /// node's children tile both the next level (CSR contiguity) and
-    /// the parent's posting range, sibling labels are strictly
-    /// ascending, and every node covers at least one posting — so any
-    /// single structural-column corruption is caught, not just
-    /// out-of-range values. Posting graph ids themselves are content,
-    /// not structure — the owning class range-checks them — but within
-    /// a leaf they must ascend strictly, as sorted distinct entries do.
-    pub fn validate(&self) -> Result<(), String> {
-        let FlatTrie {
-            depth,
-            level_start,
-            labels,
-            label_idx,
-            child_start,
-            child_len,
-            sub_start,
-            sub_len,
-            postings,
-            alphabet_start,
-            alphabet,
-            // Derived from the validated columns, never read from a file.
-            bitmap_start: _,
-            bitmap: _,
-        } = self;
-        let depth = *depth;
-        let nodes = labels.len();
-        if label_idx.len() != nodes
-            || child_start.len() != nodes
-            || child_len.len() != nodes
-            || sub_start.len() != nodes
-            || sub_len.len() != nodes
-        {
-            return Err("node column lengths disagree".to_string());
-        }
-        if nodes > u32::MAX as usize || postings.len() > u32::MAX as usize {
-            return Err("arena exceeds u32 addressing".to_string());
-        }
-        if depth == 0 {
-            if nodes != 0 || !level_start.is_empty() || !alphabet_start.is_empty() {
-                return Err("depth-0 trie must have empty node arrays".to_string());
-            }
-            return self.validate_leaf_order();
-        }
-        if level_start.len() != depth + 1 || alphabet_start.len() != depth + 1 {
-            return Err("level table length must be depth + 1".to_string());
-        }
-        if level_start[0] != 0 || alphabet_start[0] != 0 {
-            return Err("level tables must start at 0".to_string());
-        }
-        if level_start.windows(2).any(|w| w[0] > w[1])
-            || alphabet_start.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("level tables must be monotone".to_string());
-        }
-        if level_start[depth] as usize != nodes {
-            return Err("level table must cover every node".to_string());
-        }
-        if alphabet_start[depth] as usize != alphabet.len() {
-            return Err("alphabet table must cover every slot".to_string());
-        }
-        for l in 0..depth {
-            let slots = &alphabet[alphabet_start[l] as usize..alphabet_start[l + 1] as usize];
-            if slots.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("level {l} alphabet is not strictly ascending"));
-            }
-            // Child runs tile the next level in node order (CSR
-            // contiguity), so `child_start`/`child_len` are fully
-            // determined by `level_start` — any corruption shows.
-            let mut next_child = u64::from(level_start[l + 1]);
-            for n in level_start[l] as usize..level_start[l + 1] as usize {
-                let idx = label_idx[n];
-                if idx < alphabet_start[l] || idx >= alphabet_start[l + 1] {
-                    return Err(format!("node {n} label slot escapes level {l}"));
-                }
-                if alphabet[idx as usize] != labels[n] {
-                    return Err(format!("node {n} label disagrees with its slot"));
-                }
-                if sub_len[n] == 0 {
-                    return Err(format!("node {n} covers no postings"));
-                }
-                let se = u64::from(sub_start[n]) + u64::from(sub_len[n]);
-                if se > postings.len() as u64 {
-                    return Err(format!("node {n} subtree range escapes postings"));
-                }
-                if l + 1 < depth {
-                    if u64::from(child_start[n]) != next_child {
-                        return Err(format!("node {n} child run breaks CSR contiguity"));
-                    }
-                    if child_len[n] == 0 {
-                        return Err(format!("internal node {n} has no children"));
-                    }
-                    next_child += u64::from(child_len[n]);
-                    if next_child > u64::from(level_start[l + 2]) {
-                        return Err(format!("node {n} child run escapes level {}", l + 1));
-                    }
-                    // The children's subtree ranges tile the parent's
-                    // exactly, with strictly ascending sibling labels.
-                    let cs = child_start[n] as usize;
-                    let ce = cs + child_len[n] as usize;
-                    let mut at = sub_start[n];
-                    for c in cs..ce {
-                        if sub_start[c] != at {
-                            return Err(format!("child {c} breaks node {n}'s subtree tiling"));
-                        }
-                        at = at.saturating_add(sub_len[c]);
-                        if c > cs && labels[c - 1] >= labels[c] {
-                            return Err(format!("sibling labels not ascending at node {c}"));
-                        }
-                    }
-                    if u64::from(at) != se {
-                        return Err(format!("node {n}'s children do not cover its subtree"));
-                    }
-                } else if child_start[n] != 0 || child_len[n] != 0 {
-                    return Err(format!("leaf node {n} carries a child run"));
-                }
-            }
-            if l + 1 < depth && next_child != u64::from(level_start[l + 2]) {
-                return Err(format!("level {} is not covered by child runs", l + 1));
-            }
-        }
-        // The root level tiles the whole posting array, with strictly
-        // ascending labels (children of the virtual root).
-        let mut at = 0u64;
-        for n in 0..level_start[1] as usize {
-            if u64::from(sub_start[n]) != at {
-                return Err(format!("root-level node {n} breaks the posting tiling"));
-            }
-            at += u64::from(sub_len[n]);
-            if n > 0 && labels[n - 1] >= labels[n] {
-                return Err(format!("sibling labels not ascending at node {n}"));
-            }
-        }
-        if at != postings.len() as u64 {
-            return Err("root level does not cover the posting array".to_string());
-        }
-        self.validate_leaf_order()
-    }
-
-    /// Entries are sorted and distinct, so every leaf's postings ascend
-    /// strictly; the merge's ranked splice and the derived bitmaps rely
-    /// on it. Runs on a layout whose ranges are already checked.
-    fn validate_leaf_order(&self) -> Result<(), String> {
-        for leaf in 0..self.leaf_count() {
-            if self.leaf_postings(leaf).windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("leaf {leaf} postings are not strictly ascending"));
-            }
-        }
-        Ok(())
+    /// Every stored posting — class-local slots, ascending within each
+    /// sequence — in entry order.
+    pub(crate) fn postings(&self) -> &[GraphId] {
+        &self.postings
     }
 
     /// Merges `other`'s entries into the arena with one streaming sorted
@@ -687,12 +463,12 @@ impl FlatTrie {
     /// per entry. `other`'s entries arrive sorted and distinct from its
     /// own walk; each is located in the stored entry order by a trie
     /// descent (`entry_rank`), and one walk of the arena (already
-    /// sorted, already distinct) copies stored rows into a fresh row
-    /// matrix with the additions spliced in at their ranks, never
-    /// comparing a stored entry with an addition. The arena rebuilt from
-    /// that matrix is column-for-column the one [`FlatTrie::from_rows`]
-    /// builds from the union. Entries already stored are dropped, and a
-    /// merge that adds nothing leaves the arena untouched.
+    /// sorted, already distinct) feeds the stored entries to a
+    /// `TrieBuilder` with the additions spliced in at their ranks, so no
+    /// stored entry is ordered against an addition. The arena built
+    /// is column-for-column the one [`FlatTrie::from_rows`] builds from
+    /// the union. Entries already stored are dropped, and a merge that
+    /// adds nothing leaves the arena untouched.
     ///
     /// # Panics
     /// Panics if the two depths differ.
@@ -712,26 +488,31 @@ impl FlatTrie {
         if ranked.is_empty() {
             return;
         }
-        let total = self.len() + ranked.len();
-        assert!(total <= u32::MAX as usize, "trie arena exceeds u32 addressing");
-        let mut rows: Vec<Label> = Vec::with_capacity(total * depth);
-        let mut postings: Vec<GraphId> = Vec::with_capacity(total);
+        let mut trie = TrieBuilder::new(depth, self.len() + ranked.len());
+        let addition = |k: usize| &added[k * depth..(k + 1) * depth];
         let mut next = 0;
         let mut rank = 0u32;
-        self.for_each_entry(|seq, g| {
-            while ranked.get(next).is_some_and(|&(r, _)| r == rank) {
-                rows.extend_from_slice(&added[next * depth..(next + 1) * depth]);
-                postings.push(ranked[next].1);
-                next += 1;
+        self.for_each_sequence(|_, seq, run| {
+            for (j, &g) in run.iter().enumerate() {
+                while ranked.get(next).is_some_and(|&(r, _)| r == rank) {
+                    trie.entry(addition(next), ranked[next].1);
+                    next += 1;
+                }
+                // An addition ranked inside a run shares its sequence,
+                // so only a run's first entry can open one.
+                if j == 0 {
+                    trie.entry(seq, g);
+                } else {
+                    trie.post(g);
+                }
+                rank += 1;
             }
-            rows.extend_from_slice(seq);
-            postings.push(g);
-            rank += 1;
         });
         // The rest rank past every stored entry.
-        rows.extend_from_slice(&added[next * depth..]);
-        postings.extend(ranked[next..].iter().map(|&(_, g)| g));
-        *self = FlatTrie::from_sorted_rows(depth, |i| &rows[i * depth..(i + 1) * depth], postings);
+        for (k, &(_, g)) in ranked.iter().enumerate().skip(next) {
+            trie.entry(addition(k), g);
+        }
+        *self = trie.finish();
     }
 
     /// Position of `(seq, g)` in the stored entry order: `Ok(rank)` when
@@ -769,37 +550,51 @@ impl FlatTrie {
 
     /// Visits every stored `(sequence, graph)` pair in lexicographic
     /// sequence order (ascending graph ids within a sequence) — a
-    /// function of the stored entries alone, which keeps persisted bytes
-    /// independent of insert history.
+    /// function of the stored entries alone.
     pub fn for_each_entry(&self, mut visit: impl FnMut(&[Label], GraphId)) {
+        self.for_each_sequence(|_, seq, run| run.iter().for_each(|&g| visit(seq, g)));
+    }
+
+    /// Visits every distinct stored sequence in sorted order as
+    /// `(split, sequence, postings)` — the level at which it leaves its
+    /// predecessor's path (0 for the first), its labels and its
+    /// ascending postings: the stream a [`TrieBuilder`] consumes, so
+    /// feeding it back rebuilds this arena, and the form a snapshot
+    /// stores. A depth-0 trie holds one sequence, the empty one, or
+    /// none when it is empty.
+    pub(crate) fn for_each_sequence(&self, mut visit: impl FnMut(usize, &[Label], &[GraphId])) {
         if self.depth == 0 {
-            for &g in &self.postings {
-                visit(&[], g);
+            if !self.postings.is_empty() {
+                visit(0, &[], &self.postings);
             }
             return;
         }
         let mut path = vec![Label(0); self.depth];
         let root_range = (self.level_start[0], self.level_start[1]);
-        self.walk_entries(0, root_range, &mut path, &mut visit);
+        self.walk_sequences(0, root_range, &mut path, &mut 0, &mut visit);
     }
 
-    fn walk_entries(
+    /// Walks the subtrees of the nodes `start..end` of `level`. `split`
+    /// is the shallowest level whose node changed since the last visit.
+    fn walk_sequences(
         &self,
         level: usize,
         (start, end): (u32, u32),
         path: &mut [Label],
-        visit: &mut impl FnMut(&[Label], GraphId),
+        split: &mut usize,
+        visit: &mut impl FnMut(usize, &[Label], &[GraphId]),
     ) {
         for node in start as usize..end as usize {
+            if node > start as usize {
+                *split = (*split).min(level);
+            }
             path[level] = self.labels[node];
             if level + 1 == self.depth {
-                let (s, n) = (self.sub_start[node], self.sub_len[node]);
-                for &g in &self.postings[s as usize..(s + n) as usize] {
-                    visit(path, g);
-                }
+                visit(*split, path, self.subtree_postings(node));
+                *split = self.depth;
             } else {
                 let (cs, cl) = (self.child_start[node], self.child_len[node]);
-                self.walk_entries(level + 1, (cs, cs + cl), path, visit);
+                self.walk_sequences(level + 1, (cs, cs + cl), path, split, visit);
             }
         }
     }
@@ -1012,7 +807,7 @@ impl FlatTrie {
 }
 
 /// How many words a leaf's bitmap holds when the leaf is dense — its
-/// postings (strictly ascending, see [`FlatTrie::validate`]) at least
+/// postings (strictly ascending, as sorted distinct entries are) at least
 /// as many as the words from its first posting's to its last's — and
 /// `None` for a sparse or empty leaf.
 fn dense_words(postings: &[GraphId]) -> Option<usize> {
@@ -1405,93 +1200,6 @@ mod tests {
         let _ = trie_of(3, vec![(l(&[1]), GraphId(0))]);
     }
 
-    /// Clones a frozen trie's columns for mutation.
-    fn owned_parts(t: &FlatTrie) -> TriePartsOwned {
-        let p = t.parts();
-        TriePartsOwned {
-            depth: p.depth,
-            level_start: p.level_start.to_vec(),
-            labels: p.labels.to_vec(),
-            label_idx: p.label_idx.to_vec(),
-            child_start: p.child_start.to_vec(),
-            child_len: p.child_len.to_vec(),
-            sub_start: p.sub_start.to_vec(),
-            sub_len: p.sub_len.to_vec(),
-            postings: p.postings.to_vec(),
-            alphabet_start: p.alphabet_start.to_vec(),
-            alphabet: p.alphabet.to_vec(),
-        }
-    }
-
-    #[test]
-    fn validate_accepts_every_built_trie() {
-        for depth in [0usize, 1, 2, 4] {
-            let entries: Vec<(Vec<Label>, GraphId)> = (0..30u32)
-                .map(|g| {
-                    (
-                        l(&(0..depth as u32).map(|p| (g * 7 + p) % 3).collect::<Vec<_>>()),
-                        GraphId(g % 12),
-                    )
-                })
-                .collect();
-            let t = trie_of(depth, entries);
-            t.validate().unwrap_or_else(|m| panic!("depth {depth}: {m}"));
-        }
-    }
-
-    /// The tiling invariants pin every structural column exactly: a
-    /// single bit flip anywhere outside the (separately validated)
-    /// `postings` payload must be rejected by [`FlatTrie::from_parts`].
-    #[test]
-    fn structural_bit_flip_corpus_is_always_rejected() {
-        let entries: Vec<(Vec<Label>, GraphId)> = (0..40u32)
-            .map(|g| (l(&[(g * 7) % 3, (g * 5) % 4, (g * 3) % 3, g % 2]), GraphId(g % 15)))
-            .collect();
-        let t = trie_of(4, entries);
-        t.validate().unwrap();
-        type U32Column = fn(&mut TriePartsOwned) -> &mut Vec<u32>;
-        type LabelColumn = fn(&mut TriePartsOwned) -> &mut Vec<Label>;
-        let columns: &[(&str, U32Column)] = &[
-            ("level_start", |p| &mut p.level_start),
-            ("label_idx", |p| &mut p.label_idx),
-            ("child_start", |p| &mut p.child_start),
-            ("child_len", |p| &mut p.child_len),
-            ("sub_start", |p| &mut p.sub_start),
-            ("sub_len", |p| &mut p.sub_len),
-            ("alphabet_start", |p| &mut p.alphabet_start),
-        ];
-        for (name, column) in columns {
-            let len = column(&mut owned_parts(&t)).len();
-            for i in 0..len {
-                for bit in [0, 1, 7, 31] {
-                    let mut p = owned_parts(&t);
-                    column(&mut p)[i] ^= 1 << bit;
-                    assert!(
-                        FlatTrie::from_parts(p).is_err(),
-                        "flipping {name}[{i}] bit {bit} must be rejected"
-                    );
-                }
-            }
-        }
-        // Label columns: pinned by alphabet ⟷ label cross-checks.
-        for (name, column) in [
-            ("labels", (|p: &mut TriePartsOwned| &mut p.labels) as LabelColumn),
-            ("alphabet", |p| &mut p.alphabet),
-        ] {
-            let len = column(&mut owned_parts(&t)).len();
-            for i in 0..len {
-                for bit in [0, 1, 7, 31] {
-                    let mut p = owned_parts(&t);
-                    column(&mut p)[i].0 ^= 1 << bit;
-                    assert!(
-                        FlatTrie::from_parts(p).is_err(),
-                        "flipping {name}[{i}] bit {bit} must be rejected"
-                    );
-                }
-            }
-        }
-    }
-
     /// `count` depth-3 entries over `graphs` graphs: a few sequences
     /// shared by many graphs (dense leaves) beside many sequences of a
     /// few graphs each, spread over the slot range (sparse leaves).
@@ -1528,8 +1236,6 @@ mod tests {
             merged.merge(&trie_of(3, rest.to_vec()));
             tally(&merged);
             assert_eq!(merged, built, "merge derives the bulk build's bitmaps");
-            let decoded = FlatTrie::from_parts(owned_parts(&built)).unwrap();
-            tally(&decoded);
         }
         for depth in [0usize, 1] {
             let entries: Vec<_> =
@@ -1538,32 +1244,6 @@ mod tests {
         }
         tally(&trie_of(2, Vec::new()));
         assert!(kinds.0 > 0 && kinds.1 > 0, "both fold paths are built: {kinds:?}");
-    }
-
-    #[test]
-    fn unordered_leaf_postings_are_rejected() {
-        // Leaf [1, 1] holds graphs 2, 5, 9; the depth-0 trie 4, 6.
-        let t = trie_of(2, [2, 5, 9].map(|g| (l(&[1, 1]), GraphId(g))).to_vec());
-        let d0 = trie_of(0, [4, 6].map(|g| (Vec::new(), GraphId(g))).to_vec());
-        for (trie, postings) in [(&t, vec![2, 9, 5]), (&t, vec![2, 5, 5]), (&d0, vec![6, 4])] {
-            let mut p = owned_parts(trie);
-            p.postings = postings.into_iter().map(GraphId).collect();
-            let err = FlatTrie::from_parts(p).unwrap_err();
-            assert!(err.contains("not strictly ascending"), "{err}");
-        }
-    }
-
-    #[test]
-    fn from_parts_of_parts_is_the_trie() {
-        for depth in [0usize, 1, 3] {
-            let entries: Vec<_> = mixed_entries(9, 400, 700)
-                .into_iter()
-                .map(|(seq, g)| (seq[..depth].to_vec(), g))
-                .collect();
-            let t = trie_of(depth, entries);
-            // `PartialEq` compares every column, the derived ones too.
-            assert_eq!(FlatTrie::from_parts(owned_parts(&t)).unwrap(), t, "depth {depth}");
-        }
     }
 
     /// Folds `emissions` the way a range query does — sorted stably by

@@ -30,7 +30,11 @@
 //! Inserted graphs land in a second, small trie of the class's depth —
 //! the *pending* trie — until the class holds 64 pending entries and
 //! merges them into the frozen one
-//! ([`FragmentIndex::insert_graphs_pending`]).
+//! ([`FragmentIndex::insert_graphs_pending`]). Every trie, built, merged
+//! or loaded, comes out of the one arena builder in `flat_trie`, so a
+//! snapshot stores a compacted class as its content — its posting list
+//! and its trie's sorted sequences with their posting runs — and a load
+//! lays the arena out again (`crate::snapshot`).
 //!
 //! A range query runs one kernel over the frozen trie and then the
 //! pending one and has two products. Its **hit set** is one bit per
@@ -227,8 +231,8 @@ pub(crate) struct ClassIndex {
 
 impl ClassIndex {
     /// A class with nothing pending — fresh builds and restored saves.
-    pub(crate) fn restored(frozen: FlatTrie, graphs: Vec<GraphId>, entries: usize) -> Self {
-        ClassIndex { frozen, pending: None, graphs, entries }
+    pub(crate) fn restored(frozen: FlatTrie, graphs: Vec<GraphId>) -> Self {
+        ClassIndex { entries: frozen.len(), frozen, pending: None, graphs }
     }
 
     /// The frozen trie, then the pending one: a range query runs the
@@ -292,8 +296,7 @@ impl FragmentIndex {
         let classes: Vec<ClassIndex> = pool.map(&structures, 2, |class, s| {
             let mut graphs = Vec::new();
             let frozen = class_trie(ClassRows::concat(&blocks, class), s, &distance, &mut graphs);
-            let entries = frozen.len();
-            ClassIndex::restored(frozen, graphs, entries)
+            ClassIndex::restored(frozen, graphs)
         });
         let index = FragmentIndex {
             features,
@@ -331,6 +334,13 @@ impl FragmentIndex {
     /// gIndex posting list).
     pub fn class_graphs(&self, feature: FeatureId) -> &[GraphId] {
         &self.classes[feature.index()].graphs
+    }
+
+    /// The class's frozen trie, whose postings are slots of
+    /// [`FragmentIndex::class_graphs`]: every entry of the class after
+    /// [`FragmentIndex::compact`], the ones a snapshot stores.
+    pub fn class_trie(&self, feature: FeatureId) -> &FlatTrie {
+        &self.classes[feature.index()].frozen
     }
 
     /// Incrementally indexes one more graph, returning its new id; the
@@ -435,10 +445,12 @@ impl FragmentIndex {
     ///
     /// Per class: the posting list is strictly ascending and bounded by
     /// the database size; the frozen and the pending trie each pass the
-    /// same check ([`FlatTrie::validate`], the class's width as depth,
-    /// posting slots inside the class); the entry count equals frozen +
-    /// pending; and every posting-list graph is referenced by at least
-    /// one entry.
+    /// same check (the class's width as depth, posting slots inside the
+    /// class); the entry count equals frozen + pending; and every
+    /// posting-list graph is referenced by at least one entry. The
+    /// arenas themselves are not re-checked: one builder lays every one
+    /// out from its sorted entries, and a snapshot load checks the
+    /// entries it feeds that builder.
     pub fn validate(&self) -> Result<IndexCheckReport, String> {
         let mut report = IndexCheckReport { classes: self.classes.len(), ..Default::default() };
         if self.classes.len() != self.features.len() {
@@ -751,16 +763,15 @@ fn emissions<'a>(
 }
 
 /// One class trie, frozen or pending, checked against its class: the
-/// class's width as its depth, its own validator, and its posting slots
-/// inside the `seen.len()`-graph class, each marked in `seen`. Returns
-/// its entry count.
+/// class's width as its depth and its posting slots inside the
+/// `seen.len()`-graph class, each marked in `seen`. Returns its entry
+/// count.
 fn validate_trie(trie: &FlatTrie, width: usize, seen: &mut [bool]) -> Result<usize, String> {
     if trie.depth() != width {
         return Err(format!("trie depth {} != class width {width}", trie.depth()));
     }
-    trie.validate().map_err(|m| format!("trie: {m}"))?;
     let class = seen.len();
-    for &slot in trie.parts().postings {
+    for &slot in trie.postings() {
         match seen.get_mut(slot.index()) {
             Some(s) => *s = true,
             None => {

@@ -1,28 +1,43 @@
 //! Versioned binary snapshots of a [`FragmentIndex`] + its database —
 //! the one persisted form of an index.
 //!
-//! A snapshot stores each class's frozen FlatTrie arena columns
-//! verbatim — a linear-distance class as a depth-0 trie over its
-//! posting list — so loading validates and bulk-copies them back with
-//! no re-sort and no per-entry parsing.
+//! A snapshot stores each class as its content, not its arena: the
+//! class's posting list, then its distinct label sequences in sorted
+//! order, front-coded, each with its run of postings. Loading feeds
+//! that stream to the one arena builder (`flat_trie::TrieBuilder`), so
+//! no arena column is persisted and the layout lives in `flat_trie.rs`
+//! alone. A linear-distance class (a depth-0 trie) is one posting run.
 //!
 //! ## Layout (all integers little-endian)
 //!
 //! ```text
 //! magic "PISSNAP1"  (8 bytes)
-//! u32 version (= 1)
+//! u32 version (= 2)
 //! u32 section_count (= 4)
 //! section table: per section { u32 kind, u64 offset, u64 len, u32 crc32 }
 //! section payloads (META, FEATURES, DATABASE, CLASSES — in kind order)
 //! u32 footer crc32 over every preceding byte
+//!
+//! META:     u64 graph count, u8 distance tag (0 mutation, 1 linear),
+//!           then two score matrices or two f64 scales
+//! CLASSES:  u32 class count, then per class, in feature order:
+//!           u32 n, n × u32 posting list (ascending graph ids)
+//!           u32 sequence count, then per sequence:
+//!             u32 split level (where it leaves its predecessor's path)
+//!             (depth − split) × u32 labels, one per trie node it opens
+//!             u32 run length, run × u32 posting slots (ascending)
 //! ```
 //!
-//! Every structural count is bounds-checked against the bytes actually
-//! present, every float is rejected when non-finite, and trie arenas
-//! are revalidated by `FlatTrie::from_parts` — so a loaded snapshot
-//! answers queries bit-identically, re-encodes to the same bytes, and
-//! corrupt input of any shape surfaces as [`PersistError::Corrupt`],
-//! never a panic.
+//! A class's trie depth is its width under the stored distance, read
+//! off its feature. Every structural count is bounds-checked against
+//! the bytes actually present, every float is rejected when non-finite,
+//! and each class stream is checked for exactly what the builder
+//! assumes — sorted, distinct sequences with non-empty, ascending,
+//! in-range runs — before it is fed, so a loaded snapshot answers
+//! queries bit-identically, re-encodes to the same bytes, and corrupt
+//! input of any shape surfaces as [`PersistError::Corrupt`], never a
+//! panic. Version 1 files, which stored the arena columns, are refused:
+//! rebuild the store (`pis build`).
 //!
 //! The database graphs ride in the snapshot (one atomic rename covers
 //! index *and* database); the write-ahead log ([`crate::wal`]) replays
@@ -53,12 +68,12 @@ use pis_mining::FeatureSet;
 use crate::codec::{
     atomic_write, check_finite_weights, crc32, idx, len64, u32_idx, u32_of, ByteReader, ByteWriter,
 };
-use crate::flat_trie::{FlatTrie, TriePartsOwned};
+use crate::flat_trie::{FlatTrie, TrieBuilder};
 use crate::index::{ClassIndex, FragmentIndex, IndexDistance, MergeStats};
 use crate::persist::PersistError;
 
 const MAGIC: &[u8; 8] = b"PISSNAP1";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const SECTION_COUNT: u32 = 4;
 /// Bytes per section-table entry: kind + offset + len + crc.
 const TABLE_ENTRY: usize = 24;
@@ -67,26 +82,6 @@ const KIND_META: u32 = 1;
 const KIND_FEATURES: u32 = 2;
 const KIND_DATABASE: u32 = 3;
 const KIND_CLASSES: u32 = 4;
-
-/// META's three retired slots, kept so persisted bytes do not move. The
-/// embedding cap is always "none": an index built under a cap had wrong
-/// range-query minima, so any other value is refused on read. The
-/// backend byte once chose among structures; `0`–`2` are accepted (the
-/// class tags say which structure each class holds, and refuse the ones
-/// that are gone), `3`, the VP-tree, is refused. The merge
-/// threshold was a knob; it is written as its old default and any value
-/// is accepted and ignored on read, since a threshold never changes an
-/// answer.
-const NO_EMBEDDING_CAP: u64 = u64::MAX;
-const BACKEND_BY_DISTANCE: u8 = 0;
-const BACKEND_VPTREE: u8 = 3;
-const RETIRED_MERGE_THRESHOLD: u64 = 64;
-
-/// Class tags: every class is a trie. `1` and `3` were the VP-tree
-/// classes (label and weight items), `2` the R-tree of a linear class;
-/// all three decode to [`PersistError::Corrupt`].
-const CLASS_TRIE: u8 = 0;
-const CLASS_RTREE: u8 = 2;
 
 /// Serializes the index and its database into snapshot bytes.
 ///
@@ -138,9 +133,6 @@ fn encode_meta(
     w: &mut ByteWriter,
 ) -> Result<(), PersistError> {
     w.u64(len64(index.graph_count));
-    w.u64(NO_EMBEDDING_CAP);
-    w.u8(BACKEND_BY_DISTANCE);
-    w.u64(RETIRED_MERGE_THRESHOLD);
     match &index.distance {
         IndexDistance::Mutation(md) => {
             w.u8(0);
@@ -204,39 +196,36 @@ fn encode_classes(
 ) -> Result<(), PersistError> {
     w.u32(u32_of(index.classes.len(), "class count")?);
     for class in &index.classes {
-        w.u8(CLASS_TRIE);
         w.u32(u32_of(class.graphs.len(), "posting length")?);
         for g in &class.graphs {
             w.u32(g.0);
         }
-        w.u64(len64(class.entries));
-        let p = class.frozen.parts();
-        w.u32(u32_of(p.depth, "trie depth")?);
-        w.u32(u32_of(p.labels.len(), "trie node count")?);
-        w.u32(u32_of(p.postings.len(), "trie posting count")?);
-        w.u32(u32_of(p.alphabet.len(), "trie alphabet count")?);
-        for &x in p.level_start {
-            w.u32(x);
-        }
-        for &l in p.labels {
-            w.u32(l.0);
-        }
-        for arr in [p.label_idx, p.child_start, p.child_len, p.sub_start, p.sub_len] {
-            for &x in arr {
-                w.u32(x);
-            }
-        }
-        for &g in p.postings {
-            w.u32(g.0);
-        }
-        for &x in p.alphabet_start {
-            w.u32(x);
-        }
-        for &l in p.alphabet {
-            w.u32(l.0);
-        }
+        encode_trie(&class.frozen, w);
     }
     Ok(())
+}
+
+/// Writes a class's trie as its content — the stream
+/// [`FlatTrie::for_each_sequence`] walks: the sequence count, then each
+/// distinct sequence's split level, its labels from that level down and
+/// its run of posting slots. Counts and slots fit in `u32` because the
+/// arena addresses its postings with them.
+fn encode_trie(trie: &FlatTrie, w: &mut ByteWriter) {
+    let count_at = w.len();
+    w.u32(0);
+    let mut count = 0;
+    trie.for_each_sequence(|split, seq, run| {
+        count += 1;
+        w.u32(u32_idx(split));
+        for label in &seq[split..] {
+            w.u32(label.0);
+        }
+        w.u32(u32_idx(run.len()));
+        for g in run {
+            w.u32(g.0);
+        }
+    });
+    w.patch_u32(count_at, u32_idx(count));
 }
 
 /// Restores an index + database from snapshot bytes, validating the
@@ -251,9 +240,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
         return Err(corrupt(0, "bad snapshot magic"));
     }
     let mut r = ByteReader::new(&bytes[MAGIC.len()..header_len], len64(MAGIC.len()));
-    let version = r.u32("version")?;
-    if version != VERSION {
-        return Err(corrupt(8, &format!("unsupported snapshot version {version}")));
+    match r.u32("version")? {
+        VERSION => {}
+        1 => {
+            return Err(corrupt(
+                8,
+                "snapshot version 1 (trie arena columns) is no longer read: rebuild the store \
+                 with `pis build`",
+            ))
+        }
+        version => return Err(corrupt(8, &format!("unsupported snapshot version {version}"))),
     }
     let section_count = r.u32("section count")?;
     if section_count != SECTION_COUNT {
@@ -391,20 +387,6 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<Meta, PersistError> {
     // Infallible after the u32 bound above.
     let graph_count =
         usize::try_from(graph_count).map_err(|_| r.corrupt("graph count exceeds usize"))?;
-    let cap = r.u64("embedding cap")?;
-    if cap != NO_EMBEDDING_CAP {
-        return Err(r.corrupt(&format!(
-            "index built under an embedding cap of {cap}: unsupported, rebuild the store"
-        )));
-    }
-    match r.u8("backend tag")? {
-        t if t < BACKEND_VPTREE => {}
-        BACKEND_VPTREE => {
-            return Err(r.corrupt("VP-tree backend: unsupported, rebuild the store"));
-        }
-        t => return Err(r.corrupt(&format!("unknown backend tag {t}"))),
-    }
-    r.u64("merge threshold")?;
     let distance = match r.u8("distance tag")? {
         0 => {
             let vertex = decode_matrix(r)?;
@@ -553,7 +535,6 @@ fn decode_classes(
     }
     let mut classes = Vec::with_capacity(count);
     for &width in widths {
-        let tag = r.u8("class backend tag")?;
         let posting_len = bounded_count(r, "posting length", 4)?;
         let mut graphs = Vec::with_capacity(posting_len);
         for _ in 0..posting_len {
@@ -567,14 +548,8 @@ fn decode_classes(
         if graphs.last().is_some_and(|g| g.index() >= meta.graph_count) {
             return Err(r.corrupt("posting graph id out of range"));
         }
-        let entries = r.u64_usize("entry count")?;
-        let trie = match tag {
-            CLASS_TRIE => decode_trie(r, width, graphs.len())?,
-            CLASS_RTREE => return Err(r.corrupt("R-tree class: unsupported, rebuild the store")),
-            1 | 3 => return Err(r.corrupt("VP-tree class: unsupported, rebuild the store")),
-            t => return Err(r.corrupt(&format!("unknown class backend tag {t}"))),
-        };
-        classes.push(ClassIndex::restored(trie, graphs, entries));
+        let trie = decode_trie(r, width, graphs.len())?;
+        classes.push(ClassIndex::restored(trie, graphs));
     }
     if !r.is_exhausted() {
         return Err(r.corrupt("trailing bytes in CLASSES section"));
@@ -582,62 +557,69 @@ fn decode_classes(
     Ok(classes)
 }
 
-/// Bulk-copies a trie arena out of the section, then revalidates every
-/// structural invariant through [`FlatTrie::from_parts`]. Postings are
-/// class-local slots and are range-checked against the posting list
-/// here, where the class size is known.
+/// Reads a `depth`-deep class trie as [`encode_trie`] wrote it and feeds
+/// it to the [`TrieBuilder`], checking first everything the builder
+/// assumes and the stream can get wrong: the first sequence splits at
+/// level 0 and every later one below `depth`; each sequence's label at
+/// its split is greater than its predecessor's, so the sequences are
+/// sorted and distinct; and every run is non-empty, strictly ascending
+/// and inside the `class_size`-graph class.
 fn decode_trie(
     r: &mut ByteReader<'_>,
-    width: usize,
+    depth: usize,
     class_size: usize,
 ) -> Result<FlatTrie, PersistError> {
-    let depth = r.u32_usize("trie depth")?;
-    // Queries index probe vectors of `width` labels by trie level, so a
-    // depth mismatch would read out of bounds at query time.
-    if depth != width {
-        return Err(r.corrupt(&format!("trie depth {depth} != class width {width}")));
-    }
-    let nodes = bounded_count(r, "trie node count", 4)?;
-    let postings_len = bounded_count(r, "trie posting count", 4)?;
-    let alphabet_len = bounded_count(r, "trie alphabet count", 4)?;
-    let table_len = if depth == 0 { 0 } else { depth + 1 };
-    let read_u32s =
-        |n: usize, what: &str, r: &mut ByteReader<'_>| -> Result<Vec<u32>, PersistError> {
-            let mut v = Vec::with_capacity(n.min(r.remaining() / 4 + 1));
-            for _ in 0..n {
-                v.push(r.u32(what)?);
+    // A sequence is at least its split level, a run length and a slot.
+    let sequences = bounded_count(r, "trie sequence count", 12)?;
+    let mut trie = TrieBuilder::new(depth, 0);
+    let mut path = vec![Label(0); depth];
+    // Nodes (one per label) and postings: the arena addresses both in u32.
+    let mut words = 0usize;
+    for i in 0..sequences {
+        let split = r.u32_usize("trie split level")?;
+        if (i == 0 && split != 0) || (i > 0 && split >= depth) {
+            return Err(r.corrupt(&format!(
+                "trie sequence {i} splits at level {split} of a {depth}-deep trie"
+            )));
+        }
+        for (k, cell) in path[split..].iter_mut().enumerate() {
+            let label = Label(r.u32("trie label")?);
+            // Where a sequence leaves its predecessor's path, it sorts
+            // after it.
+            if i > 0 && k == 0 && label <= *cell {
+                return Err(
+                    r.corrupt(&format!("trie sequence {i} does not follow its predecessor"))
+                );
             }
-            Ok(v)
-        };
-    let level_start = read_u32s(table_len, "trie level table", r)?;
-    let labels: Vec<Label> = read_u32s(nodes, "trie labels", r)?.into_iter().map(Label).collect();
-    let label_idx = read_u32s(nodes, "trie label slots", r)?;
-    let child_start = read_u32s(nodes, "trie child starts", r)?;
-    let child_len = read_u32s(nodes, "trie child lengths", r)?;
-    let sub_start = read_u32s(nodes, "trie subtree starts", r)?;
-    let sub_len = read_u32s(nodes, "trie subtree lengths", r)?;
-    let postings: Vec<GraphId> =
-        read_u32s(postings_len, "trie postings", r)?.into_iter().map(GraphId).collect();
-    if postings.iter().any(|g| g.index() >= class_size) {
-        return Err(r.corrupt("trie posting slot out of range"));
+            *cell = label;
+        }
+        trie.open(split, &path[split..]);
+        let run = bounded_count(r, "trie run length", 4)?;
+        if run == 0 {
+            return Err(r.corrupt(&format!("trie sequence {i} has no postings")));
+        }
+        words += depth - split + run;
+        if u32::try_from(words).is_err() {
+            return Err(r.corrupt("trie arena exceeds u32 addressing"));
+        }
+        let mut last = None;
+        for _ in 0..run {
+            let slot = r.u32("trie posting slot")?;
+            if idx(slot) >= class_size {
+                return Err(r.corrupt(&format!(
+                    "trie posting slot {slot} exceeds the {class_size}-graph class"
+                )));
+            }
+            if last.is_some_and(|prev| slot <= prev) {
+                return Err(
+                    r.corrupt(&format!("trie sequence {i} postings are not strictly ascending"))
+                );
+            }
+            last = Some(slot);
+            trie.post(GraphId(slot));
+        }
     }
-    let alphabet_start = read_u32s(table_len, "trie alphabet table", r)?;
-    let alphabet: Vec<Label> =
-        read_u32s(alphabet_len, "trie alphabet", r)?.into_iter().map(Label).collect();
-    FlatTrie::from_parts(TriePartsOwned {
-        depth,
-        level_start,
-        labels,
-        label_idx,
-        child_start,
-        child_len,
-        sub_start,
-        sub_len,
-        postings,
-        alphabet_start,
-        alphabet,
-    })
-    .map_err(|m| r.corrupt(&m))
+    Ok(trie.finish())
 }
 
 #[cfg(test)]
@@ -686,50 +668,75 @@ mod tests {
         }
     }
 
-    /// META's retired slots on hand-built section bytes: the embedding
-    /// cap must read "none", the backend byte may name anything but the
-    /// VP-tree, and the merge threshold may hold anything.
+    /// `count` depth-`depth` entries over `graphs` graphs: labels from a
+    /// small alphabet, so sequences share prefixes, and graph `i % 3 == 0`
+    /// entries bunched onto a few sequences, so some leaves are dense.
+    fn entries(seed: u64, count: u32, graphs: u32, depth: usize) -> (Vec<Label>, Vec<GraphId>) {
+        let mut x = seed;
+        let mut labels = Vec::new();
+        let ids = (0..count)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let alphabet = if i % 3 == 0 { 1 } else { 3 };
+                labels.extend((0..depth).map(|p| Label((x >> (8 + 5 * p)) as u32 % alphabet)));
+                GraphId((x >> 40) as u32 % graphs)
+            })
+            .collect();
+        (labels, ids)
+    }
+
+    /// `trie` written as a class stream and read back, every byte used.
+    fn round_trip(trie: &FlatTrie, class_size: usize) -> FlatTrie {
+        let mut w = ByteWriter::new();
+        encode_trie(trie, &mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, 0);
+        let decoded = decode_trie(&mut r, trie.depth(), class_size).unwrap();
+        assert!(r.is_exhausted(), "the stream is read to its end");
+        decoded
+    }
+
+    /// A trie decoded from its class stream is the encoded one, column
+    /// for column (`FlatTrie: PartialEq`, the derived bitmaps included):
+    /// built, merged, and pending-merged — a pending trie grown by a
+    /// merge and then merged into the frozen one — at depths 0–5, empty
+    /// tries included.
     #[test]
-    fn meta_retired_slots_accept_only_supported_values() {
-        let meta = |cap: u64, backend: u8, threshold: u64| {
-            let mut w = ByteWriter::new();
-            w.u64(3); // graph count
-            w.u64(cap);
-            w.u8(backend);
-            w.u64(threshold);
-            w.u8(1); // linear distance: vertex scale, edge scale
-            w.f64_bits(0.0);
-            w.f64_bits(1.0);
-            w.into_bytes()
+    fn decoded_tries_are_the_encoded_ones() {
+        let build = |(labels, ids): (Vec<Label>, Vec<GraphId>), depth| {
+            FlatTrie::from_rows(depth, labels, ids)
         };
-        let decode = |bytes: Vec<u8>| decode_meta(&mut ByteReader::new(&bytes, 0));
-        for backend in 0..=2 {
-            for threshold in [0, 1, 64, u64::MAX] {
-                let m = decode(meta(u64::MAX, backend, threshold)).unwrap();
-                assert_eq!(m.graph_count, 3, "backend tag {backend} threshold {threshold}");
+        let mut dense = 0;
+        for depth in 0..=5 {
+            for (seed, graphs) in [(1u64, 400u32), (2, 7)] {
+                let built = build(entries(seed, 600, graphs, depth), depth);
+                let mut merged = build(entries(seed + 10, 300, graphs, depth), depth);
+                merged.merge(&build(entries(seed + 20, 300, graphs, depth), depth));
+                let mut pending = build(entries(seed + 30, 40, graphs, depth), depth);
+                pending.merge(&build(entries(seed + 40, 40, graphs, depth), depth));
+                let mut pending_merged = built.clone();
+                pending_merged.merge(&pending);
+                let empty = build((Vec::new(), Vec::new()), depth);
+                for (case, trie) in [
+                    ("built", &built),
+                    ("merged", &merged),
+                    ("pending-merged", &pending_merged),
+                    ("empty", &empty),
+                ] {
+                    let decoded = round_trip(trie, graphs as usize);
+                    assert!(decoded == *trie, "depth {depth} graphs {graphs}: {case}");
+                    dense += decoded.leaf_kinds().0;
+                }
             }
         }
-        for (cap, backend) in [(u64::MAX, 3), (u64::MAX, 4), (1000, 0), (0, 0)] {
-            assert!(
-                matches!(decode(meta(cap, backend, 64)), Err(PersistError::Corrupt { .. })),
-                "cap {cap} backend tag {backend} must be refused"
-            );
-        }
-        // The writer fills the slot with the old default.
-        let (index, db) = sample(IndexDistance::Linear(LinearDistance::default()));
-        let mut w = ByteWriter::new();
-        encode_meta(&index, &db, &mut w).unwrap();
-        assert_eq!(w.into_bytes()[..25], meta(u64::MAX, 0, 64)[..25]);
+        assert!(dense > 0, "dense leaves are decoded too");
     }
 
     /// A linear-distance store holds every class as a depth-0 trie over
     /// its posting list, one entry per graph, and round-trips to the
-    /// byte. A class tagged `2` — the R-tree classes of stores written
-    /// before linear classes became posting lists — is refused with a
-    /// typed error naming the remedy, through the whole decoder (section
-    /// and footer checksums patched to match).
+    /// byte.
     #[test]
-    fn linear_classes_are_posting_lists_and_rtree_tags_are_refused() {
+    fn linear_classes_are_posting_lists() {
         let (index, db) = sample(IndexDistance::Linear(LinearDistance::default()));
         for class in &index.classes {
             assert_eq!(class.frozen.depth(), 0);
@@ -738,32 +745,6 @@ mod tests {
         let bytes = encode_snapshot(&index, &db).unwrap();
         let (loaded, db2) = decode_snapshot(&bytes).unwrap();
         assert!(encode_snapshot(&loaded, &db2).unwrap() == bytes, "round trip is byte-identical");
-
-        let mut bad = bytes.clone();
-        let entry = MAGIC.len() + 8 + (idx(KIND_CLASSES) - 1) * TABLE_ENTRY;
-        let read_u64 = |at: usize| {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(&bytes[at..at + 8]);
-            usize::try_from(u64::from_le_bytes(le)).unwrap()
-        };
-        let (offset, len) = (read_u64(entry + 4), read_u64(entry + 12));
-        // After the u32 class count: the first class's tag.
-        assert_eq!(bad[offset + 4], CLASS_TRIE);
-        bad[offset + 4] = CLASS_RTREE;
-        let crc = crc32(&bad[offset..offset + len]);
-        bad[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
-        let footer_at = bad.len() - 4;
-        let footer = crc32(&bad[..footer_at]);
-        bad[footer_at..].copy_from_slice(&footer.to_le_bytes());
-        match decode_snapshot(&bad) {
-            Err(PersistError::Corrupt { message, .. }) => {
-                assert!(
-                    message.contains("R-tree class: unsupported, rebuild the store"),
-                    "{message}"
-                );
-            }
-            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
-        }
     }
 
     #[test]

@@ -33,8 +33,9 @@ fn ring(labels: &[u32]) -> LabeledGraph {
 // Binary snapshot format
 // ---------------------------------------------------------------------
 
-/// A valid snapshot (index + database) for mutation over.
-fn valid_snapshot() -> Vec<u8> {
+/// A valid snapshot (index + database) for mutation over, and the trie
+/// depth of its first class.
+fn valid_snapshot_and_depth() -> (Vec<u8>, usize) {
     let db = vec![ring(&[1, 1, 1, 1]), ring(&[1, 2, 1, 2]), ring(&[2, 2, 2, 2])];
     let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
     let index = FragmentIndex::build(
@@ -43,7 +44,13 @@ fn valid_snapshot() -> Vec<u8> {
         IndexDistance::Mutation(MutationDistance::edge_hamming()),
         &IndexConfig::default(),
     );
-    encode_snapshot(&index, &db).unwrap()
+    // A mutation-distance class is as deep as its structure is wide.
+    let first = &index.features().iter().next().unwrap().structure;
+    (encode_snapshot(&index, &db).unwrap(), first.vertex_count() + first.edge_count())
+}
+
+fn valid_snapshot() -> Vec<u8> {
+    valid_snapshot_and_depth().0
 }
 
 /// Decodes and demands a typed outcome: `Ok` (the mutation happened to
@@ -90,36 +97,130 @@ fn snapshot_bit_flip_corpus_is_always_rejected() {
     }
 }
 
-/// A snapshot written when VP-tree classes existed (class tags `1` and
-/// `3`) is intact by every checksum and still unreadable: patching the
-/// first class tag and refreshing the CLASSES and footer CRCs must
-/// decode to a typed corruption error naming the class, not a panic.
-#[test]
-fn retired_class_tags_are_typed_corruption() {
-    for tag in [1u8, 3] {
-        let mut bytes = valid_snapshot();
-        // CLASSES is the fourth entry of the section table, which
-        // follows magic(8) + version(4) + section_count(4); an entry is
-        // kind(4) + offset(8) + len(8) + crc(4).
-        let entry = 16 + 3 * 24;
-        let field = |at: usize| {
-            usize::try_from(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())).unwrap()
-        };
-        let (offset, len) = (field(entry + 4), field(entry + 12));
-        // Payload: class count (u32), then the first class's tag.
-        assert_eq!(bytes[offset + 4], 0, "the first class is a trie");
-        bytes[offset + 4] = tag;
-        let section_crc = crc32(&bytes[offset..offset + len]);
-        bytes[entry + 20..entry + 24].copy_from_slice(&section_crc.to_le_bytes());
-        let footer_at = bytes.len() - 4;
-        let footer_crc = crc32(&bytes[..footer_at]);
-        bytes[footer_at..].copy_from_slice(&footer_crc.to_le_bytes());
-        match decode_snapshot(&bytes) {
-            Err(PersistError::Corrupt { message, .. }) => {
-                assert!(message.contains("VP-tree class"), "tag {tag}: {message}");
-            }
-            other => panic!("tag {tag} must be typed corruption, got {:?}", other.map(|_| ())),
+/// The CLASSES entry of the section table, which follows magic(8) +
+/// version(4) + section_count(4); an entry is kind(4) + offset(8) +
+/// len(8) + crc(4).
+const CLASSES_ENTRY: usize = 16 + 3 * 24;
+
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn write_u32(bytes: &mut [u8], at: usize, x: u32) {
+    bytes[at..at + 4].copy_from_slice(&x.to_le_bytes());
+}
+
+/// The CLASSES payload's `(offset, len)`.
+fn classes_range(bytes: &[u8]) -> (usize, usize) {
+    let field = |at: usize| {
+        usize::try_from(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())).unwrap()
+    };
+    (field(CLASSES_ENTRY + 4), field(CLASSES_ENTRY + 12))
+}
+
+/// Re-stamps the CLASSES section's and the footer's checksums after an
+/// in-place edit, so that only a check on the content can catch it.
+fn refresh_checksums(bytes: &mut [u8]) {
+    let (offset, len) = classes_range(bytes);
+    let section_crc = crc32(&bytes[offset..offset + len]);
+    write_u32(bytes, CLASSES_ENTRY + 20, section_crc);
+    let footer_at = bytes.len() - 4;
+    let footer_crc = crc32(&bytes[..footer_at]);
+    write_u32(bytes, footer_at, footer_crc);
+}
+
+/// One sequence of a class stream: the byte positions of its split
+/// level, of its first label and of its run length, with its split,
+/// its full label path and its run.
+struct Sequence {
+    split_at: usize,
+    labels_at: usize,
+    run_at: usize,
+    split: usize,
+    path: Vec<u32>,
+    run: Vec<u32>,
+}
+
+/// Reads the first class of the CLASSES section — a `depth`-deep trie —
+/// as the snapshot lays it out: its posting-list length, the position
+/// of its sequence count, and its sequences.
+fn first_class(bytes: &[u8], depth: usize) -> (u32, usize, Vec<Sequence>) {
+    let (offset, _) = classes_range(bytes);
+    // After the class count: the posting list, then the trie stream.
+    let class_size = read_u32(bytes, offset + 4);
+    let count_at = offset + 8 + 4 * class_size as usize;
+    let mut at = count_at + 4;
+    let mut path = vec![0; depth];
+    let mut sequences = Vec::new();
+    for _ in 0..read_u32(bytes, count_at) {
+        let (split_at, split) = (at, read_u32(bytes, at) as usize);
+        let labels_at = at + 4;
+        for (l, label) in path.iter_mut().enumerate().skip(split) {
+            *label = read_u32(bytes, labels_at + 4 * (l - split));
         }
+        let run_at = labels_at + 4 * (depth - split);
+        let run: Vec<u32> = (0..read_u32(bytes, run_at) as usize)
+            .map(|k| read_u32(bytes, run_at + 4 + 4 * k))
+            .collect();
+        at = run_at + 4 + 4 * run.len();
+        sequences.push(Sequence { split_at, labels_at, run_at, split, path: path.clone(), run });
+    }
+    (class_size, count_at, sequences)
+}
+
+/// Every check the decoder makes on a class stream, each tripped alone
+/// by one in-place edit of a valid snapshot whose checksums are then
+/// re-stamped: a typed corruption error naming that check, never a
+/// panic and never another check.
+#[test]
+fn class_stream_checks_are_typed_corruption() {
+    let (bytes, depth) = valid_snapshot_and_depth();
+    let (class_size, count_at, seqs) = first_class(&bytes, depth);
+    assert!(depth > 0 && seqs.len() >= 2, "the first class holds two sequences");
+    let wide = seqs.iter().find(|s| s.run.len() >= 2).expect("a run of two postings");
+    let second = &seqs[1];
+    let expect = |at: usize, value: u32, check: &str| {
+        let mut bad = bytes.clone();
+        write_u32(&mut bad, at, value);
+        refresh_checksums(&mut bad);
+        match decode_snapshot(&bad) {
+            Err(PersistError::Corrupt { message, .. }) => {
+                assert!(message.contains(check), "expected {check:?}, got {message:?}");
+            }
+            other => panic!("{check}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    };
+    // Counts are bounded by the bytes present.
+    expect(count_at, u32::MAX, "trie sequence count 4294967295 exceeds");
+    expect(seqs[0].run_at, u32::MAX, "trie run length 4294967295 exceeds");
+    // The first sequence splits at level 0, every later one above the
+    // leaves' level.
+    expect(seqs[0].split_at, 1, "trie sequence 0 splits at level 1");
+    let at_depth = format!("trie sequence 1 splits at level {depth} of a {depth}-deep trie");
+    expect(second.split_at, depth as u32, &at_depth);
+    // Each sequence's label at its split exceeds its predecessor's.
+    let tie = seqs[0].path[second.split];
+    expect(second.labels_at, tie, "trie sequence 1 does not follow its predecessor");
+    // Every run is non-empty, strictly ascending and inside the class.
+    expect(seqs[0].run_at, 0, "trie sequence 0 has no postings");
+    expect(wide.run_at + 8, wide.run[0], "postings are not strictly ascending");
+    let past = format!("trie posting slot {class_size} exceeds the {class_size}-graph class");
+    expect(seqs[0].run_at + 4, class_size, &past);
+}
+
+/// A version-1 snapshot — one that stored the trie arena columns — is
+/// refused with a typed error naming the version and the remedy.
+#[test]
+fn version_one_snapshots_are_typed_corruption() {
+    let mut bytes = valid_snapshot();
+    write_u32(&mut bytes, 8, 1);
+    refresh_checksums(&mut bytes);
+    match decode_snapshot(&bytes) {
+        Err(PersistError::Corrupt { message, .. }) => {
+            assert!(message.contains("version 1"), "{message}");
+            assert!(message.contains("rebuild the store with `pis build`"), "{message}");
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
     }
 }
 

@@ -1,12 +1,14 @@
 //! Accept-side sweep for the deep structural validation
 //! ([`pis_index::FragmentIndex::validate`]).
 //!
-//! The reject side lives next to each structure (bit-flip corpora over
-//! the trie's arena columns, field corruption on the index). This file pins the other half of the
-//! contract: an index reached through *any* public lifecycle — build,
-//! inserts one at a time or as a run, threshold-triggered merges,
-//! compaction, snapshot round trip — validates cleanly, so a validation
-//! failure in the field always means corruption, never a false alarm.
+//! The reject side lives next to each structure (field corruption on
+//! the index, typed corruption of every check the snapshot decoder
+//! makes). This file pins the other half of the contract: an index
+//! reached through *any* public lifecycle — build, inserts one at a
+//! time or as a run, threshold-triggered merges, compaction, snapshot
+//! round trip — validates cleanly, so a validation failure in the field
+//! always means corruption, never a false alarm; and a snapshot of it
+//! decodes to the very classes it was written from.
 
 use pis_distance::{LinearDistance, MutationDistance};
 use pis_graph::{EdgeAttr, GraphBuilder, Label, LabeledGraph, VertexAttr};
@@ -45,15 +47,32 @@ fn assert_valid(index: &FragmentIndex, context: &str) -> Result<(), TestCaseErro
     }
 }
 
+/// Compacts `index` (over `db`) and round-trips it through a snapshot:
+/// both validate, and every decoded class equals the live compacted
+/// one — the same posting list and, column for column, the same trie.
+fn assert_round_trip(index: &mut FragmentIndex, db: &[LabeledGraph]) -> Result<(), TestCaseError> {
+    index.compact();
+    assert_valid(index, "after compact")?;
+    prop_assert_eq!(index.validate().unwrap().pending_entries, 0);
+    let (restored, _) = decode_snapshot(&encode_snapshot(index, db).unwrap()).unwrap();
+    assert_valid(&restored, "after snapshot round trip")?;
+    for f in index.features().iter() {
+        prop_assert_eq!(restored.class_graphs(f.id), index.class_graphs(f.id));
+        prop_assert!(restored.class_trie(f.id) == index.class_trie(f.id), "class {}", f.id);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Mutation distance (trie classes): every lifecycle stage
     /// validates, and the tallies stay consistent with the public
-    /// counters.
+    /// counters. Most draws insert enough graphs for some class to
+    /// merge at the threshold before the compaction.
     #[test]
     fn label_lifecycle_always_validates(
-        extra in prop::collection::vec(prop::collection::vec(1u32..4, 4), 1..12),
+        extra in prop::collection::vec(prop::collection::vec(1u32..4, 4), 1..48),
         batched in 0u8..2,
     ) {
         let mut db = vec![ring(&[1, 1, 1, 1]), ring(&[1, 2, 1, 2]), ring(&[2, 2, 2, 2])];
@@ -83,22 +102,18 @@ proptest! {
             index.total_entries()
         );
         prop_assert_eq!(report.pending_entries, index.pending_entries());
-        index.compact();
-        assert_valid(&index, "after compact")?;
-        prop_assert_eq!(index.validate().unwrap().pending_entries, 0);
-
-        let bytes = encode_snapshot(&index, &db).unwrap();
-        let (restored, _) = decode_snapshot(&bytes).unwrap();
-        assert_valid(&restored, "after snapshot round trip")?;
+        assert_round_trip(&mut index, &db)?;
     }
 
     /// Linear distance over weighted graphs: the posting-list classes
-    /// (depth-0 tries) validate through the same lifecycle.
+    /// (depth-0 tries) validate through the same lifecycle. Every graph
+    /// adds one entry to every class, so 64 inserts take each class
+    /// through a threshold merge before the compaction.
     #[test]
     fn weight_lifecycle_always_validates(
-        extra in prop::collection::vec(prop::collection::vec(1u32..40, 4), 1..12),
+        extra in prop::collection::vec(prop::collection::vec(1u32..40, 4), 64..72),
     ) {
-        let db = vec![
+        let mut db = vec![
             weighted_ring(&[1.0, 1.0, 1.0, 1.0]),
             weighted_ring(&[1.0, 1.5, 2.0, 2.5]),
             weighted_ring(&[4.0, 4.0, 4.0, 4.0]),
@@ -113,10 +128,11 @@ proptest! {
         assert_valid(&index, "after build")?;
         for ws in &extra {
             let ws: Vec<f64> = ws.iter().map(|&w| f64::from(w) / 4.0).collect();
-            index.insert_graph_pending(&weighted_ring(&ws));
+            db.push(weighted_ring(&ws));
+            index.insert_graph_pending(&db[db.len() - 1]);
             assert_valid(&index, "after pending insert")?;
         }
-        index.compact();
-        assert_valid(&index, "after compact")?;
+        prop_assert!(index.merge_stats().merges > 0, "a class merged at the threshold");
+        assert_round_trip(&mut index, &db)?;
     }
 }
