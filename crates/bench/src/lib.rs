@@ -104,9 +104,8 @@ impl TestBed {
         scale: &ExperimentScale,
         max_fragment_edges: usize,
     ) -> TestBed {
-        let structures: Vec<LabeledGraph> = db.iter().map(LabeledGraph::erase_labels).collect();
         let features = select_features(
-            &structures,
+            &db,
             &GindexConfig {
                 max_edges: max_fragment_edges,
                 max_features: scale.max_features,

@@ -298,7 +298,7 @@ impl FragmentIndex {
             let frozen = class_trie(ClassRows::concat(&blocks, class), s, &distance, &mut graphs);
             ClassIndex::restored(frozen, graphs)
         });
-        let index = FragmentIndex {
+        let mut index = FragmentIndex {
             features,
             distance,
             classes,
@@ -306,6 +306,7 @@ impl FragmentIndex {
             graph_count: db.len(),
             merge_stats: MergeStats::default(),
         };
+        index.count_supports();
         index.debug_validate("build");
         index
     }
@@ -395,8 +396,18 @@ impl FragmentIndex {
                 None => class.pending = Some(batch),
             }
         }
+        self.count_supports();
         self.merge_where(|pending| pending >= MERGE_THRESHOLD);
         self.debug_validate("insert_graphs_pending");
+    }
+
+    /// Sets every feature's support to its class's posting count: the
+    /// miner's count may come from a sample, or be capped, and a
+    /// snapshot stores this one.
+    fn count_supports(&mut self) {
+        for (ci, class) in self.classes.iter().enumerate() {
+            self.features.set_support(FeatureId(ci as u32), class.graphs.len());
+        }
     }
 
     /// Merges the pending structure of every class whose pending entry

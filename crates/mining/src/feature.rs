@@ -42,7 +42,10 @@ pub struct Feature {
     pub structure: LabeledGraph,
     /// The minimum DFS code of the structure.
     pub code: DfsCode,
-    /// Number of database graphs containing the structure (if known).
+    /// Number of graphs containing the structure, as far as known: a
+    /// selector counts it in the graphs it mined (for gIndex on a large
+    /// database, a sample), and an index built over the set replaces
+    /// it with the class's exact posting count.
     pub support: usize,
 }
 
@@ -91,6 +94,12 @@ impl FeatureSet {
     /// The feature with the given id.
     pub fn get(&self, id: FeatureId) -> &Feature {
         &self.features[id.index()]
+    }
+
+    /// Sets the feature's support (an index sets it to the class's
+    /// posting count, which is exact over the indexed database).
+    pub fn set_support(&mut self, id: FeatureId, support: usize) {
+        self.features[id.index()].support = support;
     }
 
     /// Looks a feature up by canonical sequence.

@@ -10,11 +10,17 @@
 //!
 //! Patterns are processed in increasing size, so sub-structure posting
 //! lists are always available when a super-structure is examined.
+//!
+//! A database of more than [`MINING_SAMPLE`] graphs is mined on a
+//! strided sample of at most that many (DESIGN.md §6.13). Any feature
+//! set is sound (Eq. 2): sampling can only change which structures are
+//! indexed, never an answer, and the index build counts every selected
+//! feature's true postings over the whole database.
 
 use std::borrow::Cow;
 
 use pis_graph::iso::{is_subgraph, IsoConfig};
-use pis_graph::GraphId;
+use pis_graph::{GraphId, LabeledGraph};
 
 use crate::feature::FeatureSet;
 use crate::gspan::{mine_with_stats, GspanConfig, MineStats, MinedPattern};
@@ -26,7 +32,8 @@ pub struct GindexConfig {
     /// Figure 12).
     pub max_edges: usize,
     /// Minimum support for 1-edge structures, as a fraction of the
-    /// database size.
+    /// number of graphs mined (the sample's size when the database is
+    /// larger than [`MINING_SAMPLE`]).
     pub min_support_fraction: f64,
     /// Slope of the size-increasing support curve (see
     /// [`GspanConfig::size_support_slope`]).
@@ -56,26 +63,37 @@ impl Default for GindexConfig {
     }
 }
 
-/// Selects discriminative frequent structures from a database of
-/// *bare structures* (label-erased graphs).
+/// The most graphs feature selection mines. A larger database of `n`
+/// graphs is mined on every `⌈n / MINING_SAMPLE⌉`-th graph from the
+/// first; a database of at most this many is mined whole.
+pub const MINING_SAMPLE: usize = 500;
+
+/// Selects discriminative frequent structures of `database`'s bare
+/// structures.
+///
+/// Only a strided sample of at most [`MINING_SAMPLE`] graphs is mined
+/// (the whole database when it is no larger), each graph label-erased
+/// first — so a labeled database and its erased copy select the same
+/// features — and the minimum support is taken from the sample's size.
+/// A feature's `support` is therefore its count in the sample;
+/// `FragmentIndex::build` replaces it with the class's posting count.
 ///
 /// The single-edge structure is always selected (Example 4's fallback:
 /// every query can at least be partitioned into edges).
-pub fn select_features(
-    structures: &[pis_graph::LabeledGraph],
-    config: &GindexConfig,
-) -> FeatureSet {
-    select_features_with_stats(structures, config).0
+pub fn select_features(database: &[LabeledGraph], config: &GindexConfig) -> FeatureSet {
+    select_features_with_stats(database, config).0
 }
 
 /// [`select_features`], also returning the work counters of the mining
-/// run underneath it.
+/// run underneath it (the sample's, when the database is sampled).
 pub fn select_features_with_stats(
-    structures: &[pis_graph::LabeledGraph],
+    database: &[LabeledGraph],
     config: &GindexConfig,
 ) -> (FeatureSet, MineStats) {
-    let min_support =
-        ((structures.len() as f64 * config.min_support_fraction).ceil() as usize).max(1);
+    let stride = database.len().div_ceil(MINING_SAMPLE).max(1);
+    let sample: Vec<LabeledGraph> =
+        database.iter().step_by(stride).map(LabeledGraph::erase_labels).collect();
+    let min_support = ((sample.len() as f64 * config.min_support_fraction).ceil() as usize).max(1);
     let gspan_cfg = GspanConfig {
         min_support,
         max_edges: config.max_edges.max(1),
@@ -83,7 +101,7 @@ pub fn select_features_with_stats(
         size_support_slope: config.size_support_slope,
         ..GspanConfig::default()
     };
-    let (mut patterns, stats) = mine_with_stats(structures, &gspan_cfg);
+    let (mut patterns, stats) = mine_with_stats(&sample, &gspan_cfg);
     // Increasing size; larger support first within a size so the most
     // common structures are considered before their rarer peers.
     patterns.sort_by_cached_key(|p| {
@@ -96,7 +114,7 @@ pub fn select_features_with_stats(
             break;
         }
         if p.graph.edge_count() == 1
-            || is_discriminative(&p, &selected, config.discriminative_ratio, structures.len())
+            || is_discriminative(&p, &selected, config.discriminative_ratio, sample.len())
         {
             selected.push(p);
         }
@@ -252,6 +270,37 @@ mod tests {
             f.structure.edge_count() == f.structure.vertex_count() && f.structure.edge_count() >= 5
         });
         assert!(has_cycle, "expected a ring feature among {:?}", set.len());
+    }
+
+    /// Above [`MINING_SAMPLE`] graphs only every `⌈n/500⌉`-th graph from
+    /// the first is mined: 1 200 graphs → every 3rd, 400 graphs. A ring
+    /// placed on exactly those graphs is found with the sample's count;
+    /// placed one graph later, it is never seen.
+    #[test]
+    fn large_databases_are_mined_on_a_strided_sample() {
+        let cfg = GindexConfig {
+            max_edges: 6,
+            min_support_fraction: 0.1,
+            size_support_slope: 0.0,
+            ..GindexConfig::default()
+        };
+        let ring_support = |offset: usize| {
+            let db: Vec<LabeledGraph> = (0..1200)
+                .map(|i| {
+                    if i % 3 == offset {
+                        cycle_graph(6, Label(i as u32 % 7), Label(1))
+                    } else {
+                        path_graph(7, Label(2), Label(i as u32 % 5))
+                    }
+                })
+                .collect();
+            let (set, stats) = select_features_with_stats(&db, &cfg);
+            assert_eq!(stats.graphs, 400);
+            let ring = set.iter().find(|f| f.edge_count() == 6 && f.vertex_count() == 6);
+            ring.map(|f| f.support)
+        };
+        assert_eq!(ring_support(0), Some(400));
+        assert_eq!(ring_support(1), None);
     }
 
     #[test]

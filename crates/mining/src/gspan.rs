@@ -105,6 +105,8 @@ pub struct MinedPattern {
 /// exactly on any machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MineStats {
+    /// Database graphs mined.
+    pub graphs: usize,
     /// Patterns reported.
     pub patterns: usize,
     /// Canonicality (`is_min`) tests run — one per distinct candidate
@@ -241,8 +243,13 @@ pub fn mine_with_stats(
     db: &[LabeledGraph],
     config: &GspanConfig,
 ) -> (Vec<MinedPattern>, MineStats) {
-    let mut miner =
-        Miner { db, config, out: Vec::new(), stats: MineStats::default(), live_rows: 0 };
+    let mut miner = Miner {
+        db,
+        config,
+        out: Vec::new(),
+        stats: MineStats { graphs: db.len(), ..MineStats::default() },
+        live_rows: 0,
+    };
     if config.max_edges == 0 {
         return (miner.out, miner.stats);
     }

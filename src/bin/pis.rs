@@ -43,13 +43,14 @@ fn main() -> ExitCode {
         // A reader that stops early (`pis search … | head -1`) closes
         // the pipe once it has what it wanted: nothing went wrong.
         Err(Failure::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(Failure::Output(e)) => {
-            eprintln!("error: cannot write output: {e}");
-            ExitCode::FAILURE
-        }
-        Err(Failure::Message(message)) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
+        Err(failure) => {
+            // `eprintln!` panics when stderr's reader has gone; the exit
+            // status still says what happened.
+            let mut stderr = std::io::stderr().lock();
+            let _ = match failure {
+                Failure::Output(e) => writeln!(stderr, "error: cannot write output: {e}"),
+                Failure::Message(message) => writeln!(stderr, "error: {message}\n{USAGE}"),
+            };
             ExitCode::FAILURE
         }
     }
@@ -310,9 +311,13 @@ fn cmd_build(args: &[&String], stdout: &mut impl Write) -> Result<(), Failure> {
     let saved_in = start.elapsed();
     let bytes =
         std::fs::metadata(out.join(pis::durable::SNAPSHOT_FILE)).map_err(|e| e.to_string())?.len();
-    // Only the gSpan miner keeps embedding lists to count.
+    // Only the gSpan miner keeps embedding lists to count, and it mines
+    // a sample of a large database: the rows are the sample's.
     let mining_work = mine_stats.map_or(String::new(), |s| {
-        format!(" ({} embedding rows, peak {} live)", s.rows_copied, s.peak_live_rows)
+        format!(
+            " (gSpan on {} of {graphs} graphs: {} embedding rows, peak {} live)",
+            s.graphs, s.rows_copied, s.peak_live_rows
+        )
     });
     writeln!(
         stdout,

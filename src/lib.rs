@@ -102,22 +102,24 @@ impl Default for FeatureSource {
 
 impl FeatureSource {
     /// Selects the features of `database`, with the miner's work
-    /// counters when the source mines them (gIndex's gSpan run). The
-    /// label-erased copy of the database lives for the selection only:
-    /// it is gone before an index build's own peak.
+    /// counters when the source mines them (gIndex's gSpan run).
+    ///
+    /// gIndex mines a strided sample of at most
+    /// [`pis_mining::gindex::MINING_SAMPLE`] graphs and label-erases only
+    /// that sample; its counters are the sample's. Paths and exhaustive
+    /// selection read a label-erased copy of the whole database, which
+    /// lives for the selection only: it is gone before an index build's
+    /// own peak.
     pub fn select(&self, database: &[LabeledGraph]) -> (FeatureSet, Option<MineStats>) {
-        let structures: Vec<LabeledGraph> =
-            database.iter().map(LabeledGraph::erase_labels).collect();
+        let erased = || database.iter().map(LabeledGraph::erase_labels).collect::<Vec<_>>();
         match self {
             FeatureSource::GIndex(cfg) => {
-                let (features, stats) = pis_mining::select_features_with_stats(&structures, cfg);
+                let (features, stats) = pis_mining::select_features_with_stats(database, cfg);
                 (features, Some(stats))
             }
-            FeatureSource::Paths(len) => {
-                (pis_mining::paths::path_features(&structures, *len), None)
-            }
+            FeatureSource::Paths(len) => (pis_mining::paths::path_features(&erased(), *len), None),
             FeatureSource::Exhaustive(max) => {
-                (pis_mining::exhaustive::exhaustive_features(&structures, *max), None)
+                (pis_mining::exhaustive::exhaustive_features(&erased(), *max), None)
             }
         }
     }

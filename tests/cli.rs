@@ -361,3 +361,25 @@ fn closed_stdout_ends_quietly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A failing command whose stderr reader has gone still exits 1: the
+/// error and the usage go nowhere, and nothing panics (a panic exits
+/// 101). The panic message cannot be read back here, so the status is
+/// the check.
+#[test]
+fn closed_stderr_fails_quietly() {
+    use std::os::fd::OwnedFd;
+    use std::os::unix::net::UnixStream;
+    use std::process::Stdio;
+
+    for args in [vec!["frobnicate"], vec!["search", "no-such-store", "--sigma", "1"]] {
+        let (reader, writer) = UnixStream::pair().expect("socket pair");
+        drop(reader);
+        let out = pis()
+            .args(&args)
+            .stderr(Stdio::from(OwnedFd::from(writer)))
+            .output()
+            .expect("binary must run");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {:?}", out.status);
+    }
+}
