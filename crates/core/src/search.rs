@@ -221,9 +221,7 @@ pub struct SearchScratch {
     candidates: GraphBitSet,
     /// Partition lower-bound accumulator, stamped by `generation`.
     bound: Vec<f64>,
-    /// How many partition fragments contained each graph, same stamp.
-    seen_in: Vec<u32>,
-    /// Generation stamp validating `bound`/`seen_in` slots.
+    /// Generation stamp validating `bound` slots.
     stamp: Vec<u64>,
     generation: u64,
     /// Memo of unique `(feature, vector)` probes → slot index.
@@ -291,7 +289,6 @@ impl SearchScratch {
         self.candidates.fill();
         if self.bound.len() < n {
             self.bound.resize(n, 0.0);
-            self.seen_in.resize(n, 0);
             self.stamp.resize(n, 0);
         }
         self.memo.clear();
@@ -523,9 +520,10 @@ impl<'a> PisSearcher<'a> {
         // Lines 21–23: partition lower-bound pruning. Only the partition
         // members need per-graph distances: each re-runs its range query
         // into the one reused row, which streams, in partition order,
-        // into a dense stamped accumulator; a candidate survives iff
-        // every counted member contained it and the summed bound stays
-        // within sigma.
+        // into a dense stamped accumulator; a candidate survives iff the
+        // summed bound stays within sigma. Every counted member holds
+        // every candidate: a member's slot completed, so its hit set was
+        // ANDed into `CQ`, and its row at the same σ folds the same bits.
         let partition: Vec<usize> = scratch.selection.iter().map(|&i| scratch.pool[i]).collect();
         stats.partition = partition
             .iter()
@@ -556,19 +554,18 @@ impl<'a> PisSearcher<'a> {
                 if scratch.stamp[i] != generation {
                     scratch.stamp[i] = generation;
                     scratch.bound[i] = d;
-                    scratch.seen_in[i] = 1;
                 } else {
                     scratch.bound[i] += d;
-                    scratch.seen_in[i] += 1;
                 }
             }
         }
         for g in scratch.candidates.iter() {
             let i = g.index();
-            let keep = members == 0
-                || (scratch.stamp[i] == generation
-                    && scratch.seen_in[i] == members
-                    && scratch.bound[i] <= sigma);
+            debug_assert!(
+                members == 0 || scratch.stamp[i] == generation,
+                "every counted partition member holds every candidate"
+            );
+            let keep = members == 0 || scratch.bound[i] <= sigma;
             if keep {
                 scratch.cand_buf.push(g);
                 scratch.cand_lb.push(if members == 0 { 0.0 } else { scratch.bound[i] });

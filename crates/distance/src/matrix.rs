@@ -34,8 +34,9 @@ pub struct ScoreMatrix {
     /// Row-major `size × size` costs.
     costs: Vec<f64>,
     default_mismatch: f64,
-    /// Cached "every cost is zero" flag — lets the vector kernels skip
-    /// whole segments of the paper's ignored-label settings in O(1).
+    /// Cached "every cost is zero" flag — lets the index leave a kind of
+    /// label it never prices (the paper's ignored vertex labels) out of
+    /// its vectors in O(1).
     zero: bool,
 }
 

@@ -57,12 +57,14 @@ impl MutationDistance {
         &self.edge_scores
     }
 
-    /// Cost contributed by position `pos` of a class-canonical label
-    /// vector (edge segment then vertex segment). The trie backend calls
-    /// this per level while descending.
+    /// Cost contributed by position `pos` of a stored class vector: its
+    /// `edge_slots` edge slots, then its vertex slots. `edge_slots` is
+    /// the number of edge slots the vector stores — none when the edge
+    /// matrix is zero, so a vertex-only vector prices from slot 0. The
+    /// trie backend calls this per level while descending.
     #[inline]
-    pub fn position_cost(&self, pos: usize, edge_count: usize, a: Label, b: Label) -> f64 {
-        if pos < edge_count {
+    pub fn position_cost(&self, pos: usize, edge_slots: usize, a: Label, b: Label) -> f64 {
+        if pos < edge_slots {
             self.edge_scores.cost(a, b)
         } else {
             self.vertex_scores.cost(a, b)
@@ -81,28 +83,15 @@ impl MutationDistance {
     pub fn position_costs_into(
         &self,
         pos: usize,
-        edge_count: usize,
+        edge_slots: usize,
         query: Label,
         stored: &[Label],
         out: &mut [f64],
     ) {
-        if pos < edge_count {
+        if pos < edge_slots {
             self.edge_scores.costs_into(query, stored, out);
         } else {
             self.vertex_scores.costs_into(query, stored, out);
-        }
-    }
-
-    /// Whether vector position `pos` can never contribute cost (its
-    /// score matrix is all-zero), for **any** query label. O(1) — the
-    /// flat trie's descent skips pricing such a level outright instead
-    /// of scanning a row of zeros.
-    #[inline]
-    pub fn position_is_zero(&self, pos: usize, edge_count: usize) -> bool {
-        if pos < edge_count {
-            self.edge_scores.is_zero()
-        } else {
-            self.vertex_scores.is_zero()
         }
     }
 }
@@ -290,6 +279,7 @@ mod tests {
         let d = MutationDistance::new(ScoreMatrix::uniform(0, 2.0), ScoreMatrix::unit(0));
         assert_eq!(d.position_cost(0, 1, Label(0), Label(1)), 1.0); // edge slot
         assert_eq!(d.position_cost(1, 1, Label(0), Label(1)), 2.0); // vertex slot
+        assert_eq!(d.position_cost(0, 0, Label(0), Label(1)), 2.0); // no edge slot stored
     }
 
     #[test]
@@ -297,25 +287,14 @@ mod tests {
         let d = MutationDistance::new(ScoreMatrix::uniform(0, 2.0), ScoreMatrix::unit(0));
         let stored = [Label(0), Label(1), Label(5), Label(1)];
         let mut out = vec![0.0; stored.len()];
-        for (pos, edge_count) in [(0usize, 1usize), (1, 1), (2, 4)] {
+        for (pos, edge_slots) in [(0usize, 1usize), (1, 1), (2, 4), (0, 0)] {
             for q in [Label(0), Label(1), Label(9)] {
-                d.position_costs_into(pos, edge_count, q, &stored, &mut out);
+                d.position_costs_into(pos, edge_slots, q, &stored, &mut out);
                 for (&s, &c) in stored.iter().zip(&out) {
-                    assert_eq!(c, d.position_cost(pos, edge_count, q, s));
+                    assert_eq!(c, d.position_cost(pos, edge_slots, q, s));
                 }
             }
         }
-    }
-
-    #[test]
-    fn position_zero_tracks_segment_matrices() {
-        let d = MutationDistance::edge_hamming(); // zero vertex matrix
-        assert!(!d.position_is_zero(0, 2));
-        assert!(!d.position_is_zero(1, 2));
-        assert!(d.position_is_zero(2, 2));
-        let unit = MutationDistance::unit();
-        assert!(!unit.position_is_zero(0, 1));
-        assert!(!unit.position_is_zero(1, 1));
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //!   exponential, used as a cross-check oracle in tests and ablations.
 //!
 //! Besides the code itself, [`CanonicalForm`] records the DFS discovery
-//! order of vertices and the code order of edges. The fragment index uses
-//! these to read label vectors off embeddings in a class-consistent
-//! order.
+//! order of vertices and the code order of edges. The fragment index
+//! does not read them: it reads label vectors off embeddings of a
+//! class's representative, [`DfsCode::to_graph`], whose vertex ids are
+//! already the DFS indices and whose edges come in code order, so the
+//! identity order of the representative is the class-consistent one.
+//! Tests use the recorded orders to check exactly that.
 
 use std::cmp::Ordering;
 
@@ -178,8 +181,7 @@ impl DfsCode {
 pub struct CanonicalForm {
     /// The minimum DFS code.
     pub code: DfsCode,
-    /// `vertex_order[dfs_index]` = original vertex (the class-consistent
-    /// readout order for label vectors).
+    /// `vertex_order[dfs_index]` = original vertex.
     pub vertex_order: Vec<VertexId>,
     /// `edge_order[code_position]` = original edge.
     pub edge_order: Vec<EdgeId>,

@@ -38,14 +38,16 @@
 //! slice cost callback (see `MutationDistance::position_costs_into`),
 //! surviving children are appended to the next frontier, and the
 //! descent **stops early at the first level from which every remaining
-//! level prices to zero** (under the paper's edge-Hamming distance the
-//! normalized vertex suffix always does), emitting whole subtrees
-//! instead of walking cost-free levels. All frontier state lives in a
-//! caller-owned [`TrieFrontier`], so steady-state descents allocate
-//! nothing. A path's cost is the f64 sum of its per-position costs
-//! taken in position order (skipped levels contribute exactly `+0.0`),
-//! so each reported distance is bit-identical to summing the stored
-//! sequence's costs from the definition.
+//! level prices to zero for this probe** (a level whose alphabet is the
+//! probe's label alone, say), emitting whole subtrees instead of
+//! walking cost-free levels. A trie holds no level that can never
+//! price: the index stores only the slots its distance prices
+//! (`IndexDistance::slots`). All frontier state lives in a caller-owned
+//! [`TrieFrontier`], so steady-state descents allocate nothing. A
+//! path's cost is the f64 sum of its per-position costs taken in
+//! position order (skipped levels contribute exactly `+0.0`), so each
+//! reported distance is bit-identical to summing the stored sequence's
+//! costs from the definition.
 
 // Search hot path: panic-free outside tests (DESIGN.md §6.11).
 #![cfg_attr(
@@ -608,11 +610,7 @@ impl FlatTrie {
     ///
     /// Each level's alphabet is priced once, up front, into one cost
     /// row: `level_costs(level, query_label, alphabet, row)` (e.g.
-    /// `MutationDistance::position_costs_into`). `level_zero(level)`
-    /// is the zero-level detector: return `true` when the level prices
-    /// to zero for *every* query label (e.g.
-    /// `MutationDistance::position_is_zero`), and the kernel call is
-    /// skipped outright; a priced row of zeros counts as zero too.
+    /// `MutationDistance::position_costs_into`).
     ///
     /// The descent walks the arena level by level with the wide-lane
     /// expansion and stops at the probe's zero-suffix boundary — the
@@ -632,16 +630,11 @@ impl FlatTrie {
     ///
     /// # Panics
     /// Panics if `probe.len()` differs from the trie depth.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "probe, radius, cost callbacks, scratch, budget and sink are the descent's inputs; a struct would only rename them"
-    )]
     pub fn range_query(
         &self,
         probe: &[Label],
         sigma: f64,
         mut level_costs: impl FnMut(usize, Label, &[Label], &mut [f64]),
-        mut level_zero: impl FnMut(usize) -> bool,
         scratch: &mut TrieFrontier,
         budget: &BudgetState,
         mut emit: impl FnMut(f64, u32),
@@ -659,15 +652,12 @@ impl FlatTrie {
         }
         let TrieFrontier { costs, nodes, accs, next_nodes, next_accs } = scratch;
         // Price every level into the alphabet's layout; the probe's
-        // zero-suffix boundary is one past the last level that can
-        // price anything.
+        // zero-suffix boundary is one past the last level that prices
+        // anything for it.
         costs.clear();
         costs.resize(self.alphabet.len(), 0.0);
         let mut zero_from = 0;
         for (l, &label) in probe.iter().enumerate() {
-            if level_zero(l) {
-                continue;
-            }
             let (a0, a1) = (self.alphabet_start[l] as usize, self.alphabet_start[l + 1] as usize);
             let row = &mut costs[a0..a1];
             level_costs(l, label, &self.alphabet[a0..a1], row);
@@ -879,14 +869,12 @@ mod tests {
 
     /// Runs one probe under the per-position `cost` through `scratch`
     /// and returns its visits — emitted nodes' postings flattened to
-    /// `(graph, cost bits)` — sorted. `level_zero` is the kernel's
-    /// zero-level detector.
+    /// `(graph, cost bits)` — sorted.
     fn run_probe(
         trie: &FlatTrie,
         probe: &[Label],
         sigma: f64,
         cost: impl Fn(usize, Label, Label) -> f64,
-        level_zero: impl FnMut(usize) -> bool,
         scratch: &mut TrieFrontier,
     ) -> Vec<(u32, u64)> {
         let mut visits = Vec::new();
@@ -898,7 +886,6 @@ mod tests {
                     *o = cost(pos, query, s);
                 }
             },
-            level_zero,
             scratch,
             BudgetState::unlimited(),
             |acc, node| {
@@ -944,11 +931,10 @@ mod tests {
         probes: &[Vec<Label>],
         sigma: f64,
         cost: impl Fn(usize, Label, Label) -> f64 + Copy,
-        level_zero: impl Fn(usize) -> bool + Copy,
     ) {
         let mut scratch = TrieFrontier::new();
         for (pi, probe) in probes.iter().enumerate() {
-            let got = run_probe(trie, probe, sigma, cost, level_zero, &mut scratch);
+            let got = run_probe(trie, probe, sigma, cost, &mut scratch);
             let expected = brute_visits(entries, probe, sigma, cost);
             assert_eq!(got, expected, "probe {pi} sigma {sigma}");
         }
@@ -956,7 +942,7 @@ mod tests {
 
     /// One probe's Hamming visits, as sorted `(graph, cost)`.
     fn collect(trie: &FlatTrie, query: &[Label], sigma: f64) -> Vec<(u32, f64)> {
-        let visits = run_probe(trie, query, sigma, hamming, |_| false, &mut TrieFrontier::new());
+        let visits = run_probe(trie, query, sigma, hamming, &mut TrieFrontier::new());
         visits.into_iter().map(|(g, bits)| (g, f64::from_bits(bits))).collect()
     }
 
@@ -1016,7 +1002,7 @@ mod tests {
         distinct.dedup();
         assert_eq!(t.len(), distinct.len());
         for sigma in [0.0, 1.0, 2.0, 4.0] {
-            assert_matches_brute(&entries, &t, probes, sigma, cost, |_| false);
+            assert_matches_brute(&entries, &t, probes, sigma, cost);
         }
     }
 
@@ -1062,8 +1048,7 @@ mod tests {
             vec![(l(&[1, 2]), GraphId(0)), (l(&[3, 4]), GraphId(1)), (l(&[3, 4]), GraphId(2))];
         let t = trie_of(2, entries);
         let zero = 0.0f64.to_bits();
-        let visits =
-            run_probe(&t, &l(&[9, 9]), 0.0, |_, _, _| 0.0, |_| false, &mut TrieFrontier::new());
+        let visits = run_probe(&t, &l(&[9, 9]), 0.0, |_, _, _| 0.0, &mut TrieFrontier::new());
         assert_eq!(visits, vec![(0, zero), (1, zero), (2, zero)]);
     }
 
@@ -1136,10 +1121,7 @@ mod tests {
                 }
             };
             for sigma in [0.0, 1.0, 2.0] {
-                // Exercise both zero-detection paths: the level_zero
-                // flag and the scan of the priced row.
-                assert_matches_brute(&entries, &t, &probes, sigma, cost, |_| false);
-                assert_matches_brute(&entries, &t, &probes, sigma, cost, |pos| pos >= cut);
+                assert_matches_brute(&entries, &t, &probes, sigma, cost);
             }
         }
     }
@@ -1149,17 +1131,17 @@ mod tests {
         let empty = trie_of(2, Vec::new());
         let mut scratch = TrieFrontier::new();
         for probe in [l(&[0, 0]), l(&[1, 1])] {
-            let visits = run_probe(&empty, &probe, 5.0, hamming, |_| false, &mut scratch);
+            let visits = run_probe(&empty, &probe, 5.0, hamming, &mut scratch);
             assert!(visits.is_empty(), "empty trie emitted a range");
         }
         let entries = vec![(l(&[3, 7]), GraphId(9))];
         let singleton = trie_of(2, entries.clone());
         let probes = [l(&[3, 7]), l(&[3, 8]), l(&[0, 0])];
-        assert_matches_brute(&entries, &singleton, &probes, 1.0, hamming, |_| false);
+        assert_matches_brute(&entries, &singleton, &probes, 1.0, hamming);
         let entries = vec![(Vec::new(), GraphId(4)), (Vec::new(), GraphId(5))];
         let zero = trie_of(0, entries.clone());
         let probes = [Vec::new(), Vec::new(), Vec::new()];
-        assert_matches_brute(&entries, &zero, &probes, 0.0, hamming, |_| false);
+        assert_matches_brute(&entries, &zero, &probes, 0.0, hamming);
     }
 
     #[test]
@@ -1183,7 +1165,7 @@ mod tests {
             // Probes whose survivors sit on either side of a lane
             // boundary.
             let probes = [l(&[5, 0]), l(&[5, n as u32 / 2])];
-            assert_matches_brute(&entries, &t, &probes, 1.0, hamming, |_| false);
+            assert_matches_brute(&entries, &t, &probes, 1.0, hamming);
         }
     }
 
@@ -1191,7 +1173,7 @@ mod tests {
     #[should_panic(expected = "probe length")]
     fn probe_length_mismatch_rejected() {
         let t = trie_of(2, vec![(l(&[1, 1]), GraphId(0))]);
-        let _ = run_probe(&t, &l(&[2]), 1.0, hamming, |_| false, &mut TrieFrontier::new());
+        let _ = run_probe(&t, &l(&[2]), 1.0, hamming, &mut TrieFrontier::new());
     }
 
     #[test]

@@ -3,17 +3,19 @@
 //! A fragment is an occurrence of a feature structure inside a graph —
 //! formally an embedding `φ: f → G`. Its *vector* is the sequence of
 //! labels of the image, read in the feature's canonical order: edge
-//! slots first (code order), then vertex slots (DFS discovery order).
-//! Two fragments of the same class therefore always get comparable,
-//! equal-length vectors, and the per-slot distance sums to the
-//! superposition distance — the key identity behind answering Eq. (3)
-//! with an index-only range query. Under the linear distance a class is
-//! 0 wide and every vector is empty: the index keeps no weights
-//! (`crate::index`).
+//! slots first (code order), then vertex slots (the representative's
+//! vertex order). Two fragments of the same class therefore always get
+//! comparable, equal-length vectors, and the per-slot distance sums to
+//! the superposition distance — the key identity behind answering
+//! Eq. (3) with an index-only range query.
 //!
-//! Edges lead in the layout because the paper's evaluation distance is
-//! edge-only: putting the cost-bearing slots first lets the trie prune
-//! before reaching the zero-cost vertex suffix.
+//! A vector stores a kind of slot only when the distance can price it
+//! (`IndexDistance::slots`): a position whose score matrix is all zero
+//! adds nothing to any sum, so under the paper's edge-Hamming distance a
+//! vector is its edge labels alone, and under the linear distance a
+//! class is 0 wide and every vector is empty (the index keeps no
+//! weights, `crate::index`). Edges lead the layout when both kinds are
+//! stored.
 //!
 //! Readouts append to caller-owned buffers (a build's row matrix, a
 //! query's [`FragmentBuffer`]); a probe travels as a borrowed
@@ -29,8 +31,8 @@ use crate::symmetry::AdmitScratch;
 /// materialize per-fragment `Vec`s.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FragmentVectorRef<'a> {
-    /// Edge labels then vertex labels — every vector the index reads,
-    /// empty under the linear distance.
+    /// The stored edge labels then vertex labels — every vector the
+    /// index reads, empty under the linear distance.
     Labels(&'a [Label]),
     /// Edge weights then vertex weights. No longer produced: the index
     /// keeps no weight vectors. Kept for callers that still match on
@@ -40,7 +42,7 @@ pub enum FragmentVectorRef<'a> {
 }
 
 impl<'a> FragmentVectorRef<'a> {
-    /// The vector length (vertex slots + edge slots).
+    /// The vector length (its stored edge and vertex slots).
     pub fn len(&self) -> usize {
         match self {
             FragmentVectorRef::Labels(v) => v.len(),
@@ -76,26 +78,23 @@ impl<'a> FragmentVectorRef<'a> {
     }
 }
 
-/// Appends the label vector of an embedding to `out`: target labels
-/// of the feature's edges (in code order) followed by target labels of
-/// its vertices (in the representative's identity order, which is
-/// canonical).
-///
-/// Edge slots lead the layout so that cost-bearing trie levels come
-/// first: under the paper's edge-Hamming setting a vertex-first layout
-/// would fan out through zero-cost levels before any pruning could
-/// happen.
+/// Appends the label vector of an embedding to `out`: the target
+/// labels of the feature's edges (in code order), then of its vertices
+/// (in the representative's identity order, which is canonical) —
+/// `slots = (edge_slots, vertex_slots)` of each, as
+/// `IndexDistance::slots` gives them: every one of a kind, or none.
 pub fn label_vector_into(
     feature: &LabeledGraph,
     target: &LabeledGraph,
     embedding: &Embedding,
+    (edge_slots, vertex_slots): (usize, usize),
     out: &mut Vec<Label>,
 ) {
-    for e in feature.edge_ids() {
+    for e in feature.edge_ids().take(edge_slots) {
         let te = embedding.edge_image(feature, target, e);
         out.push(target.edge(te).attr.label);
     }
-    for p in feature.vertex_ids() {
+    for p in feature.vertex_ids().take(vertex_slots) {
         out.push(target.vertex(embedding.vertex_image(p)).label);
     }
 }
@@ -104,8 +103,8 @@ pub fn label_vector_into(
 /// Algorithm 2 enumerates on lines 3–4, one per occurrence of a feature
 /// in the query. Fragment `i` has a feature (its equivalence class),
 /// the sorted query vertices it covers (they drive the
-/// overlapping-relation graph) and a normalized vector: the least of
-/// its occurrence's readings, which is enough because the index stores
+/// overlapping-relation graph) and a vector: the least of its
+/// occurrence's readings, which is enough because the index stores
 /// every database-side reading.
 ///
 /// All fragments share four flat arrays (features, vertex images,
@@ -166,7 +165,7 @@ impl FragmentBuffer {
         &self.verts[self.vert_start[i] as usize..self.vert_start[i + 1] as usize]
     }
 
-    /// The (normalized) vector of fragment `i`, borrowed from the arena.
+    /// The vector of fragment `i`, borrowed from the arena.
     pub fn vector(&self, i: usize) -> FragmentVectorRef<'_> {
         let (s, e) = (self.vec_start[i] as usize, self.vec_start[i + 1] as usize);
         FragmentVectorRef::Labels(&self.labels[s..e])
@@ -193,9 +192,11 @@ mod tests {
         b.build()
     }
 
+    /// Every slot of both kinds, as a distance pricing both stores.
     fn labels_of(feature: &LabeledGraph, target: &LabeledGraph, e: &Embedding) -> Vec<Label> {
         let mut v = Vec::new();
-        label_vector_into(feature, target, e, &mut v);
+        let slots = (feature.edge_count(), feature.vertex_count());
+        label_vector_into(feature, target, e, slots, &mut v);
         v
     }
 

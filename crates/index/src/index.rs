@@ -2,8 +2,13 @@
 //!
 //! `FragmentIndex` = hash table over structural equivalence classes +
 //! one [`FlatTrie`] per class + structural posting lists. A class's
-//! trie is as deep as the class is *wide*: `v + e` label slots under
-//! the mutation distance, none under the linear distance.
+//! trie is as deep as the class is *wide*: one level per label slot its
+//! vectors store ([`IndexDistance::slots`]). A kind of slot is stored
+//! only when its score matrix can price something — Eq. 3 sums one cost
+//! per position, so a position priced by an all-zero matrix adds
+//! nothing. Under the paper's edge-Hamming distance a class is `e` wide
+//! (its edge labels), under a distance that prices both kinds `e + v`,
+//! and under the linear distance 0.
 //!
 //! Under the mutation distance, build stores, for every
 //! `(feature, graph)` pair, the label vectors of *all* embeddings of the
@@ -51,10 +56,10 @@
 use std::hash::Hasher;
 use std::ops::ControlFlow;
 
-use pis_distance::{LinearDistance, MutationDistance};
+use pis_distance::{LinearDistance, MutationDistance, ScoreMatrix};
 use pis_graph::budget::BudgetState;
 use pis_graph::util::FxHasher;
-use pis_graph::{Embedding, GraphId, Label, LabeledGraph, ScopedPool};
+use pis_graph::{GraphId, Label, LabeledGraph, ScopedPool};
 use pis_mining::{FeatureId, FeatureSet};
 
 use crate::flat_trie::{FlatTrie, TrieFrontier};
@@ -78,51 +83,32 @@ impl IndexDistance {
         matches!(self, IndexDistance::Mutation(_))
     }
 
-    /// Collapses label slots that can never contribute cost (a zero
-    /// score matrix) to one canonical label. Distances are unchanged,
-    /// but equivalent vectors become identical — under the paper's
-    /// edge-only distance this shrinks per-class entry counts by an
-    /// order of magnitude. Stored rows and enumerated query fragments
-    /// are both normalized in place by it, so a probe is compared with
-    /// rows of its own form. A linear-distance vector is empty (its
-    /// class is 0 wide) and stays as it is.
-    pub fn normalize_labels(&self, edge_count: usize, v: &mut [Label]) {
-        let IndexDistance::Mutation(md) = self else { return };
-        let cut = edge_count.min(v.len());
-        if md.edge_scores().is_zero() {
-            v[..cut].fill(Label::ERASED);
-        }
-        if md.vertex_scores().is_zero() {
-            v[cut..].fill(Label::ERASED);
+    /// The label slots a vector of `structure` stores, as
+    /// `(edge_slots, vertex_slots)`: a kind of slot is stored only when
+    /// its score matrix can price something (a position whose matrix is
+    /// all zero adds nothing to any distance). `(e, 0)` under the paper's
+    /// edge-Hamming distance, `(e, v)` when both matrices price, and
+    /// `(0, 0)` under the linear distance, whose classes are their
+    /// posting lists.
+    pub fn slots(&self, structure: &LabeledGraph) -> (usize, usize) {
+        match self {
+            IndexDistance::Mutation(md) => {
+                let priced = |m: &ScoreMatrix, count: usize| if m.is_zero() { 0 } else { count };
+                (
+                    priced(md.edge_scores(), structure.edge_count()),
+                    priced(md.vertex_scores(), structure.vertex_count()),
+                )
+            }
+            IndexDistance::Linear(_) => (0, 0),
         }
     }
 
     /// The width of the class of `structure`: the label slots of its
-    /// vectors and the depth of its trie. `v + e` under the mutation
-    /// distance; 0 under the linear distance, whose classes are their
-    /// posting lists.
+    /// vectors ([`IndexDistance::slots`], both kinds) and the depth of
+    /// its trie.
     pub(crate) fn class_width(&self, structure: &LabeledGraph) -> usize {
-        match self {
-            IndexDistance::Mutation(_) => structure.vertex_count() + structure.edge_count(),
-            IndexDistance::Linear(_) => 0,
-        }
-    }
-
-    /// Appends the normalized vector of one embedding of `structure`
-    /// into `g` to `out`: its [`IndexDistance::class_width`] label slots
-    /// (none under the linear distance).
-    fn read_vector(
-        &self,
-        structure: &LabeledGraph,
-        g: &LabeledGraph,
-        emb: &Embedding,
-        out: &mut Vec<Label>,
-    ) {
-        if self.is_mutation() {
-            let start = out.len();
-            label_vector_into(structure, g, emb, out);
-            self.normalize_labels(structure.edge_count(), &mut out[start..]);
-        }
+        let (edges, vertices) = self.slots(structure);
+        edges + vertices
     }
 }
 
@@ -273,7 +259,7 @@ impl FragmentIndex {
         // not (the largest structures hold most of the embeddings).
         let pool = ScopedPool::new(config.threads);
         let structures: Vec<&LabeledGraph> = features.iter().map(|f| &f.structure).collect();
-        let symmetry = symmetries(&features);
+        let symmetry = symmetries(&features, &distance);
         let per_range = db.len().div_ceil(pool.workers()).max(1);
         let ranges: Vec<&[LabeledGraph]> = db.chunks(per_range).collect();
         let blocks: Vec<Vec<ClassRows>> = pool.map_with(
@@ -535,9 +521,10 @@ impl FragmentIndex {
     /// the [`row_hits`] of the row [`FragmentIndex::range_query_row`]
     /// leaves.
     ///
-    /// The probe `vector` must already be normalized for this index, as
-    /// every vector [`FragmentIndex::enumerate_query_fragments_into`]
-    /// yields is.
+    /// The probe `vector` holds the class's stored slots
+    /// ([`IndexDistance::slots`]), as every vector
+    /// [`FragmentIndex::enumerate_query_fragments_into`] yields does;
+    /// no normal form is reached first, whatever the name says.
     pub fn range_query_normalized_into(
         &self,
         feature: FeatureId,
@@ -561,10 +548,10 @@ impl FragmentIndex {
         scratch.row = row;
     }
 
-    /// Answers `nprobes` probes of the *same* class — normalized
-    /// vectors yielded by `probe(i)` — writing probe `i`'s hits into
-    /// `outs[i]` through [`FragmentIndex::range_query_normalized_into`],
-    /// one probe after another.
+    /// Answers `nprobes` probes of the *same* class — vectors yielded
+    /// by `probe(i)` — writing probe `i`'s hits into `outs[i]` through
+    /// [`FragmentIndex::range_query_normalized_into`], one probe after
+    /// another.
     ///
     /// # Panics
     /// Panics if `outs.len() != nprobes` or a probe is not a label
@@ -584,10 +571,10 @@ impl FragmentIndex {
         }
     }
 
-    /// The range query with per-graph distances: answers one normalized
-    /// probe of class `feature` under `budget`, leaving its minima row
-    /// in `row` (overwritten). Cell `row[k]` is the probe's `d(g, G)`
-    /// for `G = class_graphs(feature)[k]` — minimized over the class's
+    /// The range query with per-graph distances: answers one probe of
+    /// class `feature` under `budget`, leaving its minima row in `row`
+    /// (overwritten). Cell `row[k]` is the probe's `d(g, G)` for
+    /// `G = class_graphs(feature)[k]` — minimized over the class's
     /// frozen *and* pending entries — or `∞` when no fragment of `G`
     /// lies within `sigma`. [`row_hits`] reads a row as a hit list.
     /// Under the linear distance the row is `0.0` on every graph of the
@@ -637,8 +624,8 @@ impl FragmentIndex {
         true
     }
 
-    /// The range query as a hit set: answers one normalized probe of
-    /// class `feature` under `budget` and leaves its hits `T` as bits in
+    /// The range query as a hit set: answers one probe of class
+    /// `feature` under `budget` and leaves its hits `T` as bits in
     /// [`RangeScratch::hits`] — bit `k` for
     /// `G = class_graphs(feature)[k]` — without a per-graph distance.
     /// Returns what Definition 5 needs of the distances: the hit count
@@ -693,14 +680,8 @@ impl FragmentIndex {
         scratch: &mut RangeScratch,
         budget: &BudgetState,
     ) -> bool {
-        // A linear class's trie is 0 deep: the descent emits its root at
-        // cost 0 and prices no level.
-        let md = match &self.distance {
-            IndexDistance::Mutation(md) => Some(md),
-            IndexDistance::Linear(_) => None,
-        };
         let class = &self.classes[feature.index()];
-        let ecount = self.features.get(feature).edge_count();
+        let (edge_slots, _) = self.distance.slots(&self.features.get(feature).structure);
         let q = probe.labels();
         let RangeScratch { frontier, emitted, covered, .. } = scratch;
         emitted.clear();
@@ -708,12 +689,13 @@ impl FragmentIndex {
             trie.range_query(
                 q,
                 sigma,
+                // A linear class's trie is 0 deep: the descent emits its
+                // root at cost 0 and prices no level.
                 |pos, query, stored, out| {
-                    if let Some(md) = md {
-                        md.position_costs_into(pos, ecount, query, stored, out);
+                    if let IndexDistance::Mutation(md) = &self.distance {
+                        md.position_costs_into(pos, edge_slots, query, stored, out);
                     }
                 },
-                |pos| md.is_none_or(|md| md.position_is_zero(pos, ecount)),
                 frontier,
                 budget,
                 |acc, node| emitted.push((acc, t, node)),
@@ -732,11 +714,11 @@ impl FragmentIndex {
     /// off the one embedding of the occurrence that the feature's
     /// symmetry-breaking conditions admit (`crate::symmetry`), in the
     /// matcher's DFS order, feature by feature. Each fragment's vector
-    /// is normalized for this index and is the least of its
-    /// occurrence's readings — a function of the occurrence alone, so
-    /// fragments whose readings are the same set carry equal probes and
-    /// share one range query (empty under the linear distance, whose
-    /// classes are 0 wide).
+    /// holds the slots this index stores ([`IndexDistance::slots`]) and
+    /// is the least of its occurrence's readings — a function of the
+    /// occurrence alone, so fragments whose readings are the same set
+    /// carry equal probes and share one range query (empty under the
+    /// linear distance, whose classes are 0 wide).
     ///
     /// Fragments land in the caller's arena-backed [`FragmentBuffer`]
     /// (cleared first), and every feature's matcher runs on the plan its
@@ -746,6 +728,7 @@ impl FragmentIndex {
         buf.reset();
         let FragmentBuffer { features, vert_start, verts, vec_start, labels, admit } = buf;
         for (feature, symmetry) in self.features.iter().zip(&self.symmetry) {
+            let slots = self.distance.slots(&feature.structure);
             symmetry.for_each_admitted(&feature.structure, query, admit, |emb| {
                 features.push(feature.id);
                 let start = verts.len();
@@ -753,7 +736,7 @@ impl FragmentIndex {
                 verts[start..].sort_unstable();
                 vert_start.push(verts.len() as u32);
                 let start = labels.len();
-                self.distance.read_vector(&feature.structure, query, emb, labels);
+                label_vector_into(&feature.structure, query, emb, slots, labels);
                 symmetry.least_reading(labels, start);
                 vec_start.push(labels.len() as u32);
                 ControlFlow::Continue(())
@@ -793,9 +776,9 @@ fn validate_trie(trie: &FlatTrie, width: usize, seen: &mut [bool]) -> Result<usi
     Ok(trie.len())
 }
 
-/// All deduplicated, normalized label vectors of one graph for one
-/// feature structure, row-major. A reusable scratch: one value serves
-/// every graph of a build or insert, so no entry owns an allocation.
+/// All deduplicated label vectors of one graph for one feature
+/// structure, row-major. A reusable scratch: one value serves every
+/// graph of a build or insert, so no entry owns an allocation.
 #[derive(Default)]
 struct GraphEntries {
     /// The matcher's state for the admitted embeddings.
@@ -853,9 +836,9 @@ fn is_new_row(table: &mut Vec<u32>, rows: &[Label], width: usize, count: usize) 
     }
 }
 
-/// Reads every normalized vector of one feature's occurrences in a
-/// graph into `out`, each once — the unit of work shared by bulk build
-/// and incremental insertion. The matcher visits one embedding per
+/// Reads every vector of one feature's occurrences in a graph into
+/// `out`, each once — the unit of work shared by bulk build and
+/// incremental insertion. The matcher visits one embedding per
 /// occurrence ([`Symmetry::for_each_admitted`]); its vector is read and
 /// the occurrence's other readings follow by the symmetry's slot
 /// permutations, so the rows are those of every embedding read and
@@ -877,7 +860,8 @@ fn collect_graph_entries(
     if g.vertex_count() < structure.vertex_count() || g.edge_count() < structure.edge_count() {
         return;
     }
-    let width = distance.class_width(structure);
+    let slots = distance.slots(structure);
+    let width = slots.0 + slots.1;
     out.table.clear();
     let GraphEntries { admit, labels, count, table } = out;
     symmetry.for_each_admitted(structure, g, admit, |emb| {
@@ -885,11 +869,10 @@ fn collect_graph_entries(
             *count = 1;
             return ControlFlow::Break(());
         }
-        // Read the vector in place after the rows kept so far and
-        // normalize it, so equivalent entries merge up front; a repeat is
-        // cut off again.
+        // Read the vector in place after the rows kept so far; a repeat
+        // is cut off again.
         let read = labels.len();
-        distance.read_vector(structure, g, emb, labels);
+        label_vector_into(structure, g, emb, slots, labels);
         if !is_new_row(table, labels, width, *count) {
             labels.truncate(read);
             return ControlFlow::Continue(());
@@ -958,9 +941,10 @@ fn collect_class_rows(
     rows
 }
 
-/// Each feature's [`Symmetry`], in feature order.
-pub(crate) fn symmetries(features: &FeatureSet) -> Vec<Symmetry> {
-    features.iter().map(|f| Symmetry::of(&f.structure)).collect()
+/// Each feature's [`Symmetry`] on the slots `distance` stores, in
+/// feature order.
+pub(crate) fn symmetries(features: &FeatureSet, distance: &IndexDistance) -> Vec<Symmetry> {
+    features.iter().map(|f| Symmetry::of(&f.structure, distance.slots(&f.structure))).collect()
 }
 
 /// Builds one class's rows of graphs new to it (in graph order: the
@@ -1048,17 +1032,21 @@ mod tests {
     }
 
     /// Fragment `i` of a mutation-distance index as a standalone graph
-    /// — its label vector in the feature's canonical layout, edge slots
-    /// then vertex slots: what the oracle measures a range query from.
+    /// — its label vector in the feature's canonical layout, stored edge
+    /// slots then stored vertex slots, and label 0 where a kind is not
+    /// stored (the distance does not price it): what the oracle measures
+    /// a range query from.
     fn fragment_graph(index: &FragmentIndex, frags: &FragmentBuffer, i: usize) -> LabeledGraph {
         let feature = &index.features().get(frags.feature(i)).structure;
+        let (edge_slots, vertex_slots) = index.distance().slots(feature);
         let v = frags.vector(i).labels();
+        let label = |stored: bool, slot: usize| if stored { v[slot] } else { Label(0) };
         let mut b = GraphBuilder::new();
         for k in 0..feature.vertex_count() {
-            b.add_vertex(VertexAttr::labeled(v[feature.edge_count() + k]));
+            b.add_vertex(VertexAttr::labeled(label(vertex_slots > 0, edge_slots + k)));
         }
         for (j, e) in feature.edges().iter().enumerate() {
-            b.add_edge(e.source, e.target, EdgeAttr::labeled(v[j])).unwrap();
+            b.add_edge(e.source, e.target, EdgeAttr::labeled(label(edge_slots > 0, j))).unwrap();
         }
         b.build()
     }
@@ -1271,14 +1259,14 @@ mod tests {
     }
 
     /// An occurrence of a structure in a target, as `(sorted vertex
-    /// images, sorted edge images)`, and one embedding's normalized
-    /// reading of it.
+    /// images, sorted edge images)`, and one embedding's reading of it.
     type Reading = ((Vec<u32>, Vec<u32>), Vec<Label>);
 
     /// Every embedding of `structure` into `g` from the definition
     /// (`embeddings_brute`, which shares no code with the matcher), each
     /// read off the target by hand — edge labels in edge order, then
-    /// vertex labels — and normalized for `distance`.
+    /// vertex labels, each kind only where its score matrix prices
+    /// anything.
     fn brute_readings(
         structure: &LabeledGraph,
         g: &LabeledGraph,
@@ -1295,14 +1283,23 @@ mod tests {
                 vertices.sort_unstable();
                 edges.sort_unstable();
                 let mut v = Vec::new();
-                if distance.is_mutation() {
-                    v.extend(structure.edges().iter().map(|e| g.edge(edge(e)).attr.label));
-                    v.extend(map.iter().map(|&t| g.vertex(t).label));
-                    distance.normalize_labels(structure.edge_count(), &mut v);
+                if let IndexDistance::Mutation(md) = distance {
+                    if !md.edge_scores().is_zero() {
+                        v.extend(structure.edges().iter().map(|e| g.edge(edge(e)).attr.label));
+                    }
+                    if !md.vertex_scores().is_zero() {
+                        v.extend(map.iter().map(|&t| g.vertex(t).label));
+                    }
                 }
                 ((vertices, edges), v)
             })
             .collect()
+    }
+
+    /// A distance that prices vertex labels and no edge label: its
+    /// vectors store the vertex slots alone.
+    fn vertex_only() -> MutationDistance {
+        MutationDistance::new(ScoreMatrix::unit(0), ScoreMatrix::zero(0))
     }
 
     /// Seeded molecules plus graphs whose every structure is highly
@@ -1318,9 +1315,10 @@ mod tests {
 
     /// The index's entries equal the definition: per class, frozen and
     /// pending, every `(graph, vector)` of a brute-force reading of
-    /// every embedding (read, normalize, dedup, sort) — under a distance
-    /// that erases vertex slots, one that keeps them, and the linear
-    /// distance's 0-wide classes.
+    /// every embedding (read, dedup, sort) — under a distance that
+    /// stores edge slots alone, one that stores both kinds, one that
+    /// stores vertex slots alone, and the linear distance's 0-wide
+    /// classes.
     #[test]
     fn entries_equal_a_brute_reading_of_every_embedding() {
         for seed in [3, 17, 29] {
@@ -1330,6 +1328,7 @@ mod tests {
             for distance in [
                 IndexDistance::Mutation(MutationDistance::edge_hamming()),
                 IndexDistance::Mutation(MutationDistance::unit()),
+                IndexDistance::Mutation(vertex_only()),
                 IndexDistance::Linear(LinearDistance::edges_only()),
             ] {
                 // The last graphs are inserted one run at a time, so some
@@ -1388,6 +1387,7 @@ mod tests {
             for distance in [
                 IndexDistance::Mutation(MutationDistance::edge_hamming()),
                 IndexDistance::Mutation(MutationDistance::unit()),
+                IndexDistance::Mutation(vertex_only()),
                 IndexDistance::Linear(LinearDistance::edges_only()),
             ] {
                 let index =
@@ -1671,10 +1671,12 @@ mod tests {
         // class named: the class's width as depth ...
         let mut bad = build_md(&db, 3);
         let ci = full_class(&bad);
-        bad.classes[ci].pending = Some(FlatTrie::from_rows(1, vec![Label(1)], vec![GraphId(0)]));
+        let deeper = class_width(&bad, ci) + 1;
+        bad.classes[ci].pending =
+            Some(FlatTrie::from_rows(deeper, vec![Label(1); deeper], vec![GraphId(0)]));
         bad.classes[ci].entries += 1;
         let err = bad.validate().unwrap_err();
-        assert!(err.starts_with(&format!("class {ci}: pending trie depth 1 != ")), "{err}");
+        assert!(err.starts_with(&format!("class {ci}: pending trie depth {deeper} != ")), "{err}");
 
         // ... and its posting slots inside the class, on a mutation
         // class and on a 0-wide linear one alike.
@@ -1707,8 +1709,8 @@ mod tests {
     }
 
     #[test]
-    fn sized_zero_matrix_normalizes_like_edge_hamming() {
-        // A zero vertex matrix erases vertex slots whatever its size:
+    fn sized_zero_matrix_stores_like_edge_hamming() {
+        // A zero vertex matrix stores no vertex slot whatever its size:
         // over molecules with varied atom labels, a 64-label zero/unit
         // pair stores the entries `edge_hamming` (size-0 matrices) does,
         // enumerates the same probes and answers every probe alike,
@@ -1740,34 +1742,6 @@ mod tests {
                     range_hits(&hamming, &frags, i, sigma),
                     "sigma {sigma}"
                 );
-            }
-        }
-
-        // Every enumerated probe is already in normal form — the range
-        // query compares it with the stored rows as given — so
-        // normalizing it again changes no bit, under each distance.
-        let weighted =
-            MoleculeGenerator::new(MoleculeConfig { weighted: true, ..Default::default() })
-                .database(12, 5);
-        let structures: Vec<LabeledGraph> =
-            weighted.iter().map(LabeledGraph::erase_labels).collect();
-        let linear = FragmentIndex::build(
-            &weighted,
-            exhaustive_features(&structures, 3),
-            IndexDistance::Linear(LinearDistance::edges_only()),
-            &IndexConfig::default(),
-        );
-        for (index, query) in
-            [(&hamming, &db[0]), (&unit, &db[0]), (&sized, &db[0]), (&linear, &weighted[0])]
-        {
-            let frags = fragments(index, query);
-            assert!(!frags.is_empty());
-            for i in 0..frags.len() {
-                let ecount = index.features().get(frags.feature(i)).edge_count();
-                let v = frags.vector(i).labels();
-                let mut again = v.to_vec();
-                index.distance().normalize_labels(ecount, &mut again);
-                assert_eq!(again, v, "probe {i}");
             }
         }
     }

@@ -27,7 +27,7 @@
 //! exactly as a merged one.
 //!
 //! The query side has one form, the one the search runs: fragments
-//! land normalized in a caller's [`FragmentBuffer`], and a range query
+//! land in a caller's [`FragmentBuffer`], and a range query
 //! takes a borrowed [`FragmentVectorRef`] probe as given, through a
 //! caller's [`RangeScratch`], into a hit set with its tally, a minima
 //! row, or the row's hit list.

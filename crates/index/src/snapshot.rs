@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic "PISSNAP1"  (8 bytes)
-//! u32 version (= 2)
+//! u32 version (= 3)
 //! u32 section_count (= 4)
 //! section table: per section { u32 kind, u64 offset, u64 len, u32 crc32 }
 //! section payloads (META, FEATURES, DATABASE, CLASSES — in kind order)
@@ -29,15 +29,19 @@
 //! ```
 //!
 //! A class's trie depth is its width under the stored distance, read
-//! off its feature. Every structural count is bounds-checked against
-//! the bytes actually present, every float is rejected when non-finite,
-//! and each class stream is checked for exactly what the builder
-//! assumes — sorted, distinct sequences with non-empty, ascending,
-//! in-range runs — before it is fed, so a loaded snapshot answers
-//! queries bit-identically, re-encodes to the same bytes, and corrupt
-//! input of any shape surfaces as [`PersistError::Corrupt`], never a
-//! panic. Version 1 files, which stored the arena columns, are refused:
-//! rebuild the store (`pis build`).
+//! off its feature: the edge slots when the edge matrix prices, then the
+//! vertex slots when the vertex matrix does (`IndexDistance::slots`),
+//! and 0 under the linear distance. Every structural count is
+//! bounds-checked against the bytes actually present, every float is
+//! rejected when non-finite, and each class stream is checked for
+//! exactly what the builder assumes — sorted, distinct sequences with
+//! non-empty, ascending, in-range runs — before it is fed, so a loaded
+//! snapshot answers queries bit-identically, re-encodes to the same
+//! bytes, and corrupt input of any shape surfaces as
+//! [`PersistError::Corrupt`], never a panic. Older files are refused:
+//! version 1 stored the arena columns, and version 2 stored every slot
+//! of a class, the unpriced ones as `Label::ERASED`. Rebuild such a
+//! store (`pis build`).
 //!
 //! The database graphs ride in the snapshot (one atomic rename covers
 //! index *and* database); the write-ahead log ([`crate::wal`]) replays
@@ -73,7 +77,7 @@ use crate::index::{ClassIndex, FragmentIndex, IndexDistance, MergeStats};
 use crate::persist::PersistError;
 
 const MAGIC: &[u8; 8] = b"PISSNAP1";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const SECTION_COUNT: u32 = 4;
 /// Bytes per section-table entry: kind + offset + len + crc.
 const TABLE_ENTRY: usize = 24;
@@ -103,17 +107,16 @@ pub fn encode_snapshot(
     for _ in 0..idx(SECTION_COUNT) * TABLE_ENTRY {
         w.u8(0);
     }
-    type SectionEncoder =
-        fn(&FragmentIndex, &[LabeledGraph], &mut ByteWriter) -> Result<(), PersistError>;
-    let sections: [(u32, SectionEncoder); 4] = [
-        (KIND_META, encode_meta),
-        (KIND_FEATURES, encode_features),
-        (KIND_DATABASE, encode_database),
-        (KIND_CLASSES, encode_classes),
+    type SectionEncoder<'a> = &'a dyn Fn(&mut ByteWriter) -> Result<(), PersistError>;
+    let sections: [(u32, SectionEncoder<'_>); 4] = [
+        (KIND_META, &|w| encode_meta(index, w)),
+        (KIND_FEATURES, &|w| encode_features(index, w)),
+        (KIND_DATABASE, &|w| encode_database(database, w)),
+        (KIND_CLASSES, &|w| encode_classes(index, w)),
     ];
     for (i, (kind, encode)) in sections.iter().enumerate() {
         let offset = w.len();
-        encode(index, database, &mut w)?;
+        encode(&mut w)?;
         let crc = crc32(&w.as_slice()[offset..]);
         let len = w.len() - offset;
         let at = table_at + i * TABLE_ENTRY;
@@ -127,11 +130,7 @@ pub fn encode_snapshot(
     Ok(w.into_bytes())
 }
 
-fn encode_meta(
-    index: &FragmentIndex,
-    _db: &[LabeledGraph],
-    w: &mut ByteWriter,
-) -> Result<(), PersistError> {
+fn encode_meta(index: &FragmentIndex, w: &mut ByteWriter) -> Result<(), PersistError> {
     w.u64(len64(index.graph_count));
     match &index.distance {
         IndexDistance::Mutation(md) => {
@@ -160,11 +159,7 @@ fn encode_matrix(m: &ScoreMatrix, w: &mut ByteWriter) -> Result<(), PersistError
     Ok(())
 }
 
-fn encode_features(
-    index: &FragmentIndex,
-    _db: &[LabeledGraph],
-    w: &mut ByteWriter,
-) -> Result<(), PersistError> {
+fn encode_features(index: &FragmentIndex, w: &mut ByteWriter) -> Result<(), PersistError> {
     w.u32(u32_of(index.features.len(), "feature count")?);
     for feature in index.features.iter() {
         w.u64(len64(feature.support));
@@ -177,11 +172,7 @@ fn encode_features(
     Ok(())
 }
 
-fn encode_database(
-    _index: &FragmentIndex,
-    db: &[LabeledGraph],
-    w: &mut ByteWriter,
-) -> Result<(), PersistError> {
+fn encode_database(db: &[LabeledGraph], w: &mut ByteWriter) -> Result<(), PersistError> {
     db.iter().try_for_each(check_finite_weights)?;
     let text = write_database(db);
     w.u64(len64(text.len()));
@@ -189,11 +180,7 @@ fn encode_database(
     Ok(())
 }
 
-fn encode_classes(
-    index: &FragmentIndex,
-    _db: &[LabeledGraph],
-    w: &mut ByteWriter,
-) -> Result<(), PersistError> {
+fn encode_classes(index: &FragmentIndex, w: &mut ByteWriter) -> Result<(), PersistError> {
     w.u32(u32_of(index.classes.len(), "class count")?);
     for class in &index.classes {
         w.u32(u32_of(class.graphs.len(), "posting length")?);
@@ -247,6 +234,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
                 8,
                 "snapshot version 1 (trie arena columns) is no longer read: rebuild the store \
                  with `pis build`",
+            ))
+        }
+        2 => {
+            return Err(corrupt(
+                8,
+                "snapshot version 2 (every label slot stored) is no longer read: rebuild the \
+                 store with `pis build`",
             ))
         }
         version => return Err(corrupt(8, &format!("unsupported snapshot version {version}"))),
@@ -321,7 +315,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(FragmentIndex, Vec<LabeledGraph>
         features.iter().map(|f| meta.distance.class_width(&f.structure)).collect();
     let classes = decode_classes(&mut section(KIND_CLASSES), &meta, &widths)?;
     let index = FragmentIndex {
-        symmetry: crate::index::symmetries(&features),
+        symmetry: crate::index::symmetries(&features, &meta.distance),
         features,
         distance: meta.distance,
         classes,

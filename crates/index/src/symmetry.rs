@@ -25,8 +25,19 @@
 //! condition at `w`'s depth, through [`Symmetry::for_each_admitted`]'s
 //! visitor, and the DFS never enters a subtree that breaks one.
 //!
-//! A symmetry is a function of the structure alone, recomputed for each
-//! feature whenever an index is built or decoded; it is never persisted.
+//! The re-readings permute only the slots a vector stores: an
+//! automorphism's slot permutation is restricted to them, and the
+//! restrictions that leave every stored slot in place (the identity)
+//! or repeat another are dropped. Restriction maps the group onto a
+//! group of slot permutations, so the set kept is still closed under
+//! composition, and every reading's orbit is the same set of vectors
+//! whichever of its readings it is taken from. Under edge-Hamming a
+//! one-edge structure keeps no permutation: its two automorphisms swap
+//! the vertices, which it does not store.
+//!
+//! A symmetry is a function of the structure and its stored slots,
+//! recomputed for each feature whenever an index is built or decoded;
+//! it is never persisted.
 
 use std::ops::ControlFlow;
 
@@ -39,7 +50,8 @@ use pis_graph::{Embedding, Label, LabeledGraph, VertexId};
 const UNSET: VertexId = VertexId(u32::MAX);
 
 /// One feature structure's symmetry-breaking conditions, the slot
-/// permutations of its automorphisms, and the structure's match plan.
+/// permutations of its automorphisms on a vector's stored slots, and the
+/// structure's match plan.
 #[derive(Clone, Debug)]
 pub(crate) struct Symmetry {
     /// The matcher's plan for the structure as a pattern: target-free
@@ -52,19 +64,25 @@ pub(crate) struct Symmetry {
     /// later: `q` under `p` requires `map(q) < map(p)`, and `q` is
     /// always matched before `p`.
     below: Vec<VertexId>,
-    /// Slots of a vector of the structure: its edges, then its vertices.
-    slots: usize,
-    /// The slot permutation of every automorphism but the identity,
-    /// `slots` entries each, concatenated: slot `s` of the reading of
-    /// `φ ∘ α` is slot `perm[s]` of the reading of `φ`.
+    /// Slots of a vector of the structure: its stored edges, then its
+    /// stored vertices.
+    width: usize,
+    /// The distinct permutations the automorphisms induce on the stored
+    /// slots, the identity left out, `width` entries each, concatenated:
+    /// slot `s` of the reading of `φ ∘ α` is slot `perm[s]` of the
+    /// reading of `φ`.
     perms: Vec<u32>,
 }
 
 impl Symmetry {
     /// The symmetry of `structure`, from its structural automorphism
-    /// group.
-    pub(crate) fn of(structure: &LabeledGraph) -> Symmetry {
-        let (n, ecount) = (structure.vertex_count(), structure.edge_count());
+    /// group, for vectors that store `(edge_slots, vertex_slots)` of its
+    /// edges and vertices (`IndexDistance::slots`).
+    pub(crate) fn of(
+        structure: &LabeledGraph,
+        (edge_slots, vertex_slots): (usize, usize),
+    ) -> Symmetry {
+        let n = structure.vertex_count();
         let group: Vec<Embedding> = embeddings(structure, structure, IsoConfig::STRUCTURE);
         let mut plan = MatchPlan::new();
         plan.rebuild_for_pattern(structure);
@@ -93,22 +111,22 @@ impl Symmetry {
         }
         let below = pairs.iter().map(|&(v, _)| v).collect();
 
-        let slots = ecount + n;
-        let mut perms = Vec::with_capacity(group.len().saturating_sub(1) * slots);
-        for a in &group {
-            if a.vertex_map().iter().enumerate().all(|(p, &t)| p == t.index()) {
-                continue;
-            }
-            perms.extend(structure.edge_ids().map(|e| a.edge_image(structure, structure, e).0));
-            perms.extend(a.vertex_map().iter().map(|t| (ecount + t.index()) as u32));
-        }
-        Symmetry { plan, below_start, below, slots, perms }
-    }
-
-    /// `|Aut|`: the embeddings of one occurrence.
-    #[cfg(test)]
-    pub(crate) fn order(&self) -> usize {
-        1 + self.perms.len().checked_div(self.slots).unwrap_or(0)
+        let mut perms: Vec<Vec<u32>> = group
+            .iter()
+            .map(|a| {
+                let edges = structure.edge_ids().take(edge_slots);
+                let vertices = a.vertex_map().iter().take(vertex_slots);
+                edges
+                    .map(|e| a.edge_image(structure, structure, e).0)
+                    .chain(vertices.map(|t| (edge_slots + t.index()) as u32))
+                    .collect()
+            })
+            .filter(|perm: &Vec<u32>| perm.iter().enumerate().any(|(s, &t)| s != t as usize))
+            .collect();
+        perms.sort_unstable();
+        perms.dedup();
+        let width = edge_slots + vertex_slots;
+        Symmetry { plan, below_start, below, width, perms: perms.concat() }
     }
 
     /// The vertices whose images must lie below `p`'s.
@@ -116,10 +134,11 @@ impl Symmetry {
         &self.below[self.below_start[p.index()] as usize..self.below_start[p.index() + 1] as usize]
     }
 
-    /// The slot permutations of the automorphisms other than the
-    /// identity (none for an asymmetric structure).
+    /// The distinct restricted slot permutations other than the identity
+    /// (none for an asymmetric structure, or one whose automorphisms
+    /// move only slots the vector does not store).
     pub(crate) fn permutations(&self) -> impl Iterator<Item = &[u32]> {
-        self.perms.chunks_exact(self.slots.max(1))
+        self.perms.chunks_exact(self.width.max(1))
     }
 
     /// Matches `structure` — the structure this symmetry was derived
@@ -150,11 +169,11 @@ impl Symmetry {
         if v.len() == start {
             return;
         }
-        debug_assert_eq!(v.len() - start, self.slots, "a vector of the structure's width");
+        debug_assert_eq!(v.len() - start, self.width, "a vector of the structure's width");
         // The reading stays in place; the least one so far is kept after
         // it and moves into its place at the end.
         v.extend_from_within(start..);
-        let (read, least) = v[start..].split_at_mut(self.slots);
+        let (read, least) = v[start..].split_at_mut(self.width);
         for perm in self.permutations() {
             let moved = perm.iter().map(|&s| read[s as usize]);
             if moved.clone().lt(least.iter().copied()) {
@@ -163,8 +182,8 @@ impl Symmetry {
                 }
             }
         }
-        v.copy_within(start + self.slots.., start);
-        v.truncate(start + self.slots);
+        v.copy_within(start + self.width.., start);
+        v.truncate(start + self.width);
     }
 }
 
@@ -260,7 +279,11 @@ mod tests {
 
     /// The admitted embeddings are exactly one per class of the full
     /// enumeration, classes grouped by sorted edge images, and each
-    /// class's readings are the admitted one's permuted.
+    /// class's readings are the admitted one's permuted — with every slot
+    /// stored, with the edge slots alone (edge-Hamming) and with the
+    /// vertex slots alone. With every slot stored the permutations are
+    /// the automorphisms, one each; restricted, none is the identity and
+    /// none repeats.
     #[test]
     fn admits_one_embedding_per_occurrence() {
         let patterns = [
@@ -282,52 +305,86 @@ mod tests {
             cycle_graph(6, Label(1), Label(2)),
         ];
         for (pattern, order) in &patterns {
-            let symmetry = Symmetry::of(pattern);
-            assert_eq!(symmetry.order(), *order, "{pattern:?}");
-            for target in &targets {
-                let mut classes: FxHashMap<Vec<u32>, Vec<Vec<Label>>> = FxHashMap::default();
-                for emb in embeddings(pattern, target, IsoConfig::STRUCTURE) {
-                    let mut v = Vec::new();
-                    label_vector_into(pattern, target, &emb, &mut v);
-                    classes.entry(occurrence(pattern, target, &emb)).or_default().push(v);
+            let (e, n) = (pattern.edge_count(), pattern.vertex_count());
+            for slots in [(e, n), (e, 0), (0, n)] {
+                let symmetry = Symmetry::of(pattern, slots);
+                let perms: Vec<&[u32]> = symmetry.permutations().collect();
+                if slots == (e, n) {
+                    assert_eq!(perms.len() + 1, *order, "{pattern:?}");
                 }
-                let mut admitted: Vec<Vec<u32>> = Vec::new();
-                let mut scratch = AdmitScratch::default();
-                symmetry.for_each_admitted(pattern, target, &mut scratch, |emb| {
-                    let key = occurrence(pattern, target, emb);
-                    let readings = &classes[&key];
-                    assert_eq!(readings.len(), *order, "every class holds |Aut| embeddings");
-                    let mut v = Vec::new();
-                    label_vector_into(pattern, target, emb, &mut v);
-                    let mut permuted: Vec<Vec<Label>> = std::iter::once(v.clone())
-                        .chain(
-                            symmetry
-                                .permutations()
-                                .map(|perm| perm.iter().map(|&s| v[s as usize]).collect()),
-                        )
-                        .collect();
-                    let mut expected = readings.clone();
-                    permuted.sort_unstable();
-                    expected.sort_unstable();
-                    assert_eq!(permuted, expected, "{pattern:?} occurrence {key:?}");
-                    let mut least = v.clone();
-                    symmetry.least_reading(&mut least, 0);
-                    assert_eq!(&least, &expected[0]);
-                    admitted.push(key);
-                    ControlFlow::Continue(())
-                });
-                let mut all: Vec<Vec<u32>> = classes.into_keys().collect();
-                all.sort_unstable();
-                admitted.sort_unstable();
-                assert_eq!(admitted, all, "{pattern:?}: one admitted embedding per class");
+                let mut distinct = perms.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), perms.len(), "{pattern:?} {slots:?}: a repeat");
+                assert!(
+                    perms.iter().all(|p| p.iter().enumerate().any(|(s, &t)| s != t as usize)),
+                    "{pattern:?} {slots:?}: the identity is left out"
+                );
+                for target in &targets {
+                    check_readings(pattern, target, &symmetry, slots, *order);
+                }
             }
         }
+        // A one-edge structure under edge-Hamming: the vertex swap moves
+        // no stored slot.
+        let edge = path_graph(2, Label(0), Label(0));
+        assert_eq!(Symmetry::of(&edge, (1, 0)).permutations().count(), 0);
+    }
+
+    /// One admitted embedding per occurrence of `pattern` in `target`,
+    /// whose permuted readings are the occurrence's readings as a set.
+    fn check_readings(
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+        symmetry: &Symmetry,
+        slots: (usize, usize),
+        order: usize,
+    ) {
+        let read = |emb: &Embedding| {
+            let mut v = Vec::new();
+            label_vector_into(pattern, target, emb, slots, &mut v);
+            v
+        };
+        let mut classes: FxHashMap<Vec<u32>, Vec<Vec<Label>>> = FxHashMap::default();
+        for emb in embeddings(pattern, target, IsoConfig::STRUCTURE) {
+            classes.entry(occurrence(pattern, target, &emb)).or_default().push(read(&emb));
+        }
+        let mut admitted: Vec<Vec<u32>> = Vec::new();
+        let mut scratch = AdmitScratch::default();
+        symmetry.for_each_admitted(pattern, target, &mut scratch, |emb| {
+            let key = occurrence(pattern, target, emb);
+            let readings = &classes[&key];
+            assert_eq!(readings.len(), order, "every class holds |Aut| embeddings");
+            let v = read(emb);
+            let mut permuted: Vec<Vec<Label>> = std::iter::once(v.clone())
+                .chain(
+                    symmetry
+                        .permutations()
+                        .map(|perm| perm.iter().map(|&s| v[s as usize]).collect()),
+                )
+                .collect();
+            let mut expected = readings.clone();
+            for set in [&mut permuted, &mut expected] {
+                set.sort_unstable();
+                set.dedup();
+            }
+            assert_eq!(permuted, expected, "{pattern:?} {slots:?} occurrence {key:?}");
+            let mut least = v.clone();
+            symmetry.least_reading(&mut least, 0);
+            assert_eq!(&least, &expected[0]);
+            admitted.push(key);
+            ControlFlow::Continue(())
+        });
+        let mut all: Vec<Vec<u32>> = classes.into_keys().collect();
+        all.sort_unstable();
+        admitted.sort_unstable();
+        assert_eq!(admitted, all, "{pattern:?}: one admitted embedding per class");
     }
 
     /// `least_reading` leaves whatever precedes the vector alone.
     #[test]
     fn least_reading_works_in_place_after_a_prefix() {
-        let symmetry = Symmetry::of(&path_graph(2, Label(0), Label(0)));
+        let symmetry = Symmetry::of(&path_graph(2, Label(0), Label(0)), (1, 2));
         let mut v = vec![Label(9), Label(1), Label(5), Label(3)];
         symmetry.least_reading(&mut v, 1);
         assert_eq!(v, [Label(9), Label(1), Label(3), Label(5)]);

@@ -44,9 +44,11 @@ fn valid_snapshot_and_depth() -> (Vec<u8>, usize) {
         IndexDistance::Mutation(MutationDistance::edge_hamming()),
         &IndexConfig::default(),
     );
-    // A mutation-distance class is as deep as its structure is wide.
+    // A mutation-distance class is as deep as the slots it stores: the
+    // edges alone under edge-Hamming.
     let first = &index.features().iter().next().unwrap().structure;
-    (encode_snapshot(&index, &db).unwrap(), first.vertex_count() + first.edge_count())
+    let (edges, vertices) = index.distance().slots(first);
+    (encode_snapshot(&index, &db).unwrap(), edges + vertices)
 }
 
 fn valid_snapshot() -> Vec<u8> {
@@ -208,19 +210,22 @@ fn class_stream_checks_are_typed_corruption() {
     expect(seqs[0].run_at + 4, class_size, &past);
 }
 
-/// A version-1 snapshot — one that stored the trie arena columns — is
-/// refused with a typed error naming the version and the remedy.
+/// A version-1 snapshot — one that stored the trie arena columns — and
+/// a version-2 one — one that stored every label slot, priced or not —
+/// are refused with a typed error naming the version and the remedy.
 #[test]
 fn version_one_snapshots_are_typed_corruption() {
-    let mut bytes = valid_snapshot();
-    write_u32(&mut bytes, 8, 1);
-    refresh_checksums(&mut bytes);
-    match decode_snapshot(&bytes) {
-        Err(PersistError::Corrupt { message, .. }) => {
-            assert!(message.contains("version 1"), "{message}");
-            assert!(message.contains("rebuild the store with `pis build`"), "{message}");
+    for version in [1, 2] {
+        let mut bytes = valid_snapshot();
+        write_u32(&mut bytes, 8, version);
+        refresh_checksums(&mut bytes);
+        match decode_snapshot(&bytes) {
+            Err(PersistError::Corrupt { message, .. }) => {
+                assert!(message.contains(&format!("version {version}")), "{message}");
+                assert!(message.contains("rebuild the store with `pis build`"), "{message}");
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }
-        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
     }
 }
 

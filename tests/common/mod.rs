@@ -105,22 +105,25 @@ pub fn sigma() -> impl Strategy<Value = f64> {
 
 /// Rebuilds fragment `i` of a mutation-distance index's `frags` as a
 /// standalone labeled graph (the fragment's label vector in the
-/// feature's canonical layout: edge slots, then vertex slots) — what the
-/// definition measures a range query from.
+/// feature's canonical layout: stored edge slots, then stored vertex
+/// slots; label 0 where a kind is not stored, which the distance does
+/// not price) — what the definition measures a range query from.
 pub fn fragment_as_graph(
     index: &pis::index::FragmentIndex,
     frags: &pis::index::FragmentBuffer,
     i: usize,
 ) -> LabeledGraph {
     let feature = index.features().get(frags.feature(i));
+    let (edge_slots, vertex_slots) = index.distance().slots(&feature.structure);
     let v = frags.vector(i).labels();
-    let ecount = feature.edge_count();
+    let label = |stored: bool, slot: usize| if stored { v[slot] } else { Label(0) };
     let mut b = GraphBuilder::new();
     for (i, _) in feature.structure.vertex_ids().enumerate() {
-        b.add_vertex(VertexAttr::labeled(v[ecount + i]));
+        b.add_vertex(VertexAttr::labeled(label(vertex_slots > 0, edge_slots + i)));
     }
     for (j, e) in feature.structure.edges().iter().enumerate() {
-        b.add_edge(e.source, e.target, EdgeAttr::labeled(v[j])).expect("feature is simple");
+        b.add_edge(e.source, e.target, EdgeAttr::labeled(label(edge_slots > 0, j)))
+            .expect("feature is simple");
     }
     b.build()
 }

@@ -1,6 +1,7 @@
 //! Property tests of the fragment index on arbitrary databases: range
 //! queries must equal brute-force minimum superposition distances under
-//! the mutation distance, trie hits must equal a definition brute over
+//! the mutation distance (edge-Hamming, both label kinds, vertex labels
+//! alone, a non-metric matrix), trie hits must equal a definition brute over
 //! the class's entries bit for bit, a linear-distance probe must hit
 //! exactly the graphs containing its structure at distance 0, the
 //! funnel's bitmap fold of a probe must hold the row's hits and weigh
@@ -59,6 +60,12 @@ fn non_metric_distance() -> MutationDistance {
     })
     .expect("symmetric, zero diagonal, non-negative");
     MutationDistance::new(ScoreMatrix::zero(3), edges)
+}
+
+/// A mutation distance that prices vertex labels and no edge label: its
+/// vectors store the vertex slots alone.
+fn vertex_only_distance() -> MutationDistance {
+    MutationDistance::new(ScoreMatrix::unit(0), ScoreMatrix::zero(0))
 }
 
 /// A mutation distance whose costs are no binary fractions, so a sum of
@@ -189,15 +196,16 @@ fn assert_range_queries_equal_brute_force(
 }
 
 /// Class `feature`'s entries from the definition: each graph's
-/// distinct normalized label vectors over all embeddings of the class
-/// structure, as `(graph, vector)` in graph order.
+/// distinct label vectors over all embeddings of the class structure,
+/// each holding the slots the index stores, as `(graph, vector)` in
+/// graph order.
 fn class_entries(
     index: &FragmentIndex,
     db: &[LabeledGraph],
     feature: FeatureId,
 ) -> Vec<(GraphId, Vec<Label>)> {
     let feature = index.features().get(feature);
-    let ecount = feature.edge_count();
+    let slots = index.distance().slots(&feature.structure);
     let mut entries = Vec::new();
     for (gid, g) in db.iter().enumerate() {
         let mut vectors = Vec::new();
@@ -208,8 +216,7 @@ fn class_entries(
         );
         matcher.for_each(|emb| {
             let mut v = Vec::new();
-            pis::index::fragment::label_vector_into(&feature.structure, g, emb, &mut v);
-            index.distance().normalize_labels(ecount, &mut v);
+            pis::index::fragment::label_vector_into(&feature.structure, g, emb, slots, &mut v);
             vectors.push(v);
             std::ops::ControlFlow::Continue(())
         });
@@ -223,18 +230,19 @@ fn class_entries(
 /// What a mutation-distance class with `entries` ([`class_entries`])
 /// answers for `probe`, from the definition: per graph, the least
 /// position-order sum of `position_cost` from the probe to any of its
-/// vectors, kept when within `sigma`; sorted by graph id.
+/// vectors, whose first `edge_slots` slots are edge labels, kept when
+/// within `sigma`; sorted by graph id.
 fn entries_hits(
     entries: &[(GraphId, Vec<Label>)],
     md: &MutationDistance,
-    ecount: usize,
+    edge_slots: usize,
     probe: &[Label],
     sigma: f64,
 ) -> Vec<(GraphId, f64)> {
     let mut hits: Vec<(GraphId, f64)> = Vec::new();
     for (g, v) in entries {
         let d = (0..probe.len())
-            .fold(0.0, |acc, pos| acc + md.position_cost(pos, ecount, probe[pos], v[pos]));
+            .fold(0.0, |acc, pos| acc + md.position_cost(pos, edge_slots, probe[pos], v[pos]));
         match hits.last_mut() {
             Some((last, best)) if last == g => *best = best.min(d),
             _ => hits.push((*g, d)),
@@ -253,8 +261,8 @@ fn reference_hits(
     probe: &[Label],
     sigma: f64,
 ) -> Vec<(GraphId, f64)> {
-    let ecount = index.features().get(feature).edge_count();
-    entries_hits(&class_entries(index, db, feature), md, ecount, probe, sigma)
+    let (edge_slots, _) = index.distance().slots(&index.features().get(feature).structure);
+    entries_hits(&class_entries(index, db, feature), md, edge_slots, probe, sigma)
 }
 
 /// Copies a graph with weights derived from its labels, so the linear
@@ -279,27 +287,31 @@ proptest! {
     /// Eq. (3) under the mutation distance: the index range query
     /// returns exactly the graphs within sigma, each with its exact
     /// minimum superposition distance — for the paper's edge-Hamming
-    /// setting, the unit distance, and a score matrix that is no metric.
+    /// setting (edge slots alone), the unit distance (both kinds), a score
+    /// matrix that is no metric, and vertex labels alone (vertex slots
+    /// alone).
     #[test]
     fn range_query_equals_brute_force(
         db in graph_database(6, 5, 3),
         query in connected_graph(4, 2, 3),
         sigma in sigma(),
-        which in 0u8..3,
+        which in 0u8..4,
     ) {
         let md = match which {
             0 => MutationDistance::edge_hamming(),
             1 => MutationDistance::unit(),
-            _ => non_metric_distance(),
+            2 => non_metric_distance(),
+            _ => vertex_only_distance(),
         };
         let index = build_index(&db, IndexDistance::Mutation(md.clone()));
         assert_range_queries_equal_brute_force(&index, &db, &query, &md, sigma)?;
     }
 
     /// A snapshot round-trips arbitrary indexes exactly, under both
-    /// distances: re-encoding what was decoded reproduces the bytes, and
-    /// the decoded index answers range queries with the same graphs and
-    /// the same f64 bits.
+    /// distances — the mutation distance storing edge slots alone and
+    /// vertex slots alone: re-encoding what was decoded reproduces the
+    /// bytes, and the decoded index answers range queries with the same
+    /// graphs and the same f64 bits.
     #[test]
     fn persist_round_trip(
         db in graph_database(5, 5, 3),
@@ -311,16 +323,20 @@ proptest! {
         let features = exhaustive_features(&structures, 3);
         for distance in [
             IndexDistance::Mutation(MutationDistance::edge_hamming()),
+            IndexDistance::Mutation(vertex_only_distance()),
             IndexDistance::Linear(LinearDistance::edges_only()),
         ] {
-            let linear = !distance.is_mutation();
-            let index =
-                FragmentIndex::build(&db, features.clone(), distance, &IndexConfig::default());
+            let index = FragmentIndex::build(
+                &db,
+                features.clone(),
+                distance.clone(),
+                &IndexConfig::default(),
+            );
             let bytes = encode_snapshot(&index, &db).expect("snapshot encodes");
             let (loaded, loaded_db) = decode_snapshot(&bytes).expect("round trip");
             let again = encode_snapshot(&loaded, &loaded_db).expect("snapshot re-encodes");
             // (Not `prop_assert_eq`: a failure would print both files.)
-            prop_assert!(again == bytes, "linear {}: snapshot is not a fixed point", linear);
+            prop_assert!(again == bytes, "{:?}: snapshot is not a fixed point", distance);
             prop_assert_eq!(loaded.graph_count(), index.graph_count());
             prop_assert_eq!(loaded.total_entries(), index.total_entries());
             let frags = query_fragments(&index, &query);
@@ -329,7 +345,7 @@ proptest! {
                     prop_assert_eq!(
                         bits(&range_hits(&index, &frags, i, sigma)),
                         bits(&range_hits(&loaded, &frags, i, sigma)),
-                        "linear {} sigma {}", linear, sigma
+                        "{:?} sigma {}", distance, sigma
                     );
                 }
             }
@@ -638,8 +654,8 @@ proptest! {
         let entries: Vec<_> =
             index.features().iter().map(|f| class_entries(&index, &db, f.id)).collect();
         let reference = |feature: FeatureId, probe: FragmentVectorRef<'_>| {
-            let ecount = index.features().get(feature).edge_count();
-            entries_hits(&entries[feature.index()], &md, ecount, probe.labels(), sigma)
+            let (edge_slots, _) = index.distance().slots(&index.features().get(feature).structure);
+            entries_hits(&entries[feature.index()], &md, edge_slots, probe.labels(), sigma)
         };
         assert_rows_read_out_as_lists(&index, reference, &query, sigma, 1.0)?;
     }
