@@ -16,7 +16,7 @@ use pis_index::{FragmentBuffer, FragmentIndex};
 use pis_mining::FeatureId;
 
 use crate::config::DEFAULT_PARALLEL_VERIFY_THRESHOLD;
-use crate::search::{distance_dyn, query_verifier};
+use crate::search::query_verifier;
 use crate::verify::VerifyScratch;
 
 /// Result of a baseline run.
@@ -41,7 +41,7 @@ pub fn naive_scan(
 ) -> BaselineOutcome {
     let candidates: Vec<GraphId> = (0..database.len() as u32).map(GraphId).collect();
     let within = check_each(database, query, &candidates, |verify, target| {
-        verify.distance_within(query, target, distance, sigma).is_some()
+        verify.within(query, target, distance, sigma)
     });
     let answers =
         candidates.iter().zip(within).filter_map(|(&g, keep)| keep.then_some(g)).collect();
@@ -77,10 +77,10 @@ pub fn topo_prune(
     // Exact structure check (the filter is a superset), then the
     // distance, per graph through the same scratch: one plan for the
     // query.
-    let distance = distance_dyn(index.distance());
+    let distance = index.distance().as_dyn();
     let checked = check_each(database, query, &filtered, |verify, target| {
         let contains = verify.contains_structure(query, target);
-        (contains, contains && verify.distance_within(query, target, distance, sigma).is_some())
+        (contains, contains && verify.within(query, target, distance, sigma))
     });
     let (mut candidates, mut answers) = (Vec::new(), Vec::new());
     for (&g, (contains, within)) in filtered.iter().zip(checked) {

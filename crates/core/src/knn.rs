@@ -42,7 +42,7 @@ use pis_graph::{GraphId, LabeledGraph};
 use pis_index::IndexDistance;
 
 use crate::error::{validate_query, QueryError};
-use crate::search::{distance_dyn, Completeness, PisSearcher, SearchScratch};
+use crate::search::{Completeness, PisSearcher, SearchScratch};
 
 /// The radius the first doubling round searches at: one edit under
 /// edge-Hamming, the σ of a typical tight range query.
@@ -144,7 +144,7 @@ impl PisSearcher<'_> {
         let mut resolved: FxHashMap<GraphId, (f64, bool)> = FxHashMap::default();
         let mut unresolved: Vec<(f64, GraphId)> = Vec::new();
         let mut neighbors: Vec<Neighbor> = Vec::new();
-        let distance = distance_dyn(self.index().distance());
+        let distance = self.index().distance().as_dyn();
         let mut radius = INITIAL_RADIUS;
         // The largest radius whose round fully completed under the
         // budget — the correctness the outcome can still promise after

@@ -17,7 +17,8 @@
 //!    partition members are the only fragments whose per-graph
 //!    distances the search computes;
 //! 6. optionally, survivors are verified with the branch-and-bound
-//!    matcher (step 3 of the PIS framework).
+//!    matcher (step 3 of the PIS framework), which decides `d(Q, G) ≤ σ`
+//!    and stops at the first superposition within σ.
 //!
 //! # Performance (`DESIGN.md` §6)
 //!
@@ -63,7 +64,8 @@
 //!
 //! The tests hold the funnel to brute-force oracles, not to a second
 //! pipeline (`tests/proptest_funnel.rs`): answers equal `naive_scan`,
-//! answer distances equal `min_superimposed_distance_brute` to the bit,
+//! their distances (recomputed by the verifier) equal
+//! `min_superimposed_distance_brute` to the bit,
 //! candidates cover the answers and pass every probe's brute range
 //! check, and the stage counters shrink monotonically.
 
@@ -177,10 +179,11 @@ pub struct SearchOutcome {
     /// `CQ`: candidate answer set after all pruning, sorted by id.
     pub candidates: Vec<GraphId>,
     /// Verified answers (empty when verification is disabled).
+    /// Verification decides `d(Q, G) ≤ σ` and stops at the first
+    /// superposition within σ, so an answer's distance is not known
+    /// here; a caller that wants it asks
+    /// [`VerifyScratch::distance_within`] for that graph.
     pub answers: Vec<GraphId>,
-    /// Exact minimum superimposed distance of each answer, parallel to
-    /// `answers` (free — verification computes it anyway).
-    pub answer_distances: Vec<f64>,
     /// Candidates whose verification the budget interrupted: none is
     /// disproved, any might be an answer. Empty on an
     /// [`Exact`](Completeness::Exact) search. Together,
@@ -392,24 +395,17 @@ impl<'a> PisSearcher<'a> {
         let budget = BudgetState::new(&self.config.budget);
         let mut stats = self.search_into(query, sigma, scratch, &budget);
         let candidates = scratch.cand_buf.clone();
-        let mut answers = Vec::new();
-        let mut answer_distances = Vec::new();
-        let mut possible = Vec::new();
+        let (mut answers, mut possible) = (Vec::new(), Vec::new());
         if self.config.verify {
             let calls = scratch.verify.stats().calls;
-            let (resolved, unverified) =
+            (answers, possible) =
                 self.verify_candidates(query, &candidates, sigma, &mut scratch.verify, &budget);
             // Candidates the budget turned away never reached the
             // verifier and are not calls.
             stats.verification_calls = (scratch.verify.stats().calls - calls) as usize;
-            for (gid, d) in resolved {
-                answers.push(gid);
-                answer_distances.push(d);
-            }
-            possible = unverified;
         }
         let completeness = Completeness::of_state(&budget);
-        Ok(SearchOutcome { candidates, answers, answer_distances, possible, completeness, stats })
+        Ok(SearchOutcome { candidates, answers, possible, completeness, stats })
     }
 
     /// The pruning funnel (Algorithm 2 lines 3–23 plus the structure
@@ -701,17 +697,17 @@ impl<'a> PisSearcher<'a> {
     /// through scratches of their own, and every candidate's phase
     /// counters land back in `verify`.
     ///
-    /// Returns the verified `(graph, distance)` answers plus the
-    /// candidates whose verification the budget interrupted (never
-    /// disproved — the caller reports them as `possible`).
-    pub(crate) fn verify_candidates(
+    /// Returns the verified answers plus the candidates whose
+    /// verification the budget interrupted (never disproved — the
+    /// caller reports them as `possible`).
+    fn verify_candidates(
         &self,
         query: &LabeledGraph,
         candidates: &[GraphId],
         sigma: f64,
         verify: &mut VerifyScratch,
         budget: &BudgetState,
-    ) -> (Vec<(GraphId, f64)>, Vec<GraphId>) {
+    ) -> (Vec<GraphId>, Vec<GraphId>) {
         // Dispatch on the concrete distance once per batch so the whole
         // branch-and-bound loop monomorphizes (per-element cost calls
         // inline) instead of paying virtual dispatch per DFS node.
@@ -733,7 +729,7 @@ impl<'a> PisSearcher<'a> {
         verify: &mut VerifyScratch,
         distance: &D,
         budget: &BudgetState,
-    ) -> (Vec<(GraphId, f64)>, Vec<GraphId>) {
+    ) -> (Vec<GraphId>, Vec<GraphId>) {
         verify.begin_query(query);
         let results = ScopedPool::default().map_with(
             candidates,
@@ -744,10 +740,10 @@ impl<'a> PisSearcher<'a> {
                 // A trip observed before this candidate starts means its
                 // DFS could never complete — skip straight to `possible`
                 // instead of burning the checkpoint interval first.
-                let d = if budget.is_tripped() {
+                let within = if budget.is_tripped() {
                     Err(pis_graph::budget::Interrupted)
                 } else {
-                    scratch.distance_within_budgeted(
+                    scratch.within_budgeted(
                         query,
                         &self.database[gid.index()],
                         distance,
@@ -755,7 +751,7 @@ impl<'a> PisSearcher<'a> {
                         budget,
                     )
                 };
-                (d, scratch.take_stats())
+                (within, scratch.take_stats())
             },
         );
         let mut out = Vec::new();
@@ -763,8 +759,8 @@ impl<'a> PisSearcher<'a> {
         for (&gid, (resolved, stats)) in candidates.iter().zip(results) {
             verify.absorb_stats(&stats);
             match resolved {
-                Ok(Some(d)) => out.push((gid, d)),
-                Ok(None) => {}
+                Ok(true) => out.push(gid),
+                Ok(false) => {}
                 Err(_) => possible.push(gid),
             }
         }
@@ -829,14 +825,6 @@ fn effective_partition_algo(configured: PartitionAlgo, pool_len: usize) -> (Part
     }
 }
 
-/// Borrows the index distance as a trait object for verification.
-pub(crate) fn distance_dyn(d: &IndexDistance) -> &dyn SuperimposedDistance {
-    match d {
-        IndexDistance::Mutation(md) => md,
-        IndexDistance::Linear(ld) => ld,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,6 +838,29 @@ mod tests {
     /// One search through a fresh scratch, for inputs known to be valid.
     fn search(searcher: &PisSearcher<'_>, query: &LabeledGraph, sigma: f64) -> SearchOutcome {
         searcher.search(query, sigma, &mut SearchScratch::new()).expect("valid query")
+    }
+
+    /// Each of `outcome`'s answers at its distance, recomputed by the
+    /// bounded verifier at `sigma`, as raw bits.
+    fn answer_distance_bits(
+        searcher: &PisSearcher<'_>,
+        query: &LabeledGraph,
+        outcome: &SearchOutcome,
+        sigma: f64,
+    ) -> Vec<u64> {
+        let mut verify = query_verifier(query);
+        let distance = searcher.index().distance().as_dyn();
+        outcome
+            .answers
+            .iter()
+            .map(|g| {
+                let target = &searcher.database()[g.index()];
+                verify
+                    .distance_within(query, target, distance, sigma)
+                    .expect("answer within σ")
+                    .to_bits()
+            })
+            .collect()
     }
 
     fn cycle_with_edge_labels(labels: &[u32]) -> LabeledGraph {
@@ -934,8 +945,8 @@ mod tests {
                 let got: Vec<(GraphId, u64)> = o
                     .answers
                     .iter()
-                    .zip(&o.answer_distances)
-                    .map(|(&g, d)| (g, d.to_bits()))
+                    .copied()
+                    .zip(answer_distance_bits(&searcher, &q, &o, sigma))
                     .collect();
                 assert_eq!(got, brute, "sigma={sigma}");
                 assert_eq!(o.stats.verification_calls, o.candidates.len(), "sigma={sigma}");
@@ -1211,8 +1222,8 @@ mod tests {
             assert_eq!(reused.candidates, fresh.candidates);
             assert_eq!(reused.answers, fresh.answers);
             assert_eq!(
-                reused.answer_distances.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                fresh.answer_distances.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+                answer_distance_bits(&searcher, &q2, &reused, sigma),
+                answer_distance_bits(&searcher, &q2, &fresh, sigma)
             );
             assert_eq!(reused.stats, fresh.stats);
             assert_eq!(reused.completeness, Completeness::Exact);
@@ -1266,7 +1277,7 @@ mod tests {
                 let Some(q) = pis_datasets::query::sample_query(g, 6, &mut rng) else { continue };
                 let truth: Vec<Option<f64>> = db
                     .iter()
-                    .map(|t| min_superimposed_distance_brute(&q, t, distance_dyn(index.distance())))
+                    .map(|t| min_superimposed_distance_brute(&q, t, index.distance().as_dyn()))
                     .collect();
                 for sigma in [0.0, 1.0, 2.0, 3.0, 4.0] {
                     searcher.search_into(&q, sigma, &mut scratch, BudgetState::unlimited());

@@ -1,11 +1,13 @@
-//! Candidate verification: branch-and-bound minimum superimposed
-//! distance.
+//! Candidate verification: branch-and-bound superimposed distance.
 //!
-//! Computes `d(Q, G)` (Definition 1) exactly, like the brute-force
-//! oracle in `pis-distance`, but prunes partial superpositions against
-//! the running bound `min(σ, best found)` — superimposed distances are
-//! sums of non-negative per-element costs, so partial cost is monotone
-//! and the pruning is lossless.
+//! Decides the SSSD predicate of Definition 2 (`d(Q, G) ≤ σ`,
+//! [`VerifyScratch::within`], ended at the first superposition within
+//! σ) or computes `d(Q, G)` (Definition 1) exactly within a bound
+//! ([`VerifyScratch::distance_within`], tightened to the running
+//! `min(σ, best found)`), like the brute-force oracle in `pis-distance`
+//! but pruning partial superpositions against the bound — superimposed
+//! distances are sums of non-negative per-element costs, so partial
+//! cost is monotone and the pruning is lossless.
 //!
 //! The optimized path adds an **admissible remaining-cost lower bound**:
 //! before the subgraph search, one pass over the pair builds per-element
@@ -115,8 +117,9 @@ impl VerifyScratch {
     }
 
     /// Rebuilds the match plan for `query`. Must be called before
-    /// [`VerifyScratch::distance_within`] whenever the query changes;
-    /// the plan then serves every candidate target.
+    /// [`VerifyScratch::within`] or [`VerifyScratch::distance_within`]
+    /// whenever the query changes; the plan then serves every candidate
+    /// target.
     pub fn begin_query(&mut self, query: &LabeledGraph) {
         self.plan.rebuild_for_pattern(query);
     }
@@ -141,11 +144,14 @@ impl VerifyScratch {
     /// latest [`VerifyScratch::begin_query`] against `target`, bounded
     /// by `bound`: `Some(d(Q, G))` iff some superposition costs at most
     /// `bound`, `None` both when `Q ⊄ G` and when every superposition
-    /// costs more (the SSSD predicate of Definition 2 in either case).
-    /// Generic over the distance so callers holding the concrete type
-    /// (the funnel matches on `IndexDistance` before verifying) get a
-    /// monomorphized search loop with the per-element cost calls
-    /// inlined; trait-object callers still work via `?Sized`.
+    /// costs more. The value is for callers that rank by it (`knn`'s
+    /// k-th distance is its bound); the SSSD predicate of Definition 2
+    /// alone is [`VerifyScratch::within`], which stops at the first
+    /// superposition within the bound instead of tightening to the
+    /// minimum. Generic over the distance so callers holding the
+    /// concrete type (the funnel matches on `IndexDistance` before
+    /// verifying) get a monomorphized search loop with the per-element
+    /// cost calls inlined; trait-object callers still work via `?Sized`.
     pub fn distance_within<D: SuperimposedDistance + ?Sized>(
         &mut self,
         query: &LabeledGraph,
@@ -153,9 +159,45 @@ impl VerifyScratch {
         distance: &D,
         bound: f64,
     ) -> Option<f64> {
-        let result = self.run(query, target, distance, bound, BudgetState::unlimited());
+        let result = self.run(query, target, distance, bound, false, BudgetState::unlimited());
         debug_assert!(result.is_ok(), "the unlimited budget never interrupts verification");
         result.unwrap_or(None)
+    }
+
+    /// The SSSD predicate of Definition 2 for the query passed to the
+    /// latest [`VerifyScratch::begin_query`]: whether some superposition
+    /// on `target` costs at most `sigma`. The same branch-and-bound as
+    /// [`VerifyScratch::distance_within`] under the same bound, ended at
+    /// the first completion instead of tightened to the minimum: up to
+    /// that completion both searches expand the same nodes, so
+    /// `within(…) == distance_within(…).is_some()` on every pair, ties
+    /// at σ included.
+    pub fn within<D: SuperimposedDistance + ?Sized>(
+        &mut self,
+        query: &LabeledGraph,
+        target: &LabeledGraph,
+        distance: &D,
+        sigma: f64,
+    ) -> bool {
+        let result = self.run(query, target, distance, sigma, true, BudgetState::unlimited());
+        debug_assert!(result.is_ok(), "the unlimited budget never interrupts verification");
+        matches!(result, Ok(Some(_)))
+    }
+
+    /// [`VerifyScratch::within`] under a query budget, charged as
+    /// [`VerifyScratch::distance_within_budgeted`] charges it. A found
+    /// superposition is a sound positive whenever the budget trips (as
+    /// in [`VerifyScratch::contains_structure_budgeted`]); a trip before
+    /// one is `Err(Interrupted)`, and the candidate stays unverified.
+    pub fn within_budgeted<D: SuperimposedDistance + ?Sized>(
+        &mut self,
+        query: &LabeledGraph,
+        target: &LabeledGraph,
+        distance: &D,
+        sigma: f64,
+        budget: &BudgetState,
+    ) -> Result<bool, Interrupted> {
+        Ok(self.run(query, target, distance, sigma, true, budget)?.is_some())
     }
 
     /// [`VerifyScratch::distance_within`] under a query budget: the DFS
@@ -174,13 +216,7 @@ impl VerifyScratch {
         bound: f64,
         budget: &BudgetState,
     ) -> Result<Option<f64>, Interrupted> {
-        // One zero-unit checkpoint per candidate: bounds deadline and
-        // cancellation latency to a single verification even on targets
-        // too small for the DFS ever to reach the assignment interval.
-        if !budget.checkpoint(CheckpointSite::Verify, 0) {
-            return Err(Interrupted);
-        }
-        self.run(query, target, distance, bound, budget)
+        self.run(query, target, distance, bound, false, budget)
     }
 
     /// Structure-only containment (`Q ⊆ G` up to labels) of the query
@@ -208,8 +244,7 @@ impl VerifyScratch {
         target: &LabeledGraph,
         budget: &BudgetState,
     ) -> Result<bool, Interrupted> {
-        // Zero-unit per-candidate checkpoint, as in
-        // [`VerifyScratch::distance_within_budgeted`].
+        // Zero-unit per-candidate checkpoint, as in verification.
         if !budget.checkpoint(CheckpointSite::StructureCheck, 0) {
             return Err(Interrupted);
         }
@@ -266,18 +301,28 @@ impl VerifyScratch {
         Ok(found)
     }
 
+    /// The bounded search behind both entries: the minimum within
+    /// `bound`, or with `decide` the cost of the first superposition
+    /// within it.
     fn run<D: SuperimposedDistance + ?Sized>(
         &mut self,
         query: &LabeledGraph,
         target: &LabeledGraph,
         distance: &D,
         bound: f64,
+        decide: bool,
         budget: &BudgetState,
     ) -> Result<Option<f64>, Interrupted> {
+        // One zero-unit checkpoint per candidate: bounds deadline and
+        // cancellation latency to a single verification even on targets
+        // too small for the DFS ever to reach the assignment interval.
+        if !budget.checkpoint(CheckpointSite::Verify, 0) {
+            return Err(Interrupted);
+        }
         debug_assert_eq!(
             self.plan.len(),
             query.vertex_count(),
-            "begin_query must precede distance_within"
+            "begin_query must precede verification"
         );
         self.stats.calls += 1;
         if query.vertex_count() > target.vertex_count()
@@ -356,6 +401,7 @@ impl VerifyScratch {
             fc: 0.0,
             cost: 0.0,
             bound,
+            decide,
             best: None,
             expanded: 0,
             pruned: 0,
@@ -366,10 +412,11 @@ impl VerifyScratch {
         matcher.search_with_buffers(bufs, &mut visitor);
         stats.nodes_expanded += visitor.expanded;
         stats.nodes_pruned += visitor.pruned;
-        if visitor.tripped {
+        if visitor.tripped && !(decide && visitor.best.is_some()) {
             // Unexplored superpositions remain: a found best could be
             // beaten and a miss could hide an answer, so neither is a
-            // sound result.
+            // sound result — except a decision's witness, which no
+            // unexplored superposition can take back.
             return Err(Interrupted);
         }
         Ok(visitor.best)
@@ -581,6 +628,9 @@ struct BoundedLbVisitor<'a, D: SuperimposedDistance + ?Sized> {
     cost: f64,
     /// Current pruning bound: min(sigma, best complete cost so far).
     bound: f64,
+    /// Stop at the first completion: the caller asks whether a
+    /// superposition within `bound` exists, not what the minimum is.
+    decide: bool,
     best: Option<f64>,
     expanded: u64,
     pruned: u64,
@@ -717,7 +767,7 @@ impl<D: SuperimposedDistance + ?Sized> MatchVisitor for BoundedLbVisitor<'_, D> 
             self.best = Some(self.cost);
             self.bound = self.bound.min(self.cost);
         }
-        if self.best == Some(0.0) {
+        if self.decide || self.best == Some(0.0) {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
@@ -904,6 +954,46 @@ mod tests {
         assert_eq!(
             (stats.calls, stats.prechecked, stats.nodes_expanded),
             (392, 18, 23_530),
+            "verifier work drifted: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn within_expands_no_more_than_distance_within() {
+        // The workload of `remaining_lb_strictly_reduces_expanded_nodes`,
+        // decided instead of minimised: every answer agrees with the
+        // oracle's membership, and the work left is pinned as counts.
+        // Up to its first completion each decision expands the nodes the
+        // minimising search expands, so it can never expand more than
+        // that test's 23 530; it expands 4 152.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let gen = pis_datasets::MoleculeGenerator::default();
+        let db = gen.database(14, 42);
+        let mut rng = StdRng::seed_from_u64(7);
+        let md = MutationDistance::edge_hamming();
+        let mut scratch = VerifyScratch::new();
+        for g in &db {
+            if g.edge_count() < 8 {
+                continue;
+            }
+            let Some(q) = pis_datasets::query::sample_query(g, 6, &mut rng) else { continue };
+            scratch.begin_query(&q);
+            for target in &db {
+                let brute = min_superimposed_distance_brute(&q, target, &md);
+                for sigma in [1.0, 3.0] {
+                    assert_eq!(
+                        scratch.within(&q, target, &md, sigma),
+                        brute.is_some_and(|d| d <= sigma)
+                    );
+                }
+            }
+        }
+        let stats = scratch.take_stats();
+        assert!(stats.nodes_expanded <= 23_530, "a decision expanded more: {stats:?}");
+        assert_eq!(
+            (stats.calls, stats.prechecked, stats.nodes_expanded),
+            (392, 18, 4_152),
             "verifier work drifted: {stats:?}"
         );
     }

@@ -56,7 +56,7 @@
 use std::hash::Hasher;
 use std::ops::ControlFlow;
 
-use pis_distance::{LinearDistance, MutationDistance, ScoreMatrix};
+use pis_distance::{LinearDistance, MutationDistance, ScoreMatrix, SuperimposedDistance};
 use pis_graph::budget::BudgetState;
 use pis_graph::util::FxHasher;
 use pis_graph::{GraphId, Label, LabeledGraph, ScopedPool};
@@ -81,6 +81,15 @@ impl IndexDistance {
     /// Whether this is the categorical mutation distance.
     pub fn is_mutation(&self) -> bool {
         matches!(self, IndexDistance::Mutation(_))
+    }
+
+    /// The distance itself, for callers that measure with it through
+    /// the trait (the baselines, the verifier outside the funnel).
+    pub fn as_dyn(&self) -> &dyn SuperimposedDistance {
+        match self {
+            IndexDistance::Mutation(md) => md,
+            IndexDistance::Linear(ld) => ld,
+        }
     }
 
     /// The label slots a vector of `structure` stores, as

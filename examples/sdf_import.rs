@@ -120,13 +120,28 @@ fn main() {
     }
     let query = b.build();
 
+    // The search decides `d ≤ σ`; the verifier measures each answer's
+    // distance afterwards.
+    let distance = MutationDistance::edge_hamming();
+    let mut verify = VerifyScratch::new();
+    verify.begin_query(&query);
+    let mut distances_at = |answers: &[GraphId], sigma: f64| -> Vec<f64> {
+        answers
+            .iter()
+            .map(|&g| {
+                verify
+                    .distance_within(&query, system.graph(g), &distance, sigma)
+                    .expect("an answer has a superposition within sigma")
+            })
+            .collect()
+    };
     for sigma in [0.0, 2.0, 6.0] {
         let outcome = system.search(&query, sigma);
         println!(
             "aromatic ring query, sigma {sigma}: {} answers {:?} (distances {:?})",
             outcome.answers.len(),
             outcome.answers.iter().map(|g| g.0).collect::<Vec<_>>(),
-            outcome.answer_distances
+            distances_at(&outcome.answers, sigma)
         );
     }
 
@@ -137,6 +152,7 @@ fn main() {
         assert_eq!(exact.answers.len(), 3);
         let all = system.search(&query, 6.0);
         assert_eq!(all.answers.len(), 4);
+        assert_eq!(distances_at(&all.answers, 6.0), [0.0, 0.0, 6.0, 0.0]);
         println!("sample assertions OK");
     }
 }

@@ -298,11 +298,7 @@ impl PisSystem {
 
     /// The full-scan baseline.
     pub fn naive_scan(&self, query: &LabeledGraph, sigma: f64) -> BaselineOutcome {
-        let distance: &dyn pis_distance::SuperimposedDistance = match self.index.distance() {
-            IndexDistance::Mutation(md) => md,
-            IndexDistance::Linear(ld) => ld,
-        };
-        pis_core::naive_scan(&self.database, query, distance, sigma)
+        pis_core::naive_scan(&self.database, query, self.index.distance().as_dyn(), sigma)
     }
 
     /// Fetches a graph by id.

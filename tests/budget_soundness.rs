@@ -10,7 +10,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{connected_graph, graph_database};
+use common::{answer_distance_bits, connected_graph, graph_database};
 use pis::core::PisSearcher;
 use pis::distance::oracle::sssd_brute;
 use pis::prelude::*;
@@ -101,10 +101,10 @@ proptest! {
         prop_assert_eq!(&plain.answers, &budgeted.answers);
         prop_assert_eq!(&plain.candidates, &budgeted.candidates);
         prop_assert_eq!(&plain.stats, &budgeted.stats);
-        let plain_bits: Vec<u64> = plain.answer_distances.iter().map(|d| d.to_bits()).collect();
-        let budgeted_bits: Vec<u64> =
-            budgeted.answer_distances.iter().map(|d| d.to_bits()).collect();
-        prop_assert_eq!(plain_bits, budgeted_bits);
+        prop_assert_eq!(
+            answer_distance_bits(&system, &query, &plain, sigma),
+            answer_distance_bits(&system, &query, &budgeted, sigma)
+        );
     }
 
     /// A scratch that lived through an aborted/truncated query is
@@ -134,9 +134,10 @@ proptest! {
         prop_assert_eq!(&after.candidates, &fresh.candidates);
         prop_assert_eq!(&after.possible, &fresh.possible);
         prop_assert_eq!(&after.stats, &fresh.stats);
-        let after_bits: Vec<u64> = after.answer_distances.iter().map(|d| d.to_bits()).collect();
-        let fresh_bits: Vec<u64> = fresh.answer_distances.iter().map(|d| d.to_bits()).collect();
-        prop_assert_eq!(after_bits, fresh_bits);
+        prop_assert_eq!(
+            answer_distance_bits(&system, &query, &after, sigma),
+            answer_distance_bits(&system, &query, &fresh, sigma)
+        );
         prop_assert!(after.completeness.is_exact());
     }
 

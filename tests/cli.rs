@@ -183,6 +183,38 @@ fn baselines_use_the_stores_distance_on_weighted_data() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `search` decides `d ≤ σ`, then prints each answer's distance, which
+/// is the oracle's on a labeled (edge-Hamming) store.
+#[test]
+fn search_prints_the_oracle_distance_of_each_answer() {
+    use pis::distance::oracle::min_superimposed_distance_brute;
+    let dir = tmp_dir("distances");
+    let [db, store, queries] = generate_build_sample(&dir, "40", "13", false);
+    let read = |path: &str| parse_database(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let (db, queries_db) = (read(&db), read(&queries));
+    let out = run_ok(pis().args(["search", &store, "--query", &queries, "--sigma", "3"]));
+    let md = MutationDistance::edge_hamming();
+    let (mut qi, mut printed, mut positive) = (0, 0, 0);
+    for line in out.lines() {
+        if let Some(rest) = line.strip_prefix("query ") {
+            qi = rest.split(' ').next().unwrap().parse::<usize>().unwrap();
+        } else if let Some(answer) = line.strip_prefix("  g") {
+            let (id, distance) = answer
+                .strip_suffix(')')
+                .and_then(|a| a.split_once(" (distance "))
+                .unwrap_or_else(|| panic!("an answer line prints its distance: {line}"));
+            let g: usize = id.parse().unwrap();
+            let d: f64 = distance.parse().unwrap();
+            let brute = min_superimposed_distance_brute(&queries_db[qi], &db[g], &md);
+            assert_eq!(brute, Some(d), "query {qi} graph {g}");
+            printed += 1;
+            positive += usize::from(d > 0.0);
+        }
+    }
+    assert!(positive > 0 && printed > positive, "{printed} answers, {positive} above 0: {out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `build` selects features by gIndex, by paths or exhaustively, and
 /// each store answers a search as the naive scan does.
 #[test]

@@ -91,9 +91,30 @@ pub fn query_fragments(
     frags
 }
 
-/// An outcome's answer distances as raw bits, for bit-exact comparison.
-pub fn distance_bits(outcome: &SearchOutcome) -> Vec<u64> {
-    outcome.answer_distances.iter().map(|d| d.to_bits()).collect()
+/// The distance of each of `outcome`'s answers, recomputed by the
+/// bounded verifier at `sigma` under `system`'s distance, as raw bits
+/// for bit-exact comparison. The search only decides `d ≤ σ`, so this is
+/// where a test reads an answer's distance; an answer without a
+/// superposition within `sigma` fails the test here.
+pub fn answer_distance_bits(
+    system: &PisSystem,
+    query: &LabeledGraph,
+    outcome: &SearchOutcome,
+    sigma: f64,
+) -> Vec<u64> {
+    let distance = system.index().distance().as_dyn();
+    let mut verify = VerifyScratch::new();
+    verify.begin_query(query);
+    outcome
+        .answers
+        .iter()
+        .map(|&g| {
+            verify
+                .distance_within(query, system.graph(g), distance, sigma)
+                .unwrap_or_else(|| panic!("answer {g} has no superposition within sigma {sigma}"))
+                .to_bits()
+        })
+        .collect()
 }
 
 /// σ for the oracle properties: half the draws are the integers 0–4,

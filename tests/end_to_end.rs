@@ -4,9 +4,9 @@
 
 mod common;
 
-use common::ring;
+use common::{answer_distance_bits, ring};
 use pis::datasets::{query::sample_query, sample_query_set, MoleculeConfig, MoleculeGenerator};
-use pis::distance::oracle::sssd_brute;
+use pis::distance::oracle::{min_superimposed_distance_brute, sssd_brute};
 use pis::index::{encode_snapshot, FragmentIndex, IndexConfig};
 use pis::prelude::*;
 
@@ -275,17 +275,21 @@ fn knn_agrees_with_range_search_ranking() {
         .build(db.clone());
     let q = sample_query_set(&db, 10, 1, 8).remove(0);
     let knn = system.knn(&q, 5);
-    // Every neighbor's distance must match the range search's verified
-    // distance at a radius covering it.
+    // Every neighbor is a range answer at a radius covering it, and its
+    // distance is that answer's verified distance and the oracle's.
     let radius = knn.neighbors.last().map_or(0.0, |n| n.distance);
     let range = system.search(&q, radius);
+    let range_bits = answer_distance_bits(&system, &q, &range, radius);
+    let md = MutationDistance::edge_hamming();
     for n in &knn.neighbors {
         let pos = range
             .answers
             .iter()
             .position(|g| g == &n.graph)
             .expect("kNN result missing from range search");
-        assert_eq!(range.answer_distances[pos], n.distance);
+        assert_eq!(range_bits[pos], n.distance.to_bits());
+        let brute = min_superimposed_distance_brute(&q, system.graph(n.graph), &md);
+        assert_eq!(brute.map(f64::to_bits), Some(range_bits[pos]), "neighbor {}", n.graph);
     }
     // Sorted by distance.
     assert!(knn.neighbors.windows(2).all(|w| w[0].distance <= w[1].distance));

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::ring;
+use common::{answer_distance_bits, ring};
 use pis::distance::oracle::min_superimposed_distance_brute;
 use pis::prelude::*;
 
@@ -44,7 +44,13 @@ fn search_matches_naive_scan_at_every_sigma() {
     // and the one-relabel ring only.
     let hits = system.search(&query, 1.0);
     assert_eq!(hits.answers, vec![GraphId(0), GraphId(1)]);
-    assert_eq!(hits.answer_distances, vec![0.0, 1.0]);
+    let bits = answer_distance_bits(&system, &query, &hits, 1.0);
+    assert_eq!(bits, [0.0, 1.0].map(f64::to_bits));
+    let md = MutationDistance::edge_hamming();
+    for (&g, d) in hits.answers.iter().zip(bits) {
+        let brute = min_superimposed_distance_brute(&query, system.graph(g), &md);
+        assert_eq!(brute.map(f64::to_bits), Some(d), "answer {g}");
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@ mod common;
 
 use std::sync::Mutex;
 
-use common::{distance_bits, ring, unique_probes};
+use common::{answer_distance_bits, ring, unique_probes};
 use pis::core::{PisSearcher, DEFAULT_PARALLEL_FRAGMENT_THRESHOLD};
 use pis::distance::oracle::sssd_brute;
 use pis::graph::budget::CheckpointSite;
@@ -191,7 +191,11 @@ fn checkpoint_panic_surfaces_and_searcher_stays_usable() {
         assert!(after.completeness.is_exact(), "after a {site} panic");
         assert_eq!(after.answers, fresh.answers, "after a {site} panic");
         assert_eq!(after.candidates, fresh.candidates, "after a {site} panic");
-        assert_eq!(distance_bits(&after), distance_bits(&fresh), "after a {site} panic");
+        assert_eq!(
+            answer_distance_bits(&index, &query, &after, sigma),
+            answer_distance_bits(&index, &query, &fresh, sigma),
+            "after a {site} panic"
+        );
         assert_eq!(after.stats, fresh.stats, "after a {site} panic");
         let got: Vec<usize> = after.answers.iter().map(|g| g.index()).collect();
         assert_eq!(got, oracle, "after a {site} panic");

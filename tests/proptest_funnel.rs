@@ -30,7 +30,7 @@
 mod common;
 
 use common::{
-    connected_graph, distance_bits, fragment_as_graph, graph_database, query_fragments,
+    answer_distance_bits, connected_graph, fragment_as_graph, graph_database, query_fragments,
     shrink_case, sigma, unique_probes,
 };
 use pis::core::{
@@ -57,12 +57,9 @@ fn funnel_oracles(
     let (db, index, config) = (system.database(), system.index(), system.config());
     let o = searcher.search(query, sigma, &mut SearchScratch::new()).unwrap();
     for _ in 0..2 {
-        same_outcome(&searcher.search(query, sigma, scratch).unwrap(), &o, sigma)?;
+        same_outcome(system, query, &searcher.search(query, sigma, scratch).unwrap(), &o, sigma)?;
     }
-    let distance: &dyn SuperimposedDistance = match index.distance() {
-        IndexDistance::Mutation(md) => md,
-        IndexDistance::Linear(ld) => ld,
-    };
+    let distance = index.distance().as_dyn();
     let brute: Vec<(GraphId, u64)> = db
         .iter()
         .enumerate()
@@ -72,7 +69,8 @@ fn funnel_oracles(
         })
         .collect();
     if config.verify {
-        let got: Vec<(GraphId, u64)> = o.answers.iter().copied().zip(distance_bits(&o)).collect();
+        let got: Vec<(GraphId, u64)> =
+            o.answers.iter().copied().zip(answer_distance_bits(system, query, &o, sigma)).collect();
         prop_assert_eq!(got, brute.clone(), "answers vs brute");
     } else {
         prop_assert!(o.answers.is_empty());
@@ -411,10 +409,11 @@ proptest! {
                     prop_assert_eq!(&o.candidates, &topo.candidates, "candidates, {}", at);
                     let naive = system.naive_scan(query, sigma);
                     prop_assert_eq!(&o.answers, &naive.answers, "answers, {}", at);
-                    for (&g, &d) in o.answers.iter().zip(&o.answer_distances) {
+                    let bits = answer_distance_bits(&system, query, &o, sigma);
+                    for (&g, d) in o.answers.iter().zip(bits) {
                         let brute = min_superimposed_distance_brute(query, &db[g.index()], &ld)
                             .expect("an answer contains the query");
-                        prop_assert_eq!(d.to_bits(), brute.to_bits(), "{} {}", g, at);
+                        prop_assert_eq!(d, brute.to_bits(), "{} {}", g, at);
                     }
                 }
             }
@@ -482,7 +481,7 @@ fn pooled_range_arm_equals_serial_arm() {
             } else {
                 naive_scan(system.database(), &query, &MutationDistance::edge_hamming(), sigma)
             };
-            same_outcome(a, b, sigma)?;
+            same_outcome(&system, &query, a, b, sigma)?;
             prop_assert_eq!(&a.answers, &oracle.answers, "naive_scan, sigma {}", sigma);
         }
         Ok(())
@@ -505,7 +504,7 @@ fn pooled_range_arm_equals_serial_arm() {
     });
     for ((query, a), b) in queries.iter().zip(&on_caller).zip(&in_worker) {
         let oracle = naive_scan(system.database(), query, &MutationDistance::edge_hamming(), sigma);
-        same_outcome(a, b, sigma).unwrap();
+        same_outcome(&system, query, a, b, sigma).unwrap();
         assert_eq!(a.answers, oracle.answers, "naive_scan, sigma {sigma}");
     }
     assert!(
@@ -530,11 +529,23 @@ fn on_caller_and_in_worker<R: Send>(search: impl Fn(&mut SearchScratch) -> R + S
     (on_caller, in_worker)
 }
 
-/// Candidates, answers, distance bits and stats of `a` and `b` agree.
-fn same_outcome(a: &SearchOutcome, b: &SearchOutcome, sigma: f64) -> Result<(), TestCaseError> {
+/// Candidates, answers, answer distance bits and stats of two searches
+/// of `query` on `system` agree.
+fn same_outcome(
+    system: &PisSystem,
+    query: &LabeledGraph,
+    a: &SearchOutcome,
+    b: &SearchOutcome,
+    sigma: f64,
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(&a.candidates, &b.candidates, "candidates, sigma {}", sigma);
     prop_assert_eq!(&a.answers, &b.answers, "answers, sigma {}", sigma);
-    prop_assert_eq!(distance_bits(a), distance_bits(b), "distance bits, sigma {}", sigma);
+    prop_assert_eq!(
+        answer_distance_bits(system, query, a, sigma),
+        answer_distance_bits(system, query, b, sigma),
+        "distance bits, sigma {}",
+        sigma
+    );
     prop_assert_eq!(&a.stats, &b.stats, "stats, sigma {}", sigma);
     Ok(())
 }
